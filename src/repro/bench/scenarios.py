@@ -194,28 +194,6 @@ def _build_sharded_serving(smoke: bool) -> Callable[[], dict]:
     return body
 
 
-def _build_sharded_serving_parallel(smoke: bool) -> Callable[[], dict]:
-    """The same replay through the shard-parallel kernel.
-
-    Check fields (the digest included) are identical to
-    ``sharded-serving`` by construction — the committed baseline pins
-    that equality, so the parallel speedup can never come from
-    simulating something else. ``workers=0`` runs the partitioned
-    kernel in-process: the honest configuration on a single-core CI
-    host, and the one whose speedup is the batched engine itself
-    rather than parallelism the host cannot provide.
-    """
-    from repro.shard import run_parallel_replay
-
-    config = _sharded_serving_config(smoke)
-
-    def body() -> dict:
-        return _sharded_serving_checks(
-            run_parallel_replay(config, workers=0))
-
-    return body
-
-
 SCENARIOS: dict[str, Scenario] = {
     "serving": Scenario(
         name="serving",
@@ -239,10 +217,4 @@ SCENARIOS: dict[str, Scenario] = {
         description="million-tenant Zipf replay over the sharded "
                     "serving fabric (rebalance + shard failure)",
         build=_build_sharded_serving),
-    "sharded-serving-parallel": Scenario(
-        name="sharded-serving-parallel",
-        description="the same replay through the shard-parallel "
-                    "kernel; checks (digest included) must equal "
-                    "sharded-serving",
-        build=_build_sharded_serving_parallel),
 }

@@ -345,47 +345,34 @@ def _run_futures(args) -> int:
 
 def _run_shard(args) -> int:
     """Run the sharded-serving replay (or the CI smoke gate)."""
-    from repro.shard import ReplayConfig, run_parallel_replay, run_replay
+    from repro.shard import ReplayConfig, run_replay
+    from repro.shard.replay import run_replay_reference
     from repro.telemetry import canonical_json
 
     try:
         if args.smoke:
             # CI gate: the >=100k-tenant smoke replay (with one injected
-            # shard failure) must be byte-deterministic across two runs,
-            # must never walk a tenant-sized structure on the hot path,
-            # and must account for every admitted query. With
-            # --parallel the second run goes through the shard-parallel
-            # kernel instead, so the same comparison gates the
-            # sequential/parallel digest equality.
+            # shard failure) through the kernel and through its
+            # event-at-a-time oracle must be byte-identical, must never
+            # walk a tenant-sized structure on the hot path, and must
+            # account for every admitted query.
             config = ReplayConfig(seed=args.seed).smoke()
             first = run_replay(config)
-            if args.parallel:
-                second = run_parallel_replay(config,
-                                             workers=args.workers)
-            else:
-                second = run_replay(config)
+            second = run_replay_reference(config)
             report = first.report
             if first.digest() != second.digest():
-                reason = ("parallel kernel diverged from the "
-                          "sequential replay" if args.parallel else
-                          "replay is not deterministic across "
-                          "identical runs")
-                print(f"repro shard --smoke: FAIL: {reason}",
-                      file=sys.stderr)
-                return 1
-            if second.full_scans:
-                print(f"repro shard --smoke: FAIL: {second.full_scans} "
-                      f"full scans of tenant-keyed state in the "
-                      f"second run", file=sys.stderr)
+                print("repro shard --smoke: FAIL: the replay kernel "
+                      "diverged from its reference", file=sys.stderr)
                 return 1
             if first.distinct_tenants < 100_000:
                 print(f"repro shard --smoke: FAIL: only "
                       f"{first.distinct_tenants} distinct tenants "
                       f"(need >= 100000)", file=sys.stderr)
                 return 1
-            if first.full_scans:
+            if first.full_scans or second.full_scans:
                 print(f"repro shard --smoke: FAIL: {first.full_scans} "
-                      f"full scans of tenant-keyed state on the hot path",
+                      f"(kernel) / {second.full_scans} (reference) full "
+                      f"scans of tenant-keyed state on the hot path",
                       file=sys.stderr)
                 return 1
             if not report["balanced"]:
@@ -401,21 +388,16 @@ def _run_shard(args) -> int:
                 print("repro shard --smoke: FAIL: shard failures recovered "
                       "no admitted queries", file=sys.stderr)
                 return 1
-            engines = ("sequential==parallel" if args.parallel
-                       else "sequential")
             print(f"smoke OK: {first.distinct_tenants} tenants / "
                   f"{first.events} events over {first.shards_final} final "
                   f"shards; {first.failures_injected} failure(s), "
                   f"{first.recovered} recovered, full_scans=0, "
-                  f"digest {first.digest()[:16]} ({engines})")
+                  f"digest {first.digest()[:16]} (kernel==reference)")
             return 0
         config = ReplayConfig(tenants=args.tenants, events=args.events,
                               seed=args.seed, fail_at=(150.0,),
                               fault_plan="shard-failure")
-        if args.parallel:
-            result = run_parallel_replay(config, workers=args.workers)
-        else:
-            result = run_replay(config)
+        result = run_replay(config)
     except (KeyError, ValueError) as exc:
         print(f"repro shard: error: {exc}", file=sys.stderr)
         return 2
@@ -560,17 +542,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="RNG seed (fixed seed -> identical replay)")
     shard.add_argument("--json", action="store_true",
                        help="print the canonical JSON replay outcome")
-    shard.add_argument("--parallel", action="store_true",
-                       help="run through the shard-parallel kernel; with "
-                            "--smoke, gate sequential/parallel digest "
-                            "equality")
-    shard.add_argument("--workers", type=int, default=0,
-                       help="parallel worker processes (0 = partitioned "
-                            "kernel in-process; default 0)")
     shard.add_argument("--smoke", action="store_true",
                        help="CI gate: >=100k-tenant replay with a shard "
-                            "failure; fail on nondeterminism, hot-path "
-                            "full scans, or unreconciled queries")
+                            "failure; fail when the kernel and its "
+                            "reference diverge, on hot-path full scans, "
+                            "or on unreconciled queries")
     metrics = commands.add_parser(
         "metrics", help="run one query with telemetry and show a dashboard")
     metrics.add_argument("--query", default="tpch-q12",

@@ -72,26 +72,12 @@ def _run_config_dict(config: ReplayConfig) -> dict:
 
 
 def run_obs_replay(config: ReplayConfig | None = None,
-                   obs_config: ObsConfig | None = None,
-                   parallel: bool = False,
-                   workers: int = 0) -> ObsReplayResult:
-    """Run a replay with the observability plane attached.
-
-    ``parallel=True`` routes through the shard-parallel kernel
-    (:func:`repro.shard.run_parallel_replay`); the plane's callbacks
-    arrive merged into the exact sequential order, so the observed
-    digest — replay, SLO report, sampling, incident bundles — is
-    byte-identical to the sequential run (the obs tests pin this).
-    """
+                   obs_config: ObsConfig | None = None) -> ObsReplayResult:
+    """Run a replay with the observability plane attached."""
     config = config or ReplayConfig().smoke()
     plane = ReplayObsPlane(obs_config,
                            run_config=_run_config_dict(config))
-    if parallel:
-        from repro.shard.parallel_replay import run_parallel_replay
-        result = run_parallel_replay(config, observer=plane,
-                                     workers=workers)
-    else:
-        result = run_replay(config, observer=plane)
+    result = run_replay(config, observer=plane)
     return ObsReplayResult(
         replay=result,
         slo=plane.slo_report(config.window_s),

@@ -23,16 +23,13 @@ ceiling) forces at millions-of-users scale:
   a conservation check (offered = completed + shed + failed + pending);
 * :mod:`repro.shard.replay` — deterministic high-QPS trace replay over
   the fabric (the `sharded-serving` bench scenario and
-  ``repro shard --smoke``);
-* :mod:`repro.shard.parallel_replay` — the shard-parallel kernel: the
-  same replay partitioned by shard domain over worker processes (or an
-  in-process pool) with a deterministic merge, digest-identical to the
-  sequential path.
+  ``repro shard --smoke``): one kernel that routes each inter-tick
+  slice of the trace in a batch and replays it shard by shard, pinned
+  byte-for-byte against an event-at-a-time oracle.
 """
 
 from repro.shard.directory import PartitionDirectory, Route
 from repro.shard.metrics import FleetMetrics, LatencyHistogram, ShardMetrics
-from repro.shard.parallel_replay import run_parallel_replay
 from repro.shard.rebalance import RebalanceEvent, Rebalancer
 from repro.shard.replay import ReplayConfig, run_replay, run_unsharded_replay
 from repro.shard.ring import HashRing
@@ -49,7 +46,6 @@ __all__ = [
     "Route",
     "ShardMetrics",
     "ShardRouter",
-    "run_parallel_replay",
     "run_replay",
     "run_unsharded_replay",
 ]

@@ -13,13 +13,12 @@ tenant on its old shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.shard.ring import HashRing
 
 
-@dataclass(frozen=True)
-class Route:
+class Route(NamedTuple):
     """One directory answer: where a tenant lives, as of which epoch."""
 
     shard: str
@@ -35,8 +34,11 @@ class PartitionDirectory:
         self.prefix = prefix
         #: Global map version; grows by one per mutation.
         self.epoch = 0
-        #: Epoch at which each shard's assignment set last changed.
-        self._shard_epochs: dict[str, int] = {}
+        #: Each shard's current route: its id with the epoch at which
+        #: its assignment set last changed. One shared object per
+        #: (shard, epoch) — a full replay asks for a route about a
+        #: million times, and none of those answers allocates.
+        self._shard_routes: dict[str, Route] = {}
         #: Tenants pinned to a shard explicitly (hot-tenant isolation,
         #: failure re-homing); consulted before the ring.
         self._overrides: dict[str, str] = {}
@@ -52,7 +54,7 @@ class PartitionDirectory:
 
     def shard_epoch(self, shard: str) -> int:
         """The epoch fence value of one shard."""
-        return self._shard_epochs[shard]
+        return self._shard_routes[shard].epoch
 
     def overrides(self) -> dict[str, str]:
         """The explicit tenant pins (copy)."""
@@ -72,14 +74,14 @@ class PartitionDirectory:
         shard = self._overrides.get(tenant)
         if shard is None:
             shard = self.ring.lookup(tenant)
-        return Route(shard=shard, epoch=self._shard_epochs[shard])
+        return self._shard_routes[shard]
 
     # -- mutations (each bumps the global epoch once) ----------------------
 
     def _bump(self, affected) -> int:
         self.epoch += 1
         for shard in affected:
-            self._shard_epochs[shard] = self.epoch
+            self._shard_routes[shard] = Route(shard, self.epoch)
         return self.epoch
 
     def add_shard(self, name: str | None = None) -> str:
@@ -107,7 +109,7 @@ class PartitionDirectory:
         for tenant, shard in list(self._overrides.items()):
             if shard == cold:
                 self._overrides[tenant] = target
-        self._shard_epochs.pop(cold)
+        self._shard_routes.pop(cold)
         self._bump([target])
 
     def fail_shard(self, dead: str) -> list[str]:
@@ -120,7 +122,7 @@ class PartitionDirectory:
         for tenant, shard in list(self._overrides.items()):
             if shard == dead:
                 del self._overrides[tenant]
-        self._shard_epochs.pop(dead)
+        self._shard_routes.pop(dead)
         heirs = self.ring.successors(points)
         self._bump(heirs)
         return heirs

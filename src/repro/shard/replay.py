@@ -10,6 +10,14 @@ the trace clock advances, and each dispatch's completion time is known
 in closed form. Everything runs on a :class:`ManualClock`, so the whole
 run is a single pass over the trace — O(events) work, O(active) memory.
 
+Between control ticks no directory mutation, failure, rebalance or SLO
+scrape can happen, so each shard's drain is independent by
+construction. :func:`run_replay` therefore routes a whole inter-tick
+slice at once (:meth:`ShardRouter.route_batch`) and replays it shard by
+shard, which is what makes the uncontended case a closed form
+(:func:`_run_fast`). :func:`run_replay_reference` is the same run one
+event at a time — the oracle the kernel's digest is pinned against.
+
 Two instruments make the complexity claims checkable rather than
 asserted:
 
@@ -26,7 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.serve.gateway import QueryGateway, Tenant
 from repro.serve.metrics import CompletedQuery
@@ -34,12 +44,25 @@ from repro.shard.metrics import ShardMetrics
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import ShardRouter
 from repro.sim.rng import RandomStreams
-from repro.telemetry import canonical_json
+from repro.telemetry import canonical_json, get_recorder
+
+# The histogram bucket constants, imported so the fast lane can inline
+# ``LatencyHistogram.record`` (same expressions, same order — the
+# digest pins the equivalence).
+from repro.telemetry.metrics import _BUCKETS, _BUCKETS_PER_DECADE, _LOG_MIN
 from repro.workloads.traffic import zipf_trace
 
 #: Cost model of one served query: the paper's Lambda price point
 #: (USD per GB-second) at 2 GB, applied to analytic service time.
 _USD_PER_SLOT_SECOND = 2.0 * 0.0000166667
+
+_TOP_BUCKET = _BUCKETS + 1
+
+#: Route and replay at most this many events at a time even between
+#: ticks. Slice boundaries are transparent — ops carry their own
+#: timestamps and shards keep no cross-slice cursor — so this only
+#: bounds the memory of the op streams.
+_FLUSH_EVERY = 131_072
 
 
 class ManualClock:
@@ -149,11 +172,7 @@ class ReplayConfig:
 
 @dataclass
 class ReplayResult:
-    """The replay's outcome: the roll-up, the history, the proof bits.
-
-    ``extra`` carries non-deterministic annotations (wall times, RSS);
-    it is deliberately excluded from :meth:`to_dict` and the digest.
-    """
+    """The replay's outcome: the roll-up, the history, the proof bits."""
 
     report: dict
     rebalances: list[dict]
@@ -166,7 +185,6 @@ class ReplayResult:
     recovered: int
     full_scans: int
     failures_injected: int
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -279,15 +297,6 @@ def _advance(bank: _SlotBank, gateway: QueryGateway, now: float,
                                        on_completion, slow_s, salt, cut))
 
 
-def _drain_all(banks: dict, gateways: dict, upto: float,
-               on_completion=None, slow_s: float = _ALWAYS,
-               salt: int = 0, cut: int = 0) -> None:
-    for shard in sorted(banks):
-        if shard in gateways:
-            _advance(banks[shard], gateways[shard], upto,
-                     on_completion, slow_s, salt, cut)
-
-
 def _quiesce(bank: _SlotBank, gateway: QueryGateway, horizon: float,
              step: float, on_completion=None, slow_s: float = _ALWAYS,
              salt: int = 0, cut: int = 0) -> None:
@@ -308,16 +317,144 @@ def _distinct(ids) -> int:
     return 1 + int((ordered[1:] != ordered[:-1]).sum())
 
 
+class _Fabric:
+    """What the kernel and its oracle share: all but the event loop.
+
+    The trace, the clock, the real :class:`ShardRouter` with its
+    :class:`ScanGuard`-wrapped gateways and their slot banks, the
+    rebalancer, the chaos injector, the observer's unpacked completion
+    hook, the control tick and the final roll-up.
+    """
+
+    def __init__(self, config: ReplayConfig, observer) -> None:
+        self.config = config
+        self.observer = observer
+        streams = RandomStreams(config.seed)
+        self.times, self.ids = zipf_trace(
+            streams.stream("shard.trace"), config.tenants, config.events,
+            config.window_s, s=config.zipf_s)
+        self.services = streams.stream("shard.service").exponential(
+            config.mean_service_s, size=config.events)
+
+        self.clock = ManualClock()
+        #: Every ScanGuard ever created, retired gateways included —
+        #: the run's ``full_scans`` proof covers dead shards too.
+        self.guards: list[ScanGuard] = []
+        #: Slot banks by shard id, made with the gateways. Shard ids
+        #: are never reused, so a retired shard's bank is just unread.
+        self.banks: dict[str, _SlotBank] = {}
+        self.router = ShardRouter(
+            self.clock, shards=config.shards,
+            max_pending=config.max_pending_per_shard,
+            default_tenant=Tenant(
+                name="__default__",
+                max_queue_depth=config.tenant_queue_depth,
+                slo_latency_s=config.slo_latency_s),
+            slo_latency_s=config.slo_latency_s,
+            gateway_factory=self._gateway)
+        self.rebalancer = Rebalancer(
+            self.router, seed=config.seed, hot_factor=config.hot_factor,
+            cold_factor=config.cold_factor, min_shards=1,
+            max_shards=config.max_shards)
+        self.injector = None
+        if config.fault_plan:
+            from repro.chaos.injector import FaultInjector
+            from repro.chaos.plan import get_plan
+            self.injector = FaultInjector(get_plan(config.fault_plan),
+                                          RandomStreams(config.seed))
+            if observer is not None:
+                self.injector.observer = observer
+
+        # The completion hook, pre-bound and with its interest spec
+        # unpacked: it fires once per served request, the other
+        # observer hooks only at control cadence.
+        self.hook: tuple = (None, _ALWAYS, 0, 0)
+        if observer is not None:
+            interest = getattr(observer, "completion_interest", None)
+            self.hook = (observer.on_completion,
+                         *(interest or (_ALWAYS, 0, 0)))
+        self.pending_failures = sorted(config.fail_at)
+        self.failures = 0
+        self.next_control = config.control_interval_s
+
+    def _gateway(self, env, **kwargs) -> QueryGateway:
+        gateway = QueryGateway(env, **kwargs)
+        gateway.queues = ScanGuard(gateway.queues)
+        gateway.tenants = ScanGuard(gateway.tenants)
+        self.guards.append(gateway.queues)
+        self.guards.append(gateway.tenants)
+        self.banks[gateway.shard_id] = _SlotBank(self.config.slots_per_shard)
+        return gateway
+
+    def _kill(self, victim: str) -> None:
+        orphans = self.router.fail_shard(victim)
+        self.failures += 1
+        if self.observer is not None:
+            self.observer.on_shard_failure(self.clock.now, victim, orphans)
+
+    def control_tick(self) -> None:
+        """Failures, drain, rebalance and observer scrape at one tick."""
+        at = self.clock.now = self.next_control
+        router = self.router
+        gateways = router.gateways
+        # Failures fire on the un-drained state: whatever is still
+        # queued on the victim at the instant it dies is exactly the
+        # work that must be recovered, not completed.
+        while self.pending_failures and self.pending_failures[0] <= at:
+            self.pending_failures.pop(0)
+            if len(gateways) > 1:
+                self._kill(max(
+                    router.shards(),
+                    key=lambda shard: gateways[shard].total_pending))
+        if self.injector is not None:
+            for shard in router.shards():
+                if len(gateways) > 1 and self.injector.on_shard(shard, at):
+                    self._kill(shard)
+        for shard in router.shards():
+            _advance(self.banks[shard], gateways[shard], at, *self.hook)
+        self.rebalancer.step(at)
+        if self.observer is not None:
+            self.observer.on_control_tick(at, router)
+        self.next_control += self.config.control_interval_s
+
+    def finish(self) -> ReplayResult:
+        """Drain every shard to quiescence and roll the fleet up."""
+        config = self.config
+        router = self.router
+        self.clock.now = config.window_s
+        for shard in router.shards():
+            _quiesce(self.banks[shard], router.gateways[shard],
+                     config.window_s, config.mean_service_s, *self.hook)
+        if self.observer is not None:
+            self.observer.on_end(config.window_s, router)
+        return ReplayResult(
+            report=router.roll_up().to_dict(),
+            rebalances=self.rebalancer.history(),
+            distinct_tenants=_distinct(self.ids),
+            events=config.events,
+            shards_final=len(router.gateways),
+            submits=router.submits,
+            stale_retries=router.stale_retries,
+            migrated=router.migrated,
+            recovered=router.fleet.recovered_requests,
+            full_scans=sum(guard.full_scans for guard in self.guards),
+            failures_injected=self.failures)
+
+
 def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     """Replay a Zipf trace through the sharded fabric, deterministically.
 
-    One pass over the trace: at each arrival the routed shard's slot
-    bank is advanced to the arrival time, the query is offered through
-    the router (cache, epoch fence, shed bound), and idle slots pull
-    from the queues. Every ``control_interval_s`` the rebalancer takes
-    a load window and may split/merge; configured shard failures fire
-    at the control cadence too. After the last arrival all shards are
-    drained to quiescence, and the fleet roll-up is reconciled.
+    Between control ticks the directory cannot change, so the trace is
+    cut at every tick (and every ``_FLUSH_EVERY`` events):
+    :meth:`ShardRouter.route_batch` routes a slice into per-shard op
+    streams, and each shard then replays its stream on its own — slot
+    bank advanced to the arrival, query offered to the gateway, idle
+    slots pulling from the queues. Every ``control_interval_s`` all
+    shards drain to the tick, configured shard failures and chaos
+    faults fire, and the rebalancer takes a load window and may
+    split/merge. After the last arrival all shards are drained to
+    quiescence, and the fleet roll-up is reconciled. The outcome is
+    byte-identical to the event-at-a-time :func:`run_replay_reference`.
 
     ``observer`` is an optional observability plane (duck-typed; see
     :class:`repro.obs.plane.ReplayObsPlane`): ``on_completion`` fires
@@ -326,6 +463,11 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     each control interval's drain/rebalance, and ``on_end`` after
     quiescence. Observation is strictly outcome-neutral — the returned
     result (and its digest) is byte-identical with or without one.
+    Replaying shard by shard completes requests out of trace order, so
+    with an observer every completion is tagged ``(event index, phase,
+    firing order)`` and each slice's completions are sorted on the tag
+    before ``on_completion`` sees them: the callback stream is the
+    reference's, call for call.
 
     An observer that only needs a *subset* of completions may expose a
     ``completion_interest = (slow_threshold_s, salt, cut)`` attribute:
@@ -338,132 +480,248 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     reconstruct totals from the shard counters (they are scraped at
     every control tick anyway).
     """
-    streams = RandomStreams(config.seed)
-    times, ids = zipf_trace(
-        streams.stream("shard.trace"), config.tenants, config.events,
-        config.window_s, s=config.zipf_s)
-    services = streams.stream("shard.service").exponential(
-        config.mean_service_s, size=config.events)
+    fabric = _Fabric(config, observer)
+    router, banks, clock = fabric.router, fabric.banks, fabric.clock
+    times, ids, services = fabric.times, fabric.ids, fabric.services
+    on_completion, slow_s, salt, cut = fabric.hook
+    # Telemetry, like an observer, wants every gateway call made: the
+    # fast lane skips the queue-depth samples of the calls it inlines.
+    fast = observer is None and not get_recorder().enabled
 
-    clock = ManualClock()
-    guards: list[ScanGuard] = []
+    start = 0
+    while start < config.events:
+        while times[start] >= fabric.next_control:
+            fabric.control_tick()
+        stop = min(int(times.searchsorted(fabric.next_control)),
+                   start + _FLUSH_EVERY)
+        streams = router.route_batch(
+            start, times[start:stop].tolist(),
+            [f"t{tenant}" for tenant in ids[start:stop].tolist()],
+            services[start:stop].tolist())
+        kept: list | None = None if observer is None else []
+        for shard, ops in streams.items():
+            lane = router.gateways[shard], banks[shard], clock, ops
+            if fast:
+                _run_fast(*lane)
+            else:
+                _run_slow(*lane, kept, slow_s, salt, cut)
+        if kept:
+            kept.sort(key=itemgetter(0))
+            for _tag, finish, shard, request in kept:
+                on_completion(finish, shard, request)
+        start = stop
+    return fabric.finish()
 
-    def factory(env, **kwargs) -> QueryGateway:
-        gateway = QueryGateway(env, **kwargs)
-        gateway.queues = ScanGuard(gateway.queues)
-        gateway.tenants = ScanGuard(gateway.tenants)
-        guards.append(gateway.queues)
-        guards.append(gateway.tenants)
-        return gateway
 
-    template = Tenant(name="__default__",
-                      max_queue_depth=config.tenant_queue_depth,
-                      slo_latency_s=config.slo_latency_s)
-    router = ShardRouter(
-        clock, shards=config.shards,
-        max_pending=config.max_pending_per_shard,
-        default_tenant=template, slo_latency_s=config.slo_latency_s,
-        gateway_factory=factory)
-    rebalancer = Rebalancer(
-        router, seed=config.seed, hot_factor=config.hot_factor,
-        cold_factor=config.cold_factor, min_shards=1,
-        max_shards=config.max_shards)
-    banks: dict[str, _SlotBank] = {}
-    for shard in router.shards():
-        banks[shard] = _SlotBank(config.slots_per_shard)
+def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
+    """The event-at-a-time oracle :func:`run_replay` is pinned against.
 
-    pending_failures = sorted(config.fail_at)
-    failures = 0
-    # Pre-bind the per-completion hook and unpack its interest spec:
-    # the hook fires once per served request, the other observer hooks
-    # only at control cadence.
-    on_completion = observer.on_completion if observer is not None else None
-    slow_s, salt, cut = _ALWAYS, 0, 0
-    if observer is not None:
-        interest = getattr(observer, "completion_interest", None)
-        if interest is not None:
-            slow_s, salt, cut = interest
-    injector = None
-    if config.fault_plan:
-        from repro.chaos.injector import FaultInjector
-        from repro.chaos.plan import get_plan
-        injector = FaultInjector(get_plan(config.fault_plan),
-                                 RandomStreams(config.seed))
-        if observer is not None:
-            injector.observer = observer
-
-    def kill(victim: str) -> None:
-        nonlocal failures
-        orphans = router.fail_shard(victim)
-        banks.pop(victim)
-        failures += 1
-        if observer is not None:
-            observer.on_shard_failure(clock.now, victim, orphans)
-
-    next_control = config.control_interval_s
-
+    One pass over the trace in trace order through the scalar
+    :meth:`ShardRouter.submit`: advance the routed shard to the
+    arrival, offer the query, advance again. Everything but this loop
+    is shared with the kernel. About 2x slower: tests and the smoke
+    gate only.
+    """
+    fabric = _Fabric(config, observer)
+    router, banks, clock = fabric.router, fabric.banks, fabric.clock
     for index in range(config.events):
-        now = float(times[index])
-        while now >= next_control:
-            clock.now = next_control
-            # Failures fire on the un-drained state: whatever is still
-            # queued on the victim at the instant it dies is exactly
-            # the work that must be recovered, not completed.
-            while pending_failures and pending_failures[0] <= next_control:
-                pending_failures.pop(0)
-                if len(router.gateways) > 1:
-                    depth = {shard: router.gateways[shard].total_pending
-                             for shard in sorted(router.gateways)}
-                    victim = max(sorted(depth), key=lambda s: depth[s])
-                    kill(victim)
-            if injector is not None:
-                for shard in router.shards():
-                    if len(router.gateways) > 1 \
-                            and injector.on_shard(shard, next_control):
-                        kill(shard)
-            _drain_all(banks, router.gateways, next_control,
-                       on_completion, slow_s, salt, cut)
-            for event in rebalancer.step(next_control):
-                if event.action == "split":
-                    banks[event.peer] = _SlotBank(config.slots_per_shard)
-                elif event.action == "merge":
-                    banks.pop(event.shard)
-            if observer is not None:
-                observer.on_control_tick(next_control, router)
-            next_control += config.control_interval_s
+        now = float(fabric.times[index])
+        while now >= fabric.next_control:
+            fabric.control_tick()
         clock.now = now
-        tenant = f"t{ids[index]}"
+        tenant = f"t{fabric.ids[index]}"
         shard = router.route(tenant).shard
-        _advance(banks[shard], router.gateways[shard], now,
-                 on_completion, slow_s, salt, cut)
-        request = router.submit(tenant, float(services[index]))
-        if request is not None:
+        _advance(banks[shard], router.gateways[shard], now, *fabric.hook)
+        if router.submit(tenant, float(fabric.services[index])) is not None:
             # A stale-epoch retry may have re-routed the tenant: the
             # cache is fresh after submit, so re-read the shard.
             shard = router.route(tenant).shard
             _advance(banks[shard], router.gateways[shard], now,
-                     on_completion, slow_s, salt, cut)
+                     *fabric.hook)
+    return fabric.finish()
 
-    clock.now = config.window_s
-    for shard in sorted(banks):
-        _quiesce(banks[shard], router.gateways[shard], config.window_s,
-                 config.mean_service_s, on_completion, slow_s, salt, cut)
-    if observer is not None:
-        observer.on_end(config.window_s, router)
 
-    report = router.roll_up()
-    return ReplayResult(
-        report=report.to_dict(),
-        rebalances=rebalancer.history(),
-        distinct_tenants=_distinct(ids),
-        events=config.events,
-        shards_final=len(router.gateways),
-        submits=router.submits,
-        stale_retries=router.stale_retries,
-        migrated=router.migrated,
-        recovered=router.fleet.recovered_requests,
-        full_scans=sum(guard.full_scans for guard in guards),
-        failures_injected=failures)
+def _run_slow(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
+              ops: list, kept: list | None, slow_s: float, salt: int,
+              cut: int) -> None:
+    """One shard's op stream through the reference's own calls.
+
+    With ``kept`` (an observer is attached) every completion that
+    passes the interest filter is appended to it tagged ``(event index,
+    phase, firing order)``: phase 1 is the retried offer of an event
+    whose stale route another shard fenced (and advanced on, phase 0)
+    first.
+    """
+    tag = [0, 0, 0]
+    hook = None
+    if kept is not None:
+        def hook(finish: float, shard_id: str, request) -> None:
+            kept.append(((tag[0], tag[1], tag[2]), finish, shard_id,
+                         request))
+            tag[2] += 1
+
+    for op in ops:
+        now = clock.now = op[0]
+        tag[:] = op[1], len(op) == 5, 0
+        if len(op) != 5:
+            _advance(bank, gateway, now, hook, slow_s, salt, cut)
+            if len(op) == 2:
+                continue
+        if gateway.submit(op[2], op[3]) is not None:
+            _advance(bank, gateway, now, hook, slow_s, salt, cut)
+
+
+def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
+              ops: list) -> None:
+    """One shard's op stream, bare: inlined dispatch plus a fast lane.
+
+    Bit-equivalence with :func:`_run_slow` is argued update by update:
+    the dispatch block below is ``_next_request`` + ``_complete`` +
+    ``ShardMetrics.record_completion`` inlined (same arithmetic
+    expressions, same order of float accumulation), and the fast lane
+    only fires when the shard has no backlog, no external admissions,
+    and a free slot — exactly the state in which the full path would
+    offer, admit, dispatch at ``start = now``, and complete with no
+    other side effect: it draws the same gateway sequence number and
+    skips ``queue_wait_sum += start - submitted_at`` because the
+    increment is exactly ``+0.0``, the identity on the non-negative
+    sum. ``LatencyHistogram.record`` is inlined with the same
+    expressions in the same order (``_LOG_MIN``,
+    ``_BUCKETS_PER_DECADE``, and the clamp bounds come from
+    :mod:`repro.telemetry.metrics` itself), and the clock is written
+    only on slow-path excursions — ``submit`` is the only callee that
+    reads it, so fast-lane and dispatch updates are clock-free.
+    """
+    metrics = gateway.metrics
+    busy = bank.busy
+    slots = bank.slots
+    slo = metrics.slo_latency_s
+    hist = metrics.latency
+    counts = hist.counts
+    backlog = gateway._backlog
+    queues = gateway.queues
+    tenants = gateway.tenants
+    seq = gateway._seq
+    submit = gateway.submit
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    log10 = math.log10
+    fast_ok = gateway.on_submit is None and gateway.max_pending >= 1
+
+    for op in ops:
+        now = op[0]
+        n = len(op)
+        if n == 5:
+            # The retried offer of a stale route: the reference
+            # advanced the shard that fenced it, not this one. With
+            # nothing queued, freeing the elapsed slots is all the
+            # advance after the submit would add to the lane's state.
+            if not backlog:
+                while busy and busy[0] <= now:
+                    heappop(busy)
+        elif backlog:
+            while busy and busy[0] <= now:
+                freed = heappop(busy)
+                if not backlog:
+                    continue
+                name = next(iter(backlog))
+                queue = queues[name]
+                request = queue.popleft()
+                gateway._pending -= 1
+                if not queue:
+                    del backlog[name]
+                    if name not in tenants:
+                        del queues[name]
+                else:
+                    del backlog[name]
+                    backlog[name] = None
+                submitted = request.submitted_at
+                start = freed if freed >= submitted else submitted
+                plan = request.plan
+                finish = start + plan
+                metrics.completed += 1
+                latency = finish - submitted
+                if latency <= 0.0:
+                    counts[0] += 1
+                else:
+                    bucket = int((log10(latency) - _LOG_MIN)
+                                 * _BUCKETS_PER_DECADE) + 1
+                    if bucket < 0:
+                        bucket = 0
+                    elif bucket > _TOP_BUCKET:
+                        bucket = _TOP_BUCKET
+                    counts[bucket] += 1
+                hist.total += 1
+                metrics.queue_wait_sum += start - submitted
+                metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
+                if latency <= slo:
+                    metrics.within_slo += 1
+                heappush(busy, finish)
+            while backlog and len(busy) < slots:
+                name = next(iter(backlog))
+                queue = queues[name]
+                request = queue.popleft()
+                gateway._pending -= 1
+                if not queue:
+                    del backlog[name]
+                    if name not in tenants:
+                        del queues[name]
+                else:
+                    del backlog[name]
+                    backlog[name] = None
+                submitted = request.submitted_at
+                plan = request.plan
+                finish = now + plan
+                metrics.completed += 1
+                latency = finish - submitted
+                if latency <= 0.0:
+                    counts[0] += 1
+                else:
+                    bucket = int((log10(latency) - _LOG_MIN)
+                                 * _BUCKETS_PER_DECADE) + 1
+                    if bucket < 0:
+                        bucket = 0
+                    elif bucket > _TOP_BUCKET:
+                        bucket = _TOP_BUCKET
+                    counts[bucket] += 1
+                hist.total += 1
+                metrics.queue_wait_sum += now - submitted
+                metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
+                if latency <= slo:
+                    metrics.within_slo += 1
+                heappush(busy, finish)
+        else:
+            while busy and busy[0] <= now:
+                heappop(busy)
+        if n == 2:
+            continue
+        if (fast_ok and not backlog and gateway._external == 0
+                and len(busy) < slots):
+            plan = op[3]
+            metrics.offered += 1
+            next(seq)
+            finish = now + plan
+            metrics.completed += 1
+            latency = finish - now
+            if latency <= 0.0:
+                counts[0] += 1
+            else:
+                bucket = int((log10(latency) - _LOG_MIN)
+                             * _BUCKETS_PER_DECADE) + 1
+                if bucket < 0:
+                    bucket = 0
+                elif bucket > _TOP_BUCKET:
+                    bucket = _TOP_BUCKET
+                counts[bucket] += 1
+            hist.total += 1
+            metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
+            if latency <= slo:
+                metrics.within_slo += 1
+            heappush(busy, finish)
+        else:
+            clock.now = now
+            if submit(op[2], op[3]) is not None:
+                _advance(bank, gateway, now)
 
 
 def run_unsharded_replay(config: ReplayConfig) -> dict:

@@ -10,6 +10,11 @@ because a rebalance superseded the route — refresh from the directory
 and retry once. The retry loop is bounded: the router is the only
 mutator of the directory and re-syncs every live shard's fence after
 each mutation, so a freshly fetched route is never stale.
+:meth:`ShardRouter.route_batch` is the same data plane for a whole
+slice of a trace at once: it makes every routing decision
+:meth:`~ShardRouter.submit` would make, against the same cache, fences
+and load window, and hands the admissions back as per-shard op streams
+instead of performing them.
 
 The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``
 / ``add_shard``) keeps the admitted-work invariant: whenever a shard
@@ -21,9 +26,12 @@ request as recovered.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from bisect import bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, Optional
+from itertools import count
+from typing import Any, Callable, Optional, Sequence
 
 from repro.serve.gateway import QueryGateway, StaleEpoch, Tenant
 from repro.shard.directory import PartitionDirectory, Route
@@ -154,6 +162,86 @@ class ShardRouter:
             return request
         raise RuntimeError(
             f"route of tenant {tenant!r} stale after directory refresh")
+
+    def route_batch(self, start: int, times: Sequence[float],
+                    tenants: Sequence[str],
+                    plans: Sequence[Any]) -> dict[str, list[tuple]]:
+        """Route a slice of a trace into per-shard op streams.
+
+        Event ``start + i`` is ``tenants[i]`` offering ``plans[i]`` at
+        ``times[i]``. Every routing decision is the one
+        :meth:`submit` would make for the same events in the same
+        order — cache probe, FIFO eviction, fence check, one refresh
+        on a stale route — and ``submits``, ``stale_retries``, the
+        load window and the fenced gateway's ``stale_rejections``
+        advance as they would; only the admissions themselves are left
+        to the caller, as ops grouped by shard in event order:
+
+        * ``(now, index, tenant, plan)`` — offer the query here;
+        * ``(now, index)`` — this shard fenced the event's stale route
+          and the refreshed route led elsewhere: nothing to offer;
+        * ``(now, index, tenant, plan, 0)`` — offer the query here, on
+          the retry of a route another shard fenced.
+
+        The directory must not change during the call, so the caller
+        slices the trace at its control ticks. The route-miss path is
+        ``PartitionDirectory.locate`` and ``HashRing.lookup`` written
+        out in place: a full replay misses the cache about a million
+        times, and the four call frames cost more than the lookup.
+        """
+        gateways = self.gateways
+        fences = {shard: gateways[shard].epoch for shard in gateways}
+        streams: dict[str, list[tuple]] = {shard: [] for shard in gateways}
+        routes = self._routes
+        routes_get = routes.get
+        window = self._window
+        capacity = self.route_cache_size
+        overrides_get = self.directory._overrides.get
+        shard_routes = self.directory._shard_routes
+        points = self.directory.ring._points
+        owner = self.directory.ring._owner
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
+        stale = 0
+        for index, now, tenant, plan in zip(count(start), times, tenants,
+                                            plans):
+            route = routes_get(tenant)
+            if route is None or route[0] not in fences:
+                shard = overrides_get(tenant)
+                if shard is None:
+                    i = bisect_right(points, from_bytes(
+                        sha256(tenant.encode("utf-8")).digest()[:8],
+                        "little"))
+                    if i == len(points):
+                        i = 0
+                    shard = owner[points[i]]
+                route = shard_routes[shard]
+                if tenant not in routes and len(routes) >= capacity:
+                    routes.popitem(last=False)
+                routes[tenant] = route
+            else:
+                shard = route[0]
+            op = (now, index, tenant, plan)
+            if route[1] != fences[shard]:
+                stale += 1
+                gateways[shard].stale_rejections += 1
+                fenced = shard
+                shard, epoch = self._refresh(tenant)
+                if epoch != fences[shard]:
+                    raise RuntimeError(
+                        f"route of tenant {tenant!r} stale after "
+                        f"directory refresh")
+                if shard != fenced:
+                    streams[fenced].append((now, index))
+                    op += (0,)
+            streams[shard].append(op)
+            window[shard] += 1
+        self.submits += len(times)
+        self.stale_retries += stale
+        if self._telemetry is not None:
+            self._submit_counter.inc(len(times))
+            self._stale_counter.inc(stale)
+        return streams
 
     def offer_external(self, tenant: str) -> Optional[Callable[[], None]]:
         """Admit one unit of external work (e.g. a futures job).

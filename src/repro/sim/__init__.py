@@ -23,7 +23,6 @@ Example
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.parallel import ProcessPool, SerialPool, WorkerError, make_pool
 from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RandomStreams
 
@@ -36,13 +35,9 @@ __all__ = [
     "Interrupt",
     "PriorityResource",
     "Process",
-    "ProcessPool",
     "RandomStreams",
     "Resource",
-    "SerialPool",
     "SimulationError",
     "Store",
     "Timeout",
-    "WorkerError",
-    "make_pool",
 ]

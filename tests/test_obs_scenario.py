@@ -6,13 +6,15 @@ full plane — SLO engine, tail sampler, flight recorder, incident dumps
 """
 
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import scenario
 from repro.obs.flight import verify_bundle
 from repro.obs.scenario import obs_smoke, run_obs_replay
-from repro.shard.replay import ReplayConfig, run_replay
+from repro.shard.replay import ReplayConfig, run_replay, run_replay_reference
 from repro.telemetry import recording
 
 
@@ -47,24 +49,29 @@ class TestOutcomeNeutrality:
             run_replay(config).digest()
 
 
-class TestParallelEquivalence:
-    def test_parallel_kernel_preserves_the_observed_digest(self):
-        """The whole observed outcome — replay, SLO report, sampling,
-        incident bundles — survives the shard-parallel merge intact."""
+class TestKernelEqualsReference:
+    """The whole observed outcome — replay, SLO report, sampling,
+    incident bundles — is what the event-at-a-time reference yields:
+    the kernel's tagged merge hands the plane the same callback stream."""
+
+    @staticmethod
+    def reference(config):
+        with mock.patch.object(scenario, "run_replay", run_replay_reference):
+            return run_obs_replay(config)
+
+    def test_kernel_preserves_the_observed_digest(self):
         config = tiny_config()
-        sequential = run_obs_replay(config)
-        for workers in (0, 2):
-            parallel = run_obs_replay(config, parallel=True,
-                                      workers=workers)
-            assert parallel.to_json() == sequential.to_json()
-            assert parallel.digest() == sequential.digest()
+        kernel = run_obs_replay(config)
+        reference = self.reference(config)
+        assert kernel.to_json() == reference.to_json()
+        assert kernel.digest() == reference.digest()
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=3, deadline=None)
-    def test_parallel_equivalence_across_seeds(self, seed):
+    def test_equivalence_across_seeds(self, seed):
         config = tiny_config(seed=seed)
-        assert run_obs_replay(config, parallel=True).digest() == \
-            run_obs_replay(config).digest()
+        assert run_obs_replay(config).digest() == \
+            self.reference(config).digest()
 
 
 class TestDeterminism:

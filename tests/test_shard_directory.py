@@ -106,7 +106,7 @@ class TestStaleRouteFence:
             shards = directory.shards()
             if op == "add":
                 gateways[directory.add_shard()] = None
-            elif op == "split":
+            elif op == "split" and directory.can_split(shards[0]):
                 gateways[directory.split_shard(shards[0])] = None
             elif op == "merge" and len(shards) > 1:
                 directory.merge_shard(shards[0], shards[1])

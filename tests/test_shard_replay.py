@@ -1,9 +1,22 @@
-"""Replay tests: determinism, conservation, failure recovery, O(1) proof."""
+"""Replay tests: determinism, conservation, failure recovery, O(1) proof.
+
+And the kernel's contract, which is absolute: for any config and any
+observer, :func:`repro.shard.run_replay` produces the byte-identical
+:class:`ReplayResult`, the identical observer callback sequence and —
+with a recorder on — the identical telemetry counters and rebalance
+spans as the event-at-a-time ``run_replay_reference``. The hypothesis
+property sweeps random configs — shard counts, seeds, ``fail_at``
+ticks, fault plans — so the equivalence is a checked invariant, not a
+pinned example.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.shard import ReplayConfig, run_replay, run_unsharded_replay
-from repro.shard.replay import ScanGuard
+from repro.shard.replay import ScanGuard, run_replay_reference
+from repro.telemetry import recording
 
 SMALL = ReplayConfig(tenants=5_000, events=8_000, window_s=240.0,
                      shards=3, slots_per_shard=2,
@@ -27,6 +40,113 @@ class TestDeterminism:
         other = run_replay(ReplayConfig(**{
             **SMALL.__dict__, "seed": SMALL.seed + 1}))
         assert other.digest() != outcome.digest()
+
+
+class TestKernelEqualsReference:
+    def test_small_config(self, outcome):
+        reference = run_replay_reference(SMALL)
+        assert outcome.digest() == reference.digest()
+        assert outcome.to_dict() == reference.to_dict()
+        assert reference.full_scans == 0
+
+    def test_smoke_digest_is_pinned(self):
+        assert run_replay(ReplayConfig().smoke()).digest()[:16] \
+            == "07a053f41f28efcd"
+
+    @given(
+        tenants=st.integers(min_value=200, max_value=1_500),
+        extra_events=st.integers(min_value=0, max_value=4_000),
+        shards=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        slots=st.integers(min_value=1, max_value=8),
+        fail_at=st.lists(
+            st.floats(min_value=10.0, max_value=230.0), max_size=2),
+        fault_plan=st.sampled_from(["", "shard-failure"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_config(self, tenants, extra_events, shards, seed, slots,
+                        fail_at, fault_plan):
+        config = ReplayConfig(
+            tenants=tenants, events=tenants + extra_events,
+            window_s=240.0, seed=seed, shards=shards,
+            slots_per_shard=slots, max_pending_per_shard=128,
+            tenant_queue_depth=4, control_interval_s=30.0,
+            max_shards=8, fail_at=tuple(fail_at),
+            fault_plan=fault_plan)
+        kernel = run_replay(config)
+        reference = run_replay_reference(config)
+        assert kernel.digest() == reference.digest()
+        assert kernel.to_dict() == reference.to_dict()
+
+    def test_observer_sees_the_reference_callback_sequence(self):
+        kernel_obs, reference_obs = _RecordingObserver(), _RecordingObserver()
+        kernel = run_replay(SMALL, observer=kernel_obs)
+        reference = run_replay_reference(SMALL, observer=reference_obs)
+        assert kernel.digest() == reference.digest()
+        assert reference_obs.calls, "observer must have fired"
+        assert kernel_obs.calls == reference_obs.calls
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_telemetry_records_what_the_reference_records(self, observed):
+        """Router counters, rebalance spans and the fenced gateways'
+        ``stale_rejections`` come from the one router both drive."""
+        seen = []
+        for kernel in (run_replay, run_replay_reference):
+            observer = _RecordingObserver() if observed else None
+            with recording() as recorder:
+                result = kernel(SMALL, observer=observer)
+            seen.append({
+                "digest": result.digest(),
+                "counters": {name: counter.value for name, counter
+                             in sorted(recorder.metrics.counters.items())},
+                "spans": [span.name for span in recorder.spans],
+                "stale_rejections": observed and {
+                    shard: gateway.stale_rejections for shard, gateway
+                    in sorted(observer.router.gateways.items())},
+            })
+        kernel, reference = seen
+        assert kernel == reference
+        assert kernel["counters"]["router.submits"] == SMALL.events
+        assert kernel["counters"]["router.stale_retries"] \
+            == result.stale_retries > 0
+        assert any(name.startswith("shard.fail:")
+                   for name in kernel["spans"])
+        if observed:
+            assert sum(kernel["stale_rejections"].values()) > 0
+
+
+class _RecordingObserver:
+    """Record every callback the replay makes, in order."""
+
+    #: Keep slow completions plus a ~12.5% hash-sampled slice, so the
+    #: merge is exercised on a sparse, irregular kept set (the
+    #: all-kept case is implied: rescued requests always pass).
+    completion_interest = (1.0, 104729, 1 << 29)
+
+    def __init__(self) -> None:
+        self.calls = []
+
+    def on_completion(self, finish, shard, request):
+        self.calls.append(
+            ("completion", round(finish, 9), shard, request.tenant,
+             request.seq, request.rescued))
+
+    def on_shard_failure(self, now, shard, orphans):
+        self.calls.append(("failure", now, shard, orphans))
+
+    def on_fault(self, now, kind, target, detail):
+        self.calls.append(("fault", now, kind, target, detail))
+
+    def on_control_tick(self, now, router):
+        report = router.roll_up()
+        self.calls.append(
+            ("tick", now, sorted(router.shard_metrics),
+             report.completed, report.shed,
+             round(report.cost_usd, 9), router.pending_total()))
+
+    def on_end(self, now, router):
+        self.calls.append(("end", now, router.roll_up().to_dict()))
+        self.router = router
 
 
 class TestConservation:

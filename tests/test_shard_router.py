@@ -63,6 +63,40 @@ class TestRouting:
         assert router.gateways[owner].pending(tenant) == 1
         assert router.roll_up().to_dict()["offered"] == 1
 
+    def test_route_batch_decides_what_submit_decides(self):
+        """Two identical routers, a split behind warm caches: the batch
+        leaves the cache, load window, counters and fenced gateways as
+        the scalar path does, and its ops name who gets the offer."""
+        batch, scalar = make_router(shards=2), make_router(shards=2)
+        tenants = [f"t{index}" for index in range(400)]
+        for router in (batch, scalar):
+            for tenant in tenants:
+                router.route(tenant)
+            router.split_shard(router.shards()[0])
+        for tenant in tenants:
+            scalar.submit(tenant, 1.0)
+        streams = batch.route_batch(7, [0.5] * 400, tenants, [1.0] * 400)
+
+        assert batch._routes == scalar._routes
+        assert batch._window == scalar._window
+        assert (batch.submits, batch.stale_retries) \
+            == (scalar.submits, scalar.stale_retries)
+        assert batch.stale_retries > 0
+        for shard, ops in streams.items():
+            gateway = scalar.gateways[shard]
+            assert batch.gateways[shard].stale_rejections \
+                == gateway.stale_rejections
+            offered = [op[2] for op in ops if len(op) != 2]
+            assert len(offered) == gateway.total_pending
+            assert all(scalar.route(tenant).shard == shard
+                       for tenant in offered)
+        by_index = sorted(op[:2] + (shard, len(op))
+                          for shard, ops in streams.items() for op in ops)
+        moved = [row for row in by_index if row[3] != 4]
+        assert moved and {row[3] for row in moved} == {2, 5}
+        assert [row[1] for row in by_index if row[3] != 2] \
+            == list(range(7, 407))
+
     def test_lazy_tenants_leave_no_resident_state(self):
         """Queues of never-registered tenants vanish once drained."""
         router = make_router()

@@ -22,7 +22,7 @@ from repro.storage.latency import LatencyModel
 from repro.workloads.traffic import zipf_trace, zipf_trace_reference
 
 #: sha256 over the smoke-config trace bytes (times ++ ids); pins the
-#: exact trace every smoke replay — sequential or parallel — consumes.
+#: exact trace every smoke replay — kernel or reference — consumes.
 SMOKE_TRACE_SHA256 = \
     "ac681ceb8e91c9f6d09ca7ea6295f63565290fa5f7eec09fd1c870af26736235"
 
