@@ -21,10 +21,16 @@ subtract.
 from __future__ import annotations
 
 import itertools
+import math
+from operator import attrgetter
 from typing import Optional
 
 from repro import units
-from repro.network.shaper import TokenBucketShaper
+from repro.network.shaper import (
+    TokenBucketShaper,
+    advance_shapers,
+    earliest_change,
+)
 from repro.sim import Environment, Event
 from repro.telemetry import get_recorder
 
@@ -38,6 +44,8 @@ _EPSILON_BYTES = 1e-6
 #: clock strictly advances between wakes, which float-derived wake times
 #: (one ulp short of a grant boundary) otherwise cannot.
 _MIN_WAKE_DELAY = 1e-9
+
+_creation_order = attrgetter("id")
 
 
 class FluidLink:
@@ -82,12 +90,11 @@ class Flow:
     that triggers with the flow once it completes or is stopped.
     """
 
-    _ids = itertools.count()
-
     def __init__(self, fabric: "Fabric", src: Endpoint, dst: Endpoint,
                  size: Optional[float],
                  links: tuple[FluidLink, ...] = ()) -> None:
-        self.id = next(Flow._ids)
+        #: Creation index within the fabric; the canonical flow order.
+        self.id = next(fabric._flow_ids)
         self.fabric = fabric
         self.src = src
         self.dst = dst
@@ -154,21 +161,24 @@ class Flow:
 class _ConstraintState:
     """Fabric-side registry entry for one constraint with active flows.
 
-    Holds a strong reference to the constraint (so its identity token
-    stays valid while registered), the member flows, the capacity used
-    in the last allocation (drift against ``allowed_rate()`` marks the
-    constraint dirty), and — for shapers — the cached sum of member
-    rates in flow-creation order (a pure function of the members, so it
-    only needs recomputing when the member component is reallocated).
+    Holds its registry key and a strong reference to the constraint (so
+    the identity token stays valid while registered), the member flows
+    in creation order, the capacity used in the last allocation (a
+    shaper ceiling that moves away from it marks the constraint dirty),
+    and — for shapers — the cached sum of member rates in flow-creation
+    order (a pure function of the members, so it only needs recomputing
+    when the member component is reallocated). Shaper entries are the
+    loads :func:`~repro.network.shaper.advance_shapers` walks.
     """
 
-    __slots__ = ("constraint", "is_shaper", "members", "capacity",
+    __slots__ = ("key", "constraint", "is_shaper", "members", "capacity",
                  "consumption")
 
-    def __init__(self, constraint: object) -> None:
+    def __init__(self, key: int, constraint: object) -> None:
+        self.key = key
         self.constraint = constraint
         self.is_shaper = isinstance(constraint, TokenBucketShaper)
-        self.members: set[Flow] = set()
+        self.members: dict[Flow, None] = {}
         self.capacity = 0.0
         self.consumption = 0.0
 
@@ -186,26 +196,37 @@ class Fabric:
     incremental allocation is bit-for-bit identical to a from-scratch
     one (:meth:`_recompute_rates`, kept as the reference and exercised
     against the incremental path by the property tests).
+
+    What cannot be incremental is time: every update moves every active
+    flow and every active bucket to ``now`` and re-derives the next wake
+    from all of them. That is two walks per update — :meth:`_sweep`
+    before the allocation, :meth:`_schedule_wake` after it — and neither
+    makes a call per flow or per shaper.
     """
 
     def __init__(self, env: Environment,
                  default_rate: float = DEFAULT_FREE_RATE) -> None:
         self.env = env
         self.default_rate = float(default_rate)
-        self._flows: set[Flow] = set()
+        self._flow_ids = itertools.count()
+        #: Active flows in creation order (an insertion-ordered set).
+        self._flows: dict[Flow, None] = {}
         self._last_sync = env.now
         self._wake_version = 0
         #: Constraint registry, keyed by the flows' identity tokens.
         self._states: dict[int, _ConstraintState] = {}
+        #: The registry's shaper entries: what the sweeps walk.
+        self._shaped: dict[int, _ConstraintState] = {}
         #: Constraint keys whose component needs reallocating.
         self._dirty: set[int] = set()
         #: Testing hook: force from-scratch recomputation on every
         #: update (the reference the incremental path must match).
         self._force_full = False
         # With telemetry recording, shapers emit events as they advance,
-        # so the sweep must keep its historical (flow-creation) order;
-        # without a recorder the order is unobservable and the registry
-        # sweep is used. Captured at construction, like the shapers do.
+        # so the sweep must visit them in its historical (flow-creation)
+        # order; without a recorder the order is unobservable and the
+        # registry order is used. Captured at construction, like the
+        # shapers do.
         self._ordered_sync = get_recorder().enabled
 
     # -- public API ---------------------------------------------------------
@@ -229,12 +250,16 @@ class Fabric:
         """
         if size <= 0:
             raise ValueError(f"transfer size must be positive, got {size}")
-        return self._add_flow(Flow(self, src, dst, float(size), links))
+        flow = Flow(self, src, dst, float(size), links)
+        self._update(arriving=flow)
+        return flow
 
     def open_flow(self, src: Endpoint, dst: Endpoint,
                   links: tuple[FluidLink, ...] = ()) -> Flow:
         """Start an open-ended flow (e.g. a bandwidth measurement)."""
-        return self._add_flow(Flow(self, src, dst, None, links))
+        flow = Flow(self, src, dst, None, links)
+        self._update(arriving=flow)
+        return flow
 
     def stop_flow(self, flow: Flow) -> None:
         """Remove ``flow`` from the fabric, triggering its ``done`` event."""
@@ -250,21 +275,7 @@ class Fabric:
         Rates are *not* recomputed; use this before reading
         ``flow.transferred`` or shaper levels from a probe.
         """
-        now = self.env.now
-        elapsed = now - self._last_sync
-        if elapsed <= 0:
-            return
-        for flow in self._flows:
-            flow.transferred += flow.rate * elapsed
-        if self._ordered_sync:
-            for shaper, rate in self._shaper_consumption().items():
-                shaper.advance(now, elapsed, rate)
-        else:
-            for state in self._states.values():
-                if state.is_shaper:
-                    state.constraint.advance(now, elapsed,
-                                             state.consumption)
-        self._last_sync = now
+        self._sweep()
 
     def total_rate(self) -> float:
         """Aggregate rate of all active flows right now (bytes/s)."""
@@ -272,8 +283,37 @@ class Fabric:
 
     # -- internals ------------------------------------------------------------
 
-    def _add_flow(self, flow: Flow) -> Flow:
-        self.sync_now()
+    def _sweep(self) -> tuple[list[Flow], list]:
+        """Move every flow and every active bucket to ``env.now``.
+
+        The pre-allocation walk. Returns what it found on the way: the
+        flows that are now complete (creation order) and the shaper
+        entries whose ceiling no longer matches the capacity their last
+        allocation used. Both are pure functions of the state reached,
+        so a caller that only wants the advance may drop them.
+        """
+        now = self.env.now
+        elapsed = now - self._last_sync
+        self._last_sync = now
+        completed = []
+        for flow in self._flows:
+            flow.transferred = transferred = (flow.transferred
+                                              + flow.rate * elapsed)
+            size = flow.size
+            if size is not None and size - transferred <= _EPSILON_BYTES:
+                completed.append(flow)
+        shaped = self._shaped
+        if self._ordered_sync:
+            loads = {}
+            for flow in self._flows:
+                for key in flow._keys:
+                    if key in shaped and key not in loads:
+                        loads[key] = shaped[key]
+        else:
+            loads = shaped
+        return completed, advance_shapers(loads.values(), now, elapsed)
+
+    def _register(self, flow: Flow) -> None:
         now = self.env.now
         states = self._states
         dirty = self._dirty
@@ -282,40 +322,29 @@ class Fabric:
         for constraint, key in zip(flow.constraints(), flow._keys):
             state = states.get(key)
             if state is None:
-                states[key] = state = _ConstraintState(constraint)
-            state.members.add(flow)
+                states[key] = state = _ConstraintState(key, constraint)
+                if state.is_shaper:
+                    self._shaped[key] = state
+            state.members[flow] = None
             dirty.add(key)
-        self._flows.add(flow)
+        self._flows[flow] = None
         if not flow._keys:
             # Crosses no finite constraint: the free rate, immediately
             # (exactly what a one-flow fill with no constraints grants).
             flow.rate = self.default_rate
-        self._update()
-        return flow
-
-    def _shaper_consumption(self) -> dict[TokenBucketShaper, float]:
-        # Summation runs in flow-creation order: the per-shaper sum must
-        # be a pure function of the shaper's member set so the cached
-        # (incremental) and from-scratch paths produce identical floats.
-        consumption: dict[TokenBucketShaper, float] = {}
-        for flow in sorted(self._flows, key=lambda f: f.id):
-            for shaper in flow.shapers():
-                consumption[shaper] = (consumption.get(shaper, 0.0)
-                                       + flow.rate)
-        return consumption
 
     def _finish(self, flow: Flow) -> None:
         now = self.env.now
         flow.finished_at = now
         flow.rate = 0.0
-        self._flows.discard(flow)
+        self._flows.pop(flow, None)
         states = self._states
         dirty = self._dirty
         for constraint, key in zip(flow.constraints(), flow._keys):
             state = states.get(key)
             if state is None:
                 continue
-            state.members.discard(flow)
+            state.members.pop(flow, None)
             if state.members:
                 dirty.add(key)
             else:
@@ -324,17 +353,27 @@ class Fabric:
                 del states[key]
                 dirty.discard(key)
                 if state.is_shaper:
+                    del self._shaped[key]
                     constraint.on_idle(now)
         flow.done.succeed(flow)
 
-    def _update(self) -> None:
-        """Sync, complete finished flows, recompute rates, schedule wake."""
-        self.sync_now()
-        completed = [flow for flow in self._flows
-                     if flow.remaining <= _EPSILON_BYTES]
+    def _update(self, arriving: Optional[Flow] = None) -> None:
+        """Sweep, admit ``arriving``, complete finished flows, recompute
+        rates, schedule the next wake."""
+        completed, moved = self._sweep()
+        dirty = self._dirty
+        for state, _ in moved:
+            # Budget exhaustion, grant arrival, chaos degradation.
+            dirty.add(state.key)
+        if arriving is not None:
+            # After the sweep: a shaper this flow activates must not be
+            # advanced over the interval it sat idle.
+            self._register(arriving)
+            if (arriving.size is not None
+                    and arriving.size <= _EPSILON_BYTES):
+                completed.append(arriving)
         for flow in completed:
-            if flow.size is not None:
-                flow.transferred = flow.size
+            flow.transferred = flow.size
             self._finish(flow)
         if self._force_full:
             self._recompute_rates()
@@ -346,19 +385,15 @@ class Fabric:
         """Reallocate only the components a change can have affected.
 
         Dirty seeds are constraints whose membership changed since the
-        last allocation plus shapers whose ``allowed_rate()`` drifted
-        from the capacity used then (budget exhaustion, grant arrival,
-        idle refill, chaos degradation). The affected region is the
+        last allocation plus shapers whose ceiling moved away from the
+        capacity used then (budget exhaustion, grant arrival, idle
+        refill, chaos degradation). The affected region is the
         union of the connected components containing a seed; everything
         outside it kept both its membership and its capacities, so its
         previous rates are exactly what a full recompute would produce.
         """
         states = self._states
         dirty = self._dirty
-        for key, state in states.items():
-            if (state.is_shaper
-                    and state.constraint.allowed_rate() != state.capacity):
-                dirty.add(key)
         if not dirty:
             return
         self._dirty = set()
@@ -411,10 +446,10 @@ class Fabric:
         for flow, cid in component_of.items():
             components[cid].append(flow)
         for component in components:
-            # Creation-id order, not discovery order: the fill must be a
+            # Creation order, not discovery order: the fill must be a
             # pure function of the component's membership so incremental
             # recomputation reproduces a full one bit for bit.
-            component.sort(key=lambda f: f.id)
+            component.sort(key=_creation_order)
             self._fill_component(component)
 
     def _fill_component(self, flows: list[Flow]) -> None:
@@ -426,7 +461,7 @@ class Fabric:
         """
         states = self._states
         remaining: dict[int, float] = {}
-        live: dict[int, set[Flow]] = {}
+        live: dict[int, dict[Flow, None]] = {}
         for flow in flows:
             for key in flow._keys:
                 if key not in remaining:
@@ -438,8 +473,9 @@ class Fabric:
                         capacity = constraint.capacity
                     state.capacity = capacity
                     remaining[key] = capacity
-                    # The component closure makes members ⊆ flows.
-                    live[key] = set(state.members)
+                    # The component closure makes members ⊆ flows; the
+                    # copy keeps their creation order.
+                    live[key] = dict(state.members)
         unfrozen = set(flows)
         while unfrozen:
             best_key = None
@@ -447,55 +483,49 @@ class Fabric:
             for key, flows_here in live.items():
                 if not flows_here:
                     continue
-                share = max(0.0, remaining[key]) / len(flows_here)
+                left = remaining[key]
+                share = (left if left > 0.0 else 0.0) / len(flows_here)
                 if best_share is None or share < best_share:
                     best_share = share
                     best_key = key
             if best_key is None:
                 # No finite constraints left: grant the default free rate.
-                for flow in sorted(unfrozen, key=lambda f: f.id):
-                    flow.rate = self.default_rate
+                for flow in flows:
+                    if flow in unfrozen:
+                        flow.rate = self.default_rate
                 break
-            frozen_now = sorted(live[best_key], key=lambda f: f.id)
-            for flow in frozen_now:
+            for flow in list(live[best_key]):
                 flow.rate = best_share
                 unfrozen.discard(flow)
                 for key in flow._keys:
                     remaining[key] -= best_share
-                    live[key].discard(flow)
-        # Refresh the cached consumption sums (flow-creation order, the
-        # same partial sums _shaper_consumption computes from scratch).
+                    live[key].pop(flow, None)
+        # Refresh the cached consumption sums (flow-creation order).
         for key in remaining:
             state = states[key]
             if state.is_shaper:
                 total = 0.0
-                for flow in sorted(state.members, key=lambda f: f.id):
+                for flow in state.members:
                     total += flow.rate
                 state.consumption = total
 
     def _schedule_wake(self) -> None:
+        """The post-allocation walk: wake at the next completion or
+        shaper ceiling change, whichever comes first."""
         now = self.env.now
-        wake_at = float("inf")
-        # Flow completions.
+        wake_at = math.inf
         for flow in self._flows:
             rate = flow.rate
-            if flow.size is not None and rate > 0:
-                upcoming = now + max(0.0, flow.size - flow.transferred) / rate
+            size = flow.size
+            if rate > 0 and size is not None:
+                # Every flow still here has more than the completion
+                # slack left, so the remainder is positive.
+                upcoming = now + (size - flow.transferred) / rate
                 if upcoming < wake_at:
                     wake_at = upcoming
-        # Shaper state changes.
-        if self._ordered_sync:
-            shaper_rates = self._shaper_consumption().items()
-        else:
-            shaper_rates = ((state.constraint, state.consumption)
-                            for state in self._states.values()
-                            if state.is_shaper)
-        for shaper, rate in shaper_rates:
-            upcoming = shaper.next_change(now, rate)
-            if upcoming < wake_at:
-                wake_at = upcoming
+        wake_at = earliest_change(self._shaped.values(), now, wake_at)
         self._wake_version += 1
-        if wake_at == float("inf"):
+        if wake_at == math.inf:
             return
         version = self._wake_version
         delay = max(_MIN_WAKE_DELAY, wake_at - now)

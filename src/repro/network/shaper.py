@@ -58,11 +58,12 @@ class ShaperState:
 class TokenBucketShaper:
     """Aggregate token-bucket rate limiter for one traffic direction.
 
-    The shaper is driven by the fabric: :meth:`advance` consumes tokens for
-    an elapsed interval at a given consumption rate, :meth:`allowed_rate`
-    reports the current aggregate ceiling, and :meth:`next_change` tells the
-    fabric when the ceiling will change so it can schedule a rate
-    recomputation.
+    The shaper is driven by the fabric, which walks all its active
+    shapers at once with :func:`advance_shapers` (consume tokens for an
+    elapsed interval, report ceilings that moved) and
+    :func:`earliest_change` (when to recompute rates next).
+    :meth:`advance`, :meth:`allowed_rate` and :meth:`next_change` are the
+    same sweeps applied to this one shaper.
     """
 
     def __init__(self, capacity: float, burst_rate: float,
@@ -128,15 +129,12 @@ class TokenBucketShaper:
                            one_off_remaining=self.one_off_remaining,
                            mode=self.mode)
 
-    # -- fabric interface ---------------------------------------------------
+    # -- fabric interface (each a sweep over a one-element load) -------------
 
     def allowed_rate(self) -> float:
         """Aggregate rate ceiling right now (bytes/second)."""
-        if self.budget > 0:
-            return self.burst_rate
-        if self.mode == "continuous":
-            return min(self.refill_rate, self.burst_rate)
-        return 0.0  # quantized: stalled until the next grant
+        (_, ceiling), = advance_shapers((_Load(self, 0.0),), 0.0, 0.0)
+        return ceiling
 
     def advance(self, now: float, elapsed: float, consumed_rate: float) -> None:
         """Account for ``elapsed`` seconds of consumption at ``consumed_rate``.
@@ -146,58 +144,7 @@ class TokenBucketShaper:
         """
         if elapsed < 0:
             raise ValueError(f"negative elapsed time {elapsed}")
-        if elapsed == 0:
-            return
-        consumed = consumed_rate * elapsed
-        if self.mode == "continuous":
-            refilled = self.refill_rate * elapsed
-            # One-off budget is spent first and never refills.
-            from_one_off = min(consumed, self.one_off_remaining)
-            self.one_off_remaining -= from_one_off
-            net = (consumed - from_one_off) - refilled
-            self._level = min(self.capacity, max(0.0, self._level - net))
-        else:
-            grants = self._grants_between(now - elapsed, now)
-            from_one_off = min(consumed, self.one_off_remaining)
-            self.one_off_remaining -= from_one_off
-            remaining = consumed - from_one_off
-            self._level = min(self.capacity,
-                              max(0.0, self._level + grants - remaining))
-        # Clamp float residue so exhaustion is reached exactly, not
-        # asymptotically (which would flood the fabric with micro-wakeups).
-        if self._level < _EPSILON_BYTES:
-            self._level = 0.0
-        if self.one_off_remaining < _EPSILON_BYTES:
-            self.one_off_remaining = 0.0
-        if self._telemetry is not None:
-            self._level_series.sample(now, self._level)
-            self._rate_series.sample(now, self.allowed_rate())
-            throttled = self.budget <= 0
-            if throttled != self._was_throttled:
-                self._was_throttled = throttled
-                self._throttle_counter.value += 1
-                self._telemetry.event(
-                    now, "shaper.throttled" if throttled
-                    else "shaper.recovered",
-                    category="network", shaper=self.telemetry_name)
-
-    def _grants_between(self, start: float, end: float) -> float:
-        """Bytes granted by quantized refill up to time ``end``.
-
-        Consumes the stateful grant schedule: every grant with a due time
-        at or before ``end`` (with a small tolerance for float drift) is
-        delivered exactly once.
-        """
-        del start  # the stateful schedule makes the interval start moot
-        if self.refill_rate <= 0:
-            return 0.0
-        if self._next_grant_at > end + _TIME_TOLERANCE:
-            return 0.0
-        quantum = self.refill_rate * self.grant_interval
-        count = 1 + math.floor(
-            (end + _TIME_TOLERANCE - self._next_grant_at) / self.grant_interval)
-        self._next_grant_at += count * self.grant_interval
-        return count * quantum
+        advance_shapers((_Load(self, consumed_rate),), now, elapsed)
 
     def next_change(self, now: float, consumed_rate: float) -> float:
         """Absolute time at which :meth:`allowed_rate` next changes.
@@ -205,29 +152,20 @@ class TokenBucketShaper:
         Returns ``inf`` if the ceiling is stable under the given
         consumption rate.
         """
-        if self.budget > 0:
-            if self.mode == "continuous":
-                net_drain = consumed_rate - self.refill_rate
-            else:
-                net_drain = consumed_rate  # grants are discrete, handled below
-            if net_drain > 0:
-                exhaust = now + self.budget / net_drain
-            else:
-                exhaust = float("inf")
-            if self.mode == "quantized":
-                return min(exhaust, self._next_grant_time(now))
-            return exhaust
-        if self.mode == "quantized":
-            return self._next_grant_time(now)
-        return float("inf")
+        return earliest_change((_Load(self, consumed_rate),), now)
 
-    def _next_grant_time(self, now: float) -> float:
-        if self.refill_rate <= 0:
-            return float("inf")
-        due = self._next_grant_at
-        while due <= now + _TIME_TOLERANCE:
-            due += self.grant_interval
-        return due
+    def _record(self, now: float, ceiling: float) -> None:
+        """Sample the bucket after an advance (recorder-on path only)."""
+        self._level_series.sample(now, self._level)
+        self._rate_series.sample(now, ceiling)
+        throttled = self.one_off_remaining + self._level <= 0
+        if throttled != self._was_throttled:
+            self._was_throttled = throttled
+            self._throttle_counter.value += 1
+            self._telemetry.event(
+                now, "shaper.throttled" if throttled
+                else "shaper.recovered",
+                category="network", shaper=self.telemetry_name)
 
     def degrade(self, factor: float) -> None:
         """Scale this shaper's rates down by ``factor`` (0 < factor <= 1).
@@ -264,6 +202,117 @@ class TokenBucketShaper:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TokenBucketShaper {self.mode} level={self._level:.0f} "
                 f"one_off={self.one_off_remaining:.0f}>")
+
+
+class _Load:
+    """One shaper under one consumption rate: what the sweeps walk.
+
+    The fabric's registry entries carry the same three attributes; this
+    is the one-element stand-in behind the scalar methods. It was planned
+    against no ceiling, so a sweep always reports its current one.
+    """
+
+    __slots__ = ("constraint", "consumption", "capacity")
+
+    def __init__(self, constraint: TokenBucketShaper,
+                 consumption: float) -> None:
+        self.constraint = constraint
+        self.consumption = consumption
+        self.capacity = None
+
+
+def advance_shapers(loads, now: float, elapsed: float) -> list:
+    """Advance every load's bucket to ``now``; report the ceilings that moved.
+
+    Each load names a shaper (``constraint``), the aggregate rate its
+    flows drew for the last ``elapsed`` seconds (``consumption``) and the
+    ceiling its consumer last planned with (``capacity``). Returns
+    ``(load, ceiling)`` for every load whose ceiling now differs from
+    that plan; the loads themselves are not modified. With
+    ``elapsed == 0`` no bucket moves and only the ceilings are compared.
+
+    The loop makes no call per load on the recorder-off path: ``min`` and
+    ``max`` are written as the conditionals that pick the same operand.
+    """
+    horizon = now + _TIME_TOLERANCE
+    moved = []
+    for load in loads:
+        shaper = load.constraint
+        level = shaper._level
+        one_off = shaper.one_off_remaining
+        quantized = shaper.mode == "quantized"
+        if elapsed > 0:
+            consumed = load.consumption * elapsed
+            # One-off budget is spent first and never refills.
+            from_one_off = one_off if one_off < consumed else consumed
+            one_off -= from_one_off
+            if quantized:
+                # Stateful grant schedule: every grant due by ``now``
+                # (with tolerance for float drift) arrives exactly once.
+                grants = 0.0
+                if shaper.refill_rate > 0 and not shaper._next_grant_at > horizon:
+                    interval = shaper.grant_interval
+                    count = 1 + math.floor(
+                        (horizon - shaper._next_grant_at) / interval)
+                    shaper._next_grant_at += count * interval
+                    grants = count * (shaper.refill_rate * interval)
+                level = level + grants - (consumed - from_one_off)
+            else:
+                level = level - ((consumed - from_one_off)
+                                 - shaper.refill_rate * elapsed)
+            if not level < shaper.capacity:
+                level = shaper.capacity
+            # Clamp float residue (and any overdraft) so exhaustion is
+            # reached exactly, not asymptotically — which would flood the
+            # fabric with micro-wakeups.
+            if level < _EPSILON_BYTES:
+                level = 0.0
+            if one_off < _EPSILON_BYTES:
+                one_off = 0.0
+            shaper._level = level
+            shaper.one_off_remaining = one_off
+        if one_off + level > 0:
+            ceiling = shaper.burst_rate
+        elif quantized:
+            ceiling = 0.0  # stalled until the next grant
+        elif shaper.burst_rate < shaper.refill_rate:
+            ceiling = shaper.burst_rate
+        else:
+            ceiling = shaper.refill_rate
+        if shaper._telemetry is not None and elapsed > 0:
+            shaper._record(now, ceiling)
+        if ceiling != load.capacity:
+            moved.append((load, ceiling))
+    return moved
+
+
+def earliest_change(loads, now: float, earliest: float = math.inf) -> float:
+    """Earliest time any load's ceiling next changes, capped by ``earliest``.
+
+    A ceiling changes when the spendable budget runs out under the
+    load's consumption, or — quantized shapers — at the next grant
+    strictly after ``now``. Stable loads contribute ``inf``.
+    """
+    horizon = now + _TIME_TOLERANCE
+    for load in loads:
+        shaper = load.constraint
+        budget = shaper.one_off_remaining + shaper._level
+        if shaper.mode == "quantized":
+            # Grants are discrete, so the bucket drains at the full rate.
+            net_drain = load.consumption
+            if shaper.refill_rate > 0:
+                due = shaper._next_grant_at
+                while due <= horizon:
+                    due += shaper.grant_interval
+                if due < earliest:
+                    earliest = due
+        else:
+            net_drain = load.consumption - shaper.refill_rate
+        if budget > 0 and net_drain > 0:
+            exhaust = now + budget / net_drain
+            if exhaust < earliest:
+                earliest = exhaust
+    return earliest
 
 
 #: Calibration constants from Section 4.2 of the paper. The inbound and

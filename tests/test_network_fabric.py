@@ -243,3 +243,32 @@ class TestProbe:
         fabric.sync_now()
         # Transferred can never exceed initial bucket + refill over time.
         assert flow.transferred <= 50.0 + 10.0 * 2.0 + 1e-6
+
+
+class TestCreationOrder:
+    """Flow order is creation order, never memory layout."""
+
+    def test_same_update_completions_fire_in_creation_order(self):
+        env, fabric = make_env()
+        link = fabric.link(capacity=1000.0)
+        flows = [fabric.transfer(fabric.endpoint(f"s{i}"),
+                                 fabric.endpoint(f"d{i}"),
+                                 size=100.0, links=(link,))
+                 for i in range(40)]
+        fired = []
+        for flow in flows:
+            flow.done.callbacks.append(
+                lambda event: fired.append(event.value.id))
+        env.run()
+        # Equal shares of one link: all forty finish in one update.
+        assert len({flow.finished_at for flow in flows}) == 1
+        assert fired == [flow.id for flow in flows]
+
+    def test_flow_ids_start_at_zero_on_every_fabric(self):
+        for _ in range(2):
+            env, fabric = make_env()
+            flows = [fabric.open_flow(fabric.endpoint("a"),
+                                      fabric.endpoint("b"))
+                     for _ in range(3)]
+            assert [flow.id for flow in flows] == [0, 1, 2]
+            assert repr(flows[0]).startswith("<Flow #0 ")

@@ -104,19 +104,26 @@ class TestQuantizedShaper:
 
     def test_grants_are_stateful_and_delivered_once(self):
         shaper = self.make()
+        shaper.advance(now=0.05, elapsed=0.05, consumed_rate=100.0)
+        assert shaper.level == pytest.approx(5.0)
         # Grants due at 0.1, 0.2, 0.3 are all delivered by t=0.35 ...
-        assert shaper._grants_between(0.0, 0.35) == pytest.approx(3.0)
-        # ... and never again.
-        assert shaper._grants_between(0.1, 0.35) == pytest.approx(0.0)
-        assert shaper._grants_between(0.35, 0.45) == pytest.approx(1.0)
+        shaper.advance(now=0.35, elapsed=0.3, consumed_rate=0.0)
+        assert shaper.level == pytest.approx(8.0)
+        # ... never again, and never without time passing ...
+        shaper.advance(now=0.35, elapsed=0.0, consumed_rate=0.0)
+        assert shaper.level == pytest.approx(8.0)
+        # ... and the schedule carries on from where it was.
+        shaper.advance(now=0.45, elapsed=0.1, consumed_rate=0.0)
+        assert shaper.level == pytest.approx(9.0)
 
     def test_next_grant_time_is_strictly_future(self):
         shaper = self.make()
-        boundary = shaper._next_grant_time(now=0.09)
+        boundary = shaper.next_change(now=0.09, consumed_rate=0.0)
         assert boundary == pytest.approx(0.1)
         # Exactly at (or one ulp before) the boundary, the next grant is
         # the following one.
-        assert shaper._next_grant_time(now=boundary) == pytest.approx(0.2)
+        assert shaper.next_change(now=boundary, consumed_rate=0.0) \
+            == pytest.approx(0.2)
 
 
 class TestIdleRefill:

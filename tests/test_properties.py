@@ -182,28 +182,49 @@ class TestBatchInvariants:
                                       np.arange(offset))
 
 
+def _lambda_style_shaper():
+    """A scaled-down Lambda bucket: one-off budget, 100 ms grants, idle
+    refill — small enough that test-sized flows run it dry."""
+    return TokenBucketShaper(
+        capacity=600.0, burst_rate=1e3, refill_rate=200.0,
+        mode="quantized", one_off_budget=400.0, idle_refill_level=300.0,
+        grant_interval=0.1, initial_level=600.0)
+
+
+def _continuous_shaper():
+    return TokenBucketShaper(capacity=2e3, burst_rate=1e3,
+                             refill_rate=200.0, mode="continuous")
+
+
 class TestFabricIncrementalEquivalence:
     """The incremental max-min allocator must be bit-for-bit identical
     to the from-scratch reference under random arrival/departure mixes.
     """
 
     @given(data=st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_incremental_matches_full_recompute(self, data):
         n_links = data.draw(st.integers(min_value=1, max_value=4),
                             label="n_links")
         caps = data.draw(st.lists(
             st.floats(min_value=10.0, max_value=1e4),
             min_size=n_links, max_size=n_links), label="capacities")
-        shaped = data.draw(st.booleans(), label="shaped_endpoints")
+        # A few shared endpoints, so shapers see several flows at once,
+        # go idle between them and are reactivated (idle refill).
+        shaping = data.draw(st.lists(
+            st.sampled_from(["none", "continuous", "lambda"]),
+            min_size=2, max_size=5), label="endpoint_shaping")
         n_flows = data.draw(st.integers(min_value=1, max_value=12),
                             label="n_flows")
+        pick = st.integers(min_value=0, max_value=len(shaping) - 1)
         specs = []
         for i in range(n_flows):
             start = data.draw(st.floats(min_value=0.0, max_value=5.0),
                               label=f"start_{i}")
             size = data.draw(st.floats(min_value=1.0, max_value=5e3),
                              label=f"size_{i}")
+            src = data.draw(pick, label=f"src_{i}")
+            dst = data.draw(pick, label=f"dst_{i}")
             link_ids = data.draw(st.lists(
                 st.integers(min_value=0, max_value=n_links - 1),
                 min_size=0, max_size=n_links, unique=True),
@@ -214,7 +235,14 @@ class TestFabricIncrementalEquivalence:
                 st.one_of(st.none(),
                           st.floats(min_value=0.1, max_value=3.0)),
                 label=f"stop_{i}")
-            specs.append((start, size, tuple(link_ids), stop_after))
+            specs.append((start, size, src, dst, tuple(link_ids),
+                          stop_after))
+        # A mid-run chaos degradation: only the drift check sees it.
+        degrade_at = data.draw(st.floats(min_value=0.0, max_value=6.0),
+                               label="degrade_at")
+        degrade_on = data.draw(pick, label="degrade_on")
+        factor = data.draw(st.floats(min_value=0.1, max_value=1.0),
+                           label="degrade_factor")
 
         def run(force_full):
             env = Environment()
@@ -222,34 +250,91 @@ class TestFabricIncrementalEquivalence:
             fabric._force_full = force_full
             links = [fabric.link(capacity=cap, name=f"l{j}")
                      for j, cap in enumerate(caps)]
-
-            def endpoint(name):
-                if not shaped:
-                    return fabric.endpoint(name)
-                return fabric.endpoint(name, egress=TokenBucketShaper(
-                    capacity=2e3, burst_rate=1e3, refill_rate=200.0,
-                    mode="continuous"))
-
+            make = {"none": lambda: None,
+                    "continuous": _continuous_shaper,
+                    "lambda": _lambda_style_shaper}
+            endpoints = [fabric.endpoint(f"e{j}", ingress=make[kind](),
+                                         egress=make[kind]())
+                         for j, kind in enumerate(shaping)]
+            shapers = [shaper for endpoint in endpoints
+                       for shaper in (endpoint.ingress, endpoint.egress)
+                       if shaper is not None]
             flows = []
 
-            def starter(start, size, link_ids, stop_after, i):
+            def starter(start, size, src, dst, link_ids, stop_after):
                 yield env.timeout(start)
                 chosen = tuple(links[j] for j in link_ids)
                 if stop_after is None:
-                    flow = fabric.transfer(endpoint(f"s{i}"),
-                                           endpoint(f"d{i}"),
-                                           size=size, links=chosen)
-                    flows.append(flow)
+                    flows.append(fabric.transfer(
+                        endpoints[src], endpoints[dst], size=size,
+                        links=chosen))
                     return
-                flow = fabric.open_flow(endpoint(f"s{i}"),
-                                        endpoint(f"d{i}"), links=chosen)
+                flow = fabric.open_flow(endpoints[src], endpoints[dst],
+                                        links=chosen)
                 flows.append(flow)
                 yield env.timeout(stop_after)
                 fabric.stop_flow(flow)
 
+            def degrader():
+                yield env.timeout(degrade_at)
+                for shaper in (endpoints[degrade_on].ingress,
+                               endpoints[degrade_on].egress):
+                    if shaper is not None:
+                        shaper.degrade(factor)
+
             for i, spec in enumerate(specs):
-                env.process(starter(*spec, i), name=f"flow-{i}")
+                env.process(starter(*spec), name=f"flow-{i}")
+            env.process(degrader(), name="degrade")
             env.run()
-            return [(f.transferred, f.finished_at) for f in flows]
+            return ([(f.id, f.transferred, f.finished_at) for f in flows],
+                    [(s.state(), s._next_grant_at) for s in shapers],
+                    env.scheduled_events)
 
         assert run(False) == run(True)
+
+
+class TestShaperSweepIsTheScalarFace:
+    """There is one copy of the bucket arithmetic: a shaper advanced by
+    the fabric's sweeps, among other loads, holds bit-identical state to
+    one driven through ``advance``/``allowed_rate``/``next_change``."""
+
+    @given(quantized=st.booleans(),
+           one_off=st.floats(min_value=0.0, max_value=500.0),
+           refill=st.floats(min_value=0.0, max_value=400.0),
+           steps=st.lists(
+               st.tuples(st.floats(min_value=0.0, max_value=0.7),
+                         st.floats(min_value=0.0, max_value=1.0)),
+               min_size=1, max_size=25))
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_scalar_methods(self, quantized, one_off, refill,
+                                          steps):
+        from repro.network.fabric import _ConstraintState
+        from repro.network.shaper import advance_shapers, earliest_change
+
+        def make():
+            return TokenBucketShaper(
+                capacity=600.0, burst_rate=1e3, refill_rate=refill,
+                mode="quantized" if quantized else "continuous",
+                one_off_budget=one_off, grant_interval=0.1)
+
+        scalar, swept, bystander = make(), make(), _lambda_style_shaper()
+        loads = [_ConstraintState(0, bystander), _ConstraintState(1, swept)]
+        now = 0.0
+        for elapsed, share in steps:
+            now += elapsed
+            # The fabric never lets flows draw more than the ceiling.
+            rate = share * scalar.allowed_rate()
+            for load in loads:
+                load.capacity = load.constraint.allowed_rate()
+            loads[1].consumption = rate
+            moved = dict(advance_shapers(loads, now, elapsed))
+            scalar.advance(now, elapsed, rate)
+            assert swept.state() == scalar.state()
+            assert swept._next_grant_at == scalar._next_grant_at
+            ceiling = scalar.allowed_rate()
+            assert moved.get(loads[1], loads[1].capacity) == ceiling
+            assert (earliest_change(loads[1:], now)
+                    == scalar.next_change(now, rate))
+            assert (earliest_change(loads, now)
+                    == min(scalar.next_change(now, rate),
+                           bystander.next_change(now, 0.0)))
