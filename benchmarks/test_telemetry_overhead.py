@@ -27,12 +27,15 @@ MAX_ENABLED_RATIO = 3.0
 #: inline scalar checks — but an attached observer also takes the
 #: replay off its closed-form fast lane: every completion has to exist
 #: as a request the filter can look at, so the observed run makes the
-#: gateway calls the bare run inlines. The host-cost ledger records the
-#: two together as ``obs.overhead_ratio`` 1.96; the bound is that
-#: measurement plus the ±10% a shared container jitters. Getting back
-#: to 1.10 (a fast lane that can tell which completions the observer
-#: would keep) belongs to ROADMAP item 5.
-MAX_OBS_RATIO = 2.2
+#: gateway calls the bare run inlines. The ratio *rose* when routing
+#: went to arrays, with both sides faster: the bare run spent most of
+#: its time routing and lost most of it (0.80 -> 0.50 s CPU here), the
+#: observed run shares the router but not the fast lane (1.60 -> 1.20
+#: s). Seven recordings of this test read 2.28-2.49; the bound is that
+#: plus the ~10% a shared container jitters. Getting back to 1.10 (a
+#: fast lane that can tell which completions the observer would keep)
+#: belongs to ROADMAP item 5.
+MAX_OBS_RATIO = 2.7
 OBS_ROUNDS = 4
 
 

@@ -13,10 +13,11 @@ run is a single pass over the trace — O(events) work, O(active) memory.
 Between control ticks no directory mutation, failure, rebalance or SLO
 scrape can happen, so each shard's drain is independent by
 construction. :func:`run_replay` therefore routes a whole inter-tick
-slice at once (:meth:`ShardRouter.route_batch`) and replays it shard by
-shard, which is what makes the uncontended case a closed form
-(:func:`_run_fast`). :func:`run_replay_reference` is the same run one
-event at a time — the oracle the kernel's digest is pinned against.
+slice at once, as arrays over the trace's dense tenant ids
+(:meth:`ShardRouter.route_batch`), and replays it shard by shard, which
+is what makes the uncontended case a closed form (:func:`_run_fast`).
+:func:`run_replay_reference` is the same run one event at a time on a
+name-keyed router — the oracle the kernel's digest is pinned against.
 
 Two instruments make the complexity claims checkable rather than
 asserted:
@@ -36,13 +37,14 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 
 from repro.serve.gateway import QueryGateway, Tenant
 from repro.serve.metrics import CompletedQuery
 from repro.shard.metrics import ShardMetrics
 from repro.shard.rebalance import Rebalancer
-from repro.shard.router import ShardRouter
+from repro.shard.router import FENCED, OFFER, RETRY, ShardRouter
 from repro.sim.rng import RandomStreams
 from repro.telemetry import canonical_json, get_recorder
 
@@ -57,6 +59,10 @@ from repro.workloads.traffic import zipf_trace
 _USD_PER_SLOT_SECOND = 2.0 * 0.0000166667
 
 _TOP_BUCKET = _BUCKETS + 1
+
+#: Trace tenant ``id`` is named ``f"t{id}"``: the ids are the router's
+#: dense key space, and a name is only formatted for a gateway call.
+_TENANT_PREFIX = "t"
 
 #: Route and replay at most this many events at a time even between
 #: ticks. Slice boundaries are transparent — ops carry their own
@@ -323,10 +329,13 @@ class _Fabric:
     The trace, the clock, the real :class:`ShardRouter` with its
     :class:`ScanGuard`-wrapped gateways and their slot banks, the
     rebalancer, the chaos injector, the observer's unpacked completion
-    hook, the control tick and the final roll-up.
+    hook, the control tick and the final roll-up. ``keyed`` builds the
+    router over the trace's tenant ids (the kernel); without it the
+    router caches routes by name (the oracle).
     """
 
-    def __init__(self, config: ReplayConfig, observer) -> None:
+    def __init__(self, config: ReplayConfig, observer,
+                 keyed: bool = False) -> None:
         self.config = config
         self.observer = observer
         streams = RandomStreams(config.seed)
@@ -343,6 +352,20 @@ class _Fabric:
         #: Slot banks by shard id, made with the gateways. Shard ids
         #: are never reused, so a retired shard's bank is just unread.
         self.banks: dict[str, _SlotBank] = {}
+        guards, banks, slots = self.guards, self.banks, config.slots_per_shard
+
+        # Closes over the lists, not the fabric: a factory bound to
+        # ``self`` would tie fabric and router into a cycle, and a
+        # finished replay's trace arrays would wait for the collector.
+        def guarded_gateway(env, **kwargs) -> QueryGateway:
+            gateway = QueryGateway(env, **kwargs)
+            gateway.queues = ScanGuard(gateway.queues)
+            gateway.tenants = ScanGuard(gateway.tenants)
+            guards.append(gateway.queues)
+            guards.append(gateway.tenants)
+            banks[gateway.shard_id] = _SlotBank(slots)
+            return gateway
+
         self.router = ShardRouter(
             self.clock, shards=config.shards,
             max_pending=config.max_pending_per_shard,
@@ -351,7 +374,8 @@ class _Fabric:
                 max_queue_depth=config.tenant_queue_depth,
                 slo_latency_s=config.slo_latency_s),
             slo_latency_s=config.slo_latency_s,
-            gateway_factory=self._gateway)
+            gateway_factory=guarded_gateway,
+            key_space=(_TENANT_PREFIX, config.tenants) if keyed else None)
         self.rebalancer = Rebalancer(
             self.router, seed=config.seed, hot_factor=config.hot_factor,
             cold_factor=config.cold_factor, min_shards=1,
@@ -376,15 +400,6 @@ class _Fabric:
         self.pending_failures = sorted(config.fail_at)
         self.failures = 0
         self.next_control = config.control_interval_s
-
-    def _gateway(self, env, **kwargs) -> QueryGateway:
-        gateway = QueryGateway(env, **kwargs)
-        gateway.queues = ScanGuard(gateway.queues)
-        gateway.tenants = ScanGuard(gateway.tenants)
-        self.guards.append(gateway.queues)
-        self.guards.append(gateway.tenants)
-        self.banks[gateway.shard_id] = _SlotBank(self.config.slots_per_shard)
-        return gateway
 
     def _kill(self, victim: str) -> None:
         orphans = self.router.fail_shard(victim)
@@ -445,16 +460,18 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     """Replay a Zipf trace through the sharded fabric, deterministically.
 
     Between control ticks the directory cannot change, so the trace is
-    cut at every tick (and every ``_FLUSH_EVERY`` events):
-    :meth:`ShardRouter.route_batch` routes a slice into per-shard op
-    streams, and each shard then replays its stream on its own — slot
-    bank advanced to the arrival, query offered to the gateway, idle
-    slots pulling from the queues. Every ``control_interval_s`` all
-    shards drain to the tick, configured shard failures and chaos
-    faults fire, and the rebalancer takes a load window and may
-    split/merge. After the last arrival all shards are drained to
-    quiescence, and the fleet roll-up is reconciled. The outcome is
-    byte-identical to the event-at-a-time :func:`run_replay_reference`.
+    cut at every tick (and every ``_FLUSH_EVERY`` events): the router,
+    built over the trace's tenant ids as its key space, takes each
+    slice as numpy views (:meth:`ShardRouter.route_batch`) and returns
+    per-shard op columns, and each shard then replays its stream on
+    its own — slot bank advanced to the arrival, query offered to the
+    gateway, idle slots pulling from the queues. Every
+    ``control_interval_s`` all shards drain to the tick, configured
+    shard failures and chaos faults fire, and the rebalancer takes a
+    load window and may split/merge. After the last arrival all shards
+    are drained to quiescence, and the fleet roll-up is reconciled. The
+    outcome is byte-identical to the event-at-a-time
+    :func:`run_replay_reference`.
 
     ``observer`` is an optional observability plane (duck-typed; see
     :class:`repro.obs.plane.ReplayObsPlane`): ``on_completion`` fires
@@ -480,7 +497,7 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     reconstruct totals from the shard counters (they are scraped at
     every control tick anyway).
     """
-    fabric = _Fabric(config, observer)
+    fabric = _Fabric(config, observer, keyed=True)
     router, banks, clock = fabric.router, fabric.banks, fabric.clock
     times, ids, services = fabric.times, fabric.ids, fabric.services
     on_completion, slow_s, salt, cut = fabric.hook
@@ -494,10 +511,8 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
             fabric.control_tick()
         stop = min(int(times.searchsorted(fabric.next_control)),
                    start + _FLUSH_EVERY)
-        streams = router.route_batch(
-            start, times[start:stop].tolist(),
-            [f"t{tenant}" for tenant in ids[start:stop].tolist()],
-            services[start:stop].tolist())
+        streams = router.route_batch(start, times[start:stop],
+                                     ids[start:stop], services[start:stop])
         kept: list | None = None if observer is None else []
         for shard, ops in streams.items():
             lane = router.gateways[shard], banks[shard], clock, ops
@@ -519,8 +534,9 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
     One pass over the trace in trace order through the scalar
     :meth:`ShardRouter.submit`: advance the routed shard to the
     arrival, offer the query, advance again. Everything but this loop
-    is shared with the kernel. About 2x slower: tests and the smoke
-    gate only.
+    is shared with the kernel, and the router is built without a key
+    space, so the cache under test is the plain ``OrderedDict``. About
+    3.7x slower: tests and the smoke gate only.
     """
     fabric = _Fabric(config, observer)
     router, banks, clock = fabric.router, fabric.banks, fabric.clock
@@ -529,7 +545,7 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
         while now >= fabric.next_control:
             fabric.control_tick()
         clock.now = now
-        tenant = f"t{fabric.ids[index]}"
+        tenant = f"{_TENANT_PREFIX}{fabric.ids[index]}"
         shard = router.route(tenant).shard
         _advance(banks[shard], router.gateways[shard], now, *fabric.hook)
         if router.submit(tenant, float(fabric.services[index])) is not None:
@@ -542,15 +558,16 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
 
 
 def _run_slow(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
-              ops: list, kept: list | None, slow_s: float, salt: int,
+              ops: tuple, kept: list | None, slow_s: float, salt: int,
               cut: int) -> None:
     """One shard's op stream through the reference's own calls.
 
-    With ``kept`` (an observer is attached) every completion that
-    passes the interest filter is appended to it tagged ``(event index,
-    phase, firing order)``: phase 1 is the retried offer of an event
-    whose stale route another shard fenced (and advanced on, phase 0)
-    first.
+    ``ops`` is the shard's column tuple from
+    :meth:`ShardRouter.route_batch`. With ``kept`` (an observer is
+    attached) every completion that passes the interest filter is
+    appended to it tagged ``(event index, phase, firing order)``: phase
+    1 is the retried offer of an event whose stale route another shard
+    fenced (and advanced on, phase 0) first.
     """
     tag = [0, 0, 0]
     hook = None
@@ -560,20 +577,27 @@ def _run_slow(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                          request))
             tag[2] += 1
 
-    for op in ops:
-        now = clock.now = op[0]
-        tag[:] = op[1], len(op) == 5, 0
-        if len(op) != 5:
+    times, indices, keys, plans, kinds = ops
+    for now, index, key, plan, kind in zip(
+            times.tolist(), indices.tolist(), keys.tolist(), plans.tolist(),
+            repeat(OFFER) if kinds is None else kinds.tolist()):
+        clock.now = now
+        tag[:] = index, kind == RETRY, 0
+        if kind != RETRY:
             _advance(bank, gateway, now, hook, slow_s, salt, cut)
-            if len(op) == 2:
+            if kind == FENCED:
                 continue
-        if gateway.submit(op[2], op[3]) is not None:
+        if gateway.submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
             _advance(bank, gateway, now, hook, slow_s, salt, cut)
 
 
 def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
-              ops: list) -> None:
+              ops: tuple) -> None:
     """One shard's op stream, bare: inlined dispatch plus a fast lane.
+
+    ``ops`` is the shard's column tuple from
+    :meth:`ShardRouter.route_batch`; a tenant name is formatted only
+    when an op leaves the fast lane for ``gateway.submit``.
 
     Bit-equivalence with :func:`_run_slow` is argued update by update:
     the dispatch block below is ``_next_request`` + ``_complete`` +
@@ -608,10 +632,11 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
     log10 = math.log10
     fast_ok = gateway.on_submit is None and gateway.max_pending >= 1
 
-    for op in ops:
-        now = op[0]
-        n = len(op)
-        if n == 5:
+    times, _indices, keys, plans, kinds = ops
+    for now, key, plan, kind in zip(
+            times.tolist(), keys.tolist(), plans.tolist(),
+            repeat(OFFER) if kinds is None else kinds.tolist()):
+        if kind == RETRY:
             # The retried offer of a stale route: the reference
             # advanced the shard that fenced it, not this one. With
             # nothing queued, freeing the elapsed slots is all the
@@ -637,8 +662,8 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     backlog[name] = None
                 submitted = request.submitted_at
                 start = freed if freed >= submitted else submitted
-                plan = request.plan
-                finish = start + plan
+                served = request.plan
+                finish = start + served
                 metrics.completed += 1
                 latency = finish - submitted
                 if latency <= 0.0:
@@ -653,7 +678,7 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     counts[bucket] += 1
                 hist.total += 1
                 metrics.queue_wait_sum += start - submitted
-                metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
+                metrics.cost_usd += served * _USD_PER_SLOT_SECOND
                 if latency <= slo:
                     metrics.within_slo += 1
                 heappush(busy, finish)
@@ -670,8 +695,8 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     del backlog[name]
                     backlog[name] = None
                 submitted = request.submitted_at
-                plan = request.plan
-                finish = now + plan
+                served = request.plan
+                finish = now + served
                 metrics.completed += 1
                 latency = finish - submitted
                 if latency <= 0.0:
@@ -686,18 +711,17 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     counts[bucket] += 1
                 hist.total += 1
                 metrics.queue_wait_sum += now - submitted
-                metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
+                metrics.cost_usd += served * _USD_PER_SLOT_SECOND
                 if latency <= slo:
                     metrics.within_slo += 1
                 heappush(busy, finish)
         else:
             while busy and busy[0] <= now:
                 heappop(busy)
-        if n == 2:
+        if kind == FENCED:
             continue
         if (fast_ok and not backlog and gateway._external == 0
                 and len(busy) < slots):
-            plan = op[3]
             metrics.offered += 1
             next(seq)
             finish = now + plan
@@ -720,7 +744,7 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
             heappush(busy, finish)
         else:
             clock.now = now
-            if submit(op[2], op[3]) is not None:
+            if submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
                 _advance(bank, gateway, now)
 
 
@@ -754,7 +778,8 @@ def run_unsharded_replay(config: ReplayConfig) -> dict:
         now = float(times[index])
         clock.now = now
         _advance(bank, gateway, now)
-        gateway.submit(f"t{ids[index]}", float(services[index]))
+        gateway.submit(f"{_TENANT_PREFIX}{ids[index]}",
+                       float(services[index]))
         _advance(bank, gateway, now)
 
     clock.now = config.window_s

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
+from typing import Sequence
+
+import numpy as np
 
 #: Virtual-node points per shard. 64 keeps the coefficient of variation
 #: of per-shard key share under ~15% while a lookup stays a handful of
@@ -36,6 +39,29 @@ def hash_key(key: str) -> int:
     """Stable 64-bit position of ``key`` on the ring."""
     raw = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(raw[:8], "little")
+
+
+#: Keys hashed per chunk by :func:`hash_keys`: bounds the transient
+#: digest buffer at 2 MiB however large the key space is.
+_HASH_CHUNK = 65536
+
+
+def hash_keys(prefix: str, keys: Sequence[int]) -> np.ndarray:
+    """:func:`hash_key` of ``f"{prefix}{key}"`` for every integer key.
+
+    The ring positions of a dense key space as one ``uint64`` array, so
+    a trace over it is placed with array lookups
+    (:meth:`HashRing.lookup_hashes`) and no name is ever formatted.
+    """
+    name = prefix.encode("utf-8").replace(b"%", b"%%") + b"%d"
+    sha256 = hashlib.sha256
+    hashes = np.empty(len(keys), dtype=np.uint64)
+    for lo in range(0, len(keys), _HASH_CHUNK):
+        chunk = keys[lo:lo + _HASH_CHUNK]
+        digests = b"".join([sha256(name % key).digest() for key in chunk])
+        # The first 8 of each digest's 32 bytes, little-endian.
+        hashes[lo:lo + len(chunk)] = np.frombuffer(digests, dtype="<u8")[::4]
+    return hashes
 
 
 class HashRing:
@@ -150,3 +176,23 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._owner[self._points[index]]
+
+    def lookup_hashes(self, hashes: np.ndarray
+                      ) -> tuple[list[str], np.ndarray]:
+        """:meth:`lookup` for an array of ring positions at once.
+
+        Returns the member nodes (sorted) and, per hash, the index of
+        its owner in that list: one ``searchsorted`` over the points.
+        """
+        if not self._points:
+            raise LookupError("lookup on an empty ring")
+        nodes = self.nodes()
+        rank = {name: index for index, name in enumerate(nodes)}
+        # The narrowest index type: grouping by owner is then a radix sort.
+        owners = np.array([rank[self._owner[position]]
+                           for position in self._points],
+                          dtype=np.min_scalar_type(len(nodes)))
+        at = np.array(self._points, dtype=np.uint64).searchsorted(
+            hashes, side="right")
+        at[at == len(owners)] = 0
+        return nodes, owners[at]

@@ -55,6 +55,20 @@ class TestAdmittedCalls:
         # The shard counted the call like any offered-and-served unit.
         assert router.shard_metrics[shard].offered == 1
 
+    def test_external_offers_reach_the_submit_instrument(self):
+        """``router.submits`` the instrument counts what the attribute
+        counts: admitted external offers too, not only queries."""
+        from repro.telemetry import recording
+
+        with recording() as recorder:
+            env, router, executor = make_env()
+            future = executor.map_reduce(square, [1, 2, 3], total)
+            assert run(env, executor.get_result(future)) == 14
+            router.submit("acme", 1.0)
+        assert router.submits == 5
+        assert recorder.metrics.counters["router.submits"].value \
+            == router.submits
+
     def test_map_reduce_routes_every_call(self):
         env, router, executor = make_env()
         future = executor.map_reduce(square, [1, 2, 3], total)

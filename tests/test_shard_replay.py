@@ -149,6 +149,30 @@ class _RecordingObserver:
         self.router = router
 
 
+class TestNoGarbage:
+    def test_a_finished_replay_is_freed_without_the_collector(self):
+        """Fabric and router hold no reference cycle: the trace and key
+        arrays of a finished run die with the call, not at the next
+        gen-2 collection (back-to-back replays used to stack them)."""
+        import gc
+        import weakref
+
+        class Watch(_RecordingObserver):
+            def on_end(self, now, router):
+                self.ref = weakref.ref(router)
+
+        observer = Watch()
+        gc.collect()
+        gc.disable()
+        try:
+            run_replay(SMALL, observer=observer)
+            assert observer.ref() is None
+            run_replay_reference(SMALL, observer=observer)
+            assert observer.ref() is None
+        finally:
+            gc.enable()
+
+
 class TestConservation:
     def test_roll_up_reconciles_after_quiesce(self, outcome):
         report = outcome.report

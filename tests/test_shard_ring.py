@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.ring import DEFAULT_VNODES, HashRing, hash_key
+from repro.shard.ring import DEFAULT_VNODES, HashRing, hash_key, hash_keys
 
 KEYS = [f"t{i}" for i in range(4000)]
 
@@ -34,6 +34,28 @@ class TestBasics:
     def test_hash_key_is_stable(self):
         assert hash_key("t0") == hash_key("t0")
         assert hash_key("t0") != hash_key("t1")
+
+    def test_hash_keys_is_hash_key_of_every_name(self):
+        """Chunk boundaries included, and a prefix ``%`` is literal."""
+        for prefix, count in (("t", 70_000), ("50%d-", 300), ("", 11)):
+            hashes = hash_keys(prefix, range(count))
+            assert hashes.dtype == "uint64" and len(hashes) == count
+            for key in (0, 1, 9, 10, count // 2, 65_535, 65_536, count - 1):
+                if key < count:
+                    assert int(hashes[key]) == hash_key(f"{prefix}{key}")
+        assert hash_keys("t", [7, 3]).tolist() \
+            == [hash_key("t7"), hash_key("t3")]
+
+    def test_lookup_hashes_is_lookup_of_every_key(self):
+        ring = make_ring(5)
+        ring.split_node("shard-1", "shard-9")
+        ring.remove_node("shard-3")
+        nodes, owner = ring.lookup_hashes(hash_keys("t", range(len(KEYS))))
+        assert nodes == ring.nodes()
+        assert [nodes[index] for index in owner.tolist()] \
+            == [ring.lookup(key) for key in KEYS]
+        with pytest.raises(LookupError):
+            HashRing().lookup_hashes(hash_keys("t", range(3)))
 
     def test_every_key_maps_to_a_member(self):
         ring = make_ring(5)
