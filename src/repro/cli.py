@@ -14,7 +14,6 @@ JSON results come out, and the plotter renders what it can. Usage::
     python -m repro shard --smoke             # sharded-serving replay gate
     python -m repro metrics --query tpch-q12  # telemetry dashboard
     python -m repro lint --strict             # determinism/architecture gate
-    python -m repro bench --smoke             # perf macro-benchmark gate
 """
 
 from __future__ import annotations
@@ -581,17 +580,10 @@ def main(argv: list[str] | None = None) -> int:
         "lint", help="static analysis: determinism bans + layer contract")
     from repro.lint.cli import add_lint_arguments
     add_lint_arguments(lint)
-    bench = commands.add_parser(
-        "bench", help="perf macro-benchmarks: measure, record, or gate")
-    from repro.bench.cli import add_bench_arguments
-    add_bench_arguments(bench)
     args = parser.parse_args(argv)
 
     if args.command == "lint":
         return _run_lint(args)
-    if args.command == "bench":
-        from repro.bench.cli import run_bench
-        return run_bench(args)
 
     if args.command == "serve":
         return _run_serve(args)

@@ -16,9 +16,9 @@ drive serverless scans):
 
 Each returns a JSON-ready outcome dict plus a short digest of its
 canonical serialization — two runs with the same seed (and fault plan)
-are byte-identical, which is what the acceptance criterion, the bench
-scenario, and the CI smoke job all check. Per-future costs are audited
-against the pricing-catalog total on every run (``cost_check``).
+are byte-identical, which is what the acceptance criterion, the pinned
+tier-1 outcome, and the CI smoke job all check. Per-future costs are
+audited against the pricing-catalog total on every run (``cost_check``).
 """
 
 from __future__ import annotations

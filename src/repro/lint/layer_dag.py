@@ -59,7 +59,6 @@ LAYERS: dict[str, tuple[str, ...]] = {
     #: directly, like ``repro.serve.service``).
     "obsflow": ("repro.obs.scenario",),
     "service": ("repro.serve", "repro.serve.service", "repro.chaos.runner"),
-    "bench": ("repro.bench",),
     "app": ("repro.cli", "repro.__main__"),
 }
 
@@ -95,12 +94,8 @@ ALLOWED: dict[str, tuple[str, ...]] = {
     "service": ("util", "analysis", "sim", "network", "storage", "formats",
                 "datagen", "faas", "iaas", "pricing", "chaos", "engine",
                 "core", "serve", "workloads", "obs", "telemetry"),
-    "bench": ("util", "analysis", "sim", "network", "storage", "formats",
-              "datagen", "faas", "iaas", "pricing", "chaos", "futures",
-              "engine", "core", "serve", "workloads", "shard", "service",
-              "telemetry"),
     "app": ("util", "analysis", "sim", "network", "storage", "formats",
             "datagen", "faas", "iaas", "pricing", "chaos", "futures",
             "engine", "core", "serve", "workloads", "shard", "obs",
-            "obsflow", "service", "bench", "lint", "telemetry"),
+            "obsflow", "service", "lint", "telemetry"),
 }

@@ -22,7 +22,7 @@ ceiling) forces at millions-of-users scale:
   the fleet-level roll-up (aggregate p50/p99, SLO, shed/recovered) with
   a conservation check (offered = completed + shed + failed + pending);
 * :mod:`repro.shard.replay` — deterministic high-QPS trace replay over
-  the fabric (the `sharded-serving` bench scenario and
+  the fabric (the ledger's ``tenant-replay`` workloads and
   ``repro shard --smoke``): one kernel that routes each inter-tick
   slice of the trace in a batch and replays it shard by shard, pinned
   byte-for-byte against an event-at-a-time oracle.
@@ -31,7 +31,7 @@ ceiling) forces at millions-of-users scale:
 from repro.shard.directory import PartitionDirectory, Route
 from repro.shard.metrics import FleetMetrics, LatencyHistogram, ShardMetrics
 from repro.shard.rebalance import RebalanceEvent, Rebalancer
-from repro.shard.replay import ReplayConfig, run_replay, run_unsharded_replay
+from repro.shard.replay import ReplayConfig, run_replay
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 
@@ -47,5 +47,4 @@ __all__ = [
     "ShardMetrics",
     "ShardRouter",
     "run_replay",
-    "run_unsharded_replay",
 ]

@@ -24,7 +24,7 @@ asserted:
 
 * :class:`ScanGuard` wraps every gateway's tenant-keyed dicts and
   counts *full iterations* (``keys``/``values``/``items``/``iter``).
-  The replay reports ``full_scans``; the bench gate pins it to zero —
+  The replay reports ``full_scans``; the ledger pins it to zero —
   the per-event cost provably never walks a tenant-sized structure.
 * The result digest is :func:`~repro.telemetry.canonical_json` hashed
   over the fleet roll-up, the rebalance history, and every counter —
@@ -36,13 +36,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import itemgetter
 
 from repro.serve.gateway import QueryGateway, Tenant
 from repro.serve.metrics import CompletedQuery
-from repro.shard.metrics import ShardMetrics
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import FENCED, OFFER, RETRY, ShardRouter
 from repro.sim.rng import RandomStreams
@@ -163,17 +162,9 @@ class ReplayConfig:
 
     def smoke(self) -> "ReplayConfig":
         """The CI-sized variant: >=100k tenants, truncated trace."""
-        return ReplayConfig(
-            tenants=120_000, events=180_000, window_s=600.0,
-            seed=self.seed, shards=self.shards,
-            slots_per_shard=self.slots_per_shard,
-            max_pending_per_shard=self.max_pending_per_shard,
-            tenant_queue_depth=self.tenant_queue_depth,
-            zipf_s=self.zipf_s, mean_service_s=self.mean_service_s,
-            slo_latency_s=self.slo_latency_s,
-            control_interval_s=60.0, hot_factor=self.hot_factor,
-            cold_factor=self.cold_factor, max_shards=self.max_shards,
-            fail_at=(150.0,), fault_plan="shard-failure")
+        return replace(self, tenants=120_000, events=180_000,
+                       window_s=600.0, fail_at=(150.0,),
+                       fault_plan="shard-failure")
 
 
 @dataclass
@@ -746,50 +737,3 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
             clock.now = now
             if submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
                 _advance(bank, gateway, now)
-
-
-def run_unsharded_replay(config: ReplayConfig) -> dict:
-    """The same trace through one monolithic gateway (the baseline).
-
-    Equal aggregate capacity (``shards * slots_per_shard`` slots, the
-    summed pending bound), no router, no rebalancing — the comparison
-    point BENCH_PR7 records events/sec and peak memory against.
-    """
-    streams = RandomStreams(config.seed)
-    times, ids = zipf_trace(
-        streams.stream("shard.trace"), config.tenants, config.events,
-        config.window_s, s=config.zipf_s)
-    services = streams.stream("shard.service").exponential(
-        config.mean_service_s, size=config.events)
-
-    clock = ManualClock()
-    template = Tenant(name="__default__",
-                      max_queue_depth=config.tenant_queue_depth,
-                      slo_latency_s=config.slo_latency_s)
-    metrics = ShardMetrics(shard_id="mono",
-                           slo_latency_s=config.slo_latency_s)
-    gateway = QueryGateway(
-        clock, metrics=metrics,
-        max_pending=config.max_pending_per_shard * config.shards,
-        shard_id="mono", default_tenant=template)
-    bank = _SlotBank(config.slots_per_shard * config.shards)
-
-    for index in range(config.events):
-        now = float(times[index])
-        clock.now = now
-        _advance(bank, gateway, now)
-        gateway.submit(f"{_TENANT_PREFIX}{ids[index]}",
-                       float(services[index]))
-        _advance(bank, gateway, now)
-
-    clock.now = config.window_s
-    _quiesce(bank, gateway, config.window_s, config.mean_service_s)
-
-    return {
-        "offered": metrics.offered,
-        "completed": metrics.completed,
-        "shed": metrics.shed,
-        "p50": metrics.latency.percentile(50.0),
-        "p99": metrics.latency.percentile(99.0),
-        "cost_usd": round(metrics.cost_usd, 9),
-    }

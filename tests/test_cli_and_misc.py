@@ -46,73 +46,6 @@ class TestCli:
         assert (tmp_path / "custom-latency.json").exists()
 
 
-def _baseline(wall_s: float, checks: dict) -> dict:
-    return {"schema": 1, "scenarios": {"serving": {"smoke": {"after": {
-        "wall_s": wall_s, "spin_s": 0.1, "checks": checks}}}}}
-
-
-class TestBenchCompare:
-    def test_compare_prints_speedup_and_exits_zero(self, tmp_path,
-                                                   capsys):
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps(_baseline(2.0, {"digest": "aa"})))
-        after.write_text(json.dumps(_baseline(1.0, {"digest": "aa"})))
-        assert main(["bench", "--compare", str(before), str(after)]) == 0
-        out = capsys.readouterr().out
-        assert "2.00x" in out
-        assert "DRIFTED" not in out
-
-    def test_compare_flags_check_drift(self, tmp_path, capsys):
-        before = tmp_path / "before.json"
-        after = tmp_path / "after.json"
-        before.write_text(json.dumps(_baseline(2.0, {"digest": "aa"})))
-        after.write_text(json.dumps(_baseline(1.0, {"digest": "bb"})))
-        assert main(["bench", "--compare", str(before), str(after)]) == 1
-        assert "DRIFTED" in capsys.readouterr().out
-
-    def test_compare_missing_file_fails(self, tmp_path, capsys):
-        real = tmp_path / "real.json"
-        real.write_text(json.dumps(_baseline(1.0, {})))
-        missing = tmp_path / "missing.json"
-        assert main(["bench", "--compare", str(real), str(missing)]) == 2
-        assert "no such file" in capsys.readouterr().err
-
-    def test_committed_baselines_compare_clean(self, capsys):
-        """The committed PR 7 -> PR 10 recordings must never drift."""
-        assert main(["bench", "--compare",
-                     "benchmarks/perf/BENCH_PR7.json",
-                     "benchmarks/perf/BENCH_PR10.json"]) == 0
-        out = capsys.readouterr().out
-        assert "sharded-serving" in out
-        assert "DRIFTED" not in out
-
-
-class TestBenchPR10Recording:
-    def test_recorded_parallel_speedup_meets_the_floor(self):
-        """BENCH_PR10.json must record >=2x for the parallel kernel
-        over the PR 7 sequential baseline, at identical checks."""
-        from repro.bench.harness import normalized_wall
-        baseline = json.loads(
-            open("benchmarks/perf/BENCH_PR10.json").read())
-        scenario = baseline["scenarios"]["sharded-serving-parallel"]
-        for mode in ("full", "smoke"):
-            before = scenario[mode]["before"]
-            after = scenario[mode]["after"]
-            assert before["checks"] == after["checks"], mode
-            speedup = normalized_wall(before) / normalized_wall(after)
-            assert speedup >= 2.0, (mode, speedup)
-
-    def test_parallel_checks_pinned_equal_to_sequential(self):
-        baseline = json.loads(
-            open("benchmarks/perf/BENCH_PR10.json").read())
-        scenarios = baseline["scenarios"]
-        for mode in ("full", "smoke"):
-            sequential = scenarios["sharded-serving"][mode]["after"]
-            parallel = scenarios["sharded-serving-parallel"][mode]["after"]
-            assert parallel["checks"] == sequential["checks"], mode
-
-
 class TestPoissonArrivals:
     def test_rate_matches_expectation(self):
         rng = np.random.default_rng(0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard import ReplayConfig, run_replay, run_unsharded_replay
+from repro.shard import ReplayConfig, run_replay
 from repro.shard.replay import ScanGuard, run_replay_reference
 from repro.telemetry import recording
 
@@ -201,19 +201,6 @@ class TestConservation:
             assert row["moved"] >= 0
 
 
-class TestUnshardedBaseline:
-    def test_monolithic_replay_conserves_queries(self):
-        report = run_unsharded_replay(SMALL)
-        assert report["offered"] == SMALL.events
-        assert report["offered"] == report["completed"] + report["shed"]
-        assert report["p50"] <= report["p99"]
-
-    def test_sharded_and_unsharded_see_the_same_trace(self, outcome):
-        """Same seed -> same arrivals: offered totals agree."""
-        report = run_unsharded_replay(SMALL)
-        assert outcome.report["offered"] == report["offered"]
-
-
 class TestScanGuard:
     def test_keyed_access_stays_free(self):
         guard = ScanGuard({"a": 1, "b": 2})
@@ -279,3 +266,7 @@ class TestConfig:
         smoke = ReplayConfig().smoke()
         assert smoke.tenants >= 100_000
         assert smoke.fail_at and smoke.fault_plan
+
+    def test_smoke_variant_forwards_every_other_field(self):
+        assert ReplayConfig(control_interval_s=30.0).smoke() \
+            .control_interval_s == 30.0
