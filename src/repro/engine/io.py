@@ -106,15 +106,21 @@ class IoStack:
         obj = self.storage.head(key)
         size = float(logical_bytes if logical_bytes is not None else obj.size)
         chunks = _chunk_sizes(size, self.chunk_bytes)
-        pending = list(chunks)
-        while pending:
-            window, pending = (pending[:self.concurrency],
-                               pending[self.concurrency:])
-            processes = [self.env.process(
-                self._read_chunk(key, nbytes, defer_transfer),
-                name="chunk-read") for nbytes in window]
-            for process in processes:
-                yield process
+        if len(chunks) == 1:
+            # One range request (every shuffle slice): nothing to window.
+            yield self.env.process(
+                self._read_chunk(key, chunks[0], defer_transfer),
+                name="chunk-read")
+        else:
+            pending = chunks
+            while pending:
+                window, pending = (pending[:self.concurrency],
+                                   pending[self.concurrency:])
+                processes = [self.env.process(
+                    self._read_chunk(key, nbytes, defer_transfer),
+                    name="chunk-read") for nbytes in window]
+                for process in processes:
+                    yield process
         if defer_transfer:
             self._deferred_bytes += size
         self.stats.read_time += self.env.now - started
@@ -162,10 +168,16 @@ class IoStack:
             try:
                 yield AnyOf(self.env, [attempt, deadline])
             except StorageError as exc:
-                # The attempt failed (throttled/timed out service-side);
-                # retry with exponential backoff (Section 4.4.1).
+                # Classify only. The traceback of ``exc`` now holds this
+                # frame, and ``attempt`` holds ``exc``: let go of the dead
+                # attempt here, and wait out the backoff below rather than
+                # in the handler, which would pin all of it for the wait.
+                attempt = deadline = None
                 if not exc.retryable:
                     raise
+            if attempt is None:
+                # The attempt failed (throttled/timed out service-side);
+                # retry with exponential backoff (Section 4.4.1).
                 self.stats.retried += 1
                 yield self.env.timeout(backoff)
                 backoff = min(backoff * 2.0, 5.0)

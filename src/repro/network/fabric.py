@@ -87,7 +87,7 @@ class Flow:
 
     ``size`` may be ``None`` for an open-ended flow (stopped explicitly
     via :meth:`stop`, e.g. an iPerf measurement). ``flow.done`` is an event
-    that triggers with the flow once it completes or is stopped.
+    that triggers when the flow completes or is stopped.
     """
 
     def __init__(self, fabric: "Fabric", src: Endpoint, dst: Endpoint,
@@ -355,7 +355,8 @@ class Fabric:
                 if state.is_shaper:
                     del self._shaped[key]
                     constraint.on_idle(now)
-        flow.done.succeed(flow)
+        # No value: the flow as its own event's value would be a cycle.
+        flow.done.succeed()
 
     def _update(self, arriving: Optional[Flow] = None) -> None:
         """Sweep, admit ``arriving``, complete finished flows, recompute

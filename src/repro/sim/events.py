@@ -9,6 +9,7 @@ triggers when its underlying generator returns (or fails).
 from __future__ import annotations
 
 import heapq
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.errors import Interrupt, SimulationError
@@ -121,12 +122,15 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process") -> None:  # noqa: F821
+        # One per process, so inlined like Timeout: own heap entry, at
+        # priority 0 (urgent) so it runs before same-timestamp events.
         self.env = env
         self.callbacks = [process._resume]
         self._value = None
         self._ok = True
         self._defused = False
-        env.schedule(self, priority=0)
+        env._seq += 1
+        heapq.heappush(env._queue, (env._now, 0, env._seq, self))
 
 
 class Process(Event):
@@ -142,9 +146,14 @@ class Process(Event):
     def __init__(self, env: "Environment",  # noqa: F821
                  generator: Generator[Event, Any, Any],
                  name: Optional[str] = None) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and not (
+                hasattr(generator, "send") and hasattr(generator, "throw")):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -191,32 +200,40 @@ class Process(Event):
         self.env.schedule(event, priority=0)
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of ``event``."""
-        self.env._active_process = self
+        """Advance the generator with the outcome of ``event``.
+
+        A failure is stored so that it frees by reference count: this
+        frame's entry is dropped from its traceback, since the frame's
+        ``self`` would close ``process -> exception -> traceback ->
+        frame -> process``, a cycle only the collector can free. The
+        generator's own frames stay, so an unhandled failure still shows
+        where it was raised. (No local may hold the traceback either: it
+        would re-create the cycle through this frame.)
+        """
+        env = self.env
+        env._active_process = self
         while True:
-            if event._ok:
-                try:
+            try:
+                if event._ok:
                     next_target = self._generator.send(event._value)
-                except StopIteration as stop:
-                    self._terminate(True, stop.value)
-                    break
-                except BaseException as exc:
-                    self._terminate(False, exc)
-                    break
-            else:
-                event._defused = True
-                try:
+                else:
+                    event._defused = True
                     next_target = self._generator.throw(event._value)
-                except StopIteration as stop:
-                    self._terminate(True, stop.value)
-                    break
-                except BaseException as exc:
-                    self._terminate(False, exc)
-                    break
+            except StopIteration as stop:
+                self._terminate(True, stop.value)
+                break
+            except BaseException as exc:
+                exc.__traceback__ = exc.__traceback__.tb_next
+                self._terminate(False, exc)
+                # From CPython 3.12 the failed generator's frame, which the
+                # traceback keeps, keeps this frame too (as its f_back):
+                # leave no local in it that leads back to the failure.
+                self = event = next_target = None
+                break
             if not isinstance(next_target, Event):
                 exc = SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_target!r}")
-                event = Event(self.env)
+                event = Event(env)
                 event._ok = False
                 event._value = exc
                 event._defused = True
@@ -228,7 +245,7 @@ class Process(Event):
                 break
             # The target was already processed; feed its value immediately.
             event = next_target
-        self.env._active_process = None
+        env._active_process = None
 
     def _terminate(self, ok: bool, value: Any) -> None:
         self._target = None
@@ -258,19 +275,31 @@ class _Condition(Event):
 
     def __init__(self, env: "Environment",  # noqa: F821
                  events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        for event in self._events:
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
+        self._defused = False
+        self._events = events = list(events)
+        pending = 0
+        for event in events:
             if event.env is not env:
                 raise SimulationError("cannot mix events from different environments")
-        self._pending = sum(1 for event in self._events
-                            if event.callbacks is not None)
-        for event in self._events:
-            if event.callbacks is None:
-                self._check(event)
-            else:
-                event.callbacks.append(self._on_member)
-        if not self._events and self._value is PENDING:
+            if event.callbacks is not None:
+                pending += 1
+        self._pending = pending
+        # Hook the pending members before checking the processed ones: a
+        # condition decided right here unhooks its timeouts in _check.
+        if pending:
+            on_member = self._on_member
+            for event in events:
+                if event.callbacks is not None:
+                    event.callbacks.append(on_member)
+        if pending < len(events):
+            for event in events:
+                if event.callbacks is None:
+                    self._check(event)
+        elif not events:
             self.succeed(ConditionValue())
 
     def _collect_values(self) -> ConditionValue:
@@ -297,6 +326,19 @@ class _Condition(Event):
             self.fail(event._value)
         elif self._satisfied():
             self.succeed(self._collect_values())
+        else:
+            return
+        # Decided: let go of pending timeouts. A race's loser is usually a
+        # deadline that sits in the heap long after the winner finished,
+        # and through this hook it would keep the condition, the winner
+        # and everything they hold alive until it pops. A timeout cannot
+        # fail, so there is no late failure to absorb; it still pops at
+        # its time and anything else waiting on it still resumes. Other
+        # pending members stay hooked for the failure they may yet have.
+        on_member = self._on_member
+        for member in self._events:
+            if type(member) is Timeout and member.callbacks is not None:
+                member.callbacks.remove(on_member)
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -187,7 +187,11 @@ class StorageService:
         error = self.fault_hook(op.value, key, self.env.now)
         if error is not None:
             self.stats.record(op, "injected-fault")
-            raise error
+            try:
+                raise error
+            finally:
+                # Or this frame, kept by the traceback, keeps the error.
+                del error
 
     def get(self, key: str, endpoint: Optional[Endpoint] = None):
         """Process: read the object at ``key``.

@@ -91,27 +91,32 @@ class RetryingClient:
     def _with_retries(self, op: str, key: str, payload, size,
                       offset: float = 0.0, length: float = 0.0):
         last_error: Optional[StorageError] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
-            self.stats.attempts += 1
-            try:
-                result = yield from self._timed(op, key, payload, size,
-                                                offset, length)
-                self.stats.successes += 1
-                return result
-            except RequestTimeout as exc:
-                self.stats.timeouts += 1
-                last_error = exc
-            except StorageError as exc:
-                if not exc.retryable:
-                    raise
-                self.stats.throttles += 1
-                last_error = exc
-            if attempt < self.policy.max_attempts:
-                delay = self.policy.backoff(attempt)
-                self.stats.backoff_time += delay
-                yield self.env.timeout(delay)
-        self.stats.giveups += 1
-        raise last_error if last_error is not None else RequestTimeout(key)
+        try:
+            for attempt in range(1, self.policy.max_attempts + 1):
+                self.stats.attempts += 1
+                try:
+                    result = yield from self._timed(op, key, payload, size,
+                                                    offset, length)
+                    self.stats.successes += 1
+                    return result
+                except RequestTimeout as exc:
+                    self.stats.timeouts += 1
+                    last_error = exc
+                except StorageError as exc:
+                    if not exc.retryable:
+                        raise
+                    self.stats.throttles += 1
+                    last_error = exc
+                if attempt < self.policy.max_attempts:
+                    delay = self.policy.backoff(attempt)
+                    self.stats.backoff_time += delay
+                    yield self.env.timeout(delay)
+            self.stats.giveups += 1
+            raise last_error if last_error is not None else RequestTimeout(key)
+        finally:
+            # The error's traceback keeps this frame: the frame must not
+            # keep the error, or the two outlive the call as a cycle.
+            del last_error
 
     def _timed(self, op: str, key: str, payload, size, offset=0.0,
                length=0.0):
@@ -122,19 +127,25 @@ class RetryingClient:
             hook_op = "get" if op.startswith("get") else op
             error = self.fault_hook(hook_op, key, self.env.now)
             if error is not None:
-                raise error
+                try:
+                    raise error
+                finally:
+                    del error  # same cycle, through this frame
         request = self.env.process(
             self._attempt(op, key, payload, size, offset, length),
             name=f"storage-{op}")
         deadline = self.env.timeout(self.policy.request_timeout)
-        yield AnyOf(self.env, [request, deadline])
-        if request.processed:
-            if not request.ok:
-                raise request.value
-            return request.value
-        # Timed out: abandon the in-flight request.
-        if request.is_alive:
-            request.interrupt("client-timeout")
-            request.defuse()
-        raise RequestTimeout(f"{op} {key!r} exceeded "
-                             f"{self.policy.request_timeout * 1000:.0f} ms")
+        try:
+            yield AnyOf(self.env, [request, deadline])
+            if request.processed:
+                if not request.ok:
+                    raise request.value
+                return request.value
+            # Timed out: abandon the in-flight request.
+            if request.is_alive:
+                request.interrupt("client-timeout")
+                request.defuse()
+            raise RequestTimeout(f"{op} {key!r} exceeded "
+                                 f"{self.policy.request_timeout * 1000:.0f} ms")
+        finally:
+            del request  # it holds the failure this frame is raising

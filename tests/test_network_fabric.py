@@ -258,7 +258,7 @@ class TestCreationOrder:
         fired = []
         for flow in flows:
             flow.done.callbacks.append(
-                lambda event: fired.append(event.value.id))
+                lambda event, flow=flow: fired.append(flow.id))
         env.run()
         # Equal shares of one link: all forty finish in one update.
         assert len({flow.finished_at for flow in flows}) == 1

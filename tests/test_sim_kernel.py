@@ -1,14 +1,20 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import traceback
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
     AnyOf,
     Environment,
+    Event,
     Interrupt,
     SimulationError,
 )
+from repro.sim.events import PENDING, ConditionValue
 
 
 def test_timeout_advances_clock():
@@ -315,3 +321,285 @@ def test_any_of_with_failure_fails_fast():
     p = env.process(parent(env))
     env.run()
     assert p.value == ("early failure", 1.0)
+
+
+# -- a decided condition lets go of its pending timeouts ----------------------
+
+def test_decided_race_unhooks_its_deadline():
+    env = Environment()
+    log = []
+
+    def work(env):
+        yield env.timeout(1.0)
+        return "done"
+
+    def racer(env, deadline):
+        proc = env.process(work(env))
+        yield AnyOf(env, [proc, deadline])
+        log.append(("race", env.now, list(deadline.callbacks)))
+
+    def latecomer(env, deadline):
+        yield env.timeout(2.0)
+        value = yield deadline
+        log.append(("latecomer", env.now, value))
+
+    deadline = env.timeout(30.0, value="tick")
+    env.process(racer(env, deadline))
+    env.process(latecomer(env, deadline))
+    env.run()
+    # The race was decided by the process: nothing hangs off the deadline
+    # until the latecomer parks on it, and it still pops at its time.
+    assert log == [("race", 1.0, []), ("latecomer", 30.0, "tick")]
+    assert env.now == 30.0
+
+    # Against the same two events left independent, the race schedules one
+    # event more (its own trigger) and ends at the same time: unhooking
+    # neither cancels the deadline nor schedules anything.
+    def scenario(race):
+        env = Environment()
+        members = [env.process(work(env)), env.timeout(30.0)]
+        if race:
+            AnyOf(env, members)
+        env.run()
+        return env.now, env.scheduled_events
+
+    assert scenario(race=False) == (30.0, 4)
+    assert scenario(race=True) == (30.0, 5)
+
+
+def test_decided_condition_keeps_pending_processes_hooked():
+    """Only timeouts are let go: a pending process may still fail, and
+    the condition must be there to absorb it."""
+    env = Environment()
+
+    def ok(env):
+        yield env.timeout(1.0)
+
+    def fail_late(env):
+        yield env.timeout(2.0)
+        raise RuntimeError("late")
+
+    def parent(env):
+        late = env.process(fail_late(env))
+        condition = AnyOf(env, [env.process(ok(env)), late])
+        yield condition
+        assert late.callbacks == [condition._on_member]
+        yield env.timeout(5.0)
+        return late.ok
+
+    p = env.process(parent(env))
+    env.run()  # would raise "late" had the condition unhooked the process
+    assert p.value is False
+
+
+def test_all_of_failing_early_unhooks_its_timeouts():
+    env = Environment()
+
+    def bad(env):
+        yield env.timeout(1.0)
+        raise ValueError("early")
+
+    def parent(env, slow):
+        with pytest.raises(ValueError):
+            yield AllOf(env, [env.process(bad(env)), slow])
+        return env.now
+
+    slow = env.timeout(10.0)
+    p = env.process(parent(env, slow))
+    env.run(until=p)
+    assert p.value == 1.0
+    assert slow.callbacks == []
+    env.run()
+    assert env.now == 10.0
+
+
+def test_condition_decided_at_construction_unhooks_its_timeouts():
+    env = Environment()
+    done = env.timeout(0.0)
+    env.run()
+    pending = env.timeout(5.0)
+    condition = AnyOf(env, [pending, done])
+    assert condition.triggered
+    assert pending.callbacks == []
+
+
+# -- a stored failure carries no kernel frame ----------------------------------
+
+def _explode():
+    raise KeyError("boom")
+
+
+def test_failure_traceback_starts_at_the_generator_frame():
+    def worker(env):
+        yield env.timeout(1.0)
+        _explode()
+
+    env = Environment()
+    proc = env.process(worker(env))
+    proc.defuse()
+    env.run()
+    stored = [frame.name for frame in
+              traceback.extract_tb(proc.value.__traceback__)]
+    assert stored == ["worker", "_explode"]
+
+    # Unhandled: env.run() re-raises it, and the report still leads from
+    # the generator to the raising function, with no _resume in between.
+    env = Environment()
+    env.process(worker(env))
+    with pytest.raises(KeyError) as info:
+        env.run()
+    names = [frame.name for frame in
+             traceback.extract_tb(info.value.__traceback__)]
+    assert names[-2:] == ["worker", "_explode"]
+    assert "_resume" not in names
+
+
+def test_failure_passed_through_two_processes_keeps_both_user_frames():
+    def inner(env):
+        yield env.timeout(1.0)
+        _explode()
+
+    def outer(env):
+        yield env.process(inner(env))
+
+    env = Environment()
+    proc = env.process(outer(env))
+    proc.defuse()
+    env.run()
+    names = [frame.name for frame in
+             traceback.extract_tb(proc.value.__traceback__)]
+    assert names == ["outer", "inner", "_explode"]
+
+
+# -- the parent commit's _Condition, verbatim, as oracle -----------------------
+
+class _OracleCondition(Event):
+    __slots__ = ("_events", "_pending")
+
+    def __init__(self, env, events):
+        super().__init__(env)
+        self._events = list(events)
+        for event in self._events:
+            if event.env is not env:
+                raise SimulationError("cannot mix events from different environments")
+        self._pending = sum(1 for event in self._events
+                            if event.callbacks is not None)
+        for event in self._events:
+            if event.callbacks is None:
+                self._check(event)
+            else:
+                event.callbacks.append(self._on_member)
+        if not self._events and self._value is PENDING:
+            self.succeed(ConditionValue())
+
+    def _collect_values(self):
+        values = ConditionValue()
+        for event in self._events:
+            if event.callbacks is None and event._ok:
+                values[event] = event._value
+        return values
+
+    def _on_member(self, event):
+        self._pending -= 1
+        self._check(event)
+
+    def _check(self, event):
+        if not event._ok:
+            event._defused = True
+        if self._value is not PENDING:
+            return
+        if not event._ok:
+            self.fail(event._value)
+        elif self._satisfied():
+            self.succeed(self._collect_values())
+
+
+class _OracleAllOf(_OracleCondition):
+    __slots__ = ()
+
+    def _satisfied(self):
+        return self._pending == 0
+
+
+class _OracleAnyOf(_OracleCondition):
+    __slots__ = ()
+
+    def _satisfied(self):
+        return self._pending < len(self._events)
+
+
+class _Boom(Exception):
+    pass
+
+
+_DELAYS = st.integers(min_value=0, max_value=4)
+_LEAVES = st.tuples(st.sampled_from(["timeout", "ok", "fail"]), _DELAYS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.tuples(st.sampled_from(["any", "all"]),
+                               st.lists(children, max_size=4)),
+    max_leaves=12)
+
+
+def _replay_tree(tree, build_at, any_of, all_of):
+    """Create the leaves at t=0 and the conditions over them at
+    ``build_at`` (so some members are already processed); log every
+    node's completion and return the log with the event count."""
+    env = Environment()
+    log = []
+    ids = {}
+
+    def finish(env, delay, fail):
+        yield env.timeout(delay)
+        if fail:
+            raise _Boom(delay)
+        return delay
+
+    def watch(event):
+        ids[event] = node = len(ids)
+
+        def on_done(event):
+            value = event._value
+            members = tuple(ids[member] for member in value) \
+                if isinstance(value, ConditionValue) else ()
+            log.append((env.now, node, event._ok, type(value).__name__,
+                        members))
+        event.callbacks.append(on_done)
+        return event
+
+    def leaves(node):
+        kind, arg = node
+        if kind in ("any", "all"):
+            return (kind, [leaves(child) for child in arg])
+        if kind == "timeout":
+            return watch(env.timeout(float(arg)))
+        return watch(env.process(finish(env, float(arg), kind == "fail")))
+
+    def conditions(node):
+        if not isinstance(node, tuple):
+            return node
+        kind, children = node
+        members = [conditions(child) for child in children]
+        return watch((any_of if kind == "any" else all_of)(env, members))
+
+    def root(env, planted):
+        yield env.timeout(float(build_at))
+        try:
+            yield conditions(planted)
+        except _Boom:
+            pass
+        log.append((env.now, "root"))
+
+    env.process(root(env, leaves(tree)))
+    try:
+        env.run()
+    except _Boom:  # a leaf failed before any condition was there for it
+        log.append((env.now, "crash"))
+    return log, env.scheduled_events
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=_TREES, build_at=_DELAYS)
+def test_conditions_complete_exactly_as_the_parent_commits_did(tree, build_at):
+    assert _replay_tree(tree, build_at, AnyOf, AllOf) \
+        == _replay_tree(tree, build_at, _OracleAnyOf, _OracleAllOf)
