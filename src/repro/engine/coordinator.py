@@ -166,7 +166,7 @@ class CoordinatorRuntime:
     #: Monotonic execution counter; fences idempotent shuffle writes.
     epoch: int = 0
     #: Per-runtime plan-parse memo — runtime-owned (not module-global)
-    #: so shard-parallel domains never share parse state.
+    #: so one run's parse state never reaches the next.
     plan_cache: IdentityMemo = field(default_factory=plan_memo)
 
 

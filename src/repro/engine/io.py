@@ -48,18 +48,6 @@ class IoStats:
     write_time: float = 0.0
     request_sizes: list[float] = field(default_factory=list)
 
-    def merge(self, other: "IoStats") -> None:
-        """Fold another stats object into this one."""
-        self.requests += other.requests
-        self.read_requests += other.read_requests
-        self.write_requests += other.write_requests
-        self.retried += other.retried
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.read_time += other.read_time
-        self.write_time += other.write_time
-        self.request_sizes.extend(other.request_sizes)
-
 
 class IoStack:
     """Chunked, concurrent reads and writes against a storage service."""

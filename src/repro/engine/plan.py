@@ -205,10 +205,10 @@ class IdentityMemo:
     eviction window.
 
     Instances live on the runtime objects (``CoordinatorRuntime``,
-    ``WorkerRuntime``) rather than at module scope: shard-parallel
-    domains each build their own runtimes, so domains never share — or
-    race on — parse state, and eviction in one domain cannot evict
-    another's hot entries (CONC001).
+    ``WorkerRuntime``) rather than at module scope: every run builds
+    its own runtimes, so a run starts with an empty memo and what one
+    run cached or evicted cannot change what the next one parses
+    (CONC001).
     """
 
     def __init__(self, parse, max_entries: int = 64) -> None:

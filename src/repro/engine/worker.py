@@ -42,7 +42,7 @@ class WorkerRuntime:
     #: Shared footer/chunk decode cache; ``None`` disables caching.
     columnar_cache: ColumnarCache | None = None
     #: Per-runtime pipeline-spec parse memo — runtime-owned (not
-    #: module-global) so shard-parallel domains never share parse state.
+    #: module-global) so one run's parse state never reaches the next.
     spec_cache: IdentityMemo = field(
         default_factory=lambda: IdentityMemo(PipelineSpec.from_dict,
                                              max_entries=128))

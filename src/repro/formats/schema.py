@@ -84,13 +84,6 @@ class Schema:
         except KeyError:
             raise KeyError(f"no field {name!r}; have {self.names()}") from None
 
-    def index_of(self, name: str) -> int:
-        """Positional index of a field."""
-        try:
-            return self._index[name]
-        except KeyError:
-            raise KeyError(f"no field {name!r}; have {self.names()}") from None
-
     def names(self) -> list[str]:
         """All field names, in order."""
         return [field.name for field in self.fields]

@@ -189,14 +189,14 @@ class ResponseFuture:
         self._result = value
         self.finished_at = self.env.now
         self._transition(SUCCESS)
-        self.done_event.succeed(self)
+        self.done_event.succeed()
 
     def reject(self, error: BaseException) -> None:
         """Invoker hook: the call failed terminally."""
         self._error = error
         self.finished_at = self.env.now
         self._transition(ERROR)
-        self.done_event.succeed(self)
+        self.done_event.succeed()
 
     def _transition(self, state: str) -> None:
         previous = self.state

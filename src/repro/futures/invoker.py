@@ -141,6 +141,11 @@ class Invoker:
                 future._wake = wake = self.env.event()
                 yield AnyOf(self.env,
                             [process for process, _, _ in active] + [wake])
+                if not wake.triggered:
+                    # A decided race stays hooked on its pending plain
+                    # events for a late failure; wake has none, and left
+                    # hooked the two are a cycle only the collector frees.
+                    wake.callbacks.clear()
                 if future._spec_requested:
                     future._spec_requested = False
                     if not future.hedged \

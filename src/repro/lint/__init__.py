@@ -21,17 +21,16 @@ byte-stable JSON output):
 
 On top of the per-module pass sits a two-phase **whole-program
 analysis** (:mod:`repro.lint.project`): phase 1 distills every module
-into a cacheable index (symbols, imports, RNG provenance, mutation and
-resource sites, call edges); phase 2 runs :class:`ProjectChecker`\\ s
-over the stitched index:
+into an index (RNG provenance, global-mutation and resource sites,
+call edges); phase 2 runs :class:`ProjectChecker`\\ s over the
+stitched index:
 
 * **DET005** — RNG seed provenance: generators drawn from outside the
   layer that constructed them; seeds derived from ``hash()``/``id()``
   or wall clocks;
-* **CONC001** — module globals mutated from code reachable by
-  shard/sim event handlers (the shard-parallel race hazard);
-* **CONC002** — objects registered per-shard that also escape into
-  module-global registries (cross-domain aliasing);
+* **CONC001** — run isolation: module globals mutated from function
+  scope, i.e. state that survives into the next run in the same
+  interpreter;
 * **RES001** — spans/handles opened without a reaching settle call,
   with the obligation following returned resources into callers;
 * **EXC001** — broad exception handlers that would silently mask
@@ -46,18 +45,13 @@ CI gate; ``repro lint --self-test`` replays a bundled fixture bundle
 of known violations so a checker can never silently go dead; ``repro
 lint --sarif`` emits SARIF 2.1.0 for CI diff annotations; ``repro
 lint --explain <ID>`` prints a checker's rationale with a bad/good
-example. Phase 1 results are cached per file SHA
-(:mod:`repro.lint.cache`), and output stays byte-identical across
-runs, discovery orders, and cache states. See
-``docs/static_analysis.md``.
+example. Output is byte-identical across runs and discovery orders.
+See ``docs/static_analysis.md``.
 """
 
 from repro.lint.arch import CanonicalJsonChecker, LayerChecker
 from repro.lint.baseline import Baseline, diff_against_baseline
-from repro.lint.concurrency import (
-    CrossDomainAliasChecker,
-    SharedStateChecker,
-)
+from repro.lint.concurrency import SharedStateChecker
 from repro.lint.determinism import (
     IdentityOrderChecker,
     OrderingChecker,
@@ -71,7 +65,6 @@ from repro.lint.framework import (
     analyze_module,
     apply_suppressions,
     lint_modules,
-    lint_paths,
     parse_suppressions,
 )
 from repro.lint.lifecycle import (
@@ -107,7 +100,6 @@ def all_project_checkers() -> list[ProjectChecker]:
     return sorted([
         SeedProvenanceChecker(),
         SharedStateChecker(),
-        CrossDomainAliasChecker(),
         ResourceLifecycleChecker(),
     ], key=lambda checker: checker.id)
 
@@ -116,7 +108,6 @@ __all__ = [
     "Baseline",
     "CanonicalJsonChecker",
     "Checker",
-    "CrossDomainAliasChecker",
     "Finding",
     "IdentityOrderChecker",
     "LayerChecker",
@@ -139,7 +130,6 @@ __all__ = [
     "diff_against_baseline",
     "lint_bundle",
     "lint_modules",
-    "lint_paths",
     "lint_tree",
     "parse_suppressions",
 ]

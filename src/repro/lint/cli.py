@@ -2,9 +2,8 @@
 
 Modes:
 
-* default — lint the tree (both phases, through the incremental
-  cache), print findings (baseline-accepted ones are tagged), always
-  exit 0 (informational);
+* default — lint the tree (both phases), print findings
+  (baseline-accepted ones are tagged), always exit 0 (informational);
 * ``--strict`` — the CI gate: exit 1 on any finding not covered by the
   baseline, on any stale baseline entry, and on framework findings
   (LNT001/LNT002), so the accepted-debt set can only shrink;
@@ -17,20 +16,13 @@ Modes:
 * ``--update-baseline`` — accept the current findings as debt;
 * ``--list-checks`` — print the checker catalog.
 
-``--no-cache`` forces a cold run (CI uses it so the recorded time
-budget measures the analysis, not the cache); ``--max-seconds`` turns
-the run's wall time into a gate so the incremental cache's value is
-itself regression-tested.
-
 Output is human text or (``--json`` / ``--sarif``) canonical JSON —
-two runs over the same tree are byte-identical, whatever the cache
-state.
+two runs over the same tree are byte-identical.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from pathlib import Path
 
 from repro.lint import (
@@ -40,7 +32,6 @@ from repro.lint import (
     lint_tree,
 )
 from repro.lint.baseline import Baseline
-from repro.lint.cache import LintCache
 from repro.lint.framework import Checker
 from repro.lint.sarif import sarif_report
 from repro.telemetry.export import canonical_json
@@ -50,9 +41,6 @@ DEFAULT_PATHS = ("src/repro",)
 
 #: Default committed baseline location.
 DEFAULT_BASELINE = "lint-baseline.json"
-
-#: Default incremental-cache location (gitignored scratch).
-DEFAULT_CACHE = ".repro-lint-cache.json"
 
 #: LNT001/LNT002 pseudo-checkers for --list-checks / --explain / SARIF.
 _LNT_DOCS = {
@@ -114,15 +102,6 @@ def add_lint_arguments(parser) -> None:
     parser.add_argument("--explain", metavar="CHECK_ID",
                         help="print one checker's rationale and a "
                              "bad/good example, then exit")
-    parser.add_argument("--cache", default=DEFAULT_CACHE,
-                        help="incremental cache file keyed by file SHA "
-                             f"(default: {DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the incremental "
-                             "cache (cold run)")
-    parser.add_argument("--max-seconds", type=float, default=None,
-                        help="fail if the lint run's wall time exceeds "
-                             "this budget (guards analysis cost)")
 
 
 def _explain(check_id: str) -> int:
@@ -155,7 +134,6 @@ def _explain(check_id: str) -> int:
 
 def run_lint(args) -> int:
     """Execute ``repro lint``; returns the process exit code."""
-    started = time.perf_counter()  # repro-lint: disable=DET001 gates the linter's own wall time, never simulated time
     if args.self_test:
         from repro.lint.selftest import run_self_test
         ok, lines = run_self_test()
@@ -182,10 +160,7 @@ def run_lint(args) -> int:
         print(f"repro lint: error: no such path: "
               f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
         return 2
-    cache = None if args.no_cache else LintCache(Path(args.cache))
-    findings = lint_tree(paths, checkers, project_checkers, cache=cache)
-    if cache is not None:
-        cache.save()
+    findings = lint_tree(paths, checkers, project_checkers)
 
     baseline_path = Path(args.baseline)
     if args.update_baseline:
@@ -224,14 +199,6 @@ def run_lint(args) -> int:
         print(f"repro lint: {len(new)} new, {len(accepted)} baselined, "
               f"{len(stale)} stale baseline entr"
               f"{'y' if len(stale) == 1 else 'ies'}")
-
-    if args.max_seconds is not None:
-        elapsed = time.perf_counter() - started  # repro-lint: disable=DET001 gates the linter's own wall time, never simulated time
-        if elapsed > args.max_seconds:
-            print(f"repro lint: time budget exceeded: {elapsed:.2f}s > "
-                  f"{args.max_seconds:.2f}s (is the incremental cache "
-                  f"or the analysis regressing?)", file=sys.stderr)
-            return 1
 
     if args.strict and (new or stale or lnt):
         return 1

@@ -1,19 +1,21 @@
-"""CONC001/CONC002 — shard-parallel shared-state hazards.
+"""CONC001 — run isolation: no state survives a run in a module global.
 
-ROADMAP item 5 commits to running independent shard/region domains as
-parallel event loops with a deterministic merge. The whole plan rests
-on domains sharing *nothing* mutable: a module global written from
-handler code is a data race the day two domains run on separate
-threads, and a nondeterminism source even under cooperative
-interleaving (merge order decides who wrote last). These checkers make
-the no-shared-state rule mechanical *before* the kernel is
-parallelized, so every violation is found while it is still cheap.
+The repo is one single-process deterministic program, and its gates
+lean on runs being independent of each other inside one interpreter:
+the ledger asserts that k repeats of a workload are bit-identical,
+every hypothesis property runs its body hundreds of times, and tier-1
+runs a thousand tests in one process. A module global written from
+function scope is state the *next* run inherits — a memo that answers
+from the previous run's inputs, a counter that never resets, a registry
+that keeps growing. PR 9's worker ``_SPEC_CACHE`` was that bug: a parse
+memo at module scope, so what one query cached changed what the next
+one did. State a run mutates belongs on an object the run owns
+(runtime, environment, router), so a fresh run starts from nothing.
 
-Reachability is computed over the import graph: a module that imports
-``repro.sim`` or ``repro.shard`` hosts event-handler code, and
-everything *it* imports also runs inside a domain's event loop.
-Module-scope mutations (building a constant table at import time) are
-exempt — imports happen once, before any domain exists.
+The check runs over every module. Module-scope mutations (building a
+constant table at import time) are exempt — imports happen once, before
+any run exists; state that is process-wide on purpose takes a reasoned
+suppression.
 """
 
 from __future__ import annotations
@@ -25,31 +27,32 @@ from repro.lint.project import ProjectChecker, ProjectIndex
 
 
 class SharedStateChecker(ProjectChecker):
-    """CONC001 — module globals mutated from domain-reachable code."""
+    """CONC001 — module globals mutated from function scope."""
 
     id = "CONC001"
-    title = "shard-parallel shared mutable state"
+    title = "run isolation: mutable module state"
     severity = "warning"
     rationale = (
-        "Module globals written from code reachable by repro.shard / "
-        "repro.sim event handlers are shared across every future "
-        "shard-parallel domain: a data race under real parallelism, "
-        "and a merge-order nondeterminism source before that. State a "
-        "domain mutates must live on an object the domain owns "
-        "(runtime, environment, router) so each domain gets its own.")
+        "A module global written from function scope outlives the run "
+        "that wrote it: the next run in the same interpreter (a ledger "
+        "repeat, a hypothesis example, the next test) starts from the "
+        "previous one's leftovers, so 'same seed, same outcome' holds "
+        "only for the first. State a run mutates must live on an "
+        "object the run owns (runtime, environment, router) so every "
+        "run gets its own.")
     example_bad = (
         "_CACHE: dict[str, Plan] = {}\n"
         "def compile(runtime, text):\n"
-        "    _CACHE[text] = parse(text)   # shared across domains\n")
+        "    _CACHE[text] = parse(text)   # survives into the next run\n")
     example_good = (
         "class Runtime:\n"
         "    def __init__(self):\n"
         "        self.plan_cache: dict[str, Plan] = {}\n"
         "def compile(runtime, text):\n"
-        "    runtime.plan_cache[text] = parse(text)  # domain-owned\n")
+        "    runtime.plan_cache[text] = parse(text)  # run-owned\n")
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for name in sorted(index.domain_reachable):
+        for name in sorted(index.modules):
             module_index = index.modules[name]
             for site in module_index["global_mutations"]:
                 what = ("rebound" if site["kind"] == "rebind"
@@ -57,59 +60,7 @@ class SharedStateChecker(ProjectChecker):
                 yield self.finding(
                     module_index, site,
                     f"module-global '{site['name']}' is {what} in "
-                    f"'{site['scope']}', and module '{name}' is "
-                    f"reachable from shard/sim event handlers — "
-                    f"shard-parallel domains would share (and race on) "
-                    f"it; move the state onto a domain-owned object")
-
-
-class CrossDomainAliasChecker(ProjectChecker):
-    """CONC002 — objects in per-shard structures escaping to globals."""
-
-    id = "CONC002"
-    title = "cross-domain aliasing"
-    severity = "warning"
-    rationale = (
-        "An object registered in a per-shard/per-instance structure "
-        "and *also* published in a module-global registry is aliased "
-        "across domain boundaries: the global lets any domain reach "
-        "into another domain's object, defeating the isolation that "
-        "makes parallel simulation deterministic. Keep each object in "
-        "exactly one domain's structures; cross-domain lookups go "
-        "through an immutable directory or message passing.")
-    example_bad = (
-        "_ALL_TENANTS: dict[str, Tenant] = {}\n"
-        "class Shard:\n"
-        "    def admit(self, tenant):\n"
-        "        self._tenants[tenant.key] = tenant\n"
-        "        _ALL_TENANTS[tenant.key] = tenant  # escapes the shard\n")
-    example_good = (
-        "class Shard:\n"
-        "    def admit(self, tenant):\n"
-        "        self._tenants[tenant.key] = tenant\n"
-        "# fleet-wide views aggregate over shards on demand\n")
-
-    def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
-        for name in sorted(index.domain_reachable):
-            module_index = index.modules[name]
-            by_scope: dict[str, list[dict]] = {}
-            for site in module_index["alias_stores"]:
-                by_scope.setdefault(site["scope"], []).append(site)
-            for scope in sorted(by_scope):
-                sites = by_scope[scope]
-                instance_values = {site["value"]: site for site in sites
-                                   if site["kind"] == "instance"}
-                for site in sites:
-                    if site["kind"] != "global":
-                        continue
-                    twin = instance_values.get(site["value"])
-                    if twin is None:
-                        continue
-                    yield self.finding(
-                        module_index, site,
-                        f"'{site['value']}' is registered in per-shard "
-                        f"structure '{twin['container']}' and also "
-                        f"escapes into module-global "
-                        f"'{site['container']}' (in '{scope}'); the "
-                        f"global aliases the object across shard "
-                        f"domains — keep it domain-local")
+                    f"'{site['scope']}' — it outlives the run that "
+                    f"wrote it, so the next run in this interpreter "
+                    f"inherits it; move the state onto a run-owned "
+                    f"object")

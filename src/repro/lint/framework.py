@@ -36,8 +36,8 @@ LNT_UNUSED = "LNT002"
 
 #: Finding severities, in SARIF vocabulary. ``error`` findings break
 #: determinism or the architecture outright; ``warning`` findings are
-#: hazards for planned work (shard-parallel domains, chaos coverage);
-#: ``note`` is framework self-audit.
+#: hazards (state leaking between runs, leaked spans, masked chaos
+#: faults); ``note`` is framework self-audit.
 SEVERITIES = ("error", "warning", "note")
 
 
@@ -64,12 +64,6 @@ class Finding:
                 "check": self.check, "message": self.message,
                 "severity": self.severity}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(path=data["path"], line=data["line"], col=data["col"],
-                   check=data["check"], message=data["message"],
-                   severity=data.get("severity", "error"))
-
 
 @dataclass
 class Suppression:
@@ -82,16 +76,6 @@ class Suppression:
 
     def covers(self, check: str) -> bool:
         return check in self.checks or "all" in self.checks
-
-    def to_dict(self) -> dict:
-        """Cacheable form (the transient ``used`` flag is not stored)."""
-        return {"line": self.line, "checks": list(self.checks),
-                "reason": self.reason}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Suppression":
-        return cls(line=data["line"], checks=tuple(data["checks"]),
-                   reason=data["reason"])
 
 
 def parse_suppressions(source: str) -> dict[int, Suppression]:
@@ -148,12 +132,6 @@ class SourceModule:
         self.tree = ast.parse(source, filename=path)
         self.suppressions = parse_suppressions(source)
 
-    @classmethod
-    def from_file(cls, path: Path, display_path: Optional[str] = None
-                  ) -> "SourceModule":
-        return cls(display_path or path.as_posix(),
-                   path.read_text(encoding="utf-8"))
-
     def finding(self, node: ast.AST, check: str, message: str,
                 severity: str = "error") -> Finding:
         """Convenience constructor anchored at an AST node."""
@@ -186,13 +164,7 @@ class Checker:
 
 def analyze_module(module: SourceModule,
                    checkers: Iterable[Checker]) -> list[Finding]:
-    """Raw per-module findings, *before* suppression filtering.
-
-    The raw list is what the incremental cache stores: suppression
-    state is recomputed on every run (an edit elsewhere never changes
-    it), so caching pre-suppression keeps cached and fresh runs
-    byte-identical.
-    """
+    """Raw per-module findings, *before* suppression filtering."""
     checkers = sorted(checkers, key=lambda c: c.id)
     return [finding for checker in checkers
             for finding in checker.check(module)]
@@ -257,20 +229,3 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
             files.add(path)
     return sorted(files, key=lambda p: p.as_posix())
 
-
-def lint_paths(paths: Iterable[Path],
-               checkers: Iterable[Checker]) -> list[Finding]:
-    """Lint every ``.py`` file under ``paths`` (deterministic order).
-
-    Display paths are relativized to the current working directory when
-    possible so findings (and baselines) are machine-independent.
-    """
-    cwd = Path.cwd()
-    modules = []
-    for file in iter_python_files(paths):
-        try:
-            display = file.resolve().relative_to(cwd).as_posix()
-        except ValueError:
-            display = file.as_posix()
-        modules.append(SourceModule.from_file(file, display_path=display))
-    return lint_modules(modules, checkers)

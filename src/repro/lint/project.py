@@ -1,30 +1,25 @@
 """Phase 1 of the whole-program analysis: the project index.
 
 Per-module checkers (:mod:`repro.lint.determinism`, ``arch``) see one
-file at a time and are blind to exactly the bugs that threaten the
-shard-parallel kernel plan (ROADMAP item 5): an RNG constructed in one
-layer and drawn from in another, a module global mutated from code that
-runs inside two shard domains, a span opened in one function and leaked
-by its caller. The two-phase design fixes that:
+file at a time and are blind to the bugs that live between files: an
+RNG constructed in one layer and drawn from in another, a span opened
+in one function and leaked by its caller. The two-phase design fixes
+that:
 
 * **Phase 1** (:class:`ModuleIndexer`) walks every file's AST exactly
-  once and distills it into a :class:`ModuleIndex` — a small, plain-JSON
-  summary: symbol table, ``repro.*`` import targets, RNG construction
-  and draw sites, module-global and class-attribute mutation sites,
-  resource open/close/escape sites per function, and bound call edges.
-  Because the summary is pure data, the incremental cache
-  (:mod:`repro.lint.cache`) can store it keyed by file SHA and skip the
-  parse entirely on unchanged files.
+  once and distills it into a module index — a small, plain-data
+  summary: RNG construction and draw sites, module-global mutation
+  sites, resource open/close/escape sites per function, and bound call
+  edges.
 * **Phase 2** (:class:`ProjectIndex` + :class:`ProjectChecker`
   subclasses) stitches the summaries into cross-module structures — an
-  import graph with domain reachability, an RNG provenance map, a
-  returns-open-resource fixpoint over the call graph — and emits
-  :class:`~repro.lint.framework.Finding` rows through the same
-  suppression / baseline / canonical-ordering pipeline as phase 1.
+  RNG provenance map, a returns-open-resource fixpoint over the call
+  graph — and emits :class:`~repro.lint.framework.Finding` rows through
+  the same suppression / baseline / canonical-ordering pipeline as
+  phase 1.
 
-Phase 2 is pure function of the set of :class:`ModuleIndex` values, so
-lint output is independent of file discovery order and of cache state —
-a property test pins this.
+Phase 2 is pure function of the set of module indexes, so lint output
+is independent of file discovery order — a property test pins this.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from repro.lint.framework import (
     Checker,
     Finding,
     SourceModule,
-    Suppression,
     analyze_module,
     apply_suppressions,
     iter_python_files,
@@ -101,7 +95,7 @@ MUTABLE_FACTORIES = frozenset({
 
 
 def _is_mutable_literal(node: ast.expr, aliases: dict[str, str]) -> bool:
-    """Whether a module/class-level binding is a mutable container."""
+    """Whether a module-level binding is a mutable container."""
     if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
                          ast.ListComp, ast.SetComp)):
         return True
@@ -191,8 +185,6 @@ class ModuleIndexer(ast.NodeVisitor):
         self.index = {
             "path": module.path,
             "module": module.module,
-            # Sorted dotted repro.* modules this module reaches for.
-            "imports": [],
             # Module-level name -> line of an RNG-constructor binding.
             "rng_globals": {},
             # {"target","line","col","method"} — draws through an
@@ -205,17 +197,10 @@ class ModuleIndexer(ast.NodeVisitor):
             # {"name","scope","line","col","kind"} with kind
             # "mutate" (in-place) or "rebind" (global statement).
             "global_mutations": [],
-            # {"cls","attr","line"} — mutable class-level attributes.
-            "class_mutables": [],
-            # {"value","container","kind","line","col","scope"} with
-            # kind "global" or "instance" — aliasing store sites.
-            "alias_stores": [],
             # qualname -> function summary (resource lifecycle).
             "functions": {},
         }
-        self._imports: set[str] = set()
         self._scope: list[str] = []
-        self._class: list[str] = []
         self._functions: list[_FunctionSummary] = []
 
     # -- scope bookkeeping -----------------------------------------------------
@@ -233,39 +218,10 @@ class ModuleIndexer(ast.NodeVisitor):
 
     # -- visitors --------------------------------------------------------------
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name == "repro" or alias.name.startswith("repro."):
-                self._imports.add(alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        base = node.module or ""
-        if node.level == 0 and (base == "repro"
-                                or base.startswith("repro.")):
-            for alias in node.names:
-                if alias.name == "*":
-                    self._imports.add(base)
-                else:
-                    self._imports.add(f"{base}.{alias.name}")
-        self.generic_visit(node)
-
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._class.append(node.name)
         self._scope.append(node.name)
-        for statement in node.body:
-            if isinstance(statement, ast.Assign) \
-                    and not self._in_function:
-                for target in statement.targets:
-                    if isinstance(target, ast.Name) \
-                            and _is_mutable_literal(statement.value,
-                                                    self.aliases):
-                        self.index["class_mutables"].append(
-                            {"cls": node.name, "attr": target.id,
-                             "line": statement.lineno})
         self.generic_visit(node)
         self._scope.pop()
-        self._class.pop()
 
     def _visit_function(self, node) -> None:
         self._scope.append(node.name)
@@ -355,7 +311,7 @@ class ModuleIndexer(ast.NodeVisitor):
     def _record_binding(self, targets: list, value: ast.expr,
                         node: ast.stmt) -> None:
         names = [t.id for t in targets if isinstance(t, ast.Name)]
-        if not self._in_function and not self._class:
+        if not self._scope:
             # Module scope: classify the binding.
             for name in names:
                 if _is_mutable_literal(value, self.aliases):
@@ -385,11 +341,6 @@ class ModuleIndexer(ast.NodeVisitor):
                 for target in targets:
                     if isinstance(target, (ast.Attribute, ast.Subscript)):
                         fn["stored"].append(value.id)
-        # Attribute/subscript targets of a Name value: aliasing stores.
-        for target in targets:
-            if isinstance(target, ast.Subscript) \
-                    and isinstance(value, ast.Name):
-                self._record_alias_store(target, value.id, node)
 
     def _record_subscript_store(self, node: ast.Subscript) -> None:
         base = node.value
@@ -409,25 +360,6 @@ class ModuleIndexer(ast.NodeVisitor):
             {"name": name, "scope": self._scope_name(),
              "line": node.lineno, "col": node.col_offset + 1,
              "kind": kind})
-
-    def _record_alias_store(self, target, value_name: str,
-                            node) -> None:
-        """A plain name stored into a container: global or instance."""
-        if not self._in_function:
-            return
-        base = target.value
-        if isinstance(base, ast.Name) and self._is_global_container(base.id):
-            self.index["alias_stores"].append(
-                {"value": value_name, "container": base.id,
-                 "kind": "global", "scope": self._scope_name(),
-                 "line": node.lineno, "col": node.col_offset + 1})
-        elif isinstance(base, ast.Attribute) \
-                and isinstance(base.value, ast.Name) \
-                and base.value.id in ("self", "cls"):
-            self.index["alias_stores"].append(
-                {"value": value_name, "container": f"self.{base.attr}",
-                 "kind": "instance", "scope": self._scope_name(),
-                 "line": node.lineno, "col": node.col_offset + 1})
 
     def _record_rng_call(self, node: ast.Call) -> None:
         dotted = resolve_dotted(node.func, self.aliases)
@@ -481,22 +413,6 @@ class ModuleIndexer(ast.NodeVisitor):
         base = node.func.value
         if isinstance(base, ast.Name) and self._is_global_container(base.id):
             self._record_global_mutation(base.id, node, "mutate")
-            # `GLOBAL.append(name)` / `GLOBAL.add(name)`: aliasing store.
-            if len(node.args) == 1 and isinstance(node.args[0], ast.Name):
-                self.index["alias_stores"].append(
-                    {"value": node.args[0].id, "container": base.id,
-                     "kind": "global", "scope": self._scope_name(),
-                     "line": node.lineno, "col": node.col_offset + 1})
-        elif isinstance(base, ast.Attribute) \
-                and isinstance(base.value, ast.Name) \
-                and base.value.id in ("self", "cls") \
-                and len(node.args) == 1 \
-                and isinstance(node.args[0], ast.Name):
-            self.index["alias_stores"].append(
-                {"value": node.args[0].id,
-                 "container": f"self.{base.attr}", "kind": "instance",
-                 "scope": self._scope_name(),
-                 "line": node.lineno, "col": node.col_offset + 1})
 
     # -- except tracking -------------------------------------------------------
 
@@ -527,7 +443,6 @@ class ModuleIndexer(ast.NodeVisitor):
                     fn["opens"].append(
                         {"name": call["name"], "method": method,
                          "line": call["line"], "col": call["col"]})
-        self.index["imports"] = sorted(self._imports)
         return self.index
 
 
@@ -599,21 +514,11 @@ class ProjectIndex:
     order modules were discovered or loaded in.
     """
 
-    #: Packages whose code runs inside simulation/shard event handlers.
-    #: A module that imports them hosts handler code; everything *it*
-    #: imports is then reachable from inside a domain's event loop.
-    DOMAIN_PACKAGES = ("repro.sim", "repro.shard")
-
     def __init__(self, module_indexes: Iterable[dict]) -> None:
-        self.modules: dict[str, dict] = {}
-        self.by_path: dict[str, dict] = {}
-        for index in module_indexes:
-            self.by_path[index["path"]] = index
-            if index["module"]:
-                self.modules[index["module"]] = index
+        self.modules: dict[str, dict] = {
+            index["module"]: index for index in module_indexes
+            if index["module"]}
         self._module_names = sorted(self.modules)
-        self.import_graph = self._build_import_graph()
-        self.domain_reachable = self._domain_reachable()
         self.returns_open = self._returns_open_fixpoint()
 
     # -- name resolution -------------------------------------------------------
@@ -634,41 +539,6 @@ class ProjectIndex:
             return None, dotted
         remainder = dotted[len(module):].lstrip(".")
         return module, remainder
-
-    # -- import graph and reachability -----------------------------------------
-
-    def _build_import_graph(self) -> dict[str, list[str]]:
-        graph: dict[str, list[str]] = {}
-        for name in self._module_names:
-            targets = set()
-            for dotted in self.modules[name]["imports"]:
-                resolved = self.resolve_module(dotted)
-                if resolved is not None and resolved != name:
-                    targets.add(resolved)
-            graph[name] = sorted(targets)
-        return graph
-
-    def _domain_reachable(self) -> frozenset[str]:
-        """Modules whose code can run inside a shard/sim event domain."""
-        roots = []
-        for name in self._module_names:
-            in_domain = any(name == pkg or name.startswith(pkg + ".")
-                            for pkg in self.DOMAIN_PACKAGES)
-            touches_domain = any(
-                dotted == pkg or dotted.startswith(pkg + ".")
-                for dotted in self.modules[name]["imports"]
-                for pkg in self.DOMAIN_PACKAGES)
-            if in_domain or touches_domain:
-                roots.append(name)
-        reachable: set[str] = set()
-        stack = list(roots)
-        while stack:
-            name = stack.pop()
-            if name in reachable:
-                continue
-            reachable.add(name)
-            stack.extend(self.import_graph.get(name, ()))
-        return frozenset(reachable)
 
     # -- resource fixpoint -----------------------------------------------------
 
@@ -747,7 +617,7 @@ def lint_bundle(modules: Iterable[SourceModule],
                 checkers: Iterable[Checker],
                 project_checkers: Iterable[ProjectChecker] = (),
                 ) -> list[Finding]:
-    """Run both phases over in-memory modules (tests, the self-test)."""
+    """Run both phases over parsed modules: the one runner."""
     modules = list(modules)
     raw = [finding for module in modules
            for finding in analyze_module(module, checkers)]
@@ -762,40 +632,19 @@ def lint_bundle(modules: Iterable[SourceModule],
 def lint_tree(paths: Iterable[Path],
               checkers: Iterable[Checker],
               project_checkers: Iterable[ProjectChecker] = (),
-              cache=None) -> list[Finding]:
-    """Run both phases over files, via the incremental cache if given.
+              ) -> list[Finding]:
+    """Load every ``.py`` file under ``paths`` and :func:`lint_bundle` it.
 
-    The cache stores per-file phase-1 products (raw findings, module
-    index, suppressions) keyed by content SHA; phase 2 always runs
-    fresh from the indexes, so its cross-module view can never go
-    stale. Output is byte-identical with a cold, warm, or absent cache.
+    Display paths are relativized to the current working directory when
+    possible so findings (and baselines) are machine-independent.
     """
     cwd = Path.cwd()
-    raw: list[Finding] = []
-    indexes: list[dict] = []
-    suppressions_by_path: dict[str, dict[int, Suppression]] = {}
+    modules = []
     for file in iter_python_files(paths):
         try:
             display = file.resolve().relative_to(cwd).as_posix()
         except ValueError:
             display = file.as_posix()
-        source_bytes = file.read_bytes()
-        entry = cache.lookup(display, source_bytes) if cache else None
-        if entry is None:
-            module = SourceModule(display,
-                                  source_bytes.decode("utf-8"))
-            findings = analyze_module(module, checkers)
-            index = build_module_index(module)
-            suppressions = module.suppressions
-            if cache is not None:
-                cache.store(display, source_bytes, findings, index,
-                            suppressions)
-        else:
-            findings, index, suppressions = entry
-        raw.extend(findings)
-        indexes.append(index)
-        suppressions_by_path[display] = suppressions
-    project_index = ProjectIndex(indexes)
-    for checker in sorted(project_checkers, key=lambda c: c.id):
-        raw.extend(checker.check_project(project_index))
-    return apply_suppressions(raw, suppressions_by_path)
+        modules.append(
+            SourceModule(display, file.read_text(encoding="utf-8")))
+    return lint_bundle(modules, checkers, project_checkers)

@@ -9,9 +9,7 @@ sequence. Two provenance bugs survive DET002:
   layer A and drawn from in layer B couples the two layers' draw
   sequences: adding one draw in A perturbs every subsequent draw B
   sees, which is exactly the coupling named seeded streams
-  (:mod:`repro.sim.rng`) exist to prevent, and it becomes a
-  correctness bug the moment layers run as parallel shard domains
-  (ROADMAP item 5) sharing one generator object.
+  (:mod:`repro.sim.rng`) exist to prevent.
 * **Unstable derived seeds** — a seed derived from ``hash()`` (salted
   per process by PYTHONHASHSEED), ``id()`` (a memory address), or a
   wall clock yields a different stream every run. Derive child seeds
@@ -38,8 +36,7 @@ class SeedProvenanceChecker(ProjectChecker):
         "A seeded generator is deterministic only relative to its "
         "owner's draw sequence. Drawing from another layer's generator "
         "couples the layers' sequences (any new draw upstream perturbs "
-        "every draw downstream) and shares one mutable RNG object "
-        "across future shard-parallel domains. Seeds derived from "
+        "every draw downstream). Seeds derived from "
         "hash()/id()/wall clocks differ across processes and runs, so "
         "the 'same seed' never reproduces the same stream.")
     example_bad = (

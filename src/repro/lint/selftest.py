@@ -26,8 +26,7 @@ from repro.lint.framework import SourceModule
 _MARKER_RE = re.compile(r"#\s*expect(-next)?:\s*([A-Z0-9_]+(?:,[A-Z0-9_]+)*)")
 
 #: The original fixture pretends to live in the ``sim`` layer so that
-#: upward imports (telemetry, engine) violate ARCH001 — and so the
-#: module is a domain root for the CONC checkers.
+#: upward imports (telemetry, engine) violate ARCH001.
 FIXTURE = '''\
 """Known-violation fixture; compiled by the self-test, never imported."""
 import json
@@ -88,7 +87,7 @@ def stale():  # repro-lint: disable=DET001 the wall-clock call below was removed
     return 0
 
 
-# -- shard-parallel shared state (CONC001/CONC002) ----------------------------
+# -- run isolation: mutable module state (CONC001) ----------------------------
 
 REGISTRY: dict = {}
 _MODE = "idle"
@@ -118,7 +117,7 @@ class ShardState:
 
     def admit(self, tenant):
         self._tenants[tenant] = tenant
-        REGISTRY[tenant] = tenant  # expect: CONC001,CONC002
+        REGISTRY[tenant] = tenant  # expect: CONC001
 
     def admit_local_only(self, tenant):
         self._tenants[tenant] = tenant

@@ -227,13 +227,6 @@ class SLOEngine:
             state = self._scopes[scope] = _ScopeState(self.policy)
         state.record(now, good, count)
 
-    def record_outcome(self, now: float, scope: str, latency_s: float,
-                       error: bool = False) -> bool:
-        """Classify one served event against the policy and record it."""
-        good = self.policy.is_good(latency_s, error)
-        self.record(now, scope, good)
-        return good
-
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, now: float) -> list[Alert]:

@@ -103,16 +103,6 @@ class CostCalculator:
                       request_cost + transfer_cost)
         return request_cost + transfer_cost
 
-    def add_storage_capacity(self, service_name: str, stored_bytes: float,
-                             duration_s: float,
-                             label: str | None = None) -> float:
-        """Record data-at-rest cost for a service."""
-        pricing = STORAGE_PRICES[service_name]
-        amount = pricing.storage_cost(stored_bytes, duration_s)
-        self.cost.storage_capacity += amount
-        self.cost.add(label or f"capacity:{service_name}", amount)
-        return amount
-
     def s3_warm_iops_cost_per_hour(self, iops: float) -> float:
         """Cost of keeping S3 'warm' at a sustained read request rate.
 
@@ -144,12 +134,6 @@ def stage_cost(invocations, storage_reads, storage_writes) -> dict:
 def gib_month_price(service_name: str) -> float:
     """Dollars per GiB-month at rest for a storage service."""
     return STORAGE_PRICES[service_name].storage_per_gib_month
-
-
-def cheapest_storage_for_capacity() -> str:
-    """The cheapest place to keep data at rest (S3, by ~an order)."""
-    return min(STORAGE_PRICES, key=lambda name:
-               STORAGE_PRICES[name].storage_per_gib_month)
 
 
 def cost_per_gib_per_s_read(service_name: str, request_bytes: float) -> float:

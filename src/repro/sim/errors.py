@@ -7,10 +7,6 @@ class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
 
 
-class EmptySchedule(SimulationError):
-    """Raised internally when the event queue runs dry before ``until``."""
-
-
 class Interrupt(Exception):
     """Thrown into a process that another process interrupted.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Generator, Optional
 
-from repro.sim.errors import EmptySchedule, SimulationError
+from repro.sim.errors import SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 
 #: Default priority for ordinary events. Urgent events (process init,
@@ -94,26 +94,6 @@ class Environment:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def step(self) -> None:
-        """Process the next scheduled event, advancing the clock."""
-        try:
-            when, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no more events scheduled") from None
-        self._now = when
-        if self._monitor is not None:
-            self._monitor.on_event(when, len(self._queue))
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # An unhandled failure: abort the simulation loudly rather than
-            # silently dropping the exception.
-            if isinstance(event._value, BaseException):
-                raise event._value
-            raise SimulationError(f"event failed with non-exception {event._value!r}")
-
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
@@ -121,11 +101,9 @@ class Environment:
         (run until the clock reaches that time), or an :class:`Event` (run
         until that event is processed, returning its value).
 
-        The loop is :meth:`step` inlined with the queue and heap pop
-        bound to locals — event dispatch is the simulator's innermost
-        loop, and the per-event overhead here is what every scenario
-        pays. Pop order, clock updates, monitor hooks, and failure
-        propagation are identical to calling :meth:`step` repeatedly.
+        The queue and heap pop are bound to locals — event dispatch is
+        the simulator's innermost loop, and the per-event overhead here
+        is what every scenario pays.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -161,6 +139,8 @@ class Environment:
             for callback in callbacks:
                 callback(event)
             if not event._ok and not event._defused:
+                # An unhandled failure: abort the simulation loudly
+                # rather than silently dropping the exception.
                 if isinstance(event._value, BaseException):
                     raise event._value
                 raise SimulationError(

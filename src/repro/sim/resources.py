@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 from typing import Any
 
-from repro.sim.errors import SimulationError
 from repro.sim.events import Event
 
 
@@ -99,7 +98,7 @@ class Resource:
         while self._queue and len(self._users) < self._capacity:
             _, _, request = heapq.heappop(self._queue)
             self._users.add(request)
-            request.succeed(request)
+            request.succeed()
 
 
 class PriorityResource(Resource):
@@ -227,9 +226,3 @@ class Store:
                 event.succeed(item)
                 progressed = True
 
-
-def ensure_positive(name: str, value: float) -> float:
-    """Validate that ``value`` is positive, returning it for chaining."""
-    if value <= 0:
-        raise SimulationError(f"{name} must be positive, got {value}")
-    return value

@@ -1,10 +1,14 @@
 """End-to-end query execution: distributed engine vs reference executor."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datagen import load_table, scaled_spec
-from repro.engine import SkyriseEngine
+from repro.engine import SkyriseEngine, coordinator
+from repro.engine.coordinator import FragmentFailure, RecoveryConfig
 from repro.engine.queries import tpch_q1, tpch_q6, tpch_q12, tpcxbb_q3
 from repro.engine.reference import run_reference, table_batches_from_spec
 from repro.faas import LambdaPlatform
@@ -14,7 +18,7 @@ from repro.sim import Environment, RandomStreams
 from repro.storage import S3Standard
 
 
-def build_stack(tables, backend="faas", seed=5):
+def build_stack(tables, backend="faas", seed=5, recovery=None):
     """Simulated cloud + engine with the given scaled dataset specs."""
     env = Environment()
     fabric = Fabric(env)
@@ -35,7 +39,8 @@ def build_stack(tables, backend="faas", seed=5):
         proc = env.process(fleet.provision("c6g.xlarge", count=16))
         env.run(until=proc)
         platform = VmShim(env, proc.value, slots_per_vm=1)
-    engine = SkyriseEngine(env, platform, storage={"s3-standard": s3})
+    engine = SkyriseEngine(env, platform, storage={"s3-standard": s3},
+                           recovery=recovery)
     for table_metadata in metadata.values():
         engine.register_table(table_metadata)
     engine.deploy()
@@ -182,6 +187,99 @@ class TestIaasDeployment:
                                          backend="iaas")
         iaas = run_query(env_v, engine_v, tpch_q6(scan_fragments=4))
         assert faas.runtime > iaas.runtime
+
+
+class TestTwoLevelInvocation:
+    """Section 3.2's two-level fan-out, at a width a test can afford.
+
+    A stage goes through second-level invokers from
+    ``TWO_LEVEL_THRESHOLD`` (256) fragments; no tier-1 query is that
+    wide, so the module constants are lowered until a 16-fragment Q6
+    scan takes the path.
+    """
+
+    TABLES = [("lineitem", 16, 64)]
+    FRAGMENTS = 16
+    SLICE = 4
+    #: The first scan worker invoked dies; its retry does not.
+    ONE_SCAN_CRASH = FaultPlan(
+        name="one-scan-crash", description="One scan worker crashes, once.",
+        specs=(FaultSpec(kind="worker_crash", function="skyrise-worker",
+                         pipeline="scan", max_events=1),))
+
+    @pytest.fixture
+    def two_level(self, monkeypatch):
+        monkeypatch.setattr(coordinator, "TWO_LEVEL_THRESHOLD", 8)
+        monkeypatch.setattr(coordinator, "INVOKER_SLICE", self.SLICE)
+
+    def build(self, plan=None, recovery=None):
+        """A loaded stack, with ``plan`` (if any) installed on its platform."""
+        env, engine, _ = build_stack(self.TABLES, recovery=recovery)
+        injector = None
+        if plan is not None:
+            injector = FaultInjector(plan, RandomStreams(seed=0))
+            injector.install(platform=engine.backend)
+        return env, engine, injector
+
+    def query(self):
+        return tpch_q6(scan_fragments=self.FRAGMENTS)
+
+    @staticmethod
+    def invocations(engine, function):
+        return [record for record in engine.backend.records
+                if record.function == function]
+
+    @staticmethod
+    def struck_fragment(injector):
+        [fault] = injector.timeline()
+        return int(fault["target"].removeprefix("skyrise-worker/frag-"))
+
+    @pytest.fixture
+    def one_level_revenue(self):
+        env, engine, _ = self.build()
+        result = run_query(env, engine, self.query())
+        assert self.invocations(engine, "skyrise-invoker") == []
+        return result.batch.column("revenue")
+
+    def test_same_result_through_one_invoker_per_slice(
+            self, one_level_revenue, two_level):
+        env, engine, _ = self.build()
+        result = run_query(env, engine, self.query())
+        assert result.fragments["scan"] == self.FRAGMENTS
+        np.testing.assert_array_equal(result.batch.column("revenue"),
+                                      one_level_revenue)
+        assert len(self.invocations(engine, "skyrise-invoker")) \
+            == math.ceil(self.FRAGMENTS / self.SLICE)
+        # 16 scan workers + the final aggregation, each invoked once.
+        assert len(self.invocations(engine, "skyrise-worker")) \
+            == self.FRAGMENTS + 1
+        assert result.retries == 0
+
+    def test_worker_fault_in_a_slice_retries_that_fragment_directly(
+            self, one_level_revenue, two_level):
+        env, engine, injector = self.build(self.ONE_SCAN_CRASH)
+        result = run_query(env, engine, self.query())
+        np.testing.assert_array_equal(result.batch.column("revenue"),
+                                      one_level_revenue)
+        assert (result.retries, result.failed_attempts) == (1, 1)
+        assert [(event["event"], event["pipeline"], event["fragment"],
+                 event["attempt"]) for event in result.recovery_events] \
+            == [("retry", "scan", self.struck_fragment(injector), 1)]
+        # Only the crashed fragment went out again, and as a worker
+        # invocation of its own: no slice was re-sent through an invoker.
+        assert len(self.invocations(engine, "skyrise-worker")) \
+            == self.FRAGMENTS + 1 + 1
+        assert len(self.invocations(engine, "skyrise-invoker")) \
+            == math.ceil(self.FRAGMENTS / self.SLICE)
+
+    def test_exhausted_fragment_keeps_its_identity(self, two_level):
+        env, engine, injector = self.build(
+            self.ONE_SCAN_CRASH, recovery=RecoveryConfig(max_attempts=1))
+        with pytest.raises(FragmentFailure) as failure:
+            run_query(env, engine, self.query())
+        assert (failure.value.pipeline, failure.value.fragment,
+                failure.value.attempts) \
+            == ("scan", self.struck_fragment(injector), 1)
 
 
 class TestEngineGuards:

@@ -1,5 +1,5 @@
-"""Whole-program lint: project index, the five new checkers, and the
-byte-determinism property over bundle orderings."""
+"""Whole-program lint: the project checkers and the byte-determinism
+property over bundle orderings."""
 
 import textwrap
 from pathlib import Path
@@ -12,16 +12,12 @@ from repro.lint import (
     all_project_checkers,
     lint_bundle,
 )
-from repro.lint.concurrency import (
-    CrossDomainAliasChecker,
-    SharedStateChecker,
-)
+from repro.lint.concurrency import SharedStateChecker
 from repro.lint.framework import SourceModule
 from repro.lint.lifecycle import (
     ResourceLifecycleChecker,
     SwallowedExceptionChecker,
 )
-from repro.lint.project import ProjectIndex, build_module_index
 from repro.lint.provenance import SeedProvenanceChecker
 from repro.lint.selftest import FIXTURES, fixture_path
 
@@ -35,29 +31,6 @@ def mod(module, source):
 
 def checks(findings):
     return [f.check for f in findings]
-
-
-class TestProjectIndex:
-    def test_import_graph_and_reachability(self):
-        bundle = [
-            mod("repro.sim.root", "import repro.formats.leaf\n"),
-            mod("repro.formats.leaf", "X = 1\n"),
-            mod("repro.formats.island", "Y = 2\n"),
-        ]
-        index = ProjectIndex([build_module_index(m) for m in bundle])
-        assert "repro.sim.root" in index.domain_reachable
-        assert "repro.formats.leaf" in index.domain_reachable
-        assert "repro.formats.island" not in index.domain_reachable
-
-    def test_importing_a_domain_package_makes_a_root(self):
-        bundle = [
-            mod("repro.serve.gw", "import repro.shard\n"
-                                  "import repro.formats.leaf\n"),
-            mod("repro.formats.leaf", "X = 1\n"),
-        ]
-        index = ProjectIndex([build_module_index(m) for m in bundle])
-        assert "repro.serve.gw" in index.domain_reachable
-        assert "repro.formats.leaf" in index.domain_reachable
 
 
 class TestSeedProvenance:
@@ -123,17 +96,29 @@ class TestSharedState:
             MODE = m
     """
 
-    def test_domain_reachable_mutations_flagged(self):
+    def test_function_scope_mutations_flagged(self):
         findings = lint_bundle([mod("repro.sim.state", self.MUTATOR)],
                                [], [SharedStateChecker()])
         assert checks(findings) == ["CONC001", "CONC001"]
         assert "mutated in place" in findings[0].message
         assert "rebound" in findings[1].message
 
-    def test_unreachable_module_ok(self):
-        # Nothing imports it and it is outside the domain packages.
+    def test_fires_with_no_import_path_to_sim_or_shard(self):
+        # Run isolation is not a property of the DES packages: nothing
+        # imports this module and it imports nothing.
         findings = lint_bundle([mod("repro.formats.state", self.MUTATOR)],
                                [], [SharedStateChecker()])
+        assert checks(findings) == ["CONC001", "CONC001"]
+
+    def test_module_scope_initialisation_exempt(self):
+        findings = lint_bundle([mod("repro.formats.table", """\
+            TABLE = {}
+            TABLE["constant"] = 1
+            TABLE.update(other=2)
+            ORDER = []
+            for name in ("a", "b"):
+                ORDER.append(name)
+        """)], [], [SharedStateChecker()])
         assert findings == []
 
     def test_suppression_covers_project_findings(self):
@@ -147,34 +132,6 @@ class TestSharedState:
                           module="repro.sim.sup")],
             [], [SharedStateChecker()])
         # Suppressed with a reason: no CONC001, no LNT001/LNT002.
-        assert findings == []
-
-
-class TestCrossDomainAlias:
-    def test_per_shard_object_escaping_to_global_flagged(self):
-        findings = lint_bundle([mod("repro.sim.alias", """\
-            REG = {}
-
-            class ShardState:
-                def __init__(self):
-                    self._m = {}
-
-                def admit(self, t):
-                    self._m[t] = t
-                    REG[t] = t
-        """)], [], [CrossDomainAliasChecker()])
-        assert checks(findings) == ["CONC002"]
-        assert "'t'" in findings[0].message
-
-    def test_instance_only_storage_ok(self):
-        findings = lint_bundle([mod("repro.sim.alias_ok", """\
-            class ShardState:
-                def __init__(self):
-                    self._m = {}
-
-                def admit(self, t):
-                    self._m[t] = t
-        """)], [], [CrossDomainAliasChecker()])
         assert findings == []
 
 
@@ -277,21 +234,15 @@ class TestSwallowedExceptions:
 class TestEngineCacheRegression:
     """The PR-9 fixes: parse memos moved off module scope.
 
-    Linting the *real* worker/plan sources (plus a probe that makes
-    them domain-reachable, as the full tree does) must stay CONC001
-    clean — and the probe itself proves the checker is alive, so the
-    clean result cannot be vacuous.
+    Linting the *real* worker/plan sources must stay CONC001 clean —
+    and putting a module cache back proves the checker is alive, so
+    the clean result cannot be vacuous.
     """
-
-    PROBE = ("import repro.sim\n"
-             "import repro.engine.worker\n"
-             "import repro.engine.plan\n")
 
     def _bundle(self, extra=""):
         worker = (REPO_ROOT / "src/repro/engine/worker.py").read_text()
         plan = (REPO_ROOT / "src/repro/engine/plan.py").read_text()
         return [
-            mod("repro.serve.lint_probe", self.PROBE),
             SourceModule(path="src/repro/engine/worker.py",
                          source=worker + extra,
                          module="repro.engine.worker"),

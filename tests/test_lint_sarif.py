@@ -212,7 +212,7 @@ class TestSarifReport:
 class TestSarifCli:
     def test_cli_sarif_is_valid_and_lists_the_finding(self, tree,
                                                       capsys):
-        assert main(["lint", "--sarif", "--no-cache", "src"]) == 0
+        assert main(["lint", "--sarif", "src"]) == 0
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, SARIF_SUBSET_SCHEMA)
         results = report["runs"][0]["results"]

@@ -3,6 +3,9 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from tests.test_lint_framework import CLEAN, DIRTY
 
 from repro.lint import all_checkers, all_project_checkers, lint_tree
 from repro.lint.arch import layer_of
@@ -35,6 +38,26 @@ class TestTreeGate:
             if module is not None and layer_of(module) is None:
                 unmapped.append(module)
         assert unmapped == []
+
+
+class TestDiscoveryOrderDeterminism:
+    """Findings are a function of the file *set*, not argv order."""
+
+    @given(order=st.permutations(range(2)))
+    def test_path_order_invariant(self, tmp_path_factory, order):
+        base = tmp_path_factory.mktemp("shuffle")
+        pkg = base / "src" / "repro" / "faas"
+        pkg.mkdir(parents=True, exist_ok=True)
+        (pkg / "dirty.py").write_text(DIRTY)
+        (pkg / "clean.py").write_text(CLEAN)
+        files = [pkg / "dirty.py", pkg / "clean.py"]
+        baseline = lint_tree(files, all_checkers(),
+                             all_project_checkers())
+        shuffled = [files[i] for i in order]
+        again = lint_tree(shuffled, all_checkers(),
+                          all_project_checkers())
+        assert [f.to_dict() for f in again] \
+            == [f.to_dict() for f in baseline]
 
 
 class TestLayerDag:

@@ -5,10 +5,16 @@ collection afterwards finds nothing: no failed process, race or fabric
 flow may leave a reference cycle behind (docs/performance.md, "Garbage:
 the kernel frees by reference count"). The simulated outcome is pinned
 beside it, so a fix for garbage cannot pass by changing the run.
+
+The futures wordcount and the serving window build their sim inside the
+function under test and drop it on return, so a collection there always
+finds the sim's own teardown; those two cases take a census of what was
+found instead and gate the kernel objects in it.
 """
 
 import gc
 import weakref
+from types import GeneratorType
 
 import pytest
 
@@ -16,7 +22,10 @@ from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine
 from repro.engine.queries import tpch_q12
-from repro.sim import AnyOf, Environment, Process
+from repro.futures.future import ResponseFuture
+from repro.futures.workloads import run_wordcount
+from repro.serve import default_tenant_mix, run_serving_workload
+from repro.sim import AnyOf, Environment, Event, Process, Timeout
 from repro.storage.errors import SlowDown
 
 
@@ -27,6 +36,23 @@ def collector_off():
         yield
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def census(collector_off):
+    """``gc.garbage``, set to keep what a ``gc.collect()`` finds.
+
+    ``DEBUG_SAVEALL`` parks every unreachable object there instead of
+    freeing it, so what only the collector could free can be counted by
+    type.
+    """
+    gc.collect()  # earlier tests' leftovers are not this run's
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
 def _tiny_q12():
@@ -103,3 +129,46 @@ def test_failed_attempt_dies_once_its_waiter_moves_on(collector_off):
     done = env.process(caller(env))
     assert env.run(until=done) == 2.0
     assert env.peek() == 30.0  # the deadline is still due, holding nothing
+
+
+def _kernel_objects(garbage):
+    """The sim-kernel part of a census, minus timeouts not yet due.
+
+    A sim dropped mid-life takes the timeouts pending in its heap with
+    it; that is teardown. A *processed* timeout, like any other event,
+    process or generator in the census, is one the run left behind.
+    """
+    return [obj for obj in garbage
+            if isinstance(obj, (Event, GeneratorType))
+            and (type(obj) is not Timeout or obj.processed)]
+
+
+def test_futures_wordcount_leaves_no_kernel_garbage(census):
+    outcome = run_wordcount(seed=7, objects=16, chunks_per_object=4)
+    gc.collect()
+    # 1,033 objects before futures completed with a bare ``succeed()``:
+    # 65 each (64 map calls + the reducer) of future, drive process,
+    # generator, race and slot request, and 130 events. What is left is
+    # the dropped sim: its environment, one timeout, scenario closures.
+    assert _kernel_objects(census) == []
+    assert [obj for obj in census if isinstance(obj, ResponseFuture)] == []
+    assert (outcome["runtime_s"], outcome["digest"]) \
+        == (3.239559874, "dd50c434ca670857")
+
+
+def test_serving_window_leaves_no_kernel_garbage(census):
+    outcome = run_serving_workload(
+        default_tenant_mix(rate_scale=6.0), policy="fifo", window_s=120.0,
+        seed=1, max_concurrent_queries=1)
+    gc.collect()
+    kernel = _kernel_objects(census)
+    # ~2,900 objects: the dropped sim and the result records its
+    # platform kept for 86 queries (invocation, worker, stage reports).
+    # Of the kernel, nothing a query used — only the scheduler loop,
+    # which was parked on its wake event when the window closed.
+    assert sorted(type(obj).__name__ for obj in kernel) \
+        == ["Event", "Process", "generator"]
+    assert not any(obj.processed for obj in kernel
+                   if isinstance(obj, Event))
+    assert (outcome.total_completed, outcome.total_shed,
+            round(outcome.total_cost_usd, 9)) == (86, 13, 0.025475421)
