@@ -1,9 +1,9 @@
 """Scenario: drive the framework through a slice of the paper's evaluation.
 
-Uses the predefined experiment suites (``repro.core.suites``) and the
-framework :class:`~repro.core.Driver` exactly as Figure 3 describes:
-config in, JSON result (with cost estimate) out. Results land under
-``results/`` next to this script.
+Uses the predefined experiment suites (``repro.core.suites``,
+``repro.workloads.suite``) and the framework :class:`~repro.core.Driver`
+exactly as Figure 3 describes: config in, JSON result (with cost
+estimate) out. Results land under ``results/`` next to this script.
 
 Run with::
 
@@ -17,12 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.core import Driver
-from repro.core.suites import (
-    full_evaluation,
-    network_suite,
-    query_suite,
-    startup_suite,
-)
+from repro.core.suites import network_suite, startup_suite
+from repro.workloads.suite import full_evaluation, query_suite
 
 RESULTS_DIR = Path(__file__).parent / "results"
 

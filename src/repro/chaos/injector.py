@@ -131,10 +131,8 @@ class FaultInjector:
             if spec.function is not None and spec.function != function:
                 continue
             if spec.pipeline is not None:
-                pipeline = (payload or {}).get("pipeline", {})
-                if isinstance(pipeline, dict):
-                    pipeline = pipeline.get("id")
-                if pipeline != spec.pipeline:
+                pipeline = (payload or {}).get("pipeline")
+                if pipeline is None or pipeline.id != spec.pipeline:
                     continue
             if not self._eligible(index, spec, now):
                 continue

@@ -24,13 +24,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core import Driver, ExperimentConfig, ascii_timeseries
-from repro.core.suites import (
-    full_evaluation,
-    network_suite,
-    query_suite,
-    startup_suite,
-    storage_suite,
-)
+from repro.core.suites import network_suite, startup_suite, storage_suite
+from repro.workloads.suite import full_evaluation, query_suite
 
 SUITES = {
     "network": network_suite,
@@ -429,10 +424,6 @@ def _run_lint(args) -> int:
 
 
 def _run_configs(configs, output_dir: Path, plot: bool) -> int:
-    # Registers the "query" experiment kind with the Driver (the core
-    # layer never imports upward; see repro.lint.layer_dag).
-    from repro.workloads import suite as _suite  # noqa: F401
-
     driver = Driver()
     for config in configs:
         print(f"running {config.name} ({config.kind}) ...", flush=True)

@@ -6,7 +6,10 @@ each figure so that the whole evaluation is a list of
 :class:`~repro.core.config.ExperimentConfig` records the
 :class:`~repro.core.driver.Driver` can execute. The `benchmarks/`
 directory holds the assertion-carrying versions; these configs power
-ad-hoc runs and the ``run_full_evaluation`` example.
+ad-hoc runs and the ``run_full_evaluation`` example. The suites here are
+the ones whose kinds the driver runs itself; the query suite and
+``full_evaluation`` live in :mod:`repro.workloads.suite`, beside the
+``"query"`` handler they need registered.
 """
 
 from __future__ import annotations
@@ -68,22 +71,6 @@ def storage_suite() -> list[ExperimentConfig]:
     return configs
 
 
-def query_suite() -> list[ExperimentConfig]:
-    """Sections 4.5-4.6: application-level experiments (scaled down)."""
-    configs = []
-    for query in ("tpch-q1", "tpch-q6", "tpch-q12", "tpcxbb-q3"):
-        configs.append(ExperimentConfig(
-            name=f"query-{query}", kind="query",
-            parameters={"query": query, "lineitem_partitions": 6,
-                        "orders_partitions": 3,
-                        "clickstreams_partitions": 4}))
-    configs.append(ExperimentConfig(
-        name="query-q6-iaas", kind="query",
-        parameters={"query": "tpch-q6", "backend": "iaas",
-                    "lineitem_partitions": 6, "vm_count": 8}))
-    return configs
-
-
 def startup_suite() -> list[ExperimentConfig]:
     """Table 3 resource metrics: startup latency and idle lifetime."""
     return [
@@ -98,9 +85,3 @@ def startup_suite() -> list[ExperimentConfig]:
             parameters={"binary_bytes": 1 * units.MiB,
                         "measure_idle_lifetime": True}),
     ]
-
-
-def full_evaluation() -> list[ExperimentConfig]:
-    """Every suite, in the paper's section order."""
-    return (network_suite() + storage_suite() + query_suite()
-            + startup_suite())

@@ -12,11 +12,6 @@ def date_to_days(year: int, month: int, day: int) -> int:
     return (datetime.date(year, month, day) - EPOCH).days
 
 
-def days_to_date(days: int) -> datetime.date:
-    """Days since epoch -> calendar date."""
-    return EPOCH + datetime.timedelta(days=int(days))
-
-
 #: TPC-H date range: orders span 1992-01-01 .. 1998-08-02.
 TPCH_START = date_to_days(1992, 1, 1)
 TPCH_END = date_to_days(1998, 8, 2)

@@ -1,6 +1,6 @@
 """The query coordinator function.
 
-The coordinator receives a physical plan (JSON), fetches input metadata
+The coordinator receives a physical plan, fetches input metadata
 from the catalog, compiles the distributed plan (fragments per pipeline,
 burst-aware worker sizing), schedules pipelines stage-wise, and gathers
 the worker reports. For wide stages it fans invocations out through a
@@ -28,13 +28,11 @@ import numpy as np
 from repro import units
 from repro.datagen.datasets import TableMetadata
 from repro.engine.plan import (
-    IdentityMemo,
     PhysicalPlan,
     PipelineSpec,
     ResultSink,
     ShuffleSource,
     TableSource,
-    plan_memo,
 )
 from repro.engine.tracing import hedge_candidates
 from repro.faas.function import FunctionContext
@@ -165,9 +163,6 @@ class CoordinatorRuntime:
     recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
     #: Monotonic execution counter; fences idempotent shuffle writes.
     epoch: int = 0
-    #: Per-runtime plan-parse memo — runtime-owned (not module-global)
-    #: so one run's parse state never reaches the next.
-    plan_cache: IdentityMemo = field(default_factory=plan_memo)
 
 
 def make_coordinator_handler(runtime: CoordinatorRuntime):
@@ -207,7 +202,7 @@ def make_invoker_handler(runtime: CoordinatorRuntime):
         for fragment_payload, process in processes:
             ok, value = yield process
             outcomes.append({
-                "pipeline": fragment_payload["pipeline"]["id"],
+                "pipeline": fragment_payload["pipeline"].id,
                 "fragment": fragment_payload["fragment"],
                 "attempt": fragment_payload.get("attempt", 0),
                 "ok": ok,
@@ -222,7 +217,7 @@ def make_invoker_handler(runtime: CoordinatorRuntime):
 def _run_query(runtime: CoordinatorRuntime, context: FunctionContext,
                payload: dict):
     env = context.env
-    plan = runtime.plan_cache.get(payload["plan"])
+    plan: PhysicalPlan = payload["plan"]
     started_at = env.now
     runtime.epoch += 1
     epoch = runtime.epoch
@@ -343,14 +338,10 @@ def _fragment_payloads(runtime: CoordinatorRuntime, plan: PhysicalPlan,
             "read_fraction": 1.0,
         }
     payloads = []
-    # One spec dict shared by every fragment payload of this stage: the
-    # dict is read-only downstream, and sharing lets the worker memoize
-    # the parse by identity instead of re-parsing per fragment.
-    pipeline_dict = pipeline.to_dict()
     for fragment in range(count):
         payload = {
             "query_id": plan.query_id,
-            "pipeline": pipeline_dict,
+            "pipeline": pipeline,
             "fragment": fragment,
             "fragment_count": count,
             "out_partitions": consumers,

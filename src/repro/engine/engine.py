@@ -160,7 +160,7 @@ class SkyriseEngine:
             raise RuntimeError("call deploy() before run_query()")
         record_start = len(self.backend.records)
         recorder = get_recorder()
-        payload = {"plan": plan.to_dict()}
+        payload = {"plan": plan}
         root = None
         if recorder.enabled:
             root = recorder.start_trace(

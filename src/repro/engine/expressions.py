@@ -1,8 +1,8 @@
 """Scalar expressions evaluated vectorized over record batches.
 
-Expressions form a small serializable AST (physical plans travel as JSON
-between the driver, coordinator, and workers — Section 3.2). ``evaluate``
-returns a numpy array aligned with the batch's rows.
+Expressions form a small AST of plain objects that physical plans embed
+(Section 3.2). ``evaluate`` returns a numpy array aligned with the
+batch's rows.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class Expr:
         """Vectorized evaluation against a batch."""
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        """JSON-serializable representation."""
-        raise NotImplementedError
-
     def columns(self) -> set[str]:
         """Names of all columns this expression reads."""
         return set()
@@ -54,9 +50,6 @@ class Col(Expr):
 
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return batch.column(self.name)
-
-    def to_dict(self) -> dict:
-        return {"kind": "col", "name": self.name}
 
     def columns(self) -> set[str]:
         return {self.name}
@@ -73,9 +66,6 @@ class Lit(Expr):
 
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return np.full(len(batch), self.value)
-
-    def to_dict(self) -> dict:
-        return {"kind": "lit", "value": self.value}
 
     def __repr__(self) -> str:
         return f"Lit({self.value!r})"
@@ -95,10 +85,6 @@ class BinOp(Expr):
         return _ARITHMETIC[self.op](self.left.evaluate(batch),
                                     self.right.evaluate(batch))
 
-    def to_dict(self) -> dict:
-        return {"kind": "binop", "op": self.op,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
@@ -117,10 +103,6 @@ class Compare(Expr):
         return _COMPARATORS[self.op](self.left.evaluate(batch),
                                      self.right.evaluate(batch))
 
-    def to_dict(self) -> dict:
-        return {"kind": "compare", "op": self.op,
-                "left": self.left.to_dict(), "right": self.right.to_dict()}
-
     def columns(self) -> set[str]:
         return self.left.columns() | self.right.columns()
 
@@ -138,9 +120,6 @@ class And(Expr):
         for term in self.terms[1:]:
             result = result & term.evaluate(batch).astype(bool)
         return result
-
-    def to_dict(self) -> dict:
-        return {"kind": "and", "terms": [t.to_dict() for t in self.terms]}
 
     def columns(self) -> set[str]:
         found: set[str] = set()
@@ -163,9 +142,6 @@ class Or(Expr):
             result = result | term.evaluate(batch).astype(bool)
         return result
 
-    def to_dict(self) -> dict:
-        return {"kind": "or", "terms": [t.to_dict() for t in self.terms]}
-
     def columns(self) -> set[str]:
         found: set[str] = set()
         for term in self.terms:
@@ -181,9 +157,6 @@ class Not(Expr):
 
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return ~self.term.evaluate(batch).astype(bool)
-
-    def to_dict(self) -> dict:
-        return {"kind": "not", "term": self.term.to_dict()}
 
     def columns(self) -> set[str]:
         return self.term.columns()
@@ -201,10 +174,6 @@ class Between(Expr):
         values = self.expr.evaluate(batch)
         return (values >= self.low) & (values <= self.high)
 
-    def to_dict(self) -> dict:
-        return {"kind": "between", "expr": self.expr.to_dict(),
-                "low": self.low, "high": self.high}
-
     def columns(self) -> set[str]:
         return self.expr.columns()
 
@@ -219,10 +188,6 @@ class InSet(Expr):
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         column = self.expr.evaluate(batch)
         return np.isin(column, self.values)
-
-    def to_dict(self) -> dict:
-        return {"kind": "in", "expr": self.expr.to_dict(),
-                "values": self.values}
 
     def columns(self) -> set[str]:
         return self.expr.columns()
@@ -241,41 +206,6 @@ class IfThenElse(Expr):
                         self.then.evaluate(batch),
                         self.otherwise.evaluate(batch))
 
-    def to_dict(self) -> dict:
-        return {"kind": "if", "condition": self.condition.to_dict(),
-                "then": self.then.to_dict(),
-                "otherwise": self.otherwise.to_dict()}
-
     def columns(self) -> set[str]:
         return (self.condition.columns() | self.then.columns()
                 | self.otherwise.columns())
-
-
-def expr_from_dict(data: dict) -> Expr:
-    """Rebuild an expression from its :meth:`Expr.to_dict` form."""
-    kind = data["kind"]
-    if kind == "col":
-        return Col(data["name"])
-    if kind == "lit":
-        return Lit(data["value"])
-    if kind == "binop":
-        return BinOp(data["op"], expr_from_dict(data["left"]),
-                     expr_from_dict(data["right"]))
-    if kind == "compare":
-        return Compare(data["op"], expr_from_dict(data["left"]),
-                       expr_from_dict(data["right"]))
-    if kind == "and":
-        return And(*[expr_from_dict(t) for t in data["terms"]])
-    if kind == "or":
-        return Or(*[expr_from_dict(t) for t in data["terms"]])
-    if kind == "not":
-        return Not(expr_from_dict(data["term"]))
-    if kind == "between":
-        return Between(expr_from_dict(data["expr"]), data["low"], data["high"])
-    if kind == "in":
-        return InSet(expr_from_dict(data["expr"]), data["values"])
-    if kind == "if":
-        return IfThenElse(expr_from_dict(data["condition"]),
-                          expr_from_dict(data["then"]),
-                          expr_from_dict(data["otherwise"]))
-    raise ValueError(f"unknown expression kind {kind!r}")

@@ -1,12 +1,12 @@
 """Vectorized physical operators.
 
 Each operator transforms a materialized :class:`~repro.formats.batch.
-RecordBatch` into another. Operators are serializable specs (plans travel
-as JSON) instantiated on the worker; they also report which CPU cost
+RecordBatch` into another. Operators are stateless specs that plans
+embed and workers execute as handed; they also report which CPU cost
 class they belong to so the worker can charge simulated compute time.
 """
 
-from repro.engine.operators.base import Operator, operator_from_dict
+from repro.engine.operators.base import Operator
 from repro.engine.operators.filter import FilterOperator
 from repro.engine.operators.project import ProjectOperator
 from repro.engine.operators.aggregate import AggSpec, HashAggregateOperator
@@ -25,7 +25,6 @@ __all__ = [
     "Operator",
     "ProjectOperator",
     "SortOperator",
-    "operator_from_dict",
     "register_udf",
     "resolve_udf",
 ]

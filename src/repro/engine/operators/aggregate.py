@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.expressions import Expr, expr_from_dict
+from repro.engine.expressions import Expr
 from repro.engine.operators.base import Operator
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
@@ -33,15 +33,6 @@ class AggSpec:
             raise ValueError(f"unsupported aggregate {self.func!r}")
         if self.expr is None and self.func != "count":
             raise ValueError(f"{self.func} needs an input expression")
-
-    def to_dict(self) -> dict:
-        return {"out": self.out_name, "func": self.func,
-                "expr": self.expr.to_dict() if self.expr else None}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AggSpec":
-        expr = expr_from_dict(data["expr"]) if data["expr"] else None
-        return cls(out_name=data["out"], func=data["func"], expr=expr)
 
 
 class HashAggregateOperator(Operator):
@@ -167,19 +158,6 @@ class HashAggregateOperator(Operator):
         out = RecordBatch(Schema(fields), columns)
         out.logical_bytes = _scaled_logical(batch, out)
         return out
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {"kind": "aggregate", "keys": self.group_keys,
-                "aggs": [spec.to_dict() for spec in self.aggs],
-                "mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HashAggregateOperator":
-        return cls(group_keys=data["keys"],
-                   aggs=[AggSpec.from_dict(a) for a in data["aggs"]],
-                   mode=data["mode"])
 
 
 def _partial_states(func: str) -> list[tuple[str, str]]:

@@ -1,4 +1,4 @@
-"""Operator protocol and spec deserialization."""
+"""Operator protocol."""
 
 from __future__ import annotations
 
@@ -15,34 +15,3 @@ class Operator:
                 ) -> RecordBatch:
         """Transform ``batch``; ``sides`` holds side-table batches by name."""
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        """JSON-serializable operator spec."""
-        raise NotImplementedError
-
-
-def operator_from_dict(data: dict) -> Operator:
-    """Rebuild an operator from its spec dictionary."""
-    from repro.engine.operators.aggregate import HashAggregateOperator
-    from repro.engine.operators.filter import FilterOperator
-    from repro.engine.operators.join import HashJoinOperator
-    from repro.engine.operators.limit import LimitOperator
-    from repro.engine.operators.project import ProjectOperator
-    from repro.engine.operators.sort import SortOperator
-    from repro.engine.operators.udf import MapUdfOperator
-
-    kind = data["kind"]
-    constructors = {
-        "filter": FilterOperator,
-        "project": ProjectOperator,
-        "aggregate": HashAggregateOperator,
-        "join": HashJoinOperator,
-        "sort": SortOperator,
-        "limit": LimitOperator,
-        "udf": MapUdfOperator,
-    }
-    try:
-        constructor = constructors[kind]
-    except KeyError:
-        raise ValueError(f"unknown operator kind {kind!r}") from None
-    return constructor.from_dict(data)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine.expressions import Expr, expr_from_dict
+from repro.engine.expressions import Expr
 from repro.engine.operators.base import Operator
 from repro.formats.batch import RecordBatch
 
@@ -21,10 +21,3 @@ class FilterOperator(Operator):
             return batch
         mask = self.predicate.evaluate(batch).astype(bool)
         return batch.take(mask)
-
-    def to_dict(self) -> dict:
-        return {"kind": "filter", "predicate": self.predicate.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FilterOperator":
-        return cls(expr_from_dict(data["predicate"]))

@@ -60,12 +60,3 @@ class HashJoinOperator(Operator):
         match_ratio = len(probe_idx) / max(len(batch), 1)
         out.logical_bytes = batch.logical_bytes * match_ratio
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": "join", "probe_key": self.probe_key,
-                "build_side": self.build_side, "build_key": self.build_key}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HashJoinOperator":
-        return cls(probe_key=data["probe_key"], build_side=data["build_side"],
-                   build_key=data["build_key"])

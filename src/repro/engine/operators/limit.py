@@ -23,10 +23,3 @@ class LimitOperator(Operator):
         if len(batch) <= self.count:
             return batch
         return batch.take(np.arange(self.count))
-
-    def to_dict(self) -> dict:
-        return {"kind": "limit", "count": self.count}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LimitOperator":
-        return cls(count=data["count"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.expressions import Expr, expr_from_dict
+from repro.engine.expressions import Expr
 from repro.engine.operators.base import Operator
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
@@ -34,17 +34,6 @@ class ProjectOperator(Operator):
         out = RecordBatch(schema, columns)
         out.logical_bytes = batch.logical_bytes * _width_ratio(batch, out)
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": "project", "outputs": [
-            {"name": name, "expr": expr.to_dict(), "type": dtype.value}
-            for name, expr, dtype in self.outputs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProjectOperator":
-        return cls([(item["name"], expr_from_dict(item["expr"]),
-                     DataType(item["type"]))
-                    for item in data["outputs"]])
 
 
 def _width_ratio(before: RecordBatch, after: RecordBatch) -> float:

@@ -38,13 +38,6 @@ class SortOperator(Operator):
         order = np.lexsort(arrays)
         return batch.take(order)
 
-    def to_dict(self) -> dict:
-        return {"kind": "sort", "keys": self.keys, "ascending": self.ascending}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SortOperator":
-        return cls(keys=data["keys"], ascending=data["ascending"])
-
 
 def _invert(column: np.ndarray) -> np.ndarray:
     """Key transform for descending order."""

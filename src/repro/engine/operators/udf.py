@@ -50,10 +50,3 @@ class MapUdfOperator(Operator):
         out.logical_bytes = before_logical * (out.physical_bytes
                                               / before_physical)
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": "udf", "name": self.udf_name}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MapUdfOperator":
-        return cls(udf_name=data["name"])

@@ -16,7 +16,6 @@ from repro.engine.barrier import BarrierRegistry
 from repro.engine.cost import CpuCostModel
 from repro.engine.io import IoStack
 from repro.engine.plan import (
-    IdentityMemo,
     PipelineSpec,
     ShuffleSink,
     ShuffleSource,
@@ -41,11 +40,6 @@ class WorkerRuntime:
     intermediate_service: str = "s3-standard"
     #: Shared footer/chunk decode cache; ``None`` disables caching.
     columnar_cache: ColumnarCache | None = None
-    #: Per-runtime pipeline-spec parse memo — runtime-owned (not
-    #: module-global) so one run's parse state never reaches the next.
-    spec_cache: IdentityMemo = field(
-        default_factory=lambda: IdentityMemo(PipelineSpec.from_dict,
-                                             max_entries=128))
 
 
 @dataclass
@@ -89,7 +83,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
                       payload: dict):
     env = context.env
     query_id = payload["query_id"]
-    pipeline = runtime.spec_cache.get(payload["pipeline"])
+    pipeline: PipelineSpec = payload["pipeline"]
     fragment = payload["fragment"]
     base_storage = runtime.storage[payload["table_service"]]
     shuffle_storage = runtime.storage[payload["intermediate_service"]]

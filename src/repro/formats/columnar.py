@@ -355,15 +355,6 @@ class ColumnarCache:
         while len(self._assembled) > 512:
             self._assembled.popitem(last=False)
 
-    def clear(self) -> None:
-        """Drop every cached footer, chunk, and encoded file."""
-        self._footers.clear()
-        self._chunks.clear()
-        self._chunk_bytes = 0.0
-        self._encoded.clear()
-        self._encoded_bytes = 0.0
-        self._assembled.clear()
-
 
 def read_file(data: bytes, columns: Optional[Iterable[str]] = None,
               zone_map_filters: Optional[dict[str, ZoneMapPredicate]] = None,

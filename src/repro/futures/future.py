@@ -47,19 +47,6 @@ class AttemptRecord:
         """Billed handler duration of this attempt."""
         return self.finished_at - self.started_at
 
-    def to_dict(self) -> dict:
-        return {
-            "attempt": self.attempt,
-            "hedged": self.hedged,
-            "requested_at": round(self.requested_at, 9),
-            "started_at": round(self.started_at, 9),
-            "finished_at": round(self.finished_at, 9),
-            "cold": self.cold,
-            "ok": self.ok,
-            "error_type": self.error_type,
-            "cost_usd": round(self.cost_usd, 12),
-        }
-
 
 def attempt_cost_usd(record: InvocationRecord, memory_bytes: float,
                      ephemeral_bytes: float = 0.0) -> float:

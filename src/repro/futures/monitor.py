@@ -87,11 +87,6 @@ class JobMonitor:
         done = self.counts["success"] + self.counts["error"]
         return self.total > 0 and done == self.total
 
-    @property
-    def open_calls(self) -> int:
-        """Futures still pending or running."""
-        return self.counts["pending"] + self.counts["running"]
-
     def summary(self) -> dict:
         """JSON-ready job summary (counts and transition log size)."""
         return {

@@ -45,11 +45,6 @@ class DataChunk:
         """Whether this chunk covers its object end to end."""
         return self.offset == 0.0 and self.length == self.object_size
 
-    def to_dict(self) -> dict:
-        return {"key": self.key, "offset": self.offset,
-                "length": self.length, "object_size": self.object_size,
-                "part": self.part, "parts": self.parts, "index": self.index}
-
 
 def partition_object(key: str, size: float,
                      chunk_bytes: Optional[float] = None,

@@ -41,15 +41,15 @@ class SharedStateChecker(ProjectChecker):
         "object the run owns (runtime, environment, router) so every "
         "run gets its own.")
     example_bad = (
-        "_CACHE: dict[str, Plan] = {}\n"
-        "def compile(runtime, text):\n"
-        "    _CACHE[text] = parse(text)   # survives into the next run\n")
+        "_FOOTERS: dict[str, FileMetadata] = {}\n"
+        "def read_footer(engine, key, data):\n"
+        "    _FOOTERS[key] = parse(data)   # survives into the next run\n")
     example_good = (
-        "class Runtime:\n"
+        "class SkyriseEngine:\n"
         "    def __init__(self):\n"
-        "        self.plan_cache: dict[str, Plan] = {}\n"
-        "def compile(runtime, text):\n"
-        "    runtime.plan_cache[text] = parse(text)  # run-owned\n")
+        "        self.columnar_cache = ColumnarCache()\n"
+        "def read_footer(engine, key, data):\n"
+        "    return engine.columnar_cache.metadata(key, data)  # run-owned\n")
 
     def check_project(self, index: ProjectIndex) -> Iterator[Finding]:
         for name in sorted(index.modules):

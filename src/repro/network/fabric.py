@@ -277,10 +277,6 @@ class Fabric:
         """
         self._sweep()
 
-    def total_rate(self) -> float:
-        """Aggregate rate of all active flows right now (bytes/s)."""
-        return sum(flow.rate for flow in self._flows)
-
     # -- internals ------------------------------------------------------------
 
     def _sweep(self) -> tuple[list[Flow], list]:

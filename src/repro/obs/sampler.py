@@ -79,7 +79,6 @@ class TraceDigest:
     scope: str = ""
     error: bool = False
     fault_touched: bool = False
-    spans: int = 0
     attrs: dict = field(default_factory=dict)
 
 
@@ -120,11 +119,6 @@ class TailSampler:
         if trace_id not in self._open:
             self._open[trace_id] = TraceDigest(
                 trace_id=trace_id, started_at=at, scope=scope)
-
-    def note_span(self, trace_id: str) -> None:
-        digest = self._open.get(trace_id)
-        if digest is not None:
-            digest.spans += 1
 
     def mark_error(self, trace_id: str) -> None:
         digest = self._open.get(trace_id)

@@ -38,11 +38,6 @@ class ExperimentCost:
         return (self.compute_faas + self.compute_iaas + self.storage_requests
                 + self.storage_transfer + self.storage_capacity)
 
-    @property
-    def total_cents(self) -> float:
-        """Grand total in cents (the paper reports query costs in ¢)."""
-        return self.total * 100.0
-
     def add(self, label: str, amount: float) -> None:
         """Track a labelled sub-amount in the detail map."""
         self.detail[label] = self.detail.get(label, 0.0) + amount
@@ -129,11 +124,6 @@ def stage_cost(invocations, storage_reads, storage_writes) -> dict:
         storage += STORAGE_PRICES[service].write_cost(count, total_bytes)
     return {"compute_usd": compute, "storage_usd": storage,
             "total_usd": compute + storage}
-
-
-def gib_month_price(service_name: str) -> float:
-    """Dollars per GiB-month at rest for a storage service."""
-    return STORAGE_PRICES[service_name].storage_per_gib_month
 
 
 def cost_per_gib_per_s_read(service_name: str, request_bytes: float) -> float:

@@ -23,17 +23,15 @@ Example
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",

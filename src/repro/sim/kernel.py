@@ -43,11 +43,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
     def scheduled_events(self) -> int:
         """Total events scheduled so far (a deterministic work counter)."""
         return self._seq

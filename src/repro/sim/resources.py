@@ -1,12 +1,13 @@
 """Shared resources for simulation processes.
 
-Three classic resource kinds are provided:
+Two classic resource kinds are provided:
 
 * :class:`Resource` — a counted resource with FIFO (or priority) queueing,
   modelling things like worker slots or connection pools.
-* :class:`Container` — a continuous quantity (e.g. tokens, bytes of budget)
-  with blocking ``get``/``put``.
 * :class:`Store` — a FIFO buffer of discrete items (e.g. a message queue).
+
+Continuous quantities (byte budgets, tokens) are the token buckets of
+:mod:`repro.network.shaper`.
 """
 
 from __future__ import annotations
@@ -99,80 +100,6 @@ class Resource:
             _, _, request = heapq.heappop(self._queue)
             self._users.add(request)
             request.succeed()
-
-
-class PriorityResource(Resource):
-    """Alias of :class:`Resource`; priorities are honoured by ``request``."""
-
-
-class Container:
-    """A continuous quantity with blocking ``get`` and ``put``.
-
-    Useful for byte budgets and token accounting where the amount matters
-    but identity of individual units does not.
-    """
-
-    def __init__(self, env, capacity: float = float("inf"),
-                 init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init={init} outside [0, {capacity}]")
-        self.env = env
-        self._capacity = capacity
-        self._level = float(init)
-        self._getters: list[tuple[int, Event, float]] = []
-        self._putters: list[tuple[int, Event, float]] = []
-        self._seq = 0
-
-    @property
-    def level(self) -> float:
-        """Amount currently stored."""
-        return self._level
-
-    @property
-    def capacity(self) -> float:
-        """Maximum amount the container can hold."""
-        return self._capacity
-
-    def get(self, amount: float) -> Event:
-        """Event that triggers once ``amount`` could be withdrawn."""
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._seq += 1
-        self._getters.append((self._seq, event, amount))
-        self._settle()
-        return event
-
-    def put(self, amount: float) -> Event:
-        """Event that triggers once ``amount`` fits into the container."""
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._seq += 1
-        self._putters.append((self._seq, event, amount))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                _, event, amount = self._putters[0]
-                if self._level + amount <= self._capacity:
-                    self._putters.pop(0)
-                    self._level += amount
-                    event.succeed(amount)
-                    progressed = True
-            if self._getters:
-                _, event, amount = self._getters[0]
-                if self._level >= amount:
-                    self._getters.pop(0)
-                    self._level -= amount
-                    event.succeed(amount)
-                    progressed = True
 
 
 class Store:

@@ -288,11 +288,6 @@ class StorageService:
         return obj
 
     @property
-    def object_count(self) -> int:
-        """Number of stored objects."""
-        return len(self._objects)
-
-    @property
     def stored_bytes(self) -> float:
         """Sum of logical sizes of all stored objects."""
         return sum(obj.size for obj in self._objects.values())

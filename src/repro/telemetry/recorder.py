@@ -123,7 +123,7 @@ class TelemetryRecorder:
     def start_span(self, name: str, t: float, parent=None,
                    category: str = "span",
                    attrs: Optional[dict] = None) -> Span:
-        """Open a child span under ``parent`` (a Span or a ctx dict).
+        """Open a child span under ``parent`` (a Span).
 
         With no parent the span joins an implicit ambient trace — useful
         for background activity (warm-pool pings, serving machinery)

@@ -10,7 +10,7 @@ query, and ``parent_id`` nests worker spans under their dispatching
 stage, storage reads under their worker, and so on.
 
 Trace context crosses "process" boundaries (coordinator → invoker →
-worker) as a plain ``{"trace_id", "span_id"}`` dict carried inside the
+worker) as the parent :class:`Span` itself, carried inside the
 invocation payload — the simulation analogue of W3C traceparent
 propagation.
 """
@@ -45,10 +45,6 @@ class Span:
         """Whether the span has been closed."""
         return self.end is not None
 
-    def ctx(self) -> dict:
-        """Serializable trace context for payload propagation."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
     def add_event(self, t: float, name: str, **attrs) -> None:
         """Attach a point-in-time event to this span."""
         event = {"t": t, "name": name}
@@ -66,12 +62,10 @@ class Span:
 
 
 def parent_ids(parent) -> tuple[Optional[str], Optional[int]]:
-    """Extract (trace_id, span_id) from a parent Span, ctx dict, or None."""
+    """Extract (trace_id, span_id) from a parent Span or None."""
     if parent is None:
         return None, None
     if isinstance(parent, Span):
         return parent.trace_id, parent.span_id
-    if isinstance(parent, dict):
-        return parent.get("trace_id"), parent.get("span_id")
-    raise TypeError(f"parent must be a Span, ctx dict, or None, "
+    raise TypeError(f"parent must be a Span or None, "
                     f"got {type(parent).__name__}")

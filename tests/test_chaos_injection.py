@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec, WorkerCrash
+from repro.engine.plan import PipelineSpec, TableSource
 from repro.network import Fabric
 from repro.network.shaper import TokenBucketShaper
 from repro.sim import Environment, RandomStreams
@@ -90,13 +91,14 @@ class TestInjectorScheduling:
         injector = make_injector(
             FaultSpec(kind="worker_crash", function="skyrise-worker",
                       pipeline="scan"))
+        scan, final = (PipelineSpec(name, TableSource("lineitem", []))
+                       for name in ("scan", "final"))
         miss_fn = injector.on_invoke("skyrise-invoker",
-                                     {"pipeline": {"id": "scan"}}, 0.0)
+                                     {"pipeline": scan}, 0.0)
         miss_pipe = injector.on_invoke("skyrise-worker",
-                                       {"pipeline": {"id": "final"}}, 0.0)
+                                       {"pipeline": final}, 0.0)
         hit = injector.on_invoke("skyrise-worker",
-                                 {"pipeline": {"id": "scan"},
-                                  "fragment": 3}, 0.0)
+                                 {"pipeline": scan, "fragment": 3}, 0.0)
         assert miss_fn is None and miss_pipe is None
         assert hit is not None and hit.kind == "worker_crash"
         # The timeline names the struck fragment.

@@ -1,6 +1,7 @@
 """End-to-end query execution: distributed engine vs reference executor."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine, coordinator
 from repro.engine.coordinator import FragmentFailure, RecoveryConfig
-from repro.engine.queries import tpch_q1, tpch_q6, tpch_q12, tpcxbb_q3
+from repro.engine.queries import (
+    QUERY_BUILDERS,
+    tpch_q1,
+    tpch_q6,
+    tpch_q12,
+    tpcxbb_q3,
+)
 from repro.engine.reference import run_reference, table_batches_from_spec
 from repro.faas import LambdaPlatform
 from repro.iaas import Ec2Fleet, VmShim
@@ -280,6 +287,48 @@ class TestTwoLevelInvocation:
         assert (failure.value.pipeline, failure.value.fragment,
                 failure.value.attempts) \
             == ("scan", self.struck_fragment(injector), 1)
+
+
+class TestPlanHandover:
+    """The engine runs the plan object it is handed, and only reads it."""
+
+    TABLES = {
+        "tpch-q1": [("lineitem", 4, 500)],
+        "tpch-q6": [("lineitem", 6, 400)],
+        "tpch-q12": [("lineitem", 6, 600), ("orders", 3, 1200)],
+        "tpcxbb-q3": [("clickstreams", 4, 2000), ("item", 1, 0)],
+    }
+    #: The first two workers invoked die; their retries do not.
+    TWO_CRASHES = FaultPlan(
+        name="two-crashes", description="Two worker invocations crash.",
+        specs=(FaultSpec(kind="worker_crash", function="skyrise-worker",
+                         max_events=2),))
+
+    def test_resubmitted_plan_is_the_plan_that_runs(self):
+        env, engine, _ = build_stack(self.TABLES["tpch-q6"])
+        plan = tpch_q6(scan_fragments=2)
+        first = run_query(env, engine, plan)
+        plan.pipeline("scan").fragments = 4
+        second = run_query(env, engine, plan)
+        assert (first.fragments["scan"], second.fragments["scan"]) == (2, 4)
+        np.testing.assert_allclose(second.batch.column("revenue"),
+                                   first.batch.column("revenue"), rtol=1e-9)
+
+    @pytest.mark.parametrize("faults", [None, TWO_CRASHES],
+                             ids=["fault-free", "worker-crash"])
+    @pytest.mark.parametrize("query", sorted(TABLES))
+    def test_engine_does_not_mutate_the_plan(self, query, faults):
+        env, engine, _ = build_stack(self.TABLES[query])
+        if faults is not None:
+            FaultInjector(faults, RandomStreams(seed=0)).install(
+                platform=engine.backend)
+        plan = QUERY_BUILDERS[query]()
+        before = pickle.dumps(plan)
+        results = [run_query(env, engine, plan) for _ in range(2)]
+        assert pickle.dumps(plan) == before
+        # Retries re-send the PipelineSpec the first attempt was handed.
+        assert sum(result.retries for result in results) \
+            == (2 if faults is not None else 0)
 
 
 class TestEngineGuards:

@@ -16,7 +16,6 @@ from repro.engine.expressions import (
     Lit,
     Not,
     Or,
-    expr_from_dict,
 )
 from repro.engine.operators import (
     AggSpec,
@@ -27,7 +26,6 @@ from repro.engine.operators import (
     MapUdfOperator,
     ProjectOperator,
     SortOperator,
-    operator_from_dict,
     register_udf,
 )
 from repro.formats.batch import RecordBatch
@@ -93,15 +91,6 @@ class TestExpressions:
         expr = And(Compare(">", Col("a"), Col("b")),
                    InSet(Col("c"), [1]))
         assert expr.columns() == {"a", "b", "c"}
-
-    def test_serialization_roundtrip(self):
-        expr = IfThenElse(
-            And(Between(Col("a"), 1, 2), InSet(Col("b"), ["x"])),
-            BinOp("*", Col("c"), Lit(2.0)), Lit(0.0))
-        rebuilt = expr_from_dict(expr.to_dict())
-        batch = make_batch(a=[1, 5], b=["x", "x"], c=[3.0, 4.0])
-        np.testing.assert_allclose(rebuilt.evaluate(batch),
-                                   expr.evaluate(batch))
 
     def test_unknown_ops_rejected(self):
         with pytest.raises(ValueError):
@@ -292,24 +281,3 @@ class TestUdf:
     def test_unknown_udf_raises(self):
         with pytest.raises(KeyError, match="not registered"):
             MapUdfOperator("ghost").execute(make_batch(x=[1]))
-
-
-class TestOperatorSerialization:
-    @pytest.mark.parametrize("operator", [
-        FilterOperator(Compare(">", Col("x"), Lit(1))),
-        ProjectOperator([("y", BinOp("*", Col("x"), Lit(2.0)),
-                          DataType.FLOAT64)]),
-        HashAggregateOperator(["k"], [AggSpec("s", "sum", Col("x"))],
-                              mode="partial"),
-        HashJoinOperator("a", "side", "b"),
-        SortOperator(["x"], ascending=[False]),
-        LimitOperator(5),
-        MapUdfOperator("some-udf"),
-    ])
-    def test_roundtrip(self, operator):
-        rebuilt = operator_from_dict(operator.to_dict())
-        assert rebuilt.to_dict() == operator.to_dict()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            operator_from_dict({"kind": "mystery"})

@@ -232,7 +232,7 @@ class TestSwallowedExceptions:
 
 
 class TestEngineCacheRegression:
-    """The PR-9 fixes: parse memos moved off module scope.
+    """The PR-9 fix: no engine cache at module scope.
 
     Linting the *real* worker/plan sources must stay CONC001 clean —
     and putting a module cache back proves the checker is alive, so
@@ -251,8 +251,8 @@ class TestEngineCacheRegression:
         ]
 
     def test_runtime_owned_memos_are_clean(self):
-        # The module checkers ride along so the sources' own DET004
-        # suppressions register as used (no LNT002 noise).
+        # The module checkers ride along so any suppression in the
+        # sources registers as used (no LNT002 noise).
         findings = lint_bundle(self._bundle(), all_checkers(),
                                [SharedStateChecker()])
         conc = [f for f in findings if f.check.startswith("CONC")]
@@ -267,56 +267,6 @@ class TestEngineCacheRegression:
         conc = [f for f in findings if f.check == "CONC001"]
         assert len(conc) == 1
         assert "_CACHE" in conc[0].message
-
-
-class TestIdentityMemo:
-    def test_identity_hit_and_equal_miss(self):
-        from repro.engine.plan import IdentityMemo
-        calls = []
-
-        def parse(d):
-            calls.append(d)
-            return dict(d)
-
-        memo = IdentityMemo(parse, max_entries=4)
-        data = {"a": 1}
-        first = memo.get(data)
-        assert memo.get(data) is first  # identity hit: parsed once
-        assert len(calls) == 1
-        memo.get({"a": 1})  # equal but distinct dict: re-parsed
-        assert len(calls) == 2
-
-    def test_eviction_bound(self):
-        from repro.engine.plan import IdentityMemo
-        memo = IdentityMemo(dict, max_entries=2)
-        pinned = [{"i": i} for i in range(3)]
-        for d in pinned:
-            memo.get(d)
-        assert len(memo._entries) <= 2
-
-    def test_runtimes_do_not_share_memos(self):
-        from repro.engine.coordinator import CoordinatorRuntime
-        from repro.engine.worker import WorkerRuntime
-        c1 = CoordinatorRuntime(catalog={}, backend=None,
-                                worker_function="w",
-                                invoker_function="i")
-        c2 = CoordinatorRuntime(catalog={}, backend=None,
-                                worker_function="w",
-                                invoker_function="i")
-        assert c1.plan_cache is not c2.plan_cache
-        w1 = WorkerRuntime(storage={}, barriers=None, cost_model=None)
-        w2 = WorkerRuntime(storage={}, barriers=None, cost_model=None)
-        assert w1.spec_cache is not w2.spec_cache
-
-    def test_plan_cache_memoizes_by_identity(self):
-        from repro.engine.coordinator import CoordinatorRuntime
-        from repro.engine.plan import PhysicalPlan
-        runtime = CoordinatorRuntime(catalog={}, backend=None,
-                                     worker_function="w",
-                                     invoker_function="i")
-        data = PhysicalPlan(query_id="q", pipelines=[]).to_dict()
-        plan = runtime.plan_cache.get(data)
-        assert runtime.plan_cache.get(data) is plan
 
 
 def _selftest_modules():

@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources (Resource, Container, Store)."""
+"""Unit tests for simulation resources (Resource, Store)."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource, Store
 from repro.sim.rng import RandomStreams
 
 
@@ -93,62 +93,6 @@ class TestResource:
         assert resource.count == 3
         env.run()
         assert resource.count == 0
-
-
-class TestContainer:
-    def test_init_level(self):
-        env = Environment()
-        container = Container(env, capacity=10.0, init=4.0)
-        assert container.level == 4.0
-
-    def test_init_bounds_validated(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=10.0, init=11.0)
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        container = Container(env, capacity=100.0)
-
-        def consumer(env):
-            yield container.get(10.0)
-            return env.now
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield container.put(10.0)
-
-        p = env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert p.value == 3.0
-        assert container.level == 0.0
-
-    def test_put_blocks_when_full(self):
-        env = Environment()
-        container = Container(env, capacity=10.0, init=10.0)
-
-        def producer(env):
-            yield container.put(5.0)
-            return env.now
-
-        def consumer(env):
-            yield env.timeout(2.0)
-            yield container.get(5.0)
-
-        p = env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert p.value == 2.0
-        assert container.level == 10.0
-
-    def test_non_positive_amount_rejected(self):
-        env = Environment()
-        container = Container(env, capacity=1.0)
-        with pytest.raises(ValueError):
-            container.get(0)
-        with pytest.raises(ValueError):
-            container.put(-1)
 
 
 class TestStore:

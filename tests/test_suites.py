@@ -3,13 +3,8 @@
 import pytest
 
 from repro.core import Driver
-from repro.core.suites import (
-    full_evaluation,
-    network_suite,
-    query_suite,
-    startup_suite,
-    storage_suite,
-)
+from repro.core.suites import network_suite, storage_suite
+from repro.workloads.suite import full_evaluation, query_suite
 
 
 class TestSuiteDefinitions:
@@ -47,18 +42,22 @@ class TestSuiteDefinitions:
         assert vpc
 
 
+def first_config_of_each_kind():
+    firsts = {}
+    for config in full_evaluation():
+        firsts.setdefault(config.kind, config)
+    return list(firsts.values())
+
+
 class TestSuiteExecution:
     """Smoke-run one config per kind through the driver."""
 
-    @pytest.mark.parametrize("config", [
-        network_suite()[0],
-        storage_suite()[1],   # fig9 s3-standard
-        storage_suite()[2],   # fig10 s3-standard
-        startup_suite()[0],
-    ], ids=lambda config: config.name)
+    @pytest.mark.parametrize("config", first_config_of_each_kind(),
+                             ids=lambda config: config.name)
     def test_driver_executes_suite_config(self, config):
         if config.kind == "storage-latency":
             config.parameters["requests"] = 20_000  # keep the test fast
         result = Driver().run(config)
         assert result.kind == config.kind
         assert result.metrics
+        assert result.cost_usd > 0

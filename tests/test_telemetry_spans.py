@@ -35,21 +35,21 @@ def test_span_lifecycle():
     assert span.attrs["extra"] == 1
 
 
-def test_parent_ids_accepts_span_dict_and_none():
+def test_parent_ids_accepts_span_and_none():
     span = Span(trace_id="t", span_id=4, parent_id=None, name="op",
                 category="test", start=0.0)
     assert parent_ids(span) == ("t", 4)
-    assert parent_ids(span.ctx()) == ("t", 4)
     assert parent_ids(None) == (None, None)
-    with pytest.raises(TypeError):
-        parent_ids(42)
+    for not_a_span in (42, {"trace_id": "t", "span_id": 4}):
+        with pytest.raises(TypeError):
+            parent_ids(not_a_span)
 
 
 def test_recorder_span_hierarchy():
     recorder = TelemetryRecorder()
     root = recorder.start_trace("query q1", 0.0)
     child = recorder.start_span("stage", 0.5, parent=root, category="stage")
-    grandchild = recorder.record_span("read", 0.6, 0.9, parent=child.ctx(),
+    grandchild = recorder.record_span("read", 0.6, 0.9, parent=child,
                                       category="storage")
     assert root.trace_id == child.trace_id == grandchild.trace_id
     assert child.parent_id == root.span_id
