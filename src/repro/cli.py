@@ -240,7 +240,7 @@ def _run_obs(args) -> int:
         if args.smoke:
             out = obs_smoke(config)
             for name in sorted(out["checks"]):
-                print(f"  {name:<22} ok")
+                print(f"  {name:<23} ok")
             print(f"smoke OK: {out['alerts_fired']} alerts, "
                   f"{out['incidents']} incident bundles, "
                   f"{out['sampling']['kept']}/"

@@ -13,10 +13,11 @@ canonical digest.
 shard-failure replay, that (1) attaching the plane leaves the replay
 digest byte-identical (outcome neutrality), (2) two same-seed observed
 runs produce byte-identical obs digests (incident bundles included),
-(3) a multi-window burn-rate alert actually fires under the fault
-plan and the bundle names the faulted shard, (4) fault-touched traces
-were retained by the tail sampler, and (5) the sampler's conservation
-equation holds.
+equal to that of a fresh plane driven through the event-at-a-time
+``run_replay_reference``, (3) a multi-window burn-rate alert actually
+fires under the fault plan and the bundle names the faulted shard, (4)
+fault-touched traces were retained by the tail sampler, and (5) the
+sampler's conservation equation holds.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 
 from repro.obs.flight import verify_bundle
 from repro.obs.plane import ObsConfig, ReplayObsPlane
-from repro.shard.replay import ReplayConfig, ReplayResult, run_replay
+from repro.shard.replay import (ReplayConfig, ReplayResult, run_replay,
+                                run_replay_reference)
 from repro.telemetry import canonical_json, round_floats
 
 
@@ -74,10 +76,16 @@ def _run_config_dict(config: ReplayConfig) -> dict:
 def run_obs_replay(config: ReplayConfig | None = None,
                    obs_config: ObsConfig | None = None) -> ObsReplayResult:
     """Run a replay with the observability plane attached."""
-    config = config or ReplayConfig().smoke()
+    return _observe(config or ReplayConfig().smoke(), obs_config,
+                    run_replay)
+
+
+def _observe(config: ReplayConfig, obs_config: ObsConfig | None,
+             replay) -> ObsReplayResult:
+    """Drive a fresh plane through ``replay`` (the kernel or its oracle)."""
     plane = ReplayObsPlane(obs_config,
                            run_config=_run_config_dict(config))
-    result = run_replay(config, observer=plane)
+    result = replay(config, observer=plane)
     return ObsReplayResult(
         replay=result,
         slo=plane.slo_report(config.window_s),
@@ -97,6 +105,8 @@ def obs_smoke(config: ReplayConfig | None = None) -> dict:
     checks = {
         "outcome_neutral": first.replay.digest() == bare.digest(),
         "deterministic": first.digest() == second.digest(),
+        "kernel_equals_reference": first.digest() == _observe(
+            config, None, run_replay_reference).digest(),
         "alert_fired": first.alerts_fired > 0,
         "incident_dumped": len(first.incidents) > 0,
         "conserved": bool(first.sampling["conserved"]),

@@ -15,7 +15,7 @@ scrape can happen, so each shard's drain is independent by
 construction. :func:`run_replay` therefore routes a whole inter-tick
 slice at once, as arrays over the trace's dense tenant ids
 (:meth:`ShardRouter.route_batch`), and replays it shard by shard, which
-is what makes the uncontended case a closed form (:func:`_run_fast`).
+is what makes the uncontended case a closed form (:func:`_run_lane`).
 :func:`run_replay_reference` is the same run one event at a time on a
 name-keyed router — the oracle the kernel's digest is pinned against.
 
@@ -37,15 +37,15 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count, repeat
 from operator import itemgetter
 
-from repro.serve.gateway import QueryGateway, Tenant
+from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
 from repro.serve.metrics import CompletedQuery
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import FENCED, OFFER, RETRY, ShardRouter
 from repro.sim.rng import RandomStreams
-from repro.telemetry import canonical_json, get_recorder
+from repro.telemetry import canonical_json
 
 # The histogram bucket constants, imported so the fast lane can inline
 # ``LatencyHistogram.record`` (same expressions, same order — the
@@ -470,16 +470,16 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     ``on_fault`` per injected chaos fault, ``on_control_tick`` after
     each control interval's drain/rebalance, and ``on_end`` after
     quiescence. Observation is strictly outcome-neutral — the returned
-    result (and its digest) is byte-identical with or without one.
-    Replaying shard by shard completes requests out of trace order, so
-    with an observer every completion is tagged ``(event index, phase,
-    firing order)`` and each slice's completions are sorted on the tag
-    before ``on_completion`` sees them: the callback stream is the
-    reference's, call for call.
+    result (and its digest) is byte-identical with or without one. An
+    observed run takes the bare run's lane (:func:`_run_lane`), which
+    completes requests shard by shard, out of trace order: each kept
+    completion is tagged ``(event index, phase, firing order)`` and a
+    slice's are sorted on the tag before ``on_completion`` sees them,
+    so the callback stream is the reference's, call for call.
 
     An observer that only needs a *subset* of completions may expose a
     ``completion_interest = (slow_threshold_s, salt, cut)`` attribute:
-    the replay then pre-filters the firehose inline — a completion is
+    the lane then pre-filters the firehose inline — a completion is
     delivered iff its latency is ``>= slow_threshold_s``, the request
     was rescued from a failed shard, or the Knuth hash of its request
     id (salted with ``salt``, both ints) falls under ``cut`` (an
@@ -492,9 +492,6 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     router, banks, clock = fabric.router, fabric.banks, fabric.clock
     times, ids, services = fabric.times, fabric.ids, fabric.services
     on_completion, slow_s, salt, cut = fabric.hook
-    # Telemetry, like an observer, wants every gateway call made: the
-    # fast lane skips the queue-depth samples of the calls it inlines.
-    fast = observer is None and not get_recorder().enabled
 
     start = 0
     while start < config.events:
@@ -506,11 +503,8 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
                                      ids[start:stop], services[start:stop])
         kept: list | None = None if observer is None else []
         for shard, ops in streams.items():
-            lane = router.gateways[shard], banks[shard], clock, ops
-            if fast:
-                _run_fast(*lane)
-            else:
-                _run_slow(*lane, kept, slow_s, salt, cut)
+            _run_lane(router.gateways[shard], banks[shard], clock, ops,
+                      kept, slow_s, salt, cut)
         if kept:
             kept.sort(key=itemgetter(0))
             for _tag, finish, shard, request in kept:
@@ -548,66 +542,40 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
     return fabric.finish()
 
 
-def _run_slow(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
+def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
               ops: tuple, kept: list | None, slow_s: float, salt: int,
               cut: int) -> None:
-    """One shard's op stream through the reference's own calls.
-
-    ``ops`` is the shard's column tuple from
-    :meth:`ShardRouter.route_batch`. With ``kept`` (an observer is
-    attached) every completion that passes the interest filter is
-    appended to it tagged ``(event index, phase, firing order)``: phase
-    1 is the retried offer of an event whose stale route another shard
-    fenced (and advanced on, phase 0) first.
-    """
-    tag = [0, 0, 0]
-    hook = None
-    if kept is not None:
-        def hook(finish: float, shard_id: str, request) -> None:
-            kept.append(((tag[0], tag[1], tag[2]), finish, shard_id,
-                         request))
-            tag[2] += 1
-
-    times, indices, keys, plans, kinds = ops
-    for now, index, key, plan, kind in zip(
-            times.tolist(), indices.tolist(), keys.tolist(), plans.tolist(),
-            repeat(OFFER) if kinds is None else kinds.tolist()):
-        clock.now = now
-        tag[:] = index, kind == RETRY, 0
-        if kind != RETRY:
-            _advance(bank, gateway, now, hook, slow_s, salt, cut)
-            if kind == FENCED:
-                continue
-        if gateway.submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
-            _advance(bank, gateway, now, hook, slow_s, salt, cut)
-
-
-def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
-              ops: tuple) -> None:
-    """One shard's op stream, bare: inlined dispatch plus a fast lane.
+    """One shard's op stream: inlined dispatch plus a fast lane.
 
     ``ops`` is the shard's column tuple from
     :meth:`ShardRouter.route_batch`; a tenant name is formatted only
-    when an op leaves the fast lane for ``gateway.submit``.
+    for ``gateway.submit`` or a kept fast-lane completion.
 
-    Bit-equivalence with :func:`_run_slow` is argued update by update:
-    the dispatch block below is ``_next_request`` + ``_complete`` +
-    ``ShardMetrics.record_completion`` inlined (same arithmetic
-    expressions, same order of float accumulation), and the fast lane
-    only fires when the shard has no backlog, no external admissions,
-    and a free slot — exactly the state in which the full path would
-    offer, admit, dispatch at ``start = now``, and complete with no
-    other side effect: it draws the same gateway sequence number and
-    skips ``queue_wait_sum += start - submitted_at`` because the
-    increment is exactly ``+0.0``, the identity on the non-negative
-    sum. ``LatencyHistogram.record`` is inlined with the same
-    expressions in the same order (``_LOG_MIN``,
-    ``_BUCKETS_PER_DECADE``, and the clamp bounds come from
-    :mod:`repro.telemetry.metrics` itself), and the clock is written
-    only on slow-path excursions — ``submit`` is the only callee that
-    reads it, so fast-lane and dispatch updates are clock-free.
+    Bit-equivalence with the reference's ``_advance``/``submit`` calls
+    is argued update by update: the dispatch block below is
+    ``_next_request`` + ``_complete`` + ``ShardMetrics.record_completion``
+    inlined (same arithmetic expressions, same order of float
+    accumulation), and the fast lane only fires when the shard has no
+    backlog, no external admissions, and a free slot — exactly the
+    state in which ``submit`` would admit and the ``_advance`` after it
+    dispatch at ``start = now`` with no other side effect: it draws
+    the same sequence number and skips ``queue_wait_sum += start -
+    submitted_at``, an exact ``+0.0``. ``LatencyHistogram.record`` is
+    inlined with the same expressions in the same order (the constants
+    come from :mod:`repro.telemetry.metrics`), and the clock is written
+    only for ``submit``, its one reader. A recorder samples queue depth
+    in ``_enqueue`` and ``pop``, so with one on (``inline`` false)
+    dispatch and admission go through those calls instead.
+
+    With ``kept`` (an observer is attached) each completion that
+    passes ``_complete``'s interest filter (``slow_s``/``salt``/``cut``)
+    is appended to it tagged ``(event index, phase, firing order)``:
+    phase 1 is the retried offer of an event whose stale route another
+    shard fenced (and advanced on, phase 0) first, and the firing order
+    only increases. A fast-lane request exists only if it is kept.
     """
     metrics = gateway.metrics
+    shard = gateway.shard_id
     busy = bank.busy
     slots = bank.slots
     slo = metrics.slo_latency_s
@@ -621,11 +589,23 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
     heappop = heapq.heappop
     heappush = heapq.heappush
     log10 = math.log10
-    fast_ok = gateway.on_submit is None and gateway.max_pending >= 1
+    inline = gateway._telemetry is None
+    fast_ok = inline and gateway.on_submit is None \
+        and gateway.max_pending >= 1
+    hook = None
+    if kept is not None:
+        append = kept.append
+        order = count()
+        tag = [0, False]
 
-    times, _indices, keys, plans, kinds = ops
-    for now, key, plan, kind in zip(
-            times.tolist(), keys.tolist(), plans.tolist(),
+        def hook(finish: float, shard_id: str, request) -> None:
+            append(((*tag, next(order)), finish, shard_id, request))
+
+    # Only a kept completion reads its event index: bare, skip the list.
+    times, indices, keys, plans, kinds = ops
+    for now, index, key, plan, kind in zip(
+            times.tolist(), repeat(0) if kept is None else indices.tolist(),
+            keys.tolist(), plans.tolist(),
             repeat(OFFER) if kinds is None else kinds.tolist()):
         if kind == RETRY:
             # The retried offer of a stale route: the reference
@@ -636,48 +616,57 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                 while busy and busy[0] <= now:
                     heappop(busy)
         elif backlog:
-            while busy and busy[0] <= now:
-                freed = heappop(busy)
-                if not backlog:
-                    continue
-                name = next(iter(backlog))
-                queue = queues[name]
-                request = queue.popleft()
-                gateway._pending -= 1
-                if not queue:
-                    del backlog[name]
-                    if name not in tenants:
-                        del queues[name]
-                else:
-                    del backlog[name]
-                    backlog[name] = None
-                submitted = request.submitted_at
-                start = freed if freed >= submitted else submitted
-                served = request.plan
-                finish = start + served
-                metrics.completed += 1
-                latency = finish - submitted
-                if latency <= 0.0:
-                    counts[0] += 1
-                else:
-                    bucket = int((log10(latency) - _LOG_MIN)
-                                 * _BUCKETS_PER_DECADE) + 1
-                    if bucket < 0:
-                        bucket = 0
-                    elif bucket > _TOP_BUCKET:
-                        bucket = _TOP_BUCKET
-                    counts[bucket] += 1
-                hist.total += 1
-                metrics.queue_wait_sum += start - submitted
-                metrics.cost_usd += served * _USD_PER_SLOT_SECOND
-                if latency <= slo:
-                    metrics.within_slo += 1
-                heappush(busy, finish)
-            if backlog and len(busy) < slots:
-                # Only after a control tick re-homed requests onto a
-                # shard with an idle slot (208 of 1.5M ops): the drain
-                # above left no ``busy[0] <= now``, so this only fills.
-                _advance(bank, gateway, now)
+            if inline:
+                while busy and busy[0] <= now:
+                    freed = heappop(busy)
+                    if not backlog:
+                        continue
+                    name = next(iter(backlog))
+                    queue = queues[name]
+                    request = queue.popleft()
+                    gateway._pending -= 1
+                    if not queue:
+                        del backlog[name]
+                        if name not in tenants:
+                            del queues[name]
+                    else:
+                        del backlog[name]
+                        backlog[name] = None
+                    submitted = request.submitted_at
+                    start = freed if freed >= submitted else submitted
+                    served = request.plan
+                    finish = start + served
+                    metrics.completed += 1
+                    latency = finish - submitted
+                    if latency <= 0.0:
+                        counts[0] += 1
+                    else:
+                        bucket = int((log10(latency) - _LOG_MIN)
+                                     * _BUCKETS_PER_DECADE) + 1
+                        if bucket < 0:
+                            bucket = 0
+                        elif bucket > _TOP_BUCKET:
+                            bucket = _TOP_BUCKET
+                        counts[bucket] += 1
+                    hist.total += 1
+                    metrics.queue_wait_sum += start - submitted
+                    metrics.cost_usd += served * _USD_PER_SLOT_SECOND
+                    if latency <= slo:
+                        metrics.within_slo += 1
+                    heappush(busy, finish)
+                    if kept is not None and (
+                            latency >= slow_s or request.rescued
+                            or ((request.seq * _SAMPLE_HASH_MULT + salt)
+                                & 0xFFFFFFFF) < cut):
+                        append(((index, False, next(order)), finish, shard,
+                                request))
+            # Inline, only after a control tick re-homed requests onto
+            # a shard with an idle slot (208 of 1.5M ops): the drain
+            # above left no ``busy[0] <= now``, so this only fills.
+            if backlog and (not inline or len(busy) < slots):
+                if hook is not None:
+                    tag[:] = index, False
+                _advance(bank, gateway, now, hook, slow_s, salt, cut)
         else:
             while busy and busy[0] <= now:
                 heappop(busy)
@@ -686,7 +675,7 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
         if (fast_ok and not backlog and gateway._external == 0
                 and len(busy) < slots):
             metrics.offered += 1
-            next(seq)
+            drawn = next(seq)
             finish = now + plan
             metrics.completed += 1
             latency = finish - now
@@ -705,7 +694,18 @@ def _run_fast(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
             if latency <= slo:
                 metrics.within_slo += 1
             heappush(busy, finish)
+            if kept is not None and (
+                    latency >= slow_s
+                    or ((drawn * _SAMPLE_HASH_MULT + salt)
+                        & 0xFFFFFFFF) < cut):
+                name = f"{_TENANT_PREFIX}{key}"
+                append(((index, kind == RETRY, next(order)), finish, shard,
+                        QueryRequest(tenant=name, plan=plan,
+                                     submitted_at=now, seq=drawn,
+                                     priority=gateway.tenant(name).priority)))
         else:
             clock.now = now
             if submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
-                _advance(bank, gateway, now)
+                if hook is not None:
+                    tag[:] = index, kind == RETRY
+                _advance(bank, gateway, now, hook, slow_s, salt, cut)

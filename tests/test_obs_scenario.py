@@ -6,7 +6,6 @@ full plane — SLO engine, tail sampler, flight recorder, incident dumps
 """
 
 import json
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,8 +55,7 @@ class TestKernelEqualsReference:
 
     @staticmethod
     def reference(config):
-        with mock.patch.object(scenario, "run_replay", run_replay_reference):
-            return run_obs_replay(config)
+        return scenario._observe(config, None, run_replay_reference)
 
     def test_kernel_preserves_the_observed_digest(self):
         config = tiny_config()
@@ -139,5 +137,6 @@ class TestSmokeGate:
     def test_obs_smoke_passes_on_the_tiny_config(self):
         report = obs_smoke(tiny_config())
         assert all(report["checks"].values())
+        assert "kernel_equals_reference" in report["checks"]
         assert report["alerts_fired"] > 0
         assert report["incidents"] > 0

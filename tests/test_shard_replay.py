@@ -58,7 +58,7 @@ class TestKernelEqualsReference:
         extra_events=st.integers(min_value=0, max_value=4_000),
         shards=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**31 - 1),
-        slots=st.integers(min_value=1, max_value=8),
+        slots=st.integers(min_value=1, max_value=16),
         fail_at=st.lists(
             st.floats(min_value=10.0, max_value=230.0), max_size=2),
         fault_plan=st.sampled_from(["", "shard-failure"]),
@@ -66,6 +66,10 @@ class TestKernelEqualsReference:
     @settings(max_examples=25, deadline=None)
     def test_any_config(self, tenants, extra_events, shards, seed, slots,
                         fail_at, fault_plan):
+        """Bare and observed, the kernel is the reference. Both the
+        sparse observer and the firehose see its callbacks call for call
+        — fast-lane requests included, which the kernel materializes
+        only for the completions it keeps."""
         config = ReplayConfig(
             tenants=tenants, events=tenants + extra_events,
             window_s=240.0, seed=seed, shards=shards,
@@ -77,6 +81,12 @@ class TestKernelEqualsReference:
         reference = run_replay_reference(config)
         assert kernel.digest() == reference.digest()
         assert kernel.to_dict() == reference.to_dict()
+        for observer in (_RecordingObserver, _FirehoseObserver):
+            kernel_obs, reference_obs = observer(), observer()
+            assert run_replay(config, observer=kernel_obs).digest() \
+                == kernel.digest()
+            run_replay_reference(config, observer=reference_obs)
+            assert kernel_obs.calls == reference_obs.calls
 
     def test_observer_sees_the_reference_callback_sequence(self):
         kernel_obs, reference_obs = _RecordingObserver(), _RecordingObserver()
@@ -147,6 +157,19 @@ class _RecordingObserver:
     def on_end(self, now, router):
         self.calls.append(("end", now, router.roll_up().to_dict()))
         self.router = router
+
+
+class _FirehoseObserver(_RecordingObserver):
+    """No interest spec: every completion is delivered, with the fields
+    of its request recorded exactly."""
+
+    completion_interest = None
+
+    def on_completion(self, finish, shard, request):
+        self.calls.append(
+            ("completion", finish, shard, request.tenant, request.seq,
+             request.submitted_at, request.rescued, request.plan,
+             request.priority))
 
 
 class TestNoGarbage:
