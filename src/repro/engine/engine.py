@@ -27,7 +27,7 @@ from repro.engine.plan import PhysicalPlan
 from repro.engine.worker import WorkerRuntime, make_worker_handler
 from repro.faas.function import FunctionConfig
 from repro.formats.batch import RecordBatch
-from repro.formats.columnar import ColumnarCache, read_file
+from repro.formats.columnar import ColumnarCache
 from repro.pricing.calculator import CostCalculator
 from repro.pricing.catalog import STORAGE_PRICES
 from repro.sim import Environment
@@ -187,11 +187,12 @@ class SkyriseEngine:
         return result
 
     def _fetch_result(self, result_keys: list[str]):
+        """The result parts, handed over by reference and concatenated."""
         service = self.storage[self.intermediate_service]
         batches = []
         for key in result_keys:
-            obj = service.head(key)
-            batches.append(read_file(obj.payload))
+            part = service.head(key).payload
+            batches.append(RecordBatch(part.schema, part.columns))
         return RecordBatch.concat(batches)
 
     def _assemble(self, plan, record, response, batch, records) -> QueryResult:

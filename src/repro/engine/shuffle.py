@@ -7,6 +7,12 @@ Consumers issue one range request per (producer, partition) to fetch
 exactly their slice, so shuffle read count = producers x consumers —
 the quadratic request pattern behind Figure 15 and the Table 6 request
 counts.
+
+A slice's simulated size is always its explicit logical size, so the
+slices themselves are handed over by reference: the stored payload is
+the partition's :class:`RecordBatch` with read-only arrays, never
+encoded bytes. Partitions that drew no rows share one empty piece per
+producer, and readers leave such pieces out of their concatenation.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import numpy as np
 
 from repro.engine.io import IoStack
 from repro.formats.batch import RecordBatch
-from repro.formats.columnar import content_key, read_file, write_file
 
 
 def shuffle_key(query_id: str, pipeline_id: str, fragment: int) -> str:
@@ -30,7 +35,7 @@ def shuffle_key(query_id: str, pipeline_id: str, fragment: int) -> str:
 class ShufflePartition:
     """One partition slice inside a producer's shuffle object."""
 
-    payload: bytes
+    payload: RecordBatch
     logical_bytes: float
     rows: int
 
@@ -64,27 +69,27 @@ class ShuffleWriter:
         self.epoch = epoch
 
     def partition_batch(self, batch: RecordBatch) -> list[ShufflePartition]:
-        """Split ``batch`` into hash partitions by the shuffle key."""
-        cache = self.io.cache
-        encode = write_file if cache is None else cache.encode_batch
-        slices: list[ShufflePartition] = []
-        if len(batch) == 0:
-            empty = encode(batch)
-            for _ in range(self.partitions):
-                slices.append(ShufflePartition(payload=empty,
-                                               logical_bytes=0.0, rows=0))
-            return slices
-        if self.partition_key is None:
+        """Split ``batch`` into hash partitions by the shuffle key.
+
+        Every partition without rows gets the same empty piece.
+        """
+        if self.partition_key is None or len(batch) == 0:
             assignment = np.zeros(len(batch), dtype=np.int64)
         else:
             keys = batch.column(self.partition_key)
             assignment = _hash_partition(keys, self.partitions)
-        for partition in range(self.partitions):
-            piece = batch.take(assignment == partition)
+        counts = np.bincount(assignment, minlength=self.partitions)
+        empty = None
+        slices: list[ShufflePartition] = []
+        for partition, rows in enumerate(counts.tolist()):
+            if rows:
+                piece = read_only(batch.take(assignment == partition))
+            else:
+                if empty is None:
+                    empty = read_only(batch.take(assignment[:0]))
+                piece = empty
             slices.append(ShufflePartition(
-                payload=encode(piece),
-                logical_bytes=piece.logical_bytes,
-                rows=len(piece)))
+                payload=piece, logical_bytes=piece.logical_bytes, rows=rows))
         return slices
 
     def _committed(self):
@@ -189,13 +194,17 @@ class ShuffleReader:
         # The per-slice requests deferred their payload movement; pull
         # the combined bytes through the worker's network budget once.
         yield from self.io.bulk_transfer()
-        return RecordBatch.concat(batches)
+        # An empty piece adds no rows and ``+ 0.0`` to the logical sum.
+        kept = [batch for batch in batches
+                if len(batch) or batch.logical_bytes]
+        return RecordBatch.concat(kept or batches[:1])
 
     def _read_slice(self, fragment: int):
         """Process: one range request for this consumer's slice.
 
         The request size is the slice's logical size — sub-KiB up to
-        MiBs, the "Shuffle I/O Size" column of Table 6.
+        MiBs, the "Shuffle I/O Size" column of Table 6. Returns a new
+        batch over the stored piece's arrays.
         """
         key = shuffle_key(self.query_id, self.pipeline_id, fragment)
         head = self.io.storage.head(key)
@@ -205,21 +214,22 @@ class ShuffleReader:
             yield from self.io.read_object(key,
                                            logical_bytes=max(logical, 1.0),
                                            defer_transfer=True)
-            raw = index["partitions"][self.partition]
+            piece = index["partitions"][self.partition]
         else:
             part_key = f"{key}/p-{self.partition:05d}"
             obj = yield from self.io.read_object(
                 part_key, logical_bytes=max(logical, 1.0),
                 defer_transfer=True)
-            raw = obj.payload
-        # Shuffle keys embed the query id and never repeat, so the decode
-        # cache is keyed by payload content: re-executions of a query
-        # template produce byte-identical slices and hit.
-        cache = self.io.cache
-        piece = read_file(raw, cache=cache,
-                          cache_key=content_key(raw) if cache else None)
-        piece.logical_bytes = logical
-        return piece
+            piece = obj.payload
+        return RecordBatch(piece.schema, piece.columns, logical_bytes=logical)
+
+
+def read_only(batch: RecordBatch) -> RecordBatch:
+    """``batch`` with its arrays made read-only, for handing over by
+    reference: a consumer that writes into a stored piece raises."""
+    for array in batch.columns.values():
+        array.flags.writeable = False
+    return batch
 
 
 def _hash_partition(keys: np.ndarray, partitions: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from repro.engine.plan import (
     ShuffleSource,
     TableSource,
 )
-from repro.engine.shuffle import ShuffleReader, ShuffleWriter
+from repro.engine.shuffle import ShuffleReader, ShuffleWriter, read_only
 from repro.faas.function import FunctionContext
 from repro.formats.batch import RecordBatch
 from repro.formats.columnar import ColumnarCache, read_file
@@ -176,9 +176,8 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
         yield context.compute(runtime.cost_model.cpu_seconds(
             "encode", batch.logical_bytes))
         out_key = result_key(query_id, fragment)
-        from repro.formats.columnar import write_file
         yield from shuffle_io.write_object(
-            out_key, write_file(batch), max(batch.logical_bytes, 1.0))
+            out_key, read_only(batch), max(batch.logical_bytes, 1.0))
     phases["write"] = env.now - sink_started
     if wspan is not None:
         recorder.record_span("phase write", sink_started, env.now,

@@ -11,7 +11,6 @@ match a predicate).
 from repro.formats.schema import DataType, Field, Schema
 from repro.formats.batch import RecordBatch
 from repro.formats.columnar import (
-    ColumnarFile,
     FileMetadata,
     read_file,
     read_metadata,
@@ -19,7 +18,6 @@ from repro.formats.columnar import (
 )
 
 __all__ = [
-    "ColumnarFile",
     "DataType",
     "Field",
     "FileMetadata",

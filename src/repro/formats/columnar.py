@@ -15,7 +15,6 @@ needs, skipping row groups whose zone maps cannot satisfy the predicate
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 import zlib
@@ -200,51 +199,18 @@ def read_metadata(data: bytes) -> FileMetadata:
 ZoneMapPredicate = Callable[[Optional[float | str], Optional[float | str]], bool]
 
 
-def content_key(data: bytes) -> bytes:
-    """Content digest of a serialized file, usable as a cache key.
-
-    Keys reads of transient objects (shuffle slices carry the query id
-    in their object key, so identity-based keys never repeat) by their
-    bytes instead: identical payloads share footer and chunk entries.
-    """
-    return hashlib.md5(data).digest()
-
-
-def _batch_content_key(batch: RecordBatch, row_group_size: int) -> bytes:
-    """Content digest of a batch: two batches with equal keys serialize
-    to byte-identical files.
-
-    Values are length-framed (strings) or raw buffers tagged with their
-    physical dtype (numerics), so no two distinct column contents can
-    produce the same digest input.
-    """
-    h = hashlib.md5()
-    h.update(struct.pack("<QQ", len(batch), row_group_size))
-    for field in batch.schema:
-        array = batch.columns[field.name]
-        h.update(field.name.encode("utf-8"))
-        h.update(field.dtype.value.encode("utf-8"))
-        if field.dtype is DataType.STRING:
-            for value in array.tolist():
-                encoded = str(value).encode("utf-8")
-                h.update(struct.pack("<Q", len(encoded)))
-                h.update(encoded)
-        else:
-            h.update(str(array.dtype).encode("utf-8"))
-            h.update(np.ascontiguousarray(array).tobytes())
-    return h.digest()
-
-
 class ColumnarCache:
-    """LRU cache of parsed footers and decoded column chunks.
+    """LRU cache of parsed footers, decoded column chunks and assembled
+    reads of base-table files.
 
     Decoding is pure host-side CPU work: the simulated cost of a read
     (requests, transfer time, decode compute) is charged *before*
     :func:`read_file` runs, so serving a footer or chunk from this cache
     changes wall-clock only, never a simulated outcome. Entries are
-    keyed by a caller-supplied identity token — ``(object key, version)``
-    for base tables, plus the partition index for shuffle slices — so an
-    overwritten object (new version) can never serve stale bytes.
+    keyed by a caller-supplied identity token, ``(object key, version)``,
+    so an overwritten object (new version) can never serve stale bytes.
+    Shuffle slices and query results never come here: they are handed
+    over as batches, not files.
 
     Cached chunk arrays are shared across readers but never aliased into
     a :class:`RecordBatch`: ``read_file`` concatenates pieces, and
@@ -256,10 +222,9 @@ class ColumnarCache:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = float(max_bytes)
         self._footers: OrderedDict[Any, FileMetadata] = OrderedDict()
-        self._chunks: OrderedDict[Any, np.ndarray] = OrderedDict()
+        #: Chunk key -> (decoded array, bytes charged against max_bytes).
+        self._chunks: OrderedDict[Any, tuple[np.ndarray, int]] = OrderedDict()
         self._chunk_bytes = 0.0
-        self._encoded: OrderedDict[bytes, bytes] = OrderedDict()
-        self._encoded_bytes = 0.0
         #: Fully assembled reads: (cache_key, projection) -> the schema,
         #: concatenated column arrays, and physical size of the decoded
         #: batch. Hits rebuild a fresh RecordBatch around the shared
@@ -293,42 +258,22 @@ class ColumnarCache:
         if cached is not None:
             self._chunks.move_to_end(key)
             self.hits += 1
-            return cached
+            return cached[0]
         self.misses += 1
         payload = data[chunk.offset:chunk.offset + chunk.size]
         array = _decode_column(payload, chunk.encoding, dtype, chunk.rows)
-        self._chunks[key] = array
-        self._chunk_bytes += array.nbytes
+        # An object array's nbytes counts pointers only: charge strings
+        # their text plus 4 bytes a value, as RecordBatch.physical_bytes.
+        if dtype is DataType.STRING:
+            charged = sum(map(len, array.tolist())) + 4 * len(array)
+        else:
+            charged = array.nbytes
+        self._chunks[key] = (array, charged)
+        self._chunk_bytes += charged
         while self._chunk_bytes > self.max_bytes and self._chunks:
-            _, evicted = self._chunks.popitem(last=False)
-            self._chunk_bytes -= evicted.nbytes
+            _, (_, evicted) = self._chunks.popitem(last=False)
+            self._chunk_bytes -= evicted
         return array
-
-    def encode_batch(self, batch: RecordBatch,
-                     row_group_size: int = DEFAULT_ROW_GROUP_SIZE) -> bytes:
-        """Serialize ``batch`` via :func:`write_file`, memoized by content.
-
-        Serving workloads write the same shuffle partitions for every
-        execution of a query template; hashing the batch is several
-        times cheaper than re-running dictionary encoding, zlib, and
-        footer serialization. The returned bytes are exactly what
-        ``write_file`` produces, so simulated object sizes are
-        unchanged.
-        """
-        key = _batch_content_key(batch, row_group_size)
-        hit = self._encoded.get(key)
-        if hit is not None:
-            self._encoded.move_to_end(key)
-            self.hits += 1
-            return hit
-        self.misses += 1
-        payload = write_file(batch, row_group_size=row_group_size)
-        self._encoded[key] = payload
-        self._encoded_bytes += len(payload)
-        while self._encoded_bytes > self.max_bytes and self._encoded:
-            _, evicted = self._encoded.popitem(last=False)
-            self._encoded_bytes -= len(evicted)
-        return payload
 
     def assembled(self, key: Any) -> "RecordBatch | None":
         """A fresh batch from a cached assembled read, or ``None``.
@@ -419,35 +364,3 @@ def read_file(data: bytes, columns: Optional[Iterable[str]] = None,
     if assembled_key is not None:
         cache.store_assembled(assembled_key, batch)
     return batch
-
-
-class ColumnarFile:
-    """Convenience wrapper pairing bytes with parsed metadata."""
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.metadata = read_metadata(data)
-
-    @classmethod
-    def from_batch(cls, batch: RecordBatch,
-                   row_group_size: int = DEFAULT_ROW_GROUP_SIZE
-                   ) -> "ColumnarFile":
-        """Encode a batch into a file."""
-        return cls(write_file(batch, row_group_size=row_group_size))
-
-    @property
-    def num_rows(self) -> int:
-        """Total row count."""
-        return self.metadata.num_rows
-
-    @property
-    def size(self) -> int:
-        """Physical file size in bytes."""
-        return len(self.data)
-
-    def read(self, columns: Optional[Iterable[str]] = None,
-             zone_map_filters: Optional[dict[str, ZoneMapPredicate]] = None
-             ) -> RecordBatch:
-        """Decode (a projection of) the file."""
-        return read_file(self.data, columns=columns,
-                         zone_map_filters=zone_map_filters)

@@ -20,6 +20,7 @@ subtract.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from operator import attrgetter
@@ -27,9 +28,11 @@ from typing import Optional
 
 from repro import units
 from repro.network.shaper import (
+    _TIME_TOLERANCE,
     TokenBucketShaper,
     advance_shapers,
     earliest_change,
+    stalled_until,
 )
 from repro.sim import Environment, Event
 from repro.telemetry import get_recorder
@@ -168,11 +171,12 @@ class _ConstraintState:
     and — for shapers — the cached sum of member rates in flow-creation
     order (a pure function of the members, so it only needs recomputing
     when the member component is reallocated). Shaper entries are the
-    loads :func:`~repro.network.shaper.advance_shapers` walks.
+    loads :func:`~repro.network.shaper.advance_shapers` walks, unless
+    ``parked`` until their next grant.
     """
 
     __slots__ = ("key", "constraint", "is_shaper", "members", "capacity",
-                 "consumption")
+                 "consumption", "parked")
 
     def __init__(self, key: int, constraint: object) -> None:
         self.key = key
@@ -181,6 +185,7 @@ class _ConstraintState:
         self.members: dict[Flow, None] = {}
         self.capacity = 0.0
         self.consumption = 0.0
+        self.parked = False
 
 
 class Fabric:
@@ -197,11 +202,14 @@ class Fabric:
     one (:meth:`_recompute_rates`, kept as the reference and exercised
     against the incremental path by the property tests).
 
-    What cannot be incremental is time: every update moves every active
+    What cannot be incremental is time: every update moves every moving
     flow and every active bucket to ``now`` and re-derives the next wake
     from all of them. That is two walks per update — :meth:`_sweep`
     before the allocation, :meth:`_schedule_wake` after it — and neither
-    makes a call per flow or per shaper.
+    makes a call per flow or per shaper. The walks skip only what they
+    provably cannot change: flows at rate 0, and stalled Lambda buckets,
+    parked until their next grant. With a recorder on, buckets sample
+    every advance and nothing parks.
     """
 
     def __init__(self, env: Environment,
@@ -211,12 +219,21 @@ class Fabric:
         self._flow_ids = itertools.count()
         #: Active flows in creation order (an insertion-ordered set).
         self._flows: dict[Flow, None] = {}
+        #: The active flows whose rate is not 0: what the flow walks visit
+        #: (``transferred + 0.0 * elapsed`` is ``transferred``).
+        self._moving: dict[Flow, None] = {}
         self._last_sync = env.now
         self._wake_version = 0
         #: Constraint registry, keyed by the flows' identity tokens.
         self._states: dict[int, _ConstraintState] = {}
         #: The registry's shaper entries: what the sweeps walk.
         self._shaped: dict[int, _ConstraintState] = {}
+        #: Stalled shaper entries out of the walks until their next grant,
+        #: as a heap of ``(grant time, tie-break, entry)``. An entry whose
+        #: last member left stays behind unparked and is dropped when it
+        #: surfaces.
+        self._parked: list[tuple[float, int, _ConstraintState]] = []
+        self._park_order = itertools.count()
         #: Constraint keys whose component needs reallocating.
         self._dirty: set[int] = set()
         #: Testing hook: force from-scratch recomputation on every
@@ -282,23 +299,35 @@ class Fabric:
     def _sweep(self) -> tuple[list[Flow], list]:
         """Move every flow and every active bucket to ``env.now``.
 
-        The pre-allocation walk. Returns what it found on the way: the
-        flows that are now complete (creation order) and the shaper
-        entries whose ceiling no longer matches the capacity their last
-        allocation used. Both are pure functions of the state reached,
-        so a caller that only wants the advance may drop them.
+        The pre-allocation walk, over the moving flows and the shaper
+        entries not parked past ``now``. Returns what it found on the
+        way: the flows that are now complete (creation order) and the
+        shaper entries whose ceiling no longer matches the capacity their
+        last allocation used. Both are pure functions of the state
+        reached, so a caller that only wants the advance may drop them.
         """
         now = self.env.now
         elapsed = now - self._last_sync
         self._last_sync = now
         completed = []
-        for flow in self._flows:
+        for flow in self._moving:
             flow.transferred = transferred = (flow.transferred
                                               + flow.rate * elapsed)
             size = flow.size
             if size is not None and size - transferred <= _EPSILON_BYTES:
                 completed.append(flow)
+        if len(completed) > 1:
+            completed.sort(key=_creation_order)
         shaped = self._shaped
+        # A parked bucket's advances before its grant are exact no-ops:
+        # walk it again from the sweep its grant falls due in.
+        parked = self._parked
+        horizon = now + _TIME_TOLERANCE
+        while parked and not parked[0][0] > horizon:
+            state = heapq.heappop(parked)[2]
+            if state.parked:
+                state.parked = False
+                shaped[state.key] = state
         if self._ordered_sync:
             loads = {}
             for flow in self._flows:
@@ -328,12 +357,14 @@ class Fabric:
             # Crosses no finite constraint: the free rate, immediately
             # (exactly what a one-flow fill with no constraints grants).
             flow.rate = self.default_rate
+            self._moving[flow] = None
 
     def _finish(self, flow: Flow) -> None:
         now = self.env.now
         flow.finished_at = now
         flow.rate = 0.0
         self._flows.pop(flow, None)
+        self._moving.pop(flow, None)
         states = self._states
         dirty = self._dirty
         for constraint, key in zip(flow.constraints(), flow._keys):
@@ -349,7 +380,10 @@ class Fabric:
                 del states[key]
                 dirty.discard(key)
                 if state.is_shaper:
-                    del self._shaped[key]
+                    if state.parked:
+                        state.parked = False  # its heap entry goes stale
+                    else:
+                        del self._shaped[key]
                     constraint.on_idle(now)
         # No value: the flow as its own event's value would be a cycle.
         flow.done.succeed()
@@ -453,8 +487,9 @@ class Fabric:
         """Progressive filling within one constraint-sharing component.
 
         ``flows`` must be a whole component in flow-creation order.
-        Updates each member's rate, and refreshes the component's
-        registry entries (capacity used, cached consumption sums).
+        Updates each member's rate and the moving set, refreshes the
+        component's registry entries (capacity used, cached consumption
+        sums), and parks the shaper entries it left stalled.
         """
         states = self._states
         remaining: dict[int, float] = {}
@@ -497,6 +532,12 @@ class Fabric:
                 for key in flow._keys:
                     remaining[key] -= best_share
                     live[key].pop(flow, None)
+        moving = self._moving
+        for flow in flows:
+            if flow.rate > 0.0:
+                moving[flow] = None
+            else:
+                moving.pop(flow, None)
         # Refresh the cached consumption sums (flow-creation order).
         for key in remaining:
             state = states[key]
@@ -505,21 +546,39 @@ class Fabric:
                 for flow in state.members:
                     total += flow.rate
                 state.consumption = total
+                if state.parked:
+                    continue
+                # Park a stalled bucket until its grant, unless that grant
+                # is already due (the next sweep must deliver it). Fills
+                # run after the update's sweep, so ``_last_sync`` is now.
+                grant_at = stalled_until(state)
+                if (grant_at is not None
+                        and grant_at > self._last_sync + _TIME_TOLERANCE):
+                    state.parked = True
+                    del self._shaped[key]
+                    heapq.heappush(self._parked,
+                                   (grant_at, next(self._park_order), state))
 
     def _schedule_wake(self) -> None:
         """The post-allocation walk: wake at the next completion or
         shaper ceiling change, whichever comes first."""
         now = self.env.now
         wake_at = math.inf
-        for flow in self._flows:
-            rate = flow.rate
+        for flow in self._moving:
             size = flow.size
-            if rate > 0 and size is not None:
+            if size is not None:
                 # Every flow still here has more than the completion
                 # slack left, so the remainder is positive.
-                upcoming = now + (size - flow.transferred) / rate
+                upcoming = now + (size - flow.transferred) / flow.rate
                 if upcoming < wake_at:
                     wake_at = upcoming
+        # A parked entry's term is its grant time: the heap top, once the
+        # entries whose last member left are dropped.
+        parked = self._parked
+        while parked and not parked[0][2].parked:
+            heapq.heappop(parked)
+        if parked and parked[0][0] < wake_at:
+            wake_at = parked[0][0]
         wake_at = earliest_change(self._shaped.values(), now, wake_at)
         self._wake_version += 1
         if wake_at == math.inf:

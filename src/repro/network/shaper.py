@@ -315,6 +315,25 @@ def earliest_change(loads, now: float, earliest: float = math.inf) -> float:
     return earliest
 
 
+def stalled_until(load) -> float | None:
+    """The next grant of a stalled quantized bucket, else ``None``.
+
+    A quantized bucket with a refill, nothing left to spend and no
+    consumption has ceiling 0, and :func:`advance_shapers` leaves it
+    exactly as it is until its grant falls due (``level + 0.0 - (0.0 -
+    0.0)`` and the same clamps). While the grant lies past the time
+    tolerance, the grant time is also its whole :func:`earliest_change`
+    term. Recorder-on shapers sample every advance, so they never stall
+    in this sense.
+    """
+    shaper = load.constraint
+    if (shaper.mode == "quantized" and shaper.refill_rate > 0
+            and shaper.one_off_remaining + shaper._level <= 0
+            and load.consumption == 0.0 and shaper._telemetry is None):
+        return shaper._next_grant_at
+    return None
+
+
 #: Calibration constants from Section 4.2 of the paper. The inbound and
 #: outbound buckets are maintained independently; each starts with ~300 MiB
 #: of spendable budget (150 MiB one-off + 150 MiB rechargeable), drains at

@@ -18,7 +18,9 @@ from repro.engine.queries import (
     tpcxbb_q3,
 )
 from repro.engine.reference import run_reference, table_batches_from_spec
+from repro.engine.shuffle import ShuffleReader, shuffle_key
 from repro.faas import LambdaPlatform
+from repro.formats import RecordBatch, read_file, write_file
 from repro.iaas import Ec2Fleet, VmShim
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
@@ -329,6 +331,87 @@ class TestPlanHandover:
         # Retries re-send the PipelineSpec the first attempt was handed.
         assert sum(result.retries for result in results) \
             == (2 if faults is not None else 0)
+
+
+class TestShuffleHandover:
+    """Shuffle slices and query results are handed over as batches. The
+    retired encode/decode round trip is the oracle for what arrives:
+    each must equal ``read_file(write_file(piece))`` column by column."""
+
+    TABLES = TestPlanHandover.TABLES
+    #: Worker crashes with retries, and hedging eager enough to fire.
+    HEDGED = RecoveryConfig(hedge_enabled=True, hedge_factor=1.2,
+                            hedge_quorum=0.3, hedge_min_wait_s=0.0)
+
+    @staticmethod
+    def assert_decodes_alike(got, want):
+        assert got.schema == want.schema
+        for field in want.schema:
+            left, right = got.column(field.name), want.column(field.name)
+            assert left.dtype == right.dtype
+            np.testing.assert_array_equal(left, right)
+            if right.dtype == object:
+                assert [type(v) for v in left] == [type(v) for v in right]
+
+    @pytest.fixture
+    def handed_over(self, monkeypatch):
+        """Every slice and result as shipped, beside its stored piece and
+        the piece's round trip taken when it shipped."""
+        slices, results = [], []
+        read_slice = ShuffleReader._read_slice
+        fetch_result = SkyriseEngine._fetch_result
+
+        def spy_slice(reader, fragment):
+            got = yield from read_slice(reader, fragment)
+            index = reader.io.storage.head(shuffle_key(
+                reader.query_id, reader.pipeline_id, fragment)).payload
+            piece = index["partitions"][reader.partition]
+            slices.append((got, index["logical"][reader.partition], piece,
+                           read_file(write_file(piece))))
+            return got
+
+        def spy_result(engine, keys):
+            service = engine.storage[engine.intermediate_service]
+            parts = [service.head(key).payload for key in keys]
+            want = RecordBatch.concat(
+                [read_file(write_file(part)) for part in parts])
+            got = fetch_result(engine, keys)
+            results.append((got, parts, want))
+            return got
+
+        monkeypatch.setattr(ShuffleReader, "_read_slice", spy_slice)
+        monkeypatch.setattr(SkyriseEngine, "_fetch_result", spy_result)
+        return slices, results
+
+    @pytest.mark.parametrize("faults", [None, TestPlanHandover.TWO_CRASHES],
+                             ids=["fault-free", "crash-retry-hedge"])
+    @pytest.mark.parametrize("query", sorted(TABLES))
+    def test_what_arrives_is_what_the_round_trip_gives(
+            self, query, faults, handed_over):
+        recovery = None if faults is None else self.HEDGED
+        env, engine, _ = build_stack(self.TABLES[query], recovery=recovery)
+        if faults is not None:
+            FaultInjector(faults, RandomStreams(seed=0)).install(
+                platform=engine.backend)
+        result = run_query(env, engine, QUERY_BUILDERS[query]())
+        assert result.retries == (2 if faults is not None else 0)
+        if faults is not None and query == "tpch-q12":
+            assert result.hedges > 0
+        slices, results = handed_over
+        assert slices
+        for got, logical, piece, want in slices:
+            self.assert_decodes_alike(got, want)
+            assert got.logical_bytes == logical
+        [(got, parts, want)] = results
+        assert result.batch is got
+        self.assert_decodes_alike(got, want)
+        assert got.logical_bytes == want.logical_bytes
+        # Stored pieces are unchanged, and cannot be written in place.
+        for _, _, piece, want in slices:
+            self.assert_decodes_alike(piece, want)
+        for piece in [piece for _, _, piece, _ in slices] + parts:
+            assert not any(array.flags.writeable
+                           for array in piece.columns.values())
 
 
 class TestEngineGuards:

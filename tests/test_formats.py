@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import (
-    ColumnarFile,
     DataType,
     Field,
     RecordBatch,
@@ -15,6 +14,7 @@ from repro.formats import (
     read_metadata,
     write_file,
 )
+from repro.formats.columnar import ColumnarCache
 
 
 def sample_schema():
@@ -177,11 +177,22 @@ class TestColumnarFormat:
         data = write_file(batch)
         assert len(data) < n * 8 / 10  # at least 10x on constant data
 
-    def test_columnar_file_wrapper(self):
-        file = ColumnarFile.from_batch(sample_batch(50))
-        assert file.num_rows == 50
-        assert file.size == len(file.data)
-        assert file.read(columns=["id"]).num_rows == 50
+
+class TestColumnarCacheBound:
+    def test_string_chunks_are_charged_their_text(self):
+        """An object array's ``nbytes`` is 8 bytes a value; the bound
+        counts the text (plus 4 bytes a value) instead, so a cache full
+        of string chunks evicts."""
+        batch = RecordBatch(Schema([Field("s", DataType.STRING)]),
+                            {"s": np.array(["x" * 1000] * 64, dtype=object)})
+        data = write_file(batch, row_group_size=8)
+        per_chunk = 8 * 1000 + 4 * 8
+        cache = ColumnarCache(max_bytes=2.5 * per_chunk)
+        back = read_file(data, cache=cache, cache_key=("s", 0))
+        assert list(back.column("s")) == list(batch.column("s"))
+        assert len(cache._chunks) == 2
+        assert cache._chunk_bytes == 2 * per_chunk
+        assert cache.misses == 1 + 8  # the footer, then every chunk
 
 
 class TestPropertyRoundtrip:

@@ -10,7 +10,15 @@ from repro.engine.shuffle import _hash_partition
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
 from repro.network import Fabric
-from repro.network.shaper import TokenBucketShaper
+from repro.network.shaper import (
+    LAMBDA_BASELINE_RATE,
+    LAMBDA_BUCKET_CAPACITY,
+    LAMBDA_GRANT_INTERVAL,
+    LAMBDA_ONE_OFF_BUDGET,
+    TokenBucketShaper,
+    advance_shapers,
+    lambda_shaper,
+)
 from repro.pricing import STORAGE_PRICES
 from repro.pricing.breakeven import (
     CapacityTier,
@@ -19,6 +27,7 @@ from repro.pricing.breakeven import (
 )
 from repro.sim import Environment
 from repro.storage.latency import LatencyModel
+from repro.telemetry import recording
 
 
 class TestFabricConservation:
@@ -196,6 +205,109 @@ def _continuous_shaper():
                              refill_rate=200.0, mode="continuous")
 
 
+def _stalling_shaper():
+    """A Lambda bucket that test-sized flows drain within a second, then
+    hold at zero between 100 ms grants of 20 bytes."""
+    return TokenBucketShaper(
+        capacity=150.0, burst_rate=1e3, refill_rate=200.0,
+        mode="quantized", one_off_budget=100.0, idle_refill_level=75.0,
+        grant_interval=0.1, initial_level=150.0)
+
+
+_SHAPER_KINDS = {"none": lambda: None, "continuous": _continuous_shaper,
+                 "lambda": _lambda_style_shaper, "stalling": _stalling_shaper}
+
+
+def _fabric_scenario(data, kinds, max_size=5e3):
+    """Draw links, a few shared endpoints shaped by ``kinds``, flows
+    (bounded, or open and stopped later) and a mid-run degradation."""
+    n_links = data.draw(st.integers(min_value=1, max_value=4),
+                        label="n_links")
+    caps = data.draw(st.lists(
+        st.floats(min_value=10.0, max_value=1e4),
+        min_size=n_links, max_size=n_links), label="capacities")
+    # A few shared endpoints, so shapers see several flows at once,
+    # go idle between them and are reactivated (idle refill).
+    shaping = data.draw(st.lists(st.sampled_from(kinds),
+                                 min_size=2, max_size=5),
+                        label="endpoint_shaping")
+    n_flows = data.draw(st.integers(min_value=1, max_value=12),
+                        label="n_flows")
+    pick = st.integers(min_value=0, max_value=len(shaping) - 1)
+    specs = []
+    for i in range(n_flows):
+        start = data.draw(st.floats(min_value=0.0, max_value=5.0),
+                          label=f"start_{i}")
+        size = data.draw(st.floats(min_value=1.0, max_value=max_size),
+                         label=f"size_{i}")
+        src = data.draw(pick, label=f"src_{i}")
+        dst = data.draw(pick, label=f"dst_{i}")
+        link_ids = data.draw(st.lists(
+            st.integers(min_value=0, max_value=n_links - 1),
+            min_size=0, max_size=n_links, unique=True),
+            label=f"links_{i}")
+        # Open-ended flows are stopped explicitly, covering the
+        # departure path; bounded flows depart by finishing.
+        stop_after = data.draw(
+            st.one_of(st.none(),
+                      st.floats(min_value=0.1, max_value=3.0)),
+            label=f"stop_{i}")
+        specs.append((start, size, src, dst, tuple(link_ids), stop_after))
+    # A mid-run chaos degradation: only the drift check sees it.
+    degrade = (data.draw(st.floats(min_value=0.0, max_value=6.0),
+                         label="degrade_at"),
+               data.draw(pick, label="degrade_on"),
+               data.draw(st.floats(min_value=0.1, max_value=1.0),
+                         label="degrade_factor"))
+    return caps, shaping, specs, degrade
+
+
+def _run_fabric_scenario(scenario, force_full=False):
+    """Run a drawn scenario to the end; returns every flow's outcome,
+    every shaper's bucket and the kernel's event count."""
+    caps, shaping, specs, (degrade_at, degrade_on, factor) = scenario
+    env = Environment()
+    fabric = Fabric(env)
+    fabric._force_full = force_full
+    links = [fabric.link(capacity=cap, name=f"l{j}")
+             for j, cap in enumerate(caps)]
+    endpoints = [fabric.endpoint(f"e{j}", ingress=_SHAPER_KINDS[kind](),
+                                 egress=_SHAPER_KINDS[kind]())
+                 for j, kind in enumerate(shaping)]
+    shapers = [shaper for endpoint in endpoints
+               for shaper in (endpoint.ingress, endpoint.egress)
+               if shaper is not None]
+    flows = []
+
+    def starter(start, size, src, dst, link_ids, stop_after):
+        yield env.timeout(start)
+        chosen = tuple(links[j] for j in link_ids)
+        if stop_after is None:
+            flows.append(fabric.transfer(
+                endpoints[src], endpoints[dst], size=size, links=chosen))
+            return
+        flow = fabric.open_flow(endpoints[src], endpoints[dst],
+                                links=chosen)
+        flows.append(flow)
+        yield env.timeout(stop_after)
+        fabric.stop_flow(flow)
+
+    def degrader():
+        yield env.timeout(degrade_at)
+        for shaper in (endpoints[degrade_on].ingress,
+                       endpoints[degrade_on].egress):
+            if shaper is not None:
+                shaper.degrade(factor)
+
+    for i, spec in enumerate(specs):
+        env.process(starter(*spec), name=f"flow-{i}")
+    env.process(degrader(), name="degrade")
+    env.run()
+    return ([(f.id, f.transferred, f.finished_at) for f in flows],
+            [(s.state(), s._next_grant_at) for s in shapers],
+            env.scheduled_events)
+
+
 class TestFabricIncrementalEquivalence:
     """The incremental max-min allocator must be bit-for-bit identical
     to the from-scratch reference under random arrival/departure mixes.
@@ -204,93 +316,101 @@ class TestFabricIncrementalEquivalence:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_incremental_matches_full_recompute(self, data):
-        n_links = data.draw(st.integers(min_value=1, max_value=4),
-                            label="n_links")
-        caps = data.draw(st.lists(
-            st.floats(min_value=10.0, max_value=1e4),
-            min_size=n_links, max_size=n_links), label="capacities")
-        # A few shared endpoints, so shapers see several flows at once,
-        # go idle between them and are reactivated (idle refill).
-        shaping = data.draw(st.lists(
-            st.sampled_from(["none", "continuous", "lambda"]),
-            min_size=2, max_size=5), label="endpoint_shaping")
-        n_flows = data.draw(st.integers(min_value=1, max_value=12),
-                            label="n_flows")
-        pick = st.integers(min_value=0, max_value=len(shaping) - 1)
-        specs = []
-        for i in range(n_flows):
-            start = data.draw(st.floats(min_value=0.0, max_value=5.0),
-                              label=f"start_{i}")
-            size = data.draw(st.floats(min_value=1.0, max_value=5e3),
-                             label=f"size_{i}")
-            src = data.draw(pick, label=f"src_{i}")
-            dst = data.draw(pick, label=f"dst_{i}")
-            link_ids = data.draw(st.lists(
-                st.integers(min_value=0, max_value=n_links - 1),
-                min_size=0, max_size=n_links, unique=True),
-                label=f"links_{i}")
-            # Open-ended flows are stopped explicitly, covering the
-            # departure path; bounded flows depart by finishing.
-            stop_after = data.draw(
-                st.one_of(st.none(),
-                          st.floats(min_value=0.1, max_value=3.0)),
-                label=f"stop_{i}")
-            specs.append((start, size, src, dst, tuple(link_ids),
-                          stop_after))
-        # A mid-run chaos degradation: only the drift check sees it.
-        degrade_at = data.draw(st.floats(min_value=0.0, max_value=6.0),
-                               label="degrade_at")
-        degrade_on = data.draw(pick, label="degrade_on")
-        factor = data.draw(st.floats(min_value=0.1, max_value=1.0),
-                           label="degrade_factor")
+        scenario = _fabric_scenario(data, ["none", "continuous", "lambda"])
+        assert (_run_fabric_scenario(scenario, force_full=False)
+                == _run_fabric_scenario(scenario, force_full=True))
 
-        def run(force_full):
-            env = Environment()
-            fabric = Fabric(env)
-            fabric._force_full = force_full
-            links = [fabric.link(capacity=cap, name=f"l{j}")
-                     for j, cap in enumerate(caps)]
-            make = {"none": lambda: None,
-                    "continuous": _continuous_shaper,
-                    "lambda": _lambda_style_shaper}
-            endpoints = [fabric.endpoint(f"e{j}", ingress=make[kind](),
-                                         egress=make[kind]())
-                         for j, kind in enumerate(shaping)]
-            shapers = [shaper for endpoint in endpoints
-                       for shaper in (endpoint.ingress, endpoint.egress)
-                       if shaper is not None]
-            flows = []
 
-            def starter(start, size, src, dst, link_ids, stop_after):
-                yield env.timeout(start)
-                chosen = tuple(links[j] for j in link_ids)
-                if stop_after is None:
-                    flows.append(fabric.transfer(
-                        endpoints[src], endpoints[dst], size=size,
-                        links=chosen))
-                    return
-                flow = fabric.open_flow(endpoints[src], endpoints[dst],
-                                        links=chosen)
-                flows.append(flow)
-                yield env.timeout(stop_after)
-                fabric.stop_flow(flow)
+class TestFabricParking:
+    """Stalled Lambda buckets parked out of the sweeps until their next
+    grant give exactly what walking every bucket on every advance gives.
 
-            def degrader():
-                yield env.timeout(degrade_at)
-                for shaper in (endpoints[degrade_on].ingress,
-                               endpoints[degrade_on].egress):
-                    if shaper is not None:
-                        shaper.degrade(factor)
+    With a recorder on, buckets sample every advance, nothing parks and
+    the sweep walks in historical order: that run is the oracle.
+    """
 
-            for i, spec in enumerate(specs):
-                env.process(starter(*spec), name=f"flow-{i}")
-            env.process(degrader(), name="degrade")
-            env.run()
-            return ([(f.id, f.transferred, f.finished_at) for f in flows],
-                    [(s.state(), s._next_grant_at) for s in shapers],
-                    env.scheduled_events)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_parked_run_matches_the_recorded_walk(self, data):
+        scenario = _fabric_scenario(data, ["none", "lambda", "stalling"],
+                                    max_size=600.0)
+        parked = _run_fabric_scenario(scenario)
+        with recording():
+            walked = _run_fabric_scenario(scenario)
+        assert parked == walked
 
-        assert run(False) == run(True)
+    @staticmethod
+    def drain_a_lambda_budget(spy=None):
+        """A Lambda flow of its 300 MiB budget plus six grants, beside a
+        stream of tiny unrelated transfers that keep the fabric sweeping
+        between grants. Then, under a second later (no idle refill): an
+        open flow stopped while its bucket is parked, and a transfer that
+        starts after the next grant fell due."""
+        env = Environment()
+        fabric = Fabric(env)
+        shaper = lambda_shaper("in")
+        fn = fabric.endpoint("fn", ingress=shaper)
+        s3 = fabric.endpoint("s3")
+        link = fabric.link(capacity=1e3)
+        grant = LAMBDA_BASELINE_RATE * LAMBDA_GRANT_INTERVAL
+        flows = [fabric.transfer(
+            s3, fn, size=LAMBDA_ONE_OFF_BUDGET + LAMBDA_BUCKET_CAPACITY
+            + 6 * grant)]
+
+        def ticker():
+            while flows[-1].active or len(flows) < 3:
+                yield env.timeout(0.013)
+                fabric.transfer(fabric.endpoint("a"), fabric.endpoint("b"),
+                                size=1.0, links=(link,))
+
+        def restart():
+            yield flows[0].done
+            yield env.timeout(0.05)
+            flows.append(fabric.open_flow(s3, fn))
+            yield env.timeout(0.02)
+            fabric.stop_flow(flows[1])
+            yield env.timeout(0.2)
+            flows.append(fabric.transfer(s3, fn, size=4 * grant))
+
+        if spy is not None:
+            spy(fabric, shaper)
+        env.process(ticker(), name="ticker")
+        env.process(restart(), name="restart")
+        env.run()
+        return ([(f.transferred, f.finished_at) for f in flows],
+                (shaper.state(), shaper._next_grant_at),
+                env.scheduled_events)
+
+    def test_a_drained_lambda_bucket_is_parked_between_grants(
+            self, monkeypatch):
+        from repro.network import fabric as fabric_module
+
+        sweeps = []
+
+        def spy(fabric, shaper):
+            def advance(loads, now, elapsed):
+                loads = list(loads)
+                if any(state.constraint is shaper
+                       for state in fabric._states.values()):
+                    walked = any(load.constraint is shaper for load in loads)
+                    due = not shaper._next_grant_at > now + 1e-9
+                    # Walked at every sweep its grant is due in.
+                    assert walked or not due, f"grant due at {now} skipped"
+                    sweeps.append((walked, due, shaper.budget))
+                return advance_shapers(loads, now, elapsed)
+
+            monkeypatch.setattr(fabric_module, "advance_shapers", advance)
+
+        parked_run = self.drain_a_lambda_budget(spy)
+        monkeypatch.undo()
+        with recording():
+            recorded_run = self.drain_a_lambda_budget()
+        assert parked_run == recorded_run
+        # Left out only while stalled with the grant still ahead, and
+        # then often.
+        assert all(budget == 0.0 and not due
+                   for walked, due, budget in sweeps if not walked)
+        assert sum(not walked for walked, _, _ in sweeps) > 50
 
 
 class TestShaperSweepIsTheScalarFace:
