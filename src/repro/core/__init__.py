@@ -19,14 +19,13 @@ from repro.core.context import CloudSim
 from repro.core.config import ExperimentConfig
 from repro.core.driver import Driver
 from repro.core.results import ExperimentResult
-from repro.core.plotter import ascii_bars, ascii_timeseries, format_table
+from repro.core.plotter import ascii_timeseries, format_table
 
 __all__ = [
     "CloudSim",
     "Driver",
     "ExperimentConfig",
     "ExperimentResult",
-    "ascii_bars",
     "ascii_timeseries",
     "format_table",
 ]

@@ -1,15 +1,15 @@
 """Text-mode result rendering.
 
 The original framework hands JSON results to a matplotlib plotter; in
-this offline reproduction the plotter renders ASCII time series, bar
-charts, and aligned tables — good enough to see the shapes the paper's
+this offline reproduction the plotter renders ASCII time series and
+aligned tables — good enough to see the shapes the paper's
 figures show (burst cliffs, staircases, crossovers) in a terminal or a
 log file.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 
 def ascii_timeseries(points: Sequence[tuple[float, float]],
@@ -40,20 +40,6 @@ def ascii_timeseries(points: Sequence[tuple[float, float]],
     lines.append(f"{'':13}{x_min:<12.4g}{'':{max(0, width - 24)}}{x_max:>12.4g}")
     if y_label:
         lines.append(f"(y: {y_label})")
-    return "\n".join(lines)
-
-
-def ascii_bars(values: Mapping[str, float], width: int = 50,
-               title: str = "", unit: str = "") -> str:
-    """Render a mapping as horizontal ASCII bars."""
-    if not values:
-        return f"{title}\n(no data)"
-    peak = max(abs(v) for v in values.values()) or 1.0
-    label_width = max(len(str(k)) for k in values)
-    lines = [title] if title else []
-    for key, value in values.items():
-        bar = "#" * max(1, int(abs(value) / peak * width)) if value else ""
-        lines.append(f"{key:>{label_width}} | {bar} {value:,.4g}{unit}")
     return "\n".join(lines)
 
 

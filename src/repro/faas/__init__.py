@@ -19,12 +19,9 @@ from repro.faas.function import FunctionConfig, FunctionContext, InvocationRecor
 from repro.faas.platform import LambdaPlatform
 from repro.faas.regions import REGIONS, RegionProfile
 from repro.faas.scaling import ConcurrencyScaler
-from repro.faas.triggers import MessageQueue, QueueTrigger
 
 __all__ = [
     "ConcurrencyScaler",
-    "MessageQueue",
-    "QueueTrigger",
     "FunctionConfig",
     "FunctionContext",
     "InvocationRecord",

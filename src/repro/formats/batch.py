@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.formats.schema import DataType, Field, Schema
+from repro.formats.schema import DataType, Schema
 
 
 class RecordBatch:
@@ -96,19 +96,6 @@ class RecordBatch:
         ratio = out_rows / self._length if self._length else 0.0
         return RecordBatch(self.schema, out,
                            logical_bytes=self.logical_bytes * ratio)
-
-    def with_columns(self, extra: Mapping[str, tuple[DataType, np.ndarray]]
-                     ) -> "RecordBatch":
-        """Append computed columns (same row count)."""
-        fields = list(self.schema.fields)
-        columns = dict(self.columns)
-        for name, (dtype, array) in extra.items():
-            if name in columns:
-                raise ValueError(f"column {name!r} already exists")
-            fields.append(Field(name, dtype))
-            columns[name] = np.asarray(array)
-        return RecordBatch(Schema(fields), columns,
-                           logical_bytes=self.logical_bytes)
 
     @classmethod
     def empty(cls, schema: Schema) -> "RecordBatch":

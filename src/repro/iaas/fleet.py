@@ -99,12 +99,3 @@ class Ec2Fleet:
         """Stop an instance (it keeps its billing record)."""
         if instance.terminated_at is None:
             instance.terminated_at = self.env.now
-
-    def terminate_all(self) -> None:
-        """Stop every running instance."""
-        for instance in self.instances:
-            self.terminate(instance)
-
-    def running_count(self) -> int:
-        """Instances currently up."""
-        return sum(1 for instance in self.instances if instance.running)

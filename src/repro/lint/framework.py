@@ -1,18 +1,12 @@
 """Checker framework: findings, suppressions, module loading, the runner.
 
 A :class:`Checker` inspects one :class:`SourceModule` (path + source +
-parsed AST) and yields :class:`Finding` rows. The runner applies the
-``# repro-lint: disable=<IDS> <reason>`` suppression comments, audits
-the suppressions themselves (LNT001 missing reason, LNT002 unused), and
-returns findings in a canonical order so two runs over the same tree
-are byte-identical.
-
-Whole-program (two-phase) analysis lives in :mod:`repro.lint.project`;
-this module deliberately knows nothing about it beyond the split
-between *producing* raw findings (:func:`analyze_module`) and
-*finishing* them (:func:`apply_suppressions`), which the project runner
-reuses so per-module and cross-module findings share one suppression
-and ordering pipeline.
+parsed AST) and yields :class:`Finding` rows. :func:`lint_modules` is
+the one runner: it applies the ``# repro-lint: disable=<IDS> <reason>``
+suppression comments, audits the suppressions themselves (LNT001
+missing reason, LNT002 unused), and returns findings in a canonical
+order so two runs over the same tree are byte-identical.
+:func:`lint_tree` loads files from disk and hands them to it.
 """
 
 from __future__ import annotations
@@ -33,12 +27,6 @@ _SUPPRESSION_RE = re.compile(
 #: Framework self-audit check ids (not suppressible).
 LNT_MISSING_REASON = "LNT001"
 LNT_UNUSED = "LNT002"
-
-#: Finding severities, in SARIF vocabulary. ``error`` findings break
-#: determinism or the architecture outright; ``warning`` findings are
-#: hazards (state leaking between runs, leaked spans, masked chaos
-#: faults); ``note`` is framework self-audit.
-SEVERITIES = ("error", "warning", "note")
 
 
 @dataclass(frozen=True)
@@ -143,9 +131,11 @@ class SourceModule:
 class Checker:
     """Base class: subclasses set ``id``/``title`` and yield findings.
 
-    ``severity`` is the default level of every finding the checker
-    emits; ``rationale`` / ``example_bad`` / ``example_good`` feed
-    ``repro lint --explain <ID>`` and the SARIF rule catalog.
+    ``severity`` is the level of every finding the checker emits:
+    ``error`` findings break determinism or the architecture outright,
+    ``warning`` findings are hazards (state leaking between runs), and
+    ``note`` is framework self-audit. ``rationale`` / ``example_bad`` /
+    ``example_good`` feed ``repro lint --explain <ID>``.
     """
 
     id: str = "LNT000"
@@ -162,61 +152,37 @@ class Checker:
         return f"<{type(self).__name__} {self.id}>"
 
 
-def analyze_module(module: SourceModule,
-                   checkers: Iterable[Checker]) -> list[Finding]:
-    """Raw per-module findings, *before* suppression filtering."""
+def lint_modules(modules: Iterable[SourceModule],
+                 checkers: Iterable[Checker]) -> list[Finding]:
+    """Run every checker over every module; apply suppressions; sort."""
     checkers = sorted(checkers, key=lambda c: c.id)
-    return [finding for checker in checkers
-            for finding in checker.check(module)]
-
-
-def apply_suppressions(
-        raw_findings: Iterable[Finding],
-        suppressions_by_path: dict[str, dict[int, Suppression]],
-) -> list[Finding]:
-    """Filter raw findings through suppressions; audit; canonical sort.
-
-    This is the single finishing pipeline for per-module *and*
-    whole-program findings — a ``# repro-lint: disable=CONC001 ...``
-    comment silences a cross-module finding anchored on its line
-    exactly like a local one.
-    """
     kept: list[Finding] = []
-    for finding in sorted(raw_findings, key=lambda f: f.sort_key):
-        suppression = suppressions_by_path.get(
-            finding.path, {}).get(finding.line)
-        if suppression is not None and suppression.covers(finding.check):
-            suppression.used = True
-            continue
-        kept.append(finding)
-    for path in sorted(suppressions_by_path):
-        suppressions = suppressions_by_path[path]
+    for module in modules:
+        suppressions = module.suppressions
+        for checker in checkers:
+            for finding in checker.check(module):
+                suppression = suppressions.get(finding.line)
+                if suppression is not None \
+                        and suppression.covers(finding.check):
+                    suppression.used = True
+                else:
+                    kept.append(finding)
         for lineno in sorted(suppressions):
             suppression = suppressions[lineno]
             if not suppression.reason:
                 kept.append(Finding(
-                    path=path, line=lineno, col=1,
+                    path=module.path, line=lineno, col=1,
                     check=LNT_MISSING_REASON, severity="note",
                     message="suppression comment has no reason; write "
                             "'# repro-lint: disable=<IDS> <why>'"))
             if not suppression.used:
                 ids = ",".join(suppression.checks)
                 kept.append(Finding(
-                    path=path, line=lineno, col=1,
+                    path=module.path, line=lineno, col=1,
                     check=LNT_UNUSED, severity="note",
                     message=f"suppression 'disable={ids}' matches no "
                             f"finding on this line; remove it"))
     return sorted(kept, key=lambda f: f.sort_key)
-
-
-def lint_modules(modules: Iterable[SourceModule],
-                 checkers: Iterable[Checker]) -> list[Finding]:
-    """Run every checker over every module; apply suppressions; sort."""
-    modules = list(modules)
-    raw = [finding for module in modules
-           for finding in analyze_module(module, checkers)]
-    return apply_suppressions(
-        raw, {module.path: module.suppressions for module in modules})
 
 
 def iter_python_files(paths: Iterable[Path]) -> list[Path]:
@@ -229,3 +195,21 @@ def iter_python_files(paths: Iterable[Path]) -> list[Path]:
             files.add(path)
     return sorted(files, key=lambda p: p.as_posix())
 
+
+def lint_tree(paths: Iterable[Path],
+              checkers: Iterable[Checker]) -> list[Finding]:
+    """Load every ``.py`` file under ``paths`` and :func:`lint_modules` it.
+
+    Display paths are relativized to the current working directory when
+    possible so findings are machine-independent.
+    """
+    cwd = Path.cwd()
+    modules = []
+    for file in iter_python_files(paths):
+        try:
+            display = file.resolve().relative_to(cwd).as_posix()
+        except ValueError:
+            display = file.as_posix()
+        modules.append(
+            SourceModule(display, file.read_text(encoding="utf-8")))
+    return lint_modules(modules, checkers)

@@ -2,17 +2,12 @@
 
 A checker that silently stops matching is worse than no checker — the
 gate keeps passing while the invariant rots. The self-test runs the
-full checker set (per-module *and* whole-program) against a bundled
-fixture bundle of known violations and compares the findings against
-expectations *written inline in the fixtures themselves*
-(``# expect: DET001`` on the offending line, or ``# expect-next:
-LNT001`` on the line before when the offending line already carries a
-suppression comment). Any drift — a missing finding, an extra finding,
-a moved line — fails the self-test.
-
-The bundle is multi-module on purpose: DET005's cross-layer draw and
-RES001's caller-leak only exist *between* modules, so a single-file
-fixture could never prove the whole-program phase is alive.
+full checker set against a bundled fixture module of known violations
+and compares the findings against expectations *written inline in the
+fixture itself* (``# expect: DET001`` on the offending line, or
+``# expect-next: LNT001`` on the line before when the offending line
+already carries a suppression comment). Any drift — a missing finding,
+an extra finding, a moved line — fails the self-test.
 """
 
 from __future__ import annotations
@@ -22,11 +17,12 @@ from collections import Counter
 
 from repro.lint.framework import SourceModule
 
-#: Expectation markers inside the fixtures.
+#: Expectation markers inside the fixture.
 _MARKER_RE = re.compile(r"#\s*expect(-next)?:\s*([A-Z0-9_]+(?:,[A-Z0-9_]+)*)")
 
-#: The original fixture pretends to live in the ``sim`` layer so that
-#: upward imports (telemetry, engine) violate ARCH001.
+#: The fixture pretends to live in the ``sim`` layer so that upward
+#: imports (telemetry, engine) violate ARCH001.
+FIXTURE_MODULE = "repro.sim.lint_fixture"
 FIXTURE = '''\
 """Known-violation fixture; compiled by the self-test, never imported."""
 import json
@@ -123,95 +119,7 @@ class ShardState:
         self._tenants[tenant] = tenant
 
 
-# -- resource lifecycle (RES001) ----------------------------------------------
-
-
-def span_leak(recorder, env):
-    span = recorder.start_span("work", env.now)  # expect: RES001
-    return 1
-
-
-def span_error_path_only(recorder, env, step):
-    span = recorder.start_span("work", env.now)  # expect: RES001
-    try:
-        step()
-    except RuntimeError:
-        span.finish(env.now)
-        raise
-    return 2
-
-
-def span_tidy(recorder, env, step):
-    span = recorder.start_span("work", env.now)
-    try:
-        step()
-    finally:
-        span.finish(env.now)
-    return 3
-
-
-def span_handed_off(recorder, env, sink):
-    span = recorder.start_span("work", env.now)
-    sink(span)  # new owner: the obligation is theirs now
-    return 4
-
-
-def _open_helper(recorder, env):
-    span = recorder.start_span("helper", env.now)
-    return span
-
-
-def caller_leak(recorder, env):
-    span = _open_helper(recorder, env)  # expect: RES001
-    return 0
-
-
-def caller_tidy(recorder, env):
-    span = _open_helper(recorder, env)
-    span.finish(env.now)
-    return 0
-
-
-# -- swallowed exceptions (EXC001) --------------------------------------------
-
-
-def swallow(step):
-    try:
-        step()
-    except Exception:  # expect: EXC001
-        pass
-
-
-def swallow_bare(step):
-    try:
-        step()
-    except:  # expect: EXC001
-        ...
-
-
-def narrow_is_fine(step):
-    try:
-        step()
-    except ValueError:
-        pass
-
-
-def broad_but_handled(step, log):
-    try:
-        step()
-    except Exception as error:
-        log(error)
-        raise
-'''
-
-#: RNG provenance fixture: generators owned by the sim layer.
-FIXTURE_RNG = '''\
-"""RNG-owner fixture for DET005; compiled, never imported."""
-import random
-
-import numpy as np
-
-SHARED_GEN = np.random.default_rng(7)
+# -- RNG seed provenance (DET005) ---------------------------------------------
 
 
 def local_draws(n):
@@ -219,83 +127,56 @@ def local_draws(n):
     return rng.random()
 
 
-def same_module_draw():
-    return SHARED_GEN.random()
-
-
 def unstable(payload, name):
+    from repro.sim import RandomStreams
     a = np.random.default_rng(id(payload))  # expect: DET004,DET005
     b = random.Random(hash(name))  # expect: DET005
-    return a, b
-'''
-
-#: Cross-layer fixture: engine code drawing from the sim layer's RNG.
-FIXTURE_CROSS = '''\
-"""Cross-layer-draw fixture for DET005; compiled, never imported."""
-from repro.sim.lint_fixture_rng import SHARED_GEN
-
-
-def jitter():
-    return SHARED_GEN.random()  # expect: DET005
+    c = RandomStreams(hash(name) & 0xFFFFFFFF)  # expect: DET005
+    return a, b, c
 
 
 def stable_derived_seed(name):
     import hashlib
     raw = hashlib.sha256(name.encode("utf-8")).digest()
-    return int.from_bytes(raw[:8], "little")
+    return random.Random(int.from_bytes(raw[:8], "little"))
 '''
-
-#: The bundle: dotted module name -> fixture source.
-FIXTURES: dict[str, str] = {
-    "repro.sim.lint_fixture": FIXTURE,
-    "repro.sim.lint_fixture_rng": FIXTURE_RNG,
-    "repro.engine.lint_fixture": FIXTURE_CROSS,
-}
-
-
-def fixture_path(module: str) -> str:
-    return f"<lint-self-test:{module}>"
 
 
 def expected_findings() -> Counter:
-    """Inline ``expect`` markers as a ``(path, line, check)`` multiset."""
+    """Inline ``expect`` markers as a ``(line, check)`` multiset."""
     expected: Counter = Counter()
-    for module in sorted(FIXTURES):
-        path = fixture_path(module)
-        for lineno, text in enumerate(FIXTURES[module].splitlines(),
-                                      start=1):
-            match = _MARKER_RE.search(text)
-            if match is None:
-                continue
-            target = lineno + 1 if match.group(1) else lineno
-            for check in match.group(2).split(","):
-                expected[(path, target, check)] += 1
+    for lineno, text in enumerate(FIXTURE.splitlines(), start=1):
+        match = _MARKER_RE.search(text)
+        if match is None:
+            continue
+        target = lineno + 1 if match.group(1) else lineno
+        for check in match.group(2).split(","):
+            expected[(target, check)] += 1
     return expected
 
 
 def run_self_test() -> tuple[bool, list[str]]:
-    """Lint the bundle; return (ok, human-readable report lines)."""
-    from repro.lint import all_checkers, all_project_checkers, lint_bundle
+    """Lint the fixture; return (ok, human-readable report lines)."""
+    from repro.lint import all_checkers, lint_modules
 
-    modules = [SourceModule(path=fixture_path(module),
-                            source=FIXTURES[module], module=module)
-               for module in sorted(FIXTURES)]
-    findings = lint_bundle(modules, all_checkers(),
-                           all_project_checkers())
-    actual = Counter((f.path, f.line, f.check) for f in findings)
+    findings = lint_modules([SourceModule(path="<lint-self-test>",
+                                          source=FIXTURE,
+                                          module=FIXTURE_MODULE)],
+                            all_checkers())
+    actual = Counter((f.line, f.check) for f in findings)
     expected = expected_findings()
     lines = []
-    for path, line, check in sorted(expected - actual):
-        lines.append(f"MISSING: expected {check} at {path}:{line} "
+    for line, check in sorted(expected - actual):
+        lines.append(f"MISSING: expected {check} at fixture line {line} "
                      f"(checker gone dead?)")
-    for path, line, check in sorted(actual - expected):
+    for line, check in sorted(actual - expected):
         message = next(f.message for f in findings
-                       if (f.path, f.line, f.check) == (path, line, check))
-        lines.append(f"UNEXPECTED: {check} at {path}:{line}: {message}")
+                       if (f.line, f.check) == (line, check))
+        lines.append(f"UNEXPECTED: {check} at fixture line {line}: "
+                     f"{message}")
     ok = not lines
-    checks = sorted({check for _, _, check in expected})
+    checks = sorted({check for _, check in expected})
     lines.append(f"self-test {'OK' if ok else 'FAIL'}: "
                  f"{sum(expected.values())} expected findings across "
-                 f"{len(checks)} checks in {len(FIXTURES)} fixture "
-                 f"module(s) ({', '.join(checks)})")
+                 f"{len(checks)} checks ({', '.join(checks)})")
     return ok, lines

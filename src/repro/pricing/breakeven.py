@@ -133,21 +133,3 @@ def faas_break_even_queries_per_hour(faas_cost_per_query: float,
         raise ValueError("provisioned_cost_fraction must be in (0, 1]")
     cluster_per_hour = vm_hourly_usd * peak_vms * provisioned_cost_fraction
     return cluster_per_hour / faas_cost_per_query
-
-
-def peak_to_average_node_ratio(stage_nodes: list[int],
-                               stage_durations: list[float]) -> float:
-    """Intra-query elasticity headroom (Section 5.2).
-
-    The ratio between the peak stage width and the time-weighted average
-    width: the cost-saving factor elastic provisioning offers over static
-    peak provisioning for this query.
-    """
-    if len(stage_nodes) != len(stage_durations) or not stage_nodes:
-        raise ValueError("stage_nodes and stage_durations must be "
-                         "non-empty and equally long")
-    total_time = sum(stage_durations)
-    if total_time <= 0:
-        raise ValueError("total stage duration must be positive")
-    average = sum(n * d for n, d in zip(stage_nodes, stage_durations)) / total_time
-    return max(stage_nodes) / average

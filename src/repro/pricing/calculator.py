@@ -98,14 +98,6 @@ class CostCalculator:
                       request_cost + transfer_cost)
         return request_cost + transfer_cost
 
-    def s3_warm_iops_cost_per_hour(self, iops: float) -> float:
-        """Cost of keeping S3 'warm' at a sustained read request rate.
-
-        Section 2.2: keeping S3 warm for 100K IOPS costs ~$144/hour.
-        """
-        pricing = STORAGE_PRICES["s3-standard"]
-        return iops * 3600.0 * pricing.read_request
-
 
 def stage_cost(invocations, storage_reads, storage_writes) -> dict:
     """Pure per-stage cost attribution (the obs profiler's price hook).

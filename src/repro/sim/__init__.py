@@ -23,7 +23,7 @@ Example
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
 from repro.sim.kernel import Environment
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -36,6 +36,5 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -1,10 +1,7 @@
 """Shared resources for simulation processes.
 
-Two classic resource kinds are provided:
-
-* :class:`Resource` — a counted resource with FIFO (or priority) queueing,
-  modelling things like worker slots or connection pools.
-* :class:`Store` — a FIFO buffer of discrete items (e.g. a message queue).
+:class:`Resource` is a counted resource with FIFO (or priority)
+queueing, modelling things like worker slots or connection pools.
 
 Continuous quantities (byte budgets, tokens) are the token buckets of
 :mod:`repro.network.shaper`.
@@ -13,7 +10,6 @@ Continuous quantities (byte budgets, tokens) are the token buckets of
 from __future__ import annotations
 
 import heapq
-from typing import Any
 
 from repro.sim.events import Event
 
@@ -100,56 +96,3 @@ class Resource:
             _, _, request = heapq.heappop(self._queue)
             self._users.add(request)
             request.succeed()
-
-
-class Store:
-    """A FIFO buffer of discrete items with blocking ``get``/``put``."""
-
-    def __init__(self, env, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.env = env
-        self._capacity = capacity
-        self._items: list[Any] = []
-        self._getters: list[Event] = []
-        self._putters: list[tuple[Event, Any]] = []
-
-    @property
-    def items(self) -> list:
-        """Snapshot of buffered items (oldest first)."""
-        return list(self._items)
-
-    @property
-    def capacity(self) -> float:
-        """Maximum number of buffered items."""
-        return self._capacity
-
-    def put(self, item: Any) -> Event:
-        """Event that triggers once ``item`` has been buffered."""
-        event = Event(self.env)
-        self._putters.append((event, item))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        """Event that triggers with the oldest buffered item."""
-        event = Event(self.env)
-        self._getters.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self._items) < self._capacity:
-                event, item = self._putters.pop(0)
-                self._items.append(item)
-                event.succeed(item)
-                progressed = True
-            if self._getters and self._items:
-                event = self._getters.pop(0)
-                item = self._items.pop(0)
-                event.succeed(item)
-                progressed = True
-

@@ -113,12 +113,6 @@ class FluidAdmission:
     accepted_write: float
     rejected_write: float
 
-    @property
-    def read_error_rate(self) -> float:
-        """Fraction of offered reads that were rejected."""
-        offered = self.accepted_read + self.rejected_read
-        return self.rejected_read / offered if offered else 0.0
-
 
 class StorageService:
     """Base class for the storage simulators.

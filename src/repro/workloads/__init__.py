@@ -14,7 +14,6 @@ from repro.workloads.arrivals import (
     run_arrival_workload,
 )
 from repro.workloads.traffic import (
-    burst_arrivals,
     poisson_arrivals,
     zipf_trace,
     zipf_trace_reference,
@@ -31,7 +30,6 @@ from repro.workloads.suite import (
 __all__ = [
     "ArrivalOutcome",
     "SuiteSetup",
-    "burst_arrivals",
     "cost_crossover",
     "poisson_arrivals",
     "run_arrival_workload",

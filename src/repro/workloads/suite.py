@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro import units
 from repro.analysis.stats import coefficient_of_variation, median_ratio
 from repro.core.config import ExperimentConfig
 from repro.core.context import CloudSim
@@ -218,12 +216,6 @@ def full_evaluation() -> list[ExperimentConfig]:
     """Every suite, in the paper's section order."""
     return (network_suite() + storage_suite() + query_suite()
             + startup_suite())
-
-
-def workday_cold_runs(interval_s: float = 900.0,
-                      hours: float = 8.0) -> int:
-    """Number of cold-protocol runs over a workday (paper: 15-min gaps)."""
-    return max(1, math.floor(hours * units.HOUR / interval_s))
 
 
 # The driver never imports upward; the workloads layer contributes the

@@ -25,17 +25,6 @@ def poisson_arrivals(rng, rate_per_hour: float, window_s: float
         times.append(now)
 
 
-def burst_arrivals(count: int, at: float = 0.0) -> list[float]:
-    """A degenerate trace: ``count`` simultaneous arrivals at ``at``.
-
-    Models the overload spike used to exercise admission control —
-    e.g. a burst several times the account concurrency quota.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    return [at] * count
-
-
 def zipf_trace(rng, tenants: int, events: int, window_s: float,
                s: float = 1.2):
     """A Zipf-skewed multi-tenant arrival trace with full tenant coverage.

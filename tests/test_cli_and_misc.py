@@ -9,8 +9,7 @@ from repro.cli import main
 from repro.core import CloudSim
 from repro.engine.queries import tpch_q6
 from repro.network.probe import ProbeSample, ProbeSeries
-from repro.storage.base import FluidAdmission, RequestStats, RequestType, \
-    _payload_size
+from repro.storage.base import RequestStats, RequestType, _payload_size
 from repro.workloads import poisson_arrivals, run_arrival_workload
 
 
@@ -90,13 +89,6 @@ class TestPayloadSize:
 
 
 class TestRequestStatsExtras:
-    def test_error_rate_property(self):
-        admission = FluidAdmission(accepted_read=90.0, rejected_read=10.0,
-                                   accepted_write=0.0, rejected_write=0.0)
-        assert admission.read_error_rate == pytest.approx(0.1)
-        empty = FluidAdmission(0.0, 0.0, 0.0, 0.0)
-        assert empty.read_error_rate == 0.0
-
     def test_successes_and_failures(self):
         stats = RequestStats()
         stats.record(RequestType.GET, "ok", count=7)

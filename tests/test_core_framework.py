@@ -10,7 +10,6 @@ from repro.core import (
     Driver,
     ExperimentConfig,
     ExperimentResult,
-    ascii_bars,
     ascii_timeseries,
     format_table,
 )
@@ -57,10 +56,6 @@ class TestPlotter:
 
     def test_timeseries_empty(self):
         assert "(no data)" in ascii_timeseries([])
-
-    def test_bars_render(self):
-        chart = ascii_bars({"a": 10.0, "b": 5.0}, title="bars")
-        assert "a" in chart and "#" in chart
 
     def test_table_alignment_and_validation(self):
         table = format_table(["q", "runtime"], [["q6", 5.2], ["q12", 18.1]])

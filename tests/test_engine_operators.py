@@ -270,8 +270,7 @@ class TestSortLimit:
 class TestUdf:
     def test_registered_udf_applies(self):
         def double(batch, sides):
-            return batch.with_columns(
-                {"y": (DataType.INT64, batch.column("x") * 2)})
+            return make_batch(x=batch.column("x"), y=batch.column("x") * 2)
 
         register_udf("test-double", double)
         batch = make_batch(x=[1, 2])

@@ -95,19 +95,6 @@ class TestRecordBatch:
         with pytest.raises(ValueError, match="schema"):
             RecordBatch.concat([a, b])
 
-    def test_with_columns_appends(self):
-        batch = sample_batch(10)
-        extended = batch.with_columns(
-            {"double_id": (DataType.INT64, batch.column("id") * 2)})
-        assert "double_id" in extended.schema
-        assert list(extended.column("double_id")) == \
-            [2 * v for v in batch.column("id")]
-
-    def test_with_columns_rejects_duplicates(self):
-        batch = sample_batch(5)
-        with pytest.raises(ValueError):
-            batch.with_columns({"id": (DataType.INT64, np.arange(5))})
-
     def test_empty_batch(self):
         empty = RecordBatch.empty(sample_schema())
         assert empty.num_rows == 0

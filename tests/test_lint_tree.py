@@ -7,10 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from tests.test_lint_framework import CLEAN, DIRTY
 
-from repro.lint import all_checkers, all_project_checkers, lint_tree
+from repro.lint import all_checkers, lint_tree
 from repro.lint.arch import layer_of
-from repro.lint.baseline import Baseline, diff_against_baseline
-from repro.lint.cli import DEFAULT_BASELINE
 from repro.lint.framework import iter_python_files, module_name_from_path
 from repro.lint.layer_dag import ALLOWED, LAYERS
 
@@ -20,16 +18,12 @@ SRC = REPO_ROOT / "src" / "repro"
 
 class TestTreeGate:
     def test_source_tree_is_lint_clean(self, monkeypatch):
-        """The committed tree passes the CI gate: no new findings, no
-        stale baseline entries. (Same check `repro lint --strict` runs.)
+        """The committed tree passes the CI gate: no finding at all.
+        (Same check `repro lint --strict` runs.)
         """
         monkeypatch.chdir(REPO_ROOT)
-        findings = lint_tree([Path("src/repro")], all_checkers(),
-                             all_project_checkers())
-        baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE)
-        new, _, stale = diff_against_baseline(findings, baseline)
-        assert new == [], "\n".join(f.format() for f in new)
-        assert stale == []
+        findings = lint_tree([Path("src/repro")], all_checkers())
+        assert findings == [], "\n".join(f.format() for f in findings)
 
     def test_every_source_module_has_a_layer(self):
         unmapped = []
@@ -51,11 +45,9 @@ class TestDiscoveryOrderDeterminism:
         (pkg / "dirty.py").write_text(DIRTY)
         (pkg / "clean.py").write_text(CLEAN)
         files = [pkg / "dirty.py", pkg / "clean.py"]
-        baseline = lint_tree(files, all_checkers(),
-                             all_project_checkers())
+        baseline = lint_tree(files, all_checkers())
         shuffled = [files[i] for i in order]
-        again = lint_tree(shuffled, all_checkers(),
-                          all_project_checkers())
+        again = lint_tree(shuffled, all_checkers())
         assert [f.to_dict() for f in again] \
             == [f.to_dict() for f in baseline]
 

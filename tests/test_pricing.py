@@ -13,7 +13,7 @@ from repro.pricing import (
     ec2_instance,
     faas_break_even_queries_per_hour,
 )
-from repro.pricing.breakeven import CapacityTier, peak_to_average_node_ratio
+from repro.pricing.breakeven import CapacityTier
 from repro.pricing.calculator import cost_per_gib_per_s_read
 from repro.pricing.catalog import MARGINAL_RAM_PER_GIB_HOUR
 from repro.storage.base import RequestStats, RequestType
@@ -121,11 +121,6 @@ class TestCostCalculator:
                  + calc.cost.storage_requests + calc.cost.storage_transfer
                  + calc.cost.storage_capacity)
         assert calc.cost.total == pytest.approx(total)
-
-    def test_s3_warm_iops_cost_matches_paper(self):
-        """Section 2.2: keeping S3 warm for 100K IOPS costs $144/hour."""
-        calc = CostCalculator()
-        assert calc.s3_warm_iops_cost_per_hour(100_000) == pytest.approx(144.0)
 
     def test_throughput_cost_ranking_matches_section_431(self):
         """S3 is by far the most cost-efficient for throughput."""
@@ -242,22 +237,6 @@ class TestFaasBreakEven:
             faas_break_even_queries_per_hour(0.0, 0.136, 10)
 
 
-class TestPeakToAverage:
-    def test_uniform_stages_give_ratio_one(self):
-        assert peak_to_average_node_ratio([10, 10], [1.0, 1.0]) == 1.0
-
-    def test_skewed_stages(self):
-        # 284 nodes for 10 s then 1 node for 10 s -> avg 142.5, peak 284.
-        ratio = peak_to_average_node_ratio([284, 1], [10.0, 10.0])
-        assert ratio == pytest.approx(284 / 142.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            peak_to_average_node_ratio([1], [])
-        with pytest.raises(ValueError):
-            peak_to_average_node_ratio([1], [0.0])
-
-
 class TestAdaptiveProvisioning:
     """Section 5.2: adaptive clusters lower the break-even proportionally."""
 
@@ -269,8 +248,9 @@ class TestAdaptiveProvisioning:
 
     def test_peak_to_average_gives_the_adaptive_fraction(self):
         """A cluster sized by the time-weighted average rather than the
-        peak pays 1/ratio of the peak-provisioned cost."""
-        ratio = peak_to_average_node_ratio([284, 1], [10.0, 10.0])
+        peak pays 1/ratio of the peak-provisioned cost: 284 nodes for
+        10 s then 1 node for 10 s average 142.5, peak 284."""
+        ratio = 284 / 142.5
         base = faas_break_even_queries_per_hour(0.2119, 0.136, 284)
         adaptive = faas_break_even_queries_per_hour(
             0.2119, 0.136, 284, provisioned_cost_fraction=1.0 / ratio)

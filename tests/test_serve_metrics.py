@@ -9,7 +9,7 @@ from repro.serve.metrics import (
     ServingMetrics,
     cost_per_query,
 )
-from repro.workloads import ArrivalOutcome, burst_arrivals
+from repro.workloads import ArrivalOutcome
 
 
 class TestCostPerQuery:
@@ -108,11 +108,3 @@ class TestServingMetrics:
         assert report.cost_per_query == 0.0
         assert report.shed_rate == 0.0
 
-
-class TestBurstTrace:
-    def test_burst_arrivals_shape(self):
-        trace = burst_arrivals(5, at=2.0)
-        assert trace == [2.0] * 5
-        assert burst_arrivals(0) == []
-        with pytest.raises(ValueError):
-            burst_arrivals(-1)

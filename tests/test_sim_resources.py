@@ -1,8 +1,8 @@
-"""Unit tests for simulation resources (Resource, Store)."""
+"""Unit tests for simulation resources (Resource) and RNG streams."""
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim.rng import RandomStreams
 
 
@@ -93,63 +93,6 @@ class TestResource:
         assert resource.count == 3
         env.run()
         assert resource.count == 0
-
-
-class TestStore:
-    def test_fifo_ordering(self):
-        env = Environment()
-        store = Store(env)
-        received = []
-
-        def producer(env):
-            for item in ("x", "y", "z"):
-                yield store.put(item)
-                yield env.timeout(1.0)
-
-        def consumer(env):
-            for _ in range(3):
-                item = yield store.get()
-                received.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert received == ["x", "y", "z"]
-
-    def test_bounded_capacity_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-
-        def producer(env):
-            yield store.put(1)
-            yield store.put(2)
-            return env.now
-
-        def consumer(env):
-            yield env.timeout(5.0)
-            yield store.get()
-
-        p = env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert p.value == 5.0
-
-    def test_get_blocks_on_empty(self):
-        env = Environment()
-        store = Store(env)
-
-        def consumer(env):
-            item = yield store.get()
-            return (item, env.now)
-
-        def producer(env):
-            yield env.timeout(4.0)
-            yield store.put("late")
-
-        p = env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert p.value == ("late", 4.0)
 
 
 class TestRandomStreams:

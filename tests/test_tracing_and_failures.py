@@ -13,6 +13,7 @@ from repro.engine.coordinator import RecoveryConfig
 from repro.engine.io import IoStack
 from repro.engine.queries import tpch_q6, tpch_q12
 from repro.engine.worker import WorkerReport
+from repro.futures.workloads import run_wordcount
 from repro.network import Fabric
 from repro.obs.profiler import (
     makespan,
@@ -135,6 +136,26 @@ class TestTracing:
         # Two-level stages only learn outcomes per invoker slice, so
         # the coordinator hedges one-level stages only.
         assert ("h" in markers) is not two_level
+
+    def test_every_recorded_span_is_finished(self, monkeypatch):
+        """No span is left open on a run that retries, hedges,
+        speculates and invokes in two levels: query, coordinator, stage,
+        invoke, worker and futures-dispatch spans all get an end."""
+        runs = {"outage-q6": record_outage_q6()[1]}
+        monkeypatch.setattr(coordinator, "TWO_LEVEL_THRESHOLD", 8)
+        monkeypatch.setattr(coordinator, "INVOKER_SLICE", 4)
+        runs["two-level-q6"] = record_outage_q6()[1]
+        with recording() as recorder:
+            run_wordcount(seed=7, objects=16, chunks_per_object=4,
+                          speculate=True)
+        runs["wordcount"] = recorder
+        for name, recorder in runs.items():
+            categories = {span.category for span in recorder.spans}
+            assert categories >= ({"futures"} if name == "wordcount" else
+                                  {"stage", "faas", "worker"}), name
+            open_spans = [span.name for span in recorder.spans
+                          if span.end is None]
+            assert open_spans == [], f"{name}: {open_spans}"
 
     def test_skew_and_stragglers(self):
         recorder = TelemetryRecorder()

@@ -10,7 +10,7 @@ from repro.workloads import (
     setup_engine,
     table5_metrics,
 )
-from repro.workloads.suite import build_plan, workday_cold_runs
+from repro.workloads.suite import build_plan
 
 
 class TestSuiteSetup:
@@ -78,9 +78,6 @@ class TestVariability:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             run_variability_experiment("lukewarm", runs=1)
-
-    def test_workday_cold_run_count(self):
-        assert workday_cold_runs(interval_s=900.0, hours=8.0) == 32
 
 
 class TestQueryDriverIntegration:
