@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from repro import units
 from repro.network.fabric import Endpoint
-from repro.sim import AnyOf, Environment
+from repro.sim import Environment, Event, Step, Timeout
 from repro.storage.base import RequestType, StorageService
 from repro.storage.errors import StorageError
 from repro.telemetry import get_recorder
@@ -33,6 +33,8 @@ STRAGGLER_EXPECTED_RATE = 75 * units.MiB
 STRAGGLER_FACTOR = 8.0
 STRAGGLER_MIN_TIMEOUT_S = 1.0
 
+_GET = RequestType.GET
+
 
 @dataclass
 class IoStats:
@@ -44,8 +46,6 @@ class IoStats:
     retried: int = 0
     bytes_read: float = 0.0
     bytes_written: float = 0.0
-    read_time: float = 0.0
-    write_time: float = 0.0
     request_sizes: list[float] = field(default_factory=list)
 
 
@@ -94,34 +94,35 @@ class IoStack:
         obj = self.storage.head(key)
         size = float(logical_bytes if logical_bytes is not None else obj.size)
         chunks = _chunk_sizes(size, self.chunk_bytes)
-        if len(chunks) == 1:
-            # One range request (every shuffle slice): nothing to window.
-            yield self.env.process(
-                self._read_chunk(key, chunks[0], defer_transfer),
-                name="chunk-read")
-        else:
-            pending = chunks
-            while pending:
-                window, pending = (pending[:self.concurrency],
-                                   pending[self.concurrency:])
-                processes = [self.env.process(
-                    self._read_chunk(key, nbytes, defer_transfer),
-                    name="chunk-read") for nbytes in window]
-                for process in processes:
-                    yield process
+        # Delegated, so no local keeps a request: a failed one's error
+        # would keep this frame, and the frame the request.
+        yield from self.chunk_requests(key, chunks, defer_transfer)
+        self.read_done(key, size, len(chunks), started, defer_transfer)
+        return obj
+
+    def chunk_requests(self, key: str, chunks: list[float],
+                       defer_transfer: bool):
+        """The :class:`RangeGet` of each chunk, in order, started a window
+        of ``concurrency`` at a time: a window starts once whoever reads
+        the requests has asked past the last one of the window before."""
+        for first in range(0, len(chunks), self.concurrency):
+            yield from [RangeGet(self, key, nbytes, defer_transfer)
+                        for nbytes in chunks[first:first + self.concurrency]]
+
+    def read_done(self, key: str, size: float, chunks: int, started: float,
+                  defer_transfer: bool) -> None:
+        """Account for a finished read of ``size`` logical bytes."""
         if defer_transfer:
             self._deferred_bytes += size
-        self.stats.read_time += self.env.now - started
         if self._telemetry is not None:
             self._telemetry.record_span(
                 "storage.read", started, self.env.now, parent=self.span,
                 category="storage",
                 attrs={"key": key, "bytes": size,
                        "service": self.storage.name,
-                       "chunks": len(chunks)})
+                       "chunks": chunks})
             self._telemetry.histogram("storage.read.latency_s").record(
                 self.env.now - started)
-        return obj
 
     def bulk_transfer(self):
         """Process: move all deferred bytes in one aggregate flow."""
@@ -130,73 +131,12 @@ class IoStack:
         if nbytes <= 0:
             return
         started = self.env.now
-        yield from self.storage._transfer(RequestType.GET, nbytes,
-                                          self.endpoint)
-        self.stats.read_time += self.env.now - started
+        yield from self.storage._transfer(_GET, nbytes, self.endpoint)
         if self._telemetry is not None:
             self._telemetry.record_span(
                 "storage.bulk_transfer", started, self.env.now,
                 parent=self.span, category="storage",
                 attrs={"bytes": nbytes, "service": self.storage.name})
-
-    def _read_chunk(self, key: str, nbytes: float,
-                    defer_transfer: bool = False):
-        """Process: one range request with straggler re-triggering."""
-        timeout_s = max(STRAGGLER_MIN_TIMEOUT_S,
-                        STRAGGLER_FACTOR * nbytes / STRAGGLER_EXPECTED_RATE)
-        backoff = 0.05
-        while True:
-            self.stats.requests += 1
-            self.stats.read_requests += 1
-            self.stats.request_sizes.append(nbytes)
-            attempt = self.env.process(
-                self._fetch_range(key, nbytes, defer_transfer),
-                name="range-get")
-            deadline = self.env.timeout(timeout_s)
-            try:
-                yield AnyOf(self.env, [attempt, deadline])
-            except StorageError as exc:
-                # Classify only. The traceback of ``exc`` now holds this
-                # frame, and ``attempt`` holds ``exc``: let go of the dead
-                # attempt here, and wait out the backoff below rather than
-                # in the handler, which would pin all of it for the wait.
-                attempt = deadline = None
-                if not exc.retryable:
-                    raise
-            if attempt is None:
-                # The attempt failed (throttled/timed out service-side);
-                # retry with exponential backoff (Section 4.4.1).
-                self.stats.retried += 1
-                yield self.env.timeout(backoff)
-                backoff = min(backoff * 2.0, 5.0)
-                continue
-            if attempt.processed:
-                if attempt.ok:
-                    self.stats.bytes_read += nbytes
-                    return
-                raise attempt.value
-            # Straggler: abandon and re-trigger (Section 3.2).
-            if attempt.is_alive:
-                attempt.interrupt("straggler-retrigger")
-                attempt.defuse()
-            self.stats.retried += 1
-            if self._telemetry is not None:
-                self._telemetry.event(
-                    self.env.now, "io.straggler_retrigger",
-                    category="storage", key=key, bytes=nbytes,
-                    timeout_s=timeout_s, service=self.storage.name)
-
-    def _fetch_range(self, key: str, nbytes: float,
-                     defer_transfer: bool = False):
-        """Process: a single range GET moving ``nbytes`` logical bytes."""
-        self.storage.check_fault(RequestType.GET, key)
-        latency = self.storage.read_latency.sample_one(self.storage._rng)
-        self.storage._admit_one(RequestType.GET, key)
-        yield self.env.timeout(latency)
-        if not defer_transfer:
-            yield from self.storage._transfer(RequestType.GET, nbytes,
-                                              self.endpoint)
-        self.storage.stats.record(RequestType.GET, "ok", nbytes=nbytes)
 
     # -- writes --------------------------------------------------------------
 
@@ -209,7 +149,6 @@ class IoStack:
         self.stats.write_requests += 1
         self.stats.request_sizes.append(logical_bytes)
         self.stats.bytes_written += logical_bytes
-        self.stats.write_time += self.env.now - started
         if self._telemetry is not None:
             self._telemetry.record_span(
                 "storage.write", started, self.env.now, parent=self.span,
@@ -219,6 +158,165 @@ class IoStack:
             self._telemetry.histogram("storage.write.latency_s").record(
                 self.env.now - started)
         return obj
+
+
+class RangeGet(Event):
+    """One chunk's range request, re-triggered when it straggles.
+
+    A callback-driven state machine: each method is one step, and the
+    event itself is what the reader yields. It ends with ``None`` once an
+    attempt has moved the chunk, or fails with the first error that is
+    not a retryable :class:`StorageError`.
+
+    Each step pushes a heap entry exactly where a process-per-attempt
+    design would: a start (priority 0) and a termination (priority 1) for
+    the request and for every attempt, and a trigger (priority 1) for
+    every race between an attempt and its deadline. So per attempt:
+
+    * :meth:`_attempt`: the attempt's start and its deadline ``Timeout``;
+    * :meth:`_fetch`, at the start: the fault check, the latency draw and
+      admission, then the latency ``Timeout``, or the attempt's end at
+      once if one of them raised;
+    * :meth:`_on_latency`: the transfer's flow, unless deferred;
+    * :meth:`_transferred`: the attempt's end;
+    * :meth:`_ended` or :meth:`_on_deadline`, whichever pops first: the
+      race's trigger;
+    * :meth:`_decided`, at the trigger: the request's own end, a backoff
+      ``Timeout`` before the next attempt, or, for a straggler, an
+      interrupt (priority 0) that ends the abandoned attempt, and the
+      next attempt at once.
+
+    Keeping every entry keeps ``scheduled_events``, pop order, RNG draw
+    order and every timestamp. A decided race drops the callback its
+    loser still holds (the deadline, or an abandoned attempt's pending
+    wait), so a finished request frees by reference count.
+    """
+
+    __slots__ = ("io", "key", "nbytes", "defer_transfer", "timeout_s",
+                 "backoff", "_deadline", "_wait", "_running", "_error")
+
+    def __init__(self, io: IoStack, key: str, nbytes: float,
+                 defer_transfer: bool) -> None:
+        env = io.env
+        Event.__init__(self, env)
+        self.io = io
+        self.key = key
+        self.nbytes = nbytes
+        self.defer_transfer = defer_transfer
+        self.timeout_s = max(STRAGGLER_MIN_TIMEOUT_S,
+                             STRAGGLER_FACTOR * nbytes
+                             / STRAGGLER_EXPECTED_RATE)
+        self.backoff = 0.05
+        #: The pending deadline while the attempt's race is undecided.
+        self._deadline = None
+        #: What the attempt waits on: its latency timeout, its flow's
+        #: ``done``, or, once it has ended, the entry of that end. ``None``
+        #: once the end has been popped.
+        self._wait = None
+        #: Whether the attempt has not ended yet.
+        self._running = False
+        #: The error the attempt ended with, until the race is decided.
+        self._error = None
+        Step(env, 0, self._attempt)
+
+    def _attempt(self, _event=None) -> None:
+        stats = self.io.stats
+        stats.requests += 1
+        stats.read_requests += 1
+        stats.request_sizes.append(self.nbytes)
+        env = self.env
+        Step(env, 0, self._fetch)
+        self._running = True
+        self._deadline = deadline = Timeout(env, self.timeout_s)
+        deadline.callbacks.append(self._on_deadline)
+
+    def _fetch(self, _event) -> None:
+        storage = self.io.storage
+        key = self.key
+        try:
+            storage.check_fault(_GET, key)
+            latency = storage.read_latency.sample_one(storage._rng)
+            storage._admit_one(_GET, key)
+        except Exception as exc:
+            self._error = exc
+            self._running = False
+            self._wait = Step(self.env, 1, self._ended)
+            # The traceback keeps this frame: no local of it may lead
+            # back to the error (docs/performance.md, "Garbage").
+            self = None
+            return
+        self._wait = wait = Timeout(self.env, latency)
+        wait.callbacks.append(self._transferred if self.defer_transfer
+                              else self._on_latency)
+
+    def _on_latency(self, _event) -> None:
+        flow = self.io.storage._open_flow(_GET, self.nbytes, self.io.endpoint)
+        if flow is None:
+            self._transferred(_event)
+        else:
+            self._wait = done = flow.done
+            done.callbacks.append(self._transferred)
+
+    def _transferred(self, _event) -> None:
+        self.io.storage.stats.record(_GET, "ok", nbytes=self.nbytes)
+        self._running = False
+        self._wait = Step(self.env, 1, self._ended)
+
+    def _ended(self, _event) -> None:
+        self._wait = None
+        deadline = self._deadline
+        if deadline is not None:
+            # The attempt decides the race: its deadline stays in the
+            # heap and pops with nothing to call.
+            self._deadline = None
+            deadline.callbacks.clear()
+            Step(self.env, 1, self._decided)
+
+    def _on_deadline(self, _event) -> None:
+        self._deadline = None
+        Step(self.env, 1, self._decided)
+
+    def _decided(self, _event) -> None:
+        io = self.io
+        wait = self._wait
+        if wait is None:
+            # The attempt's end came first. An attempt fails only at its
+            # start, a second or more before its deadline, so a failed
+            # attempt has always decided its own race.
+            error = self._error
+            if error is None:
+                io.stats.bytes_read += self.nbytes
+                self.succeed()
+                return
+            self._error = None
+            if not (isinstance(error, StorageError) and error.retryable):
+                self.fail(error)
+                return
+            # Throttled or timed out service-side: retry with exponential
+            # backoff (Section 4.4.1).
+            io.stats.retried += 1
+            Timeout(self.env, self.backoff).callbacks.append(self._attempt)
+            self.backoff = min(self.backoff * 2.0, 5.0)
+            return
+        # Straggler: abandon and re-trigger (Section 3.2). Whatever the
+        # attempt waits on, or its end if that is still in the heap,
+        # reaches nobody now; a running attempt is interrupted.
+        wait.callbacks.clear()
+        if self._running:
+            Step(self.env, 0, _interrupted)
+        io.stats.retried += 1
+        if io._telemetry is not None:
+            io._telemetry.event(
+                self.env.now, "io.straggler_retrigger",
+                category="storage", key=self.key, bytes=self.nbytes,
+                timeout_s=self.timeout_s, service=io.storage.name)
+        self._attempt()
+
+
+def _interrupted(event: Event) -> None:
+    """An abandoned attempt's interrupt: the attempt ends at once, and
+    its end reaches nobody."""
+    Step(event.env, 1)
 
 
 def _chunk_sizes(total: float, chunk: float) -> list[float]:

@@ -18,12 +18,14 @@ producer, and readers leave such pieces out of their concatenation.
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.io import IoStack
+from repro.engine.io import IoStack, RangeGet, _chunk_sizes
 from repro.formats.batch import RecordBatch
+from repro.sim import Event, Step
 
 
 def shuffle_key(query_id: str, pipeline_id: str, fragment: int) -> str:
@@ -180,17 +182,17 @@ class ShuffleReader:
         """
         if self.producer_fragments <= 0:
             raise ValueError("shuffle read with zero producers")
-        env = self.io.env
         batches: list[RecordBatch] = []
         fragments = list(range(self.producer_fragments))
         while fragments:
             window = fragments[:self.concurrency]
             fragments = fragments[self.concurrency:]
-            processes = [env.process(self._read_slice(fragment),
-                                     name="shuffle-slice")
-                         for fragment in window]
-            for process in processes:
-                batches.append((yield process))
+            requests = deque([SliceRead(self, fragment)
+                              for fragment in window])
+            # Popped as waited for, so no local keeps a request: a failed
+            # one's error would keep this frame, and the frame the request.
+            while requests:
+                batches.append((yield requests.popleft()))
         # The per-slice requests deferred their payload movement; pull
         # the combined bytes through the worker's network budget once.
         yield from self.io.bulk_transfer()
@@ -199,29 +201,89 @@ class ShuffleReader:
                 if len(batch) or batch.logical_bytes]
         return RecordBatch.concat(kept or batches[:1])
 
-    def _read_slice(self, fragment: int):
-        """Process: one range request for this consumer's slice.
 
-        The request size is the slice's logical size — sub-KiB up to
-        MiBs, the "Shuffle I/O Size" column of Table 6. Returns a new
-        batch over the stored piece's arrays.
-        """
-        key = shuffle_key(self.query_id, self.pipeline_id, fragment)
-        head = self.io.storage.head(key)
-        index = head.payload
-        logical = float(index["logical"][self.partition])
-        if index.get("combined", True):
-            yield from self.io.read_object(key,
-                                           logical_bytes=max(logical, 1.0),
-                                           defer_transfer=True)
-            piece = index["partitions"][self.partition]
+class SliceRead(Event):
+    """This consumer's slice of one producer's object, as one request.
+
+    The request size is the slice's logical size — sub-KiB up to MiBs,
+    the "Shuffle I/O Size" column of Table 6 — read through
+    :meth:`IoStack.chunk_requests` with the transfer deferred, as
+    :meth:`IoStack.read_object` reads. The event ends with a new batch
+    over the stored piece's arrays.
+
+    A callback-driven state machine like :class:`RangeGet`, with the two
+    heap entries a process per slice would push around its chunk
+    requests: its start (priority 0) and its end (priority 1).
+    """
+
+    __slots__ = ("reader", "fragment", "_key", "_size", "_chunk_count",
+                 "_started", "_logical", "_piece", "_requests")
+
+    def __init__(self, reader: ShuffleReader, fragment: int) -> None:
+        env = reader.io.env
+        Event.__init__(self, env)
+        self.reader = reader
+        self.fragment = fragment
+        Step(env, 0, self._start)
+
+    def _start(self, _event) -> None:
+        reader = self.reader
+        io = reader.io
+        partition = reader.partition
+        key = shuffle_key(reader.query_id, reader.pipeline_id, self.fragment)
+        try:
+            index = io.storage.head(key).payload
+            logical = float(index["logical"][partition])
+            if index.get("combined", True):
+                piece = index["partitions"][partition]
+            else:
+                key = f"{key}/p-{partition:05d}"
+                piece = io.storage.head(key).payload
+        except Exception as exc:
+            self.fail(exc)
+            # The traceback keeps this frame: no local of it may lead
+            # back to the error (docs/performance.md, "Garbage").
+            self = None
+            return
+        size = max(logical, 1.0)
+        chunks = _chunk_sizes(size, io.chunk_bytes)
+        self._key = key
+        self._size = size
+        self._chunk_count = len(chunks)
+        self._started = self.env.now
+        self._logical = logical
+        self._piece = piece
+        if len(chunks) == 1:
+            # Every slice up to ``chunk_bytes``: one request, no windows.
+            self._requests = None
+            RangeGet(io, key, size, True).callbacks.append(self._next)
         else:
-            part_key = f"{key}/p-{self.partition:05d}"
-            obj = yield from self.io.read_object(
-                part_key, logical_bytes=max(logical, 1.0),
-                defer_transfer=True)
-            piece = obj.payload
-        return RecordBatch(piece.schema, piece.columns, logical_bytes=logical)
+            self._requests = io.chunk_requests(key, chunks, True)
+            self._next()
+
+    def _next(self, done: Event | None = None) -> None:
+        """Wait for the chunk requests in turn (``done`` is the one just
+        waited for); end once the last has."""
+        requests = self._requests
+        while done is None or done._ok:
+            done = None if requests is None else next(requests, None)
+            if done is None:
+                self._end()
+                return
+            if done.callbacks is not None:
+                done.callbacks.append(self._next)
+                return
+        self._requests = None
+        done._defused = True
+        self.fail(done._value)
+
+    def _end(self) -> None:
+        self._requests = None
+        self.reader.io.read_done(self._key, self._size, self._chunk_count,
+                                 self._started, True)
+        piece = self._piece
+        self.succeed(RecordBatch(piece.schema, piece.columns,
+                                 logical_bytes=self._logical))
 
 
 def read_only(batch: RecordBatch) -> RecordBatch:

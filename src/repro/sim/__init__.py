@@ -21,7 +21,7 @@ Example
 """
 
 from repro.sim.errors import Interrupt, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Process, Step, Timeout
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
@@ -36,5 +36,6 @@ __all__ = [
     "RandomStreams",
     "Resource",
     "SimulationError",
+    "Step",
     "Timeout",
 ]

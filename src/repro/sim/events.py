@@ -133,6 +133,29 @@ class Initialize(Event):
         heapq.heappush(env._queue, (env._now, 0, env._seq, self))
 
 
+class Step(Event):
+    """An event that runs one callback (or none) now, at ``priority``.
+
+    The heap entry of one step of a callback-driven state machine. It
+    takes the key a process start (priority 0, as :class:`Initialize`),
+    a process termination or a condition trigger (priority 1) would
+    take, so a machine that stands in for a chain of processes keeps the
+    chain's event count and pop order. Inlined like :class:`Timeout`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", priority: int,  # noqa: F821
+                 callback: Optional[Callable[[Event], None]] = None) -> None:
+        self.env = env
+        self.callbacks = [] if callback is None else [callback]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        env._seq += 1
+        heapq.heappush(env._queue, (env._now, priority, env._seq, self))
+
+
 class Process(Event):
     """Wraps a generator so it can be executed as a simulation process.
 

@@ -26,7 +26,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.network.fabric import Endpoint, Fabric, FluidLink
+from repro.network.fabric import Endpoint, Fabric, Flow, FluidLink
 from repro.sim import Environment, RandomStreams
 from repro.storage.errors import NoSuchKey
 from repro.storage.latency import LatencyModel
@@ -346,29 +346,27 @@ class StorageService:
 
     def _transfer(self, op: RequestType, nbytes: float,
                   endpoint: Optional[Endpoint]):
-        """Move the payload bytes across the fabric (if any)."""
+        """Process: move the payload bytes across the fabric (if any)."""
+        flow = self._open_flow(op, nbytes, endpoint)
+        if flow is not None:
+            yield flow.done
+
+    def _open_flow(self, op: RequestType, nbytes: float,
+                   endpoint: Optional[Endpoint]) -> Optional[Flow]:
+        """Start the flow that moves the payload bytes, or ``None`` when
+        nothing crosses the fabric."""
         if nbytes <= 0:
-            return
+            return None
         link = self.read_link if op is RequestType.GET else self.write_link
         links = (link,) if link is not None else ()
         if endpoint is None:
             # No client endpoint given: only the service-side cap applies.
             if link is None:
-                return
-            src = self.endpoint if op is RequestType.GET else None
-            flow = (self.fabric.transfer(self.endpoint,
-                                         self.fabric.endpoint("anon"),
-                                         nbytes, links)
-                    if src is not None else
-                    self.fabric.transfer(self.fabric.endpoint("anon"),
-                                         self.endpoint, nbytes, links))
-            yield flow.done
-            return
+                return None
+            endpoint = self.fabric.endpoint("anon")
         if op is RequestType.GET:
-            flow = self.fabric.transfer(self.endpoint, endpoint, nbytes, links)
-        else:
-            flow = self.fabric.transfer(endpoint, self.endpoint, nbytes, links)
-        yield flow.done
+            return self.fabric.transfer(self.endpoint, endpoint, nbytes, links)
+        return self.fabric.transfer(endpoint, self.endpoint, nbytes, links)
 
 
 def _payload_size(payload: Any) -> float:

@@ -18,7 +18,7 @@ from repro.engine.queries import (
     tpcxbb_q3,
 )
 from repro.engine.reference import run_reference, table_batches_from_spec
-from repro.engine.shuffle import ShuffleReader, shuffle_key
+from repro.engine.shuffle import SliceRead, shuffle_key
 from repro.faas import LambdaPlatform
 from repro.formats import RecordBatch, read_file, write_file
 from repro.iaas import Ec2Fleet, VmShim
@@ -358,17 +358,18 @@ class TestShuffleHandover:
         """Every slice and result as shipped, beside its stored piece and
         the piece's round trip taken when it shipped."""
         slices, results = [], []
-        read_slice = ShuffleReader._read_slice
+        end_slice = SliceRead._end
         fetch_result = SkyriseEngine._fetch_result
 
-        def spy_slice(reader, fragment):
-            got = yield from read_slice(reader, fragment)
+        def spy_slice(request):
+            end_slice(request)
+            reader = request.reader
             index = reader.io.storage.head(shuffle_key(
-                reader.query_id, reader.pipeline_id, fragment)).payload
+                reader.query_id, reader.pipeline_id,
+                request.fragment)).payload
             piece = index["partitions"][reader.partition]
-            slices.append((got, index["logical"][reader.partition], piece,
-                           read_file(write_file(piece))))
-            return got
+            slices.append((request.value, index["logical"][reader.partition],
+                           piece, read_file(write_file(piece))))
 
         def spy_result(engine, keys):
             service = engine.storage[engine.intermediate_service]
@@ -379,7 +380,7 @@ class TestShuffleHandover:
             results.append((got, parts, want))
             return got
 
-        monkeypatch.setattr(ShuffleReader, "_read_slice", spy_slice)
+        monkeypatch.setattr(SliceRead, "_end", spy_slice)
         monkeypatch.setattr(SkyriseEngine, "_fetch_result", spy_result)
         return slices, results
 

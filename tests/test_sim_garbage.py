@@ -16,17 +16,26 @@ import gc
 import weakref
 from types import GeneratorType
 
+import numpy as np
 import pytest
 
+from repro import units
 from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine
+from repro.engine.io import IoStack
 from repro.engine.queries import tpch_q12
+from repro.engine.shuffle import ShuffleReader, shuffle_key
+from repro.formats.batch import RecordBatch
+from repro.formats.schema import DataType, Field, Schema
 from repro.futures.future import ResponseFuture
 from repro.futures.workloads import run_wordcount
+from repro.network import Fabric, lambda_shaper
 from repro.serve import default_tenant_mix, run_serving_workload
-from repro.sim import AnyOf, Environment, Event, Process, Timeout
-from repro.storage.errors import SlowDown
+from repro.sim import AnyOf, Environment, Event, Process, RandomStreams, Timeout
+from repro.storage import S3Standard
+from repro.storage.errors import SlowDown, StorageError
+from repro.storage.latency import LatencyModel
 
 
 @pytest.fixture
@@ -101,6 +110,106 @@ def test_injected_faults_leave_no_garbage(collector_off):
     outcome = _run(sim, s3, engine, query)
     assert gc.collect() == 0  # 1,112 before
     assert outcome == (1624, 7.684175720, 183, 56)
+
+
+def _io_stack(link=None):
+    """An S3 bucket and one worker's I/O stack: 4 MiB chunks, 8 in flight,
+    behind a Lambda ingress shaper and, optionally, a shared link."""
+    env = Environment()
+    fabric = Fabric(env)
+    s3 = S3Standard(env, fabric, RandomStreams(seed=3))
+    links = () if link is None else (fabric.link(link),)
+    endpoint = fabric.endpoint("worker", ingress=lambda_shaper("in"),
+                               links=links)
+    io = IoStack(env, s3, endpoint, chunk_bytes=4 * units.MiB, concurrency=8)
+    return env, fabric, s3, io, links
+
+
+def _store(env, s3, objects):
+    """Put ``{key: (payload, logical size)}`` before the run under test."""
+    def put(env):
+        for key, (payload, size) in objects.items():
+            yield from s3.put(key, payload, size=size)
+    env.run(until=env.process(put(env)))
+
+
+def test_stragglers_leave_no_garbage(collector_off):
+    """Both kinds of straggler are abandoned and re-triggered: first-byte
+    ones from a heavy latency tail, transfer ones on a link that 24 other
+    flows hold for the first two seconds."""
+    env, fabric, s3, io, links = _io_stack(link=64 * units.MiB)
+    _store(env, s3, {f"in/{i}": (None, 12 * 4 * units.MiB) for i in range(3)})
+    s3.read_latency = LatencyModel(median=0.03, p95=0.4, tail_alpha=1.1,
+                                   tail_probability=0.3, ceiling=3.0)
+    src, dst = fabric.endpoint("noise-src"), fabric.endpoint("noise-dst")
+    noise = [fabric.open_flow(src, dst, links) for _ in range(24)]
+
+    def quiet(env):
+        yield env.timeout(2.0)
+        for flow in noise:
+            flow.stop()
+
+    def reader(env):
+        for i in range(3):
+            yield from io.read_object(f"in/{i}")
+
+    flows = next(fabric._flow_ids)
+    events = env.scheduled_events
+    env.process(quiet(env))
+    gc.collect()
+    env.run(until=env.process(reader(env)))
+    assert gc.collect() == 0
+    transfers = next(fabric._flow_ids) - flows - 1
+    # Every chunk moved once; each other transfer is one a straggler
+    # abandoned, and the other retries are first-byte stragglers.
+    assert (io.stats.retried, transfers - 36, s3.stats.failures) \
+        == (19, 14, 0)
+    assert (round(env.now, 9), env.scheduled_events - events) \
+        == (7.868334872, 601)
+
+
+def test_failed_requests_leave_no_garbage(collector_off):
+    """Reads that fail for good: a non-retryable fault on a one-chunk read,
+    on the first of three chunks and on a shuffle slice, and a slice
+    whose producer object is missing."""
+    env, fabric, s3, io, _ = _io_stack()
+    piece = RecordBatch(Schema([Field("v", DataType.INT64)]),
+                        {"v": np.arange(3)})
+    index = {"combined": True, "epoch": 0, "partitions": [piece],
+             "logical": [1_000.0], "rows": [3]}
+    _store(env, s3, {
+        "in/0": (None, units.MiB), "in/1": (None, 12 * units.MiB),
+        shuffle_key("q", "p", 0): (index, 1_000.0),
+        shuffle_key("q", "p", 1): (index, 1_000.0)})
+    failing = {"in/0", "in/1", shuffle_key("q", "p", 1)}
+
+    def fault_hook(op, key, now):
+        if op == "get" and key in failing:
+            failing.discard(key)
+            return StorageError("injected, not retryable")
+        return None
+
+    s3.fault_hook = fault_hook
+    reads = [lambda: io.read_object("in/0"), lambda: io.read_object("in/1"),
+             lambda: ShuffleReader(io, "q", "p", 2, 0, concurrency=1).read(),
+             lambda: ShuffleReader(io, "q", "p", 3, 0, concurrency=1).read()]
+
+    def reader(env):
+        failed = []
+        for read in reads:
+            try:
+                yield from read()
+            except StorageError as exc:
+                failed.append((round(env.now, 9), type(exc).__name__))
+        return failed
+
+    gc.collect()
+    failed = env.run(until=env.process(reader(env)))
+    assert gc.collect() == 0  # 74 before: the shuffle reader kept the slice
+    assert failed == [(0.139169744, "StorageError"),
+                      (0.139169744, "StorageError"),
+                      (0.17749636, "StorageError"),
+                      (0.261043826, "NoSuchKey")]
 
 
 class _WatchedProcess(Process):

@@ -237,10 +237,6 @@ class TestStragglerRetrigger:
         # Rig the latency sampler: first draw a pathological straggler,
         # then normal latencies.
         draws = iter([30.0, 0.02, 0.02, 0.02])
-        s3.read_latency = type(s3.read_latency)(
-            median=0.02, p95=0.03, ceiling=60.0)
-        original = s3.read_latency.sample_one
-        s3.read_latency = s3.read_latency  # keep the dataclass
         sampler_calls = []
 
         class RiggedModel:
@@ -250,15 +246,56 @@ class TestStragglerRetrigger:
                 sampler_calls.append(1)
                 return next(draws)
 
-        rigged = RiggedModel()
-        s3.read_latency = rigged
-        del original
-
+        s3.read_latency = RiggedModel()
+        started, events = env.now, env.scheduled_events
         io = IoStack(env, s3, fabric.endpoint("w"))
         proc = env.process(io.read_object("k", logical_bytes=units.KiB))
         env.run(until=proc)
-        # The straggler was abandoned (retried) and the retry succeeded
-        # far sooner than the 30 s pathological draw.
-        assert io.stats.retried >= 1
-        assert env.now < 10.0
-        assert len(sampler_calls) >= 2
+        # The straggler was abandoned at its 1 s deadline, and the retry
+        # answered 0.02 s later: far sooner than the 30 s draw.
+        assert io.stats.retried == 1
+        assert len(sampler_calls) == 2
+        assert round(env.now - started, 6) == 1.02
+        assert (round(env.now, 9), env.scheduled_events - events) \
+            == (1.076663098, 18)
+
+    def test_slow_transfer_is_retriggered_and_its_flow_completes(self):
+        """A chunk whose transfer overruns the deadline is re-issued too.
+        The abandoned attempt's flow is not stopped: it delivers its
+        bytes, here before the retry does."""
+        env = Environment()
+        fabric = Fabric(env)
+        s3 = S3Standard(env, fabric, RandomStreams(seed=9))
+        env.run(until=env.process(s3.put("k", None, size=4 * units.MiB)))
+        # Eight other flows share the worker's 18 MiB/s link for its
+        # first second: the first attempt gets 2 MiB/s and cannot finish
+        # in time; its retry shares the link with it alone.
+        link = fabric.link(18 * units.MiB)
+        src, dst = fabric.endpoint("src"), fabric.endpoint("dst")
+        noise = [fabric.open_flow(src, dst, (link,)) for _ in range(8)]
+
+        def quiet(env):
+            yield env.timeout(1.0)
+            for flow in noise:
+                flow.stop()
+
+        flows = []
+        transfer = fabric.transfer
+
+        def watched(*args, **kwargs):
+            flows.append(transfer(*args, **kwargs))
+            return flows[-1]
+
+        fabric.transfer = watched
+        events = env.scheduled_events
+        env.process(quiet(env))
+        io = IoStack(env, s3, fabric.endpoint("w", links=(link,)))
+        proc = env.process(io.read_object("k"))
+        env.run(until=proc)
+        assert io.stats.retried == 1
+        assert (round(env.now, 9), env.scheduled_events - events) \
+            == (1.401284455, 39)
+        abandoned, retry = flows
+        assert (round(abandoned.finished_at, 9), abandoned.transferred) \
+            == (1.287449657, 4 * units.MiB)
+        assert retry.finished_at == env.now
