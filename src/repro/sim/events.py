@@ -116,31 +116,16 @@ class Timeout(Event):
         return f"<Timeout delay={self._delay} at {id(self):#x}>"  # repro-lint: disable=DET004 debug repr only, never feeds artifacts
 
 
-class Initialize(Event):
-    """Internal event that starts a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process") -> None:  # noqa: F821
-        # One per process, so inlined like Timeout: own heap entry, at
-        # priority 0 (urgent) so it runs before same-timestamp events.
-        self.env = env
-        self.callbacks = [process._resume]
-        self._value = None
-        self._ok = True
-        self._defused = False
-        env._seq += 1
-        heapq.heappush(env._queue, (env._now, 0, env._seq, self))
-
-
 class Step(Event):
     """An event that runs one callback (or none) now, at ``priority``.
 
-    The heap entry of one step of a callback-driven state machine. It
-    takes the key a process start (priority 0, as :class:`Initialize`),
-    a process termination or a condition trigger (priority 1) would
-    take, so a machine that stands in for a chain of processes keeps the
-    chain's event count and pop order. Inlined like :class:`Timeout`.
+    It starts every process (priority 0, urgent, so it runs before
+    same-timestamp events), and it is the heap entry of one step of a
+    callback-driven state machine. Such a step takes the key a process
+    start (priority 0), a process termination or a condition trigger
+    (priority 1) would take, so a machine that stands in for a chain of
+    processes keeps the chain's event count and pop order. Inlined like
+    :class:`Timeout`: one per process start makes it a hot constructor.
     """
 
     __slots__ = ()
@@ -180,7 +165,7 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        Step(env, 0, self._resume)
 
     @property
     def generator(self) -> Generator[Event, Any, Any]:
