@@ -168,7 +168,7 @@ class RangeGet(Event):
     attempt has moved the chunk, or fails with the first error that is
     not a retryable :class:`StorageError`.
 
-    Each step pushes a heap entry exactly where a process-per-attempt
+    Each step pushes a kernel event exactly where a process-per-attempt
     design would: a start (priority 0) and a termination (priority 1) for
     the request and for every attempt, and a trigger (priority 1) for
     every race between an attempt and its deadline. So per attempt:
@@ -299,7 +299,7 @@ class RangeGet(Event):
             self.backoff = min(self.backoff * 2.0, 5.0)
             return
         # Straggler: abandon and re-trigger (Section 3.2). Whatever the
-        # attempt waits on, or its end if that is still in the heap,
+        # attempt waits on, or its end if that is still queued,
         # reaches nobody now; a running attempt is interrupted.
         wait.callbacks.clear()
         if self._running:

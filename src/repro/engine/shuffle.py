@@ -208,11 +208,13 @@ class SliceRead(Event):
     The request size is the slice's logical size — sub-KiB up to MiBs,
     the "Shuffle I/O Size" column of Table 6 — read through
     :meth:`IoStack.chunk_requests` with the transfer deferred, as
-    :meth:`IoStack.read_object` reads. The event ends with a new batch
-    over the stored piece's arrays.
+    :meth:`IoStack.read_object` reads. The event ends with the stored
+    piece itself, since :meth:`ShuffleReader.read` only concatenates
+    what it gets; or, where the index records another logical size
+    than the piece carries, with a new batch over the piece's arrays.
 
     A callback-driven state machine like :class:`RangeGet`, with the two
-    heap entries a process per slice would push around its chunk
+    kernel events a process per slice would push around its chunk
     requests: its start (priority 0) and its end (priority 1).
     """
 
@@ -282,8 +284,10 @@ class SliceRead(Event):
         self.reader.io.read_done(self._key, self._size, self._chunk_count,
                                  self._started, True)
         piece = self._piece
-        self.succeed(RecordBatch(piece.schema, piece.columns,
-                                 logical_bytes=self._logical))
+        if piece.logical_bytes != self._logical:
+            piece = RecordBatch(piece.schema, piece.columns,
+                                logical_bytes=self._logical)
+        self.succeed(piece)
 
 
 def read_only(batch: RecordBatch) -> RecordBatch:

@@ -66,7 +66,9 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        env._seq += 1
+        env._lanes[1].append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -77,7 +79,9 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        env = self.env
+        env._seq += 1
+        env._lanes[1].append(self)
         return self
 
     def defuse(self) -> None:
@@ -98,9 +102,9 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float,  # noqa: F821
                  value: Any = None) -> None:
         # Timeouts dominate the event mix, so construction is inlined:
-        # attributes are set directly and the schedule heappush happens
-        # here (priority 1 == kernel.NORMAL_PRIORITY), skipping the
-        # Event.__init__ and Environment.schedule call frames.
+        # attributes are set directly and the push happens here (priority
+        # 1 == kernel.NORMAL_PRIORITY), skipping the Event.__init__ and
+        # Environment.schedule call frames.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.env = env
@@ -110,7 +114,11 @@ class Timeout(Event):
         self._value = value
         self._defused = False
         env._seq += 1
-        heapq.heappush(env._queue, (env._now + delay, 1, env._seq, self))
+        when = env._now + delay
+        if when == env._now:
+            env._lanes[1].append(self)
+        else:
+            heapq.heappush(env._queue, (when, 1, env._seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay} at {id(self):#x}>"  # repro-lint: disable=DET004 debug repr only, never feeds artifacts
@@ -120,7 +128,7 @@ class Step(Event):
     """An event that runs one callback (or none) now, at ``priority``.
 
     It starts every process (priority 0, urgent, so it runs before
-    same-timestamp events), and it is the heap entry of one step of a
+    same-timestamp events), and it is the queue entry of one step of a
     callback-driven state machine. Such a step takes the key a process
     start (priority 0), a process termination or a condition trigger
     (priority 1) would take, so a machine that stands in for a chain of
@@ -138,7 +146,7 @@ class Step(Event):
         self._ok = True
         self._defused = False
         env._seq += 1
-        heapq.heappush(env._queue, (env._now, priority, env._seq, self))
+        env._lanes[priority].append(self)
 
 
 class Process(Event):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import SimulationError
@@ -16,16 +17,20 @@ NORMAL_PRIORITY = 1
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    The environment keeps the virtual clock (:attr:`now`, in seconds) and a
-    priority queue of triggered events. Time only advances when :meth:`run`
-    or :meth:`step` processes events; scheduling is O(log n).
+    The environment keeps the virtual clock (:attr:`now`, in seconds) and
+    the triggered events; time only advances when :meth:`run` pops them.
+    An event due later goes on a heap keyed ``(time, priority, seq)``; one
+    due now (every process start, ``succeed``, ``fail``, interrupt) is
+    appended to the FIFO lane of its priority. A heap entry at ``now`` was
+    pushed before any lane entry, so the pop order is exactly the heap's.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_active_process", "_monitor")
+    __slots__ = ("_now", "_queue", "_lanes", "_seq", "_active_process", "_monitor")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
+        self._lanes: tuple[deque[Event], deque[Event]] = (deque(), deque())
         self._seq = 0
         self._active_process: Optional[Process] = None
         self._monitor: Optional[Any] = None
@@ -81,24 +86,34 @@ class Environment:
 
     def schedule(self, event: Event, delay: float = 0.0,
                  priority: int = NORMAL_PRIORITY) -> None:
-        """Queue ``event`` for processing ``delay`` seconds from now."""
+        """Queue ``event`` for processing ``delay`` seconds from now, at
+        ``priority`` 0 (urgent) or 1 (normal)."""
+        if priority != 0 and priority != 1:
+            raise ValueError(f"priority must be 0 or 1, got {priority!r}")
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        when = self._now + delay
+        if when == self._now:
+            self._lanes[priority].append(event)
+        else:
+            heapq.heappush(self._queue, (when, priority, self._seq, event))
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
+        if self._lanes[0] or self._lanes[1]:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until the queue is empty), a number
-        (run until the clock reaches that time), or an :class:`Event` (run
-        until that event is processed, returning its value).
+        (run until the clock reaches that time, even if the queue drains
+        first), or an :class:`Event` (run until that event is processed,
+        returning its value).
 
-        The queue and heap pop are bound to locals — event dispatch is
-        the simulator's innermost loop, and the per-event overhead here
-        is what every scenario pays.
+        The queue and lanes are bound to locals — event dispatch is the
+        simulator's innermost loop, and its per-event overhead is what
+        every scenario pays.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -110,25 +125,41 @@ class Environment:
                 raise ValueError(
                     f"until={stop_time} lies in the past (now={self._now})")
         queue = self._queue
+        urgent, normal = self._lanes
         heappop = heapq.heappop
         while True:
             if stop_event is not None and stop_event.callbacks is None:
                 if not stop_event._ok:
                     raise stop_event._value
                 return stop_event._value
-            if not queue:
+            if urgent:
+                # A heap entry at now was pushed first: it wins if urgent.
+                if queue and queue[0][0] == self._now and queue[0][1] == 0:
+                    event = heappop(queue)[3]
+                else:
+                    event = urgent.popleft()
+            elif normal:
+                if queue and queue[0][0] == self._now:
+                    event = heappop(queue)[3]
+                else:
+                    event = normal.popleft()
+            elif not queue:
                 if stop_event is not None:
                     raise SimulationError(
                         "simulation ended before the awaited event triggered")
+                if until is not None:
+                    self._now = stop_time
                 return None
-            if queue[0][0] > stop_time:
+            elif queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
-            when, _, _, event = heappop(queue)
-            self._now = when
+            else:
+                when, _, _, event = heappop(queue)
+                self._now = when
             monitor = self._monitor
             if monitor is not None:
-                monitor.on_event(when, len(queue))
+                monitor.on_event(self._now,
+                                 len(queue) + len(urgent) + len(normal))
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:

@@ -158,6 +158,9 @@ class PartitionTree:
         #: Per-partition admit timestamps inside the sliding IOPS window,
         #: keyed by ``(partition.uid, direction)``.
         self._admit_log: dict[tuple[int, str], deque] = {}
+        #: ``key_point`` of every key seen: admission asks for the same
+        #: few keys on every request, and the point never changes.
+        self._points: dict[str, float] = {}
 
     def enable_telemetry(self, recorder, prefix: str) -> None:
         """Record per-prefix admission decisions/levels under ``prefix``."""
@@ -221,7 +224,9 @@ class PartitionTree:
 
     def partition_for(self, key: str) -> Partition:
         """The partition owning ``key``."""
-        point = key_point(key)
+        point = self._points.get(key)
+        if point is None:
+            point = self._points[key] = key_point(key)
         for partition in self.partitions:
             if partition.owns(point):
                 return partition

@@ -403,6 +403,7 @@ class TestShuffleHandover:
         for got, logical, piece, want in slices:
             self.assert_decodes_alike(got, want)
             assert got.logical_bytes == logical
+            assert got is piece  # the index agrees with the piece's size
         [(got, parts, want)] = results
         assert result.batch is got
         self.assert_decodes_alike(got, want)

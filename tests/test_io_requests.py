@@ -2,7 +2,7 @@
 
 :class:`~repro.engine.io.RangeGet` (one chunk) and
 :class:`~repro.engine.shuffle.SliceRead` (one shuffle slice) push one
-heap entry wherever the generator processes before them did, so a run
+kernel event wherever the generator processes before them did, so a run
 must pop the same events at the same times and leave the same counters.
 The oracle is that process chain, kept here verbatim in test-local
 subclasses (less the deleted ``IoStats.read_time`` accounting). Both run

@@ -23,7 +23,7 @@ from repro import units
 from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine
-from repro.engine.io import IoStack
+from repro.engine.io import IoStack, RangeGet
 from repro.engine.queries import tpch_q12
 from repro.engine.shuffle import ShuffleReader, shuffle_key
 from repro.formats.batch import RecordBatch
@@ -238,6 +238,30 @@ def test_failed_attempt_dies_once_its_waiter_moves_on(collector_off):
     done = env.process(caller(env))
     assert env.run(until=done) == 2.0
     assert env.peek() == 30.0  # the deadline is still due, holding nothing
+
+
+class _WatchedRangeGet(RangeGet):
+    __slots__ = ("__weakref__",)
+
+
+def test_a_request_through_the_same_time_lanes_frees_by_refcount(
+        collector_off):
+    """A ranged GET's start, end, race trigger and the request's own end
+    are due at the time they are pushed, so they go through the kernel's
+    FIFO lanes rather than its heap: the lanes keep nothing once they
+    have popped it."""
+    env, _, s3, io, _ = _io_stack()
+    _store(env, s3, {"in/0": (None, units.MiB)})
+    request = _WatchedRangeGet(io, "in/0", units.MiB, False)
+    watched = weakref.ref(request)
+    assert [len(lane) for lane in env._lanes] == [1, 0]  # its start
+    gc.collect()
+    env.run(until=request)
+    request = None
+    env.run()
+    assert watched() is None
+    assert gc.collect() == 0
+    assert not any(env._lanes)
 
 
 def _kernel_objects(garbage):

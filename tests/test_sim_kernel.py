@@ -1,6 +1,9 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import heapq
+import itertools
 import traceback
+from typing import Any, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.sim import (
     Event,
     Interrupt,
     SimulationError,
+    Step,
 )
 from repro.sim.events import PENDING, ConditionValue
 
@@ -89,6 +93,15 @@ def test_run_until_time_stops_clock():
 
     env.process(proc(env))
     env.run(until=10.0)
+    assert env.now == 10.0
+
+
+def test_run_until_time_reaches_it_when_the_queue_drains_first():
+    env = Environment()
+    env.timeout(3.0)
+    env.run(until=10.0)
+    assert env.now == 10.0
+    env.run()  # drained with no time given: the clock stays
     assert env.now == 10.0
 
 
@@ -274,6 +287,23 @@ def test_peek_reports_next_event_time():
     assert env.peek() == 7.0
     env.run()
     assert env.peek() == float("inf")
+
+
+def test_peek_is_now_while_an_event_is_due_now():
+    env = Environment(initial_time=2.0)
+    env.timeout(5.0)
+    env.event().succeed()
+    assert env.peek() == 2.0
+    env.run(until=3.0)
+    assert (env.now, env.peek()) == (3.0, 7.0)
+
+
+def test_schedule_rejects_a_priority_with_no_lane():
+    env = Environment()
+    for priority in (-1, 2):
+        with pytest.raises(ValueError, match="priority"):
+            env.schedule(env.event(), priority=priority)
+    assert env.scheduled_events == 0
 
 
 def test_condition_absorbs_late_concurrent_failures():
@@ -603,3 +633,239 @@ def _replay_tree(tree, build_at, any_of, all_of):
 def test_conditions_complete_exactly_as_the_parent_commits_did(tree, build_at):
     assert _replay_tree(tree, build_at, AnyOf, AllOf) \
         == _replay_tree(tree, build_at, _OracleAnyOf, _OracleAllOf)
+
+
+# -- the parent commit's heap-only kernel, as oracle for the lanes -------------
+
+class _HeapLane:
+    """A lane of the oracle: what the events append to it goes on the
+    heap, under the key the parent's inlined pushes gave it."""
+
+    __slots__ = ("env", "priority")
+
+    def __init__(self, env, priority):
+        self.env = env
+        self.priority = priority
+
+    def append(self, event):
+        env = self.env
+        heapq.heappush(env._queue, (env._now, self.priority, env._seq, event))
+
+
+class _HeapOnlyEnvironment(Environment):
+    """The parent commit's ``schedule``, ``peek`` and ``run``, verbatim
+    but for the drained ``run(until=t)``, which now ends at ``t`` as in
+    the lanes kernel. Every event is a heap entry."""
+
+    __slots__ = ()
+
+    def __init__(self, initial_time: float = 0.0) -> None:
+        super().__init__(initial_time)
+        self._lanes = (_HeapLane(self, 0), _HeapLane(self, 1))
+
+    def schedule(self, event: Event, delay: float = 0.0,
+                 priority: int = 1) -> None:
+        """Queue ``event`` for processing ``delay`` seconds from now."""
+        self._seq += 1
+        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+
+    def peek(self) -> float:
+        """Timestamp of the next scheduled event, or ``inf`` if none."""
+        return self._queue[0][0] if self._queue else float("inf")
+
+    def run(self, until: Optional[float | Event] = None) -> Any:
+        stop_event: Optional[Event] = None
+        stop_time = float("inf")
+        if isinstance(until, Event):
+            stop_event = until
+        elif until is not None:
+            stop_time = float(until)
+            if stop_time < self._now:
+                raise ValueError(
+                    f"until={stop_time} lies in the past (now={self._now})")
+        queue = self._queue
+        heappop = heapq.heappop
+        while True:
+            if stop_event is not None and stop_event.callbacks is None:
+                if not stop_event._ok:
+                    raise stop_event._value
+                return stop_event._value
+            if not queue:
+                if stop_event is not None:
+                    raise SimulationError(
+                        "simulation ended before the awaited event triggered")
+                if until is not None:  # the fix
+                    self._now = stop_time
+                return None
+            if queue[0][0] > stop_time:
+                self._now = stop_time
+                return None
+            when, _, _, event = heappop(queue)
+            self._now = when
+            monitor = self._monitor
+            if monitor is not None:
+                monitor.on_event(when, len(queue))
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused:
+                if isinstance(event._value, BaseException):
+                    raise event._value
+                raise SimulationError(
+                    f"event failed with non-exception {event._value!r}")
+
+
+def _pop_order(env_cls, program, drives):
+    """Run ``program`` (one script of ops per process) on a fresh
+    ``env_cls``, driven by ``drives`` and then to the end.
+
+    Returns the per-pop ``(now, queue depth, label)`` log (``label`` is
+    the creation index of an event the program made, ``None`` for the
+    kernel's own: process starts, interrupts), what the processes and
+    the driver saw, and the event count.
+    """
+    env = env_cls()
+    pops, seen, procs = [], [], []
+    labels = itertools.count()
+
+    class Monitor:
+        def on_event(self, now, queue_depth):
+            pops.append([now, queue_depth, None])
+
+        def on_process(self, name):
+            pass
+
+    env.set_monitor(Monitor())
+
+    def label(event):
+        name = next(labels)
+
+        def popped(_event):
+            pops[-1][2] = name
+
+        event.callbacks.insert(0, popped)
+        return event
+
+    def act(index, op):
+        kind = op[0]
+        if kind == "wait":
+            return (yield label(env.timeout(op[1], value="waited")))
+        if kind == "step":
+            return (yield label(Step(env, op[1], lambda _: seen.append(
+                ("stepped", index, env.now, env.peek())))))
+        if kind == "trigger":  # a timeout, then a step, then succeed/fail
+            _, delay, priority, ok = op
+            event = label(env.event())
+
+            def fire(_step):
+                if ok:
+                    event.succeed("fired")
+                else:
+                    event.fail(_Boom())
+
+            label(env.timeout(delay)).callbacks.append(
+                lambda _: label(Step(env, priority, fire)))
+            return (yield event)
+        if kind == "schedule":
+            event = label(env.event())
+            event._ok, event._value = True, "scheduled"
+            env.schedule(event, op[1], op[2])
+            return (yield event)
+        if kind == "spawn":
+            def child(delay):
+                yield label(env.timeout(delay))
+                return "child"
+
+            proc = label(env.process(child(op[1])))
+            return (yield proc) if op[2] else "spawned"
+        if kind == "race":
+            values = yield AnyOf(env, [label(env.timeout(op[1], "a")),
+                                       label(env.timeout(op[2], "b"))])
+            return sorted(values.values())
+        target = procs[op[1] % len(procs)]  # interrupt a parked process
+        if target.is_alive and target.target is not None:
+            target.interrupt("poke")
+            return "sent"
+        return "skipped"
+
+    def actor(index, script):
+        for op in script:
+            try:
+                got = yield from act(index, op)
+            except (Interrupt, _Boom) as exc:
+                got = type(exc).__name__
+            seen.append((op[0], index, env.now, got, env.peek()))
+        return index
+
+    for index, script in enumerate(program):
+        procs.append(label(env.process(actor(index, script))))
+    for drive in list(drives) + [("run",)]:
+        try:
+            if drive[0] == "until":
+                got = env.run(until=env.now + drive[1])
+            elif drive[0] == "join":
+                got = env.run(until=procs[drive[1] % len(procs)])
+            else:
+                got = env.run()
+        except (_Boom, SimulationError) as exc:
+            got = type(exc).__name__
+        seen.append((drive, got, env.now, env.peek()))
+    return [tuple(pop) for pop in pops], seen, env.scheduled_events
+
+
+#: Delays that tie (0.1 + 0.2 is not 0.3, 0.5 + 0.5 is 1.0), and one
+#: that rounds to ``now`` once the clock is past zero.
+_KERNEL_DELAYS = st.sampled_from([0.0, 1e-17, 0.1, 0.2, 0.3, 0.5, 1.0])
+_PRIORITIES = st.sampled_from([0, 1])
+_OPS = st.one_of(
+    st.tuples(st.just("wait"), _KERNEL_DELAYS),
+    st.tuples(st.just("step"), _PRIORITIES),
+    st.tuples(st.just("trigger"), _KERNEL_DELAYS, _PRIORITIES, st.booleans()),
+    st.tuples(st.just("schedule"), _KERNEL_DELAYS, _PRIORITIES),
+    st.tuples(st.just("spawn"), _KERNEL_DELAYS, st.booleans()),
+    st.tuples(st.just("race"), _KERNEL_DELAYS, _KERNEL_DELAYS),
+    st.tuples(st.just("interrupt"), st.integers(0, 3)),
+)
+_DRIVES = st.lists(st.one_of(
+    st.tuples(st.just("until"), st.sampled_from([0.0, 0.15, 0.5, 1.0, 2.5])),
+    st.tuples(st.just("join"), st.integers(0, 3))), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=st.lists(st.lists(_OPS, max_size=6), min_size=1, max_size=4),
+       drives=_DRIVES)
+def test_lanes_pop_what_the_heap_only_kernel_popped(program, drives):
+    assert _pop_order(Environment, program, drives) \
+        == _pop_order(_HeapOnlyEnvironment, program, drives)
+
+
+def test_heap_entries_due_now_pop_between_the_lanes():
+    """At t=1: two urgent heap entries, two normal ones, and what the
+    first urgent one pushes at once: a step at each priority."""
+    def order(env_cls):
+        env = env_cls()
+        popped = []
+
+        def tag(event, name):
+            event.callbacks.append(lambda _: popped.append(name))
+            return event
+
+        def urgent(name):
+            event = tag(env.event(), name)
+            event._ok, event._value = True, None
+            env.schedule(event, 1.0, priority=0)
+            return event
+
+        urgent("u1").callbacks.append(lambda _: (
+            tag(Step(env, 1), "x"), tag(Step(env, 0), "w")))
+        urgent("u2")
+        tag(env.timeout(1.0), "a")
+        tag(env.timeout(1.0), "b")
+        env.run()
+        return popped
+
+    # u2 beats the urgent lane (same priority, pushed first); the urgent
+    # lane beats a and b, which beat the normal lane.
+    assert order(Environment) == order(_HeapOnlyEnvironment) \
+        == ["u1", "u2", "w", "a", "b", "x"]

@@ -177,3 +177,31 @@ class TestInvariants:
         for key in keys:
             owners = [p for p in tree.partitions if p.owns(key_point(key))]
             assert len(owners) == 1
+
+    @given(keys=st.lists(st.text(max_size=20), min_size=1, max_size=50),
+           splits=st.lists(st.integers(min_value=0, max_value=30),
+                           min_size=1, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_memoized_partition_for_equals_a_scan(self, keys, splits):
+        """``partition_for`` memoizes ``key_point`` per tree; the owner
+        it finds must be the one a scan with a fresh ``key_point`` finds,
+        before and after the tree splits and merges."""
+        tree = PartitionTree()
+
+        def check():
+            for key in keys + keys:  # the second pass hits the memo
+                point = key_point(key)
+                owner = next((p for p in tree.partitions if p.owns(point)),
+                             tree.partitions[-1])
+                assert tree.partition_for(key) is owner
+
+        check()
+        for choice in splits:
+            tree.split(tree.partitions[choice % tree.partition_count],
+                       now=0.0)
+        check()
+        tree.maybe_merge(now=FIRST_MERGE_IDLE_S)
+        check()
+        tree.maybe_merge(now=FULL_MERGE_IDLE_S)
+        assert tree.partition_count == 1
+        check()
