@@ -10,46 +10,42 @@ individual clients into stragglers.
 
 import pytest
 
-from conftest import save_artifact
+from conftest import run_registry, save_artifact
 from repro.analysis import relative_std
 from repro.core import CloudSim, ascii_timeseries
-from repro.core.micro import run_s3_iops_scaling
-
-
-def run_experiment():
-    sim = CloudSim(seed=11)
-    trace = run_s3_iops_scaling(sim)
-    return sim, trace
 
 
 def test_fig11_s3_iops_scaling(benchmark):
-    sim, trace = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    (result,) = benchmark.pedantic(run_registry, args=("fig11",), rounds=1,
+                                   iterations=1)
+    times = [t for t, __ in result.series["successful"]]
+    successful = [iops for __, iops in result.series["successful"]]
+    partitions = [p for __, p in result.series["partitions"]]
     chart = ascii_timeseries(
-        list(zip([t / 60 for t in trace.times], trace.successful)),
+        list(zip([t / 60 for t in times], successful)),
         title="Figure 11: successful read IOPS over time (x in minutes)")
     save_artifact("fig11_s3_iops_scaling", chart)
 
+    metrics = result.metrics
     # Scaling 1 -> 5 partitions, ~5.5K -> ~27.5K IOPS.
-    assert trace.partitions[0] == 1
-    assert trace.partitions[-1] == 5
-    assert trace.successful[0] <= 7_000
-    assert trace.final_iops == pytest.approx(27_500, rel=0.1)
+    assert partitions[0] == 1
+    assert partitions[-1] == 5
+    assert successful[0] <= 7_000
+    assert metrics["final_iops"] == pytest.approx(27_500, rel=0.1)
     # The overall process takes tens of minutes (paper: ~26 min).
-    duration_min = trace.times[-1] / 60.0
-    assert 20 <= duration_min <= 40
+    assert 20 <= metrics["duration_min"] <= 40
     # Overall error rate around 10%.
-    assert 0.03 <= trace.error_rate() <= 0.25
+    assert 0.03 <= metrics["error_rate"] <= 0.25
     # While scaling out, IOPS shows high variance (paper: relative
     # standard deviation up to 29% for individual configurations) —
     # client backoff produces visible dips.
-    mid = slice(len(trace.successful) // 4, 3 * len(trace.successful) // 4)
-    assert relative_std(trace.successful[mid]) > 5.0
+    mid = slice(len(successful) // 4, 3 * len(successful) // 4)
+    assert relative_std(successful[mid]) > 5.0
     # Tens of millions of requests were issued and counted by the hook.
-    total_requests = sim.s3().stats.total()
-    assert total_requests > 10_000_000
+    assert metrics["requests_millions"] > 10
     # IOPS never exceeds what the partitions can serve.
-    for iops, partitions in zip(trace.successful, trace.partitions):
-        assert iops <= partitions * 5_500 + 1e-6
+    for iops, count in zip(successful, partitions):
+        assert iops <= count * 5_500 + 1e-6
 
 
 def test_fig11_write_iops_do_not_scale(benchmark):

@@ -11,25 +11,26 @@ and with delay".
 
 import pytest
 
-from conftest import save_artifact
+from conftest import run_registry, save_artifact
 from repro.analysis import extrapolate_scaling
-from repro.core import CloudSim, format_table
-from repro.core.micro import run_s3_iops_scaling
+from repro.core import format_table
 from repro.pricing import STORAGE_PRICES
 
 
 def run_experiment():
-    sim = CloudSim(seed=12)
-    trace = run_s3_iops_scaling(sim)
+    (result,) = run_registry("fig12")
     price = STORAGE_PRICES["s3-standard"].read_request
+    successful = result.series["successful"]
+    tick = successful[1][0] - successful[0][0]
     # Locate when each partition count was first reached and the request
     # budget burned up to that point.
     partitions_seen: dict[int, tuple[float, float]] = {}
     cumulative_requests = 0.0
-    for t, ok, failed, partitions in zip(trace.times, trace.successful,
-                                         trace.failed, trace.partitions):
-        tick = trace.times[1] - trace.times[0]
+    for (t, ok), (__, failed), (__, count) in zip(
+            successful, result.series["failed"],
+            result.series["partitions"]):
         cumulative_requests += (ok + failed) * tick
+        partitions = int(count)
         if partitions not in partitions_seen:
             partitions_seen[partitions] = (t, cumulative_requests * price)
     measured = sorted(partitions_seen.items())

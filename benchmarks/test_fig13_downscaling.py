@@ -8,31 +8,20 @@ IOPS returns to single-partition level after ~4.5-5 days overall.
 
 import pytest
 
-from conftest import save_artifact
-from repro import units
-from repro.core import CloudSim, ascii_timeseries
-from repro.core.micro import run_s3_downscaling
-
-
-def run_experiment():
-    hourly = run_s3_downscaling(CloudSim(seed=13),
-                                probe_interval_s=units.HOUR)
-    daily = run_s3_downscaling(CloudSim(seed=13),
-                               probe_interval_s=units.DAY)
-    return hourly, daily
+from conftest import run_registry, save_artifact
+from repro.core import ascii_timeseries
 
 
 def level(points, day: float) -> float:
     """IOPS measured by the probe closest to ``day``."""
-    return min(points, key=lambda p: abs(p[0] - day * units.DAY))[1]
+    return min(points, key=lambda p: abs(p[0] - day))[1]
 
 
 def test_fig13_downscaling(benchmark):
-    hourly, daily = benchmark.pedantic(run_experiment, rounds=1,
-                                       iterations=1)
+    hourly, daily = (result.series["iops"] for result in benchmark.pedantic(
+        run_registry, args=("fig13",), rounds=1, iterations=1))
     chart = ascii_timeseries(
-        [(t / units.DAY, iops) for t, iops in hourly],
-        title="Figure 13 (hourly probes): max IOPS vs days idle")
+        hourly, title="Figure 13 (hourly probes): max IOPS vs days idle")
     save_artifact("fig13_downscaling", chart)
 
     for points in (hourly, daily):

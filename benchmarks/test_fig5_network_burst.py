@@ -9,49 +9,36 @@ bucket refills only halfway on idle.
 
 import pytest
 
-from conftest import save_artifact
+from conftest import run_registry, save_artifact
 from repro import units
-from repro.core import CloudSim, ascii_timeseries
-from repro.core.micro import run_function_network_burst
-
-
-def run_experiment():
-    sim = CloudSim(seed=11)
-    inbound = run_function_network_burst(sim, duration=5.0, break_s=3.0,
-                                         direction="download")
-    sim_out = CloudSim(seed=11)
-    outbound = run_function_network_burst(sim_out, duration=5.0,
-                                          break_s=3.0, direction="upload")
-    return inbound, outbound
+from repro.core import ascii_timeseries
 
 
 def test_fig5_network_burst(benchmark):
-    (first_in, second_in), (first_out, __) = benchmark.pedantic(
-        run_experiment, rounds=1, iterations=1)
+    inbound, outbound = benchmark.pedantic(run_registry, args=("fig5",),
+                                           rounds=1, iterations=1)
+    first = inbound.series["first_burst"]
     chart = ascii_timeseries(
-        [(t, r / units.GiB) for t, r in
-         zip(first_in.series.times(), first_in.series.rates())],
+        [(t, r / units.GiB) for t, r in first],
         title="Figure 5 (inbound, first run): GiB/s over time")
     save_artifact("fig5_network_burst", chart)
 
-    profile = first_in.burst_profile()
+    profile = inbound.metrics
     # Initial inbound burst: ~1.2 GiB/s for ~250 ms.
-    assert profile.burst_rate == pytest.approx(1.2 * units.GiB, rel=0.08)
-    assert 0.20 <= profile.burst_duration <= 0.30
+    assert profile["burst_rate_gib_s"] == pytest.approx(1.2, rel=0.08)
+    assert 0.20 <= profile["burst_duration_s"] <= 0.30
     # Token budget ~300 MiB.
-    assert profile.bucket_bytes == pytest.approx(300 * units.MiB, rel=0.25)
+    assert profile["bucket_mib"] == pytest.approx(300, rel=0.25)
     # Baseline: 7.5 MiB per 100 ms interval -> 75 MiB/s.
-    assert profile.baseline_rate == pytest.approx(75 * units.MiB, rel=0.15)
+    assert profile["baseline_rate_mib_s"] == pytest.approx(75, rel=0.15)
     # The baseline is spiky at 20 ms sampling: idle windows exist.
-    tail = first_in.series.rates()[len(first_in.series.rates()) // 2:]
+    tail = [r for __, r in first[len(first) // 2:]]
     assert min(tail) == 0.0
 
     # The burst is renewable but the second one is shorter (half refill).
-    second_profile = second_in.burst_profile()
-    assert second_profile.bucket_bytes < profile.bucket_bytes
-    assert second_profile.bucket_bytes == pytest.approx(
-        profile.bucket_bytes / 2, rel=0.35)
+    assert profile["second_bucket_mib"] < profile["bucket_mib"]
+    assert profile["second_bucket_mib"] == pytest.approx(
+        profile["bucket_mib"] / 2, rel=0.35)
 
     # Outbound bandwidth is reduced relative to inbound.
-    out_profile = first_out.burst_profile()
-    assert out_profile.burst_rate < profile.burst_rate
+    assert outbound.metrics["burst_rate_gib_s"] < profile["burst_rate_gib_s"]

@@ -9,35 +9,23 @@ small (~0.3 GiB) but its burst is significant.
 
 import pytest
 
-from conftest import save_artifact
+from conftest import run_registry, save_artifact
 from repro import units
-from repro.core import CloudSim, format_table
-from repro.core.micro import run_ec2_network_profile
-from repro.core.micro.network import lambda_network_profile
-
-INSTANCES = ["c6g.medium", "c6g.xlarge", "c6g.4xlarge", "c6g.16xlarge"]
-
-
-def run_experiment():
-    profiles = {}
-    for instance in INSTANCES:
-        sim = CloudSim(seed=6)
-        __, profile = run_ec2_network_profile(sim, instance)
-        profiles[instance] = profile
-    profiles["lambda"] = lambda_network_profile(CloudSim(seed=6))
-    return profiles
+from repro.core import format_table
 
 
 def test_fig6_bursting_comparison(benchmark):
-    profiles = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_registry, args=("fig6",), rounds=1,
+                                 iterations=1)
+    profiles = {r.parameters["instance"]: r.metrics for r in results}
     rows = []
     for name, profile in profiles.items():
         rows.append([
             name,
-            f"{profile.bucket_bytes / units.GiB:.2f}",
-            f"{profile.burst_rate / units.GiB:.2f}",
-            f"{profile.baseline_rate / units.GiB:.3f}",
-            f"{profile.burst_duration:.1f}",
+            f"{profile['bucket_gib']:.2f}",
+            f"{profile['burst_rate_gib_s']:.2f}",
+            f"{profile['baseline_rate_gib_s']:.3f}",
+            f"{profile['burst_duration_s']:.1f}",
         ])
     table = format_table(
         ["System", "Bucket [GiB]", "Burst [GiB/s]", "Baseline [GiB/s]",
@@ -45,26 +33,25 @@ def test_fig6_bursting_comparison(benchmark):
         title="Figure 6: network bursting, EC2 C6g vs Lambda")
     save_artifact("fig6_bursting_comparison", table)
 
+    medium, xlarge, x4large, x16large = (
+        profiles[f"c6g.{size}"]
+        for size in ("medium", "xlarge", "4xlarge", "16xlarge"))
     # EC2 bucket size and burst duration grow with instance size.
-    assert profiles["c6g.medium"].bucket_bytes \
-        < profiles["c6g.xlarge"].bucket_bytes \
-        < profiles["c6g.4xlarge"].bucket_bytes
-    assert profiles["c6g.medium"].burst_duration \
-        < profiles["c6g.4xlarge"].burst_duration
+    assert medium["bucket_gib"] < xlarge["bucket_gib"] < x4large["bucket_gib"]
+    assert medium["burst_duration_s"] < x4large["burst_duration_s"]
     # Burstable sizes hit ~10 Gbps; 16xlarge runs at line rate (25 Gbps).
-    assert profiles["c6g.xlarge"].burst_rate == pytest.approx(
-        10 * units.Gbps, rel=0.1)
-    assert profiles["c6g.16xlarge"].baseline_rate == pytest.approx(
-        25 * units.Gbps, rel=0.1)
+    assert xlarge["burst_rate_gib_s"] == pytest.approx(
+        10 * units.Gbps / units.GiB, rel=0.1)
+    assert x16large["baseline_rate_gib_s"] == pytest.approx(
+        25 * units.Gbps / units.GiB, rel=0.1)
     # EC2 baselines grow with size; Lambda's is constant and tiny.
-    assert profiles["c6g.medium"].baseline_rate \
-        < profiles["c6g.xlarge"].baseline_rate \
-        < profiles["c6g.16xlarge"].baseline_rate
+    assert medium["baseline_rate_gib_s"] < xlarge["baseline_rate_gib_s"] \
+        < x16large["baseline_rate_gib_s"]
     # Lambda: small bucket (~0.3 GiB), yet a significant burst rate.
     lam = profiles["lambda"]
-    assert lam.bucket_bytes == pytest.approx(0.3 * units.GiB, rel=0.3)
-    assert lam.bucket_bytes < profiles["c6g.medium"].bucket_bytes / 100
-    assert lam.burst_rate > 1.0 * units.GiB
+    assert lam["bucket_gib"] == pytest.approx(0.3, rel=0.3)
+    assert lam["bucket_gib"] < medium["bucket_gib"] / 100
+    assert lam["burst_rate_gib_s"] > 1.0
     # EC2 burst durations are minutes; Lambda's is sub-second.
-    assert profiles["c6g.xlarge"].burst_duration > 120
-    assert lam.burst_duration < 1.0
+    assert xlarge["burst_duration_s"] > 120
+    assert lam["burst_duration_s"] < 1.0

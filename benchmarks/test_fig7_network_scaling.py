@@ -8,32 +8,19 @@ VPC, where aggregate throughput hits a hard ~20 GiB/s ceiling.
 
 import pytest
 
-from conftest import save_artifact
-from repro import units
-from repro.core import CloudSim, format_table
-from repro.core.micro import run_network_scaling
+from conftest import run_registry, save_artifact
+from repro.core import format_table
 
 COUNTS = [32, 64, 128, 256]
 
 
-def run_experiment():
-    peaks = {}
-    for count in COUNTS:
-        sim = CloudSim(seed=7)
-        series = run_network_scaling(sim, function_count=count,
-                                     duration=1.0)
-        peaks[("no-vpc", count)] = series.peak_rate()
-    for count in (128, 256):
-        sim = CloudSim(seed=7, use_vpc=True)
-        series = run_network_scaling(sim, function_count=count,
-                                     duration=1.0)
-        peaks[("vpc", count)] = series.peak_rate()
-    return peaks
-
-
 def test_fig7_network_scaling(benchmark):
-    peaks = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    rows = [[setting, count, f"{rate / units.GiB:.1f}"]
+    results = benchmark.pedantic(run_registry, args=("fig7",), rounds=1,
+                                 iterations=1)
+    peaks = {("vpc" if r.parameters["vpc"] else "no-vpc",
+              r.parameters["functions"]): r.metrics["peak_gib_s"]
+             for r in results}
+    rows = [[setting, count, f"{rate:.1f}"]
             for (setting, count), rate in peaks.items()]
     table = format_table(["Setting", "Functions", "Peak [GiB/s]"], rows,
                          title="Figure 7: aggregate network throughput")
@@ -42,11 +29,11 @@ def test_fig7_network_scaling(benchmark):
     # Outside a VPC, burst bandwidth scales horizontally: peak tracks
     # count x 1.2 GiB/s.
     for count in COUNTS:
-        expected = count * 1.2 * units.GiB
-        assert peaks[("no-vpc", count)] == pytest.approx(expected, rel=0.15)
+        assert peaks[("no-vpc", count)] == pytest.approx(count * 1.2,
+                                                         rel=0.15)
     # Inside a customer-owned VPC, a hard ~20 GiB/s limit appears.
     for count in (128, 256):
-        assert peaks[("vpc", count)] <= 20 * units.GiB * 1.02
-        assert peaks[("vpc", count)] >= 18 * units.GiB
+        assert peaks[("vpc", count)] <= 20 * 1.02
+        assert peaks[("vpc", count)] >= 18
     # The cap makes VPC throughput flat while non-VPC keeps scaling.
     assert peaks[("no-vpc", 256)] > 10 * peaks[("vpc", 256)]

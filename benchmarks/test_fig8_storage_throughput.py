@@ -10,39 +10,25 @@ per-filesystem quotas.
 
 import pytest
 
-from conftest import save_artifact
+from conftest import run_registry, save_artifact
 from repro import units
-from repro.core import CloudSim, format_table
-from repro.core.micro import run_storage_throughput
+from repro.core import format_table
 from repro.pricing.calculator import cost_per_gib_per_s_read
 
 CLIENTS = [1, 4, 16, 64, 128]
-OBJECT_SIZES = {
-    "s3-standard": 64 * units.MiB,
-    "s3-express": 64 * units.MiB,
-    "dynamodb": 400 * units.KiB,
-    "efs-1": 4 * units.MiB,
-}
-
-
-def run_experiment():
-    cells = {}
-    for service, object_bytes in OBJECT_SIZES.items():
-        for direction in ("read", "write"):
-            for clients in CLIENTS:
-                sim = CloudSim(seed=8)
-                cells[(service, direction, clients)] = run_storage_throughput(
-                    sim, service, clients=clients,
-                    object_bytes=object_bytes, direction=direction)
-    return cells
 
 
 def test_fig8_storage_throughput(benchmark):
-    cells = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_registry, args=("fig8",), rounds=1,
+                                 iterations=1)
+    cells = {(r.parameters["service"], r.parameters["direction"],
+              r.parameters["clients"]): r.metrics["achieved_gib_s"]
+             for r in results}
+    services = list(dict.fromkeys(service for service, __, __ in cells))
     rows = []
-    for service in OBJECT_SIZES:
+    for service in services:
         for direction in ("read", "write"):
-            series = [f"{cells[(service, direction, c)].achieved_gib_s:.2f}"
+            series = [f"{cells[(service, direction, c)]:.2f}"
                       for c in CLIENTS]
             rows.append([service, direction, *series])
     table = format_table(
@@ -53,24 +39,22 @@ def test_fig8_storage_throughput(benchmark):
     # Both S3 variants scale linearly up to the generated load
     # (~250 GiB/s at 128 clients).
     for service in ("s3-standard", "s3-express"):
-        reads = [cells[(service, "read", c)].achieved for c in CLIENTS]
+        reads = [cells[(service, "read", c)] for c in CLIENTS]
         assert reads[-1] == pytest.approx(128 * reads[0], rel=0.02)
-        assert 150 * units.GiB <= reads[-1] <= 350 * units.GiB
+        assert 150 <= reads[-1] <= 350
     # Standard S3 writes lag Express writes (less consistent IOPS).
-    assert cells[("s3-standard", "write", 128)].achieved < \
-        cells[("s3-express", "write", 128)].achieved
+    assert cells[("s3-standard", "write", 128)] < \
+        cells[("s3-express", "write", 128)]
     # DynamoDB: saturated by a single client VM.
-    ddb_1 = cells[("dynamodb", "read", 1)].achieved
-    ddb_128 = cells[("dynamodb", "read", 128)].achieved
-    assert ddb_1 == pytest.approx(380 * units.MiB, rel=0.05)
+    ddb_1 = cells[("dynamodb", "read", 1)]
+    ddb_128 = cells[("dynamodb", "read", 128)]
+    assert ddb_1 == pytest.approx(380 * units.MiB / units.GiB, rel=0.05)
     assert ddb_128 == pytest.approx(ddb_1, rel=0.05)
-    assert cells[("dynamodb", "write", 128)].achieved == pytest.approx(
-        30 * units.MiB, rel=0.1)
+    assert cells[("dynamodb", "write", 128)] == pytest.approx(
+        30 * units.MiB / units.GiB, rel=0.1)
     # EFS converges to the 20 / 5 GiB/s filesystem quotas.
-    assert cells[("efs-1", "read", 64)].achieved == pytest.approx(
-        20 * units.GiB, rel=0.05)
-    assert cells[("efs-1", "write", 64)].achieved == pytest.approx(
-        5 * units.GiB, rel=0.05)
+    assert cells[("efs-1", "read", 64)] == pytest.approx(20, rel=0.05)
+    assert cells[("efs-1", "write", 64)] == pytest.approx(5, rel=0.05)
     # Price per GiB/s read: S3 is by far the most cost-efficient
     # (0.00064 vs 6.55 vs 3.00 cents, Section 4.3.1).
     s3 = cost_per_gib_per_s_read("s3-standard", 64 * units.MiB)

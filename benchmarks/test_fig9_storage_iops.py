@@ -11,47 +11,39 @@ read IOPS only.
 
 import pytest
 
-from conftest import save_artifact
-from repro.core import CloudSim, format_table
-from repro.core.micro import run_storage_iops
+from conftest import run_registry, save_artifact
+from repro.core import format_table
 from repro.storage.efs import EFS_READ_IOPS_QUOTA, EFS_WRITE_IOPS_QUOTA
-
-SERVICES = ["s3-standard", "s3-express", "dynamodb", "efs-1", "efs-2"]
-
-
-def run_experiment():
-    outcomes = {}
-    for service in SERVICES:
-        outcomes[service] = run_storage_iops(CloudSim(seed=9), service)
-    return outcomes
 
 
 def test_fig9_storage_iops(benchmark):
-    outcomes = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-    rows = [[name, f"{o.achieved_read:,.0f}", f"{o.achieved_write:,.0f}"]
+    results = benchmark.pedantic(run_registry, args=("fig9",), rounds=1,
+                                 iterations=1)
+    outcomes = {r.parameters["service"]: r.metrics for r in results}
+    rows = [[name, f"{o['read_iops']:,.0f}", f"{o['write_iops']:,.0f}"]
             for name, o in outcomes.items()]
     table = format_table(["Service", "Read IOPS", "Write IOPS"], rows,
                          title="Figure 9: operations per second")
     save_artifact("fig9_storage_iops", table)
 
     # Standard S3: one prefix partition's request rates out of the box.
-    assert outcomes["s3-standard"].achieved_read == pytest.approx(5_500)
-    assert outcomes["s3-standard"].achieved_write == pytest.approx(3_500)
+    assert outcomes["s3-standard"]["read_iops"] == pytest.approx(5_500)
+    assert outcomes["s3-standard"]["write_iops"] == pytest.approx(3_500)
     # S3 Express: highest IOPS of the comparison.
-    assert outcomes["s3-express"].achieved_read == pytest.approx(220_000)
-    assert outcomes["s3-express"].achieved_write == pytest.approx(42_000)
+    assert outcomes["s3-express"]["read_iops"] == pytest.approx(220_000)
+    assert outcomes["s3-express"]["write_iops"] == pytest.approx(42_000)
     for other in ("s3-standard", "dynamodb", "efs-1", "efs-2"):
-        assert outcomes["s3-express"].achieved_read > \
-            outcomes[other].achieved_read
+        assert outcomes["s3-express"]["read_iops"] > \
+            outcomes[other]["read_iops"]
     # DynamoDB: slightly above the documented on-demand table quotas.
-    assert outcomes["dynamodb"].achieved_read == pytest.approx(16_000)
-    assert outcomes["dynamodb"].achieved_write == pytest.approx(9_600)
+    assert outcomes["dynamodb"]["read_iops"] == pytest.approx(16_000)
+    assert outcomes["dynamodb"]["write_iops"] == pytest.approx(9_600)
     # EFS misses its per-filesystem quotas by more than an order of
     # magnitude ...
-    assert outcomes["efs-1"].achieved_read < EFS_READ_IOPS_QUOTA / 10
-    assert outcomes["efs-1"].achieved_write < EFS_WRITE_IOPS_QUOTA / 10
+    assert outcomes["efs-1"]["read_iops"] < EFS_READ_IOPS_QUOTA / 10
+    assert outcomes["efs-1"]["write_iops"] < EFS_WRITE_IOPS_QUOTA / 10
     # ... read IOPS double with a second filesystem, writes do not.
-    assert outcomes["efs-2"].achieved_read == pytest.approx(
-        2 * outcomes["efs-1"].achieved_read)
-    assert outcomes["efs-2"].achieved_write == pytest.approx(
-        outcomes["efs-1"].achieved_write)
+    assert outcomes["efs-2"]["read_iops"] == pytest.approx(
+        2 * outcomes["efs-1"]["read_iops"])
+    assert outcomes["efs-2"]["write_iops"] == pytest.approx(
+        outcomes["efs-1"]["write_iops"])

@@ -7,6 +7,7 @@ JSON results come out, and the plotter renders what it can. Usage::
     python -m repro run fig5-function-burst   # run one by name
     python -m repro run path/to/config.json   # or from a JSON file
     python -m repro suite network             # run a whole suite
+    python -m repro suite fig8                # or one paper id's configs
     python -m repro serve --policy fair       # multi-tenant serving run
     python -m repro chaos --plan demo-outage  # fault-injected suite run
     python -m repro trace --query tpch-q12    # Perfetto trace of one query
@@ -23,21 +24,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.core import Driver, ExperimentConfig, ascii_timeseries
-from repro.core.suites import network_suite, startup_suite, storage_suite
-from repro.workloads.suite import full_evaluation, query_suite
-
-SUITES = {
-    "network": network_suite,
-    "storage": storage_suite,
-    "query": query_suite,
-    "startup": startup_suite,
-    "full": full_evaluation,
-}
-
-
-def _predefined() -> dict[str, ExperimentConfig]:
-    return {config.name: config for config in full_evaluation()}
+from repro.core import ExperimentConfig
+from repro.workloads.registry import GROUPS, experiments, run_configs, suite
 
 
 def _run_serve(args) -> int:
@@ -431,23 +419,6 @@ def _run_lint(args) -> int:
     return run_lint(args)
 
 
-def _run_configs(configs, output_dir: Path, plot: bool) -> int:
-    driver = Driver()
-    for config in configs:
-        print(f"running {config.name} ({config.kind}) ...", flush=True)
-        result = driver.run(config)
-        path = result.save(output_dir / f"{config.name}.json")
-        for key, value in result.metrics.items():
-            print(f"  {key} = {value:.6g}")
-        print(f"  cost = ${result.cost_usd:.4f}")
-        print(f"  saved {path}")
-        if plot:
-            for label, points in result.series.items():
-                print(ascii_timeseries(points, title=f"{config.name}: {label}",
-                                       height=8))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -461,8 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     run = commands.add_parser("run", help="run one experiment")
     run.add_argument("experiment",
                      help="predefined name or path to a config JSON")
-    suite = commands.add_parser("suite", help="run a predefined suite")
-    suite.add_argument("suite", choices=sorted(SUITES))
+    suites = sorted([*GROUPS, "full", *experiments()])
+    suite_parser = commands.add_parser("suite", help="run a suite or paper id")
+    suite_parser.add_argument("suite", choices=suites)
     serve = commands.add_parser(
         "serve", help="serve a multi-tenant Poisson query mix")
     serve.add_argument("--policy", default="fair",
@@ -601,19 +573,25 @@ def main(argv: list[str] | None = None) -> int:
 
     output_dir = Path(args.output)
     if args.command == "list":
-        for name, config in _predefined().items():
-            print(f"{name:<32} {config.kind}")
+        for paper_id, configs in experiments().items():
+            for config in configs:
+                print(f"{config.name:<32} {config.kind:<20} {paper_id}")
         return 0
     if args.command == "run":
-        predefined = _predefined()
-        if args.experiment in predefined:
-            config = predefined[args.experiment]
-        elif Path(args.experiment).exists():
-            config = ExperimentConfig.from_json(
-                Path(args.experiment).read_text())
-        else:
-            print(f"unknown experiment {args.experiment!r}; "
-                  f"try 'python -m repro list'", file=sys.stderr)
+        predefined = {config.name: config for config in suite("full")}
+        try:
+            if args.experiment in predefined:
+                config = predefined[args.experiment]
+            elif Path(args.experiment).exists():
+                config = ExperimentConfig.from_json(
+                    Path(args.experiment).read_text())
+            else:
+                raise ValueError(f"unknown experiment {args.experiment!r}; "
+                                 f"try 'python -m repro list'")
+            run_configs([config], output_dir, args.plot)
+        except (KeyError, ValueError) as exc:
+            print(f"repro run: error: {exc}", file=sys.stderr)
             return 2
-        return _run_configs([config], output_dir, args.plot)
-    return _run_configs(SUITES[args.suite](), output_dir, args.plot)
+        return 0
+    run_configs(suite(args.suite), output_dir, args.plot)
+    return 0

@@ -12,7 +12,9 @@ processing across two levels of the stack:
 Experiments are described by :class:`~repro.core.config.ExperimentConfig`
 objects, executed by the :class:`~repro.core.driver.Driver`, and produce
 :class:`~repro.core.results.ExperimentResult` records (JSON-serializable,
-with cost estimates) that the text plotter renders.
+with cost estimates) that the text plotter renders. ``repro suite`` and
+the Figure 5-13 benchmarks run one set of configs, the registry in
+:mod:`repro.workloads.registry`.
 """
 
 from repro.core.context import CloudSim

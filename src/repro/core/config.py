@@ -8,7 +8,7 @@ serialize to/from JSON so experiment suites are data, not code.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.telemetry.export import canonical_json
@@ -21,7 +21,7 @@ EXPERIMENT_KINDS = (
     "storage-throughput",   # Figure 8
     "storage-iops",         # Figure 9
     "storage-latency",      # Figure 10
-    "s3-iops-scaling",      # Figure 11
+    "s3-iops-scaling",      # Figures 11, 12
     "s3-downscaling",       # Figure 13
     "function-startup",     # Table 3: startup latency / idle lifetime
     "query",                # Figures 14, 15; Tables 5, 6
@@ -35,29 +35,31 @@ class ExperimentConfig:
     name: str
     kind: str
     parameters: dict[str, Any] = field(default_factory=dict)
-    repetitions: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"known: {EXPERIMENT_KINDS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
 
     def to_json(self) -> str:
         """Serialize to byte-stable JSON (sorted keys, indent=2)."""
         return canonical_json({
             "name": self.name, "kind": self.kind,
-            "parameters": self.parameters,
-            "repetitions": self.repetitions, "seed": self.seed,
+            "parameters": self.parameters, "seed": self.seed,
         })
 
     @classmethod
     def from_json(cls, raw: str) -> "ExperimentConfig":
-        """Parse a JSON configuration."""
+        """Parse a JSON configuration; ``ValueError`` names what is wrong."""
         data = json.loads(raw)
-        return cls(name=data["name"], kind=data["kind"],
-                   parameters=data.get("parameters", {}),
-                   repetitions=data.get("repetitions", 1),
-                   seed=data.get("seed", 0))
+        if not isinstance(data, dict):
+            raise ValueError("a config is a JSON object")
+        known = [f.name for f in fields(cls)]
+        for key in data:
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}; known: {known}")
+        for key in ("name", "kind"):
+            if key not in data:
+                raise ValueError(f"config is missing {key!r}")
+        return cls(**data)

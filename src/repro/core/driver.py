@@ -4,7 +4,8 @@ Each experiment defines a configuration, which is submitted to the
 driver. Depending on the experiment level, the driver invokes the right
 microbenchmark function (or the query engine), aggregates the metrics,
 estimates the experiment cost, and returns an
-:class:`~repro.core.results.ExperimentResult`.
+:class:`~repro.core.results.ExperimentResult`. The gated Figures 5-13
+take every number from it, run on :mod:`repro.workloads.registry`.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from repro.core.micro import (
     run_storage_latency,
     run_storage_throughput,
 )
+from repro.core.micro.network import lambda_network_profile
 from repro.core.results import ExperimentResult
 from repro.pricing.calculator import CostCalculator
-from repro.storage.base import RequestType
 
 
 class Driver:
@@ -81,13 +82,11 @@ class Driver:
         return calculator.cost.total
 
     # -- kind handlers -----------------------------------------------------------
+    # A parameter a config leaves out keeps the microbenchmark's default.
 
     def _run_network_burst(self, sim, config, result) -> None:
-        params = config.parameters
-        first, second = run_function_network_burst(
-            sim, duration=params.get("duration", 5.0),
-            break_s=params.get("break_s", 3.0),
-            direction=params.get("direction", "download"))
+        first, second = run_function_network_burst(sim, **_given(
+            config.parameters, "duration", "break_s", "direction"))
         result.add_series("first_burst", first.series.times(),
                           first.series.rates())
         result.add_series("second_burst", second.series.times(),
@@ -98,11 +97,16 @@ class Driver:
             "baseline_rate_mib_s": profile.baseline_rate / units.MiB,
             "bucket_mib": profile.bucket_bytes / units.MiB,
             "burst_duration_s": profile.burst_duration,
+            "second_bucket_mib":
+                second.burst_profile().bucket_bytes / units.MiB,
         })
 
     def _run_network_comparison(self, sim, config, result) -> None:
         instance = config.parameters["instance"]
-        __, profile = run_ec2_network_profile(sim, instance)
+        if instance == "lambda":
+            profile = lambda_network_profile(sim)
+        else:
+            __, profile = run_ec2_network_profile(sim, instance)
         result.metrics.update({
             "burst_rate_gib_s": profile.burst_rate / units.GiB,
             "baseline_rate_gib_s": profile.baseline_rate / units.GiB,
@@ -113,7 +117,7 @@ class Driver:
     def _run_network_scaling(self, sim, config, result) -> None:
         series = run_network_scaling(
             sim, function_count=config.parameters["functions"],
-            duration=config.parameters.get("duration", 2.0))
+            **_given(config.parameters, "duration"))
         result.add_series("aggregate", series.times(), series.rates())
         result.metrics["peak_gib_s"] = series.peak_rate() / units.GiB
 
@@ -122,7 +126,7 @@ class Driver:
             sim, config.parameters["service"],
             clients=config.parameters["clients"],
             object_bytes=config.parameters["object_bytes"],
-            direction=config.parameters.get("direction", "read"))
+            **_given(config.parameters, "direction"))
         result.metrics.update({
             "offered_gib_s": outcome.offered / units.GiB,
             "achieved_gib_s": outcome.achieved_gib_s,
@@ -130,7 +134,7 @@ class Driver:
 
     def _run_storage_iops(self, sim, config, result) -> None:
         outcome = run_storage_iops(sim, config.parameters["service"],
-                                   clients=config.parameters.get("clients", 128))
+                                   **_given(config.parameters, "clients"))
         result.metrics.update({
             "read_iops": outcome.achieved_read,
             "write_iops": outcome.achieved_write,
@@ -139,41 +143,38 @@ class Driver:
     def _run_storage_latency(self, sim, config, result) -> None:
         outcome = run_storage_latency(
             sim, config.parameters["service"],
-            request_count=config.parameters.get("requests", 1_000_000))
+            **_given(config.parameters, request_count="requests"))
         for op in ("read", "write"):
             for stat, value in outcome[op].items():
                 result.metrics[f"{op}_{stat}_ms"] = value * 1e3
 
     def _run_s3_iops_scaling(self, sim, config, result) -> None:
-        trace = run_s3_iops_scaling(sim, **{
-            key: config.parameters[key] for key in config.parameters
-            if key in ("initial_instances", "final_instances",
-                       "per_instance_iops", "step_duration_s")})
+        trace = run_s3_iops_scaling(sim, **_given(
+            config.parameters, "initial_instances", "final_instances",
+            "per_instance_iops", "step_duration_s"))
         result.add_series("successful", trace.times, trace.successful)
         result.add_series("failed", trace.times, trace.failed)
+        result.add_series("partitions", trace.times, trace.partitions)
         result.metrics.update({
             "final_iops": trace.final_iops,
             "error_rate": trace.error_rate(),
             "final_partitions": trace.partitions[-1],
             "duration_min": trace.times[-1] / 60.0,
+            # Every fluid request was metered via the client hook.
+            "requests_millions": sim.s3().stats.total() / 1e6,
         })
-        # Every fluid request was metered via the client hook.
-        s3 = sim.s3()
-        result.metrics["requests_millions"] = (
-            s3.stats.total(RequestType.GET) / 1e6)
 
     def _run_s3_downscaling(self, sim, config, result) -> None:
         points = run_s3_downscaling(
             sim, probe_interval_s=config.parameters["probe_interval_s"],
-            total_days=config.parameters.get("total_days", 6.0))
+            **_given(config.parameters, "total_days"))
         result.add_series("iops", [p[0] / units.DAY for p in points],
                           [p[1] for p in points])
         result.metrics["final_iops"] = points[-1][1]
 
     def _run_function_startup(self, sim, config, result) -> None:
         startup = measure_startup_latency(
-            sim, binary_bytes=config.parameters.get("binary_bytes",
-                                                    units.MiB))
+            sim, **_given(config.parameters, "binary_bytes"))
         result.metrics.update({
             "cold_median_ms": startup.cold_median * 1e3,
             "warm_median_ms": startup.warm_median * 1e3,
@@ -184,3 +185,10 @@ class Driver:
             for gap, fraction in lifetimes.items():
                 result.metrics[f"warm_after_{int(gap)}s"] = fraction
 
+
+def _given(parameters: dict, *names: str, **renamed: str) -> dict:
+    """Keywords from the parameters a config sets: each of ``names`` as
+    itself, each ``keyword=parameter`` of ``renamed`` under ``keyword``."""
+    renamed.update(zip(names, names))
+    return {keyword: parameters[name] for keyword, name in renamed.items()
+            if name in parameters}

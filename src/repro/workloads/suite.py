@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.stats import coefficient_of_variation, median_ratio
-from repro.core.config import ExperimentConfig
 from repro.core.context import CloudSim
 from repro.core.driver import Driver
-from repro.core.suites import network_suite, startup_suite, storage_suite
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine
 from repro.engine.queries import QUERY_BUILDERS
@@ -196,31 +194,8 @@ def run_query_experiment(sim: CloudSim, config, result) -> None:
     })
 
 
-def query_suite() -> list[ExperimentConfig]:
-    """Sections 4.5-4.6: application-level experiments (scaled down)."""
-    configs = []
-    for query in ("tpch-q1", "tpch-q6", "tpch-q12", "tpcxbb-q3"):
-        configs.append(ExperimentConfig(
-            name=f"query-{query}", kind="query",
-            parameters={"query": query, "lineitem_partitions": 6,
-                        "orders_partitions": 3,
-                        "clickstreams_partitions": 4}))
-    configs.append(ExperimentConfig(
-        name="query-q6-iaas", kind="query",
-        parameters={"query": "tpch-q6", "backend": "iaas",
-                    "lineitem_partitions": 6, "vm_count": 8}))
-    return configs
-
-
-def full_evaluation() -> list[ExperimentConfig]:
-    """Every suite, in the paper's section order."""
-    return (network_suite() + storage_suite() + query_suite()
-            + startup_suite())
-
-
 # The driver never imports upward; the workloads layer contributes the
 # "query" experiment kind through the registration hook instead (the
-# same inversion as Environment.set_monitor). The configs of that kind
-# (``query_suite``, ``full_evaluation``) are defined above, so importing
-# them is what registers their handler.
+# same inversion as Environment.set_monitor). Importing any module of
+# this package, ``repro.workloads.registry`` included, registers it.
 Driver.register_kind("query", run_query_experiment)

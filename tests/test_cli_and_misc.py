@@ -44,6 +44,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "custom-latency.json").exists()
 
+    @pytest.mark.parametrize("config,message", [
+        ({"name": "x", "parameters": {}}, "missing 'kind'"),
+        ({"name": "x", "kind": "storage-iops", "repetitions": 3},
+         "unknown config key 'repetitions'"),
+        ({"name": "x", "kind": "quantum-annealing"},
+         "unknown experiment kind"),
+    ], ids=["missing-kind", "unknown-key", "unknown-kind"])
+    def test_malformed_config_file_is_a_usage_error(self, tmp_path, capsys,
+                                                    config, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["--output", str(tmp_path), "run", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro run: error: ")
+        assert message in err
+
 
 class TestPoissonArrivals:
     def test_rate_matches_expectation(self):

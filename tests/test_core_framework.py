@@ -21,6 +21,7 @@ from repro.core.micro import (
     run_storage_latency,
     run_storage_throughput,
 )
+from repro.core.micro.network import lambda_network_profile
 
 
 class TestConfig:
@@ -170,6 +171,20 @@ class TestDriver:
                                                                    rel=0.1)
         assert "first_burst" in result.series
         assert result.cost_usd > 0
+        # The bucket refills only partly over the break (Figure 5).
+        assert 0 < result.metrics["second_bucket_mib"] \
+            < result.metrics["bucket_mib"]
+
+    def test_lambda_comparison_matches_lambda_profile(self):
+        result = Driver().run(ExperimentConfig(
+            name="fig6-lambda", kind="network-comparison",
+            parameters={"instance": "lambda"}, seed=6))
+        profile = lambda_network_profile(CloudSim(seed=6))
+        assert result.metrics["bucket_gib"] == profile.bucket_bytes / units.GiB
+        assert result.metrics["burst_rate_gib_s"] == \
+            profile.burst_rate / units.GiB
+        assert result.metrics["baseline_rate_gib_s"] == \
+            profile.baseline_rate / units.GiB
 
     def test_driver_runs_storage_latency_config(self):
         driver = Driver()

@@ -1,16 +1,20 @@
-"""Tests for the predefined experiment suites."""
+"""Tests for the experiment registry (the paper's evaluation as data)."""
 
 import pytest
 
-from repro.core import Driver
-from repro.core.suites import network_suite, storage_suite
-from repro.workloads.suite import full_evaluation, query_suite
+from repro.core import Driver, ExperimentConfig
+from repro.workloads.registry import GROUPS, experiments, suite
+
+FIGURES = [f"fig{number}" for number in range(5, 14)]
 
 
 class TestSuiteDefinitions:
+    def test_registry_keys_figures_5_to_13(self):
+        assert set(experiments()) == {*FIGURES, "query", "startup"}
+        assert list(GROUPS["network"]) + list(GROUPS["storage"]) == FIGURES
+
     def test_full_evaluation_covers_all_sections(self):
-        configs = full_evaluation()
-        kinds = {config.kind for config in configs}
+        kinds = {config.kind for config in suite("full")}
         assert kinds >= {"network-burst", "network-comparison",
                          "network-scaling", "storage-throughput",
                          "storage-iops", "storage-latency",
@@ -18,33 +22,37 @@ class TestSuiteDefinitions:
                          "function-startup"}
 
     def test_config_names_unique(self):
-        names = [config.name for config in full_evaluation()]
+        names = [config.name for config in suite("full")]
         assert len(names) == len(set(names))
 
     def test_every_config_json_roundtrips(self):
-        from repro.core.config import ExperimentConfig
-        for config in full_evaluation():
+        for config in suite("full"):
             assert ExperimentConfig.from_json(config.to_json()) == config
+
+    @pytest.mark.parametrize("paper_id", FIGURES)
+    def test_one_seed_per_figure(self, paper_id):
+        assert len({config.seed for config in experiments()[paper_id]}) == 1
 
     def test_storage_suite_covers_all_services(self):
         names = {config.parameters.get("service")
-                 for config in storage_suite()
+                 for config in suite("storage")
                  if "service" in config.parameters}
-        assert names == {"s3-standard", "s3-express", "dynamodb", "efs-1"}
+        assert names == {"s3-standard", "s3-express", "dynamodb", "efs-1",
+                         "efs-2"}
 
     def test_query_suite_covers_paper_queries(self):
-        queries = {config.parameters["query"] for config in query_suite()}
+        queries = {config.parameters["query"] for config in suite("query")}
         assert queries == {"tpch-q1", "tpch-q6", "tpch-q12", "tpcxbb-q3"}
 
     def test_vpc_variant_present(self):
-        vpc = [config for config in network_suite()
+        vpc = [config for config in suite("network")
                if config.parameters.get("vpc")]
         assert vpc
 
 
 def first_config_of_each_kind():
     firsts = {}
-    for config in full_evaluation():
+    for config in suite("full"):
         firsts.setdefault(config.kind, config)
     return list(firsts.values())
 
@@ -61,3 +69,7 @@ class TestSuiteExecution:
         assert result.kind == config.kind
         assert result.metrics
         assert result.cost_usd > 0
+        if config.kind == "s3-iops-scaling":
+            # Figure 11's staircase: one prefix partition up to five.
+            partitions = [count for __, count in result.series["partitions"]]
+            assert (partitions[0], partitions[-1]) == (1, 5)
