@@ -2,9 +2,9 @@
 
 Encodes Table 4 of the paper — the SF1000 datasets with their partition
 counts and sizes — and provides :func:`load_table`, which generates each
-partition, encodes it in the columnar format, and stores it with the
-*logical* partition size (what simulated I/O and pricing see) while
-keeping the physical rows small.
+partition, stores it as a columnar file with the *logical* partition
+size (what simulated I/O and pricing see) while keeping the physical
+rows small.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Optional
 from repro import units
 from repro.datagen import tpch, tpcxbb
 from repro.formats.batch import RecordBatch
-from repro.formats.columnar import write_file
+from repro.formats.columnar import store_file
 from repro.formats.schema import Schema
 from repro.storage.base import StorageService
 
@@ -68,7 +68,6 @@ class PartitionInfo:
 
     key: str
     logical_bytes: float
-    physical_bytes: int
     rows: int
 
 
@@ -181,10 +180,11 @@ def load_table(env, storage: StorageService, spec: DatasetSpec,
                key_prefix: Optional[str] = None, seed: int = 1_000):
     """Process: generate and store every partition of ``spec``.
 
-    Returns a :class:`TableMetadata` whose partitions carry the logical
-    SF1000 byte sizes. Loading bypasses request metering concerns by
-    writing directly (dataset preparation is not part of any measured
-    experiment).
+    Each partition is a :class:`~repro.formats.columnar.StoredFile` put
+    on ``storage`` with the logical SF1000 partition size, so it pays
+    admission, latency and transfer and counts in the service's stats
+    like any other write. Returns a :class:`TableMetadata` whose
+    partitions carry those logical sizes.
     """
     prefix = key_prefix if key_prefix is not None else f"tables/{spec.name}"
     metadata = TableMetadata(name=spec.name, schema=spec.schema,
@@ -193,11 +193,10 @@ def load_table(env, storage: StorageService, spec: DatasetSpec,
         rows = spec.rows_for_partition(index)
         batch = spec.generator(rows, seed, index,
                                spec.physical_scale_factor)
-        payload = write_file(batch)
         key = f"{prefix}/part-{index:05d}"
         obj = yield from storage.put(
-            key, payload, size=spec.partition_logical_bytes)
+            key, store_file(batch), size=spec.partition_logical_bytes)
         metadata.partitions.append(PartitionInfo(
             key=obj.key, logical_bytes=spec.partition_logical_bytes,
-            physical_bytes=len(payload), rows=rows))
+            rows=rows))
     return metadata

@@ -105,7 +105,7 @@ class SkyriseEngine:
         self.recovery = recovery if recovery is not None else RecoveryConfig()
         self.catalog: dict[str, TableMetadata] = {}
         self.barriers = BarrierRegistry(env)
-        #: Decode cache shared by every worker of this engine. Workers in
+        #: Read cache shared by every worker of this engine. Workers in
         #: the real system would each hold one per sandbox; a single
         #: shared cache models the steady state where every warm sandbox
         #: has seen the working set, without per-sandbox memory tracking.

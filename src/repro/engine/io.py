@@ -55,8 +55,7 @@ class IoStack:
     def __init__(self, env: Environment, storage: StorageService,
                  endpoint: Endpoint,
                  chunk_bytes: float = DEFAULT_CHUNK_BYTES,
-                 concurrency: int = DEFAULT_CONCURRENCY,
-                 cache=None) -> None:
+                 concurrency: int = DEFAULT_CONCURRENCY) -> None:
         if chunk_bytes <= 0 or concurrency <= 0:
             raise ValueError("chunk_bytes and concurrency must be positive")
         self.env = env
@@ -64,9 +63,6 @@ class IoStack:
         self.endpoint = endpoint
         self.chunk_bytes = float(chunk_bytes)
         self.concurrency = concurrency
-        #: Optional :class:`repro.formats.columnar.ColumnarCache` shared
-        #: across workers; readers consult it after the simulated fetch.
-        self.cache = cache
         self.stats = IoStats()
         self._deferred_bytes = 0.0
         recorder = get_recorder()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.io import IoStack, RangeGet, _chunk_sizes
-from repro.formats.batch import RecordBatch
+from repro.formats.batch import RecordBatch, read_only
 from repro.sim import Event, Step
 
 
@@ -288,14 +288,6 @@ class SliceRead(Event):
             piece = RecordBatch(piece.schema, piece.columns,
                                 logical_bytes=self._logical)
         self.succeed(piece)
-
-
-def read_only(batch: RecordBatch) -> RecordBatch:
-    """``batch`` with its arrays made read-only, for handing over by
-    reference: a consumer that writes into a stored piece raises."""
-    for array in batch.columns.values():
-        array.flags.writeable = False
-    return batch
 
 
 def _hash_partition(keys: np.ndarray, partitions: int) -> np.ndarray:

@@ -21,10 +21,10 @@ from repro.engine.plan import (
     ShuffleSource,
     TableSource,
 )
-from repro.engine.shuffle import ShuffleReader, ShuffleWriter, read_only
+from repro.engine.shuffle import ShuffleReader, ShuffleWriter
 from repro.faas.function import FunctionContext
-from repro.formats.batch import RecordBatch
-from repro.formats.columnar import ColumnarCache, read_file
+from repro.formats.batch import RecordBatch, read_only
+from repro.formats.columnar import ColumnarCache
 from repro.storage.base import StorageService
 from repro.telemetry import get_recorder
 
@@ -38,8 +38,8 @@ class WorkerRuntime:
     cost_model: CpuCostModel
     #: Storage service name used for shuffle intermediates and results.
     intermediate_service: str = "s3-standard"
-    #: Shared footer/chunk decode cache; ``None`` disables caching.
-    columnar_cache: ColumnarCache | None = None
+    #: Assembled base-table reads, shared by every worker.
+    columnar_cache: ColumnarCache = field(default_factory=ColumnarCache)
 
 
 @dataclass
@@ -87,10 +87,8 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
     fragment = payload["fragment"]
     base_storage = runtime.storage[payload["table_service"]]
     shuffle_storage = runtime.storage[payload["intermediate_service"]]
-    base_io = IoStack(env, base_storage, context.endpoint,
-                      cache=runtime.columnar_cache)
-    shuffle_io = IoStack(env, shuffle_storage, context.endpoint,
-                         cache=runtime.columnar_cache)
+    base_io = IoStack(env, base_storage, context.endpoint)
+    shuffle_io = IoStack(env, shuffle_storage, context.endpoint)
     phases: dict[str, float] = {}
     recorder = get_recorder()
     wspan = None
@@ -244,8 +242,6 @@ def _read_partitions(runtime: WorkerRuntime, context: FunctionContext,
     partitions — which is what makes exceeding the burst budget costly
     (Figure 14). Decoding runs once the data is in.
     """
-    env = context.env
-    del env
     if not partitions:
         raise ValueError("fragment was assigned zero partitions")
     objects = []
@@ -259,9 +255,8 @@ def _read_partitions(runtime: WorkerRuntime, context: FunctionContext,
         logical = info["logical_bytes"] * read_fraction
         yield context.compute(runtime.cost_model.cpu_seconds(
             "decode", logical))
-        piece = read_file(obj.payload, columns=columns,
-                          zone_map_filters=zone_filters, cache=io.cache,
-                          cache_key=(obj.key, obj.version))
+        piece = runtime.columnar_cache.read(
+            (obj.key, obj.version), obj.payload, columns, zone_filters)
         piece.logical_bytes = logical
         batches.append(piece)
     return RecordBatch.concat(batches)

@@ -1,19 +1,21 @@
-"""Columnar file format (Parquet-like) and in-memory record batches.
+"""Columnar files (Parquet-like) and in-memory record batches.
 
 The Skyrise engine reads base tables stored as columnar files on object
-storage (the paper uses Parquet with ZSTD; we implement an equivalent
-container with zlib): row groups of column chunks, a footer with schema
-and per-chunk min/max zone maps, projection pushdown (read only requested
-columns) and selection pushdown (skip row groups whose zone maps cannot
-match a predicate).
+storage (the paper uses Parquet with ZSTD; ours keep their row groups
+decoded, checked against a zlib byte container): row groups of column
+chunks, per-chunk min/max zone maps, projection pushdown (read only
+requested columns) and selection pushdown (skip row groups whose zone
+maps cannot match a predicate).
 """
 
 from repro.formats.schema import DataType, Field, Schema
 from repro.formats.batch import RecordBatch
 from repro.formats.columnar import (
     FileMetadata,
+    StoredFile,
     read_file,
     read_metadata,
+    store_file,
     write_file,
 )
 
@@ -23,7 +25,9 @@ __all__ = [
     "FileMetadata",
     "RecordBatch",
     "Schema",
+    "StoredFile",
     "read_file",
     "read_metadata",
+    "store_file",
     "write_file",
 ]

@@ -131,6 +131,14 @@ class RecordBatch:
                 f"logical={self.logical_bytes:.0f}B>")
 
 
+def read_only(batch: RecordBatch) -> RecordBatch:
+    """``batch`` with its arrays made read-only, for handing over by
+    reference: a consumer that writes into a shared array raises."""
+    for array in batch.columns.values():
+        array.flags.writeable = False
+    return batch
+
+
 def _width_fraction(full: Schema, sub: Schema) -> float:
     """Approximate byte-width fraction of a column subset."""
 

@@ -1,16 +1,21 @@
-"""The columnar file container.
+"""The columnar file: row groups of column chunks with min/max zone maps.
 
-Layout (all integers little-endian):
+A base-table partition is stored as a :class:`StoredFile`: the row
+groups of :func:`write_file`, already decoded, with their zone maps.
+Readers take only the columns their projection needs and skip row
+groups whose zone maps cannot satisfy the predicate (projection and
+selection pushdown, Section 3.2). No simulated quantity depends on the
+encoded bytes (storage sizes are logical), so nothing is encoded at
+load or decoded at scan.
+
+The byte container is the reference those reads must equal
+(``read_file(write_file(batch))``). Layout (integers little-endian):
 
 * magic ``SKYR`` (4 bytes)
 * row groups, each a sequence of zlib-compressed column chunks
 * footer: JSON metadata (schema, row-group boundaries, per-chunk offsets,
   sizes, encodings, and min/max zone maps)
 * footer length (8 bytes) + magic ``SKYR``
-
-Readers fetch the footer first, then only the chunks their projection
-needs, skipping row groups whose zone maps cannot satisfy the predicate
-(projection and selection pushdown, Section 3.2).
 """
 
 from __future__ import annotations
@@ -20,20 +25,19 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from repro.formats.batch import RecordBatch
+from repro.formats.batch import RecordBatch, read_only
 from repro.formats.schema import DataType, Schema
 
 MAGIC = b"SKYR"
 DEFAULT_ROW_GROUP_SIZE = 64 * 1024
 
 
-@dataclass
-class ChunkMeta:
-    """Location and statistics of one column chunk."""
+class ChunkMeta(NamedTuple):
+    """Location and statistics of one column chunk (a footer entry)."""
 
     column: str
     offset: int
@@ -43,20 +47,6 @@ class ChunkMeta:
     min_value: Optional[float | str]
     max_value: Optional[float | str]
 
-    def to_dict(self) -> dict:
-        return {
-            "column": self.column, "offset": self.offset, "size": self.size,
-            "encoding": self.encoding, "rows": self.rows,
-            "min": self.min_value, "max": self.max_value,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChunkMeta":
-        return cls(column=data["column"], offset=data["offset"],
-                   size=data["size"], encoding=data["encoding"],
-                   rows=data["rows"], min_value=data["min"],
-                   max_value=data["max"])
-
 
 @dataclass
 class FileMetadata:
@@ -65,27 +55,6 @@ class FileMetadata:
     schema: Schema
     num_rows: int
     row_groups: list[list[ChunkMeta]]
-
-    def to_json(self) -> bytes:
-        payload = {
-            "schema": self.schema.to_dict(),
-            "num_rows": self.num_rows,
-            "row_groups": [[chunk.to_dict() for chunk in group]
-                           for group in self.row_groups],
-        }
-        # Simulated wire format, not an artifact: the compact footer's
-        # byte size models S3 object sizes, and canonical_json's indent
-        # would inflate every simulated transfer.
-        return json.dumps(payload).encode("utf-8")  # repro-lint: disable=ARCH002 compact wire format sizes simulated bytes
-
-    @classmethod
-    def from_json(cls, raw: bytes) -> "FileMetadata":
-        payload = json.loads(raw.decode("utf-8"))
-        return cls(
-            schema=Schema.from_dict(payload["schema"]),
-            num_rows=payload["num_rows"],
-            row_groups=[[ChunkMeta.from_dict(chunk) for chunk in group]
-                        for group in payload["row_groups"]])
 
 
 #: Use dictionary encoding when distinct values cover at most this
@@ -153,31 +122,41 @@ def _column_stats(array: np.ndarray, dtype: DataType):
     return float(np.min(array)), float(np.max(array))
 
 
+def _row_groups(batch: RecordBatch, row_group_size: int
+                ) -> Iterator[list[tuple]]:
+    """Each row group of ``batch``: (field, slice, min, max) per column.
+
+    A zero-row batch still has one (empty) row group.
+    """
+    if row_group_size <= 0:
+        raise ValueError("row_group_size must be positive")
+    for start in range(0, max(len(batch), 1), row_group_size):
+        group = []
+        for field in batch.schema:
+            array = batch.column(field.name)[start:start + row_group_size]
+            group.append((field, array, *_column_stats(array, field.dtype)))
+        yield group
+
+
 def write_file(batch: RecordBatch,
                row_group_size: int = DEFAULT_ROW_GROUP_SIZE) -> bytes:
     """Serialize a batch into the columnar container format."""
-    if row_group_size <= 0:
-        raise ValueError("row_group_size must be positive")
     body = bytearray(MAGIC)
     row_groups: list[list[ChunkMeta]] = []
-    for start in range(0, max(len(batch), 1), row_group_size):
-        stop = min(start + row_group_size, len(batch))
-        group: list[ChunkMeta] = []
-        for field in batch.schema:
-            array = batch.column(field.name)[start:stop]
+    for group in _row_groups(batch, row_group_size):
+        chunks: list[ChunkMeta] = []
+        for field, array, min_value, max_value in group:
             payload, encoding = _encode_column(array, field.dtype)
-            min_value, max_value = _column_stats(array, field.dtype)
-            group.append(ChunkMeta(
-                column=field.name, offset=len(body), size=len(payload),
-                encoding=encoding, rows=stop - start,
-                min_value=min_value, max_value=max_value))
+            chunks.append(ChunkMeta(field.name, len(body), len(payload),
+                                    encoding, len(array), min_value,
+                                    max_value))
             body.extend(payload)
-        row_groups.append(group)
-        if stop >= len(batch):
-            break
-    metadata = FileMetadata(schema=batch.schema, num_rows=len(batch),
-                            row_groups=row_groups)
-    footer = metadata.to_json()
+        row_groups.append(chunks)
+    # A chunk's entry is its ChunkMeta as a JSON list. The footer is a
+    # wire format, not an artifact: nothing needs it canonical.
+    footer = json.dumps({  # repro-lint: disable=ARCH002 wire format, not an artifact
+        "schema": batch.schema.to_dict(), "num_rows": len(batch),
+        "row_groups": row_groups}).encode("utf-8")
     body.extend(footer)
     body.extend(struct.pack("<Q", len(footer)))
     body.extend(MAGIC)
@@ -192,175 +171,177 @@ def read_metadata(data: bytes) -> FileMetadata:
     footer_start = len(data) - 12 - footer_len
     if footer_start < 4:
         raise ValueError("corrupt footer length")
-    return FileMetadata.from_json(data[footer_start:footer_start + footer_len])
+    footer = json.loads(data[footer_start:footer_start + footer_len])
+    return FileMetadata(
+        Schema.from_dict(footer["schema"]), footer["num_rows"],
+        [[ChunkMeta(*chunk) for chunk in group]
+         for group in footer["row_groups"]])
 
 
 #: A zone-map predicate: given (min, max), may the chunk contain matches?
 ZoneMapPredicate = Callable[[Optional[float | str], Optional[float | str]], bool]
+ZoneMapFilters = Optional[dict[str, ZoneMapPredicate]]
 
 
-class ColumnarCache:
-    """LRU cache of parsed footers, decoded column chunks and assembled
-    reads of base-table files.
+def _passes(zone_maps: dict[str, tuple], filters: ZoneMapFilters) -> bool:
+    """Whether a row group with these zone maps may match every filter
+    (a filter on a column the file lacks never skips)."""
+    for column, predicate in (filters or {}).items():
+        bounds = zone_maps.get(column)
+        if bounds is not None and not predicate(*bounds):
+            return False
+    return True
 
-    Decoding is pure host-side CPU work: the simulated cost of a read
-    (requests, transfer time, decode compute) is charged *before*
-    :func:`read_file` runs, so serving a footer or chunk from this cache
-    changes wall-clock only, never a simulated outcome. Entries are
-    keyed by a caller-supplied identity token, ``(object key, version)``,
-    so an overwritten object (new version) can never serve stale bytes.
-    Shuffle slices and query results never come here: they are handed
-    over as batches, not files.
 
-    Cached chunk arrays are shared across readers but never aliased into
-    a :class:`RecordBatch`: ``read_file`` concatenates pieces, and
-    ``np.concatenate`` always copies, even for a single input.
-    """
-
-    def __init__(self, max_bytes: float = 256 * 1024 * 1024) -> None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        self.max_bytes = float(max_bytes)
-        self._footers: OrderedDict[Any, FileMetadata] = OrderedDict()
-        #: Chunk key -> (decoded array, bytes charged against max_bytes).
-        self._chunks: OrderedDict[Any, tuple[np.ndarray, int]] = OrderedDict()
-        self._chunk_bytes = 0.0
-        #: Fully assembled reads: (cache_key, projection) -> the schema,
-        #: concatenated column arrays, and physical size of the decoded
-        #: batch. Hits rebuild a fresh RecordBatch around the shared
-        #: arrays (columns are never mutated in place — see batch.py).
-        self._assembled: OrderedDict[Any, tuple] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def metadata(self, cache_key: Any, data: bytes) -> FileMetadata:
-        """Parsed footer of ``data``, from cache when possible."""
-        cached = self._footers.get(cache_key)
-        if cached is not None:
-            self._footers.move_to_end(cache_key)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        metadata = read_metadata(data)
-        self._footers[cache_key] = metadata
-        while len(self._footers) > 1024:
-            self._footers.popitem(last=False)
-        return metadata
-
-    def chunk(self, cache_key: Any, chunk: ChunkMeta, data: bytes,
-              dtype: DataType) -> np.ndarray:
-        """Decoded array for ``chunk``, from cache when possible.
-
-        Callers must treat the returned array as read-only.
-        """
-        key = (cache_key, chunk.offset)
-        cached = self._chunks.get(key)
-        if cached is not None:
-            self._chunks.move_to_end(key)
-            self.hits += 1
-            return cached[0]
-        self.misses += 1
-        payload = data[chunk.offset:chunk.offset + chunk.size]
-        array = _decode_column(payload, chunk.encoding, dtype, chunk.rows)
-        # An object array's nbytes counts pointers only: charge strings
-        # their text plus 4 bytes a value, as RecordBatch.physical_bytes.
-        if dtype is DataType.STRING:
-            charged = sum(map(len, array.tolist())) + 4 * len(array)
+def _assemble(schema: Schema,
+              groups: list[dict[str, np.ndarray]]) -> RecordBatch:
+    """``schema``'s columns of the kept row groups, in order. A column
+    of one group is that group's array itself, not a copy."""
+    arrays = {}
+    for field in schema:
+        pieces = [group[field.name] for group in groups]
+        if len(pieces) == 1:
+            arrays[field.name] = pieces[0]
+        elif pieces:
+            arrays[field.name] = np.concatenate(pieces)
         else:
-            charged = array.nbytes
-        self._chunks[key] = (array, charged)
-        self._chunk_bytes += charged
-        while self._chunk_bytes > self.max_bytes and self._chunks:
-            _, (_, evicted) = self._chunks.popitem(last=False)
-            self._chunk_bytes -= evicted
-        return array
-
-    def assembled(self, key: Any) -> "RecordBatch | None":
-        """A fresh batch from a cached assembled read, or ``None``.
-
-        The batch shares its column arrays with every other hit of the
-        same entry; its ``logical_bytes`` matches what a cold
-        :func:`read_file` would have produced (the physical size),
-        so callers may overwrite it exactly as they do on a miss.
-        """
-        entry = self._assembled.get(key)
-        if entry is None:
-            return None
-        self._assembled.move_to_end(key)
-        self.hits += 1
-        schema, arrays, physical = entry
-        batch = RecordBatch(schema, arrays, logical_bytes=float(physical))
-        batch._physical = physical
-        return batch
-
-    def store_assembled(self, key: Any, batch: "RecordBatch") -> None:
-        """Remember a fully decoded read for :meth:`assembled`."""
-        self._assembled[key] = (batch.schema, dict(batch.columns),
-                                batch.physical_bytes)
-        while len(self._assembled) > 512:
-            self._assembled.popitem(last=False)
+            arrays[field.name] = np.empty(0, dtype=field.dtype.numpy_dtype)
+    return RecordBatch(schema, arrays)
 
 
 def read_file(data: bytes, columns: Optional[Iterable[str]] = None,
-              zone_map_filters: Optional[dict[str, ZoneMapPredicate]] = None,
-              cache: Optional[ColumnarCache] = None,
-              cache_key: Any = None) -> RecordBatch:
+              zone_map_filters: ZoneMapFilters = None) -> RecordBatch:
     """Read a columnar file with projection and selection pushdown.
 
     ``columns`` restricts which column chunks are decoded; row groups
     whose zone maps fail any ``zone_map_filters`` entry are skipped
-    entirely. With both ``cache`` and ``cache_key``, footer parsing and
-    chunk decoding are served from the cache on repeat reads of the same
-    object version.
+    entirely.
     """
-    use_cache = cache is not None and cache_key is not None
-    projection = tuple(columns) if columns is not None else None
-    assembled_key = None
-    if use_cache and not zone_map_filters:
-        # Zone-map predicates are per-query callables, so only
-        # filter-free reads are cached whole; filtered reads still hit
-        # the footer and chunk caches below.
-        assembled_key = (cache_key, projection)
-        hit = cache.assembled(assembled_key)
-        if hit is not None:
-            return hit
-    if use_cache:
-        metadata = cache.metadata(cache_key, data)
-    else:
-        metadata = read_metadata(data)
-    wanted = (list(projection) if projection is not None
-              else metadata.schema.names())
-    sub_schema = metadata.schema.select(wanted)
-    filters = zone_map_filters or {}
-    pieces: dict[str, list[np.ndarray]] = {name: [] for name in wanted}
+    metadata = read_metadata(data)
+    schema = (metadata.schema.select(columns) if columns is not None
+              else metadata.schema)
+    groups = []
     for group in metadata.row_groups:
         by_name = {chunk.column: chunk for chunk in group}
-        skip = False
-        for column, predicate in filters.items():
-            chunk = by_name.get(column)
-            if chunk is not None and not predicate(chunk.min_value,
-                                                   chunk.max_value):
-                skip = True
-                break
-        if skip:
+        if not _passes({name: (chunk.min_value, chunk.max_value)
+                        for name, chunk in by_name.items()},
+                       zone_map_filters):
             continue
-        for name in wanted:
-            chunk = by_name[name]
-            dtype = metadata.schema.field(name).dtype
-            if use_cache:
-                pieces[name].append(cache.chunk(cache_key, chunk, data, dtype))
-                continue
-            payload = data[chunk.offset:chunk.offset + chunk.size]
-            pieces[name].append(
-                _decode_column(payload, chunk.encoding, dtype, chunk.rows))
-    arrays = {}
-    for name in wanted:
-        dtype = metadata.schema.field(name).dtype
-        if pieces[name]:
-            arrays[name] = np.concatenate(pieces[name])
-        else:
-            arrays[name] = np.empty(0, dtype=dtype.numpy_dtype)
-    batch = RecordBatch(sub_schema, arrays)
-    if assembled_key is not None:
-        cache.store_assembled(assembled_key, batch)
-    return batch
+        decoded = {}
+        for field in schema:
+            chunk = by_name[field.name]
+            decoded[field.name] = _decode_column(
+                data[chunk.offset:chunk.offset + chunk.size],
+                chunk.encoding, field.dtype, chunk.rows)
+        groups.append(decoded)
+    return _assemble(schema, groups)
+
+
+@dataclass(frozen=True)
+class RowGroup:
+    """One row group of a :class:`StoredFile`."""
+
+    #: Column name -> the array :func:`_decode_column` returns for the
+    #: chunk (numbers as their ``numpy_dtype``, strings as object arrays
+    #: of ``str``), read-only.
+    columns: dict[str, np.ndarray]
+    #: Column name -> (min, max), as :func:`_column_stats` has it.
+    zone_maps: dict[str, tuple]
+
+
+@dataclass(frozen=True)
+class StoredFile:
+    """A base-table partition as stored: :func:`write_file`'s row groups,
+    decoded, with their zone maps.
+
+    Its arrays are read-only, so readers may share them: a read of one
+    row group hands the stored arrays over by reference.
+    """
+
+    schema: Schema
+    num_rows: int
+    row_groups: tuple[RowGroup, ...]
+
+    def kept(self, zone_map_filters: ZoneMapFilters = None
+             ) -> tuple[int, ...]:
+        """Indices of the row groups whose zone maps pass every filter."""
+        return tuple(index for index, group in enumerate(self.row_groups)
+                     if _passes(group.zone_maps, zone_map_filters))
+
+    def read(self, columns: Optional[Iterable[str]],
+             kept: tuple[int, ...]) -> RecordBatch:
+        """The projected ``columns`` of the ``kept`` row groups: what
+        :func:`read_file` returns for this file's bytes."""
+        schema = (self.schema.select(columns) if columns is not None
+                  else self.schema)
+        return _assemble(schema, [self.row_groups[index].columns
+                                  for index in kept])
+
+
+def _stored_column(array: np.ndarray, dtype: DataType) -> np.ndarray:
+    """What :func:`_decode_column` returns for ``array``'s chunk, read-only."""
+    if dtype is DataType.STRING:
+        stored = np.array([str(v) for v in array], dtype=object)
+    else:
+        stored = array.astype(dtype.numpy_dtype)
+    stored.flags.writeable = False
+    return stored
+
+
+def store_file(batch: RecordBatch,
+               row_group_size: int = DEFAULT_ROW_GROUP_SIZE) -> StoredFile:
+    """``batch`` as a :class:`StoredFile` with :func:`write_file`'s row
+    groups and zone maps."""
+    return StoredFile(batch.schema, len(batch), tuple(
+        RowGroup({field.name: _stored_column(array, field.dtype)
+                  for field, array, _, _ in group},
+                 {field.name: (low, high) for field, _, low, high in group})
+        for group in _row_groups(batch, row_group_size)))
+
+
+class ColumnarCache:
+    """LRU cache of assembled reads of base-table files.
+
+    Assembling is pure host-side work: the simulated cost of a read
+    (requests, transfer time, decode compute) is charged before it runs,
+    so a hit changes wall-clock only, never a simulated outcome. Entries
+    are keyed by ``(identity, projection, row groups kept)``; the
+    identity is ``(object key, version)``, so an overwritten object can
+    never serve a stale read. Hits share their column arrays, which are
+    read-only. Every read counts exactly one hit or one miss.
+    """
+
+    #: Assembled reads kept.
+    MAX_ENTRIES = 512
+
+    def __init__(self) -> None:
+        #: Key -> (schema, column arrays, physical size of the batch).
+        self._assembled: OrderedDict[Any, tuple] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def read(self, identity: Any, file: StoredFile,
+             columns: Optional[Iterable[str]] = None,
+             zone_map_filters: ZoneMapFilters = None) -> RecordBatch:
+        """``file``'s projected ``columns`` of the row groups whose zone
+        maps pass ``zone_map_filters``, from cache when possible. The
+        batch's ``logical_bytes`` is its physical size, as on a cold
+        read, so callers may overwrite it."""
+        projection = tuple(columns) if columns is not None else None
+        kept = file.kept(zone_map_filters)
+        key = (identity, projection, kept)
+        entry = self._assembled.get(key)
+        if entry is not None:
+            self._assembled.move_to_end(key)
+            self.hits += 1
+            schema, arrays, physical = entry
+            batch = RecordBatch(schema, arrays, logical_bytes=float(physical))
+            batch._physical = physical
+            return batch
+        self.misses += 1
+        batch = read_only(file.read(projection, kept))
+        self._assembled[key] = (batch.schema, dict(batch.columns),
+                                batch.physical_bytes)
+        if len(self._assembled) > self.MAX_ENTRIES:
+            self._assembled.popitem(last=False)
+        return batch

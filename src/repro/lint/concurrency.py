@@ -157,15 +157,15 @@ class SharedStateChecker(Checker):
         "object the run owns (runtime, environment, router) so every "
         "run gets its own.")
     example_bad = (
-        "_FOOTERS: dict[str, FileMetadata] = {}\n"
-        "def read_footer(engine, key, data):\n"
-        "    _FOOTERS[key] = parse(data)   # survives into the next run\n")
+        "_READS: dict[str, RecordBatch] = {}\n"
+        "def scan(engine, key, file):\n"
+        "    _READS[key] = file.read()   # survives into the next run\n")
     example_good = (
         "class SkyriseEngine:\n"
         "    def __init__(self):\n"
         "        self.columnar_cache = ColumnarCache()\n"
-        "def read_footer(engine, key, data):\n"
-        "    return engine.columnar_cache.metadata(key, data)  # run-owned\n")
+        "def scan(engine, key, file):\n"
+        "    return engine.columnar_cache.read(key, file)  # run-owned\n")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         visitor = _Mutations(module.tree)

@@ -21,8 +21,7 @@ def make_table(partitions: int, partition_mib: float = 182.4
     for index in range(partitions):
         metadata.partitions.append(PartitionInfo(
             key=f"tables/lineitem/part-{index:05d}",
-            logical_bytes=partition_mib * units.MiB,
-            physical_bytes=10_000, rows=64))
+            logical_bytes=partition_mib * units.MiB, rows=64))
     return metadata
 
 

@@ -14,6 +14,7 @@ from repro.datagen import (
     scaled_spec,
 )
 from repro.datagen.dates import TPCH_CURRENT, TPCH_END, TPCH_START
+from repro.formats import StoredFile
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
 from repro.storage import S3Standard
@@ -150,10 +151,12 @@ class TestLoadTable:
         assert metadata.total_rows == 200
         assert metadata.total_logical_bytes == pytest.approx(
             4 * spec.partition_logical_bytes)
-        # The stored objects report logical sizes, not physical.
+        # The stored objects are columnar files reporting logical sizes.
         obj = s3.head(metadata.partitions[0].key)
+        assert isinstance(obj.payload, StoredFile)
+        assert obj.payload.num_rows == metadata.partitions[0].rows
+        assert obj.payload.schema == spec.schema
         assert obj.size == pytest.approx(spec.partition_logical_bytes)
-        assert metadata.partitions[0].physical_bytes < obj.size
 
 
 def _days(year, month, day):

@@ -1,4 +1,4 @@
-"""Tests for schemas, record batches, and the columnar file format."""
+"""Tests for schemas, record batches, and the columnar files."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.formats import (
     Schema,
     read_file,
     read_metadata,
+    store_file,
     write_file,
 )
 from repro.formats.columnar import ColumnarCache
@@ -165,21 +166,172 @@ class TestColumnarFormat:
         assert len(data) < n * 8 / 10  # at least 10x on constant data
 
 
-class TestColumnarCacheBound:
-    def test_string_chunks_are_charged_their_text(self):
-        """An object array's ``nbytes`` is 8 bytes a value; the bound
-        counts the text (plus 4 bytes a value) instead, so a cache full
-        of string chunks evicts."""
-        batch = RecordBatch(Schema([Field("s", DataType.STRING)]),
-                            {"s": np.array(["x" * 1000] * 64, dtype=object)})
-        data = write_file(batch, row_group_size=8)
-        per_chunk = 8 * 1000 + 4 * 8
-        cache = ColumnarCache(max_bytes=2.5 * per_chunk)
-        back = read_file(data, cache=cache, cache_key=("s", 0))
-        assert list(back.column("s")) == list(batch.column("s"))
-        assert len(cache._chunks) == 2
-        assert cache._chunk_bytes == 2 * per_chunk
-        assert cache.misses == 1 + 8  # the footer, then every chunk
+#: Text the byte container can hold: no NUL (its string separator) and
+#: no lone surrogates (not UTF-8).
+TEXT = st.text(alphabet=st.characters(blacklist_characters="\x00",
+                                      blacklist_categories=("Cs",)),
+               max_size=8)
+
+#: Column kind -> (logical type, value strategy, numpy dtype drawn as).
+KINDS = {
+    "int": (DataType.INT64, st.integers(-2**62, 2**62), np.int64),
+    "float": (DataType.FLOAT64, st.floats(width=64), np.float64),
+    # Dates arrive as int64 and are stored as int32, as the generators
+    # do; out-of-range days wrap in both readers alike.
+    "date": (DataType.DATE,
+             st.integers(0, 30_000) | st.integers(-2**40, 2**40), np.int64),
+    "flag": (DataType.STRING, st.sampled_from(["A", "N", "R"]), object),
+    # A numpy unicode array: its values are np.str_, stored as str.
+    "mode": (DataType.STRING, st.sampled_from(["AIR", "MAIL", "SHIP"]), str),
+    "text": (DataType.STRING, TEXT, object),
+}
+
+
+@st.composite
+def batches(draw):
+    """A batch of 0-120 rows over int, float, date, low-cardinality
+    (dictionary-encoded) and high-cardinality string columns."""
+    rows = draw(st.integers(0, 120))
+    kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1,
+                          max_size=5))
+    fields, columns = [], {}
+    for index, kind in enumerate(kinds):
+        dtype, values, drawn_as = KINDS[kind]
+        name = f"{kind}{index}"
+        fields.append(Field(name, dtype))
+        columns[name] = np.array(
+            draw(st.lists(values, min_size=rows, max_size=rows)),
+            dtype=drawn_as)
+    return RecordBatch(Schema(fields), columns)
+
+
+@st.composite
+def projections(draw, names):
+    """No projection, or some of ``names`` in any order."""
+    if draw(st.booleans()):
+        return None
+    order = draw(st.permutations(names))
+    return order[:draw(st.integers(0, len(order)))]
+
+
+@st.composite
+def zone_filters(draw, batch):
+    """No filter, one that skips every row group, one on a column the
+    file lacks, or the engine's range-overlap test on a drawn column."""
+    kind = draw(st.sampled_from(["none", "never", "absent", "range"]))
+    name = draw(st.sampled_from(batch.schema.names()))
+    if kind == "none":
+        return None
+    if kind == "never":
+        return {name: lambda lo, hi: False}
+    if kind == "absent":
+        return {"absent": lambda lo, hi: False}
+    values = batch.column(name).tolist()
+    bound = (st.none() | st.sampled_from(values)) if values else st.none()
+    low, high = draw(bound), draw(bound)
+
+    def overlaps(lo, hi):
+        if lo is None or hi is None:
+            return True
+        return not ((low is not None and hi < low)
+                    or (high is not None and lo > high))
+
+    return {name: overlaps}
+
+
+def assert_same_batch(got, want):
+    """Same schema, dtype per column, values, and element types of
+    object columns."""
+    assert got.schema == want.schema
+    assert got.num_rows == want.num_rows
+    for field in want.schema:
+        left, right = got.column(field.name), want.column(field.name)
+        assert left.dtype == right.dtype
+        np.testing.assert_array_equal(left, right)
+        if right.dtype == object:
+            assert [type(v) for v in left] == [type(v) for v in right]
+
+
+class TestStoredFile:
+    """A stored file reads exactly as its encoded bytes decode."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reads_equal_the_byte_round_trip(self, data):
+        batch = data.draw(batches())
+        row_group = data.draw(st.integers(1, 64))
+        columns = data.draw(projections(batch.schema.names()))
+        filters = data.draw(zone_filters(batch))
+        stored = store_file(batch, row_group)
+        encoded = write_file(batch, row_group)
+        want = read_file(encoded, columns, filters)
+        assert_same_batch(stored.read(columns, stored.kept(filters)), want)
+        assert_same_batch(
+            ColumnarCache().read(("k", 0), stored, columns, filters), want)
+        assert stored.schema == batch.schema
+        assert stored.num_rows == len(batch)
+        footer = read_metadata(encoded)
+        assert len(stored.row_groups) == len(footer.row_groups)
+        for group, chunks in zip(stored.row_groups, footer.row_groups):
+            np.testing.assert_equal(
+                group.zone_maps,
+                {chunk.column: (chunk.min_value, chunk.max_value)
+                 for chunk in chunks})
+            for array in group.columns.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = array[:1]
+
+    def test_filter_can_skip_every_group(self):
+        stored = store_file(sample_batch(100), row_group_size=10)
+        kept = stored.kept({"id": lambda lo, hi: False})
+        assert kept == ()
+        result = stored.read(["id", "flag"], kept)
+        assert result.num_rows == 0
+        assert result.column("flag").dtype == object
+
+    def test_single_group_read_hands_over_the_stored_arrays(self):
+        stored = store_file(sample_batch(100))
+        assert stored.read(["id"], (0,)).column("id") \
+            is stored.row_groups[0].columns["id"]
+
+
+class TestColumnarCache:
+    def test_every_read_is_one_hit_or_one_miss(self):
+        stored = store_file(sample_batch(100), row_group_size=10)
+        cache = ColumnarCache()
+        low_ids = {"id": lambda lo, hi: lo < 30}
+        cache.read(("k", 0), stored, ["id"], low_ids)
+        cache.read(("k", 0), stored, ["id"], low_ids)
+        # Another predicate keeping the same row groups hits too.
+        cache.read(("k", 0), stored, ["id"], {"id": lambda lo, hi: hi < 30})
+        cache.read(("k", 0), stored, ["id", "flag"], low_ids)
+        cache.read(("k", 1), stored, ["id"], low_ids)
+        cache.read(("k", 0), stored, ["id"])
+        assert (cache.hits, cache.misses) == (2, 4)
+
+    def test_hit_equals_a_cold_read(self):
+        stored = store_file(sample_batch(100), row_group_size=10)
+        cache = ColumnarCache()
+        cold = cache.read(("k", 0), stored, ["flag", "price"])
+        hit = cache.read(("k", 0), stored, ["flag", "price"])
+        assert hit is not cold
+        assert_same_batch(hit, stored.read(["flag", "price"],
+                                           stored.kept()))
+        assert hit.logical_bytes == cold.logical_bytes \
+            == hit.physical_bytes
+
+    @pytest.mark.parametrize("filters", [
+        None, {"id": lambda lo, hi: lo < 30}, {"id": lambda lo, hi: False}])
+    def test_writing_into_a_hit_raises(self, filters):
+        stored = store_file(sample_batch(100), row_group_size=10)
+        cache = ColumnarCache()
+        cache.read(("k", 0), stored, ["id", "flag"], filters)
+        hit = cache.read(("k", 0), stored, ["id", "flag"], filters)
+        assert cache.hits == 1
+        for name in ("id", "flag"):
+            column = hit.column(name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[:1] = column[:1]
 
 
 class TestPropertyRoundtrip:
