@@ -11,9 +11,10 @@ Regenerate after an *intentional* model change::
 
     PYTHONPATH=src python tests/golden/regen_perf_goldens.py
 
-The literal pins at the bottom are the four small-input outcomes no
+The literal pins at the bottom are the small-input outcomes no
 golden file and no ledger pin covers: Q12 under an outage (the only pin
-on the shuffle + retry/hedge path), the futures wordcount, a 64-worker
+on the shuffle + retry/hedge path), the futures wordcount with and
+without chaos and speculation, a 64-worker
 Q6 burst, and a 120 s serving window under both policies.
 """
 
@@ -23,6 +24,7 @@ from pathlib import Path
 import pytest
 from tests.test_telemetry_export import record_q6
 
+from repro.chaos.plan import get_plan
 from repro.chaos.runner import run_chaos_suite
 from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
@@ -84,6 +86,18 @@ def test_futures_wordcount_outcome_is_pinned():
     pinned = {"chunks": 64, "records": 4096, "cost_check": "ok",
               "runtime_s": 3.239559874, "total_cost_usd": 0.000166603,
               "digest": "dd50c434ca670857"}
+    assert {name: outcome[name] for name in pinned} == pinned
+
+
+def test_futures_speculating_wordcount_outcome_is_pinned():
+    # `repro futures --plan futures-chaos --speculate` at the CLI's
+    # default size: the one run that makes the futures side both retry
+    # and speculate.
+    outcome = run_wordcount(seed=7, plan=get_plan("futures-chaos"),
+                            speculate=True)
+    pinned = {"retries": 8, "speculations": 2, "zombies_drained": 2,
+              "cost_check": "ok", "runtime_s": 3.178583329,
+              "total_cost_usd": 0.000226109, "digest": "8d05b573373c4369"}
     assert {name: outcome[name] for name in pinned} == pinned
 
 
