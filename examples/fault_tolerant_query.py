@@ -21,7 +21,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
 from repro.chaos import get_plan
 from repro.chaos.runner import run_chaos_suite
-from repro.engine.coordinator import RecoveryConfig
+from repro.faas.supervisor import RecoveryPolicy
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
     # injected crashes surface as FragmentFailure and kill queries.
     fragile = run_chaos_suite(
         plan, repeats=2, seed=0, baseline=False,
-        recovery=RecoveryConfig(max_attempts=1, hedge_enabled=False))
+        recovery=RecoveryPolicy(max_attempts=1, hedge=False))
     print("--- recovery disabled (max_attempts=1) ---")
     print(f"goodput {fragile.goodput * 100:.0f}%: "
           f"{fragile.unrecovered} of {fragile.offered} queries failed")

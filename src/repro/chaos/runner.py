@@ -14,7 +14,7 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultPlan, get_plan
 from repro.chaos.report import QueryOutcome, ResilienceReport
 from repro.core.context import CloudSim
-from repro.engine.coordinator import RecoveryConfig
+from repro.faas.supervisor import RecoveryPolicy
 from repro.workloads.suite import SuiteSetup, build_plan, setup_engine
 
 #: Default query sequence of the chaos suite.
@@ -34,7 +34,7 @@ def _default_setup(queries: tuple[str, ...]) -> SuiteSetup:
 def run_chaos_suite(plan: Union[str, FaultPlan],
                     queries: tuple[str, ...] = DEFAULT_QUERIES,
                     repeats: int = 2, seed: int = 0,
-                    recovery: Optional[RecoveryConfig] = None,
+                    recovery: Optional[RecoveryPolicy] = None,
                     plan_kwargs: Optional[dict] = None,
                     baseline: bool = True,
                     setup: Optional[SuiteSetup] = None) -> ResilienceReport:
@@ -50,7 +50,7 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     if recovery is None:
-        recovery = RecoveryConfig(hedge_enabled=True)
+        recovery = RecoveryPolicy(hedge=True)
     if plan_kwargs is None:
         plan_kwargs = dict(DEFAULT_PLAN_KWARGS)
     if setup is None:

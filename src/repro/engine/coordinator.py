@@ -7,15 +7,10 @@ the worker reports. For wide stages it fans invocations out through a
 two-level procedure: helper "invoker" functions each dispatch a slice of
 the workers (Section 3.2, [96]).
 
-Fault tolerance is task-level (the Lambada/Starling recipe): every
-fragment attempt runs *supervised* — its error is captured, never
-propagated raw into the event kernel — and transient failures are
-retried with jittered exponential backoff under a per-query retry
-budget. Stragglers can additionally be hedged: once enough of a stage
-has finished, fragments running far beyond the completed median get a
-speculative duplicate, and whichever attempt finishes first wins.
-Non-transient errors (missing table, oversized item) propagate
-unchanged, annotated with the fragment's identity.
+Every fragment attempt runs *supervised*, settled by the policy of
+:mod:`repro.faas.supervisor` (retries, hedging). A non-transient error
+propagates unchanged, annotated with the fragment's identity; a
+fragment out of attempts or budget raises :class:`FragmentFailure`.
 """
 
 from __future__ import annotations
@@ -34,12 +29,17 @@ from repro.engine.plan import (
     ShuffleSource,
     TableSource,
 )
+from repro.faas import supervisor
 from repro.faas.function import FunctionContext
+from repro.faas.supervisor import (
+    INVOKE_DISPATCH_S,
+    JITTER_SEED,
+    RecoveryPolicy,
+    Supervisor,
+    hedge_candidates,
+)
 from repro.sim import AnyOf
 from repro.telemetry import get_recorder
-
-#: Per-invocation dispatch overhead on the invoking function (seconds).
-INVOKE_DISPATCH_S = 0.003
 
 #: Stages at or above this width use two-level invocation (Section 3.2).
 TWO_LEVEL_THRESHOLD = 256
@@ -50,41 +50,6 @@ INVOKER_SLICE = 32
 #: Burst-aware per-worker scan volume target: keep the effective bytes a
 #: worker pulls within the ~300 MiB network burst budget (Section 4.5.1).
 DEFAULT_TARGET_WORKER_INPUT = 270 * units.MiB
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Task-level fault-tolerance knobs of the coordinator."""
-
-    #: Total tries per fragment (1 = no retries, the pre-recovery engine).
-    max_attempts: int = 3
-    #: Retries allowed across one whole query.
-    retry_budget: int = 32
-    backoff_base_s: float = 0.1
-    backoff_multiplier: float = 2.0
-    backoff_cap_s: float = 5.0
-    #: Uniform jitter fraction applied to each backoff delay.
-    backoff_jitter: float = 0.5
-    #: Speculative re-execution of stragglers. Off by default: hedging
-    #: reacts to *natural* timing variance too, which would perturb the
-    #: calibrated fault-free artifacts.
-    hedge_enabled: bool = False
-    #: A fragment is hedged when it runs ``hedge_factor`` x the median
-    #: elapsed time of completed fragments in its stage.
-    hedge_factor: float = 3.0
-    #: Fraction of the stage that must have completed before hedging.
-    hedge_quorum: float = 0.5
-    #: Hedge launches allowed per query.
-    hedge_budget: int = 4
-    #: Never hedge before a fragment has run at least this long.
-    hedge_min_wait_s: float = 0.5
-    #: Straggler-scan interval while a stage is in flight.
-    hedge_poll_interval_s: float = 0.25
-    #: Seed of the per-query backoff-jitter stream.
-    seed: int = 0
-
-
-DEFAULT_RECOVERY = RecoveryConfig()
 
 
 class FragmentFailure(RuntimeError):
@@ -106,24 +71,25 @@ class FragmentFailure(RuntimeError):
         self.cause = cause
 
 
-@dataclass
-class RecoveryState:
+class RecoveryState(Supervisor):
     """Per-query recovery accounting, reported back with the response."""
 
-    retries: int = 0
-    hedges: int = 0
-    hedge_wins: int = 0
-    failed_attempts: int = 0
-    events: list[dict] = field(default_factory=list)
-    #: In-flight duplicate attempts whose sibling already won; drained
-    #: by the engine after the query so their records are billed.
-    zombies: list = field(default_factory=list)
+    def __init__(self, policy: RecoveryPolicy) -> None:
+        super().__init__(policy, np.random.default_rng(JITTER_SEED))
+        self.events: list[dict] = []
 
-    def summary(self) -> dict:
-        return {"retries": self.retries, "hedges": self.hedges,
-                "hedge_wins": self.hedge_wins,
-                "failed_attempts": self.failed_attempts,
-                "events": self.events}
+    def note(self, now: float, event: str, pipeline: str, fragment: int,
+             **attrs) -> None:
+        """Log a recovery decision in the report and on the trace."""
+        self.events.append({
+            "t": round(now, 9), "event": event, "pipeline": pipeline,
+            "fragment": fragment,
+            **{name: round(value, 9) if isinstance(value, float) else value
+               for name, value in attrs.items()}})
+        recorder = get_recorder()
+        if recorder.enabled:
+            recorder.event(now, f"recovery.{event}", category="recovery",
+                           pipeline=pipeline, fragment=fragment, **attrs)
 
 
 @dataclass
@@ -159,7 +125,7 @@ class CoordinatorRuntime:
     invoker_function: str
     intermediate_service: str = "s3-standard"
     target_worker_input: float = DEFAULT_TARGET_WORKER_INPUT
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
+    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Monotonic execution counter; fences idempotent shuffle writes.
     epoch: int = 0
 
@@ -177,10 +143,10 @@ def make_coordinator_handler(runtime: CoordinatorRuntime):
 def make_invoker_handler(runtime: CoordinatorRuntime):
     """Second-level invoker: dispatch a slice of worker invocations.
 
-    Returns one outcome dict per fragment — ``{pipeline, fragment,
-    attempt, ok, value}`` — instead of failing fast on the first worker
-    error, so concurrent fragment failures keep their identity and the
-    coordinator can retry each one individually.
+    Returns one ``(ok, value)`` outcome per fragment, in slice order,
+    instead of failing fast on the first worker error, so concurrent
+    fragment failures keep their identity and the coordinator can retry
+    each one individually.
     """
 
     def invoker_handler(context: FunctionContext, payload: dict):
@@ -193,20 +159,13 @@ def make_invoker_handler(runtime: CoordinatorRuntime):
                 # the trace shows the two-level fan-out.
                 fragment_payload = dict(fragment_payload,
                                         trace=context.trace_ctx)
-            processes.append((fragment_payload, env.process(
+            processes.append(env.process(
                 _supervise(env, runtime.backend, runtime.worker_function,
                            fragment_payload),
-                name="invoke-worker")))
+                name="invoke-worker"))
         outcomes = []
-        for fragment_payload, process in processes:
-            ok, value = yield process
-            outcomes.append({
-                "pipeline": fragment_payload["pipeline"].id,
-                "fragment": fragment_payload["fragment"],
-                "attempt": fragment_payload.get("attempt", 0),
-                "ok": ok,
-                "value": value,
-            })
+        for process in processes:
+            outcomes.append((yield process))
         return outcomes
 
     invoker_handler.__name__ = "skyrise_invoker"
@@ -220,8 +179,7 @@ def _run_query(runtime: CoordinatorRuntime, context: FunctionContext,
     started_at = env.now
     runtime.epoch += 1
     epoch = runtime.epoch
-    state = RecoveryState()
-    jitter_rng = np.random.default_rng(runtime.recovery.seed)
+    state = RecoveryState(runtime.recovery)
     fragments = _compile_fragments(runtime, plan)
     recorder = get_recorder()
     coord_span = None
@@ -247,8 +205,7 @@ def _run_query(runtime: CoordinatorRuntime, context: FunctionContext,
                 for fragment_payload in payloads:
                     fragment_payload["trace"] = stage_span
             processes.append((pipeline, stage_span, env.process(
-                _dispatch(runtime, context, pipeline.id, payloads, state,
-                          jitter_rng),
+                _dispatch(runtime, context, pipeline.id, payloads, state),
                 name=f"stage-{pipeline.id}")))
         for pipeline, stage_span, process in processes:
             reports = yield process
@@ -271,10 +228,8 @@ def _run_query(runtime: CoordinatorRuntime, context: FunctionContext,
         "runtime": env.now - started_at,
         "stages": stage_reports,
         "fragments": fragments,
-        "recovery": state.summary(),
-        # Abandoned duplicates, still running: the engine drains these
-        # after the query so their invocation records get billed.
-        "_zombies": state.zombies,
+        # Its zombies may still be running: the engine drains them.
+        "recovery": state,
     }
 
 
@@ -384,28 +339,20 @@ def _consumer_fragments(plan: PhysicalPlan, pipeline: PipelineSpec,
 # -- supervised fragment execution --------------------------------------------
 
 
-def _supervise(env, backend, function: str, payload: dict):
-    """Process: invoke ``function`` and absorb any error into the result.
+def _supervise(env, backend, function: str, payload: dict,
+               delay: float = 0.0):
+    """Process: back off, invoke ``function``, absorb any error.
 
-    Returns ``(True, response)`` or ``(False, error)``. The process
-    itself never fails, so concurrent attempts cannot crash the kernel
-    with an unwatched failure, and every failure keeps its fragment's
-    identity.
+    Returns ``(True, response)`` or ``(False, error)``; never fails, so
+    concurrent attempts cannot crash the kernel with an unwatched error.
     """
+    if delay > 0:
+        yield env.timeout(delay)
     try:
         record = yield from backend.invoke(function, payload)
     except BaseException as exc:  # noqa: BLE001 - captured for the caller
         return (False, exc)
     return (True, record.response)
-
-
-def _delayed_attempt(env, backend, function: str, payload: dict,
-                     delay: float):
-    """Process: back off, then run one supervised attempt."""
-    if delay > 0:
-        yield env.timeout(delay)
-    result = yield from _supervise(env, backend, function, payload)
-    return result
 
 
 class _Slot:
@@ -426,18 +373,6 @@ class _Slot:
         self.active: list[tuple] = []
 
 
-def _backoff_delay(recovery: RecoveryConfig, attempt: int,
-                   rng: np.random.Generator) -> float:
-    """Jittered exponential backoff before retry number ``attempt``."""
-    delay = min(recovery.backoff_cap_s,
-                recovery.backoff_base_s
-                * recovery.backoff_multiplier ** (attempt - 1))
-    if recovery.backoff_jitter > 0:
-        delay *= 1.0 + recovery.backoff_jitter * (2.0 * float(rng.random())
-                                                  - 1.0)
-    return delay
-
-
 def _annotate(exc: BaseException, pipeline: str, fragment: int,
               attempt: int) -> None:
     """Attach fragment identity to an error without wrapping it."""
@@ -447,55 +382,35 @@ def _annotate(exc: BaseException, pipeline: str, fragment: int,
 
 
 def _handle_failure(env, runtime: CoordinatorRuntime, pipeline_id: str,
-                    slot: _Slot, exc: BaseException, state: RecoveryState,
-                    rng: np.random.Generator) -> None:
-    """Retry a transient fragment failure or raise it with identity.
-
-    Application errors (non-retryable) propagate unchanged so callers
-    keep seeing the original exception type; transient errors retry
-    until the per-fragment attempt cap or the query retry budget runs
-    out, then surface as :class:`FragmentFailure`.
-    """
-    recovery = runtime.recovery
-    if not getattr(exc, "retryable", False):
-        _annotate(exc, pipeline_id, slot.fragment, slot.attempts - 1)
-        raise exc
-    if slot.attempts >= recovery.max_attempts \
-            or state.retries >= recovery.retry_budget:
+                    slot: _Slot, exc: BaseException,
+                    state: RecoveryState) -> None:
+    """Retry a failed fragment attempt, or raise it with identity."""
+    delay = state.retry_delay(exc, slot.attempts)
+    if delay is None:
+        if not getattr(exc, "retryable", False):
+            _annotate(exc, pipeline_id, slot.fragment, slot.attempts - 1)
+            raise exc
         raise FragmentFailure(pipeline_id, slot.fragment, slot.attempts,
                               exc) from exc
-    state.retries += 1
-    delay = _backoff_delay(recovery, slot.attempts, rng)
     payload = dict(slot.payload, attempt=slot.attempts, hedged=False)
     slot.attempts += 1
-    state.events.append({
-        "t": round(env.now, 9), "event": "retry", "pipeline": pipeline_id,
-        "fragment": slot.fragment, "attempt": payload["attempt"],
-        "backoff_s": round(delay, 9),
-        "cause": type(exc).__name__})
-    recorder = get_recorder()
-    if recorder.enabled:
-        recorder.event(env.now, "recovery.retry", category="recovery",
-                       pipeline=pipeline_id, fragment=slot.fragment,
-                       attempt=payload["attempt"], backoff_s=delay,
-                       cause=type(exc).__name__)
+    state.note(env.now, "retry", pipeline_id, slot.fragment,
+               attempt=payload["attempt"], backoff_s=delay,
+               cause=type(exc).__name__)
     slot.active.append((
-        env.process(_delayed_attempt(env, runtime.backend,
-                                     runtime.worker_function, payload,
-                                     delay),
+        env.process(_supervise(env, runtime.backend, runtime.worker_function,
+                               payload, delay),
                     name=f"retry-{pipeline_id}-{slot.fragment}"),
         payload["attempt"], False))
 
 
 def _dispatch(runtime: CoordinatorRuntime, context: FunctionContext,
-              pipeline_id: str, payloads: list[dict], state: RecoveryState,
-              rng: np.random.Generator):
+              pipeline_id: str, payloads: list[dict], state: RecoveryState):
     """Process: run all fragments of a pipeline with fault tolerance."""
     env = context.env
     slots = [_Slot(payload) for payload in payloads]
     if len(payloads) >= TWO_LEVEL_THRESHOLD:
-        yield from _prime_two_level(env, runtime, pipeline_id, slots, state,
-                                    rng)
+        yield from _prime_two_level(env, runtime, pipeline_id, slots, state)
         # Hedging needs live per-fragment elapsed times; the two-level
         # path only learns outcomes after an invoker slice returns, so
         # only the retry layer applies here.
@@ -513,13 +428,12 @@ def _dispatch(runtime: CoordinatorRuntime, context: FunctionContext,
                 0, False))
         allow_hedge = True
     yield from _await_slots(runtime, context, pipeline_id, slots, state,
-                            rng, allow_hedge)
+                            allow_hedge)
     return [slot.report for slot in slots]
 
 
 def _prime_two_level(env, runtime: CoordinatorRuntime, pipeline_id: str,
-                     slots: list[_Slot], state: RecoveryState,
-                     rng: np.random.Generator):
+                     slots: list[_Slot], state: RecoveryState):
     """Process: fan the stage out through second-level invokers."""
     chunks = [slots[i:i + INVOKER_SLICE]
               for i in range(0, len(slots), INVOKER_SLICE)]
@@ -539,91 +453,35 @@ def _prime_two_level(env, runtime: CoordinatorRuntime, pipeline_id: str,
             name="invoke-invoker")))
     for chunk, process in processes:
         ok, value = yield process
-        if not ok:
-            exc = value
-            if not getattr(exc, "retryable", False):
-                _annotate(exc, pipeline_id,
-                          chunk[0].fragment, 0)
-                raise exc
-            # The invoker itself died: retry its whole slice as direct
-            # worker invocations, one fragment at a time.
-            for slot in chunk:
-                state.failed_attempts += 1
-                _handle_failure(env, runtime, pipeline_id, slot, exc,
-                                state, rng)
-            continue
-        by_fragment = {slot.fragment: slot for slot in chunk}
-        for outcome in value:
-            slot = by_fragment[outcome["fragment"]]
-            if outcome["ok"]:
+        # A dead invoker fails its whole slice: each fragment retries as
+        # a direct worker invocation of its own.
+        outcomes = value if ok else [(False, value)] * len(chunk)
+        for slot, (ok, outcome) in zip(chunk, outcomes):
+            if ok:
                 slot.done = True
-                slot.report = outcome["value"]
+                slot.report = outcome
             else:
-                state.failed_attempts += 1
-                _handle_failure(env, runtime, pipeline_id, slot,
-                                outcome["value"], state, rng)
-
-
-def hedge_candidates(elapsed_by_fragment: dict[int, float],
-                     completed_durations: list[float], total: int,
-                     factor: float = 3.0, quorum: float = 0.5,
-                     min_wait_s: float = 0.5, now: float | None = None,
-                     pipeline: str | None = None) -> list[int]:
-    """Straggler detection for speculative re-execution.
-
-    A fragment qualifies once a quorum of its stage has completed and
-    its elapsed time exceeds ``factor`` x the median completed duration
-    (never less than ``min_wait_s``). This is the live-span analogue of
-    :func:`repro.obs.profiler.stragglers`, usable while the stage is
-    running.
-
-    When a telemetry recorder is active and ``now`` is given, each scan
-    that names candidates is recorded as a ``hedge.candidates`` event, so
-    speculative-execution triggers are visible in traces, not only in
-    final reports.
-    """
-    if not completed_durations:
-        return []
-    needed = max(1, math.ceil(quorum * total))
-    if len(completed_durations) < needed:
-        return []
-    median = float(np.median(completed_durations))
-    threshold = max(min_wait_s, factor * median)
-    candidates = sorted(fragment
-                        for fragment, elapsed in elapsed_by_fragment.items()
-                        if elapsed > threshold)
-    if candidates and now is not None:
-        recorder = get_recorder()
-        if recorder.enabled:
-            recorder.event(
-                now, "hedge.candidates", category="recovery",
-                pipeline=pipeline, fragments=candidates,
-                median_s=median, threshold_s=threshold,
-                completed=len(completed_durations), total=total)
-    return candidates
+                _handle_failure(env, runtime, pipeline_id, slot, outcome,
+                                state)
 
 
 def _await_slots(runtime: CoordinatorRuntime, context: FunctionContext,
                  pipeline_id: str, slots: list[_Slot],
-                 state: RecoveryState, rng: np.random.Generator,
-                 allow_hedge: bool):
+                 state: RecoveryState, allow_hedge: bool):
     """Process: drive all slots to completion (retries + hedging)."""
     env = context.env
-    recovery = runtime.recovery
     completed_durations: list[float] = []
-    by_fragment = {slot.fragment: slot for slot in slots}
     while True:
         open_slots = [slot for slot in slots if not slot.done]
         if not open_slots:
             return
         waits = [process for slot in open_slots
                  for (process, _, _) in slot.active]
-        hedging = (allow_hedge and recovery.hedge_enabled
-                   and state.hedges < recovery.hedge_budget
+        hedging = (allow_hedge and state.may_hedge
                    and any(not slot.hedged for slot in open_slots))
         if hedging:
             yield AnyOf(env, waits
-                        + [env.timeout(recovery.hedge_poll_interval_s)])
+                        + [env.timeout(supervisor.STRAGGLER_POLL_S)])
         else:
             yield AnyOf(env, waits)
         for slot in slots:
@@ -642,53 +500,28 @@ def _await_slots(runtime: CoordinatorRuntime, context: FunctionContext,
                     slot.report = value
                     completed_durations.append(env.now - slot.launched_at)
                     if is_hedge:
-                        state.hedge_wins += 1
-                        state.events.append({
-                            "t": round(env.now, 9), "event": "hedge_win",
-                            "pipeline": pipeline_id,
-                            "fragment": slot.fragment})
-                        recorder = get_recorder()
-                        if recorder.enabled:
-                            recorder.event(
-                                env.now, "recovery.hedge_win",
-                                category="recovery", pipeline=pipeline_id,
-                                fragment=slot.fragment)
-                    # Any sibling attempts still in flight are zombies:
-                    # they run (and bill) to completion unobserved.
-                    state.zombies.extend(
-                        entry[0] for entry in slot.active)
+                        state.note(env.now, "hedge_win", pipeline_id,
+                                   slot.fragment)
+                    state.won(is_hedge, [entry[0] for entry in slot.active])
                     slot.active = []
                 else:
-                    state.failed_attempts += 1
                     _handle_failure(env, runtime, pipeline_id, slot, value,
-                                    state, rng)
+                                    state)
         if hedging:
             elapsed = {slot.fragment: env.now - slot.launched_at
                        for slot in slots
                        if not slot.done and not slot.hedged}
             for fragment in hedge_candidates(
                     elapsed, completed_durations, len(slots),
-                    factor=recovery.hedge_factor,
-                    quorum=recovery.hedge_quorum,
-                    min_wait_s=recovery.hedge_min_wait_s,
                     now=env.now, pipeline=pipeline_id):
-                if state.hedges >= recovery.hedge_budget:
+                if not state.take_hedge():
                     break
-                slot = by_fragment[fragment]
-                state.hedges += 1
+                slot = slots[fragment]
                 slot.hedged = True
                 payload = dict(slot.payload, attempt=slot.attempts,
                                hedged=True)
-                state.events.append({
-                    "t": round(env.now, 9), "event": "hedge",
-                    "pipeline": pipeline_id, "fragment": slot.fragment,
-                    "elapsed_s": round(elapsed[fragment], 9)})
-                recorder = get_recorder()
-                if recorder.enabled:
-                    recorder.event(
-                        env.now, "recovery.hedge", category="recovery",
-                        pipeline=pipeline_id, fragment=slot.fragment,
-                        elapsed_s=elapsed[fragment])
+                state.note(env.now, "hedge", pipeline_id, slot.fragment,
+                           elapsed_s=elapsed[fragment])
                 slot.active.append((
                     env.process(_supervise(env, runtime.backend,
                                            runtime.worker_function,

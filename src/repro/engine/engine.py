@@ -17,7 +17,6 @@ from repro.datagen.datasets import TableMetadata
 from repro.engine.barrier import BarrierRegistry
 from repro.engine.coordinator import (
     CoordinatorRuntime,
-    RecoveryConfig,
     StageReport,
     make_coordinator_handler,
     make_invoker_handler,
@@ -26,6 +25,7 @@ from repro.engine.cost import DEFAULT_COST_MODEL, CpuCostModel, classify_attempt
 from repro.engine.plan import PhysicalPlan
 from repro.engine.worker import WorkerRuntime, make_worker_handler
 from repro.faas.function import FunctionConfig
+from repro.faas.supervisor import RecoveryPolicy
 from repro.formats.batch import RecordBatch
 from repro.formats.columnar import ColumnarCache
 from repro.pricing.calculator import CostCalculator
@@ -95,14 +95,14 @@ class SkyriseEngine:
                  intermediate_service: str = "s3-standard",
                  cost_model: CpuCostModel = DEFAULT_COST_MODEL,
                  worker_memory: float = WORKER_MEMORY,
-                 recovery: Optional[RecoveryConfig] = None) -> None:
+                 recovery: Optional[RecoveryPolicy] = None) -> None:
         self.env = env
         self.backend = backend
         self.storage = storage
         self.intermediate_service = intermediate_service
         self.cost_model = cost_model
         self.worker_memory = worker_memory
-        self.recovery = recovery if recovery is not None else RecoveryConfig()
+        self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.catalog: dict[str, TableMetadata] = {}
         self.barriers = BarrierRegistry(env)
         #: Read cache shared by every worker of this engine. Workers in
@@ -171,12 +171,9 @@ class SkyriseEngine:
         response = record.response
         # Lost hedge races may still be running: the coordinator already
         # returned (its runtime excludes them, like a real coordinator
-        # that stopped listening), but the abandoned attempts run to
-        # completion and must be billed. Drain them here so their
-        # records land inside this query's billing window.
-        for zombie in response.pop("_zombies", []):
-            if not zombie.processed:
-                yield zombie
+        # that stopped listening), but they must be billed. Drain them so
+        # their records land inside this query's billing window.
+        yield from response["recovery"].drain()
         batch = self._fetch_result(response["result_keys"])
         self.barriers.clear(plan.query_id)
         new_records = self.backend.records[record_start:]
@@ -227,7 +224,8 @@ class SkyriseEngine:
         storage_cost = (pricing.read_cost(read_requests, bytes_read)
                         + pricing.write_cost(write_requests, bytes_written))
         compute_cost = calculator.cost.total
-        recovery = response.get("recovery", {})
+        # The invocation record keeps the response: let the supervisor go.
+        recovery = response.pop("recovery")
         return QueryResult(
             query_id=plan.query_id,
             runtime=response["runtime"],
@@ -240,9 +238,9 @@ class SkyriseEngine:
             storage_cost_cents=storage_cost * 100.0,
             requests=requests,
             request_sizes=request_sizes,
-            retries=recovery.get("retries", 0),
-            hedges=recovery.get("hedges", 0),
-            hedge_wins=recovery.get("hedge_wins", 0),
-            failed_attempts=recovery.get("failed_attempts", 0),
+            retries=recovery.retries,
+            hedges=recovery.hedges,
+            hedge_wins=recovery.hedge_wins,
+            failed_attempts=recovery.failed_attempts,
             retry_cost_cents=recovery_calculator.cost.total * 100.0,
-            recovery_events=recovery.get("events", []))
+            recovery_events=recovery.events)

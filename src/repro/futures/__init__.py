@@ -35,7 +35,7 @@ from repro.futures.executor import (
     FunctionExecutor,
 )
 from repro.futures.future import AttemptRecord, ResponseFuture
-from repro.futures.invoker import Invoker, InvokerConfig
+from repro.futures.invoker import Invoker
 from repro.futures.monitor import JobMonitor
 from repro.futures.partitioner import (
     DataChunk,
@@ -53,7 +53,6 @@ __all__ = [
     "ExecutorConfig",
     "FunctionExecutor",
     "Invoker",
-    "InvokerConfig",
     "JobMonitor",
     "ResponseFuture",
     "partition_object",

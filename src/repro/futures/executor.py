@@ -27,13 +27,14 @@ events for storage I/O and compute time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro import units
 from repro.faas.function import FunctionConfig
+from repro.faas.supervisor import EXECUTOR_RETRY_BUDGET, RecoveryPolicy
 from repro.futures.future import ResponseFuture
-from repro.futures.invoker import Invoker, InvokerConfig
+from repro.futures.invoker import Invoker
 from repro.futures.monitor import JobMonitor
 from repro.pricing.calculator import CostCalculator
 from repro.sim import AllOf, AnyOf
@@ -56,11 +57,20 @@ class ExecutorConfig:
     memory_bytes: float = 1_769 * units.MiB
     binary_bytes: float = 8 * units.MiB
     ephemeral_bytes: float = 512 * units.MiB
-    invoker: InvokerConfig = field(default_factory=InvokerConfig)
+    #: Calls allowed in flight at once; further dispatches queue FIFO.
+    max_inflight: int = 64
+    #: Attempt cap, retry budget and hedging of every call.
+    recovery: RecoveryPolicy = RecoveryPolicy(
+        retry_budget=EXECUTOR_RETRY_BUDGET)
     #: Poll interval of the per-job monitor process (samples pending/
     #: running time series). ``None`` — the default — runs no poller,
     #: keeping the executor free of background events.
     monitor_poll_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_inflight <= 0:
+            raise ValueError(
+                f"max_inflight must be positive, got {self.max_inflight}")
 
 
 class Job:
@@ -142,8 +152,7 @@ class FunctionExecutor:
             binary_bytes=self.config.binary_bytes,
             ephemeral_bytes=self.config.ephemeral_bytes)
         platform.deploy(self.function)
-        self.invoker = Invoker(env, platform, self.function,
-                               self.config.invoker,
+        self.invoker = Invoker(env, platform, self.function, self.config,
                                rng.stream("futures.backoff"))
         self.jobs: list[Job] = []
 
@@ -166,7 +175,9 @@ class FunctionExecutor:
             return []
         job = self._new_job("map")
         futures = [self._submit(job, fn, item) for item in items]
-        self._maybe_speculate(job, futures)
+        if self.config.recovery.hedge and len(futures) > 1:
+            self.env.process(self.invoker.speculate(futures),
+                             name=f"speculate-{job.job_id}")
         return futures
 
     def map_reduce(self, map_fn, iterable, reduce_fn) -> ResponseFuture:
@@ -235,11 +246,6 @@ class FunctionExecutor:
         yield future.done_event
         release()
 
-    def _maybe_speculate(self, job: Job, futures: list[ResponseFuture]) -> None:
-        if self.config.invoker.speculate and len(futures) > 1:
-            self.env.process(self.invoker.speculate(futures),
-                             name=f"speculate-{job.job_id}")
-
     def _reduce_driver(self, job: Job, reduce_future: ResponseFuture,
                        map_futures: list[ResponseFuture], reduce_fn):
         """Process: await the map phase, then dispatch the reducer."""
@@ -298,8 +304,7 @@ class FunctionExecutor:
         Run before auditing platform-level costs — zombies bill on
         completion.
         """
-        drained = yield from self.invoker.drain()
-        return drained
+        return (yield from self.invoker.drain())
 
     # -- accounting ------------------------------------------------------------
 

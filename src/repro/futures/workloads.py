@@ -30,12 +30,12 @@ from typing import Optional
 from repro import units
 from repro.chaos.injector import FaultInjector
 from repro.faas.platform import LambdaPlatform
+from repro.faas.supervisor import EXECUTOR_RETRY_BUDGET, RecoveryPolicy
 from repro.futures.executor import (
     ANY_COMPLETED,
     ExecutorConfig,
     FunctionExecutor,
 )
-from repro.futures.invoker import InvokerConfig
 from repro.futures.partitioner import partition_prefix
 from repro.network import Fabric
 from repro.pricing.calculator import CostCalculator
@@ -78,7 +78,7 @@ def _cost_check(compute_usd: float, catalog_usd: float) -> str:
 class _Sim:
     """One simulation stack: env, fabric, platform, S3, executor."""
 
-    def __init__(self, seed: int, invoker: InvokerConfig,
+    def __init__(self, seed: int, speculate: bool,
                  monitor_poll_s: Optional[float] = None,
                  plan=None) -> None:
         self.env = Environment()
@@ -88,8 +88,10 @@ class _Sim:
         self.s3 = S3Standard(self.env, self.fabric, self.rng)
         self.executor = FunctionExecutor(
             self.env, self.platform, self.rng,
-            config=ExecutorConfig(invoker=invoker,
-                                  monitor_poll_s=monitor_poll_s))
+            config=ExecutorConfig(
+                recovery=RecoveryPolicy(retry_budget=EXECUTOR_RETRY_BUDGET,
+                                        hedge=speculate),
+                monitor_poll_s=monitor_poll_s))
         self.injector = None
         if plan is not None:
             self.injector = FaultInjector(plan, self.rng)
@@ -182,8 +184,7 @@ def run_wordcount(seed: int = 7, objects: int = 16,
         raise ValueError(
             f"records_per_object={records_per_object} must divide evenly "
             f"into chunks_per_object={chunks_per_object}")
-    sim = _Sim(seed, InvokerConfig(speculate=speculate),
-               monitor_poll_s=monitor_poll_s, plan=plan)
+    sim = _Sim(seed, speculate, monitor_poll_s=monitor_poll_s, plan=plan)
     prefix = "corpus/"
     chunk_bytes = records_per_object // chunks_per_object * RECORD_BYTES
 
@@ -258,7 +259,7 @@ def run_sweep(seed: int = 7, points: int = 24, span: float = 4.0,
     """Parallel parameter sweep with an async selection step."""
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    sim = _Sim(seed, InvokerConfig(speculate=speculate), plan=plan)
+    sim = _Sim(seed, speculate, plan=plan)
     grid = [{"index": index, "x": round(index * span / (points - 1), 9)}
             for index in range(points)]
 

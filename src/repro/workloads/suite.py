@@ -59,7 +59,7 @@ def setup_engine(sim: CloudSim, setup: SuiteSetup,
                  recovery=None) -> SkyriseEngine:
     """Load datasets and deploy the engine on the chosen backend.
 
-    ``recovery`` (a :class:`~repro.engine.coordinator.RecoveryConfig`)
+    ``recovery`` (a :class:`~repro.faas.supervisor.RecoveryPolicy`)
     configures the coordinator's task-level fault tolerance; ``None``
     uses the defaults (retries on, hedging off).
     """

@@ -8,10 +8,11 @@ from repro.chaos.runner import run_chaos_suite
 from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine
-from repro.engine.coordinator import FragmentFailure, RecoveryConfig
+from repro.engine.coordinator import FragmentFailure
 from repro.engine.io import IoStack
 from repro.engine.queries import tpch_q6
 from repro.engine.shuffle import ShuffleWriter
+from repro.faas.supervisor import RecoveryPolicy
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
 from repro.network import Fabric
@@ -40,7 +41,7 @@ class TestRecoveryUnderDemoOutage:
     def test_retry_free_engine_fails_with_named_fragments(self):
         report = run_chaos_suite(
             "demo-outage", repeats=2, seed=0, baseline=False,
-            recovery=RecoveryConfig(max_attempts=1, hedge_enabled=False))
+            recovery=RecoveryPolicy(max_attempts=1, hedge=False))
         assert report.unrecovered >= 1
         failures = [o for o in report.outcomes if not o.ok]
         for outcome in failures:
@@ -49,6 +50,16 @@ class TestRecoveryUnderDemoOutage:
             assert outcome.error.startswith("FragmentFailure: fragment ")
             assert "scan/" in outcome.error
             assert "1 attempt(s)" in outcome.error
+
+    def test_attempt_free_policy_is_rejected(self):
+        # Zero attempts per fragment was accepted and ran as one attempt
+        # with no retries: the first crash killed the query (goodput 0).
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            run_chaos_suite("demo-outage", queries=("tpch-q6",), repeats=1,
+                            recovery=RecoveryPolicy(max_attempts=0),
+                            baseline=False)
+        with pytest.raises(ValueError, match="retry_budget must be >= 0"):
+            RecoveryPolicy(retry_budget=-1)
 
     def test_recovery_layer_absorbs_the_same_plan(self):
         report = run_chaos_suite("demo-outage", repeats=2, seed=0)
@@ -89,7 +100,7 @@ class TestNonRetryableErrors:
             sim.env, s3, scaled_spec("lineitem", 4, rows_per_partition=128)))
         engine = SkyriseEngine(sim.env, sim.platform,
                                storage={"s3-standard": s3},
-                               recovery=RecoveryConfig(max_attempts=3))
+                               recovery=RecoveryPolicy(max_attempts=3))
         engine.register_table(metadata)
         engine.deploy()
         victim = engine.catalog["lineitem"].partitions[2].key

@@ -12,7 +12,8 @@ import pytest
 
 from repro.chaos import FaultPlan, FaultSpec
 from repro.engine.barrier import BarrierRegistry
-from repro.engine.coordinator import FragmentFailure, RecoveryConfig
+from repro.engine.coordinator import FragmentFailure
+from repro.faas.supervisor import RecoveryPolicy
 from repro.serve import service
 from repro.serve.gateway import Tenant
 from repro.serve.service import TenantWorkload, run_serving_workload
@@ -122,7 +123,7 @@ def failed_window():
         patch.setattr(BarrierRegistry, "clear", spy)
         outcome = run_serving_workload(
             workloads, policy="fifo", window_s=120.0, seed=3,
-            fault_plan=plan, recovery=RecoveryConfig(max_attempts=1))
+            fault_plan=plan, recovery=RecoveryPolicy(max_attempts=1))
     return outcome, engines[0], cleared
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine, coordinator
-from repro.engine.coordinator import FragmentFailure, RecoveryConfig
+from repro.engine.coordinator import FragmentFailure
 from repro.engine.queries import (
     QUERY_BUILDERS,
     tpch_q1,
@@ -19,7 +19,8 @@ from repro.engine.queries import (
 )
 from repro.engine.reference import run_reference, table_batches_from_spec
 from repro.engine.shuffle import SliceRead, shuffle_key
-from repro.faas import LambdaPlatform
+from repro.faas import LambdaPlatform, supervisor
+from repro.faas.supervisor import RecoveryPolicy
 from repro.formats import RecordBatch, read_file, write_file
 from repro.iaas import Ec2Fleet, VmShim
 from repro.network import Fabric
@@ -283,7 +284,7 @@ class TestTwoLevelInvocation:
 
     def test_exhausted_fragment_keeps_its_identity(self, two_level):
         env, engine, injector = self.build(
-            self.ONE_SCAN_CRASH, recovery=RecoveryConfig(max_attempts=1))
+            self.ONE_SCAN_CRASH, recovery=RecoveryPolicy(max_attempts=1))
         with pytest.raises(FragmentFailure) as failure:
             run_query(env, engine, self.query())
         assert (failure.value.pipeline, failure.value.fragment,
@@ -339,9 +340,9 @@ class TestShuffleHandover:
     each must equal ``read_file(write_file(piece))`` column by column."""
 
     TABLES = TestPlanHandover.TABLES
-    #: Worker crashes with retries, and hedging eager enough to fire.
-    HEDGED = RecoveryConfig(hedge_enabled=True, hedge_factor=1.2,
-                            hedge_quorum=0.3, hedge_min_wait_s=0.0)
+    #: Worker crashes with retries, and hedging made eager enough to
+    #: fire by the ``eager_hedging`` fixture.
+    HEDGED = RecoveryPolicy(hedge=True)
 
     @staticmethod
     def assert_decodes_alike(got, want):
@@ -352,6 +353,12 @@ class TestShuffleHandover:
             np.testing.assert_array_equal(left, right)
             if right.dtype == object:
                 assert [type(v) for v in left] == [type(v) for v in right]
+
+    @pytest.fixture
+    def eager_hedging(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "STRAGGLER_FACTOR", 1.2)
+        monkeypatch.setattr(supervisor, "STRAGGLER_QUORUM", 0.3)
+        monkeypatch.setattr(supervisor, "STRAGGLER_MIN_WAIT_S", 0.0)
 
     @pytest.fixture
     def handed_over(self, monkeypatch):
@@ -388,7 +395,7 @@ class TestShuffleHandover:
                              ids=["fault-free", "crash-retry-hedge"])
     @pytest.mark.parametrize("query", sorted(TABLES))
     def test_what_arrives_is_what_the_round_trip_gives(
-            self, query, faults, handed_over):
+            self, query, faults, handed_over, eager_hedging):
         recovery = None if faults is None else self.HEDGED
         env, engine, _ = build_stack(self.TABLES[query], recovery=recovery)
         if faults is not None:

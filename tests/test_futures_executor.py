@@ -10,9 +10,9 @@ from repro.futures import (
     ANY_COMPLETED,
     ExecutorConfig,
     FunctionExecutor,
-    InvokerConfig,
 )
-from repro.faas import LambdaPlatform
+from repro.faas import LambdaPlatform, supervisor
+from repro.faas.supervisor import RecoveryPolicy
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
 
@@ -23,12 +23,11 @@ class Transient(Exception):
     retryable = True
 
 
-def make_executor(invoker=None, seed=11):
+def make_executor(config=None, seed=11):
     env = Environment()
     fabric = Fabric(env)
     rng = RandomStreams(seed=seed)
     platform = LambdaPlatform(env, fabric, rng)
-    config = ExecutorConfig(invoker=invoker or InvokerConfig())
     executor = FunctionExecutor(env, platform, rng, config=config)
     return env, platform, executor
 
@@ -93,7 +92,7 @@ class TestMap:
 
     def test_bounded_inflight_concurrency(self):
         env, _, executor = make_executor(
-            invoker=InvokerConfig(max_inflight=2))
+            config=ExecutorConfig(max_inflight=2))
         futures = executor.map(sleeper, [{"sleep_s": 0.2, "tag": i}
                                          for i in range(6)])
         run(env, executor.get_result(futures))
@@ -206,7 +205,7 @@ class TestRetries:
 
     def test_max_attempts_exhaustion_rejects(self):
         env, _, executor = make_executor(
-            invoker=InvokerConfig(max_attempts=2))
+            config=ExecutorConfig(recovery=RecoveryPolicy(max_attempts=2)))
 
         def always_flaky(context, data):
             yield context.env.timeout(0.01)
@@ -262,17 +261,19 @@ class TestMapReduce:
 
 
 class TestSpeculation:
-    def test_straggler_gets_duplicate_and_zombie_drains(self):
+    def test_straggler_gets_duplicate_and_zombie_drains(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "STRAGGLER_POLL_S", 0.1)
+        monkeypatch.setattr(supervisor, "STRAGGLER_MIN_WAIT_S", 0.3)
+        monkeypatch.setattr(supervisor, "STRAGGLER_FACTOR", 2.0)
+        monkeypatch.setattr(supervisor, "STRAGGLER_QUORUM", 0.5)
         env, _, executor = make_executor(
-            invoker=InvokerConfig(speculate=True, spec_poll_s=0.1,
-                                  spec_min_wait_s=0.3, spec_factor=2.0,
-                                  spec_quorum=0.5))
+            config=ExecutorConfig(recovery=RecoveryPolicy(hedge=True)))
         specs = [{"sleep_s": 0.05, "tag": i} for i in range(7)]
         specs.append({"sleep_s": 10.0, "tag": "straggler"})
         futures = executor.map(sleeper, specs)
         results = run(env, executor.get_result(futures))
         assert results[-1] == "straggler"
-        assert executor.invoker.speculations >= 1
+        assert executor.invoker.hedges >= 1
         straggler = futures[-1]
         assert straggler.hedged
         drained = run(env, executor.drain())

@@ -11,11 +11,11 @@ Regenerate after an *intentional* model change::
 
     PYTHONPATH=src python tests/golden/regen_perf_goldens.py
 
-The literal pins at the bottom are the small-input outcomes no
-golden file and no ledger pin covers: Q12 under an outage (the only pin
-on the shuffle + retry/hedge path), the futures wordcount with and
-without chaos and speculation, a 64-worker
-Q6 burst, and a 120 s serving window under both policies.
+The literal pins at the bottom are the small-input outcomes no golden
+file and no ledger pin covers: Q12 under an outage (the only pin on the
+shuffle + retry/hedge path), the futures wordcount with and without
+chaos and speculation, a 64-worker Q6 burst, and a 120 s serving window
+under both policies.
 """
 
 import hashlib

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.context import CloudSim
-from repro.engine.coordinator import hedge_candidates
+from repro.faas.supervisor import hedge_candidates
 from repro.obs.profiler import render_gantt
 from repro.serve.gateway import QueryGateway, Tenant
 from repro.sim import Environment

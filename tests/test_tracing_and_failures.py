@@ -9,7 +9,7 @@ from repro.chaos import FaultInjector, get_plan
 from repro.core import CloudSim
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine, coordinator
-from repro.engine.coordinator import RecoveryConfig
+from repro.faas.supervisor import RecoveryPolicy
 from repro.engine.io import IoStack
 from repro.engine.queries import tpch_q6, tpch_q12
 from repro.engine.worker import WorkerReport
@@ -49,7 +49,7 @@ def record_outage_q6(fragments=16):
             "lineitem", fragments, rows_per_partition=64)))
         engine = SkyriseEngine(sim.env, sim.platform,
                                storage={"s3-standard": s3},
-                               recovery=RecoveryConfig(hedge_enabled=True))
+                               recovery=RecoveryPolicy(hedge=True))
         engine.register_table(metadata)
         engine.deploy()
         FaultInjector(get_plan("demo-outage"), RandomStreams(seed=0)).install(
