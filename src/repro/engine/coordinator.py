@@ -34,6 +34,7 @@ from repro.faas.function import FunctionContext
 from repro.faas.supervisor import (
     INVOKE_DISPATCH_S,
     JITTER_SEED,
+    QUERY_RETRY_BUDGET,
     RecoveryPolicy,
     Supervisor,
     hedge_candidates,
@@ -75,7 +76,8 @@ class RecoveryState(Supervisor):
     """Per-query recovery accounting, reported back with the response."""
 
     def __init__(self, policy: RecoveryPolicy) -> None:
-        super().__init__(policy, np.random.default_rng(JITTER_SEED))
+        super().__init__(policy, np.random.default_rng(JITTER_SEED),
+                         QUERY_RETRY_BUDGET)
         self.events: list[dict] = []
 
     def note(self, now: float, event: str, pipeline: str, fragment: int,

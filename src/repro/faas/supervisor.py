@@ -59,8 +59,6 @@ class RecoveryPolicy:
 
     #: Attempts launched per task, hedges aside (1 = no retries).
     max_attempts: int = 3
-    #: Retries allowed across the supervisor's whole lifetime.
-    retry_budget: int = QUERY_RETRY_BUDGET
     #: Off by default: hedging reacts to natural timing variance too.
     hedge: bool = False
 
@@ -68,9 +66,6 @@ class RecoveryPolicy:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.retry_budget < 0:
-            raise ValueError(
-                f"retry_budget must be >= 0, got {self.retry_budget}")
 
 
 def backoff_delay(attempt: int, rng: np.random.Generator) -> float:
@@ -111,10 +106,12 @@ def hedge_candidates(elapsed_by_task: dict[int, float],
 class Supervisor:
     """Settles the attempts of one query's (or one executor's) tasks."""
 
-    def __init__(self, policy: RecoveryPolicy,
-                 rng: np.random.Generator) -> None:
+    def __init__(self, policy: RecoveryPolicy, rng: np.random.Generator,
+                 retry_budget: int) -> None:
         self.policy = policy
         self.rng = rng
+        #: Retries allowed across the supervisor's whole lifetime.
+        self.retry_budget = retry_budget
         self.retries = 0
         self.failed_attempts = 0
         self.hedges = 0
@@ -150,7 +147,7 @@ class Supervisor:
         self.failed_attempts += 1
         if not getattr(error, "retryable", False) \
                 or attempts >= self.policy.max_attempts \
-                or self.retries >= self.policy.retry_budget:
+                or self.retries >= self.retry_budget:
             return None
         self.retries += 1
         return backoff_delay(attempts, self.rng)

@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from repro import units
 from repro.faas.function import FunctionConfig
-from repro.faas.supervisor import EXECUTOR_RETRY_BUDGET, RecoveryPolicy
+from repro.faas.supervisor import RecoveryPolicy
 from repro.futures.future import ResponseFuture
 from repro.futures.invoker import Invoker
 from repro.futures.monitor import JobMonitor
@@ -59,9 +59,8 @@ class ExecutorConfig:
     ephemeral_bytes: float = 512 * units.MiB
     #: Calls allowed in flight at once; further dispatches queue FIFO.
     max_inflight: int = 64
-    #: Attempt cap, retry budget and hedging of every call.
-    recovery: RecoveryPolicy = RecoveryPolicy(
-        retry_budget=EXECUTOR_RETRY_BUDGET)
+    #: Attempt cap and hedging of every call.
+    recovery: RecoveryPolicy = RecoveryPolicy()
     #: Poll interval of the per-job monitor process (samples pending/
     #: running time series). ``None`` — the default — runs no poller,
     #: keeping the executor free of background events.

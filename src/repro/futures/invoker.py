@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.faas import supervisor
 from repro.faas.supervisor import (
+    EXECUTOR_RETRY_BUDGET,
     INVOKE_DISPATCH_S,
     Supervisor,
     hedge_candidates,
@@ -34,7 +35,7 @@ class Invoker(Supervisor):
     """
 
     def __init__(self, env, platform, function, config, jitter_rng) -> None:
-        super().__init__(config.recovery, jitter_rng)
+        super().__init__(config.recovery, jitter_rng, EXECUTOR_RETRY_BUDGET)
         self.env = env
         self.platform = platform
         #: The deployed :class:`~repro.faas.function.FunctionConfig`;

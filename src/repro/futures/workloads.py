@@ -30,7 +30,7 @@ from typing import Optional
 from repro import units
 from repro.chaos.injector import FaultInjector
 from repro.faas.platform import LambdaPlatform
-from repro.faas.supervisor import EXECUTOR_RETRY_BUDGET, RecoveryPolicy
+from repro.faas.supervisor import RecoveryPolicy
 from repro.futures.executor import (
     ANY_COMPLETED,
     ExecutorConfig,
@@ -89,8 +89,7 @@ class _Sim:
         self.executor = FunctionExecutor(
             self.env, self.platform, self.rng,
             config=ExecutorConfig(
-                recovery=RecoveryPolicy(retry_budget=EXECUTOR_RETRY_BUDGET,
-                                        hedge=speculate),
+                recovery=RecoveryPolicy(hedge=speculate),
                 monitor_poll_s=monitor_poll_s))
         self.injector = None
         if plan is not None:

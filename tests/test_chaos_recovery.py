@@ -52,14 +52,11 @@ class TestRecoveryUnderDemoOutage:
             assert "1 attempt(s)" in outcome.error
 
     def test_attempt_free_policy_is_rejected(self):
-        # Zero attempts per fragment was accepted and ran as one attempt
-        # with no retries: the first crash killed the query (goodput 0).
+        # Zero attempts per fragment used to reach the engine and run as
+        # one attempt with no retries (goodput 0 under demo-outage); the
+        # policy now refuses it when built, so no engine can receive it.
         with pytest.raises(ValueError, match="max_attempts must be >= 1"):
-            run_chaos_suite("demo-outage", queries=("tpch-q6",), repeats=1,
-                            recovery=RecoveryPolicy(max_attempts=0),
-                            baseline=False)
-        with pytest.raises(ValueError, match="retry_budget must be >= 0"):
-            RecoveryPolicy(retry_budget=-1)
+            RecoveryPolicy(max_attempts=0)
 
     def test_recovery_layer_absorbs_the_same_plan(self):
         report = run_chaos_suite("demo-outage", repeats=2, seed=0)
