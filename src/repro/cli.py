@@ -11,9 +11,9 @@ JSON results come out, and the plotter renders what it can. Usage::
     python -m repro serve --policy fair       # multi-tenant serving run
     python -m repro chaos --plan demo-outage  # fault-injected suite run
     python -m repro trace --query tpch-q12    # Perfetto trace of one query
-    python -m repro futures --workload sweep  # futures/map-reduce workload
+    python -m repro futures --speculate       # futures map-reduce wordcount
     python -m repro shard --smoke             # sharded-serving replay gate
-    python -m repro metrics --query tpch-q12  # telemetry dashboard
+    python -m repro obs --profile tpch-q6     # per-stage cost feed
     python -m repro lint --strict             # determinism/architecture gate
 """
 
@@ -182,28 +182,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_metrics(args) -> int:
-    """Run one query with telemetry on and print the metric dashboard."""
-    from repro.telemetry import (
-        canonical_json,
-        metrics_snapshot,
-        render_dashboard,
-    )
-
-    try:
-        result, recorder = _record_query(args.query, args.seed)
-    except (KeyError, ValueError) as exc:
-        print(f"repro metrics: error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(canonical_json(metrics_snapshot(recorder)))
-    else:
-        print(render_dashboard(recorder))
-        print(f"\nquery {args.query}: runtime {result.runtime:.3f}s, "
-              f"cost {result.cost_cents:.4f}¢")
-    return 0
-
-
 def _run_obs(args) -> int:
     """Run the observability plane: observed replay, smoke gate, profiler."""
     from repro.telemetry.export import canonical_json
@@ -274,7 +252,7 @@ def _run_obs(args) -> int:
 def _run_futures(args) -> int:
     """Run a futures workload (or the CI smoke gate) and print its outcome."""
     from repro.chaos.plan import get_plan
-    from repro.futures.workloads import run_sweep, run_wordcount
+    from repro.futures.workloads import run_wordcount
     from repro.telemetry.export import canonical_json
 
     try:
@@ -309,12 +287,8 @@ def _run_futures(args) -> int:
                   f"{first['records']} records, digest {first['digest']}, "
                   f"cost check {first['cost_check']}")
             return 0
-        if args.workload == "wordcount":
-            outcome = run_wordcount(seed=args.seed, objects=args.objects,
-                                    chunks_per_object=args.chunks_per_object,
-                                    plan=plan, speculate=args.speculate)
-        else:
-            outcome = run_sweep(seed=args.seed, points=args.points,
+        outcome = run_wordcount(seed=args.seed, objects=args.objects,
+                                chunks_per_object=args.chunks_per_object,
                                 plan=plan, speculate=args.speculate)
     except (KeyError, ValueError) as exc:
         print(f"repro futures: error: {exc}", file=sys.stderr)
@@ -480,18 +454,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="re-export only this trace id (e.g. a trace "
                             "named in an incident bundle)")
     futures = commands.add_parser(
-        "futures", help="run a futures/map-reduce workload scenario")
-    futures.add_argument("--workload", default="wordcount",
-                         choices=("wordcount", "sweep"),
-                         help="scenario to run (default: wordcount)")
+        "futures", help="run the futures map-reduce wordcount")
     futures.add_argument("--seed", type=int, default=7,
                          help="RNG seed (fixed seed -> identical outcome)")
     futures.add_argument("--objects", type=int, default=16,
                          help="corpus objects for wordcount")
     futures.add_argument("--chunks-per-object", type=int, default=4,
                          help="byte-range chunks per corpus object")
-    futures.add_argument("--points", type=int, default=24,
-                         help="grid points for the parameter sweep")
     futures.add_argument("--plan", default=None,
                          help="fault plan to inject (e.g. futures-chaos)")
     futures.add_argument("--speculate", action="store_true",
@@ -517,14 +486,6 @@ def main(argv: list[str] | None = None) -> int:
                             "failure; fail when the kernel and its "
                             "reference diverge, on hot-path full scans, "
                             "or on unreconciled queries")
-    metrics = commands.add_parser(
-        "metrics", help="run one query with telemetry and show a dashboard")
-    metrics.add_argument("--query", default="tpch-q12",
-                         help="TPC-H query to profile (default: tpch-q12)")
-    metrics.add_argument("--seed", type=int, default=0,
-                         help="RNG seed (fixed seed -> identical metrics)")
-    metrics.add_argument("--json", action="store_true",
-                         help="print the canonical JSON metrics snapshot")
     obs = commands.add_parser(
         "obs", help="observability plane: SLO burn-rate alerts, tail "
                     "sampling, incident bundles, stage profiler")
@@ -566,8 +527,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_futures(args)
     if args.command == "shard":
         return _run_shard(args)
-    if args.command == "metrics":
-        return _run_metrics(args)
     if args.command == "obs":
         return _run_obs(args)
 

@@ -14,50 +14,35 @@ from repro.sim import Environment, Event
 
 
 class Barrier:
-    """An N-party rendezvous point."""
+    """An N-party rendezvous point, one party per fragment index."""
 
     def __init__(self, env: Environment, parties: int) -> None:
         if parties <= 0:
             raise ValueError(f"parties must be positive, got {parties}")
         self.env = env
         self.parties = parties
-        self._arrived = 0
+        self._arrived: set[int] = set()
         self._release: Event = env.event()
 
-    @property
-    def arrived(self) -> int:
-        """Fragments that have reached the barrier so far."""
-        return self._arrived
+    def arrive(self, fragment: int) -> Event:
+        """Event that triggers once every fragment has arrived.
 
-    def wait(self) -> Event:
-        """Event that triggers once all parties have arrived.
-
-        Usage inside a process: ``yield barrier.wait()``.
+        Usage inside a process: ``yield barrier.arrive(fragment)``.
+        Arrivals count distinct fragments ``0 .. parties - 1``, so the
+        re-executed attempts of one fragment (a retry after a crash
+        past the barrier, a hedged duplicate) stand for that fragment
+        only: the rendezvous never releases before every fragment got
+        there. A late arrival after release returns the
+        already-triggered event.
         """
-        self._arrived += 1
-        if self._arrived > self.parties:
-            raise RuntimeError(
-                f"barrier overrun: {self._arrived} arrivals for "
+        if not 0 <= fragment < self.parties:
+            raise ValueError(
+                f"barrier overrun: fragment {fragment} of "
                 f"{self.parties} parties")
-        if self._arrived == self.parties:
-            self._release.succeed(self.env.now)
-        return self._release
-
-    def arrive(self) -> Event:
-        """Overrun-tolerant arrival, for re-executed fragments.
-
-        Identical to :meth:`wait` in the fault-free case. Under task
-        retries or hedging, extra attempts of the same fragment may
-        reach the barrier: a late arrival after release returns the
-        already-triggered event, and the count saturates at ``parties``
-        so a retried attempt can complete the rendezvous its crashed
-        predecessor never joined.
-        """
-        if self._release.triggered:
-            return self._release
-        self._arrived = min(self._arrived + 1, self.parties)
-        if self._arrived == self.parties:
-            self._release.succeed(self.env.now)
+        if not self._release.triggered:
+            self._arrived.add(fragment)
+            if len(self._arrived) == self.parties:
+                self._release.succeed(self.env.now)
         return self._release
 
 

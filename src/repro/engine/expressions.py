@@ -37,10 +37,6 @@ class Expr:
         """Vectorized evaluation against a batch."""
         raise NotImplementedError
 
-    def columns(self) -> set[str]:
-        """Names of all columns this expression reads."""
-        return set()
-
 
 class Col(Expr):
     """A column reference."""
@@ -51,12 +47,6 @@ class Col(Expr):
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return batch.column(self.name)
 
-    def columns(self) -> set[str]:
-        return {self.name}
-
-    def __repr__(self) -> str:
-        return f"Col({self.name!r})"
-
 
 class Lit(Expr):
     """A literal constant."""
@@ -66,9 +56,6 @@ class Lit(Expr):
 
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return np.full(len(batch), self.value)
-
-    def __repr__(self) -> str:
-        return f"Lit({self.value!r})"
 
 
 class BinOp(Expr):
@@ -85,9 +72,6 @@ class BinOp(Expr):
         return _ARITHMETIC[self.op](self.left.evaluate(batch),
                                     self.right.evaluate(batch))
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
-
 
 class Compare(Expr):
     """Comparison producing a boolean mask."""
@@ -102,9 +86,6 @@ class Compare(Expr):
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return _COMPARATORS[self.op](self.left.evaluate(batch),
                                      self.right.evaluate(batch))
-
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
 
 
 class And(Expr):
@@ -121,12 +102,6 @@ class And(Expr):
             result = result & term.evaluate(batch).astype(bool)
         return result
 
-    def columns(self) -> set[str]:
-        found: set[str] = set()
-        for term in self.terms:
-            found |= term.columns()
-        return found
-
 
 class Or(Expr):
     """Logical disjunction of boolean expressions."""
@@ -142,12 +117,6 @@ class Or(Expr):
             result = result | term.evaluate(batch).astype(bool)
         return result
 
-    def columns(self) -> set[str]:
-        found: set[str] = set()
-        for term in self.terms:
-            found |= term.columns()
-        return found
-
 
 class Not(Expr):
     """Logical negation."""
@@ -157,9 +126,6 @@ class Not(Expr):
 
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         return ~self.term.evaluate(batch).astype(bool)
-
-    def columns(self) -> set[str]:
-        return self.term.columns()
 
 
 class Between(Expr):
@@ -174,9 +140,6 @@ class Between(Expr):
         values = self.expr.evaluate(batch)
         return (values >= self.low) & (values <= self.high)
 
-    def columns(self) -> set[str]:
-        return self.expr.columns()
-
 
 class InSet(Expr):
     """Set membership check."""
@@ -188,9 +151,6 @@ class InSet(Expr):
     def evaluate(self, batch: RecordBatch) -> np.ndarray:
         column = self.expr.evaluate(batch)
         return np.isin(column, self.values)
-
-    def columns(self) -> set[str]:
-        return self.expr.columns()
 
 
 class IfThenElse(Expr):
@@ -206,6 +166,3 @@ class IfThenElse(Expr):
                         self.then.evaluate(batch),
                         self.otherwise.evaluate(batch))
 
-    def columns(self) -> set[str]:
-        return (self.condition.columns() | self.then.columns()
-                | self.otherwise.columns())

@@ -104,13 +104,13 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
 
     # Synchronization barrier: all fragments of the pipeline rendezvous
     # before consuming their source (isolates the subflow for timing).
-    # ``arrive`` (not ``wait``) tolerates re-executed fragments: a retry
-    # can stand in for its crashed predecessor, and a late duplicate
+    # It counts fragments, not attempts: a retry stands in for its
+    # crashed predecessor without counting twice, and a late duplicate
     # passes straight through an already-released barrier.
     if pipeline.barrier:
         barrier = runtime.barriers.get(query_id, pipeline.id,
                                        payload["fragment_count"])
-        yield barrier.arrive()
+        yield barrier.arrive(fragment)
 
     # Side tables: read fully by every fragment (small dimensions).
     sides: dict[str, RecordBatch] = {}

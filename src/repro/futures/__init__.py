@@ -23,14 +23,13 @@ The pieces, mirroring lithops' architecture on the virtual clock:
 * :class:`~repro.futures.invoker.Invoker` — bounded in-flight dispatch
   with seeded retries and optional speculative re-invocation;
 * :mod:`~repro.futures.workloads` — deterministic end-to-end scenarios
-  (map-reduce wordcount, parallel parameter sweep).
+  (the map-reduce wordcount).
 """
 
 from repro.futures.executor import (
     ALL_COMPLETED,
     ALWAYS,
     ANY_COMPLETED,
-    AdmissionShed,
     ExecutorConfig,
     FunctionExecutor,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ALL_COMPLETED",
     "ALWAYS",
     "ANY_COMPLETED",
-    "AdmissionShed",
     "AttemptRecord",
     "DataChunk",
     "ExecutorConfig",

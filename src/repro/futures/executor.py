@@ -111,39 +111,13 @@ def worker_handler(context, payload):
     return value
 
 
-class AdmissionShed(Exception):
-    """A call was shed by serving-fleet admission before dispatch.
-
-    Raised through the rejected future when the executor is bound to a
-    shard router and the tenant's shard is over its pending bound. Not
-    retryable by the invoker — shedding is a deliberate admission
-    decision, not a transient infrastructure fault.
-    """
-
-    retryable = False
-
-
 class FunctionExecutor:
-    """Submits function calls over the platform and tracks their futures.
-
-    When ``router`` and ``tenant`` are given, every call is admitted
-    through the sharded serving fabric first: it counts against the
-    tenant's shard (the same per-shard pending bound queries obey) and
-    holds that slot until the future completes. Calls the shard sheds
-    are rejected with :class:`AdmissionShed` without ever reaching the
-    invoker. The router is duck-typed — anything with
-    ``offer_external(tenant) -> Optional[release]`` works — so the
-    futures layer stays independent of :mod:`repro.shard`.
-    """
+    """Submits function calls over the platform and tracks their futures."""
 
     def __init__(self, env, platform, rng,
-                 config: Optional[ExecutorConfig] = None,
-                 router=None, tenant: Optional[str] = None) -> None:
+                 config: Optional[ExecutorConfig] = None) -> None:
         self.env = env
         self.platform = platform
-        self.router = router
-        self.tenant = tenant
-        self.shed_calls = 0
         self.config = config or ExecutorConfig()
         self.function = FunctionConfig(
             name=self.config.function_name, handler=worker_handler,
@@ -221,29 +195,8 @@ class FunctionExecutor:
                                 self.config.function_name, data,
                                 monitor=job.monitor)
         job.futures.append(future)
-        if not self._admit(future):
-            return future
         self.invoker.submit(future, fn, parent=job.monitor.span)
         return future
-
-    def _admit(self, future: ResponseFuture) -> bool:
-        """Pass the call through shard admission; reject it when shed."""
-        if self.router is None or self.tenant is None:
-            return True
-        release = self.router.offer_external(self.tenant)
-        if release is None:
-            self.shed_calls += 1
-            future.reject(AdmissionShed(
-                f"tenant {self.tenant!r}: shard admission shed "
-                f"call {future.call_id}"))
-            return False
-        self.env.process(self._release_on_done(future, release),
-                         name=f"admit-{future.call_id}")
-        return True
-
-    def _release_on_done(self, future: ResponseFuture, release):
-        yield future.done_event
-        release()
 
     def _reduce_driver(self, job: Job, reduce_future: ResponseFuture,
                        map_futures: list[ResponseFuture], reduce_fn):
@@ -257,9 +210,8 @@ class FunctionExecutor:
             reduce_future.reject(failed.error)
             return reduce_future
         reduce_future.data = [future.result() for future in map_futures]
-        if self._admit(reduce_future):
-            self.invoker.submit(reduce_future, reduce_fn,
-                                parent=job.monitor.span)
+        self.invoker.submit(reduce_future, reduce_fn,
+                            parent=job.monitor.span)
         yield reduce_future.done_event
         return reduce_future
 

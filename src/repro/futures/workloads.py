@@ -1,20 +1,14 @@
 """End-to-end futures workloads, runnable as deterministic scenarios.
 
-Two workload families exercise the subsystem the way the paper's
+:func:`run_wordcount` exercises the subsystem the way the paper's
 evaluation drives Lambda over S3 (and the way Lambada-style systems
-drive serverless scans):
+drive serverless scans): a **map-reduce aggregation** over a
+partitioned S3 prefix. A seeded corpus of fixed-width records is
+written to object storage, split into byte-range chunks by the
+partitioner, counted per chunk by mapper functions (ranged GETs
+through the retrying client plus CPU work), and merged by one reducer.
 
-* :func:`run_wordcount` — a **map-reduce aggregation** over a
-  partitioned S3 prefix: a seeded corpus of fixed-width records is
-  written to object storage, split into byte-range chunks by the
-  partitioner, counted per chunk by mapper functions (ranged GETs
-  through the retrying client plus CPU work), and merged by one reducer.
-* :func:`run_sweep` — a **parallel parameter sweep**: one function
-  evaluation per grid point with per-point RNG streams (so results are
-  independent of completion order), demonstrating ``wait(ANY)`` /
-  ``wait(ALL)`` and a ``call_async`` selection step.
-
-Each returns a JSON-ready outcome dict plus a short digest of its
+It returns a JSON-ready outcome dict plus a short digest of its
 canonical serialization — two runs with the same seed (and fault plan)
 are byte-identical, which is what the acceptance criterion, the pinned
 tier-1 outcome, and the CI smoke job all check. Per-future costs are
@@ -31,11 +25,7 @@ from repro import units
 from repro.chaos.injector import FaultInjector
 from repro.faas.platform import LambdaPlatform
 from repro.faas.supervisor import RecoveryPolicy
-from repro.futures.executor import (
-    ANY_COMPLETED,
-    ExecutorConfig,
-    FunctionExecutor,
-)
+from repro.futures.executor import ExecutorConfig, FunctionExecutor
 from repro.futures.partitioner import partition_prefix
 from repro.network import Fabric
 from repro.pricing.calculator import CostCalculator
@@ -53,10 +43,6 @@ VOCAB = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
 
 #: CPU seconds a mapper spends per MiB scanned (counting is cheap).
 CPU_S_PER_MIB = 0.02
-
-#: Sweep loss-curve minimum; evaluations search a grid around it.
-SWEEP_TARGET = 2.37
-
 
 def _digest(outcome: dict) -> str:
     """Short content digest of an outcome's canonical serialization."""
@@ -215,79 +201,6 @@ def run_wordcount(seed: int = 7, objects: int = 16,
         "speculations": summary["invoker"]["speculations"],
         "zombies_drained": summary["invoker"]["zombies_drained"],
         "inflight_peak": summary["invoker"]["inflight_peak"],
-        "faults": (sim.injector.fault_counts
-                   if sim.injector is not None else {}),
-        "runtime_s": sim.env.now - value["started_at"],
-    }
-    outcome.update(sim.costs())
-    outcome = round_floats(outcome)
-    outcome["digest"] = _digest(outcome)
-    return outcome
-
-
-# -- parallel parameter sweep --------------------------------------------------
-
-
-def make_evaluator(rng):
-    """Build the sweep evaluation function over a noisy quadratic.
-
-    Noise comes from a per-point RNG stream, so a point's result does
-    not depend on completion order or on which other points ran.
-    """
-
-    def evaluate(context, point):
-        yield context.compute(0.05 + 0.01 * (point["index"] % 5))
-        stream = rng.stream(f"futures.sweep.{point['index']}")
-        noise = float(stream.normal(0.0, 0.05))
-        loss = (point["x"] - SWEEP_TARGET) ** 2 + noise
-        return {"index": point["index"], "x": point["x"],
-                "loss": round(loss, 9)}
-
-    return evaluate
-
-
-def select_best(context, results):
-    """Selection step: argmin of the gathered losses."""
-    yield context.compute(0.001 * max(1, len(results)))
-    best = min(results, key=lambda entry: (entry["loss"], entry["index"]))
-    return best
-
-
-def run_sweep(seed: int = 7, points: int = 24, span: float = 4.0,
-              plan=None, speculate: bool = False) -> dict:
-    """Parallel parameter sweep with an async selection step."""
-    if points < 2:
-        raise ValueError(f"points must be >= 2, got {points}")
-    sim = _Sim(seed, speculate, plan=plan)
-    grid = [{"index": index, "x": round(index * span / (points - 1), 9)}
-            for index in range(points)]
-
-    def scenario():
-        started_at = sim.env.now
-        futures = sim.executor.map(make_evaluator(sim.rng), grid)
-        done, pending = yield from sim.executor.wait(
-            futures, when=ANY_COMPLETED)
-        first_wave = len(done)
-        results = yield from sim.executor.get_result(futures)
-        best_future = sim.executor.call_async(select_best, results)
-        best = yield from sim.executor.get_result(best_future)
-        yield from sim.executor.drain()
-        return {"started_at": started_at, "first_wave": first_wave,
-                "results": results, "best": best}
-
-    value = sim.run(scenario())
-    summary = sim.executor.summary()
-    outcome = {
-        "workload": "sweep",
-        "seed": seed,
-        "points": points,
-        "first_wave": value["first_wave"],
-        "best": value["best"],
-        "losses": [entry["loss"] for entry in value["results"]],
-        "states": summary["states"],
-        "retries": summary["invoker"]["retries"],
-        "speculations": summary["invoker"]["speculations"],
-        "zombies_drained": summary["invoker"]["zombies_drained"],
         "faults": (sim.injector.fault_counts
                    if sim.injector is not None else {}),
         "runtime_s": sim.env.now - value["started_at"],

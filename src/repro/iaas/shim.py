@@ -58,11 +58,6 @@ class VmShim:
             raise KeyError(f"function {name!r} is not deployed on the shim")
 
     @property
-    def capacity(self) -> int:
-        """Total worker slots across the cluster."""
-        return self._slots.capacity
-
-    @property
     def head_node(self) -> VmInstance:
         """The instance hosting control-plane binaries."""
         return self.instances[0]
@@ -74,26 +69,19 @@ class VmShim:
         distributes the fragments across the available worker slots");
         dedicated control-plane binaries run on the head node directly.
         """
-        record = yield from self._execute(name, payload)
-        if record.error is not None:
-            raise record.error
-        return record
-
-    def invoke_async(self, name: str, payload: Any = None):
-        """Process: like :meth:`invoke`, but errors stay on the record."""
-        record = yield from self._execute(name, payload)
-        return record
-
-    def _execute(self, name: str, payload: Any):
         config = self.function(name)
         requested_at = self.env.now
         if name in self.dedicated_functions:
-            return (yield from self._run(config, payload, requested_at,
-                                         self.head_node))
-        with self._slots.request() as slot:
-            yield slot
-            vm = self._pick_vm()
-            record = yield from self._run(config, payload, requested_at, vm)
+            record = yield from self._run(config, payload, requested_at,
+                                          self.head_node)
+        else:
+            with self._slots.request() as slot:
+                yield slot
+                vm = self._pick_vm()
+                record = yield from self._run(config, payload, requested_at,
+                                              vm)
+        if record.error is not None:
+            raise record.error
         return record
 
     def _run(self, config: FunctionConfig, payload: Any,

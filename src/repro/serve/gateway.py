@@ -95,9 +95,9 @@ class QueryGateway:
 
     Admission control is two-level: a submission is shed when its
     tenant's queue is at ``max_queue_depth``, or when the gateway-wide
-    load has reached ``max_pending`` (overload protection for the shard
-    as a whole). Admitted requests wait in per-tenant FIFO queues until
-    a scheduler pops them.
+    backlog has reached ``max_pending`` (overload protection for the
+    shard as a whole). Admitted requests wait in per-tenant FIFO queues
+    until a scheduler pops them.
 
     ``default_tenant`` (when set) serves as the contract for tenants
     that never called :meth:`register`: their queues are created on
@@ -124,9 +124,6 @@ class QueryGateway:
         #: Queue entries across all tenants, maintained incrementally —
         #: never recomputed by walking the queues.
         self._pending = 0
-        #: Externally admitted work (e.g. futures jobs routed through a
-        #: shard router) holding capacity without sitting in a queue.
-        self._external = 0
         #: Tenants with a non-empty queue, in first-backlogged order.
         self._backlog: dict[str, None] = {}
         self._seq = itertools.count()
@@ -177,7 +174,8 @@ class QueryGateway:
         self.metrics.record_offered(tenant_name)
         queue = self.queues.get(tenant_name)
         depth = len(queue) if queue is not None else 0
-        if depth >= tenant.max_queue_depth or self.load >= self.max_pending:
+        if depth >= tenant.max_queue_depth \
+                or self._pending >= self.max_pending:
             self.metrics.record_shed(tenant_name, self.env.now)
             if self._telemetry is not None:
                 self._shed_counter.inc()
@@ -220,44 +218,6 @@ class QueryGateway:
         if self._telemetry is not None:
             self._note_depth()
 
-    # -- external admission (futures / non-query work) ---------------------
-
-    def offer_external(self, tenant_name: str,
-                       epoch: Optional[int] = None
-                       ) -> Optional[Callable[[], None]]:
-        """Admit one unit of external work against this shard's capacity.
-
-        Futures jobs routed through the shard router call this instead
-        of :meth:`submit`: the unit is counted as offered, checked
-        against the same shard-wide bound, and — when admitted — holds
-        one slot of :attr:`load` until the returned release callable is
-        invoked. Returns ``None`` when the unit is shed.
-        """
-        if epoch is not None and epoch != self.epoch:
-            self.stale_rejections += 1
-            raise StaleEpoch(
-                f"shard {self.shard_id}: routed on epoch {epoch}, "
-                f"fence is {self.epoch}")
-        self.metrics.record_offered(tenant_name)
-        if self.load >= self.max_pending:
-            self.metrics.record_shed(tenant_name, self.env.now)
-            if self._telemetry is not None:
-                self._shed_counter.inc()
-            return None
-        self._external += 1
-
-        def release() -> None:
-            if self._external <= 0:
-                raise RuntimeError("external release without admission")
-            self._external -= 1
-            # Close the conservation equation: an admitted external unit
-            # leaves the offered count as a completion, never silently.
-            done = getattr(self.metrics, "record_external_done", None)
-            if done is not None:
-                done(tenant_name, self.env.now)
-
-        return release
-
     def _note_depth(self) -> None:
         depth = float(self._pending)
         self._depth_gauge.set(depth)
@@ -274,16 +234,6 @@ class QueryGateway:
     def total_pending(self) -> int:
         """Backlog across all tenants (maintained incrementally; O(1))."""
         return self._pending
-
-    @property
-    def external_pending(self) -> int:
-        """Externally admitted units currently holding capacity."""
-        return self._external
-
-    @property
-    def load(self) -> int:
-        """Queued plus external work counted against ``max_pending``."""
-        return self._pending + self._external
 
     def backlogged(self) -> list[str]:
         """Tenants with a non-empty queue, in first-backlogged order.

@@ -1,9 +1,8 @@
 """The partition directory: the authoritative, versioned shard map.
 
-The directory owns the ring plus an override table for tenants the
-rebalancer has pinned explicitly, and versions every mutation with
-*epochs*: a global epoch counts map changes, and each shard carries the
-epoch at which its assignment set last changed. A route handed out by
+The directory owns the ring and versions every mutation with *epochs*:
+a global epoch counts map changes, and each shard carries the epoch at
+which its assignment set last changed. A route handed out by
 :meth:`PartitionDirectory.locate` embeds the shard's epoch; gateways
 fence submissions on it (:class:`~repro.serve.gateway.StaleEpoch`), so
 a router holding a cached route from before a split/merge/failure is
@@ -39,9 +38,6 @@ class PartitionDirectory:
         #: (shard, epoch) — a full replay asks for a route about a
         #: million times, and none of those answers allocates.
         self._shard_routes: dict[str, Route] = {}
-        #: Tenants pinned to a shard explicitly (hot-tenant isolation,
-        #: failure re-homing); consulted before the ring.
-        self._overrides: dict[str, str] = {}
         self._counter = 0
         for _ in range(shards):
             self.add_shard()
@@ -56,10 +52,6 @@ class PartitionDirectory:
         """The epoch fence value of one shard."""
         return self._shard_routes[shard].epoch
 
-    def overrides(self) -> dict[str, str]:
-        """The explicit tenant pins (copy)."""
-        return dict(self._overrides)
-
     def can_split(self, shard: str) -> bool:
         """Whether a shard still has enough ring points to divide.
 
@@ -71,10 +63,7 @@ class PartitionDirectory:
 
     def locate(self, tenant: str) -> Route:
         """The authoritative route of a tenant (O(log vnodes))."""
-        shard = self._overrides.get(tenant)
-        if shard is None:
-            shard = self.ring.lookup(tenant)
-        return self._shard_routes[shard]
+        return self._shard_routes[self.ring.lookup(tenant)]
 
     # -- mutations (each bumps the global epoch once) ----------------------
 
@@ -104,38 +93,18 @@ class PartitionDirectory:
         return name
 
     def merge_shard(self, cold: str, target: str) -> None:
-        """Merge a cold shard's ranges (and pins) into ``target``."""
+        """Merge a cold shard's ranges into ``target``."""
         self.ring.merge_node(cold, target)
-        for tenant, shard in list(self._overrides.items()):
-            if shard == cold:
-                self._overrides[tenant] = target
         self._shard_routes.pop(cold)
         self._bump([target])
 
     def fail_shard(self, dead: str) -> list[str]:
         """Drop a failed shard; returns the shards that took its ranges.
 
-        Ranges fall to ring successors; explicit pins to the dead shard
-        are released back to the ring (their tenants re-hash).
+        Ranges fall to ring successors.
         """
         points = self.ring.remove_node(dead)
-        for tenant, shard in list(self._overrides.items()):
-            if shard == dead:
-                del self._overrides[tenant]
         self._shard_routes.pop(dead)
         heirs = self.ring.successors(points)
         self._bump(heirs)
         return heirs
-
-    def pin(self, tenant: str, shard: str) -> None:
-        """Pin one tenant to a shard (hot-tenant isolation)."""
-        if shard not in self.ring:
-            raise KeyError(f"shard {shard!r} is not on the ring")
-        previous = self.locate(tenant).shard
-        self._overrides[tenant] = shard
-        self._bump(sorted({previous, shard}))
-
-    def unpin(self, tenant: str) -> None:
-        """Release a pinned tenant back to the ring."""
-        previous = self._overrides.pop(tenant)
-        self._bump(sorted({previous, self.locate(tenant).shard}))

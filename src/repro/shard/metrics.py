@@ -73,16 +73,6 @@ class ShardMetrics:
     def record_failed(self, tenant: str, at: float) -> None:
         self.failed += 1
 
-    def record_external_done(self, tenant: str, at: float) -> None:
-        """An admitted external unit (futures job) released its slot.
-
-        Counted as completed — without it, external work would be
-        offered but never resolved and the fleet roll-up could not
-        reconcile. No latency sample: external units carry no query
-        SLO, so they leave the histogram (and ``within_slo``) alone.
-        """
-        self.completed += 1
-
     # -- views -------------------------------------------------------------
 
     def summary(self) -> dict:

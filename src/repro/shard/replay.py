@@ -556,9 +556,9 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
     ``_next_request`` + ``_complete`` + ``ShardMetrics.record_completion``
     inlined (same arithmetic expressions, same order of float
     accumulation), and the fast lane only fires when the shard has no
-    backlog, no external admissions, and a free slot — exactly the
-    state in which ``submit`` would admit and the ``_advance`` after it
-    dispatch at ``start = now`` with no other side effect: it draws
+    backlog and a free slot — exactly the state in which ``submit``
+    would admit and the ``_advance`` after it dispatch at
+    ``start = now`` with no other side effect: it draws
     the same sequence number and skips ``queue_wait_sum += start -
     submitted_at``, an exact ``+0.0``. ``LatencyHistogram.record`` is
     inlined with the same expressions in the same order (the constants
@@ -672,8 +672,7 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                 heappop(busy)
         if kind == FENCED:
             continue
-        if (fast_ok and not backlog and gateway._external == 0
-                and len(busy) < slots):
+        if fast_ok and not backlog and len(busy) < slots:
             metrics.offered += 1
             drawn = next(seq)
             finish = now + plan

@@ -21,12 +21,11 @@ needs tenants that are dense integer keys: a router built over a
 control plane's re-homing, ``route_batch`` — reads and writes that one
 cache. Without a key space the cache is an ``OrderedDict`` by name.
 
-The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``
-/ ``add_shard``) keeps the admitted-work invariant: whenever a shard
-is retired or loses key ranges, its backlog is drained in arrival
-order and re-homed on the shards the directory now names — admitted
-queries are never dropped, and the fleet roll-up counts every re-homed
-request as recovered.
+The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``)
+keeps the admitted-work invariant: whenever a shard is retired or loses
+key ranges, its backlog is drained in arrival order and re-homed on the
+shards the directory now names — admitted queries are never dropped,
+and the fleet roll-up counts every re-homed request as recovered.
 """
 
 from __future__ import annotations
@@ -345,9 +344,9 @@ class ShardRouter:
         every event is one ``searchsorted`` of the precomputed key
         hashes against the ring points, and the cache only decides
         which events count as misses and which met a stale route
-        (:meth:`_KeyedRoutes.touch`). Pinned tenants break that
-        argument, so with directory overrides the slice is routed one
-        name at a time instead.
+        (:meth:`_KeyedRoutes.touch`). A live shard whose fence is out
+        of step with the directory breaks that argument; it raises, as
+        :meth:`submit` does when a refreshed route is fenced.
         """
         cache = self._keyed
         if cache is None:
@@ -361,17 +360,19 @@ class ShardRouter:
         stale = np.array([route.shard in gateways
                           and route.epoch != gateways[route.shard].epoch
                           for route in cache.routes])
-        if directory._overrides or stale[current].any():
-            owner, moved, retries = self._route_named(keys, shards, owner)
-        else:
-            at, codes = cache.touch(keys, current[owner], stale)
-            moved = []
-            for position, code in zip(at, codes):
-                fenced = cache.routes[code].shard
-                gateways[fenced].stale_rejections += 1
-                if shards[owner[position]] != fenced:
-                    moved.append((position, shards.index(fenced)))
-            retries = len(at)
+        out_of_step = np.flatnonzero(stale[current])
+        if len(out_of_step):
+            raise RuntimeError(
+                f"route of shard {shards[out_of_step[0]]!r} stale after "
+                f"directory refresh")
+        at, codes = cache.touch(keys, current[owner], stale)
+        moved = []
+        for position, code in zip(at, codes):
+            fenced = cache.routes[code].shard
+            gateways[fenced].stale_rejections += 1
+            if shards[owner[position]] != fenced:
+                moved.append((position, shards.index(fenced)))
+        retries = len(at)
         self.submits += len(keys)
         self.stale_retries += retries
         if self._telemetry is not None:
@@ -407,66 +408,6 @@ class ShardRouter:
             lo = hi
         return streams
 
-    def _route_named(self, keys: np.ndarray, shards: list[str],
-                     owner: np.ndarray
-                     ) -> tuple[np.ndarray, list[tuple], int]:
-        """:meth:`route_batch`'s decisions, one name at a time.
-
-        The scalar :meth:`route` / :meth:`_refresh` and the fence check
-        of :meth:`submit`, for slices where a pinned tenant (or a fence
-        out of step with the directory) means the ring owner is not
-        the answer. Returns the corrected per-event owners, the
-        ``(position, fencing shard)`` of every stale route that moved,
-        and the number of stale routes met.
-        """
-        gateways = self.gateways
-        rank = {shard: index for index, shard in enumerate(shards)}
-        prefix = self._keyed.prefix
-        moved = []
-        stale = 0
-        for position, key in enumerate(keys.tolist()):
-            tenant = f"{prefix}{key}"
-            shard, epoch = self.route(tenant)
-            if epoch != gateways[shard].epoch:
-                stale += 1
-                gateways[shard].stale_rejections += 1
-                fenced = shard
-                shard, epoch = self._refresh(tenant)
-                if epoch != gateways[shard].epoch:
-                    raise RuntimeError(
-                        f"route of tenant {tenant!r} stale after "
-                        f"directory refresh")
-                if shard != fenced:
-                    moved.append((position, rank[fenced]))
-            owner[position] = rank[shard]
-        return owner, moved, stale
-
-    def offer_external(self, tenant: str) -> Optional[Callable[[], None]]:
-        """Admit one unit of external work (e.g. a futures job).
-
-        Routes exactly like :meth:`submit` but holds shard capacity via
-        :meth:`~repro.serve.gateway.QueryGateway.offer_external`;
-        returns the release callable, or ``None`` when shed.
-        """
-        self.submits += 1
-        route = self.route(tenant)
-        for _ in range(2):
-            gateway = self.gateways[route.shard]
-            try:
-                release = gateway.offer_external(tenant, epoch=route.epoch)
-            except StaleEpoch:
-                self.stale_retries += 1
-                if self._telemetry is not None:
-                    self._stale_counter.inc()
-                route = self._refresh(tenant)
-                continue
-            self._window[route.shard] += 1
-            if self._telemetry is not None:
-                self._submit_counter.inc()
-            return release
-        raise RuntimeError(
-            f"route of tenant {tenant!r} stale after directory refresh")
-
     # -- rebalancer signals ------------------------------------------------
 
     def take_load_window(self) -> dict[str, int]:
@@ -478,8 +419,8 @@ class ShardRouter:
         return window
 
     def pending_total(self) -> int:
-        """Queued plus external work across all live shards."""
-        return sum(self.gateways[shard].load
+        """Queued work across all live shards."""
+        return sum(self.gateways[shard].total_pending
                    for shard in sorted(self.gateways))
 
     def roll_up(self):
@@ -508,27 +449,6 @@ class ShardRouter:
         if recovered:
             self.fleet.recovered_requests += len(orphans)
         return moved
-
-    def add_shard(self, name: Optional[str] = None) -> str:
-        """Grow the fleet by one shard; re-homes remapped backlog."""
-        start = self.env.now
-        shard = self.directory.add_shard(name)
-        self._spawn(shard)
-        self._sync_fences()
-        # Losers' queued tenants may now map to the new shard: drain
-        # and re-home every live backlog entry whose route moved.
-        moved = 0
-        for owner in self.shards():
-            if owner == shard:
-                continue
-            moved += self._resettle(owner)
-        self.migrated += moved
-        if self._telemetry is not None:
-            self._telemetry.record_span(
-                f"shard.add:{shard}", start, self.env.now,
-                category="rebalance", attrs={"shard": shard,
-                                             "moved": moved})
-        return shard
 
     def _resettle(self, owner: str) -> int:
         """Re-home the queued requests of ``owner`` that remapped away."""

@@ -7,7 +7,7 @@ from collections import deque
 from typing import Any, Generator, Optional
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 
 #: Default priority for ordinary events. Urgent events (process init,
 #: interrupts) use priority 0 so they run before same-timestamp events.
@@ -73,14 +73,6 @@ class Environment:
         if self._monitor is not None:
             self._monitor.on_process(name)
         return Process(self, generator, name=name)
-
-    def all_of(self, events) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        """Event that triggers when any of ``events`` has triggered."""
-        return AnyOf(self, events)
 
     # -- scheduling and execution ------------------------------------------
 

@@ -88,36 +88,6 @@ class LatencyModel:
             body = self.p95 * (1.0 + rng.pareto(self.tail_alpha))
         return float(body) if body < self.ceiling else float(self.ceiling)
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Draw ``n`` latencies, RNG-stream-identical to ``n``×
-        :meth:`sample_one`.
-
-        This is *not* :meth:`sample`: with a tail enabled, ``sample``
-        draws all lognormals, then all uniforms, then all Paretos
-        (three batched passes over the bit stream), while repeated
-        ``sample_one`` interleaves the draws per request. This method
-        keeps the ``sample_one`` stream contract so a replay can swap
-        per-event draws for a batch without perturbing any later draw:
-
-        * tail disabled — one lognormal per request either way, and
-          numpy's batched sampler consumes the bit stream element-wise,
-          so a single vectorized draw is bit-identical;
-        * tail enabled — the draw *count* per request is data-dependent
-          (the uniform decides whether a Pareto is consumed), so the
-          only stream-faithful order is the per-request loop.
-
-        The equivalence test sweeps both regimes.
-        """
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        if self.tail_probability == 0.0:
-            body = rng.lognormal(mean=self._mu, sigma=self._sigma, size=n)
-            return np.minimum(body, self.ceiling)
-        out = np.empty(n, dtype=np.float64)
-        for index in range(n):
-            out[index] = self.sample_one(rng)
-        return out
-
 
 def percentile_summary(samples: np.ndarray) -> dict[str, float]:
     """Summary statistics used when reporting Figure 10 style results."""

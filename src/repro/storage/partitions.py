@@ -334,22 +334,6 @@ class PartitionTree:
 
     # -- split / merge -------------------------------------------------------------
 
-    def split(self, partition: Partition, now: float) -> tuple[Partition, Partition]:
-        """Split ``partition`` at its key-space midpoint."""
-        if partition not in self.partitions:
-            raise ValueError("partition is not a live leaf of this tree")
-        mid = (partition.low + partition.high) / 2.0
-        left = self._fresh(partition.low, mid)
-        right = self._fresh(mid, partition.high)
-        left.last_busy_at = right.last_busy_at = now
-        left.tokens_updated_at = right.tokens_updated_at = now
-        index = self.partitions.index(partition)
-        self.partitions[index:index + 1] = [left, right]
-        self.split_count += 1
-        if self.telemetry is not None:
-            self._note_resize(now, "split")
-        return left, right
-
     def maybe_merge(self, now: float) -> None:
         """Collapse partitions whose idle time crossed the merge thresholds."""
         if len(self.partitions) == 1:
@@ -386,7 +370,10 @@ class PartitionTree:
         width = 1.0 / count
         fresh = []
         for i in range(count):
-            partition = self._fresh(i * width, (i + 1) * width)
+            # The last bound is 1.0 itself: ``count * width`` falls one
+            # ulp short for some counts (49 is the first).
+            high = (i + 1) * width if i + 1 < count else 1.0
+            partition = self._fresh(i * width, high)
             partition.last_busy_at = last_busy
             partition.tokens_updated_at = now
             fresh.append(partition)

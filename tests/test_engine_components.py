@@ -52,13 +52,13 @@ class TestBarrier:
         barrier = Barrier(env, parties=3)
         times = []
 
-        def party(env, delay):
+        def party(env, fragment, delay):
             yield env.timeout(delay)
-            yield barrier.wait()
+            yield barrier.arrive(fragment)
             times.append(env.now)
 
-        for delay in (1.0, 2.0, 5.0):
-            env.process(party(env, delay))
+        for fragment, delay in enumerate((1.0, 2.0, 5.0)):
+            env.process(party(env, fragment, delay))
         env.run()
         # Everyone released at the moment the last party arrived.
         assert times == [5.0, 5.0, 5.0]
@@ -68,12 +68,33 @@ class TestBarrier:
         barrier = Barrier(env, parties=1)
 
         def party(env):
-            yield barrier.wait()
+            yield barrier.arrive(0)
 
         env.process(party(env))
         env.run()
-        with pytest.raises(RuntimeError, match="overrun"):
-            barrier.wait()
+        # A late duplicate passes the released barrier; a fragment
+        # index beyond the parties is an overrun.
+        assert barrier.arrive(0).triggered
+        with pytest.raises(ValueError, match="overrun"):
+            barrier.arrive(1)
+
+    def test_a_retried_fragment_is_counted_once(self):
+        """A fragment that reached the barrier, crashed and was retried
+        must not stand in for a fragment that has not arrived yet."""
+        env = Environment()
+        barrier = Barrier(env, parties=2)
+        released = []
+
+        def attempt(env, fragment, delay):
+            yield env.timeout(delay)
+            yield barrier.arrive(fragment)
+            released.append((fragment, env.now))
+
+        env.process(attempt(env, 0, 1.0))
+        env.process(attempt(env, 0, 2.0))  # fragment 0's retry
+        env.process(attempt(env, 1, 5.0))
+        env.run()
+        assert released == [(0, 5.0), (0, 5.0), (1, 5.0)]
 
     def test_parties_validated(self):
         with pytest.raises(ValueError):

@@ -87,11 +87,6 @@ class TestExpressions:
         expr = IfThenElse(Compare(">", Col("x"), Lit(2)), Lit(1.0), Lit(0.0))
         np.testing.assert_allclose(expr.evaluate(batch), [0.0, 1.0])
 
-    def test_columns_discovery(self):
-        expr = And(Compare(">", Col("a"), Col("b")),
-                   InSet(Col("c"), [1]))
-        assert expr.columns() == {"a", "b", "c"}
-
     def test_unknown_ops_rejected(self):
         with pytest.raises(ValueError):
             BinOp("%", Col("a"), Lit(1))

@@ -1,7 +1,57 @@
 """End-to-end determinism tests for the futures workloads."""
 
 from repro.chaos import get_plan
-from repro.futures.workloads import run_sweep, run_wordcount
+from repro.futures import ANY_COMPLETED
+from repro.futures.workloads import _Sim, run_wordcount
+from repro.telemetry.export import round_floats
+
+#: Loss-curve minimum of the sweep scenario below.
+SWEEP_TARGET = 2.37
+
+
+def run_sweep(seed=7, points=24, span=4.0):
+    """A parallel parameter sweep over the executor's public API.
+
+    One call per grid point, each drawing noise from its own RNG stream
+    (so a result does not depend on completion order), ``wait(ANY)``
+    for the first wave, then a ``call_async`` selection step.
+    """
+    sim = _Sim(seed, speculate=False)
+    grid = [{"index": index, "x": round(index * span / (points - 1), 9)}
+            for index in range(points)]
+
+    def evaluate(context, point):
+        yield context.compute(0.05 + 0.01 * (point["index"] % 5))
+        stream = sim.rng.stream(f"futures.sweep.{point['index']}")
+        loss = (point["x"] - SWEEP_TARGET) ** 2 \
+            + float(stream.normal(0.0, 0.05))
+        return {"index": point["index"], "x": point["x"],
+                "loss": round(loss, 9)}
+
+    def select_best(context, results):
+        yield context.compute(0.001 * len(results))
+        return min(results, key=lambda entry: (entry["loss"],
+                                               entry["index"]))
+
+    def scenario():
+        futures = sim.executor.map(evaluate, grid)
+        done, _ = yield from sim.executor.wait(futures, when=ANY_COMPLETED)
+        results = yield from sim.executor.get_result(futures)
+        best = yield from sim.executor.get_result(
+            sim.executor.call_async(select_best, results))
+        return {"first_wave": len(done), "results": results, "best": best}
+
+    value = sim.run(scenario())
+    outcome = {
+        "points": points,
+        "first_wave": value["first_wave"],
+        "best": value["best"],
+        "losses": [entry["loss"] for entry in value["results"]],
+        "states": sim.executor.summary()["states"],
+        "runtime_s": sim.env.now,
+    }
+    outcome.update(sim.costs())
+    return round_floats(outcome)
 
 
 class TestWordcount:
@@ -79,4 +129,4 @@ class TestSweep:
         # The loss curve is a noisy quadratic around SWEEP_TARGET; the
         # best grid point should land near it.
         outcome = run_sweep(seed=7, points=24, span=4.0)
-        assert abs(outcome["best"]["x"] - 2.37) < 0.5
+        assert abs(outcome["best"]["x"] - SWEEP_TARGET) < 0.5

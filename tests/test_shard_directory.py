@@ -62,30 +62,6 @@ class TestEpochs:
         for heir in heirs:
             assert directory.shard_epoch(heir) == directory.epoch
 
-    def test_pin_and_unpin_override_the_ring(self):
-        directory = PartitionDirectory(shards=3)
-        tenant = "t-pinned"
-        natural = directory.locate(tenant).shard
-        other = next(shard for shard in directory.shards()
-                     if shard != natural)
-        directory.pin(tenant, other)
-        assert directory.locate(tenant).shard == other
-        directory.unpin(tenant)
-        assert directory.locate(tenant).shard == natural
-        with pytest.raises(KeyError):
-            directory.pin(tenant, "no-such-shard")
-
-    def test_merge_rewrites_pins_and_failure_releases_them(self):
-        directory = PartitionDirectory(shards=3)
-        a, b, c = directory.shards()
-        directory.pin("t-a", a)
-        directory.merge_shard(a, b)
-        assert directory.locate("t-a").shard == b
-        directory.pin("t-b", b)
-        directory.fail_shard(b)
-        assert directory.locate("t-b").shard in directory.shards()
-        assert "t-b" not in directory.overrides()
-
 
 class TestStaleRouteFence:
     @given(ops=st.lists(st.sampled_from(["add", "split", "merge", "fail"]),

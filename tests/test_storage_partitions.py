@@ -35,17 +35,12 @@ class TestSplitting:
 
     def test_split_halves_keyspace(self):
         tree = PartitionTree()
-        left, right = tree.split(tree.partitions[0], now=0.0)
+        tree.retile(2, now=0.0)
+        left, right = tree.partitions
         assert left.width == pytest.approx(0.5)
         assert right.width == pytest.approx(0.5)
+        assert left.high == right.low
         assert tree.partition_count == 2
-
-    def test_split_of_stale_partition_rejected(self):
-        tree = PartitionTree()
-        old = tree.partitions[0]
-        tree.split(old, now=0.0)
-        with pytest.raises(ValueError):
-            tree.split(old, now=1.0)
 
     def test_sustained_overload_triggers_split(self):
         tree = PartitionTree()
@@ -137,15 +132,14 @@ class TestMerging:
 
 
 class TestInvariants:
-    @given(splits=st.lists(st.integers(min_value=0, max_value=30),
-                           min_size=0, max_size=30))
+    @given(counts=st.lists(st.integers(min_value=1, max_value=64),
+                           min_size=0, max_size=8))
     @settings(max_examples=50, deadline=None)
-    def test_partitions_always_tile_keyspace(self, splits):
+    def test_partitions_always_tile_keyspace(self, counts):
         """Property: leaves always exactly tile [0, 1) without overlap."""
         tree = PartitionTree()
-        for choice in splits:
-            index = choice % tree.partition_count
-            tree.split(tree.partitions[index], now=0.0)
+        for count in counts:
+            tree.retile(count, now=0.0)
         ordered = sorted(tree.partitions, key=lambda p: p.low)
         assert ordered[0].low == 0.0
         assert ordered[-1].high == 1.0
@@ -168,24 +162,24 @@ class TestInvariants:
         assert step.accepted_write >= 0 and step.rejected_write >= 0
 
     @given(keys=st.lists(st.text(min_size=1, max_size=20), min_size=1,
-                         max_size=50))
+                         max_size=50),
+           count=st.integers(min_value=1, max_value=64))
     @settings(max_examples=50, deadline=None)
-    def test_every_key_maps_to_exactly_one_partition(self, keys):
+    def test_every_key_maps_to_exactly_one_partition(self, keys, count):
         tree = PartitionTree()
-        for _ in range(4):
-            tree.split(max(tree.partitions, key=lambda p: p.width), now=0.0)
+        tree.retile(count, now=0.0)
         for key in keys:
             owners = [p for p in tree.partitions if p.owns(key_point(key))]
             assert len(owners) == 1
 
     @given(keys=st.lists(st.text(max_size=20), min_size=1, max_size=50),
-           splits=st.lists(st.integers(min_value=0, max_value=30),
+           counts=st.lists(st.integers(min_value=1, max_value=64),
                            min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
-    def test_memoized_partition_for_equals_a_scan(self, keys, splits):
+    def test_memoized_partition_for_equals_a_scan(self, keys, counts):
         """``partition_for`` memoizes ``key_point`` per tree; the owner
         it finds must be the one a scan with a fresh ``key_point`` finds,
-        before and after the tree splits and merges."""
+        before and after the tree is retiled and merges."""
         tree = PartitionTree()
 
         def check():
@@ -196,10 +190,9 @@ class TestInvariants:
                 assert tree.partition_for(key) is owner
 
         check()
-        for choice in splits:
-            tree.split(tree.partitions[choice % tree.partition_count],
-                       now=0.0)
-        check()
+        for count in counts:
+            tree.retile(count, now=0.0)
+            check()
         tree.maybe_merge(now=FIRST_MERGE_IDLE_S)
         check()
         tree.maybe_merge(now=FULL_MERGE_IDLE_S)

@@ -1,12 +1,10 @@
-"""Vectorized batching equals its per-event specs, bit for bit.
+"""Vectorized batching equals its per-event spec, bit for bit.
 
-Two generators have both a vectorized production path and a scalar
-per-event reference: the Zipf trace (``zipf_trace`` vs
-``zipf_trace_reference``) and latency sampling
-(``LatencyModel.sample_batch`` vs repeated ``sample_one``). These
-tests pin byte-identity of outputs *and* generator end state, plus a
-golden hash of the smoke-config trace so any drift in either path —
-or in numpy's stream contract — fails loudly.
+The Zipf trace has a vectorized production path (``zipf_trace``) and
+a scalar per-event reference (``zipf_trace_reference``). These tests
+pin byte-identity of outputs *and* generator end state, plus a golden
+hash of the smoke-config trace so any drift in either path — or in
+numpy's stream contract — fails loudly.
 """
 
 import hashlib
@@ -18,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.shard.replay import ReplayConfig
 from repro.sim.rng import RandomStreams
-from repro.storage.latency import LatencyModel
 from repro.workloads.traffic import zipf_trace, zipf_trace_reference
 
 #: sha256 over the smoke-config trace bytes (times ++ ids); pins the
@@ -78,43 +75,3 @@ class TestZipfTraceReference:
             with pytest.raises(ValueError):
                 zipf_trace_reference(rng, **kwargs)
 
-
-class TestSampleBatch:
-    @pytest.mark.parametrize("tail", [0.0, 0.08, 0.5])
-    def test_stream_identical_to_repeated_sample_one(self, tail):
-        model = LatencyModel(median=0.02, p95=0.06, tail_probability=tail)
-        batch_rng = np.random.default_rng(11)
-        one_rng = np.random.default_rng(11)
-        batch = model.sample_batch(batch_rng, 3_000)
-        ones = np.array([model.sample_one(one_rng) for _ in range(3_000)])
-        assert batch.tobytes() == ones.tobytes()
-        # End state equality: a later consumer of either generator
-        # sees the same stream — batching is transparent.
-        assert batch_rng.bit_generator.state == one_rng.bit_generator.state
-
-    @given(median=st.floats(min_value=1e-4, max_value=1.0),
-           spread=st.floats(min_value=1.0, max_value=30.0),
-           tail=st.floats(min_value=0.0, max_value=0.9),
-           seed=st.integers(min_value=0, max_value=2**31 - 1),
-           n=st.integers(min_value=0, max_value=400))
-    @settings(max_examples=40, deadline=None)
-    def test_equivalence_is_an_invariant(self, median, spread, tail, seed,
-                                         n):
-        model = LatencyModel(median=median, p95=median * spread,
-                             tail_probability=tail)
-        batch_rng = np.random.default_rng(seed)
-        one_rng = np.random.default_rng(seed)
-        batch = model.sample_batch(batch_rng, n)
-        ones = np.array([model.sample_one(one_rng) for _ in range(n)])
-        assert batch.tobytes() == ones.tobytes()
-        assert batch_rng.bit_generator.state == one_rng.bit_generator.state
-
-    def test_ceiling_clamps_the_batch(self):
-        model = LatencyModel(median=5.0, p95=50.0, ceiling=6.0)
-        batch = model.sample_batch(np.random.default_rng(3), 500)
-        assert float(batch.max()) <= 6.0
-
-    def test_negative_n_rejected(self):
-        model = LatencyModel(median=0.02, p95=0.06)
-        with pytest.raises(ValueError):
-            model.sample_batch(np.random.default_rng(0), -1)
