@@ -8,7 +8,9 @@ replaces only query *execution* with an analytic slot model: each shard
 is ``slots`` parallel servers; a heap of slot-free times is drained as
 the trace clock advances, and each dispatch's completion time is known
 in closed form. Everything runs on a :class:`ManualClock`, so the whole
-run is a single pass over the trace — O(events) work, O(active) memory.
+run is a single pass over the trace — O(events) work. Memory is the
+trace (two arrays of O(events), held whole), the router's O(tenants)
+key-space arrays, and per slice or backlog what is in flight.
 
 Between control ticks no directory mutation, failure, rebalance or SLO
 scrape can happen, so each shard's drain is independent by
@@ -40,6 +42,8 @@ from dataclasses import dataclass, replace
 from itertools import count, repeat
 from operator import itemgetter
 
+import numpy as np
+
 from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
 from repro.serve.metrics import CompletedQuery
 from repro.shard.rebalance import Rebalancer
@@ -65,8 +69,9 @@ _TENANT_PREFIX = "t"
 
 #: Route and replay at most this many events at a time even between
 #: ticks. Slice boundaries are transparent — ops carry their own
-#: timestamps and shards keep no cross-slice cursor — so this only
-#: bounds the memory of the op streams.
+#: timestamps, shards keep no cross-slice cursor, and a slice's service
+#: times are the next values of one stream — so this only bounds the
+#: memory of the op streams and of the slice's service draws.
 _FLUSH_EVERY = 131_072
 
 
@@ -305,20 +310,23 @@ def _quiesce(bank: _SlotBank, gateway: QueryGateway, horizon: float,
         horizon += step
 
 
-def _distinct(ids) -> int:
-    """Distinct tenant ids in the trace, without a million-entry set."""
-    if len(ids) == 0:
-        return 0
-    ordered = ids.copy()
-    ordered.sort()
-    return 1 + int((ordered[1:] != ordered[:-1]).sum())
+def _distinct(ids, tenants: int) -> int:
+    """Distinct ids among ``ids``, all in ``[0, tenants)``.
+
+    One boolean per id of the key space (1 MiB at a million tenants):
+    no sorted copy of the trace, no million-entry set.
+    """
+    seen = np.zeros(tenants, dtype=bool)
+    seen[ids] = True
+    return int(np.count_nonzero(seen))
 
 
 class _Fabric:
     """What the kernel and its oracle share: all but the event loop.
 
-    The trace, the clock, the real :class:`ShardRouter` with its
-    :class:`ScanGuard`-wrapped gateways and their slot banks, the
+    The trace, the service-time stream (drawn per slice by the kernel,
+    whole by the oracle), the clock, the real :class:`ShardRouter` with
+    its :class:`ScanGuard`-wrapped gateways and their slot banks, the
     rebalancer, the chaos injector, the observer's unpacked completion
     hook, the control tick and the final roll-up. ``keyed`` builds the
     router over the trace's tenant ids (the kernel); without it the
@@ -333,8 +341,7 @@ class _Fabric:
         self.times, self.ids = zipf_trace(
             streams.stream("shard.trace"), config.tenants, config.events,
             config.window_s, s=config.zipf_s)
-        self.services = streams.stream("shard.service").exponential(
-            config.mean_service_s, size=config.events)
+        self.service = streams.stream("shard.service")
 
         self.clock = ManualClock()
         #: Every ScanGuard ever created, retired gateways included —
@@ -436,7 +443,7 @@ class _Fabric:
         return ReplayResult(
             report=router.roll_up().to_dict(),
             rebalances=self.rebalancer.history(),
-            distinct_tenants=_distinct(self.ids),
+            distinct_tenants=_distinct(self.ids, config.tenants),
             events=config.events,
             shards_final=len(router.gateways),
             submits=router.submits,
@@ -490,7 +497,7 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     """
     fabric = _Fabric(config, observer, keyed=True)
     router, banks, clock = fabric.router, fabric.banks, fabric.clock
-    times, ids, services = fabric.times, fabric.ids, fabric.services
+    times, ids, service = fabric.times, fabric.ids, fabric.service
     on_completion, slow_s, salt, cut = fabric.hook
 
     start = 0
@@ -499,8 +506,9 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
             fabric.control_tick()
         stop = min(int(times.searchsorted(fabric.next_control)),
                    start + _FLUSH_EVERY)
-        streams = router.route_batch(start, times[start:stop],
-                                     ids[start:stop], services[start:stop])
+        streams = router.route_batch(
+            start, times[start:stop], ids[start:stop],
+            service.exponential(config.mean_service_s, size=stop - start))
         kept: list | None = None if observer is None else []
         for shard, ops in streams.items():
             _run_lane(router.gateways[shard], banks[shard], clock, ops,
@@ -525,6 +533,8 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
     """
     fabric = _Fabric(config, observer)
     router, banks, clock = fabric.router, fabric.banks, fabric.clock
+    services = fabric.service.exponential(config.mean_service_s,
+                                          size=config.events)
     for index in range(config.events):
         now = float(fabric.times[index])
         while now >= fabric.next_control:
@@ -533,7 +543,7 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
         tenant = f"{_TENANT_PREFIX}{fabric.ids[index]}"
         shard = router.route(tenant).shard
         _advance(banks[shard], router.gateways[shard], now, *fabric.hook)
-        if router.submit(tenant, float(fabric.services[index])) is not None:
+        if router.submit(tenant, float(services[index])) is not None:
             # A stale-epoch retry may have re-routed the tenant: the
             # cache is fresh after submit, so re-read the shard.
             shard = router.route(tenant).shard

@@ -56,8 +56,9 @@ def zipf_trace(rng, tenants: int, events: int, window_s: float,
     extra = rng.zipf(s, size=events - tenants) - 1
     ids = np.concatenate([coverage, np.minimum(extra, tenants - 1)])
     rng.shuffle(ids)
-    times = np.sort(rng.uniform(0.0, window_s, size=events))
-    return times, ids.astype(np.int64)
+    times = rng.uniform(0.0, window_s, size=events)
+    times.sort()
+    return times, ids.astype(np.int64, copy=False)
 
 
 def zipf_trace_reference(rng, tenants: int, events: int, window_s: float,

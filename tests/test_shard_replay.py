@@ -10,12 +10,16 @@ ticks, fault plans — so the equivalence is a checked invariant, not a
 pinned example.
 """
 
+import tracemalloc
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.shard.replay
 from repro.shard import ReplayConfig, run_replay
-from repro.shard.replay import ScanGuard, run_replay_reference
+from repro.shard.replay import ScanGuard, _distinct, run_replay_reference
 from repro.telemetry import recording
 
 SMALL = ReplayConfig(tenants=5_000, events=8_000, window_s=240.0,
@@ -87,6 +91,27 @@ class TestKernelEqualsReference:
                 == kernel.digest()
             run_replay_reference(config, observer=reference_obs)
             assert kernel_obs.calls == reference_obs.calls
+
+    def test_slices_cut_between_ticks(self, monkeypatch):
+        """A slice ends at ``_FLUSH_EVERY`` events, not only at a tick.
+
+        At test sizes every slice otherwise ends at a control tick. An
+        odd flush size cuts slices mid-tick, so the kernel's per-slice
+        service draws must line up with the reference's one draw of
+        the whole trace, bare and observed."""
+        monkeypatch.setattr(repro.shard.replay, "_FLUSH_EVERY", 997)
+        reference = run_replay_reference(SMALL)
+        kernel = run_replay(SMALL)
+        assert kernel.digest() == reference.digest()
+        assert kernel.to_dict() == reference.to_dict()
+        kernel_obs, reference_obs = _FirehoseObserver(), _FirehoseObserver()
+        observed = run_replay(SMALL, observer=kernel_obs)
+        observed_reference = run_replay_reference(SMALL,
+                                                  observer=reference_obs)
+        assert observed.digest() == observed_reference.digest() \
+            == reference.digest()
+        assert observed.to_dict() == observed_reference.to_dict()
+        assert kernel_obs.calls == reference_obs.calls
 
     def test_observer_sees_the_reference_callback_sequence(self):
         kernel_obs, reference_obs = _RecordingObserver(), _RecordingObserver()
@@ -194,6 +219,40 @@ class TestNoGarbage:
             assert observer.ref() is None
         finally:
             gc.enable()
+
+
+class TestMemory:
+    def test_smoke_replay_traced_peak_is_bounded(self):
+        """The smoke replay holds the trace, the key-space arrays and
+        one slice: about 7 MiB traced at peak. Hashing the key space in
+        large chunks, drawing every service time up front or sorting a
+        copy of the ids to count tenants each pushed it past 11."""
+        config = ReplayConfig().smoke()
+        run_replay(config)  # warm: imports and lazy module state
+        tracemalloc.start()
+        try:
+            run_replay(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+class TestDistinct:
+    @given(case=st.integers(min_value=1, max_value=2_000).flatmap(
+        lambda tenants: st.tuples(st.just(tenants), st.lists(
+            st.integers(min_value=0, max_value=tenants - 1),
+            max_size=300))))
+    @example(case=(7, []))
+    @example(case=(1, [0]))
+    @example(case=(9, [8, 8, 8]))
+    @settings(max_examples=50, deadline=None)
+    def test_counts_distinct_ids_and_leaves_them_alone(self, case):
+        tenants, values = case
+        ids = np.array(values, dtype=np.int64)
+        before = ids.copy()
+        assert _distinct(ids, tenants) == len(np.unique(ids))
+        assert np.array_equal(ids, before)
 
 
 class TestConservation:

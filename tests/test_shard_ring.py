@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.shard.ring import DEFAULT_VNODES, HashRing, hash_key, hash_keys
+from repro.shard.ring import (_HASH_CHUNK, DEFAULT_VNODES, HashRing, hash_key,
+                              hash_keys)
 
 KEYS = [f"t{i}" for i in range(4000)]
 
@@ -37,10 +38,13 @@ class TestBasics:
 
     def test_hash_keys_is_hash_key_of_every_name(self):
         """Chunk boundaries included, and a prefix ``%`` is literal."""
-        for prefix, count in (("t", 70_000), ("50%d-", 300), ("", 11)):
+        chunked = 2 * _HASH_CHUNK + _HASH_CHUNK // 2 + 1
+        assert chunked % _HASH_CHUNK, "the last chunk must be partial"
+        for prefix, count in (("t", chunked), ("50%d-", 300), ("", 11)):
             hashes = hash_keys(prefix, range(count))
             assert hashes.dtype == "uint64" and len(hashes) == count
-            for key in (0, 1, 9, 10, count // 2, 65_535, 65_536, count - 1):
+            for key in (0, 1, 9, 10, count // 2, _HASH_CHUNK - 1,
+                        _HASH_CHUNK, 2 * _HASH_CHUNK, count - 1):
                 if key < count:
                     assert int(hashes[key]) == hash_key(f"{prefix}{key}")
         assert hash_keys("t", [7, 3]).tolist() \
