@@ -20,49 +20,42 @@ generators and :class:`~repro.engine.SkyriseEngine`:
   tenant mixes over the simulated platform.
 """
 
-from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
-from repro.serve.metrics import (
-    CompletedQuery,
-    ServingMetrics,
-    TenantReport,
-    cost_per_query,
-)
-from repro.serve.scheduler import (
-    POLICIES,
-    ConcurrencyGovernor,
-    FairSharePolicy,
-    FifoPolicy,
-    PriorityPolicy,
-    QueryScheduler,
-    make_policy,
-)
-from repro.serve.service import (
-    ServingOutcome,
-    TenantWorkload,
-    default_tenant_mix,
-    run_serving_workload,
-)
-from repro.serve.warm_pool import WarmPoolManager, WarmPoolStats
+import importlib
 
-__all__ = [
-    "POLICIES",
-    "CompletedQuery",
-    "ConcurrencyGovernor",
-    "FairSharePolicy",
-    "FifoPolicy",
-    "PriorityPolicy",
-    "QueryGateway",
-    "QueryRequest",
-    "QueryScheduler",
-    "ServingMetrics",
-    "ServingOutcome",
-    "Tenant",
-    "TenantReport",
-    "TenantWorkload",
-    "WarmPoolManager",
-    "WarmPoolStats",
-    "cost_per_query",
-    "default_tenant_mix",
-    "make_policy",
-    "run_serving_workload",
-]
+#: Where each exported name lives. The package imports nothing
+#: itself (PEP 562): a name loads its own submodule on first use,
+#: so a gateway client (the shard layer) does not load the DES stack
+#: ``service`` runs on.
+_EXPORTS = {
+    "QueryGateway": "gateway",
+    "QueryRequest": "gateway",
+    "Tenant": "gateway",
+    "CompletedQuery": "metrics",
+    "ServingMetrics": "metrics",
+    "TenantReport": "metrics",
+    "cost_per_query": "metrics",
+    "POLICIES": "scheduler",
+    "ConcurrencyGovernor": "scheduler",
+    "FairSharePolicy": "scheduler",
+    "FifoPolicy": "scheduler",
+    "PriorityPolicy": "scheduler",
+    "QueryScheduler": "scheduler",
+    "make_policy": "scheduler",
+    "ServingOutcome": "service",
+    "TenantWorkload": "service",
+    "default_tenant_mix": "service",
+    "run_serving_workload": "service",
+    "WarmPoolManager": "warm_pool",
+    "WarmPoolStats": "warm_pool",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -65,6 +65,10 @@ class PartitionDirectory:
         """The authoritative route of a tenant (O(log vnodes))."""
         return self._shard_routes[self.ring.lookup(tenant)]
 
+    def locate_hash(self, position: int) -> Route:
+        """:meth:`locate` for a tenant whose ring position is known."""
+        return self._shard_routes[self.ring.lookup_hash(position)]
+
     # -- mutations (each bumps the global epoch once) ----------------------
 
     def _bump(self, affected) -> int:

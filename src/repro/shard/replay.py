@@ -16,10 +16,16 @@ Between control ticks no directory mutation, failure, rebalance or SLO
 scrape can happen, so each shard's drain is independent by
 construction. :func:`run_replay` therefore routes a whole inter-tick
 slice at once, as arrays over the trace's dense tenant ids
-(:meth:`ShardRouter.route_batch`), and replays it shard by shard, which
-is what makes the uncontended case a closed form (:func:`_run_lane`).
-:func:`run_replay_reference` is the same run one event at a time on a
-name-keyed router — the oracle the kernel's digest is pinned against.
+(:meth:`ShardRouter.route_batch`), and replays it shard by shard
+(:func:`_run_lane`), which is what makes the uncontended case a closed
+form taken a block at a time: while a shard has no backlog, the lane
+assumes a run of ops each finds a free slot on arrival, checks that
+for the whole run at once (:func:`_fast_prefix`, one sort and two
+``searchsorted`` calls) and applies the prefix before the first op
+that would queue. Only ops that meet a backlog take the per-event body,
+inlined. :func:`run_replay_reference` is the same run one event at a
+time on a name-keyed router — the oracle the kernel's digest is pinned
+against.
 
 Two instruments make the complexity claims checkable rather than
 asserted:
@@ -38,9 +44,11 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import count, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -51,9 +59,9 @@ from repro.shard.router import FENCED, OFFER, RETRY, ShardRouter
 from repro.sim.rng import RandomStreams
 from repro.telemetry import canonical_json
 
-# The histogram bucket constants, imported so the fast lane can inline
-# ``LatencyHistogram.record`` (same expressions, same order — the
-# digest pins the equivalence).
+# The histogram bucket constants, imported so the lane can bucket its
+# latencies as arrays (:func:`_buckets`, tested against
+# ``LatencyHistogram.record`` at every bucket edge).
 from repro.telemetry.metrics import _BUCKETS, _BUCKETS_PER_DECADE, _LOG_MIN
 from repro.workloads.traffic import zipf_trace
 
@@ -73,6 +81,12 @@ _TENANT_PREFIX = "t"
 #: times are the next values of one stream — so this only bounds the
 #: memory of the op streams and of the slice's service draws.
 _FLUSH_EVERY = 131_072
+
+#: Ops per speculative block of a lane (:func:`_run_lane`): a lane's
+#: first block is ``_BLOCK_MIN`` ops, a block that runs to its end
+#: doubles the next (up to ``_BLOCK_MAX``), one that breaks halves it.
+_BLOCK_MIN = 64
+_BLOCK_MAX = 4096
 
 
 class ManualClock:
@@ -490,8 +504,10 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     delivered iff its latency is ``>= slow_threshold_s``, the request
     was rescued from a failed shard, or the Knuth hash of its request
     id (salted with ``salt``, both ints) falls under ``cut`` (an
-    integer threshold out of 2^32). Three scalar checks replace a
-    Python call per served request; observers that expose it must
+    integer threshold out of 2^32). The check replaces a Python call
+    per served request (a block makes it as array operations and
+    builds a request only for a completion it keeps); observers that
+    expose it must
     reconstruct totals from the shard counters (they are scraped at
     every control tick anyway).
     """
@@ -552,56 +568,129 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
     return fabric.finish()
 
 
+
+
+def _lane_columns(times: np.ndarray, plans: np.ndarray):
+    """Every op's outcome if it were dispatched on arrival, as arrays.
+
+    ``(finish, latency, cost)``: per op, what the scalar dispatch at
+    ``start = now`` computes — ``now + plan``, ``finish - now`` and
+    ``plan * _USD_PER_SLOT_SECOND`` — bit for bit (one IEEE operation
+    each, the same as Python's).
+    """
+    finish = times + plans
+    return finish, finish - times, plans * _USD_PER_SLOT_SECOND
+
+
+def _buckets(latency: np.ndarray) -> np.ndarray:
+    """``LatencyHistogram.record``'s bucket of every latency, bit for bit.
+
+    numpy's ``log10`` may differ from ``math.log10`` in the last ulp,
+    so a position within 1e-6 of a bucket edge is recomputed with
+    ``math.log10``; ``int()`` truncates toward zero (latencies under
+    1 ms have negative positions), hence ``trunc``, never ``floor``.
+    """
+    bucket = np.zeros(len(latency), dtype=np.intp)
+    positive = np.flatnonzero(latency > 0.0)
+    if len(positive):
+        values = latency[positive]
+        position = (np.log10(values) - _LOG_MIN) * _BUCKETS_PER_DECADE
+        for at in np.flatnonzero(
+                np.abs(position - np.rint(position)) < 1e-6).tolist():
+            position[at] = (math.log10(values[at]) - _LOG_MIN) \
+                * _BUCKETS_PER_DECADE
+        bucket[positive] = np.clip(np.trunc(position) + 1, 0, _TOP_BUCKET)
+    return bucket
+
+
+def _fast_prefix(busy: list, slots: int, times: np.ndarray,
+                 finish: np.ndarray) -> int:
+    """How many leading ops of a block take the fast lane.
+
+    The shard has no backlog and ``busy`` holds its slot-free times.
+    If ops ``0..i-1`` all took the fast lane, op ``i`` finds
+    ``#{busy > t_i} + i - #{finish_j <= t_i, j < i}`` slots held after
+    its advance, and takes a free one iff that is below ``slots``.
+    Every ``finish_j > t_j >= t_i`` for ``j >= i`` (the caller ends a
+    block before an op whose plan vanishes against its arrival), so
+    the last count may run over the whole block: one sort and two
+    ``searchsorted`` calls. Returns the index of the first op that
+    would queue, or the block's length.
+    """
+    held = len(busy) - np.sort(busy).searchsorted(times, "right")
+    freed = np.sort(finish).searchsorted(times, "right")
+    full = held + np.arange(len(times)) - freed >= slots
+    return int(full.argmax()) if full.any() else len(times)
+
+
 def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
               ops: tuple, kept: list | None, slow_s: float, salt: int,
               cut: int) -> None:
-    """One shard's op stream: inlined dispatch plus a fast lane.
+    """One shard's op stream: speculative blocks plus a scalar drain.
 
     ``ops`` is the shard's column tuple from
-    :meth:`ShardRouter.route_batch`; a tenant name is formatted only
-    for ``gateway.submit`` or a kept fast-lane completion.
+    :meth:`ShardRouter.route_batch`. Each op is the reference's
+    per-event body on this shard: an ``OFFER`` advances the shard to
+    its arrival, submits, and advances again if admitted; a ``FENCED``
+    op (its route went stale, another shard takes the offer) only
+    advances; a ``RETRY`` (the offer the fence re-routed here) only
+    submits and advances.
 
-    Bit-equivalence with the reference's ``_advance``/``submit`` calls
-    is argued update by update: the dispatch block below is
-    ``_next_request`` + ``_complete`` + ``ShardMetrics.record_completion``
-    inlined (same arithmetic expressions, same order of float
-    accumulation), and the fast lane only fires when the shard has no
-    backlog and a free slot — exactly the state in which ``submit``
-    would admit and the ``_advance`` after it dispatch at
-    ``start = now`` with no other side effect: it draws
-    the same sequence number and skips ``queue_wait_sum += start -
-    submitted_at``, an exact ``+0.0``. ``LatencyHistogram.record`` is
-    inlined with the same expressions in the same order (the constants
-    come from :mod:`repro.telemetry.metrics`), and the clock is written
-    only for ``submit``, its one reader. A recorder samples queue depth
-    in ``_enqueue`` and ``pop``, so with one on (``inline`` false)
-    dispatch and admission go through those calls instead.
+    **Blocks.** While the shard has no backlog, an op that finds a
+    free slot after the advance is admitted and dispatched at
+    ``start = now`` with nothing else happening: the advance before
+    only pops elapsed slots, ``submit`` cannot shed (every queue is
+    empty, ``max_pending > 0``), and the advance after dispatches this
+    request alone, so ``finish = now + plan`` and ``queue_wait_sum``
+    gains an exact ``+0.0`` (skipped). A ``RETRY`` dispatches on the
+    first elapsed slot it frees, at ``now`` as well, and ends in the
+    same state. So the lane assumes that a run of ops all go this way,
+    checks the assumption for the whole run at once
+    (:func:`_fast_prefix`) and applies the prefix before the first op
+    that would queue: the slot bank becomes the finishes still running
+    at the prefix's last arrival, the gateway's sequence advances by
+    the prefix's length, and ``cost_usd`` adds the prefix's terms one
+    by one, in trace order. A block ends before a ``FENCED`` op and
+    before an op whose finish equals its arrival (the one case where
+    ``finish > now`` fails and, for a ``RETRY``, where the reference
+    pops the slot it just filled). Its size doubles after a block that
+    ran to its end and halves after one that broke.
+
+    **Scalar drain.** Every other op goes through the reference's
+    body with ``_next_request`` + ``_complete`` +
+    ``ShardMetrics.record_completion`` inlined in the advance before
+    (same expressions, same order of float accumulation) and
+    ``gateway.submit`` minus the epoch check, which
+    :meth:`ShardRouter.route_batch` already made; the advance after is
+    called only when it has something to do (an elapsed slot or a free
+    one). When the advance before leaves no backlog and a free slot,
+    the op goes back to the block phase.
+
+    **Tallies.** ``offered``, ``completed``, the latency histogram and
+    ``within_slo`` are integer counts that commute with every other
+    update, so the lane adds them for its block ops and its drained
+    requests once, when it ends (:func:`_buckets`); ``_advance`` calls
+    record their completions as they go. A recorder samples queue
+    depth in ``_enqueue`` and ``pop``, and ``on_submit`` or a missing
+    default tenant change what ``submit`` does, so in those cases (or
+    with ``max_pending <= 0``) every op calls ``_advance`` and
+    ``submit`` as the reference does. The clock is written only for
+    ``submit``, its one reader.
 
     With ``kept`` (an observer is attached) each completion that
     passes ``_complete``'s interest filter (``slow_s``/``salt``/``cut``)
     is appended to it tagged ``(event index, phase, firing order)``:
     phase 1 is the retried offer of an event whose stale route another
     shard fenced (and advanced on, phase 0) first, and the firing order
-    only increases. A fast-lane request exists only if it is kept.
+    only increases. A block evaluates the filter as arrays and builds
+    a request only for the completions it keeps.
     """
+    times, indices, keys, plans, kinds = ops
     metrics = gateway.metrics
     shard = gateway.shard_id
     busy = bank.busy
     slots = bank.slots
-    slo = metrics.slo_latency_s
-    hist = metrics.latency
-    counts = hist.counts
     backlog = gateway._backlog
-    queues = gateway.queues
-    tenants = gateway.tenants
-    seq = gateway._seq
-    submit = gateway.submit
-    heappop = heapq.heappop
-    heappush = heapq.heappush
-    log10 = math.log10
-    inline = gateway._telemetry is None
-    fast_ok = inline and gateway.on_submit is None \
-        and gateway.max_pending >= 1
     hook = None
     if kept is not None:
         append = kept.append
@@ -611,22 +700,107 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
         def hook(finish: float, shard_id: str, request) -> None:
             append(((*tag, next(order)), finish, shard_id, request))
 
-    # Only a kept completion reads its event index: bare, skip the list.
-    times, indices, keys, plans, kinds = ops
-    for now, index, key, plan, kind in zip(
-            times.tolist(), repeat(0) if kept is None else indices.tolist(),
-            keys.tolist(), plans.tolist(),
-            repeat(OFFER) if kinds is None else kinds.tolist()):
-        if kind == RETRY:
-            # The retried offer of a stale route: the reference
-            # advanced the shard that fenced it, not this one. With
-            # nothing queued, freeing the elapsed slots is all the
-            # advance after the submit would add to the lane's state.
-            if not backlog:
-                while busy and busy[0] <= now:
-                    heappop(busy)
-        elif backlog:
-            if inline:
+    if (gateway._telemetry is not None or gateway.on_submit is not None
+            or gateway.default_tenant is None
+            or not gateway.max_pending > 0):
+        for now, index, key, plan, kind in zip(
+                times.tolist(), indices.tolist(), keys.tolist(),
+                plans.tolist(),
+                repeat(OFFER) if kinds is None else kinds.tolist()):
+            if kind != RETRY:
+                if hook is not None:
+                    tag[:] = index, False
+                _advance(bank, gateway, now, hook, slow_s, salt, cut)
+                if kind == FENCED:
+                    continue
+            clock.now = now
+            if gateway.submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
+                if hook is not None:
+                    tag[:] = index, kind == RETRY
+                _advance(bank, gateway, now, hook, slow_s, salt, cut)
+        return
+
+    n = len(times)
+    finish, latency, cost = _lane_columns(times, plans)
+    time_of = times.tolist()
+    plan_of = plans.tolist()
+    key_of = keys.tolist()
+    kind_of = [OFFER] * n if kinds is None else kinds.tolist()
+    # Ops no block may hold, and ``n`` as the sentinel.
+    held_back = latency <= 0.0
+    if kinds is not None:
+        held_back |= kinds == FENCED
+    stops = [*np.flatnonzero(held_back).tolist(), n]
+    if kept is not None:
+        index_of = indices.tolist()
+        salt64 = np.uint64(salt % 2**64)
+    # The integer tallies of the lane's completions are added when it
+    # ends: ``taken`` marks the ops blocks dispatched, ``waits`` holds
+    # the latencies of the queued requests the drain dispatched.
+    taken = np.zeros(n, dtype=bool)
+    waits: list[float] = []
+    slo = metrics.slo_latency_s
+    queues = gateway.queues
+    tenants = gateway.tenants
+    queue_of = queues.get
+    tenant_of = tenants.get
+    default = gateway.default_tenant
+    max_pending = gateway.max_pending
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+
+    i = 0
+    stop_at = 0
+    size = _BLOCK_MIN
+    while i < n:
+        while stops[stop_at] < i:
+            stop_at += 1
+        if not backlog:
+            stop = min(i + size, stops[stop_at])
+            if stop > i:
+                m = _fast_prefix(busy, slots, times[i:stop],
+                                 finish[i:stop])
+                if m:
+                    end = i + m
+                    last = time_of[end - 1]
+                    live = np.concatenate((busy, finish[i:end]))
+                    live = live[live > last]
+                    live.sort()
+                    busy[:] = live.tolist()
+                    drawn = next(gateway._seq)
+                    gateway._seq = count(drawn + m)
+                    metrics.cost_usd = reduce(add, cost[i:end].tolist(),
+                                              metrics.cost_usd)
+                    taken[i:end] = True
+                    if kept is not None:
+                        pick = latency[i:end] >= slow_s
+                        if cut:
+                            drawn_ids = np.arange(drawn, drawn + m,
+                                                  dtype=np.uint64)
+                            pick |= (drawn_ids * np.uint64(_SAMPLE_HASH_MULT)
+                                     + salt64) & np.uint64(0xFFFFFFFF) < cut
+                        for at in np.flatnonzero(pick).tolist():
+                            op = i + at
+                            name = f"{_TENANT_PREFIX}{key_of[op]}"
+                            append((
+                                (index_of[op], kind_of[op] == RETRY,
+                                 next(order)),
+                                float(finish[op]), shard,
+                                QueryRequest(
+                                    tenant=name, plan=plan_of[op],
+                                    submitted_at=time_of[op],
+                                    seq=drawn + at,
+                                    priority=gateway.tenant(name).priority)))
+                    i = end
+                if i == stop:
+                    size = min(2 * size, _BLOCK_MAX)
+                    continue
+                size = max(size // 2, _BLOCK_MIN)
+
+        now = time_of[i]
+        kind = kind_of[i]
+        if kind != RETRY:
+            if backlog:
                 while busy and busy[0] <= now:
                     freed = heappop(busy)
                     if not backlog:
@@ -645,76 +819,65 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     submitted = request.submitted_at
                     start = freed if freed >= submitted else submitted
                     served = request.plan
-                    finish = start + served
-                    metrics.completed += 1
-                    latency = finish - submitted
-                    if latency <= 0.0:
-                        counts[0] += 1
-                    else:
-                        bucket = int((log10(latency) - _LOG_MIN)
-                                     * _BUCKETS_PER_DECADE) + 1
-                        if bucket < 0:
-                            bucket = 0
-                        elif bucket > _TOP_BUCKET:
-                            bucket = _TOP_BUCKET
-                        counts[bucket] += 1
-                    hist.total += 1
+                    done = start + served
+                    waited = done - submitted
+                    waits.append(waited)
                     metrics.queue_wait_sum += start - submitted
                     metrics.cost_usd += served * _USD_PER_SLOT_SECOND
-                    if latency <= slo:
-                        metrics.within_slo += 1
-                    heappush(busy, finish)
+                    heappush(busy, done)
                     if kept is not None and (
-                            latency >= slow_s or request.rescued
+                            waited >= slow_s or request.rescued
                             or ((request.seq * _SAMPLE_HASH_MULT + salt)
                                 & 0xFFFFFFFF) < cut):
-                        append(((index, False, next(order)), finish, shard,
-                                request))
-            # Inline, only after a control tick re-homed requests onto
-            # a shard with an idle slot (208 of 1.5M ops): the drain
-            # above left no ``busy[0] <= now``, so this only fills.
-            if backlog and (not inline or len(busy) < slots):
-                if hook is not None:
-                    tag[:] = index, False
-                _advance(bank, gateway, now, hook, slow_s, salt, cut)
-        else:
-            while busy and busy[0] <= now:
-                heappop(busy)
-        if kind == FENCED:
-            continue
-        if fast_ok and not backlog and len(busy) < slots:
-            metrics.offered += 1
-            drawn = next(seq)
-            finish = now + plan
-            metrics.completed += 1
-            latency = finish - now
-            if latency <= 0.0:
-                counts[0] += 1
+                        append(((index_of[i], False, next(order)), done,
+                                shard, request))
+                # Only after a control tick re-homed requests onto a
+                # shard with an idle slot: the drain above left no
+                # ``busy[0] <= now``, so this only fills.
+                if backlog and len(busy) < slots:
+                    if hook is not None:
+                        tag[:] = index_of[i], False
+                    _advance(bank, gateway, now, hook, slow_s, salt, cut)
             else:
-                bucket = int((log10(latency) - _LOG_MIN)
-                             * _BUCKETS_PER_DECADE) + 1
-                if bucket < 0:
-                    bucket = 0
-                elif bucket > _TOP_BUCKET:
-                    bucket = _TOP_BUCKET
-                counts[bucket] += 1
-            hist.total += 1
-            metrics.cost_usd += plan * _USD_PER_SLOT_SECOND
-            if latency <= slo:
-                metrics.within_slo += 1
-            heappush(busy, finish)
-            if kept is not None and (
-                    latency >= slow_s
-                    or ((drawn * _SAMPLE_HASH_MULT + salt)
-                        & 0xFFFFFFFF) < cut):
-                name = f"{_TENANT_PREFIX}{key}"
-                append(((index, kind == RETRY, next(order)), finish, shard,
-                        QueryRequest(tenant=name, plan=plan,
-                                     submitted_at=now, seq=drawn,
-                                     priority=gateway.tenant(name).priority)))
+                while busy and busy[0] <= now:
+                    heappop(busy)
+            if kind == FENCED:
+                i += 1
+                continue
+            if not backlog and len(busy) < slots and stops[stop_at] != i:
+                continue  # a free slot and no queue: the block takes it
+        name = f"{_TENANT_PREFIX}{key_of[i]}"
+        metrics.offered += 1
+        tenant = tenant_of(name) or default
+        queue = queue_of(name)
+        if queue is not None and len(queue) >= tenant.max_queue_depth \
+                or gateway._pending >= max_pending:
+            metrics.shed += 1
         else:
-            clock.now = now
-            if submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
+            if queue is None:
+                queue = queues[name] = deque()
+            if not queue:
+                backlog[name] = None
+            # Positional (tenant, plan, submitted_at, seq, priority):
+            # half the cost of keywords, once per queued op.
+            queue.append(QueryRequest(name, plan_of[i], now,
+                                      next(gateway._seq), tenant.priority))
+            gateway._pending += 1
+            if len(busy) < slots or busy[0] <= now:
                 if hook is not None:
-                    tag[:] = index, kind == RETRY
+                    tag[:] = index_of[i], kind == RETRY
                 _advance(bank, gateway, now, hook, slow_s, salt, cut)
+        i += 1
+
+    latencies = latency[taken]
+    metrics.offered += len(latencies)
+    if waits:
+        latencies = np.concatenate((latencies, waits))
+    if len(latencies):
+        hist = metrics.latency
+        metrics.completed += len(latencies)
+        hist.total += len(latencies)
+        metrics.within_slo += int(np.count_nonzero(latencies <= slo))
+        tally = np.bincount(_buckets(latencies))
+        for at in np.flatnonzero(tally).tolist():
+            hist.counts[at] += int(tally[at])

@@ -173,9 +173,13 @@ class HashRing:
 
     def lookup(self, key: str) -> str:
         """The node owning ``key`` (the partition function)."""
+        return self.lookup_hash(hash_key(key))
+
+    def lookup_hash(self, position: int) -> str:
+        """The node owning ring position ``position`` (a key's hash)."""
         if not self._points:
             raise LookupError("lookup on an empty ring")
-        index = bisect_right(self._points, hash_key(key))
+        index = bisect_right(self._points, position)
         if index == len(self._points):
             index = 0
         return self._owner[self._points[index]]

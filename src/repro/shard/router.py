@@ -112,8 +112,7 @@ class _KeyedRoutes:
             return self.routes[self.code[key]]
         return None
 
-    def put(self, tenant: str, route: Route) -> None:
-        key = self.key(tenant)
+    def put(self, key: int, route: Route) -> None:
         if self.seq[key] <= max(self.inserts - self.capacity, 0):
             self.inserts += 1
             self.seq[key] = self.inserts
@@ -281,10 +280,14 @@ class ShardRouter:
         return route
 
     def _refresh(self, tenant: str) -> Route:
-        route = self.directory.locate(tenant)
-        if self._keyed is not None:
-            self._keyed.put(tenant, route)
+        keyed = self._keyed
+        if keyed is not None:
+            # The key's ring position was hashed with the key space.
+            key = keyed.key(tenant)
+            route = self.directory.locate_hash(int(keyed.hashes[key]))
+            keyed.put(key, route)
             return route
+        route = self.directory.locate(tenant)
         if tenant not in self._routes \
                 and len(self._routes) >= self.route_cache_size:
             self._routes.popitem(last=False)

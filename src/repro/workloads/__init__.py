@@ -8,36 +8,34 @@ setups, the cold (15-minute intervals over a workday) and warm
 comparison runs.
 """
 
-from repro.workloads.arrivals import (
-    ArrivalOutcome,
-    cost_crossover,
-    run_arrival_workload,
-)
-from repro.workloads.traffic import (
-    poisson_arrivals,
-    zipf_trace,
-    zipf_trace_reference,
-)
-from repro.workloads.suite import (
-    SuiteSetup,
-    run_query_experiment,
-    run_suite_once,
-    run_variability_experiment,
-    setup_engine,
-    table5_metrics,
-)
+import importlib
 
-__all__ = [
-    "ArrivalOutcome",
-    "SuiteSetup",
-    "cost_crossover",
-    "poisson_arrivals",
-    "run_arrival_workload",
-    "run_query_experiment",
-    "run_suite_once",
-    "run_variability_experiment",
-    "setup_engine",
-    "table5_metrics",
-    "zipf_trace",
-    "zipf_trace_reference",
-]
+#: Where each exported name lives. The package imports nothing
+#: itself (PEP 562): a name loads its own submodule on first use,
+#: so a trace generator client (the shard layer) does not load the
+#: engine ``suite`` and ``arrivals`` drive.
+_EXPORTS = {
+    "ArrivalOutcome": "arrivals",
+    "cost_crossover": "arrivals",
+    "run_arrival_workload": "arrivals",
+    "poisson_arrivals": "traffic",
+    "zipf_trace": "traffic",
+    "zipf_trace_reference": "traffic",
+    "SuiteSetup": "suite",
+    "run_query_experiment": "suite",
+    "run_suite_once": "suite",
+    "run_variability_experiment": "suite",
+    "setup_engine": "suite",
+    "table5_metrics": "suite",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

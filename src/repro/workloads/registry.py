@@ -9,8 +9,8 @@ behind one artifact, with its seed and full grid. ``benchmarks/test_fig5``
 are not here: they assert on result rows and span trees, which an
 :class:`~repro.core.results.ExperimentResult` does not carry.
 
-The ``repro.workloads`` package does not import this module; importing
-it loads that package, whose ``suite`` module registers ``"query"``.
+The ``repro.workloads`` package imports none of its modules; this one
+imports ``suite``, whose import registers the ``"query"`` kind.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 from repro import units
 from repro.core import Driver, ExperimentConfig, ExperimentResult
 from repro.core.plotter import ascii_timeseries
+from repro.workloads import suite  # noqa: F401 - registers "query"
 
 #: Groups of ids that ``repro suite`` accepts besides ``full`` and an id.
 GROUPS = {

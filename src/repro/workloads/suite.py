@@ -196,6 +196,7 @@ def run_query_experiment(sim: CloudSim, config, result) -> None:
 
 # The driver never imports upward; the workloads layer contributes the
 # "query" experiment kind through the registration hook instead (the
-# same inversion as Environment.set_monitor). Importing any module of
-# this package, ``repro.workloads.registry`` included, registers it.
+# same inversion as Environment.set_monitor). Importing this module, or
+# ``repro.workloads.registry`` or ``arrivals`` (which import it),
+# registers it.
 Driver.register_kind("query", run_query_experiment)

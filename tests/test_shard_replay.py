@@ -10,7 +10,16 @@ ticks, fault plans — so the equivalence is a checked invariant, not a
 pinned example.
 """
 
+import heapq
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from contextlib import nullcontext
+from operator import itemgetter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,9 +27,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.shard.replay
+from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
 from repro.shard import ReplayConfig, run_replay
-from repro.shard.replay import ScanGuard, _distinct, run_replay_reference
+from repro.shard.metrics import ShardMetrics
+from repro.shard.replay import (
+    _USD_PER_SLOT_SECOND,
+    ManualClock,
+    ScanGuard,
+    _advance,
+    _buckets,
+    _distinct,
+    _lane_columns,
+    _run_lane,
+    _SlotBank,
+    run_replay_reference,
+)
+from repro.shard.router import FENCED, OFFER, RETRY
 from repro.telemetry import recording
+from repro.telemetry.metrics import (
+    _BUCKETS,
+    _BUCKETS_PER_DECADE,
+    _LOG_MIN,
+    LatencyHistogram,
+)
 
 SMALL = ReplayConfig(tenants=5_000, events=8_000, window_s=240.0,
                      shards=3, slots_per_shard=2,
@@ -238,6 +267,225 @@ class TestMemory:
         assert peak < 11 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def _scalar_bucket(latency: float) -> int:
+    histogram = LatencyHistogram()
+    histogram.record(latency)
+    return histogram.counts.index(1)
+
+
+#: Every bucket edge 10 ** (-3 + k / 64) and its neighbours one and
+#: two ulps away, plus the values the edge buckets clamp.
+_EDGE_LATENCIES = [
+    value
+    for k in range(-2, _BUCKETS + 3)
+    for edge in [10.0 ** (_LOG_MIN + k / _BUCKETS_PER_DECADE)]
+    for value in (math.nextafter(math.nextafter(edge, 0.0), 0.0),
+                  math.nextafter(edge, 0.0), edge,
+                  math.nextafter(edge, math.inf),
+                  math.nextafter(math.nextafter(edge, math.inf), math.inf))
+] + [0.0, -0.0, 5e-324, 1e-300, 1e-9, 4.9e-4, 1e-3, 9.99e-4, 1e4, 1.5e4,
+     1e7, 1e300, 1.7e308]
+
+
+class TestLaneColumns:
+    """The lane's arrays are the scalar dispatch's numbers, bit for bit."""
+
+    def test_buckets_are_the_histogram_rule_at_every_edge(self):
+        latencies = np.array(_EDGE_LATENCIES)
+        assert _buckets(latencies).tolist() \
+            == [_scalar_bucket(value) for value in _EDGE_LATENCIES]
+
+    @given(st.lists(st.one_of(
+        st.floats(min_value=0.0, max_value=1e6),
+        st.floats(min_value=0.0, max_value=1e-3),
+        st.sampled_from(_EDGE_LATENCIES)), max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_buckets_are_the_histogram_rule(self, latencies):
+        assert _buckets(np.array(latencies, dtype=float)).tolist() \
+            == [_scalar_bucket(value) for value in latencies]
+
+    @given(st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=4e3),
+        st.one_of(st.floats(min_value=0.0, max_value=1e5),
+                  st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 1e-3]))),
+        max_size=100))
+    @settings(max_examples=200, deadline=None)
+    def test_finish_latency_and_cost_are_the_scalar_rule(self, ops):
+        times = [now for now, _ in ops]
+        plans = [plan for _, plan in ops]
+        finish, latency, cost = _lane_columns(
+            np.array(times, dtype=float), np.array(plans, dtype=float))
+        assert finish.tolist() == [now + plan for now, plan in ops]
+        assert latency.tolist() == [(now + plan) - now for now, plan in ops]
+        assert cost.tolist() == [plan * _USD_PER_SLOT_SECOND
+                                 for plan in plans]
+
+
+def _lane_ops(draw_ops, start: int):
+    """Column tuple in :meth:`ShardRouter.route_batch`'s layout."""
+    times, keys, plans, kinds = (list(column) for column in zip(*draw_ops))
+    return (np.array(times, dtype=float),
+            np.arange(start, start + len(times), dtype=np.int64),
+            np.array(keys, dtype=np.int64), np.array(plans, dtype=float),
+            None if set(kinds) == {OFFER} else np.array(kinds, dtype=np.int8))
+
+
+@st.composite
+def _lane_case(draw):
+    """A shard mid-run: slots, limits, busy slots, a backlog, an op run."""
+    slots = draw(st.integers(min_value=1, max_value=4))
+    gaps = draw(st.lists(st.sampled_from(
+        [0.0, 0.0, 0.0, 0.03125, 0.1, 0.25, 0.7, 2.5]), min_size=1,
+        max_size=60))
+    first = draw(st.sampled_from([0.0, 1.0, 1e3]))
+    times, now = [], first
+    for gap in gaps:
+        now += gap
+        times.append(now)
+    plan = st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-3, 0.0625, 0.2, 0.5, 1.0, 3.0]),
+        st.floats(min_value=0.0, max_value=4.0))
+    kind = st.sampled_from([OFFER] * 6 + [RETRY, FENCED])
+    ops = [(time, draw(st.integers(min_value=0, max_value=4)), draw(plan),
+            draw(kind)) for time in times]
+    return {
+        "slots": slots,
+        "max_pending": draw(st.integers(min_value=1, max_value=6)),
+        "queue_depth": draw(st.integers(min_value=1, max_value=3)),
+        "registered": draw(st.booleans()),
+        "busy": draw(st.lists(st.floats(min_value=0.0, max_value=first + 3),
+                              max_size=slots)),
+        "backlog": draw(st.lists(st.tuples(
+            st.integers(min_value=0, max_value=4), plan, st.booleans()),
+            max_size=5)),
+        "ops": ops,
+    }
+
+
+def _lane_shard(case):
+    """A clock, a gateway and its slot bank in the state ``case`` names."""
+    clock = ManualClock()
+    gateway = QueryGateway(
+        clock, metrics=ShardMetrics("s", slo_latency_s=0.5),
+        max_pending=case["max_pending"], shard_id="s",
+        default_tenant=Tenant(name="__default__",
+                              max_queue_depth=case["queue_depth"]))
+    if case["registered"]:
+        gateway.register(Tenant(name="t1", priority=0, max_queue_depth=2))
+    bank = _SlotBank(case["slots"])
+    bank.busy = list(case["busy"])
+    heapq.heapify(bank.busy)
+    first = case["ops"][0][0]
+    for key, plan, rescued in case["backlog"]:
+        gateway.adopt(QueryRequest(
+            tenant=f"t{key}", plan=plan, submitted_at=first / 2,
+            seq=next(gateway._seq), priority=1, rescued=rescued))
+    return clock, gateway, bank
+
+
+def _completion(finish, shard, request):
+    return (finish, shard, request.tenant, request.seq,
+            request.submitted_at, request.plan, request.priority,
+            request.rescued)
+
+
+def _state(gateway, bank) -> dict:
+    metrics = gateway.metrics
+    return {
+        "metrics": (metrics.offered, metrics.shed, metrics.completed,
+                    metrics.within_slo, metrics.cost_usd,
+                    metrics.queue_wait_sum, metrics.latency.total,
+                    metrics.latency.counts),
+        "busy": sorted(bank.busy),
+        "next_seq": next(gateway._seq),
+        "pending": gateway._pending,
+        "backlog": [(name, [request.seq for request in gateway.queues[name]])
+                    for name in gateway._backlog],
+        "queues": sorted(gateway.queues),
+    }
+
+
+#: Interest specs: none (firehose), a sparse one (slow or ~1/4 of ids)
+#: and one that keeps nothing but rescued requests.
+_INTEREST = [(-math.inf, 0, 0), (0.75, 104729, 1 << 30), (math.inf, 7, 0)]
+
+
+class TestLaneDifferential:
+    """``_run_lane`` is the reference's per-event body, op for op.
+
+    The scalar side is ``run_replay_reference``'s loop for one shard:
+    an ``OFFER`` advances, submits and advances again when admitted, a
+    ``FENCED`` op only advances, a ``RETRY`` only submits and
+    advances. Hand-built columns reach what a replay rarely does: ties,
+    a plan of zero or a denormal (``finish == now``), one slot, tiny
+    queue and gateway limits, retries with elapsed slots, a backlog
+    and idle slots at once — with every block size down to one op."""
+
+    @given(case=_lane_case(),
+           observed=st.sampled_from([None, *_INTEREST]),
+           blocks=st.sampled_from([(1, 1), (1, 4), (2, 16), (64, 4096)]),
+           recorded=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_lane_is_the_reference_body(self, case, observed, blocks,
+                                        recorded):
+        slow_s, salt, cut = observed or (-math.inf, 0, 0)
+        ops = _lane_ops(case["ops"], start=100)
+        with recording() if recorded else nullcontext():
+            clock, gateway, bank = _lane_shard(case)
+            ref_clock, ref_gateway, ref_bank = _lane_shard(case)
+
+        fired = []
+
+        def on_completion(finish, shard, request):
+            fired.append(_completion(finish, shard, request))
+
+        hook = None if observed is None else on_completion
+        times, indices, keys, plans, kinds = ops
+        for now, key, plan, kind in zip(
+                times.tolist(), keys.tolist(), plans.tolist(),
+                [OFFER] * len(times) if kinds is None else kinds.tolist()):
+            if kind != RETRY:
+                _advance(ref_bank, ref_gateway, now, hook, slow_s, salt, cut)
+                if kind == FENCED:
+                    continue
+            ref_clock.now = now
+            if ref_gateway.submit(f"t{key}", plan) is not None:
+                _advance(ref_bank, ref_gateway, now, hook, slow_s, salt, cut)
+
+        kept = None if observed is None else []
+        with mock.patch.multiple(repro.shard.replay, _BLOCK_MIN=blocks[0],
+                                 _BLOCK_MAX=blocks[1]):
+            _run_lane(gateway, bank, clock, ops, kept, slow_s, salt, cut)
+
+        assert _state(gateway, bank) == _state(ref_gateway, ref_bank)
+        if observed is not None:
+            kept.sort(key=itemgetter(0))
+            assert [_completion(*entry[1:]) for entry in kept] == fired
+
+
+class TestLaneBlocks:
+    def test_blocks_carry_the_smoke_replay(self, monkeypatch):
+        """The speculative path is the one taken, not a slow fallback.
+
+        On the smoke replay 107,891 of the 180,000 ops find a free slot
+        and no queue on arrival (the rest queue or are shed); blocks
+        must dispatch all but a sliver of them, in runs, not op by op.
+        """
+        applied = []
+        fast_prefix = repro.shard.replay._fast_prefix
+
+        def watched(*args):
+            taken = fast_prefix(*args)
+            applied.append(taken)
+            return taken
+
+        monkeypatch.setattr(repro.shard.replay, "_fast_prefix", watched)
+        config = ReplayConfig().smoke()
+        assert run_replay(config).digest()[:16] == "07a053f41f28efcd"
+        assert sum(applied) >= 0.59 * config.events
+        assert sum(applied) >= 16 * len(applied)
+
+
 class TestDistinct:
     @given(case=st.integers(min_value=1, max_value=2_000).flatmap(
         lambda tenants: st.tuples(st.just(tenants), st.lists(
@@ -352,3 +600,24 @@ class TestConfig:
     def test_smoke_variant_forwards_every_other_field(self):
         assert ReplayConfig(control_interval_s=30.0).smoke() \
             .control_interval_s == 30.0
+
+
+class TestImports:
+    def test_the_shard_layer_loads_no_des_stack(self):
+        """``repro.serve`` and ``repro.workloads`` import their modules
+        on first use, so the replay's gateway and trace generator do
+        not drag in the engine, the simulated cloud and ``service``;
+        ``registry`` still registers the ``"query"`` kind itself."""
+        code = (
+            "import sys, repro.shard\n"
+            "print(sorted(name for name in ('repro.core', 'repro.engine',"
+            " 'repro.serve.service', 'repro.workloads.suite')"
+            " if name in sys.modules))\n"
+            "import repro.workloads.registry\n"
+            "from repro.core import Driver\n"
+            "print('query' in Driver._external_kinds)\n")
+        src = Path(repro.shard.replay.__file__).parents[2]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split("\n")[:2] == ["[]", "True"]
