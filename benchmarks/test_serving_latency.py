@@ -10,8 +10,6 @@ numbers an operator of a multi-tenant Skyrise deployment would watch.
 
 import math
 
-import pytest
-
 from conftest import save_artifact
 from repro.core import format_table
 from repro.serve import default_tenant_mix, run_serving_workload

@@ -28,12 +28,6 @@ class PolynomialFit:
             return float(result)
         return result
 
-    def residuals(self, xs: Sequence[float],
-                  ys: Sequence[float]) -> np.ndarray:
-        """Fit residuals over the given points."""
-        return np.asarray(ys, dtype=np.float64) - np.polyval(
-            self.coefficients, np.asarray(xs, dtype=np.float64))
-
 
 def fit_polynomial(xs: Sequence[float], ys: Sequence[float],
                    degree: int = 2) -> PolynomialFit:

@@ -84,10 +84,6 @@ class FaultInjector:
         """Injections so far, by fault kind."""
         return dict(self.state.counts)
 
-    @property
-    def total_injected(self) -> int:
-        return sum(self.state.counts.values())
-
     def timeline(self) -> list[dict]:
         """The recorded fault events as JSON-ready dicts."""
         return [event.to_dict() for event in self.state.events]

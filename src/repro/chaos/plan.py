@@ -9,7 +9,6 @@ the recovery layer survives with measurable retries and hedge wins.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.chaos.faults import FaultSpec
@@ -26,21 +25,6 @@ class FaultPlan:
     def to_dict(self) -> dict:
         return {"name": self.name, "description": self.description,
                 "specs": [spec.to_dict() for spec in self.specs]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        specs = []
-        for raw in data.get("specs", []):
-            raw = dict(raw)
-            if raw.get("end_s") is None:
-                raw["end_s"] = float("inf")
-            specs.append(FaultSpec(**raw))
-        return cls(name=data["name"], specs=tuple(specs),
-                   description=data.get("description", ""))
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
 
 FAULT_PLANS: dict[str, FaultPlan] = {

@@ -2,7 +2,8 @@
 
 A configuration names the system under test, the driver kind, the
 function/workload to run, and the experiment parameters. Configurations
-serialize to/from JSON so experiment suites are data, not code.
+parse from JSON (``repro run CONFIG.json``), so an experiment can be
+data, not code.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from repro.telemetry.export import canonical_json
 
 #: Known experiment kinds, mirroring Table 3's driver column.
 EXPERIMENT_KINDS = (
@@ -41,13 +41,6 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; "
                              f"known: {EXPERIMENT_KINDS}")
-
-    def to_json(self) -> str:
-        """Serialize to byte-stable JSON (sorted keys, indent=2)."""
-        return canonical_json({
-            "name": self.name, "kind": self.kind,
-            "parameters": self.parameters, "seed": self.seed,
-        })
 
     @classmethod
     def from_json(cls, raw: str) -> "ExperimentConfig":

@@ -8,7 +8,6 @@ a plotter" (Section 3.1).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -51,14 +50,3 @@ class ExperimentResult:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(canonical_json(self.to_dict()))
         return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ExperimentResult":
-        """Read a result back from JSON."""
-        data = json.loads(Path(path).read_text())
-        result = cls(name=data["name"], kind=data["kind"],
-                     parameters=data["parameters"], metrics=data["metrics"],
-                     cost_usd=data["cost_usd"])
-        for label, points in data["series"].items():
-            result.series[label] = [(float(x), float(y)) for x, y in points]
-        return result

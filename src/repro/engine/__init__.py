@@ -28,8 +28,6 @@ from repro.engine.expressions import (
     IfThenElse,
     InSet,
     Lit,
-    Not,
-    Or,
 )
 from repro.engine.plan import (
     AggSpec,
@@ -52,8 +50,6 @@ __all__ = [
     "IfThenElse",
     "InSet",
     "Lit",
-    "Not",
-    "Or",
     "PhysicalPlan",
     "PipelineSpec",
     "QueryResult",

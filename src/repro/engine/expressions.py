@@ -103,31 +103,6 @@ class And(Expr):
         return result
 
 
-class Or(Expr):
-    """Logical disjunction of boolean expressions."""
-
-    def __init__(self, *terms: Expr) -> None:
-        if not terms:
-            raise ValueError("Or needs at least one term")
-        self.terms = terms
-
-    def evaluate(self, batch: RecordBatch) -> np.ndarray:
-        result = self.terms[0].evaluate(batch).astype(bool)
-        for term in self.terms[1:]:
-            result = result | term.evaluate(batch).astype(bool)
-        return result
-
-
-class Not(Expr):
-    """Logical negation."""
-
-    def __init__(self, term: Expr) -> None:
-        self.term = term
-
-    def evaluate(self, batch: RecordBatch) -> np.ndarray:
-        return ~self.term.evaluate(batch).astype(bool)
-
-
 class Between(Expr):
     """Inclusive range check: low <= expr <= high."""
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro import units
@@ -72,16 +72,6 @@ class InvocationRecord:
         """Billed duration: handler execution time."""
         return self.finished_at - self.started_at
 
-    @property
-    def total_latency(self) -> float:
-        """End-to-end latency the invoker observed."""
-        return self.finished_at - self.requested_at
-
-    @property
-    def ok(self) -> bool:
-        """Whether the handler completed without raising."""
-        return self.error is None
-
 
 @dataclass
 class FunctionContext:
@@ -99,7 +89,6 @@ class FunctionContext:
     sandbox_id: int
     cold: bool
     region: str = "us-east-1"
-    trace: dict[str, float] = field(default_factory=dict)
     #: Telemetry span context of the platform's invoke span (a
     #: :class:`repro.telemetry.Span` or ``None`` when not recording);
     #: handlers parent their own spans under it.
@@ -119,7 +108,3 @@ class FunctionContext:
         """
         wall = cpu_seconds / max(self.vcpus, 0.25)
         return self.env.timeout(wall)
-
-    def mark(self, label: str) -> None:
-        """Record a trace timestamp under ``label``."""
-        self.trace[label] = self.env.now

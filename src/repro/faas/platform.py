@@ -121,17 +121,6 @@ class LambdaPlatform:
         except KeyError:
             raise KeyError(f"function {name!r} is not deployed") from None
 
-    @property
-    def concurrent_executions(self) -> int:
-        """Sandboxes currently executing a handler."""
-        return self._busy
-
-    def warm_sandbox_count(self, name: str) -> int:
-        """Live warm (idle, unexpired) sandboxes for a function."""
-        now = self.env.now
-        pool = self._warm.get(name, [])
-        return sum(1 for sandbox in pool if not sandbox.expired(now))
-
     # -- invocation -----------------------------------------------------------
 
     def invoke(self, name: str, payload: Any = None):

@@ -125,11 +125,6 @@ class RecordBatch:
         """Plain-Python column dictionary (tests and debugging)."""
         return {name: list(array) for name, array in self.columns.items()}
 
-    def __repr__(self) -> str:
-        return (f"<RecordBatch rows={self._length} "
-                f"cols={self.schema.names()} "
-                f"logical={self.logical_bytes:.0f}B>")
-
 
 def read_only(batch: RecordBatch) -> RecordBatch:
     """``batch`` with its arrays made read-only, for handing over by

@@ -71,9 +71,6 @@ class Schema:
     def __iter__(self):
         return iter(self.fields)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Schema) and self.fields == other.fields
 
@@ -101,7 +98,3 @@ class Schema:
         """Rebuild a schema from :meth:`to_dict` output."""
         return cls([Field(item["name"], DataType(item["type"]))
                     for item in data])
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{f.name}:{f.dtype.value}" for f in self.fields)
-        return f"Schema({inner})"

@@ -10,7 +10,7 @@ The executor is the entry point of the subsystem::
         reduce_future = executor.map_reduce(word_count, chunks, merge_counts)
         result = yield from executor.get_result(reduce_future)
 
-Every ``call_async`` / ``map`` / ``map_reduce`` creates a *job*: a batch
+Every ``map`` / ``map_reduce`` creates a *job*: a batch
 of :class:`~repro.futures.future.ResponseFuture` objects sharing one
 :class:`~repro.futures.monitor.JobMonitor` and one telemetry trace, so
 spans nest job → dispatch → invoke → fn in ``repro trace`` output. A
@@ -61,10 +61,6 @@ class ExecutorConfig:
     max_inflight: int = 64
     #: Attempt cap and hedging of every call.
     recovery: RecoveryPolicy = RecoveryPolicy()
-    #: Poll interval of the per-job monitor process (samples pending/
-    #: running time series). ``None`` — the default — runs no poller,
-    #: keeping the executor free of background events.
-    monitor_poll_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_inflight <= 0:
@@ -131,11 +127,6 @@ class FunctionExecutor:
 
     # -- submission ------------------------------------------------------------
 
-    def call_async(self, fn, data: Any) -> ResponseFuture:
-        """Submit one asynchronous call; returns its future immediately."""
-        job = self._new_job("call")
-        return self._submit(job, fn, data)
-
     def map(self, fn, iterable) -> list[ResponseFuture]:
         """Fan ``fn`` out over ``iterable``; one future per item.
 
@@ -184,9 +175,6 @@ class FunctionExecutor:
                 attrs={"job": job_id, "kind": kind})
         job = Job(job_id, kind, monitor)
         self.jobs.append(job)
-        if self.config.monitor_poll_s is not None:
-            self.env.process(monitor.watch(self.config.monitor_poll_s),
-                             name=f"monitor-{job_id}")
         return job
 
     def _submit(self, job: Job, fn, data: Any) -> ResponseFuture:

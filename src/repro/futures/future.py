@@ -42,11 +42,6 @@ class AttemptRecord:
     error_type: Optional[str]
     cost_usd: float
 
-    @property
-    def duration(self) -> float:
-        """Billed handler duration of this attempt."""
-        return self.finished_at - self.started_at
-
 
 def attempt_cost_usd(record: InvocationRecord, memory_bytes: float,
                      ephemeral_bytes: float = 0.0) -> float:
@@ -141,29 +136,6 @@ class ResponseFuture:
         """Pricing-catalog compute cost of every attempt billed so far."""
         return sum(a.cost_usd for a in self.attempts)
 
-    @property
-    def cost_cents(self) -> float:
-        """Compute cost in cents (the paper reports query costs in ¢)."""
-        return self.cost_usd * 100.0
-
-    def status(self) -> dict:
-        """JSON-ready snapshot of this future's state and accounting."""
-        return {
-            "call_id": self.call_id,
-            "job_id": self.job_id,
-            "state": self.state,
-            "created_at": round(self.created_at, 9),
-            "dispatched_at": (round(self.dispatched_at, 9)
-                              if self.dispatched_at is not None else None),
-            "finished_at": (round(self.finished_at, 9)
-                            if self.finished_at is not None else None),
-            "attempts": len(self.attempts),
-            "hedged": self.hedged,
-            "error_type": (type(self._error).__name__
-                           if self._error is not None else None),
-            "cost_usd": round(self.cost_usd, 12),
-        }
-
     # -- transitions (invoker-only) -------------------------------------------
 
     def mark_running(self, now: float) -> None:
@@ -190,6 +162,3 @@ class ResponseFuture:
         self.state = state
         if self._monitor is not None:
             self._monitor.on_transition(self, previous, state)
-
-    def __repr__(self) -> str:
-        return f"<ResponseFuture {self.call_id} {self.state}>"

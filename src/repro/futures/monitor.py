@@ -1,14 +1,9 @@
 """Job monitor: invocation-state tracking on the virtual clock.
 
-One :class:`JobMonitor` observes one job (a ``map``, ``map_reduce``
-phase, or ``call_async`` batch): it counts futures per lifecycle state,
-records every transition with its virtual timestamp, and — when a poll
-interval is configured — runs a monitor *process* that samples the
-pending/running population into telemetry time series, the simulated
-analogue of lithops' job monitor thread. Polling is an explicit
-simulation feature (it schedules events), so it is gated on the
-executor's configuration, never on whether telemetry happens to be
-recording — telemetry on vs. off stays byte-identical.
+One :class:`JobMonitor` observes one job (a ``map`` or ``map_reduce``
+phase): it counts futures per lifecycle state and records every
+transition with its virtual timestamp. It schedules no events, so
+telemetry on vs. off stays byte-identical.
 """
 
 from __future__ import annotations
@@ -96,25 +91,3 @@ class JobMonitor:
             "transitions": len(self.transitions),
             "dropped_transitions": self.dropped_transitions,
         }
-
-    # -- the monitor process --------------------------------------------------
-
-    def watch(self, poll_s: float):
-        """Process: sample the job's open population until it drains.
-
-        Samples go into ``futures.<job>.pending`` / ``.running`` time
-        series (no-ops under the null recorder). The process ends when
-        the job does, so an executor with ``monitor_poll_s`` set never
-        leaves a runaway poller in the event queue.
-        """
-        if poll_s <= 0:
-            raise ValueError(f"poll interval must be positive, got {poll_s}")
-        recorder = get_recorder()
-        pending = recorder.timeseries(f"futures.{self.job_id}.pending")
-        running = recorder.timeseries(f"futures.{self.job_id}.running")
-        while not self.done:
-            pending.sample(self.env.now, float(self.counts["pending"]))
-            running.sample(self.env.now, float(self.counts["running"]))
-            yield self.env.timeout(poll_s)
-        pending.sample(self.env.now, 0.0)
-        running.sample(self.env.now, 0.0)

@@ -40,11 +40,6 @@ class DataChunk:
     #: Global chunk index across the whole partition job.
     index: int = 0
 
-    @property
-    def whole_object(self) -> bool:
-        """Whether this chunk covers its object end to end."""
-        return self.offset == 0.0 and self.length == self.object_size
-
 
 def partition_object(key: str, size: float,
                      chunk_bytes: Optional[float] = None,

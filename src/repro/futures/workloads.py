@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional
 
 from repro import units
 from repro.chaos.injector import FaultInjector
@@ -64,9 +63,7 @@ def _cost_check(compute_usd: float, catalog_usd: float) -> str:
 class _Sim:
     """One simulation stack: env, fabric, platform, S3, executor."""
 
-    def __init__(self, seed: int, speculate: bool,
-                 monitor_poll_s: Optional[float] = None,
-                 plan=None) -> None:
+    def __init__(self, seed: int, speculate: bool, plan=None) -> None:
         self.env = Environment()
         self.fabric = Fabric(self.env)
         self.rng = RandomStreams(seed=seed)
@@ -75,8 +72,7 @@ class _Sim:
         self.executor = FunctionExecutor(
             self.env, self.platform, self.rng,
             config=ExecutorConfig(
-                recovery=RecoveryPolicy(hedge=speculate),
-                monitor_poll_s=monitor_poll_s))
+                recovery=RecoveryPolicy(hedge=speculate)))
         self.injector = None
         if plan is not None:
             self.injector = FaultInjector(plan, self.rng)
@@ -157,8 +153,7 @@ def merge_counts(context, results):
 def run_wordcount(seed: int = 7, objects: int = 16,
                   records_per_object: int = 256,
                   chunks_per_object: int = 4,
-                  plan=None, speculate: bool = False,
-                  monitor_poll_s: Optional[float] = None) -> dict:
+                  plan=None, speculate: bool = False) -> dict:
     """Map-reduce wordcount over a partitioned S3 prefix.
 
     The default sizing partitions ``16`` objects x ``4`` byte-range
@@ -169,7 +164,7 @@ def run_wordcount(seed: int = 7, objects: int = 16,
         raise ValueError(
             f"records_per_object={records_per_object} must divide evenly "
             f"into chunks_per_object={chunks_per_object}")
-    sim = _Sim(seed, speculate, monitor_poll_s=monitor_poll_s, plan=plan)
+    sim = _Sim(seed, speculate, plan=plan)
     prefix = "corpus/"
     chunk_bytes = records_per_object // chunks_per_object * RECORD_BYTES
 

@@ -29,11 +29,6 @@ class VmInstance:
     id: int = field(default_factory=lambda: next(VmInstance._ids))
     terminated_at: Optional[float] = None
 
-    @property
-    def running(self) -> bool:
-        """Whether the instance is still up."""
-        return self.terminated_at is None
-
     def uptime(self, now: float) -> float:
         """Billed runtime so far (or until termination)."""
         end = self.terminated_at if self.terminated_at is not None else now

@@ -28,10 +28,10 @@ message; a line comment ``# repro-lint: disable=DET001 <reason>``
 suppresses them (the reason is mandatory — LNT001 flags bare
 suppressions, LNT002 flags suppressions that no longer match
 anything). ``repro lint`` is the CLI; ``repro lint --strict`` is the
-CI gate and fails on any finding; ``repro lint --self-test`` replays a
-bundled fixture of known violations so a checker can never silently go
-dead; ``repro lint --explain <ID>`` prints a checker's rationale with a
-bad/good example. Output is byte-identical across runs and discovery
+CI gate and fails on any finding; ``repro lint --explain <ID>`` prints
+a checker's rationale with a bad/good example. A tier-1 self-test
+replays a fixture of known violations so a checker can never silently
+go dead. Output is byte-identical across runs and discovery
 orders. See ``docs/static_analysis.md``.
 """
 

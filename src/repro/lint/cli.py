@@ -7,8 +7,6 @@ Modes:
 * ``--strict`` — the CI gate: exit 1 on any finding, framework findings
   (LNT001/LNT002) included. A reasoned ``# repro-lint: disable=``
   comment is the one way to accept a finding;
-* ``--self-test`` — run every checker against the bundled fixture and
-  fail on any drift;
 * ``--explain CHECK_ID`` — a checker's rationale and a bad/good pair,
   for review discussions and suppression reasons;
 * ``--list-checks`` — print the checker catalog.
@@ -72,9 +70,6 @@ def add_lint_arguments(parser) -> None:
                              "misuse included")
     parser.add_argument("--json", action="store_true",
                         help="emit the canonical JSON report")
-    parser.add_argument("--self-test", action="store_true",
-                        help="run all checkers against the bundled "
-                             "fixture of known violations")
     parser.add_argument("--list-checks", action="store_true",
                         help="list the available checks and exit")
     parser.add_argument("--explain", metavar="CHECK_ID",
@@ -109,11 +104,6 @@ def _explain(check_id: str) -> int:
 
 def run_lint(args) -> int:
     """Execute ``repro lint``; returns the process exit code."""
-    if args.self_test:
-        from repro.lint.selftest import run_self_test
-        ok, lines = run_self_test()
-        print("\n".join(lines), file=sys.stdout if ok else sys.stderr)
-        return 0 if ok else 1
     if args.explain:
         return _explain(args.explain)
     if args.list_checks:

@@ -148,9 +148,6 @@ class Checker:
     def check(self, module: SourceModule) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.id}>"
-
 
 def lint_modules(modules: Iterable[SourceModule],
                  checkers: Iterable[Checker]) -> list[Finding]:

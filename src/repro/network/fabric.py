@@ -60,9 +60,6 @@ class FluidLink:
         self.capacity = float(capacity)
         self.name = name
 
-    def __repr__(self) -> str:
-        return f"<FluidLink {self.name} {units.gib_per_s(self.capacity):.2f} GiB/s>"
-
 
 class Endpoint:
     """A network attachment point with optional per-direction shapers.
@@ -80,9 +77,6 @@ class Endpoint:
         self.ingress = ingress
         self.egress = egress
         self.links = tuple(links)
-
-    def __repr__(self) -> str:
-        return f"<Endpoint {self.name}>"
 
 
 class Flow:
@@ -122,13 +116,6 @@ class Flow:
             id(c) for c in self._constraints)  # repro-lint: disable=DET004 identity token, never ordered
 
     @property
-    def remaining(self) -> float:
-        """Bytes still to transfer; ``inf`` for open-ended flows."""
-        if self.size is None:
-            return float("inf")
-        return max(0.0, self.size - self.transferred)
-
-    @property
     def active(self) -> bool:
         """Whether the flow is still in the fabric."""
         return self.finished_at is None
@@ -155,10 +142,6 @@ class Flow:
     def stop(self) -> None:
         """Terminate an open-ended flow now."""
         self.fabric.stop_flow(self)
-
-    def __repr__(self) -> str:
-        return (f"<Flow #{self.id} {self.src.name}->{self.dst.name} "
-                f"{self.transferred:.0f}B rate={self.rate:.0f}B/s>")
 
 
 class _ConstraintState:

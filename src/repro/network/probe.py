@@ -22,11 +22,6 @@ class ProbeSample:
     time: float
     bytes: float
 
-    @property
-    def rate(self) -> float:
-        """This sample's byte count as an instantaneous value."""
-        return self.bytes
-
 
 @dataclass
 class ProbeSeries:
@@ -42,10 +37,6 @@ class ProbeSeries:
     def times(self) -> list[float]:
         """Sample timestamps (end of each interval)."""
         return [sample.time for sample in self.samples]
-
-    def total_bytes(self) -> float:
-        """Sum of bytes over all samples."""
-        return sum(sample.bytes for sample in self.samples)
 
     def peak_rate(self) -> float:
         """Maximum per-interval rate observed."""

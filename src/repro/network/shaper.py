@@ -93,7 +93,7 @@ class TokenBucketShaper:
         self._next_grant_at = self.grant_interval
         #: When the shaper last went idle (None while active).
         self._idle_since: float | None = None
-        # Telemetry is captured at construction: enable() must precede
+        # Telemetry is captured at construction: recording() must wrap
         # simulation setup. Disabled recorders cost one None-check here.
         recorder = get_recorder()
         if recorder.enabled:
@@ -198,10 +198,6 @@ class TokenBucketShaper:
                 and now - self._idle_since >= IDLE_REFILL_MIN_S):
             self._level = max(self._level, self.idle_refill_level)
         self._idle_since = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TokenBucketShaper {self.mode} level={self._level:.0f} "
-                f"one_off={self.one_off_remaining:.0f}>")
 
 
 class _Load:

@@ -36,7 +36,6 @@ from repro.obs.slo import (
     SLOEngine,
     SLOPolicy,
     SlidingWindow,
-    evaluate_offline,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "SlidingWindow",
     "TailSampler",
     "bundle_digest",
-    "evaluate_offline",
     "profile_recorder",
     "profile_spans",
     "verify_bundle",

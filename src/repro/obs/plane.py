@@ -246,14 +246,3 @@ class ReplayObsPlane:
 
     def slo_report(self, now: float) -> dict:
         return self.engine.report(now)
-
-    def summary(self, now: float) -> dict:
-        """JSON-ready roll-up of everything the plane observed."""
-        self._sync_sampler()
-        return {
-            "slo": self.slo_report(now),
-            "sampling": self.sampler.summary(),
-            "incidents": self.flight.incidents,
-            "alerts_fired": len(self.engine.alerts),
-            "fleet": self.fleet_snapshot,
-        }

@@ -28,7 +28,7 @@ perturb the run it observes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,6 @@ class SLOPolicy:
     def budget_fraction(self) -> float:
         """The error budget: the bad fraction the objective tolerates."""
         return 1.0 - self.objective
-
-    def is_good(self, latency_s: float, error: bool = False) -> bool:
-        """Whether one served event meets the objective."""
-        return not error and latency_s <= self.latency_s
 
 
 @dataclass(frozen=True)
@@ -261,10 +257,6 @@ class SLOEngine:
 
     # -- views -------------------------------------------------------------
 
-    def scopes(self) -> list[str]:
-        """Every scope that has recorded events, sorted."""
-        return sorted(self._scopes)
-
     def budget_consumed(self, scope: str) -> float:
         """Fraction of the scope's cumulative error budget spent.
 
@@ -309,41 +301,3 @@ class SLOEngine:
             "scopes": scopes,
             "alerts": [alert.to_dict() for alert in self.alerts],
         }
-
-
-@dataclass(frozen=True)
-class _Event:
-    """Internal: one (time, scope, good) tuple for offline evaluation."""
-
-    t: float
-    seq: int
-    scope: str
-    good: bool = field(compare=False)
-
-
-def evaluate_offline(policy: SLOPolicy, events, window_end: float,
-                     tick_s: float = 30.0) -> dict:
-    """Feed unordered ``(t, scope, good)`` events through a fresh engine.
-
-    The serving layer keeps per-tenant completion records rather than a
-    merged timeline; this helper sorts them (ties broken by input
-    order, so the result is deterministic), replays them through an
-    :class:`SLOEngine` with periodic evaluation every ``tick_s``, and
-    returns the final report. Pure function — same inputs, same bytes.
-    """
-    engine = SLOEngine(policy)
-    ordered = sorted(
-        (_Event(t=float(t), seq=seq, scope=scope, good=bool(good))
-         for seq, (t, scope, good) in enumerate(events)),
-        key=lambda e: (e.t, e.seq))
-    next_tick = tick_s
-    for event in ordered:
-        while event.t >= next_tick:
-            engine.evaluate(next_tick)
-            next_tick += tick_s
-        engine.record(event.t, event.scope, event.good)
-    while next_tick <= window_end:
-        engine.evaluate(next_tick)
-        next_tick += tick_s
-    engine.evaluate(window_end)
-    return engine.report(window_end)

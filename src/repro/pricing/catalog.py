@@ -201,11 +201,6 @@ class StoragePricing:
             * self.write_transfer_per_gib
         return cost
 
-    def storage_cost(self, stored_bytes: float, duration_s: float) -> float:
-        """Cost of keeping ``stored_bytes`` for ``duration_s`` seconds."""
-        months = duration_s / units.MONTH
-        return (stored_bytes / units.GiB) * months * self.storage_per_gib_month
-
 
 #: Table 2 of the paper, converted to dollars.
 STORAGE_PRICES: dict[str, StoragePricing] = {

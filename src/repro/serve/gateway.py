@@ -225,11 +225,6 @@ class QueryGateway:
 
     # -- queue access (scheduler side) -------------------------------------
 
-    def pending(self, tenant_name: str) -> int:
-        """Backlog depth of one tenant."""
-        queue = self.queues.get(tenant_name)
-        return len(queue) if queue is not None else 0
-
     @property
     def total_pending(self) -> int:
         """Backlog across all tenants (maintained incrementally; O(1))."""

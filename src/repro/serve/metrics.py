@@ -11,7 +11,7 @@ is traffic not served within its deadline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.stats import percentiles
 
@@ -86,11 +86,6 @@ class TenantReport:
     recovered: int = 0
 
     @property
-    def shed_rate(self) -> float:
-        """Fraction of offered queries turned away at admission."""
-        return self.shed / self.offered if self.offered else 0.0
-
-    @property
     def cost_per_query(self) -> float:
         """Dollars per served query (see :func:`cost_per_query`)."""
         return cost_per_query(self.cost_usd, self.completed, self.offered)
@@ -143,10 +138,6 @@ class ServingMetrics:
         self.failed.setdefault(tenant, []).append(at)
 
     # -- views -------------------------------------------------------------
-
-    def tenants(self) -> list[str]:
-        """Every tenant that offered traffic, in first-seen order."""
-        return list(self.offered)
 
     def completed_count(self, tenant: str) -> int:
         """Served queries of one tenant."""

@@ -84,11 +84,6 @@ class ServingOutcome:
     peak_concurrent_queries: int
     warm_stats: Optional[WarmPoolStats] = None
     warm_cost_usd: float = 0.0
-    #: Optional SLO-engine report (error budgets, burn-rate alerts)
-    #: attached when the run was given an ``slo_policy``. ``None`` — the
-    #: default — keeps :meth:`summary` and :meth:`to_json` byte-stable
-    #: for existing runs and goldens.
-    slo: Optional[dict] = None
 
     @property
     def total_offered(self) -> int:
@@ -154,8 +149,6 @@ class ServingOutcome:
             out[f"{name}.shed"] = report.shed
             out[f"{name}.failed"] = report.failed
             out[f"{name}.recovered"] = report.recovered
-        if self.slo is not None:
-            out["slo"] = self.slo
         return out
 
     def to_json(self) -> str:
@@ -183,8 +176,7 @@ def run_serving_workload(workloads: list[TenantWorkload],
                          warm_targets: Optional[dict[str, int]] = None,
                          warm_interval_s: float = 240.0,
                          fault_plan=None,
-                         recovery=None,
-                         slo_policy=None) -> ServingOutcome:
+                         recovery=None) -> ServingOutcome:
     """Serve a multi-tenant Poisson mix on the simulated platform.
 
     Each tenant's arrivals come from its own named RNG stream, so the
@@ -195,12 +187,6 @@ def run_serving_workload(workloads: list[TenantWorkload],
     ``fault_plan`` (a :class:`~repro.chaos.plan.FaultPlan` or plan name)
     installs a chaos injector over the run; ``recovery`` configures the
     engine's task-level fault tolerance.
-
-    ``slo_policy`` (a :class:`~repro.obs.slo.SLOPolicy`) evaluates the
-    run's completion/shed/failure timeline offline through the SLO
-    engine — per-tenant-class scopes plus the fleet roll-up — and
-    attaches the resulting error-budget/burn-rate report as
-    ``outcome.slo``. Purely post-hoc: the run itself is unchanged.
     """
     if not workloads:
         raise ValueError("need at least one tenant workload")
@@ -266,26 +252,10 @@ def run_serving_workload(workloads: list[TenantWorkload],
         w.tenant.name: metrics.tenant_report(w.tenant.name,
                                              w.tenant.slo_latency_s)
         for w in workloads}
-    slo = None
-    if slo_policy is not None:
-        from repro.obs.slo import evaluate_offline
-        events = []
-        for tenant, records in sorted(metrics.completed.items()):
-            for record in records:
-                good = slo_policy.is_good(record.latency)
-                events.append((record.finished_at, f"tenant:{tenant}", good))
-                events.append((record.finished_at, "fleet", good))
-        for kind in (metrics.shed, metrics.failed):
-            for tenant, stamps in sorted(kind.items()):
-                for at in stamps:
-                    events.append((at, f"tenant:{tenant}", False))
-                    events.append((at, "fleet", False))
-        slo = evaluate_offline(slo_policy, events, window_s)
     return ServingOutcome(
         policy=policy, window_s=window_s, seed=seed, reports=reports,
         governor_cap=governor.max_queries,
         peak_concurrent_queries=governor.peak_in_flight,
         warm_stats=manager.stats if manager is not None else None,
         warm_cost_usd=manager.ping_cost_usd() if manager is not None
-        else 0.0,
-        slo=slo)
+        else 0.0)

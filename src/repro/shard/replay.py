@@ -568,20 +568,6 @@ def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
     return fabric.finish()
 
 
-
-
-def _lane_columns(times: np.ndarray, plans: np.ndarray):
-    """Every op's outcome if it were dispatched on arrival, as arrays.
-
-    ``(finish, latency, cost)``: per op, what the scalar dispatch at
-    ``start = now`` computes — ``now + plan``, ``finish - now`` and
-    ``plan * _USD_PER_SLOT_SECOND`` — bit for bit (one IEEE operation
-    each, the same as Python's).
-    """
-    finish = times + plans
-    return finish, finish - times, plans * _USD_PER_SLOT_SECOND
-
-
 def _buckets(latency: np.ndarray) -> np.ndarray:
     """``LatencyHistogram.record``'s bucket of every latency, bit for bit.
 
@@ -721,7 +707,12 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
         return
 
     n = len(times)
-    finish, latency, cost = _lane_columns(times, plans)
+    # Every op's outcome if it were dispatched on arrival, as arrays:
+    # what the scalar dispatch at ``start = now`` computes, bit for bit
+    # (one IEEE operation each, the same as Python's).
+    finish = times + plans
+    latency = finish - times
+    cost = plans * _USD_PER_SLOT_SECOND
     time_of = times.tolist()
     plan_of = plans.tolist()
     key_of = keys.tolist()

@@ -86,12 +86,6 @@ class HashRing:
         """Member node names, sorted."""
         return sorted(self._node_points)
 
-    def __len__(self) -> int:
-        return len(self._node_points)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._node_points
-
     def points_of(self, name: str) -> list[int]:
         """The virtual points a node currently owns (sorted)."""
         return sorted(self._node_points[name])

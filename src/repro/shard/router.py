@@ -17,9 +17,9 @@ and load window, and hands the admissions back as per-shard op streams
 instead of performing them. It works on arrays, not events, which
 needs tenants that are dense integer keys: a router built over a
 ``key_space`` keeps its route cache as arrays over those keys
-(:class:`_KeyedRoutes`), and every path — ``route``, ``_refresh``, the
-control plane's re-homing, ``route_batch`` — reads and writes that one
-cache. Without a key space the cache is an ``OrderedDict`` by name.
+(:class:`_KeyedRoutes`), which ``route_batch`` and ``_refresh`` (so the
+control plane's re-homing too) read and write. Without a key space the
+cache is an ``OrderedDict`` by name.
 
 The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``)
 keeps the admitted-work invariant: whenever a shard is retired or loses
@@ -106,25 +106,11 @@ class _KeyedRoutes:
             self.routes.append(route)
         return code
 
-    def get(self, tenant: str) -> Optional[Route]:
-        key = self.key(tenant)
-        if self.seq[key] > max(self.inserts - self.capacity, 0):
-            return self.routes[self.code[key]]
-        return None
-
     def put(self, key: int, route: Route) -> None:
         if self.seq[key] <= max(self.inserts - self.capacity, 0):
             self.inserts += 1
             self.seq[key] = self.inserts
         self.code[key] = self.code_of(route)
-
-    def cached(self) -> list[tuple[str, Route]]:
-        """The cached ``(tenant, route)`` pairs, oldest insertion first."""
-        keys = np.flatnonzero(
-            self.seq > max(self.inserts - self.capacity, 0))
-        keys = keys[self.seq[keys].argsort()]
-        return [(f"{self.prefix}{key}", self.routes[self.code[key]])
-                for key in keys.tolist()]
 
     def touch(self, keys: np.ndarray, codes: np.ndarray,
               stale: np.ndarray) -> tuple[list[int], list[int]]:
@@ -197,13 +183,11 @@ class ShardRouter:
                  route_cache_size: int = DEFAULT_ROUTE_CACHE,
                  gateway_factory: Optional[Callable[..., QueryGateway]]
                  = None,
-                 directory: Optional[PartitionDirectory] = None,
                  key_space: Optional[tuple[str, int]] = None) -> None:
         if route_cache_size <= 0:
             raise ValueError("route_cache_size must be positive")
         self.env = env
-        self.directory = directory if directory is not None \
-            else PartitionDirectory(shards=shards, vnodes=vnodes)
+        self.directory = PartitionDirectory(shards=shards, vnodes=vnodes)
         self.max_pending = max_pending
         self.default_tenant = default_tenant
         self.slo_latency_s = slo_latency_s
@@ -272,9 +256,12 @@ class ShardRouter:
     # -- data plane --------------------------------------------------------
 
     def route(self, tenant: str) -> Route:
-        """The cached route of a tenant (refreshed when invalid)."""
-        route = self._routes.get(tenant) if self._keyed is None \
-            else self._keyed.get(tenant)
+        """The cached route of a tenant (refreshed when invalid).
+
+        A keyed router caches routes for :meth:`route_batch` only: here
+        it refreshes every time, which inserts the key as a miss would.
+        """
+        route = self._routes.get(tenant)
         if route is None or route.shard not in self.gateways:
             route = self._refresh(tenant)
         return route

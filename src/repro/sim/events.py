@@ -88,11 +88,6 @@ class Event:
         """Mark a failed event as handled so the kernel does not abort."""
         self._defused = True
 
-    def __repr__(self) -> str:
-        state = "processed" if self.processed else (
-            "triggered" if self.triggered else "pending")
-        return f"<{type(self).__name__} {state} at {id(self):#x}>"  # repro-lint: disable=DET004 debug repr only, never feeds artifacts
-
 
 class Timeout(Event):
     """An event that triggers after a fixed delay of simulated time."""
@@ -119,9 +114,6 @@ class Timeout(Event):
             env._lanes[1].append(self)
         else:
             heapq.heappush(env._queue, (when, 1, env._seq, self))
-
-    def __repr__(self) -> str:
-        return f"<Timeout delay={self._delay} at {id(self):#x}>"  # repro-lint: disable=DET004 debug repr only, never feeds artifacts
 
 
 class Step(Event):
@@ -179,11 +171,6 @@ class Process(Event):
     def generator(self) -> Generator[Event, Any, Any]:
         """The underlying generator (read-only; identity checks only)."""
         return self._generator
-
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting for, if any."""
-        return self._target
 
     @property
     def is_alive(self) -> bool:
@@ -268,9 +255,6 @@ class Process(Event):
         self._ok = ok
         self._value = value
         self.env.schedule(self)
-
-    def __repr__(self) -> str:
-        return f"<Process {self.name!r} at {id(self):#x}>"  # repro-lint: disable=DET004 debug repr only, never feeds artifacts
 
 
 class ConditionValue(dict):

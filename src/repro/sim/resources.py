@@ -56,19 +56,9 @@ class Resource:
         self._seq = 0
 
     @property
-    def capacity(self) -> int:
-        """Total number of units this resource can grant concurrently."""
-        return self._capacity
-
-    @property
     def count(self) -> int:
         """Number of units currently granted."""
         return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a unit."""
-        return len(self._queue)
 
     def request(self, priority: int = 0) -> Request:
         """Ask for one unit; lower ``priority`` values are served first."""

@@ -27,11 +27,6 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
-    @property
-    def seed(self) -> int:
-        """Root seed all streams are derived from."""
-        return self._seed
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 

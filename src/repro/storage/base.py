@@ -4,10 +4,10 @@ A :class:`StorageService` really stores payloads (the query engine keeps
 its Parquet-like files and shuffle intermediates in them) and exposes two
 request paths:
 
-* a **discrete** path (:meth:`StorageService.get` / :meth:`put`), simulated
-  per request with admission control, a sampled first-byte latency, and a
-  data transfer over the network fabric — used by the query engine and
-  latency experiments;
+* a **discrete** path (:meth:`StorageService.get_range` / :meth:`put`),
+  simulated per request with admission control, a sampled first-byte
+  latency, and a data transfer over the network fabric — used by the
+  query engine and latency experiments;
 * a **fluid** path (:meth:`StorageService.offer_load`), which admits an
   aggregate request *rate* over a time step — used by the IOPS scaling
   experiments, whose paper originals issue tens of millions of requests
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.network.fabric import Endpoint, Fabric, Flow, FluidLink
 from repro.sim import Environment, RandomStreams
-from repro.storage.errors import NoSuchKey
+from repro.storage.errors import ItemTooLarge, NoSuchKey, Throttled
 from repro.storage.latency import LatencyModel
 from repro.telemetry import get_recorder
 
@@ -94,14 +94,9 @@ class RequestStats:
         return total
 
     @property
-    def successes(self) -> int:
-        """Requests that completed successfully."""
-        return self.total(outcome="ok")
-
-    @property
     def failures(self) -> int:
         """Requests that were throttled, timed out, or otherwise failed."""
-        return self.total() - self.successes
+        return self.total() - self.total(outcome="ok")
 
 
 @dataclass
@@ -117,13 +112,19 @@ class FluidAdmission:
 class StorageService:
     """Base class for the storage simulators.
 
-    Subclasses configure latency models, service-level bandwidth caps, and
-    implement admission control via :meth:`_admit_one` (discrete path) and
-    :meth:`_admit_rate` (fluid path).
+    Subclasses configure latency models, service-level bandwidth caps and
+    ``read_iops``/``write_iops`` quotas. The default admission control
+    caps the fluid path at the quotas (:meth:`_admit_rate`) and gives the
+    discrete path a token bucket per direction holding :attr:`burst_s`
+    seconds of quota (:meth:`_admit_one`), started full by the subclass.
     """
 
     #: Human-readable service name, overridden by subclasses.
     name = "storage"
+    #: Seconds of quota a full discrete token bucket holds.
+    burst_s = 1.0
+    #: Error a throttled discrete request raises.
+    throttle_error: type = Throttled
 
     def __init__(self, env: Environment, fabric: Fabric,
                  rng: RandomStreams,
@@ -187,24 +188,6 @@ class StorageService:
                 # Or this frame, kept by the traceback, keeps the error.
                 del error
 
-    def get(self, key: str, endpoint: Optional[Endpoint] = None):
-        """Process: read the object at ``key``.
-
-        Returns the :class:`StorageObject`. Raises the service's throttle
-        error type if admission fails, :class:`NoSuchKey` if absent.
-        """
-        self.check_fault(RequestType.GET, key)
-        self._admit_one(RequestType.GET, key)
-        obj = self._objects.get(key)
-        if obj is None:
-            self.stats.record(RequestType.GET, "missing")
-            raise NoSuchKey(key)
-        latency = self.read_latency.sample_one(self._rng)
-        yield self.env.timeout(latency)
-        yield from self._transfer(RequestType.GET, obj.size, endpoint)
-        self.stats.record(RequestType.GET, "ok", nbytes=obj.size)
-        return obj
-
     def get_range(self, key: str, offset: float, length: float,
                   endpoint: Optional[Endpoint] = None):
         """Process: read ``length`` bytes of ``key`` starting at ``offset``.
@@ -248,7 +231,9 @@ class StorageService:
         nbytes = float(size if size is not None else _payload_size(payload))
         if self.max_item_size is not None and nbytes > self.max_item_size:
             self.stats.record(RequestType.PUT, "too-large")
-            self._reject_too_large(nbytes)
+            raise ItemTooLarge(
+                f"{self.name}: item of {nbytes:.0f} B exceeds the "
+                f"{self.max_item_size:.0f} B limit")
         self.check_fault(RequestType.PUT, key)
         self._admit_one(RequestType.PUT, key)
         latency = self.write_latency.sample_one(self._rng)
@@ -280,11 +265,6 @@ class StorageService:
         if obj is None:
             raise NoSuchKey(key)
         return obj
-
-    @property
-    def stored_bytes(self) -> float:
-        """Sum of logical sizes of all stored objects."""
-        return sum(obj.size for obj in self._objects.values())
 
     # -- fluid request path ---------------------------------------------------
 
@@ -322,25 +302,44 @@ class StorageService:
         self.stats.record(op, "ok", count=count)
         return model.sample(self._rng, size=count)
 
-    # -- subclass hooks ---------------------------------------------------------
+    # -- admission control ------------------------------------------------------
+
+    def _refresh_tokens(self) -> None:
+        elapsed = self.env.now - self._tokens_at
+        if elapsed <= 0:
+            return
+        self._read_tokens = min(self.read_iops * self.burst_s,
+                                self._read_tokens + elapsed * self.read_iops)
+        self._write_tokens = min(self.write_iops * self.burst_s,
+                                 self._write_tokens + elapsed * self.write_iops)
+        self._tokens_at = self.env.now
 
     def _admit_one(self, op: RequestType, key: str) -> None:
         """Admission control for a single discrete request.
 
-        Raise the service's throttle error to reject. Default: admit.
+        Raises :attr:`throttle_error` when the direction's bucket is empty.
         """
+        self._refresh_tokens()
+        if op is RequestType.GET:
+            if self._read_tokens < 1.0:
+                self.stats.record(op, "throttled")
+                raise self.throttle_error(f"{self.name}: read IOPS exceeded")
+            self._read_tokens -= 1.0
+        else:
+            if self._write_tokens < 1.0:
+                self.stats.record(op, "throttled")
+                raise self.throttle_error(f"{self.name}: write IOPS exceeded")
+            self._write_tokens -= 1.0
 
     def _admit_rate(self, read_iops: float, write_iops: float,
                     elapsed: float, now: float) -> FluidAdmission:
-        """Admission control for the fluid path. Default: admit everything."""
-        return FluidAdmission(accepted_read=read_iops, rejected_read=0.0,
-                              accepted_write=write_iops, rejected_write=0.0)
-
-    def _reject_too_large(self, nbytes: float) -> None:
-        from repro.storage.errors import ItemTooLarge
-        raise ItemTooLarge(
-            f"{self.name}: item of {nbytes:.0f} B exceeds the "
-            f"{self.max_item_size:.0f} B limit")
+        """Admission control for the fluid path: the quotas are the cap."""
+        ok_read = min(read_iops, self.read_iops)
+        ok_write = min(write_iops, self.write_iops)
+        return FluidAdmission(accepted_read=ok_read,
+                              rejected_read=read_iops - ok_read,
+                              accepted_write=ok_write,
+                              rejected_write=write_iops - ok_write)
 
     # -- helpers -----------------------------------------------------------------
 

@@ -64,11 +64,6 @@ class RetryingClient:
         #: the same retry/backoff classification as real ones.
         self.fault_hook = None
 
-    def get(self, key: str):
-        """Process: read ``key`` with retries. Returns the StorageObject."""
-        result = yield from self._with_retries("get", key, None, None)
-        return result
-
     def get_range(self, key: str, offset: float, length: float):
         """Process: ranged read with retries. Returns the StorageObject."""
         result = yield from self._with_retries("get-range", key, None, None,
@@ -81,8 +76,6 @@ class RetryingClient:
         return result
 
     def _attempt(self, op: str, key: str, payload, size, offset, length):
-        if op == "get":
-            return self.service.get(key, endpoint=self.endpoint)
         if op == "get-range":
             return self.service.get_range(key, offset, length,
                                           endpoint=self.endpoint)

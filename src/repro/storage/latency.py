@@ -58,11 +58,6 @@ class LatencyModel:
         object.__setattr__(self, "_sigma", sigma)
         object.__setattr__(self, "_mu", math.log(self.median))
 
-    @property
-    def sigma(self) -> float:
-        """Lognormal shape parameter implied by the median/p95 pair."""
-        return self._sigma
-
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` latencies (seconds) as a numpy array."""
         body = rng.lognormal(mean=self._mu, sigma=self._sigma, size=size)

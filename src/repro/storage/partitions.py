@@ -191,14 +191,6 @@ class PartitionTree:
             f"{self.telemetry_prefix}.p{index}.{direction}_iops",
             min_dt=0.05).sample(now, len(log) / IOPS_WINDOW_S)
 
-    def _note_resize(self, now: float, kind: str) -> None:
-        self.telemetry.event(now, f"partition.{kind}", category="storage",
-                             prefix=self.telemetry_prefix,
-                             partitions=len(self.partitions))
-        self.telemetry.timeseries(
-            f"{self.telemetry_prefix}.partition_count").sample(
-            now, float(len(self.partitions)))
-
     def _fresh(self, low: float, high: float) -> Partition:
         self._partition_seq += 1
         return Partition(low=low, high=high, uid=self._partition_seq,
@@ -211,16 +203,6 @@ class PartitionTree:
     def partition_count(self) -> int:
         """Number of leaf partitions currently serving the bucket."""
         return len(self.partitions)
-
-    @property
-    def total_read_iops(self) -> float:
-        """Aggregate read quota across all partitions."""
-        return sum(p.read_quota for p in self.partitions)
-
-    @property
-    def total_write_iops(self) -> float:
-        """Aggregate write quota across all partitions."""
-        return sum(p.write_quota for p in self.partitions)
 
     def partition_for(self, key: str) -> Partition:
         """The partition owning ``key``."""
@@ -327,8 +309,6 @@ class PartitionTree:
             self.retile(self.partition_count + 1, now)
             self.split_count += 1
             self._last_split_at = now
-            if self.telemetry is not None:
-                self._note_resize(now, "split")
         return FluidStep(accepted_read=accepted_r, rejected_read=rejected_r,
                          accepted_write=accepted_w, rejected_write=rejected_w)
 
@@ -345,13 +325,9 @@ class PartitionTree:
             merged.tokens_updated_at = now
             self.merge_count += len(self.partitions) - 1
             self.partitions = [merged]
-            if self.telemetry is not None:
-                self._note_resize(now, "merge")
         elif (idle >= self.first_merge_idle_s
               and len(self.partitions) > PARTITIONS_AFTER_FIRST_MERGE):
             self._collapse_to(PARTITIONS_AFTER_FIRST_MERGE, now)
-            if self.telemetry is not None:
-                self._note_resize(now, "merge")
 
     def _collapse_to(self, target: int, now: float) -> None:
         """Merge adjacent partitions until only ``target`` remain."""

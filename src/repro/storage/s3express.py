@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro import units
 from repro.network.fabric import Fabric
 from repro.sim import Environment, RandomStreams
-from repro.storage.base import FluidAdmission, RequestType, StorageService
+from repro.storage.base import StorageService
 from repro.storage.errors import SlowDown
 from repro.storage.latency import LatencyModel
 
@@ -40,6 +40,7 @@ class S3Express(StorageService):
     """S3 Express One Zone: pre-warmed, low-latency, account-level quotas."""
 
     name = "s3-express"
+    throttle_error = SlowDown
 
     def __init__(self, env: Environment, fabric: Fabric, rng: RandomStreams,
                  read_iops: float = EXPRESS_READ_IOPS,
@@ -54,35 +55,3 @@ class S3Express(StorageService):
         self._read_tokens = self.read_iops
         self._write_tokens = self.write_iops
         self._tokens_at = env.now
-
-    def _refresh_tokens(self) -> None:
-        elapsed = self.env.now - self._tokens_at
-        if elapsed <= 0:
-            return
-        self._read_tokens = min(self.read_iops,
-                                self._read_tokens + elapsed * self.read_iops)
-        self._write_tokens = min(self.write_iops,
-                                 self._write_tokens + elapsed * self.write_iops)
-        self._tokens_at = self.env.now
-
-    def _admit_one(self, op: RequestType, key: str) -> None:
-        self._refresh_tokens()
-        if op is RequestType.GET:
-            if self._read_tokens < 1.0:
-                self.stats.record(op, "throttled")
-                raise SlowDown("s3-express: account read IOPS exceeded")
-            self._read_tokens -= 1.0
-        else:
-            if self._write_tokens < 1.0:
-                self.stats.record(op, "throttled")
-                raise SlowDown("s3-express: account write IOPS exceeded")
-            self._write_tokens -= 1.0
-
-    def _admit_rate(self, read_iops: float, write_iops: float,
-                    elapsed: float, now: float) -> FluidAdmission:
-        ok_read = min(read_iops, self.read_iops)
-        ok_write = min(write_iops, self.write_iops)
-        return FluidAdmission(accepted_read=ok_read,
-                              rejected_read=read_iops - ok_read,
-                              accepted_write=ok_write,
-                              rejected_write=write_iops - ok_write)

@@ -1,7 +1,7 @@
 """Simulation-wide observability: metrics, spans, and exporters.
 
 The default recorder is a no-op; wrap simulation construction in
-:func:`recording` (or call :func:`enable` first) to capture telemetry::
+:func:`recording` to capture telemetry::
 
     from repro.telemetry import recording
     from repro.telemetry.export import chrome_trace, metrics_snapshot
@@ -38,8 +38,6 @@ from repro.telemetry.recorder import (
     KernelMonitor,
     NullRecorder,
     TelemetryRecorder,
-    disable,
-    enable,
     get_recorder,
     recording,
     set_recorder,
@@ -59,8 +57,6 @@ __all__ = [
     "TimeSeries",
     "canonical_json",
     "chrome_trace",
-    "disable",
-    "enable",
     "get_recorder",
     "metrics_snapshot",
     "parent_ids",

@@ -143,13 +143,6 @@ def chrome_trace(recorder, include_counters: bool = True,
             "ts": _us(span.start), "dur": _us(end - span.start),
             "pid": pid, "tid": lane, "args": args,
         })
-        for ev in span.events:
-            ev_args = {k: v for k, v in ev.items() if k not in ("t", "name")}
-            trace_events.append({
-                "name": ev["name"], "cat": span.category, "ph": "i",
-                "ts": _us(ev["t"]), "pid": pid, "tid": lane, "s": "t",
-                "args": round_floats(ev_args),
-            })
 
     if recorder.events and selected is None:
         trace_events.append({

@@ -157,10 +157,6 @@ class TimeSeries:
         """The sampled values, in time order."""
         return [v for _, v in self.points]
 
-    def times(self) -> list[float]:
-        """The sample timestamps, in time order."""
-        return [t for t, _ in self.points]
-
 
 class MetricRegistry:
     """Lazily creates and caches instruments by dotted name."""

@@ -162,26 +162,6 @@ class TelemetryRecorder:
             entry.update(attrs)
         self.events.append(entry)
 
-    # -- views ---------------------------------------------------------------
-
-    def traces(self) -> list[str]:
-        """Trace ids in first-appearance order."""
-        seen: list[str] = []
-        for span in self.spans:
-            if span.trace_id not in seen:
-                seen.append(span.trace_id)
-        return seen
-
-    def spans_of(self, trace_id: str) -> list[Span]:
-        """All spans of one trace, in creation order."""
-        return [span for span in self.spans if span.trace_id == trace_id]
-
-    def children_of(self, span: Span) -> list[Span]:
-        """Direct children of ``span``, in creation order."""
-        return [s for s in self.spans
-                if s.trace_id == span.trace_id
-                and s.parent_id == span.span_id]
-
     # -- attachment ----------------------------------------------------------
 
     def attach_kernel(self, env) -> None:
@@ -195,9 +175,6 @@ class _NullSpan(Span):
     def __init__(self) -> None:
         super().__init__(trace_id="null", span_id=0, parent_id=None,
                          name="null", category="null", start=0.0, end=0.0)
-
-    def add_event(self, t, name, **attrs) -> None:
-        pass
 
     def finish(self, t, **attrs) -> "Span":
         return self
@@ -278,18 +255,6 @@ def set_recorder(recorder) -> object:
     previous = _current
     _current = recorder  # repro-lint: disable=CONC001 deliberate process-wide switch: recording is per-run, installed before the run starts and restored after it drains
     return previous
-
-
-def enable() -> TelemetryRecorder:
-    """Install (and return) a fresh :class:`TelemetryRecorder`."""
-    recorder = TelemetryRecorder()
-    set_recorder(recorder)
-    return recorder
-
-
-def disable() -> None:
-    """Restore the no-op default recorder."""
-    set_recorder(NULL_RECORDER)
 
 
 @contextlib.contextmanager

@@ -33,24 +33,11 @@ class Span:
     start: float
     end: Optional[float] = None
     attrs: dict = field(default_factory=dict)
-    events: list[dict] = field(default_factory=list)
 
     @property
     def duration(self) -> float:
         """Span length in virtual seconds (0 while still open)."""
         return (self.end - self.start) if self.end is not None else 0.0
-
-    @property
-    def finished(self) -> bool:
-        """Whether the span has been closed."""
-        return self.end is not None
-
-    def add_event(self, t: float, name: str, **attrs) -> None:
-        """Attach a point-in-time event to this span."""
-        event = {"t": t, "name": name}
-        if attrs:
-            event.update(attrs)
-        self.events.append(event)
 
     def finish(self, t: float, **attrs) -> "Span":
         """Close the span at virtual time ``t`` (idempotent)."""

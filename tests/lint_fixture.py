@@ -1,8 +1,8 @@
-"""`repro lint --self-test`: prove every checker still fires.
+"""The linter's self-test: prove every checker still fires.
 
 A checker that silently stops matching is worse than no checker — the
 gate keeps passing while the invariant rots. The self-test runs the
-full checker set against a bundled fixture module of known violations
+full checker set against a fixture module of known violations
 and compares the findings against expectations *written inline in the
 fixture itself* (``# expect: DET001`` on the offending line, or
 ``# expect-next: LNT001`` on the line before when the offending line

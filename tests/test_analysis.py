@@ -67,7 +67,8 @@ class TestFitting:
         ys = [2 * x * x + 3 * x + 1 for x in xs]
         fit = fit_polynomial(xs, ys, degree=2)
         assert fit(10) == pytest.approx(231, rel=1e-6)
-        np.testing.assert_allclose(fit.residuals(xs, ys), 0, atol=1e-8)
+        np.testing.assert_allclose(fit(np.array(xs, dtype=float)), ys,
+                                   atol=1e-8)
 
     def test_insufficient_points_rejected(self):
         with pytest.raises(ValueError):

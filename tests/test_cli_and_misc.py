@@ -110,7 +110,7 @@ class TestRequestStatsExtras:
         stats.record(RequestType.GET, "ok", count=7)
         stats.record(RequestType.GET, "throttled", count=2)
         stats.record(RequestType.PUT, "timeout", count=1)
-        assert stats.successes == 7
+        assert stats.total(outcome="ok") == 7
         assert stats.failures == 3
         assert stats.total(RequestType.GET) == 9
 
@@ -123,13 +123,13 @@ class TestProbeSeries:
         ])
         assert series.rates() == [200.0, 600.0]
         assert series.times() == [0.5, 1.0]
-        assert series.total_bytes() == 400.0
+        assert sum(sample.bytes for sample in series.samples) == 400.0
         assert series.peak_rate() == 600.0
 
     def test_empty_series(self):
         series = ProbeSeries(interval=1.0)
         assert series.peak_rate() == 0.0
-        assert series.total_bytes() == 0.0
+        assert sum(sample.bytes for sample in series.samples) == 0.0
 
 
 class TestCloudSimRunHelper:

@@ -14,8 +14,6 @@ from repro.engine.expressions import (
     IfThenElse,
     InSet,
     Lit,
-    Not,
-    Or,
 )
 from repro.engine.operators import (
     AggSpec,
@@ -59,16 +57,9 @@ class TestExpressions:
     def test_compare_and_logic(self):
         batch = make_batch(x=[1, 5, 10])
         expr = And(Compare(">", Col("x"), Lit(2)),
-                   Not(Compare("==", Col("x"), Lit(10))))
+                   Compare("!=", Col("x"), Lit(10)))
         np.testing.assert_array_equal(expr.evaluate(batch),
                                       [False, True, False])
-
-    def test_or(self):
-        batch = make_batch(x=[1, 5, 10])
-        expr = Or(Compare("<", Col("x"), Lit(2)),
-                  Compare(">", Col("x"), Lit(9)))
-        np.testing.assert_array_equal(expr.evaluate(batch),
-                                      [True, False, True])
 
     def test_between_inclusive(self):
         batch = make_batch(d=[0.04, 0.05, 0.07, 0.08])

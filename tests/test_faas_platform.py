@@ -57,7 +57,7 @@ class TestInvocation:
         record = run(env, platform.invoke("noop", {"x": 1}))
         assert record.cold
         assert record.response == {"x": 1}
-        assert record.ok
+        assert record.error is None
 
     def test_second_invocation_is_warm_and_faster(self):
         env, platform = make_platform()
@@ -99,7 +99,8 @@ class TestInvocation:
         # Warm the pool, then compare warm sync vs warm async.
         warm_sync = run(env, platform.invoke("noop"))
         warm_async = run(env, platform.invoke_async("noop"))
-        assert warm_async.total_latency > warm_sync.total_latency
+        assert warm_async.finished_at - warm_async.requested_at \
+            > warm_sync.finished_at - warm_sync.requested_at
         del sync
 
     def test_sandbox_reuse_tracks_invocations(self):
@@ -185,7 +186,7 @@ class TestConcurrencyScaling:
         def scenario(env):
             procs = [env.process(platform.invoke("slow")) for _ in range(4)]
             yield env.timeout(5.0)
-            running = platform.concurrent_executions
+            running = platform._busy
             for proc in procs:
                 yield proc
             return running
@@ -225,7 +226,7 @@ class TestAsyncInvocation:
         platform.deploy(FunctionConfig(name="bad", handler=failing))
         record = run(env, platform.invoke_async("bad"))
         assert isinstance(record.error, RuntimeError)
-        assert not record.ok
+        assert record.error is not None
         assert record.response is None
 
     def test_fire_and_forget_failure_does_not_crash_kernel(self):

@@ -51,7 +51,7 @@ def sleeper(context, spec):
 class TestCallAsync:
     def test_returns_pending_future_then_resolves(self):
         env, _, executor = make_executor()
-        future = executor.call_async(square, 6)
+        future = executor.map(square, [6])[0]
         assert not future.done
         assert future.state == "pending"
         result = run(env, executor.get_result(future))
@@ -62,18 +62,9 @@ class TestCallAsync:
         assert future.attempts[0].ok
         assert future.attempts[0].cost_usd > 0
 
-    def test_status_snapshot(self):
-        env, _, executor = make_executor()
-        future = executor.call_async(square, 3)
-        run(env, executor.get_result(future))
-        status = future.status()
-        assert status["state"] == "success"
-        assert status["attempts"] == 1
-        assert status["dispatched_at"] < status["finished_at"]
-
     def test_result_before_done_raises(self):
         _, _, executor = make_executor()
-        future = executor.call_async(square, 2)
+        future = executor.map(square, [2])[0]
         with pytest.raises(RuntimeError, match="wait"):
             future.result()
 
@@ -142,7 +133,7 @@ def boom(context, data):
 class TestErrors:
     def test_handler_error_captured_on_future(self):
         env, _, executor = make_executor()
-        future = executor.call_async(boom, "x")
+        future = executor.map(boom, ["x"])[0]
         run(env, executor.wait([future]))
         assert future.state == "error"
         assert isinstance(future.error, ValueError)
@@ -154,8 +145,8 @@ class TestErrors:
 
     def test_get_result_throw_except_false_suppresses(self):
         env, _, executor = make_executor()
-        futures = [executor.call_async(square, 2),
-                   executor.call_async(boom, "y")]
+        futures = [executor.map(square, [2])[0],
+                   executor.map(boom, ["y"])[0]]
         results = run(env, executor.get_result(futures,
                                                throw_except=False))
         assert results == [4, None]
@@ -194,7 +185,7 @@ class TestRetries:
                 raise Transient("not yet")
             return data
 
-        future = executor.call_async(flaky, "ok")
+        future = executor.map(flaky, ["ok"])[0]
         result = run(env, executor.get_result(future))
         assert result == "ok"
         assert len(future.attempts) == 3
@@ -211,7 +202,7 @@ class TestRetries:
             yield context.env.timeout(0.01)
             raise Transient("forever")
 
-        future = executor.call_async(always_flaky, None)
+        future = executor.map(always_flaky, [None])[0]
         run(env, executor.wait([future]))
         assert future.state == "error"
         assert isinstance(future.error, Transient)
@@ -219,7 +210,7 @@ class TestRetries:
 
     def test_non_retryable_error_fails_immediately(self):
         env, _, executor = make_executor()
-        future = executor.call_async(boom, "z")
+        future = executor.map(boom, ["z"])[0]
         run(env, executor.wait([future]))
         assert len(future.attempts) == 1
         assert executor.invoker.retries == 0
@@ -236,7 +227,7 @@ class TestRetries:
                     raise Transient("not yet")
                 return data
 
-            future = executor.call_async(flaky, 1)
+            future = executor.map(flaky, [1])[0]
             run(env, executor.wait([future]))
             return [round(a.requested_at, 9) for a in future.attempts]
 
@@ -297,7 +288,7 @@ class TestAccounting:
     def test_summary_counts_states(self):
         env, _, executor = make_executor()
         futures = executor.map(square, range(5))
-        futures.append(executor.call_async(boom, "q"))
+        futures.append(executor.map(boom, ["q"])[0])
         run(env, executor.wait(futures))
         summary = executor.summary()
         assert summary["states"] == {"pending": 0, "running": 0,

@@ -23,23 +23,28 @@ class FakeService:
         return self._Head(self._objects[key])
 
 
+def _whole(chunk):
+    """Whether ``chunk`` covers its object end to end."""
+    return chunk.offset == 0.0 and chunk.length == chunk.object_size
+
+
 class TestPartitionObject:
     def test_no_chunk_bytes_is_one_whole_chunk(self):
         chunks = partition_object("k", 1_000.0)
         assert chunks == [DataChunk(key="k", offset=0.0, length=1_000.0,
                                     object_size=1_000.0, part=0, parts=1)]
-        assert chunks[0].whole_object
+        assert _whole(chunks[0])
 
     def test_object_smaller_than_chunk_is_one_whole_chunk(self):
         (chunk,) = partition_object("k", 100.0, chunk_bytes=256.0)
-        assert chunk.whole_object
+        assert _whole(chunk)
         assert chunk.length == 100.0
         assert chunk.parts == 1
 
     def test_zero_byte_object_is_one_empty_chunk(self):
         (chunk,) = partition_object("k", 0.0, chunk_bytes=256.0)
         assert chunk.length == 0.0
-        assert chunk.whole_object
+        assert _whole(chunk)
 
     def test_boundary_exactly_at_object_size(self):
         # 1024 / 256 divides evenly: exactly 4 chunks, no empty trailer.
@@ -114,6 +119,6 @@ class TestPartitionPrefix:
         for chunk in chunks:
             by_key.setdefault(chunk.key, []).append(chunk)
         assert len(by_key["p/small"]) == 1
-        assert by_key["p/small"][0].whole_object
+        assert _whole(by_key["p/small"][0])
         assert len(by_key["p/exact"]) == 1  # fits exactly in one chunk
         assert [c.length for c in by_key["p/big"]] == [128.0, 128.0, 44.0]

@@ -64,7 +64,8 @@ class TestFleet:
                 fleet.terminate(instance)
 
         run(env, later(env))
-        assert not any(instance.running for instance in fleet.instances)
+        assert all(instance.terminated_at is not None
+                   for instance in fleet.instances)
         assert instances[0].uptime(env.now) == pytest.approx(
             env.now - start, abs=1.0)
 

@@ -12,7 +12,7 @@ from repro.lint.framework import (
     module_name_from_path,
     parse_suppressions,
 )
-from repro.lint.selftest import run_self_test
+from tests.lint_fixture import run_self_test
 
 
 class TestSuppressionParsing:
@@ -217,10 +217,6 @@ class TestCli:
         payload = json.loads(first)
         assert payload["summary"]["findings"] == 1
         assert payload["findings"][0]["check"] == "DET001"
-
-    def test_self_test_passes(self, capsys):
-        assert main(["lint", "--self-test"]) == 0
-        assert "self-test" in capsys.readouterr().out
 
 
 class TestSelfTest:

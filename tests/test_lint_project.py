@@ -11,7 +11,7 @@ from repro.lint import all_checkers, lint_modules
 from repro.lint.concurrency import SharedStateChecker
 from repro.lint.framework import SourceModule
 from repro.lint.provenance import SeedProvenanceChecker
-from repro.lint.selftest import FIXTURE, FIXTURE_MODULE
+from tests.lint_fixture import FIXTURE, FIXTURE_MODULE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

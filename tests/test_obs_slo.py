@@ -1,15 +1,12 @@
-"""SLO engine: windows, burn-rate alerts, budgets, offline evaluation."""
+"""SLO engine: windows, burn-rate alerts, budgets."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.obs.slo import (
     BurnRule,
     SLOEngine,
     SLOPolicy,
     SlidingWindow,
-    evaluate_offline,
 )
 from repro.telemetry import canonical_json
 
@@ -36,11 +33,6 @@ class TestValidation:
 
     def test_budget_fraction(self):
         assert SLOPolicy(objective=0.99).budget_fraction == pytest.approx(0.01)
-
-    def test_is_good_classifies_latency_and_error(self):
-        assert POLICY.is_good(0.5)
-        assert not POLICY.is_good(1.5)
-        assert not POLICY.is_good(0.5, error=True)
 
 
 class TestSlidingWindow:
@@ -135,32 +127,3 @@ class TestBudget:
         assert len(report["alerts"]) == 1
         # Canonical JSON must serialize without type errors.
         canonical_json(report)
-
-
-class TestOfflineEvaluation:
-    @given(st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=300.0),
-                  st.sampled_from(["tenant:a", "tenant:b", "fleet"]),
-                  st.booleans()),
-        max_size=80))
-    @settings(max_examples=30, deadline=None)
-    def test_same_events_same_bytes(self, events):
-        """Byte-identical reports for identical inputs (determinism)."""
-        first = evaluate_offline(POLICY, events, window_end=300.0)
-        second = evaluate_offline(POLICY, events, window_end=300.0)
-        assert canonical_json(first) == canonical_json(second)
-
-    def test_counts_every_event(self):
-        events = [(10.0, "tenant:a", True)] * 5 + [(20.0, "tenant:a", False)]
-        report = evaluate_offline(POLICY, events, window_end=60.0)
-        scope = report["scopes"]["tenant:a"]
-        assert scope["total"] == 6
-        assert scope["good"] == 5
-        assert scope["attainment"] == pytest.approx(5 / 6)
-
-    def test_sustained_badness_alerts(self):
-        events = [(float(t), "fleet", False)
-                  for t in range(10, 290)]
-        report = evaluate_offline(POLICY, events, window_end=300.0)
-        assert len(report["alerts"]) >= 1
-        assert report["alerts"][0]["scope"] == "fleet"

@@ -10,6 +10,16 @@ from repro.engine.queries import tpch_q6
 from repro.storage.partitions import PartitionTree, key_point
 
 
+def _read_quota(tree):
+    """Aggregate read quota across the tree's partitions."""
+    return sum(partition.read_quota for partition in tree.partitions)
+
+
+def _write_quota(tree):
+    """Aggregate write quota across the tree's partitions."""
+    return sum(partition.write_quota for partition in tree.partitions)
+
+
 class TestPrefixNamingInvariance:
     """Section 4.4.1: prefix naming (e.g. hashed keys) does not impact
     IOPS scaling — the hash-space mapping spreads any naming scheme."""
@@ -46,7 +56,7 @@ class TestPrefixNamingInvariance:
             tree = PartitionTree()
             now = 0.0
             while tree.partition_count < 3:
-                tree.offer_load(1.2 * tree.total_read_iops, 0.0,
+                tree.offer_load(1.2 * _read_quota(tree), 0.0,
                                 elapsed=30.0, now=now)
                 now += 30.0
             results.append(now)
@@ -63,10 +73,10 @@ class TestWriteIopsCeiling:
         tree = PartitionTree()
         now = 0.0
         while tree.partition_count < 3:
-            tree.offer_load(1.2 * tree.total_read_iops, 0.0,
+            tree.offer_load(1.2 * _read_quota(tree), 0.0,
                             elapsed=30.0, now=now)
             now += 30.0
-        assert tree.total_write_iops == pytest.approx(3 * 3_500)
+        assert _write_quota(tree) == pytest.approx(3 * 3_500)
 
 
 class TestExpressBaseTables:

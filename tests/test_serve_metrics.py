@@ -85,7 +85,7 @@ class TestServingMetrics:
             metrics.record_shed("t", at=0.0)
         report = metrics.tenant_report("t", slo_latency_s=5.0)
         assert report.shed == 3
-        assert report.shed_rate == pytest.approx(0.75)
+        assert report.shed / report.offered == pytest.approx(0.75)
         assert report.slo_attainment == pytest.approx(0.25)
         assert math.isfinite(report.cost_per_query)
 
@@ -106,5 +106,5 @@ class TestServingMetrics:
         assert report.offered == 0
         assert report.slo_attainment == 1.0
         assert report.cost_per_query == 0.0
-        assert report.shed_rate == 0.0
+        assert report.shed == 0
 

@@ -31,13 +31,11 @@ from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
 from repro.shard import ReplayConfig, run_replay
 from repro.shard.metrics import ShardMetrics
 from repro.shard.replay import (
-    _USD_PER_SLOT_SECOND,
     ManualClock,
     ScanGuard,
     _advance,
     _buckets,
     _distinct,
-    _lane_columns,
     _run_lane,
     _SlotBank,
     run_replay_reference,
@@ -303,22 +301,6 @@ class TestLaneColumns:
     def test_buckets_are_the_histogram_rule(self, latencies):
         assert _buckets(np.array(latencies, dtype=float)).tolist() \
             == [_scalar_bucket(value) for value in latencies]
-
-    @given(st.lists(st.tuples(
-        st.floats(min_value=0.0, max_value=4e3),
-        st.one_of(st.floats(min_value=0.0, max_value=1e5),
-                  st.sampled_from([0.0, 5e-324, 1e-300, 1e-16, 1e-3]))),
-        max_size=100))
-    @settings(max_examples=200, deadline=None)
-    def test_finish_latency_and_cost_are_the_scalar_rule(self, ops):
-        times = [now for now, _ in ops]
-        plans = [plan for _, plan in ops]
-        finish, latency, cost = _lane_columns(
-            np.array(times, dtype=float), np.array(plans, dtype=float))
-        assert finish.tolist() == [now + plan for now, plan in ops]
-        assert latency.tolist() == [(now + plan) - now for now, plan in ops]
-        assert cost.tolist() == [plan * _USD_PER_SLOT_SECOND
-                                 for plan in plans]
 
 
 def _lane_ops(draw_ops, start: int):

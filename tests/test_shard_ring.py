@@ -126,7 +126,7 @@ class TestRemapLocality:
         before = mapping(ring)
         ring.merge_node("shard-2", "shard-0")
         after = mapping(ring)
-        assert "shard-2" not in ring
+        assert "shard-2" not in ring.nodes()
         for key in KEYS:
             if before[key] != after[key]:
                 assert before[key] == "shard-2"

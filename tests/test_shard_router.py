@@ -39,7 +39,7 @@ class TestRouting:
             shard = router.route(tenant).shard
             request = router.submit(tenant, 1.0)
             assert request is not None
-            assert router.gateways[shard].pending(tenant) >= 1
+            assert len(router.gateways[shard].queues[tenant]) >= 1
 
     def test_route_cache_is_bounded(self):
         router = make_router(route_cache_size=8)
@@ -66,7 +66,7 @@ class TestRouting:
         assert request is not None
         assert router.stale_retries == before + 1
         owner = router.route(tenant).shard
-        assert router.gateways[owner].pending(tenant) == 1
+        assert len(router.gateways[owner].queues[tenant]) == 1
         assert router.roll_up().to_dict()["offered"] == 1
 
     def test_lazy_tenants_leave_no_resident_state(self):
@@ -93,7 +93,7 @@ _SLICE = st.tuples(st.just("slice"), st.sampled_from(["uniform", "pareto"]),
                    st.integers(min_value=0, max_value=2**32 - 1))
 _MUTATION = st.tuples(st.sampled_from(["split", "merge", "fail"]),
                       st.integers(min_value=0, max_value=7))
-_TOUCH = st.tuples(st.sampled_from(["route", "refresh"]),
+_TOUCH = st.tuples(st.just("refresh"),
                    st.integers(min_value=0, max_value=KEYS - 1))
 
 
@@ -155,9 +155,17 @@ def _offer_streams(router, streams):
     return rows
 
 
+def _cached(keyed):
+    """A keyed cache's ``(tenant, route)`` pairs, oldest insertion first."""
+    keys = np.flatnonzero(keyed.seq > max(keyed.inserts - keyed.capacity, 0))
+    keys = keys[keyed.seq[keys].argsort()]
+    return [(f"{keyed.prefix}{key}", keyed.routes[keyed.code[key]])
+            for key in keys.tolist()]
+
+
 def _state(router):
     cache = list(router._routes.items()) if router._keyed is None \
-        else router._keyed.cached()
+        else _cached(router._keyed)
     return {
         "cache": cache,
         "window": dict(router._window),
@@ -177,7 +185,7 @@ class TestRouteBatch:
     def test_keyed_batches_decide_what_scalar_submits_decide(
             self, capacity, blocks_per_cache, shards, steps):
         """Random key streams (slices longer than the cache), control
-        moves and scalar touches between them: the keyed router's
+        moves and scalar refreshes between them: the keyed router's
         batches and the ``OrderedDict`` router's submits leave the same
         op streams, counters, window, fences and cache — membership
         *and* FIFO order — at every block size up to the whole cache,
@@ -202,11 +210,9 @@ class TestRouteBatch:
                 streams = keyed.route_batch(start, times, keys, plans)
                 assert _offer_streams(keyed, streams) == expected
                 start += len(keys)
-            elif step[0] in ("route", "refresh"):
+            elif step[0] == "refresh":
                 for router in (keyed, plain):
-                    method = router.route if step[0] == "route" \
-                        else router._refresh
-                    method(f"t{step[1]}")
+                    router._refresh(f"t{step[1]}")
             else:
                 for router in (keyed, plain):
                     _mutate(router, *step)
@@ -319,7 +325,6 @@ class TestGatewayHotPathIsTenantCountFree:
         for index in range(500):
             clock.now = float(index)
             assert gateway.submit(f"t{index % 90}", 1.0) is not None
-            gateway.pending(f"t{index % 90}")
             _ = gateway.total_pending
         while gateway.total_pending:
             name = gateway.backlogged()[0]

@@ -784,7 +784,7 @@ def _pop_order(env_cls, program, drives):
                                        label(env.timeout(op[2], "b"))])
             return sorted(values.values())
         target = procs[op[1] % len(procs)]  # interrupt a parked process
-        if target.is_alive and target.target is not None:
+        if target.is_alive and target._target is not None:
             target.interrupt("poke")
             return "sent"
         return "skipped"

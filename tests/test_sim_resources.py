@@ -70,7 +70,7 @@ class TestResource:
             req = resource.request()
             yield env.timeout(1.0)
             resource.release(req)  # cancel before grant
-            return resource.queue_length
+            return len(resource._queue)
 
         env.process(holder(env))
         p = env.process(impatient(env))

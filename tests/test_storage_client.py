@@ -42,7 +42,7 @@ class TestRetryingClient:
         env, fabric, rng, s3 = stack
         run(env, s3.put("k", b"v"))
         client = RetryingClient(env, s3, RetryPolicy(request_timeout=60.0))
-        obj = run(env, client.get("k"))
+        obj = run(env, client.get_range("k", 0, 1))
         assert obj.payload == b"v"
         assert client.stats.successes == 1
         assert client.stats.attempts == 1
@@ -53,7 +53,7 @@ class TestRetryingClient:
 
         def attempt(env):
             try:
-                yield from client.get("missing")
+                yield from client.get_range("missing", 0, 1)
             except NoSuchKey:
                 return "missing"
 
@@ -70,7 +70,7 @@ class TestRetryingClient:
 
         def attempt(env):
             try:
-                yield from client.get("k")
+                yield from client.get_range("k", 0, 1)
             except RequestTimeout:
                 return "gave-up"
 
@@ -91,7 +91,7 @@ class TestRetryingClient:
         partition.read_tokens = 0.0
         client = RetryingClient(
             env, s3, RetryPolicy(request_timeout=60.0, backoff_base=0.05))
-        obj = run(env, client.get("k"))
+        obj = run(env, client.get_range("k", 0, 1))
         assert obj.payload == b"v"
         assert client.stats.throttles >= 1
         assert client.stats.successes == 1
@@ -115,7 +115,7 @@ class TestNonRetryableErrorsBurnNothing:
 
         def attempt(env):
             try:
-                yield from client.get("missing")
+                yield from client.get_range("missing", 0, 1)
             except NoSuchKey as exc:
                 return exc
 

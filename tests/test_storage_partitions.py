@@ -14,6 +14,11 @@ from repro.storage.partitions import (
 )
 
 
+def _read_quota(tree):
+    """Aggregate read quota across the tree's partitions."""
+    return sum(partition.read_quota for partition in tree.partitions)
+
+
 class TestKeyPoint:
     def test_point_in_unit_interval(self):
         for key in ("a", "data/part-17", "", "x" * 100):
@@ -31,7 +36,7 @@ class TestSplitting:
     def test_fresh_tree_has_one_partition(self):
         tree = PartitionTree()
         assert tree.partition_count == 1
-        assert tree.total_read_iops == READ_IOPS_PER_PARTITION
+        assert _read_quota(tree) == READ_IOPS_PER_PARTITION
 
     def test_split_halves_keyspace(self):
         tree = PartitionTree()
@@ -99,7 +104,7 @@ class TestMerging:
         tree = PartitionTree()
         now = 0.0
         while tree.partition_count < 5:
-            tree.offer_load(read_iops=1.2 * tree.total_read_iops,
+            tree.offer_load(read_iops=1.2 * _read_quota(tree),
                             write_iops=0, elapsed=30.0, now=now)
             now += 30.0
         return tree, now

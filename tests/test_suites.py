@@ -1,5 +1,8 @@
 """Tests for the experiment registry (the paper's evaluation as data)."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core import Driver, ExperimentConfig
@@ -27,7 +30,8 @@ class TestSuiteDefinitions:
 
     def test_every_config_json_roundtrips(self):
         for config in suite("full"):
-            assert ExperimentConfig.from_json(config.to_json()) == config
+            assert ExperimentConfig.from_json(
+                json.dumps(asdict(config))) == config
 
     @pytest.mark.parametrize("paper_id", FIGURES)
     def test_one_seed_per_figure(self, paper_id):

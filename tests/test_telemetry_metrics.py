@@ -25,7 +25,7 @@ def test_timeseries_basic_sampling():
     series = TimeSeries("test.series")
     series.sample(0.0, 1.0)
     series.sample(1.0, 2.0)
-    assert series.times() == [0.0, 1.0]
+    assert series.points == [(0.0, 1.0), (1.0, 2.0)]
     assert series.values() == [1.0, 2.0]
     assert series.last == 2.0
     assert series.dropped == 0

@@ -8,8 +8,6 @@ from repro.telemetry import (
     NullRecorder,
     Span,
     TelemetryRecorder,
-    disable,
-    enable,
     get_recorder,
     parent_ids,
     recording,
@@ -21,14 +19,12 @@ from repro.telemetry.recorder import KERNEL_SAMPLE_EVERY
 def test_span_lifecycle():
     span = Span(trace_id="t", span_id=1, parent_id=None, name="op",
                 category="test", start=1.0)
-    assert not span.finished
+    assert span.end is None
     assert span.duration == 0.0
-    span.add_event(1.5, "milestone", detail="x")
     span.finish(3.0, rows=7)
-    assert span.finished
+    assert span.end == 3.0
     assert span.duration == 2.0
     assert span.attrs == {"rows": 7}
-    assert span.events == [{"t": 1.5, "name": "milestone", "detail": "x"}]
     # finish is idempotent: the end time survives, attrs still merge.
     span.finish(9.0, extra=1)
     assert span.end == 3.0
@@ -54,10 +50,8 @@ def test_recorder_span_hierarchy():
     assert root.trace_id == child.trace_id == grandchild.trace_id
     assert child.parent_id == root.span_id
     assert grandchild.parent_id == child.span_id
-    assert grandchild.finished
-    assert recorder.children_of(root) == [child]
-    assert recorder.children_of(child) == [grandchild]
-    assert recorder.spans_of(root.trace_id) == [root, child, grandchild]
+    assert grandchild.end == 0.9
+    assert recorder.spans == [root, child, grandchild]
 
 
 def test_recorder_trace_ids_are_sequential():
@@ -65,7 +59,8 @@ def test_recorder_trace_ids_are_sequential():
     first = recorder.start_trace("a", 0.0)
     second = recorder.start_trace("b", 1.0)
     assert first.trace_id != second.trace_id
-    assert recorder.traces() == [first.trace_id, second.trace_id]
+    assert [span.trace_id for span in recorder.spans] \
+        == [first.trace_id, second.trace_id]
 
 
 def test_orphan_span_joins_ambient_trace():
@@ -94,9 +89,8 @@ def test_null_recorder_is_inert():
     assert not null.enabled
     span = null.start_trace("q", 0.0)
     assert span is null.start_span("x", 1.0) is null.record_span("y", 0, 1)
-    span.add_event(0.0, "ignored")
     span.finish(5.0, extra=1)
-    assert span.events == [] and span.attrs == {}
+    assert span.end == 0.0 and span.attrs == {}
     null.counter("c").inc()
     null.gauge("g").set(1.0)
     null.timeseries("s").sample(0.0, 1.0)
@@ -108,12 +102,13 @@ def test_null_recorder_is_inert():
 
 def test_global_recorder_installation():
     assert get_recorder() is NULL_RECORDER
-    recorder = enable()
+    recorder = TelemetryRecorder()
+    set_recorder(recorder)
     try:
         assert get_recorder() is recorder
         assert recorder.enabled
     finally:
-        disable()
+        set_recorder(NULL_RECORDER)
     assert get_recorder() is NULL_RECORDER
 
 
