@@ -20,7 +20,7 @@ _REGISTRY: dict[str, UdfCallable] = {}
 
 def register_udf(name: str, fn: UdfCallable) -> None:
     """Register ``fn`` under ``name`` (overwrites an existing entry)."""
-    _REGISTRY[name] = fn  # repro-lint: disable=CONC001 UDFs ship compiled into the binary: registration is import-time and read-only afterwards, so every run sees the same table
+    _REGISTRY[name] = fn
 
 
 def resolve_udf(name: str) -> UdfCallable:

@@ -98,13 +98,6 @@ class RecordBatch:
                            logical_bytes=self.logical_bytes * ratio)
 
     @classmethod
-    def empty(cls, schema: Schema) -> "RecordBatch":
-        """A zero-row batch with the given schema."""
-        columns = {field.name: np.empty(0, dtype=field.dtype.numpy_dtype)
-                   for field in schema}
-        return cls(schema, columns, logical_bytes=0.0)
-
-    @classmethod
     def concat(cls, batches: list["RecordBatch"]) -> "RecordBatch":
         """Concatenate batches with identical schemas."""
         if not batches:

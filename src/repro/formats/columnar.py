@@ -154,7 +154,7 @@ def write_file(batch: RecordBatch,
         row_groups.append(chunks)
     # A chunk's entry is its ChunkMeta as a JSON list. The footer is a
     # wire format, not an artifact: nothing needs it canonical.
-    footer = json.dumps({  # repro-lint: disable=ARCH002 wire format, not an artifact
+    footer = json.dumps({  # wire format, not an artifact
         "schema": batch.schema.to_dict(), "num_rows": len(batch),
         "row_groups": row_groups}).encode("utf-8")
     body.extend(footer)

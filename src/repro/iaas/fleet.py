@@ -27,16 +27,14 @@ class VmInstance:
     endpoint: Endpoint
     started_at: float
     id: int = field(default_factory=lambda: next(VmInstance._ids))
-    terminated_at: Optional[float] = None
 
     def uptime(self, now: float) -> float:
-        """Billed runtime so far (or until termination)."""
-        end = self.terminated_at if self.terminated_at is not None else now
-        return end - self.started_at
+        """Billed runtime so far."""
+        return now - self.started_at
 
 
 class Ec2Fleet:
-    """Provisions and terminates EC2 instances on the simulated fabric.
+    """Provisions EC2 instances on the simulated fabric.
 
     Each instance gets a network endpoint whose ingress and egress share
     one EC2-style token bucket personality from the price catalog (the
@@ -89,8 +87,3 @@ class Ec2Fleet:
         return ec2_shaper(baseline_rate=instance_type.network_baseline,
                           burst_rate=instance_type.network_burst,
                           bucket_bytes=instance_type.network_bucket_bytes)
-
-    def terminate(self, instance: VmInstance) -> None:
-        """Stop an instance (it keeps its billing record)."""
-        if instance.terminated_at is None:
-            instance.terminated_at = self.env.now

@@ -3,25 +3,18 @@
 The whole reproduction rests on one invariant: seeded, byte-identical
 determinism on a virtual clock. The golden TPC-H Q6 trace, the chaos
 resilience reports, and every committed benchmark artifact are pinned
-on it. This package enforces the invariant *mechanically*, at lint
-time, with one per-module AST pass (stdlib ``ast``, no dependencies
-beyond :func:`repro.telemetry.export.canonical_json` for byte-stable
-JSON output):
+on it, and those pins and the tests catch most ways to break it. This
+package keeps the checks for the bugs they miss (the bug-planting
+table in ``docs/static_analysis.md`` names one per check), in one
+per-module AST pass (stdlib ``ast``, no dependencies beyond
+:func:`repro.telemetry.export.canonical_json` for byte-stable JSON
+output):
 
 * **DET001** — wall-clock reads (``time.time``, ``datetime.now``, …);
-* **DET002** — unseeded global randomness (``random.*``,
-  ``numpy.random`` module-level state) outside :mod:`repro.sim.rng`;
-* **DET003** — iterating sets (or materializing them into sequences)
-  without ``sorted(...)``;
 * **DET004** — ``id()``-based keys, ordering, or tie-breaking;
 * **DET005** — RNGs seeded from ``hash()``, ``id()`` or a wall clock;
-* **CONC001** — run isolation: module globals mutated from function
-  scope, i.e. state that survives into the next run in the same
-  interpreter;
 * **ARCH001** — the layer DAG of :mod:`repro.lint.layer_dag` (imports
-  may only point at the same or a lower layer);
-* **ARCH002** — canonical-JSON discipline: ``json.dump(s)`` only
-  inside :mod:`repro.telemetry.export`.
+  may only point at the same or a lower layer).
 
 Findings carry ``path:line:col``, a check id, a severity, and a
 message; a line comment ``# repro-lint: disable=DET001 <reason>``
@@ -35,12 +28,10 @@ go dead. Output is byte-identical across runs and discovery
 orders. See ``docs/static_analysis.md``.
 """
 
-from repro.lint.arch import CanonicalJsonChecker, LayerChecker
-from repro.lint.concurrency import SharedStateChecker
+from repro.lint.arch import LayerChecker
 from repro.lint.determinism import (
     IdentityOrderChecker,
-    OrderingChecker,
-    UnseededRandomChecker,
+    SeedProvenanceChecker,
     WallClockChecker,
 )
 from repro.lint.framework import (
@@ -51,34 +42,25 @@ from repro.lint.framework import (
     lint_tree,
     parse_suppressions,
 )
-from repro.lint.provenance import SeedProvenanceChecker
 
 
 def all_checkers() -> list[Checker]:
     """Every shipped checker, in check-id order."""
     return sorted([
         WallClockChecker(),
-        UnseededRandomChecker(),
-        OrderingChecker(),
         IdentityOrderChecker(),
         SeedProvenanceChecker(),
-        SharedStateChecker(),
         LayerChecker(),
-        CanonicalJsonChecker(),
     ], key=lambda checker: checker.id)
 
 
 __all__ = [
-    "CanonicalJsonChecker",
     "Checker",
     "Finding",
     "IdentityOrderChecker",
     "LayerChecker",
-    "OrderingChecker",
     "SeedProvenanceChecker",
-    "SharedStateChecker",
     "SourceModule",
-    "UnseededRandomChecker",
     "WallClockChecker",
     "all_checkers",
     "lint_modules",

@@ -1,9 +1,8 @@
-"""ARCH001/ARCH002: architecture checkers.
+"""ARCH001: the layering contract.
 
-ARCH001 enforces the layer DAG declared in :mod:`repro.lint.layer_dag`
-on *every* import — module-level and deferred alike (a function-level
-import dodges the import-time cycle but not the coupling). ARCH002
-keeps artifact serialization on the one byte-stable JSON writer.
+The layer DAG declared in :mod:`repro.lint.layer_dag` is checked on
+*every* import — module-level and deferred alike (a function-level
+import dodges the import-time cycle but not the coupling).
 """
 
 from __future__ import annotations
@@ -11,14 +10,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
-from repro.lint.determinism import import_aliases, resolve_dotted
 from repro.lint.framework import Checker, Finding, SourceModule
 from repro.lint.layer_dag import ALLOWED, LAYERS
-
-#: The one module allowed to call ``json.dumps`` directly: it *is* the
-#: canonical writer.
-CANONICAL_WRITER = "repro.telemetry.export"
-
 
 def layer_of(module: str) -> Optional[str]:
     """Layer for a dotted module name (most specific prefix wins).
@@ -82,9 +75,9 @@ class LayerChecker(Checker):
     title = "layering contract"
     rationale = (
         "Imports may only point at the same or a lower layer of the "
-        "declared DAG (repro.lint.layer_dag). An upward import turns "
-        "the layering into a suggestion and eventually into an import "
-        "cycle.")
+        "declared DAG (repro.lint.layer_dag). An upward import changes "
+        "no simulated output, so no pin sees it; it turns the layering "
+        "into a suggestion and eventually into an import cycle.")
     example_bad = ("# in repro/sim/kernel.py (sim layer)\n"
                    "from repro.engine.plan import PhysicalPlan")
     example_good = ("# in repro/engine/plan.py (engine layer)\n"
@@ -120,32 +113,3 @@ class LayerChecker(Checker):
                         f"layer '{source_layer}' may not import layer "
                         f"'{target_layer}' (module '{target}'); allowed "
                         f"layers: {', '.join(sorted(allowed))}")
-
-
-class CanonicalJsonChecker(Checker):
-    """ARCH002 — artifact JSON goes through ``canonical_json``."""
-
-    id = "ARCH002"
-    title = "canonical-JSON discipline"
-    rationale = (
-        "Committed artifacts must be byte-stable so golden-file diffs "
-        "mean something. Raw json.dump(s) floats key order and "
-        "formatting; every artifact goes through "
-        "repro.telemetry.export.canonical_json.")
-    example_bad = "report.write_text(json.dumps(payload))"
-    example_good = "report.write_text(canonical_json(payload))"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.module == CANONICAL_WRITER:
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = resolve_dotted(node.func, aliases)
-            if dotted in ("json.dump", "json.dumps"):
-                yield module.finding(
-                    node, self.id,
-                    f"direct '{dotted}()' skips the byte-stable writer; "
-                    f"serialize artifacts via "
-                    f"repro.telemetry.export.canonical_json")

@@ -1,9 +1,12 @@
-"""DET001–DET004: the determinism checkers.
+"""DET001, DET004, DET005: the determinism checkers.
 
 Everything in the simulation must be a pure function of the seed and
-the configuration. These checkers ban the four ways real-world entropy
-leaks in: wall clocks, unseeded global RNGs, set iteration order, and
-memory-address identity.
+the configuration. The tests and the byte-pinned artifacts catch most
+ways host entropy leaks in; these three cover what they miss (the
+bug-planting table in ``docs/static_analysis.md``): a wall-clock read
+whose effect depends on host speed, an order taken from memory
+addresses that no pinned output reads yet, and an RNG seeded from a
+value that differs per process.
 """
 
 from __future__ import annotations
@@ -74,9 +77,11 @@ class WallClockChecker(Checker):
     title = "wall-clock ban"
     rationale = (
         "The simulation runs on a virtual clock; a host wall-clock "
-        "read smuggles real time into results, so two runs of the "
-        "'same' experiment diverge and the golden traces stop "
-        "replaying.")
+        "read makes a result depend on how fast the host runs. Where "
+        "host time moves a simulated value the pinned artifacts catch "
+        "it, but a host-time budget or deadline (say, 'stop looking "
+        "for stragglers after 5 s') changes nothing on a fast test "
+        "host and fires only on a slow one.")
     example_bad = "started = time.time()"
     example_good = "started = env.now"
 
@@ -93,175 +98,6 @@ class WallClockChecker(Checker):
                     f"determinism; use Environment.now / env.timeout()")
 
 
-# -- DET002: unseeded randomness ----------------------------------------------
-
-#: The one module allowed to own RNG state (it derives named seeded
-#: streams for everyone else).
-RNG_HOME = "repro.sim.rng"
-
-#: ``numpy.random`` members that construct *seeded, local* generators
-#: rather than touching the module-global state.
-NUMPY_RANDOM_SAFE = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-})
-
-
-class UnseededRandomChecker(Checker):
-    """DET002 — module-global ``random`` / ``numpy.random`` state."""
-
-    id = "DET002"
-    title = "unseeded randomness"
-    rationale = (
-        "Module-level RNG state (random.*, np.random.*) is process "
-        "global and unseeded: results change run to run and any "
-        "import-order change perturbs every downstream draw. All "
-        "randomness flows from seeded, named streams.")
-    example_bad = "jitter = random.random()"
-    example_good = "jitter = sim.rng.stream('faas.cold_start').random()"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.module == RNG_HOME:
-            return
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = resolve_dotted(node.func, aliases)
-            if dotted is None:
-                continue
-            parts = dotted.split(".")
-            if parts[0] == "random" and len(parts) > 1 \
-                    and parts[1] != "Random":
-                yield module.finding(
-                    node, self.id,
-                    f"'{dotted}()' uses the process-global (or OS-entropy) "
-                    f"RNG; draw from a named sim.rng stream instead")
-            elif parts[:2] == ["numpy", "random"] and len(parts) > 2 \
-                    and parts[2] not in NUMPY_RANDOM_SAFE:
-                yield module.finding(
-                    node, self.id,
-                    f"'{dotted}()' touches numpy's global RNG state; use "
-                    f"numpy.random.default_rng(seed) or a sim.rng stream")
-
-
-# -- DET003: set iteration order ----------------------------------------------
-
-#: Builtins that materialize or enumerate their argument in order.
-ORDER_SENSITIVE_FUNCS = frozenset({
-    "list", "tuple", "enumerate", "iter", "reversed", "map", "filter",
-})
-
-#: Method names that consume an iterable in order.
-ORDER_SENSITIVE_METHODS = frozenset({"join", "extend"})
-
-
-def _returns_set(node: ast.expr, set_names: frozenset[str]) -> bool:
-    """Whether ``node`` is syntactically set-valued."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in ("set", "frozenset"):
-        return True
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)):
-        # Set algebra (a | b, a & b, a - b, a ^ b) stays a set.
-        return (_returns_set(node.left, set_names)
-                or _returns_set(node.right, set_names))
-    return False
-
-
-def _scope_statements(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope without descending into nested function scopes."""
-    body = scope.body if isinstance(
-        scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)) else []
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue  # nested scope: visited on its own
-        for child in ast.iter_child_nodes(node):
-            stack.append(child)
-
-
-def _set_locals(scope: ast.AST) -> frozenset[str]:
-    """Names whose every binding in ``scope`` is a set-valued expression."""
-    bindings: dict[str, list[bool]] = {}
-    disqualified: set[str] = set()
-    for node in _scope_statements(scope):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name):
-            bindings.setdefault(node.targets[0].id, []).append(
-                _returns_set(node.value, frozenset()))
-        elif isinstance(node, ast.AnnAssign) \
-                and isinstance(node.target, ast.Name) \
-                and node.value is not None:
-            bindings.setdefault(node.target.id, []).append(
-                _returns_set(node.value, frozenset()))
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            for name in ast.walk(node.target):
-                if isinstance(name, ast.Name):
-                    disqualified.add(name.id)
-        elif isinstance(node, ast.AugAssign) \
-                and isinstance(node.target, ast.Name):
-            disqualified.add(node.target.id)
-    return frozenset(name for name, values in bindings.items()
-                     if all(values) and name not in disqualified)
-
-
-class OrderingChecker(Checker):
-    """DET003 — iterating sets without an explicit order."""
-
-    id = "DET003"
-    title = "set iteration order"
-    rationale = (
-        "Set iteration order depends on insertion history and hash "
-        "salting; iterating one unsorted feeds arbitrary order into "
-        "schedules, digests, and reports. sorted(...) makes the order "
-        "part of the program, not the interpreter.")
-    example_bad = "for key in pending:  # pending is a set"
-    example_good = "for key in sorted(pending):"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        scopes = [module.tree] + [
-            node for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for scope in scopes:
-            set_names = _set_locals(scope)
-            for node in _scope_statements(scope):
-                yield from self._check_node(module, node, set_names)
-
-    def _check_node(self, module: SourceModule, node: ast.AST,
-                    set_names: frozenset[str]) -> Iterator[Finding]:
-        def flag(expr: ast.expr, context: str) -> Iterator[Finding]:
-            if _returns_set(expr, set_names):
-                yield module.finding(
-                    expr, self.id,
-                    f"{context} iterates a set in hash order; wrap in "
-                    f"sorted(...) or keep insertion order with dict/list")
-
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield from flag(node.iter, "for-loop")
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for comp in node.generators:
-                yield from flag(comp.iter, "comprehension")
-        elif isinstance(node, ast.Starred):
-            yield from flag(node.value, "unpacking (*)")
-        elif isinstance(node, ast.Call):
-            if isinstance(node.func, ast.Name) \
-                    and node.func.id in ORDER_SENSITIVE_FUNCS:
-                for arg in node.args:
-                    yield from flag(arg, f"{node.func.id}(...)")
-            elif isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in ORDER_SENSITIVE_METHODS:
-                for arg in node.args:
-                    yield from flag(arg, f".{node.func.attr}(...)")
-
-
 # -- DET004: identity-based ordering ------------------------------------------
 
 
@@ -273,9 +109,12 @@ class IdentityOrderChecker(Checker):
     rationale = (
         "id() is an allocation address: unique within a run, "
         "arbitrary across runs. Keying or ordering by it bakes the "
-        "allocator's mood into the output. Identity-keyed *memos* are "
-        "fine (suppress with a reason); identity-keyed *order* never "
-        "is.")
+        "allocator's mood into the output. Where that order reaches a "
+        "pinned value the tests catch it; an address order that no "
+        "output reads yet (a flow's constraints, say) passes them and "
+        "waits for the change that makes it matter. Identity-keyed "
+        "*memos* are fine (suppress with a reason); identity-keyed "
+        "*order* never is.")
     example_bad = "items.sort(key=id)"
     example_good = "items.sort(key=lambda item: item.name)"
 
@@ -297,3 +136,73 @@ class IdentityOrderChecker(Checker):
                             "key=id orders by memory address — "
                             "nondeterministic across runs; use a stable "
                             "attribute as the sort key")
+
+
+# -- DET005: RNG seed provenance ----------------------------------------------
+#
+# A ``random.Random(seed)`` or ``numpy.random.default_rng(seed)`` object
+# is deterministic only if its seed is: a seed derived from ``hash()``
+# (salted per process by PYTHONHASHSEED), ``id()`` (a memory address) or
+# a wall clock yields a different stream every run. Derive child seeds
+# from a stable content hash (``hashlib``, as ``repro.sim.rng._digest``
+# does) or SeedSequence spawning.
+
+#: Calls that construct a *local, seedable* RNG object; ``RandomStreams``
+#: under both the names code imports it by.
+RNG_CONSTRUCTORS = frozenset({
+    "random.Random",
+    "numpy.random.default_rng",
+    "numpy.random.Generator",
+    "repro.sim.RandomStreams",
+    "repro.sim.rng.RandomStreams",
+})
+
+
+def _unstable_source(node: ast.expr, aliases: dict[str, str]
+                     ) -> Optional[str]:
+    """The unstable call inside a seed expression, if any."""
+    for child in ast.walk(node):
+        if not isinstance(child, ast.Call):
+            continue
+        if isinstance(child.func, ast.Name) and child.func.id in ("hash",
+                                                                  "id"):
+            return f"{child.func.id}()"
+        dotted = resolve_dotted(child.func, aliases)
+        if dotted in WALL_CLOCK_CALLS:
+            return f"{dotted}()"
+    return None
+
+
+class SeedProvenanceChecker(Checker):
+    """DET005 — RNGs seeded from ``hash()``, ``id()`` or a wall clock."""
+
+    id = "DET005"
+    title = "RNG seed provenance"
+    rationale = (
+        "A seeded generator reproduces its stream only if the seed "
+        "reproduces. Seeds derived from hash()/id()/wall clocks differ "
+        "across processes and runs, so the 'same seed' never gives the "
+        "same stream.")
+    example_bad = "rng = random.Random(hash(name))  # salted, differs per process\n"
+    example_good = (
+        "seed = int.from_bytes(\n"
+        "    hashlib.sha256(name.encode()).digest()[:8], 'little')\n")
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        aliases = import_aliases(module.tree)
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            ctor = resolve_dotted(node.func, aliases)
+            if ctor not in RNG_CONSTRUCTORS:
+                continue
+            for expr in list(node.args) + [kw.value for kw in node.keywords]:
+                via = _unstable_source(expr, aliases)
+                if via is not None:
+                    yield module.finding(
+                        node, self.id,
+                        f"seed for {ctor.rsplit('.', 1)[-1]}() is derived "
+                        f"from {via} — unstable across runs/processes; "
+                        f"derive it from a stable content hash (hashlib, "
+                        f"sim.rng style) instead")
+                    break

@@ -120,12 +120,11 @@ class SourceModule:
         self.tree = ast.parse(source, filename=path)
         self.suppressions = parse_suppressions(source)
 
-    def finding(self, node: ast.AST, check: str, message: str,
-                severity: str = "error") -> Finding:
+    def finding(self, node: ast.AST, check: str, message: str) -> Finding:
         """Convenience constructor anchored at an AST node."""
         return Finding(path=self.path, line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0) + 1,
-                       check=check, message=message, severity=severity)
+                       check=check, message=message)
 
 
 class Checker:
@@ -133,9 +132,8 @@ class Checker:
 
     ``severity`` is the level of every finding the checker emits:
     ``error`` findings break determinism or the architecture outright,
-    ``warning`` findings are hazards (state leaking between runs), and
-    ``note`` is framework self-audit. ``rationale`` / ``example_bad`` /
-    ``example_good`` feed ``repro lint --explain <ID>``.
+    and ``note`` is framework self-audit. ``rationale`` /
+    ``example_bad`` / ``example_good`` feed ``repro lint --explain <ID>``.
     """
 
     id: str = "LNT000"

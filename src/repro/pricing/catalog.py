@@ -38,10 +38,6 @@ class LambdaPricing:
         cost += (extra / units.GiB) * duration_s * self.ephemeral_per_gib_second
         return cost
 
-    def memory_for_vcpus(self, vcpus: float) -> float:
-        """Memory (bytes) to configure for a vCPU-equivalent count."""
-        return vcpus * self.memory_per_vcpu_bytes
-
 
 LAMBDA_PRICING = LambdaPricing()
 

@@ -124,8 +124,12 @@ class QueryGateway:
         #: Queue entries across all tenants, maintained incrementally —
         #: never recomputed by walking the queues.
         self._pending = 0
-        #: Tenants with a non-empty queue, in first-backlogged order.
-        self._backlog: dict[str, None] = {}
+        #: Tenants with a non-empty queue, each once, in round-robin
+        #: order: the head is the next to serve. A deque, not a dict
+        #: used as a ring, so reading and rotating the head is O(1);
+        #: a dict's ``next(iter(...))`` walks every deleted entry
+        #: before the head.
+        self._backlog: deque[str] = deque()
         self._seq = itertools.count()
         #: Scheduler hook, called after every successful admission.
         self.on_submit: Optional[Callable[[], None]] = None
@@ -212,7 +216,7 @@ class QueryGateway:
         if queue is None:
             queue = self.queues[request.tenant] = deque()
         if not queue:
-            self._backlog[request.tenant] = None
+            self._backlog.append(request.tenant)
         queue.append(request)
         self._pending += 1
         if self._telemetry is not None:
@@ -249,7 +253,11 @@ class QueryGateway:
         request = queue.popleft()
         self._pending -= 1
         if not queue:
-            del self._backlog[tenant_name]
+            backlog = self._backlog
+            if backlog[0] == tenant_name:
+                backlog.popleft()
+            else:  # a policy picked a tenant off the head
+                backlog.remove(tenant_name)
             if tenant_name not in self.tenants:
                 # Lazily materialized tenant drained: drop its queue so
                 # resident state stays O(tenants with backlog).
@@ -267,7 +275,7 @@ class QueryGateway:
         """
         orphans: list[QueryRequest] = []
         while self._backlog:
-            name = next(iter(self._backlog))
+            name = self._backlog[0]
             queue = self.queues[name]
             while queue:
                 orphans.append(self.pop(name))

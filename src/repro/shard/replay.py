@@ -237,17 +237,16 @@ def _next_request(gateway: QueryGateway):
     """Pop the next request: round-robin across backlogged tenants.
 
     FIFO within a tenant; tenants take turns in first-backlogged
-    order. O(1) per call — one dict-head read, one deque pop, and a
-    constant-cost rotation of the backlog index.
+    order. O(1) per call — one head read, one queue pop, and a rotation
+    of the backlog ring when the tenant still has work.
     """
     backlog = gateway._backlog
     if not backlog:
         return None
-    name = next(iter(backlog))
+    name = backlog[0]
     request = gateway.pop(name)
-    if name in backlog:  # still backlogged: rotate to the back
-        del backlog[name]
-        backlog[name] = None
+    if backlog and backlog[0] == name:  # still backlogged: to the back
+        backlog.rotate(-1)
     return request
 
 
@@ -796,17 +795,16 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
                     freed = heappop(busy)
                     if not backlog:
                         continue
-                    name = next(iter(backlog))
+                    name = backlog[0]
                     queue = queues[name]
                     request = queue.popleft()
                     gateway._pending -= 1
                     if not queue:
-                        del backlog[name]
+                        backlog.popleft()
                         if name not in tenants:
                             del queues[name]
                     else:
-                        del backlog[name]
-                        backlog[name] = None
+                        backlog.rotate(-1)
                     submitted = request.submitted_at
                     start = freed if freed >= submitted else submitted
                     served = request.plan
@@ -848,7 +846,7 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
             if queue is None:
                 queue = queues[name] = deque()
             if not queue:
-                backlog[name] = None
+                backlog.append(name)
             # Positional (tenant, plan, submitted_at, seq, priority):
             # half the cost of keywords, once per queued op.
             queue.append(QueryRequest(name, plan_of[i], now,

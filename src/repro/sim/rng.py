@@ -36,7 +36,3 @@ class RandomStreams:
             sequence = np.random.SeedSequence([self._seed, _digest(name)])
             self._streams[name] = np.random.default_rng(sequence)
         return self._streams[name]
-
-    def fork(self, name: str) -> "RandomStreams":
-        """Derive a child factory whose streams are independent of ours."""
-        return RandomStreams(seed=(self._seed * 0x9E3779B1 + _digest(name)) % 2**63)

@@ -247,10 +247,6 @@ class StorageService:
         self.stats.record(RequestType.PUT, "ok", nbytes=nbytes)
         return obj
 
-    def delete(self, key: str) -> None:
-        """Remove ``key`` if present (no latency modelled; free in AWS)."""
-        self._objects.pop(key, None)
-
     def exists(self, key: str) -> bool:
         """Whether ``key`` currently holds an object."""
         return key in self._objects

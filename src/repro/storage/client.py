@@ -49,7 +49,7 @@ class ClientStats:
 
 
 class RetryingClient:
-    """Wraps a storage service with timeout/retry semantics."""
+    """Ranged reads of a storage service with timeout/retry semantics."""
 
     def __init__(self, env: Environment, service: StorageService,
                  policy: Optional[RetryPolicy] = None,
@@ -66,30 +66,12 @@ class RetryingClient:
 
     def get_range(self, key: str, offset: float, length: float):
         """Process: ranged read with retries. Returns the StorageObject."""
-        result = yield from self._with_retries("get-range", key, None, None,
-                                               offset=offset, length=length)
-        return result
-
-    def put(self, key: str, payload, size: Optional[float] = None):
-        """Process: write ``key`` with retries. Returns the StorageObject."""
-        result = yield from self._with_retries("put", key, payload, size)
-        return result
-
-    def _attempt(self, op: str, key: str, payload, size, offset, length):
-        if op == "get-range":
-            return self.service.get_range(key, offset, length,
-                                          endpoint=self.endpoint)
-        return self.service.put(key, payload, size=size, endpoint=self.endpoint)
-
-    def _with_retries(self, op: str, key: str, payload, size,
-                      offset: float = 0.0, length: float = 0.0):
         last_error: Optional[StorageError] = None
         try:
             for attempt in range(1, self.policy.max_attempts + 1):
                 self.stats.attempts += 1
                 try:
-                    result = yield from self._timed(op, key, payload, size,
-                                                    offset, length)
+                    result = yield from self._timed(key, offset, length)
                     self.stats.successes += 1
                     return result
                 except RequestTimeout as exc:
@@ -111,22 +93,20 @@ class RetryingClient:
             # keep the error, or the two outlive the call as a cycle.
             del last_error
 
-    def _timed(self, op: str, key: str, payload, size, offset=0.0,
-               length=0.0):
-        """Race one service request against the client timeout."""
+    def _timed(self, key: str, offset: float, length: float):
+        """Race one ranged read against the client timeout."""
         if self.fault_hook is not None:
-            # Ranged reads classify as plain GETs for fault targeting,
-            # so chaos plans written against "get" cover both.
-            hook_op = "get" if op.startswith("get") else op
-            error = self.fault_hook(hook_op, key, self.env.now)
+            # Ranged reads classify as plain GETs for fault targeting.
+            error = self.fault_hook("get", key, self.env.now)
             if error is not None:
                 try:
                     raise error
                 finally:
                     del error  # same cycle, through this frame
         request = self.env.process(
-            self._attempt(op, key, payload, size, offset, length),
-            name=f"storage-{op}")
+            self.service.get_range(key, offset, length,
+                                   endpoint=self.endpoint),
+            name="storage-get-range")
         deadline = self.env.timeout(self.policy.request_timeout)
         try:
             yield AnyOf(self.env, [request, deadline])
@@ -138,7 +118,7 @@ class RetryingClient:
             if request.is_alive:
                 request.interrupt("client-timeout")
                 request.defuse()
-            raise RequestTimeout(f"{op} {key!r} exceeded "
+            raise RequestTimeout(f"get-range {key!r} exceeded "
                                  f"{self.policy.request_timeout * 1000:.0f} ms")
         finally:
             del request  # it holds the failure this frame is raising

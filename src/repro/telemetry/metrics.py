@@ -148,11 +148,6 @@ class TimeSeries:
         self.points.append((t, value))
         self._last_t = t
 
-    @property
-    def last(self) -> float | None:
-        """Most recent sampled value, or ``None`` if empty."""
-        return self.points[-1][1] if self.points else None
-
     def values(self) -> list[float]:
         """The sampled values, in time order."""
         return [v for _, v in self.points]

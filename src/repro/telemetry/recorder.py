@@ -253,7 +253,7 @@ def set_recorder(recorder) -> object:
     """Install ``recorder`` as the global; returns the previous one."""
     global _current
     previous = _current
-    _current = recorder  # repro-lint: disable=CONC001 deliberate process-wide switch: recording is per-run, installed before the run starts and restored after it drains
+    _current = recorder
     return previous
 
 

@@ -29,16 +29,6 @@ Gbps = 1e9 / 8.0
 Mbps = 1e6 / 8.0
 
 
-def gib_per_s(value_bytes_per_s: float) -> float:
-    """Convert bytes/second to GiB/second for reporting."""
-    return value_bytes_per_s / GiB
-
-
-def mib_per_s(value_bytes_per_s: float) -> float:
-    """Convert bytes/second to MiB/second for reporting."""
-    return value_bytes_per_s / MiB
-
-
 def fmt_bytes(num_bytes: float) -> str:
     """Human-readable binary-unit formatting of a byte count."""
     value = float(num_bytes)

@@ -25,7 +25,6 @@ _MARKER_RE = re.compile(r"#\s*expect(-next)?:\s*([A-Z0-9_]+(?:,[A-Z0-9_]+)*)")
 FIXTURE_MODULE = "repro.sim.lint_fixture"
 FIXTURE = '''\
 """Known-violation fixture; compiled by the self-test, never imported."""
-import json
 import random
 import time
 from datetime import datetime
@@ -42,81 +41,24 @@ def wall_clock():
     return started, datetime.now()  # expect: DET001
 
 
-def unseeded(n):
-    jitter = random.random()  # expect: DET002
-    noise = np.random.rand(n)  # expect: DET002
-    good = np.random.default_rng(7).random()
-    return jitter, noise, good
-
-
-def ordering(events):
-    pending = {event.key for event in events}
-    for key in pending:  # expect: DET003
-        print(key)
-    for event in set(events):  # expect: DET003
-        print(event)
-    ordered = sorted(set(events))
-    return ordered, list({1, 2, 3})  # expect: DET003
-
-
 def tiebreak(items):
     items.sort(key=id)  # expect: DET004
     return {id(item): item for item in items}  # expect: DET004
 
 
-def export(payload):
-    return json.dumps(payload)  # expect: ARCH002
-
-
-def suppressed_export(payload):
+def suppressed_stamp():
     # A well-formed suppression: check ids, then a mandatory reason.
-    return json.dumps(payload)  # repro-lint: disable=ARCH002 fixture: compact wire format
+    return time.time()  # repro-lint: disable=DET001 fixture: host timing only
 
 
-def bare_suppression(payload):
+def bare_suppression():
     # expect-next: LNT001
-    return json.dumps(payload)  # repro-lint: disable=ARCH002
+    return time.time()  # repro-lint: disable=DET001
 
 
 # expect-next: LNT002
 def stale():  # repro-lint: disable=DET001 the wall-clock call below was removed
     return 0
-
-
-# -- run isolation: mutable module state (CONC001) ----------------------------
-
-REGISTRY: dict = {}
-_MODE = "idle"
-_IMPORT_TIME_TABLE: dict = {}
-_IMPORT_TIME_TABLE["constant"] = 1  # module scope: built once at import
-
-
-def register(key, value):
-    REGISTRY[key] = value  # expect: CONC001
-
-
-def set_mode(mode):
-    global _MODE
-    _MODE = mode  # expect: CONC001
-
-
-def local_state_is_fine(items):
-    cache = {}
-    for item in items:
-        cache[item] = item
-    return cache
-
-
-class ShardState:
-    def __init__(self):
-        self._tenants = {}
-
-    def admit(self, tenant):
-        self._tenants[tenant] = tenant
-        REGISTRY[tenant] = tenant  # expect: CONC001
-
-    def admit_local_only(self, tenant):
-        self._tenants[tenant] = tenant
 
 
 # -- RNG seed provenance (DET005) ---------------------------------------------

@@ -101,7 +101,7 @@ class TestNonRetryableErrors:
         engine.register_table(metadata)
         engine.deploy()
         victim = engine.catalog["lineitem"].partitions[2].key
-        s3.delete(victim)
+        del s3._objects[victim]
 
         def scenario(env):
             try:

@@ -239,10 +239,9 @@ class TestShuffle:
     def test_empty_batch_produces_empty_partitions(self):
         env, fabric, s3, endpoint = make_stack()
         io = IoStack(env, s3, endpoint)
-        schema = sample_batch(1).schema
         writer = ShuffleWriter(io, "q", "pipe", fragment=0,
                                partition_key="key", partitions=3)
-        run(env, writer.write(RecordBatch.empty(schema)))
+        run(env, writer.write(sample_batch(0)))
         reader = ShuffleReader(io, "q", "pipe", producer_fragments=1,
                                partition=1)
         piece = run(env, reader.read())

@@ -96,11 +96,6 @@ class TestRecordBatch:
         with pytest.raises(ValueError, match="schema"):
             RecordBatch.concat([a, b])
 
-    def test_empty_batch(self):
-        empty = RecordBatch.empty(sample_schema())
-        assert empty.num_rows == 0
-        assert empty.logical_bytes == 0.0
-
 
 class TestColumnarFormat:
     def test_roundtrip_all_columns(self):
@@ -154,7 +149,7 @@ class TestColumnarFormat:
             read_metadata(b"NOPE" + b"x" * 100 + b"NOPE")
 
     def test_empty_batch_roundtrip(self):
-        empty = RecordBatch.empty(sample_schema())
+        empty = sample_batch(0)
         back = read_file(write_file(empty))
         assert back.num_rows == 0
 

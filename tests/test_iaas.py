@@ -53,22 +53,6 @@ class TestFleet:
         shaper = instances[0].endpoint.ingress
         assert shaper.burst_rate == pytest.approx(shaper.refill_rate)
 
-    def test_terminate_tracks_uptime(self):
-        env, fabric, rng, fleet = make_stack()
-        instances = run(env, fleet.provision("c6g.xlarge", count=2))
-        start = env.now
-
-        def later(env):
-            yield env.timeout(100.0)
-            for instance in fleet.instances:
-                fleet.terminate(instance)
-
-        run(env, later(env))
-        assert all(instance.terminated_at is not None
-                   for instance in fleet.instances)
-        assert instances[0].uptime(env.now) == pytest.approx(
-            env.now - start, abs=1.0)
-
 
 class TestShim:
     def make_shim(self, vm_count=2, slots=1):

@@ -85,9 +85,6 @@ class TestLambdaPricing:
             units.GiB, 1.0, ephemeral_bytes=1536 * units.MiB)
         assert with_extra > base
 
-    def test_memory_for_vcpus(self):
-        assert LAMBDA_PRICING.memory_for_vcpus(4) == 4 * 1769 * units.MiB
-
 
 class TestCostCalculator:
     def test_vm_minimum_billing_minute(self):

@@ -36,6 +36,7 @@ from repro.shard.replay import (
     _advance,
     _buckets,
     _distinct,
+    _next_request,
     _run_lane,
     _SlotBank,
     run_replay_reference,
@@ -466,6 +467,79 @@ class TestLaneBlocks:
         assert run_replay(config).digest()[:16] == "07a053f41f28efcd"
         assert sum(applied) >= 0.59 * config.events
         assert sum(applied) >= 16 * len(applied)
+
+
+#: One gateway operation: submit, adopt, a round-robin pop, a pop of
+#: the n-th backlogged tenant (what a scheduling policy does), a drain.
+_RING_OPS = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 5)),
+    st.tuples(st.just("adopt"), st.integers(0, 5)),
+    st.tuples(st.just("next"), st.just(0)),
+    st.tuples(st.just("pop"), st.integers(0, 5)),
+    st.tuples(st.just("drain"), st.just(0))), max_size=80)
+
+
+class TestRoundRobin:
+    """The backlog ring against a plain-list round-robin model."""
+
+    @given(ops=_RING_OPS)
+    @settings(max_examples=200, deadline=None)
+    def test_ring_matches_a_list_model(self, ops):
+        clock = ManualClock()
+        gateway = QueryGateway(
+            clock, metrics=ShardMetrics("s", slo_latency_s=0.5),
+            shard_id="s",
+            default_tenant=Tenant(name="__default__", max_queue_depth=3))
+        gateway.register(Tenant(name="t0", max_queue_depth=3))
+        ring: list[str] = []
+        queues: dict[str, list[int]] = {}
+
+        def take(name):
+            seq = queues[name].pop(0)
+            if not queues[name]:
+                ring.remove(name)
+            return seq
+
+        for step, (op, key) in enumerate(ops):
+            clock.now = float(step)
+            name = f"t{key}"
+            if op in ("submit", "adopt"):
+                if op == "submit":
+                    request = gateway.submit(name, 1.0)
+                else:
+                    request = gateway.adopt(QueryRequest(
+                        tenant=name, plan=1.0, submitted_at=clock.now / 2,
+                        seq=next(gateway._seq), priority=1, rescued=True))
+                if request is not None:
+                    if not queues.get(name):
+                        ring.append(name)
+                    queues.setdefault(name, []).append(request.seq)
+            elif op == "next":
+                request = _next_request(gateway)
+                if not ring:
+                    assert request is None
+                    continue
+                head = ring[0]
+                assert (request.tenant, request.seq) == (head, take(head))
+                if head in ring:
+                    ring.remove(head)
+                    ring.append(head)
+            elif op == "pop" and ring:
+                head = ring[key % len(ring)]
+                assert gateway.pop(head).seq == take(head)
+            elif op == "drain":
+                drained = gateway.drain_backlog()
+                assert sorted(r.seq for r in drained) == sorted(
+                    seq for name in ring for seq in queues[name])
+                assert [r.fifo_key for r in drained] == sorted(
+                    r.fifo_key for r in drained)
+                ring.clear()
+                queues.clear()
+            assert gateway.backlogged() == ring
+            assert gateway.total_pending == sum(map(len, queues.values()))
+            for tenant in ring:
+                assert [r.seq for r in gateway.queues[tenant]] \
+                    == queues[tenant]
 
 
 class TestDistinct:

@@ -110,10 +110,3 @@ class TestRandomStreams:
     def test_stream_cached(self):
         streams = RandomStreams(seed=1)
         assert streams.stream("x") is streams.stream("x")
-
-    def test_fork_is_independent(self):
-        root = RandomStreams(seed=3)
-        child = root.fork("region-eu")
-        a = root.stream("latency").random(4)
-        b = child.stream("latency").random(4)
-        assert list(a) != list(b)

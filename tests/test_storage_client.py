@@ -4,9 +4,8 @@ import pytest
 
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
-from repro.storage import DynamoDB, RetryingClient, RetryPolicy, S3Standard
-from repro.storage.dynamodb import DDB_MAX_ITEM_SIZE
-from repro.storage.errors import ItemTooLarge, NoSuchKey, RequestTimeout
+from repro.storage import RetryingClient, RetryPolicy, S3Standard
+from repro.storage.errors import NoSuchKey, RequestTimeout
 
 
 @pytest.fixture
@@ -96,17 +95,11 @@ class TestRetryingClient:
         assert client.stats.throttles >= 1
         assert client.stats.successes == 1
 
-    def test_put_roundtrip_through_client(self, stack):
-        env, fabric, rng, s3 = stack
-        client = RetryingClient(env, s3, RetryPolicy(request_timeout=60.0))
-        run(env, client.put("new-key", b"payload"))
-        assert s3.head("new-key").payload == b"payload"
-
 
 class TestNonRetryableErrorsBurnNothing:
     """Application errors must fail fast: exactly one attempt, zero
-    backoff — retrying a missing key or an oversized item cannot
-    succeed, it only wastes the retry budget."""
+    backoff — retrying a missing key cannot succeed, it only wastes the
+    retry budget."""
 
     def test_no_such_key_not_retried_and_no_backoff(self, stack):
         env, fabric, rng, s3 = stack
@@ -126,24 +119,4 @@ class TestNonRetryableErrorsBurnNothing:
         assert client.stats.backoff_time == 0.0
         assert client.stats.throttles == 0
         assert client.stats.timeouts == 0
-
-    def test_item_too_large_not_retried_and_no_backoff(self):
-        env = Environment()
-        fabric = Fabric(env)
-        rng = RandomStreams(seed=7)
-        ddb = DynamoDB(env, fabric, rng)
-        client = RetryingClient(
-            env, ddb, RetryPolicy(request_timeout=60.0, max_attempts=8))
-        oversized = b"x" * (int(DDB_MAX_ITEM_SIZE) + 1)
-
-        def attempt(env):
-            try:
-                yield from client.put("big", oversized)
-            except ItemTooLarge as exc:
-                return exc
-
-        error = run(env, attempt(env))
-        assert isinstance(error, ItemTooLarge)
-        assert client.stats.attempts == 1
-        assert client.stats.backoff_time == 0.0
         assert client.stats.giveups == 0

@@ -155,7 +155,7 @@ def test_gateway_shed_emits_telemetry():
     assert sheds[0]["tenant"] == "batch"
     assert sheds[0]["queue_depth"] == 1
     depth = recorder.metrics.series["gateway.queue_depth"]
-    assert depth.last == 1.0
+    assert depth.values()[-1] == 1.0
 
 
 def test_gateway_depth_gauge_tracks_pop():

@@ -27,7 +27,6 @@ def test_timeseries_basic_sampling():
     series.sample(1.0, 2.0)
     assert series.points == [(0.0, 1.0), (1.0, 2.0)]
     assert series.values() == [1.0, 2.0]
-    assert series.last == 2.0
     assert series.dropped == 0
 
 
@@ -46,11 +45,7 @@ def test_timeseries_max_points_caps_storage():
         series.sample(float(i), float(i))
     assert len(series.points) == 3
     assert series.dropped == 7
-    assert series.last == 2.0
-
-
-def test_timeseries_empty_last_is_none():
-    assert TimeSeries("test.series").last is None
+    assert series.values() == [0.0, 1.0, 2.0]
 
 
 def test_registry_caches_by_name():

@@ -179,7 +179,7 @@ class TestFailureInjection:
         engine = build_engine(sim)
         # Inject: delete a base-table partition behind the catalog's back.
         victim = engine.catalog["lineitem"].partitions[2].key
-        sim.s3().delete(victim)
+        del sim.s3()._objects[victim]
 
         def scenario(env):
             try:

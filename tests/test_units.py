@@ -20,14 +20,6 @@ class TestConstants:
         assert units.MONTH == 30 * units.DAY
 
 
-class TestConversions:
-    def test_gib_per_s(self):
-        assert units.gib_per_s(2 * units.GiB) == pytest.approx(2.0)
-
-    def test_mib_per_s(self):
-        assert units.mib_per_s(75 * units.MiB) == pytest.approx(75.0)
-
-
 class TestFormatting:
     @pytest.mark.parametrize("value,expected", [
         (512, "512 B"),
