@@ -99,12 +99,11 @@ def test_obs_plane_overhead(benchmark):
 
 
 def test_disabled_guard_is_cheap(benchmark):
-    """The per-site cost when telemetry is off: one attribute check."""
-    recorder = get_recorder()
-    assert not recorder.enabled
+    """The per-site cost when telemetry is off: one ``None`` check."""
+    assert get_recorder() is None
 
     def guard_loop():
-        telemetry = recorder if recorder.enabled else None
+        telemetry = get_recorder()
         hits = 0
         for _ in range(100_000):
             if telemetry is not None:

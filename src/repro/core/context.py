@@ -31,7 +31,7 @@ class CloudSim:
                  use_vpc: bool = False) -> None:
         self.env = Environment()
         recorder = get_recorder()
-        if recorder.enabled:
+        if recorder is not None:
             recorder.attach_kernel(self.env)
         self.fabric = Fabric(self.env)
         self.rng = RandomStreams(seed=seed)

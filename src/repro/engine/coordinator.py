@@ -89,7 +89,7 @@ class RecoveryState(Supervisor):
             **{name: round(value, 9) if isinstance(value, float) else value
                for name, value in attrs.items()}})
         recorder = get_recorder()
-        if recorder.enabled:
+        if recorder is not None:
             recorder.event(now, f"recovery.{event}", category="recovery",
                            pipeline=pipeline, fragment=fragment, **attrs)
 
@@ -185,7 +185,7 @@ def _run_query(runtime: CoordinatorRuntime, context: FunctionContext,
     fragments = _compile_fragments(runtime, plan)
     recorder = get_recorder()
     coord_span = None
-    if recorder.enabled:
+    if recorder is not None:
         coord_span = recorder.start_span(
             f"coordinate {plan.query_id}", env.now,
             parent=context.trace_ctx, category="coordinator",

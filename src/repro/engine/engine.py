@@ -162,7 +162,7 @@ class SkyriseEngine:
         recorder = get_recorder()
         payload = {"plan": plan}
         root = None
-        if recorder.enabled:
+        if recorder is not None:
             root = recorder.start_trace(
                 f"query {plan.query_id}", self.env.now,
                 attrs={"query_id": plan.query_id})

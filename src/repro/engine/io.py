@@ -65,8 +65,7 @@ class IoStack:
         self.concurrency = concurrency
         self.stats = IoStats()
         self._deferred_bytes = 0.0
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
+        self._telemetry = get_recorder()
         #: Parent span for this stack's storage spans; the worker sets it
         #: to its own span so reads/writes nest inside the worker.
         self.span = None

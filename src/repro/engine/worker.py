@@ -92,7 +92,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
     phases: dict[str, float] = {}
     recorder = get_recorder()
     wspan = None
-    if recorder.enabled:
+    if recorder is not None:
         wspan = recorder.start_span(
             f"worker {pipeline.id}/{fragment}", env.now,
             parent=context.trace_ctx, category="worker",

@@ -81,9 +81,8 @@ class LambdaPlatform:
         #: anything with the same ``on_invoke``/``on_place`` surface).
         #: ``None`` means no injection — the default, fault-free path.
         self.fault_injector = None
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
-        if self._telemetry is not None:
+        self._telemetry = recorder = get_recorder()
+        if recorder is not None:
             self._cold_counter = recorder.counter("lambda.cold_starts")
             self._warm_counter = recorder.counter("lambda.warm_starts")
             self._concurrent_gauge = recorder.gauge("lambda.concurrent")

@@ -94,7 +94,7 @@ def hedge_candidates(elapsed_by_task: dict[int, float],
                         if elapsed > threshold)
     if candidates and now is not None:
         recorder = get_recorder()
-        if recorder.enabled:
+        if recorder is not None:
             recorder.event(
                 now, "hedge.candidates", category="recovery",
                 pipeline=pipeline, fragments=candidates,

@@ -88,7 +88,7 @@ def worker_handler(context, payload):
     """
     recorder = get_recorder()
     span = None
-    if recorder.enabled:
+    if recorder is not None:
         span = recorder.start_span(
             f"fn {payload['call_id']}", context.env.now,
             parent=context.trace_ctx, category="futures",
@@ -169,7 +169,7 @@ class FunctionExecutor:
         job_id = f"j{len(self.jobs):03d}"
         monitor = JobMonitor(self.env, job_id)
         recorder = get_recorder()
-        if recorder.enabled:
+        if recorder is not None:
             monitor.span = recorder.start_trace(
                 f"futures {job_id} {kind}", self.env.now, category="futures",
                 attrs={"job": job_id, "kind": kind})

@@ -71,7 +71,7 @@ class Invoker(Supervisor):
             future.mark_running(self.env.now)
             recorder = get_recorder()
             span = None
-            if recorder.enabled:
+            if recorder is not None:
                 span = recorder.start_span(
                     f"dispatch {future.call_id}", self.env.now, parent=parent,
                     category="futures", attrs={"call_id": future.call_id})
@@ -138,7 +138,7 @@ class Invoker(Supervisor):
 
     def _note(self, name: str, future: ResponseFuture, **attrs) -> None:
         recorder = get_recorder()
-        if recorder.enabled:
+        if recorder is not None:
             recorder.event(self.env.now, name, category="futures",
                            job=future.job_id, call_id=future.call_id,
                            **attrs)

@@ -30,8 +30,7 @@ class JobMonitor:
         #: Job span the executor parents all dispatches under; finished
         #: here when the last future reaches a terminal state.
         self.span = None
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
+        self._telemetry = get_recorder()
 
     # -- future hooks ---------------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.network.fabric import Endpoint, Fabric, FluidLink
@@ -19,14 +19,12 @@ VM_STARTUP_SIGMA = 0.25
 
 @dataclass
 class VmInstance:
-    """A running EC2 instance."""
-
-    _ids = itertools.count()
+    """A running EC2 instance; ``id`` numbers it within its fleet."""
 
     instance_type: EC2InstanceType
     endpoint: Endpoint
     started_at: float
-    id: int = field(default_factory=lambda: next(VmInstance._ids))
+    id: int
 
     def uptime(self, now: float) -> float:
         """Billed runtime so far."""
@@ -48,6 +46,7 @@ class Ec2Fleet:
         self.vpc_link = vpc_link
         self.instances: list[VmInstance] = []
         self._rng = rng.stream("iaas.startup")
+        self._ids = itertools.count()
 
     def provision(self, instance_name: str, count: int = 1):
         """Process: start ``count`` instances; returns them once all boot.
@@ -76,7 +75,7 @@ class Ec2Fleet:
             egress=self._shaper(instance_type),
             links=links)
         return VmInstance(instance_type=instance_type, endpoint=endpoint,
-                          started_at=self.env.now)
+                          started_at=self.env.now, id=next(self._ids))
 
     def _shaper(self, instance_type: EC2InstanceType):
         if instance_type.network_bucket_bytes <= 0:

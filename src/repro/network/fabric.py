@@ -227,7 +227,7 @@ class Fabric:
         # order; without a recorder the order is unobservable and the
         # registry order is used. Captured at construction, like the
         # shapers do.
-        self._ordered_sync = get_recorder().enabled
+        self._ordered_sync = get_recorder() is not None
 
     # -- public API ---------------------------------------------------------
 

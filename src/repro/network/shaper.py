@@ -94,10 +94,9 @@ class TokenBucketShaper:
         #: When the shaper last went idle (None while active).
         self._idle_since: float | None = None
         # Telemetry is captured at construction: recording() must wrap
-        # simulation setup. Disabled recorders cost one None-check here.
-        recorder = get_recorder()
-        if recorder.enabled:
-            self._telemetry = recorder
+        # simulation setup. Telemetry off costs one None-check here.
+        self._telemetry = recorder = get_recorder()
+        if recorder is not None:
             label = recorder.unique_name(f"shaper.{name or mode}")
             self.telemetry_name = label
             self._level_series = recorder.timeseries(
@@ -108,7 +107,6 @@ class TokenBucketShaper:
                 "shaper.throttle_transitions")
             self._was_throttled = self.budget <= 0
         else:
-            self._telemetry = None
             self.telemetry_name = name or mode
 
     # -- inspection ---------------------------------------------------------

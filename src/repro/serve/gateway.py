@@ -133,9 +133,8 @@ class QueryGateway:
         self._seq = itertools.count()
         #: Scheduler hook, called after every successful admission.
         self.on_submit: Optional[Callable[[], None]] = None
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
-        if self._telemetry is not None:
+        self._telemetry = recorder = get_recorder()
+        if recorder is not None:
             self._depth_gauge = recorder.gauge("gateway.queue_depth")
             self._depth_series = recorder.timeseries(
                 "gateway.queue_depth", min_dt=0.001)

@@ -66,8 +66,7 @@ class Rebalancer:
         self._rng = RandomStreams(seed).stream("shard.rebalancer")
         self.events: list[RebalanceEvent] = []
         self.steps = 0
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
+        self._telemetry = get_recorder()
         if self._telemetry is not None:
             self._load_series: dict = {}
 

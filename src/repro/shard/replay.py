@@ -47,7 +47,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import count, repeat
+from itertools import count
 from operator import add, itemgetter
 
 import numpy as np
@@ -178,6 +178,16 @@ class ReplayConfig:
     #: Optional :mod:`repro.chaos` plan name; its ``shard_failure``
     #: specs are polled per live shard at every control tick.
     fault_plan: str = ""
+
+    def __post_init__(self) -> None:
+        # A shard with no slot never drains its backlog, and one with no
+        # admission room sheds every query.
+        if self.slots_per_shard < 1:
+            raise ValueError(
+                f"slots_per_shard must be >= 1, got {self.slots_per_shard}")
+        if self.max_pending_per_shard < 1:
+            raise ValueError("max_pending_per_shard must be >= 1, got "
+                             f"{self.max_pending_per_shard}")
 
     def smoke(self) -> "ReplayConfig":
         """The CI-sized variant: >=100k tenants, truncated trace."""
@@ -370,6 +380,9 @@ class _Fabric:
         # finished replay's trace arrays would wait for the collector.
         def guarded_gateway(env, **kwargs) -> QueryGateway:
             gateway = QueryGateway(env, **kwargs)
+            # The lane inlines the gateway calls that would record; the
+            # replay's telemetry is router counters and rebalance spans.
+            gateway._telemetry = None
             gateway.queues = ScanGuard(gateway.queues)
             gateway.tenants = ScanGuard(gateway.tenants)
             guards.append(gateway.queues)
@@ -511,7 +524,7 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     every control tick anyway).
     """
     fabric = _Fabric(config, observer, keyed=True)
-    router, banks, clock = fabric.router, fabric.banks, fabric.clock
+    router, banks = fabric.router, fabric.banks
     times, ids, service = fabric.times, fabric.ids, fabric.service
     on_completion, slow_s, salt, cut = fabric.hook
 
@@ -526,8 +539,8 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
             service.exponential(config.mean_service_s, size=stop - start))
         kept: list | None = None if observer is None else []
         for shard, ops in streams.items():
-            _run_lane(router.gateways[shard], banks[shard], clock, ops,
-                      kept, slow_s, salt, cut)
+            _run_lane(router.gateways[shard], banks[shard], ops, kept,
+                      slow_s, salt, cut)
         if kept:
             kept.sort(key=itemgetter(0))
             for _tag, finish, shard, request in kept:
@@ -608,9 +621,8 @@ def _fast_prefix(busy: list, slots: int, times: np.ndarray,
     return int(full.argmax()) if full.any() else len(times)
 
 
-def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
-              ops: tuple, kept: list | None, slow_s: float, salt: int,
-              cut: int) -> None:
+def _run_lane(gateway: QueryGateway, bank: _SlotBank, ops: tuple,
+              kept: list | None, slow_s: float, salt: int, cut: int) -> None:
     """One shard's op stream: speculative blocks plus a scalar drain.
 
     ``ops`` is the shard's column tuple from
@@ -655,12 +667,12 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
     ``within_slo`` are integer counts that commute with every other
     update, so the lane adds them for its block ops and its drained
     requests once, when it ends (:func:`_buckets`); ``_advance`` calls
-    record their completions as they go. A recorder samples queue
-    depth in ``_enqueue`` and ``pop``, and ``on_submit`` or a missing
-    default tenant change what ``submit`` does, so in those cases (or
-    with ``max_pending <= 0``) every op calls ``_advance`` and
-    ``submit`` as the reference does. The clock is written only for
-    ``submit``, its one reader.
+    record their completions as they go.
+
+    **Gateways.** The lane takes the gateways the replay's factory
+    builds: a default tenant, no scheduler hook, no gateway telemetry,
+    and (:class:`ReplayConfig` checks it) at least one slot and
+    ``max_pending > 0``. Nothing in it reads the clock.
 
     With ``kept`` (an observer is attached) each completion that
     passes ``_complete``'s interest filter (``slow_s``/``salt``/``cut``)
@@ -684,26 +696,6 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, clock: ManualClock,
 
         def hook(finish: float, shard_id: str, request) -> None:
             append(((*tag, next(order)), finish, shard_id, request))
-
-    if (gateway._telemetry is not None or gateway.on_submit is not None
-            or gateway.default_tenant is None
-            or not gateway.max_pending > 0):
-        for now, index, key, plan, kind in zip(
-                times.tolist(), indices.tolist(), keys.tolist(),
-                plans.tolist(),
-                repeat(OFFER) if kinds is None else kinds.tolist()):
-            if kind != RETRY:
-                if hook is not None:
-                    tag[:] = index, False
-                _advance(bank, gateway, now, hook, slow_s, salt, cut)
-                if kind == FENCED:
-                    continue
-            clock.now = now
-            if gateway.submit(f"{_TENANT_PREFIX}{key}", plan) is not None:
-                if hook is not None:
-                    tag[:] = index, kind == RETRY
-                _advance(bank, gateway, now, hook, slow_s, salt, cut)
-        return
 
     n = len(times)
     # Every op's outcome if it were dispatched on arrival, as arrays:

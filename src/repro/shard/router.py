@@ -216,9 +216,8 @@ class ShardRouter:
         self.submits = 0
         self.stale_retries = 0
         self.migrated = 0
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
-        if self._telemetry is not None:
+        self._telemetry = recorder = get_recorder()
+        if recorder is not None:
             self._submit_counter = recorder.counter("router.submits")
             self._stale_counter = recorder.counter("router.stale_retries")
         for shard in self.directory.shards():

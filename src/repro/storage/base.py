@@ -150,8 +150,7 @@ class StorageService:
         #: Chaos hook: ``hook(op, key, now)`` returning an error to
         #: inject for this request, or ``None``. Default: no injection.
         self.fault_hook = None
-        recorder = get_recorder()
-        self._telemetry = recorder if recorder.enabled else None
+        self._telemetry = get_recorder()
         if self._telemetry is not None:
             self.stats.on_record = self._record_metric
 

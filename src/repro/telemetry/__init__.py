@@ -1,7 +1,7 @@
 """Simulation-wide observability: metrics, spans, and exporters.
 
-The default recorder is a no-op; wrap simulation construction in
-:func:`recording` to capture telemetry::
+Telemetry is off (:func:`get_recorder` is ``None``) unless simulation
+construction is wrapped in :func:`recording`::
 
     from repro.telemetry import recording
     from repro.telemetry.export import chrome_trace, metrics_snapshot
@@ -34,9 +34,7 @@ from repro.telemetry.metrics import (
     TimeSeries,
 )
 from repro.telemetry.recorder import (
-    NULL_RECORDER,
     KernelMonitor,
-    NullRecorder,
     TelemetryRecorder,
     get_recorder,
     recording,
@@ -50,8 +48,6 @@ __all__ = [
     "KernelMonitor",
     "LatencyHistogram",
     "MetricRegistry",
-    "NULL_RECORDER",
-    "NullRecorder",
     "Span",
     "TelemetryRecorder",
     "TimeSeries",

@@ -1,13 +1,13 @@
-"""The telemetry recorder and the global no-op default.
+"""The telemetry recorder and the global slot that holds it.
 
 One :class:`TelemetryRecorder` observes one simulation: a metric
 registry of typed instruments, the span store of every trace, and a
 global timeline of instant events (faults, sheds, throttle transitions,
-hedge decisions). The module-level default is a :class:`NullRecorder`
-whose ``enabled`` flag is ``False`` — every instrumentation site in the
-simulation guards on that flag, so an uninstrumented run does no
-recording work beyond a predicate check and stays byte-identical to a
-build without telemetry.
+hedge decisions). Outside :func:`recording` the global is ``None`` —
+every instrumentation site in the simulation checks
+``recorder is not None``, so an uninstrumented run does no recording
+work beyond that check and stays byte-identical to a build without
+telemetry.
 
 Usage::
 
@@ -75,8 +75,6 @@ class KernelMonitor:
 
 class TelemetryRecorder:
     """Collects metrics, spans, and events for one simulation."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.metrics = MetricRegistry()
@@ -169,88 +167,18 @@ class TelemetryRecorder:
         env.set_monitor(KernelMonitor(self))
 
 
-class _NullSpan(Span):
-    """Shared inert span returned by the :class:`NullRecorder`."""
-
-    def __init__(self) -> None:
-        super().__init__(trace_id="null", span_id=0, parent_id=None,
-                         name="null", category="null", start=0.0, end=0.0)
-
-    def finish(self, t, **attrs) -> "Span":
-        return self
+_current: Optional[TelemetryRecorder] = None
 
 
-class _NullHistogram(LatencyHistogram):
-    """Shared inert histogram: samples vanish, percentiles are 0."""
-
-    __slots__ = ()
-
-    def record(self, latency_s: float) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_COUNTER = Counter("null")
-_NULL_GAUGE = Gauge("null")
-_NULL_SERIES = TimeSeries("null", max_points=0)
-_NULL_HISTOGRAM = _NullHistogram()
-
-
-class NullRecorder:
-    """Determinism-neutral default: records nothing, allocates nothing.
-
-    Every method mirrors :class:`TelemetryRecorder` and returns shared
-    inert objects, so instrumentation sites that skip the ``enabled``
-    guard still cannot fail — they just record into the void.
-    """
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str) -> Gauge:
-        return _NULL_GAUGE
-
-    def timeseries(self, name: str, min_dt: float = 0.0) -> TimeSeries:
-        return _NULL_SERIES
-
-    def histogram(self, name: str) -> LatencyHistogram:
-        return _NULL_HISTOGRAM
-
-    def unique_name(self, base: str) -> str:
-        return base
-
-    def start_trace(self, name, t, category="query", attrs=None) -> Span:
-        return _NULL_SPAN
-
-    def start_span(self, name, t, parent=None, category="span",
-                   attrs=None) -> Span:
-        return _NULL_SPAN
-
-    def record_span(self, name, start, end, parent=None, category="span",
-                    attrs=None) -> Span:
-        return _NULL_SPAN
-
-    def event(self, t, name, category="event", **attrs) -> None:
-        pass
-
-    def attach_kernel(self, env) -> None:
-        pass
-
-
-NULL_RECORDER = NullRecorder()
-
-_current: object = NULL_RECORDER
-
-
-def get_recorder():
-    """The active recorder (the shared no-op one unless enabled)."""
+def get_recorder() -> Optional[TelemetryRecorder]:
+    """The active recorder, or ``None`` when telemetry is off."""
     return _current
 
 
-def set_recorder(recorder) -> object:
-    """Install ``recorder`` as the global; returns the previous one."""
+def set_recorder(
+        recorder: Optional[TelemetryRecorder]) -> Optional[TelemetryRecorder]:
+    """Install ``recorder`` as the global (``None`` turns telemetry off);
+    returns the previous one."""
     global _current
     previous = _current
     _current = recorder

@@ -40,6 +40,9 @@ def main() -> None:
     serving = GOLDEN_DIR / "serving_fair_180s.json"
     serving.write_text(outcome.to_json() + "\n")
     print(f"wrote {serving} ({serving.stat().st_size} bytes)")
+    report_text = GOLDEN_DIR / "serving_fair_180s.txt"
+    report_text.write_text(outcome.format_report() + "\n")
+    print(f"wrote {report_text} ({report_text.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

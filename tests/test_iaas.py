@@ -47,6 +47,16 @@ class TestFleet:
         drain = shaper.burst_rate - shaper.refill_rate
         assert 120 <= shaper.capacity / drain <= 2700
 
+    def test_vm_ids_restart_per_fleet(self):
+        """Ids number a fleet's VMs, so a second run in one process
+        gives its VMs (and their invocation records) the same ids."""
+        for _ in range(2):
+            env, fabric, rng, fleet = make_stack()
+            instances = run(env, fleet.provision("c6g.xlarge", count=2))
+            assert [vm.id for vm in instances] == [0, 1]
+        assert [vm.id for vm in run(env, fleet.provision("c6g.xlarge"))] \
+            == [2]
+
     def test_large_instances_have_no_burst(self):
         env, fabric, rng, fleet = make_stack()
         instances = run(env, fleet.provision("c6g.16xlarge", count=1))

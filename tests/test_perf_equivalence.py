@@ -4,7 +4,7 @@ PR 5 rewires the simulator's hot paths (kernel fast path, incremental
 max-min fabric, columnar chunk cache). These tests pin the *simulated*
 results to goldens generated before the optimization: byte-identical
 canonical JSON for the Q6 telemetry artifacts, the chaos resilience
-report, and a serving-window outcome. Only real (wall-clock) time is
+report, and a serving-window outcome (with the text of its report). Only real (wall-clock) time is
 allowed to change.
 
 Regenerate after an *intentional* model change::
@@ -63,6 +63,9 @@ def test_serving_outcome_matches_golden():
         default_tenant_mix(rate_scale=6.0), policy="fair", window_s=180.0,
         seed=1, max_concurrent_queries=1)
     assert outcome.to_json() + "\n" == _golden("serving_fair_180s.json")
+    # The text ``repro serve`` prints: row order and formatting, which
+    # the summary's keyed JSON cannot see.
+    assert outcome.format_report() + "\n" == _golden("serving_fair_180s.txt")
 
 
 def _digest(text: str) -> str:

@@ -16,7 +16,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from contextlib import nullcontext
 from operator import itemgetter
 from pathlib import Path
 from unittest import mock
@@ -169,6 +168,10 @@ class TestKernelEqualsReference:
             })
         kernel, reference = seen
         assert kernel == reference
+        # The replay's factory turns gateway telemetry off: its shed
+        # counter and queue-depth series are DES serving's instruments.
+        assert kernel["counters"]["gateway.shed"] == 0
+        assert result.report["shed"] > 0
         assert kernel["counters"]["router.submits"] == SMALL.events
         assert kernel["counters"]["router.stale_retries"] \
             == result.stale_retries > 0
@@ -346,13 +349,16 @@ def _lane_case(draw):
 
 
 def _lane_shard(case):
-    """A clock, a gateway and its slot bank in the state ``case`` names."""
-    clock = ManualClock()
+    """A gateway and its slot bank in the state ``case`` names, the
+    gateway as the replay's factory builds it: a default tenant,
+    ``ScanGuard`` tenant dicts and no telemetry."""
     gateway = QueryGateway(
-        clock, metrics=ShardMetrics("s", slo_latency_s=0.5),
+        ManualClock(), metrics=ShardMetrics("s", slo_latency_s=0.5),
         max_pending=case["max_pending"], shard_id="s",
         default_tenant=Tenant(name="__default__",
                               max_queue_depth=case["queue_depth"]))
+    gateway.queues = ScanGuard(gateway.queues)
+    gateway.tenants = ScanGuard(gateway.tenants)
     if case["registered"]:
         gateway.register(Tenant(name="t1", priority=0, max_queue_depth=2))
     bank = _SlotBank(case["slots"])
@@ -363,7 +369,7 @@ def _lane_shard(case):
         gateway.adopt(QueryRequest(
             tenant=f"t{key}", plan=plan, submitted_at=first / 2,
             seq=next(gateway._seq), priority=1, rescued=rescued))
-    return clock, gateway, bank
+    return gateway, bank
 
 
 def _completion(finish, shard, request):
@@ -406,16 +412,13 @@ class TestLaneDifferential:
 
     @given(case=_lane_case(),
            observed=st.sampled_from([None, *_INTEREST]),
-           blocks=st.sampled_from([(1, 1), (1, 4), (2, 16), (64, 4096)]),
-           recorded=st.booleans())
+           blocks=st.sampled_from([(1, 1), (1, 4), (2, 16), (64, 4096)]))
     @settings(max_examples=400, deadline=None)
-    def test_lane_is_the_reference_body(self, case, observed, blocks,
-                                        recorded):
+    def test_lane_is_the_reference_body(self, case, observed, blocks):
         slow_s, salt, cut = observed or (-math.inf, 0, 0)
         ops = _lane_ops(case["ops"], start=100)
-        with recording() if recorded else nullcontext():
-            clock, gateway, bank = _lane_shard(case)
-            ref_clock, ref_gateway, ref_bank = _lane_shard(case)
+        gateway, bank = _lane_shard(case)
+        ref_gateway, ref_bank = _lane_shard(case)
 
         fired = []
 
@@ -431,14 +434,16 @@ class TestLaneDifferential:
                 _advance(ref_bank, ref_gateway, now, hook, slow_s, salt, cut)
                 if kind == FENCED:
                     continue
-            ref_clock.now = now
+            ref_gateway.env.now = now
             if ref_gateway.submit(f"t{key}", plan) is not None:
                 _advance(ref_bank, ref_gateway, now, hook, slow_s, salt, cut)
 
         kept = None if observed is None else []
         with mock.patch.multiple(repro.shard.replay, _BLOCK_MIN=blocks[0],
                                  _BLOCK_MAX=blocks[1]):
-            _run_lane(gateway, bank, clock, ops, kept, slow_s, salt, cut)
+            _run_lane(gateway, bank, ops, kept, slow_s, salt, cut)
+
+        assert gateway.queues.full_scans == gateway.tenants.full_scans == 0
 
         assert _state(gateway, bank) == _state(ref_gateway, ref_bank)
         if observed is not None:
@@ -467,6 +472,22 @@ class TestLaneBlocks:
         assert run_replay(config).digest()[:16] == "07a053f41f28efcd"
         assert sum(applied) >= 0.59 * config.events
         assert sum(applied) >= 16 * len(applied)
+
+
+class TestReplayConfigLimits:
+    """A shard needs a slot and admission room: the lane assumes both,
+    and without a slot the reference's end-of-trace drain never ends."""
+
+    @pytest.mark.parametrize("limit",
+                             ["slots_per_shard", "max_pending_per_shard"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_a_shard_that_cannot_serve(self, limit, value):
+        with pytest.raises(ValueError, match=limit):
+            ReplayConfig(**{limit: value})
+
+    def test_one_slot_and_one_pending_suffice(self):
+        config = ReplayConfig(slots_per_shard=1, max_pending_per_shard=1)
+        assert config.slots_per_shard == config.max_pending_per_shard == 1
 
 
 #: One gateway operation: submit, adopt, a round-robin pop, a pop of

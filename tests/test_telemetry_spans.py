@@ -4,8 +4,6 @@ import pytest
 
 from repro.sim import Environment
 from repro.telemetry import (
-    NULL_RECORDER,
-    NullRecorder,
     Span,
     TelemetryRecorder,
     get_recorder,
@@ -84,36 +82,25 @@ def test_recorder_events_timeline():
                                 "category": "serving", "tenant": "batch"}]
 
 
-def test_null_recorder_is_inert():
-    null = NullRecorder()
-    assert not null.enabled
-    span = null.start_trace("q", 0.0)
-    assert span is null.start_span("x", 1.0) is null.record_span("y", 0, 1)
-    span.finish(5.0, extra=1)
-    assert span.end == 0.0 and span.attrs == {}
-    null.counter("c").inc()
-    null.gauge("g").set(1.0)
-    null.timeseries("s").sample(0.0, 1.0)
-    assert null.counter("c").value >= 0  # shared scratch object; no raise
-    assert null.timeseries("s").points == []  # max_points=0: never stores
-    null.event(0.0, "ignored")
-    null.attach_kernel(object())  # no-op, accepts anything
+def test_recorder_is_none_by_default_and_after_recording():
+    assert get_recorder() is None
+    with recording() as recorder:
+        assert get_recorder() is recorder
+    assert get_recorder() is None
 
 
 def test_global_recorder_installation():
-    assert get_recorder() is NULL_RECORDER
     recorder = TelemetryRecorder()
-    set_recorder(recorder)
+    assert set_recorder(recorder) is None
     try:
         assert get_recorder() is recorder
-        assert recorder.enabled
     finally:
-        set_recorder(NULL_RECORDER)
-    assert get_recorder() is NULL_RECORDER
+        assert set_recorder(None) is recorder
+    assert get_recorder() is None
 
 
 def test_recording_context_restores_previous():
-    sentinel = NullRecorder()
+    sentinel = TelemetryRecorder()
     previous = set_recorder(sentinel)
     try:
         with recording() as recorder:
