@@ -10,6 +10,7 @@ adding queueing latency.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from typing import Any, Optional
@@ -88,23 +89,12 @@ class LambdaPlatform:
             self._concurrent_gauge = recorder.gauge("lambda.concurrent")
             self._concurrent_series = recorder.timeseries(
                 "lambda.concurrent", min_dt=0.001)
-            self._sandbox_serials: dict[int, int] = {}
+        self._sandbox_ids = itertools.count()
 
     def _note_busy(self) -> None:
         """Sample the concurrency watermark after a busy-count change."""
         self._concurrent_gauge.set(float(self._busy))
         self._concurrent_series.sample(self.env.now, float(self._busy))
-
-    def _sandbox_tag(self, sandbox: Sandbox) -> int:
-        """Dense per-platform serial for a sandbox, for telemetry attrs.
-
-        ``Sandbox.id`` comes from a process-global counter, so its value
-        depends on every sandbox ever created in the process. Trace
-        artifacts must be a function of the simulation alone, so spans
-        and events carry this platform-local serial instead.
-        """
-        return self._sandbox_serials.setdefault(
-            sandbox.id, len(self._sandbox_serials))
 
     # -- deployment ----------------------------------------------------------
 
@@ -191,7 +181,7 @@ class LambdaPlatform:
                 self._telemetry.record_span(
                     "coldstart" if cold else "warmstart",
                     startup_began, started_at, parent=span, category="faas",
-                    attrs={"sandbox_id": self._sandbox_tag(sandbox)})
+                    attrs={"sandbox_id": sandbox.id})
             context = FunctionContext(
                 env=self.env, platform=self, config=config,
                 endpoint=sandbox.endpoint, sandbox_id=sandbox.id,
@@ -234,7 +224,7 @@ class LambdaPlatform:
             self.records.append(record)
             if span is not None:
                 span.finish(self.env.now, cold=cold,
-                            sandbox_id=self._sandbox_tag(sandbox),
+                            sandbox_id=sandbox.id,
                             ok=error is None)
                 self._telemetry.histogram(
                     "lambda.invoke.duration_s").record(
@@ -318,10 +308,13 @@ class LambdaPlatform:
         """Route to a warm sandbox or create a fresh one (coldstart)."""
         now = self.env.now
         pool = self._warm[config.name]
-        # Reclaim expired sandboxes lazily.
-        pool[:] = [sandbox for sandbox in pool if not sandbox.expired(now)]
-        if pool:
-            return pool.pop(), False
+        # Reclaim expired sandboxes lazily. Every pooled sandbox is idle,
+        # so expiry only turns on as time passes: the first live sandbox
+        # popped off the end is the one a full filter would leave last.
+        while pool:
+            sandbox = pool.pop()
+            if not sandbox.expired(now):
+                return sandbox, False
         return self._place(config), True
 
     def _place(self, config: FunctionConfig) -> Sandbox:
@@ -343,13 +336,14 @@ class LambdaPlatform:
             sigma=IDLE_LIFETIME_SIGMA))
         sandbox = Sandbox(function=config.name, endpoint=endpoint,
                           created_at=self.env.now,
-                          idle_lifetime=idle_lifetime)
+                          idle_lifetime=idle_lifetime,
+                          id=next(self._sandbox_ids))
         if self._telemetry is not None:
             self._telemetry.counter("lambda.sandboxes_placed").value += 1
             self._telemetry.event(
                 self.env.now, "sandbox.placed", category="faas",
                 function=config.name,
-                sandbox_id=self._sandbox_tag(sandbox))
+                sandbox_id=sandbox.id)
         return sandbox
 
     def _coldstart_duration(self, config: FunctionConfig) -> float:

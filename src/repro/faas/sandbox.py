@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.network.fabric import Endpoint
 
@@ -15,16 +14,15 @@ class Sandbox:
     A sandbox keeps the function binary and runtime initialized between
     invocations (enabling warmstarts) and owns a network endpoint with its
     own ingress/egress token buckets — the per-function network budget of
-    Section 4.2 belongs to the sandbox, not the invocation.
+    Section 4.2 belongs to the sandbox, not the invocation. ``id``
+    numbers the platform's sandboxes in creation order.
     """
-
-    _ids = itertools.count()
 
     function: str
     endpoint: Endpoint
     created_at: float
     idle_lifetime: float
-    id: int = field(default_factory=lambda: next(Sandbox._ids))
+    id: int
     last_used_at: float = 0.0
     busy: bool = False
     invocations: int = 0

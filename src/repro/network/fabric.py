@@ -29,10 +29,14 @@ from typing import Optional
 from repro import units
 from repro.network.shaper import (
     _TIME_TOLERANCE,
+    ROUNDING_MARGIN,
+    SWEEP_LOG_CAP,
     TokenBucketShaper,
     advance_shapers,
+    catch_up,
+    ceiling,
+    deferral_key,
     earliest_change,
-    stalled_until,
 )
 from repro.sim import Environment, Event
 from repro.telemetry import get_recorder
@@ -47,6 +51,14 @@ _EPSILON_BYTES = 1e-6
 #: clock strictly advances between wakes, which float-derived wake times
 #: (one ulp short of a grant boundary) otherwise cannot.
 _MIN_WAKE_DELAY = 1e-9
+
+#: Moving flows at which a fabric starts to defer time, and at which it
+#: goes back to walking. A deferred update pays a catch-up and a heap
+#: entry per entity it touches; a walk pays a visit per flow and bucket.
+#: Narrow fabrics walk; the gap between the two keeps a width near one
+#: of them from switching on every update.
+_DEFER_AT = 16
+_WALK_AT = 4
 
 _creation_order = attrgetter("id")
 
@@ -97,7 +109,7 @@ class Flow:
         self.dst = dst
         self.size = size
         self.links = tuple(links)
-        self.transferred = 0.0
+        self._transferred = 0.0
         self.rate = 0.0
         self.started_at = fabric.env.now
         self.finished_at: Optional[float] = None
@@ -114,11 +126,21 @@ class Flow:
         # reused while registered.
         self._keys: tuple[int, ...] = tuple(
             id(c) for c in self._constraints)  # repro-lint: disable=DET004 identity token, never ordered
+        #: The fabric's deferral bookkeeping: sweeps applied, and the
+        #: token of the flow's live heap entry (-1: none).
+        self._synced = 0
+        self._token = -1
 
     @property
     def active(self) -> bool:
         """Whether the flow is still in the fabric."""
         return self.finished_at is None
+
+    @property
+    def transferred(self) -> float:
+        """Bytes moved so far, as of the fabric's last sweep."""
+        self.fabric._catch_up_flow(self)
+        return self._transferred
 
     def _collect_constraints(self) -> tuple[object, ...]:
         found: list[object] = []
@@ -153,13 +175,12 @@ class _ConstraintState:
     shaper ceiling that moves away from it marks the constraint dirty),
     and — for shapers — the cached sum of member rates in flow-creation
     order (a pure function of the members, so it only needs recomputing
-    when the member component is reallocated). Shaper entries are the
-    loads :func:`~repro.network.shaper.advance_shapers` walks, unless
-    ``parked`` until their next grant.
+    when the member component is reallocated), the owning fabric, and
+    the same deferral bookkeeping a flow has.
     """
 
     __slots__ = ("key", "constraint", "is_shaper", "members", "capacity",
-                 "consumption", "parked")
+                 "consumption", "fabric", "_synced", "_token")
 
     def __init__(self, key: int, constraint: object) -> None:
         self.key = key
@@ -168,7 +189,9 @@ class _ConstraintState:
         self.members: dict[Flow, None] = {}
         self.capacity = 0.0
         self.consumption = 0.0
-        self.parked = False
+        self.fabric = None
+        self._synced = 0
+        self._token = -1
 
 
 class Fabric:
@@ -185,14 +208,21 @@ class Fabric:
     one (:meth:`_recompute_rates`, kept as the reference and exercised
     against the incremental path by the property tests).
 
-    What cannot be incremental is time: every update moves every moving
-    flow and every active bucket to ``now`` and re-derives the next wake
-    from all of them. That is two walks per update — :meth:`_sweep`
-    before the allocation, :meth:`_schedule_wake` after it — and neither
-    makes a call per flow or per shaper. The walks skip only what they
-    provably cannot change: flows at rate 0, and stalled Lambda buckets,
-    parked until their next grant. With a recorder on, buckets sample
-    every advance and nothing parks.
+    Time is deferred the same way. An update appends its sweep (the
+    elapsed time and the grant horizon) to a log, and a flow or bucket is
+    brought to ``now`` only when the update touches it: its component is
+    reallocated, its completion, exhaustion or grant can fall due, or a
+    caller reads it. Catching up replays the logged sweeps in order with
+    the eager arithmetic, so it reaches the same floats. The next wake
+    comes from heaps of per-entity deferral keys — lower bounds of each
+    entity's wake term, exact for a bucket's next grant — and every
+    entity whose key is within reach of the running minimum is evaluated
+    exactly, so the wake is the eager walk's minimum to the bit.
+
+    A narrow fabric, and any fabric with a recorder on (buckets sample
+    every advance), walks every moving flow and every active bucket at
+    every update instead, in the historical (flow-creation) order. That
+    walk is the oracle the deferred path is tested against.
     """
 
     def __init__(self, env: Environment,
@@ -202,32 +232,45 @@ class Fabric:
         self._flow_ids = itertools.count()
         #: Active flows in creation order (an insertion-ordered set).
         self._flows: dict[Flow, None] = {}
-        #: The active flows whose rate is not 0: what the flow walks visit
+        #: The active flows whose rate is not 0: the flows time moves
         #: (``transferred + 0.0 * elapsed`` is ``transferred``).
         self._moving: dict[Flow, None] = {}
         self._last_sync = env.now
         self._wake_version = 0
         #: Constraint registry, keyed by the flows' identity tokens.
         self._states: dict[int, _ConstraintState] = {}
-        #: The registry's shaper entries: what the sweeps walk.
+        #: The registry's shaper entries.
         self._shaped: dict[int, _ConstraintState] = {}
-        #: Stalled shaper entries out of the walks until their next grant,
-        #: as a heap of ``(grant time, tie-break, entry)``. An entry whose
-        #: last member left stays behind unparked and is dropped when it
-        #: surfaces.
-        self._parked: list[tuple[float, int, _ConstraintState]] = []
-        self._park_order = itertools.count()
         #: Constraint keys whose component needs reallocating.
         self._dirty: set[int] = set()
         #: Testing hook: force from-scratch recomputation on every
         #: update (the reference the incremental path must match).
         self._force_full = False
-        # With telemetry recording, shapers emit events as they advance,
-        # so the sweep must visit them in its historical (flow-creation)
-        # order; without a recorder the order is unobservable and the
-        # registry order is used. Captured at construction, like the
-        # shapers do.
-        self._ordered_sync = get_recorder() is not None
+        # Captured at construction, like the shapers do: with telemetry
+        # recording, every update walks every flow and bucket.
+        self._recorded = get_recorder() is not None
+        #: Whether updates defer time (see ``_DEFER_AT``).
+        self._deferred = False
+        #: The sweep log: per sweep, the seconds it covered and its grant
+        #: horizon. Item ``i`` is sweep ``_log_base + i`` of the
+        #: ``_logged`` so far; flows and shaper entries count the sweeps
+        #: they applied in ``_synced``.
+        self._elapsed: list[float] = []
+        self._horizons: list[float] = []
+        self._log_base = 0
+        self._logged = 0
+        #: Deferral keys, as heaps of ``(key, token, entity)``: lower
+        #: bounds (flows, draining buckets) and exact grant times. An
+        #: entry whose token is not its entity's ``_token`` is stale.
+        self._bounds: list[tuple[float, int, object]] = []
+        self._grants: list[tuple[float, int, object]] = []
+        self._last_token = 0
+        #: Flows and shaper entries the update in progress touched:
+        #: re-keyed at its end.
+        self._touched_flows: dict[Flow, None] = {}
+        self._touched_states: dict[_ConstraintState, None] = {}
+        #: Shaper entries whose rates changed since the last sweep.
+        self._expedited: list[_ConstraintState] = []
 
     # -- public API ---------------------------------------------------------
 
@@ -266,65 +309,241 @@ class Fabric:
         if not flow.active:
             return
         self.sync_now()
+        self._catch_up_flow(flow)
         self._finish(flow)
         self._update()
 
     def sync_now(self) -> None:
         """Advance transferred bytes and bucket levels to ``env.now``.
 
-        Rates are *not* recomputed; use this before reading
-        ``flow.transferred`` or shaper levels from a probe.
+        Rates are *not* recomputed. ``flow.transferred`` and shaper
+        levels read as of the last sweep, so a probe calls this first.
         """
-        self._sweep()
+        if self._deferred:
+            self._log_sweep(self.env.now)
+        else:
+            self._walk()
 
-    # -- internals ------------------------------------------------------------
+    # -- internals: the sweep -------------------------------------------------
 
     def _sweep(self) -> tuple[list[Flow], list]:
-        """Move every flow and every active bucket to ``env.now``.
+        """Start an update: move time to ``env.now``.
 
-        The pre-allocation walk, over the moving flows and the shaper
-        entries not parked past ``now``. Returns what it found on the
-        way: the flows that are now complete (creation order) and the
-        shaper entries whose ceiling no longer matches the capacity their
-        last allocation used. Both are pure functions of the state
-        reached, so a caller that only wants the advance may drop them.
+        Returns what the sweep found: the flows that are now complete
+        (creation order) and ``(shaper entry, ceiling)`` for the entries
+        whose ceiling no longer matches the capacity their last
+        allocation used. Deferred, only the entities whose keys fall due
+        (and the expedited entries) are touched; the rest provably have
+        nothing to report.
+        """
+        width = len(self._moving)
+        if self._deferred:
+            if width <= _WALK_AT:
+                self._stop_deferring()
+                return self._walk()
+        elif self._recorded or width < _DEFER_AT:
+            return self._walk()
+        else:
+            self._start_deferring()
+        now = self.env.now
+        elapsed = self._log_sweep(now)
+        horizon = now + _TIME_TOLERANCE
+        completed = []
+        moved = []
+        due = self._expedited
+        if due:
+            self._expedited = []
+        else:
+            due = []
+        for heap in (self._bounds, self._grants):
+            while heap and not heap[0][0] > horizon:
+                entry = heapq.heappop(heap)
+                entity = entry[2]
+                if entity._token == entry[1]:
+                    due.append(entity)
+        for entity in due:
+            if entity.__class__ is Flow:
+                self._touch_flow(entity)
+                size = entity.size
+                if (size is not None
+                        and size - entity._transferred <= _EPSILON_BYTES):
+                    completed.append(entity)
+            elif entity.members:
+                self._touch_state(entity)
+                shaper = entity.constraint
+                current = ceiling(shaper)
+                if shaper._telemetry is not None and elapsed > 0:
+                    shaper._record(now, current)
+                if current != entity.capacity:
+                    moved.append((entity, current))
+        if len(completed) > 1:
+            completed.sort(key=_creation_order)
+        return completed, moved
+
+    def _walk(self) -> tuple[list[Flow], list]:
+        """The eager sweep: move every flow and every active bucket to
+        ``env.now``, buckets in the historical order (first appearance
+        along the flows in creation order), and report as :meth:`_sweep`.
         """
         now = self.env.now
         elapsed = now - self._last_sync
         self._last_sync = now
+        if self._expedited:
+            self._expedited = []  # the walk compares every ceiling
         completed = []
         for flow in self._moving:
-            flow.transferred = transferred = (flow.transferred
-                                              + flow.rate * elapsed)
+            flow._transferred = transferred = (flow._transferred
+                                               + flow.rate * elapsed)
             size = flow.size
             if size is not None and size - transferred <= _EPSILON_BYTES:
                 completed.append(flow)
         if len(completed) > 1:
             completed.sort(key=_creation_order)
         shaped = self._shaped
-        # A parked bucket's advances before its grant are exact no-ops:
-        # walk it again from the sweep its grant falls due in.
-        parked = self._parked
-        horizon = now + _TIME_TOLERANCE
-        while parked and not parked[0][0] > horizon:
-            state = heapq.heappop(parked)[2]
-            if state.parked:
-                state.parked = False
-                shaped[state.key] = state
-        if self._ordered_sync:
-            loads = {}
-            for flow in self._flows:
-                for key in flow._keys:
-                    if key in shaped and key not in loads:
-                        loads[key] = shaped[key]
-        else:
-            loads = shaped
+        loads = {}
+        for flow in self._flows:
+            for key in flow._keys:
+                if key in shaped and key not in loads:
+                    loads[key] = shaped[key]
         return completed, advance_shapers(loads.values(), now, elapsed)
+
+    def _log_sweep(self, now: float) -> float:
+        """Log the sweep to ``now``; returns its elapsed time.
+
+        A sweep with ``elapsed == 0`` moves no flow (``+ rate * 0.0``) and
+        no bucket (the walk skips it too: grants wait for a sweep that
+        covers time), so it is not logged. A full log is emptied first
+        (:meth:`_rebase`).
+        """
+        elapsed = now - self._last_sync
+        if elapsed > 0:
+            if self._logged - self._log_base >= SWEEP_LOG_CAP:
+                self._rebase()
+            self._last_sync = now
+            self._logged += 1
+            self._elapsed.append(elapsed)
+            self._horizons.append(now + _TIME_TOLERANCE)
+        return elapsed
+
+    def _rebase(self) -> None:
+        """Bring every moving flow and shaper entry to the log's end,
+        re-key each from there and empty the log: no key is ever older
+        than :data:`SWEEP_LOG_CAP` sweeps, the span its margin covers."""
+        self._catch_up_all()
+        self._key_all()
+
+    def _catch_up_all(self) -> None:
+        """Bring every flow and shaper entry to the log's end and empty
+        the log. (A flow at rate 0 only records that it is there: a walk
+        may set its rate without touching it.)"""
+        for flow in self._flows:
+            self._catch_up_flow(flow)
+        for state in self._shaped.values():
+            self._catch_up_state(state)
+        self._log_base = self._logged
+        self._elapsed.clear()
+        self._horizons.clear()
+
+    def _key_all(self) -> None:
+        now = self._last_sync
+        for flow in self._moving:
+            self._push_flow(flow, now)
+        for state in self._shaped.values():
+            self._push_state(state, now)
+
+    def _start_deferring(self) -> None:
+        """Walking leaves everything at the last sweep: key it all from
+        there. Entries expedited while walking are touched next."""
+        self._deferred = True
+        self._key_all()
+
+    def _stop_deferring(self) -> None:
+        """Bring everything to the last sweep and drop the keys."""
+        self._deferred = False
+        self._catch_up_all()
+        self._bounds.clear()
+        self._grants.clear()
+        self._expedited = []
+
+    # -- internals: deferral ---------------------------------------------------
+
+    def _catch_up_flow(self, flow: Flow) -> None:
+        """Apply the logged sweeps ``flow`` has not: ``rate × elapsed``
+        each, added in order (the eager walk's fold)."""
+        end = self._logged
+        synced = flow._synced
+        if synced == end:
+            return
+        flow._synced = end
+        rate = flow.rate
+        if rate:
+            transferred = flow._transferred
+            for elapsed in self._elapsed[synced - self._log_base:]:
+                transferred = transferred + rate * elapsed
+            flow._transferred = transferred
+
+    def _catch_up_state(self, state: _ConstraintState) -> None:
+        """Apply the logged sweeps a shaper entry has not."""
+        end = self._logged
+        synced = state._synced
+        if synced == end:
+            return
+        state._synced = end
+        catch_up(state, self._elapsed, self._horizons,
+                 synced - self._log_base)
+
+    def _touch_flow(self, flow: Flow) -> None:
+        self._catch_up_flow(flow)
+        flow._token = -1
+        self._touched_flows[flow] = None
+
+    def _touch_state(self, state: _ConstraintState) -> None:
+        self._catch_up_state(state)
+        state._token = -1
+        self._touched_states[state] = None
+
+    def _expedite(self, state: _ConstraintState) -> None:
+        """Bring a shaper entry up to date and have the next sweep touch
+        it: its shaper's rates are about to change."""
+        self._catch_up_state(state)
+        self._expedited.append(state)
+
+    def _push_flow(self, flow: Flow, now: float) -> None:
+        """Key ``flow``, up to date as of ``now``: its analytic completion
+        time, less the completion slack and the rounding margin."""
+        size = flow.size
+        rate = flow.rate
+        if size is None or not rate:
+            flow._token = -1  # open, stalled at rate 0, or finished
+            return
+        transferred = flow._transferred  # never negative
+        key = (now + (size - transferred - _EPSILON_BYTES) / rate
+               - ROUNDING_MARGIN * ((now if now > 0.0 else -now)
+                                    + (size + transferred) / rate))
+        self._last_token = flow._token = token = self._last_token + 1
+        heapq.heappush(self._bounds, (key, token, flow))
+
+    def _push_state(self, state: _ConstraintState, now: float) -> None:
+        """Key a shaper entry, up to date as of ``now``, by
+        :func:`~repro.network.shaper.deferral_key`."""
+        if not state.members:
+            return  # left the registry
+        key, exact = deferral_key(state, now)
+        if key == math.inf:
+            state._token = -1
+            return
+        self._last_token = state._token = token = self._last_token + 1
+        heapq.heappush(self._grants if exact else self._bounds,
+                       (key, token, state))
+
+    # -- internals: registry and allocation -------------------------------------
 
     def _register(self, flow: Flow) -> None:
         now = self.env.now
         states = self._states
         dirty = self._dirty
+        synced = self._logged
+        flow._synced = synced
         for shaper in flow.shapers():
             shaper.on_activate(now)
         for constraint, key in zip(flow.constraints(), flow._keys):
@@ -332,7 +551,12 @@ class Fabric:
             if state is None:
                 states[key] = state = _ConstraintState(key, constraint)
                 if state.is_shaper:
+                    # Idle until now: it starts from this sweep.
+                    state._synced = synced
+                    state.fabric = self
                     self._shaped[key] = state
+                    if not self._recorded:
+                        constraint._entry = state
             state.members[flow] = None
             dirty.add(key)
         self._flows[flow] = None
@@ -341,11 +565,14 @@ class Fabric:
             # (exactly what a one-flow fill with no constraints grants).
             flow.rate = self.default_rate
             self._moving[flow] = None
+            if self._deferred:
+                self._touched_flows[flow] = None
 
     def _finish(self, flow: Flow) -> None:
         now = self.env.now
         flow.finished_at = now
         flow.rate = 0.0
+        flow._token = -1
         self._flows.pop(flow, None)
         self._moving.pop(flow, None)
         states = self._states
@@ -359,14 +586,15 @@ class Fabric:
                 dirty.add(key)
             else:
                 # Last member gone: drop the registry entry (releasing
-                # the identity pin) and idle-refill shapers.
+                # the identity pin) and idle-refill shapers. An idle
+                # bucket is not advanced, so it is brought to now first.
                 del states[key]
                 dirty.discard(key)
                 if state.is_shaper:
-                    if state.parked:
-                        state.parked = False  # its heap entry goes stale
-                    else:
-                        del self._shaped[key]
+                    self._catch_up_state(state)
+                    state._token = -1
+                    del self._shaped[key]
+                    constraint._entry = None
                     constraint.on_idle(now)
         # No value: the flow as its own event's value would be a cycle.
         flow.done.succeed()
@@ -387,7 +615,7 @@ class Fabric:
                     and arriving.size <= _EPSILON_BYTES):
                 completed.append(arriving)
         for flow in completed:
-            flow.transferred = flow.size
+            flow._transferred = flow.size
             self._finish(flow)
         if self._force_full:
             self._recompute_rates()
@@ -406,24 +634,13 @@ class Fabric:
         outside it kept both its membership and its capacities, so its
         previous rates are exactly what a full recompute would produce.
         """
-        states = self._states
         dirty = self._dirty
         if not dirty:
             return
         self._dirty = set()
-        # Closure over the flow/constraint bipartite graph.
-        affected: set[Flow] = set()
-        stack = [key for key in dirty if key in states]
-        seen_keys = set(stack)
-        while stack:
-            for flow in states[stack.pop()].members:
-                if flow not in affected:
-                    affected.add(flow)
-                    for other in flow._keys:
-                        if other not in seen_keys:
-                            seen_keys.add(other)
-                            stack.append(other)
-        self._allocate(affected)
+        states = self._states
+        self._allocate([flow for key in dirty if key in states
+                        for flow in states[key].members])
 
     def _recompute_rates(self) -> None:
         """From-scratch max-min allocation over all active flows.
@@ -437,10 +654,7 @@ class Fabric:
         self._allocate(self._flows)
 
     def _allocate(self, flows) -> None:
-        """Decompose ``flows`` into components and fill each.
-
-        ``flows`` must be a union of whole connected components.
-        """
+        """Fill every connected component that has a flow in ``flows``."""
         component_of: dict[Flow, int] = {}
         component_id = 0
         states = self._states
@@ -470,11 +684,16 @@ class Fabric:
         """Progressive filling within one constraint-sharing component.
 
         ``flows`` must be a whole component in flow-creation order.
-        Updates each member's rate and the moving set, refreshes the
-        component's registry entries (capacity used, cached consumption
-        sums), and parks the shaper entries it left stalled.
+        Touches every member and shaper entry first (their rates and
+        consumption are about to change), then updates each member's rate
+        and the moving set and refreshes the component's registry entries
+        (capacity used, cached consumption sums).
         """
         states = self._states
+        deferred = self._deferred
+        if deferred:
+            for flow in flows:
+                self._touch_flow(flow)
         remaining: dict[int, float] = {}
         live: dict[int, dict[Flow, None]] = {}
         for flow in flows:
@@ -483,7 +702,9 @@ class Fabric:
                     state = states[key]
                     constraint = state.constraint
                     if state.is_shaper:
-                        capacity = constraint.allowed_rate()
+                        if deferred:
+                            self._touch_state(state)
+                        capacity = ceiling(constraint)
                     else:
                         capacity = constraint.capacity
                     state.capacity = capacity
@@ -529,40 +750,26 @@ class Fabric:
                 for flow in state.members:
                     total += flow.rate
                 state.consumption = total
-                if state.parked:
-                    continue
-                # Park a stalled bucket until its grant, unless that grant
-                # is already due (the next sweep must deliver it). Fills
-                # run after the update's sweep, so ``_last_sync`` is now.
-                grant_at = stalled_until(state)
-                if (grant_at is not None
-                        and grant_at > self._last_sync + _TIME_TOLERANCE):
-                    state.parked = True
-                    del self._shaped[key]
-                    heapq.heappush(self._parked,
-                                   (grant_at, next(self._park_order), state))
+
+    # -- internals: the wake -----------------------------------------------------
 
     def _schedule_wake(self) -> None:
-        """The post-allocation walk: wake at the next completion or
-        shaper ceiling change, whichever comes first."""
+        """Wake at the next completion or shaper ceiling change,
+        whichever comes first."""
         now = self.env.now
-        wake_at = math.inf
-        for flow in self._moving:
-            size = flow.size
-            if size is not None:
-                # Every flow still here has more than the completion
-                # slack left, so the remainder is positive.
-                upcoming = now + (size - flow.transferred) / flow.rate
-                if upcoming < wake_at:
-                    wake_at = upcoming
-        # A parked entry's term is its grant time: the heap top, once the
-        # entries whose last member left are dropped.
-        parked = self._parked
-        while parked and not parked[0][2].parked:
-            heapq.heappop(parked)
-        if parked and parked[0][0] < wake_at:
-            wake_at = parked[0][0]
-        wake_at = earliest_change(self._shaped.values(), now, wake_at)
+        if self._deferred:
+            wake_at = self._deferred_wake(now)
+        else:
+            wake_at = math.inf
+            for flow in self._moving:
+                size = flow.size
+                if size is not None:
+                    # Every flow still here has more than the completion
+                    # slack left, so the remainder is positive.
+                    upcoming = now + (size - flow._transferred) / flow.rate
+                    if upcoming < wake_at:
+                        wake_at = upcoming
+            wake_at = earliest_change(self._shaped.values(), now, wake_at)
         self._wake_version += 1
         if wake_at == math.inf:
             return
@@ -570,6 +777,65 @@ class Fabric:
         delay = max(_MIN_WAKE_DELAY, wake_at - now)
         timeout = self.env.timeout(delay)
         timeout.callbacks.append(lambda _event: self._on_wake(version))
+
+    def _deferred_wake(self, now: float) -> float:
+        """The eager walk's minimum, from the key heaps.
+
+        Re-keys what the update touched first. A key no greater than the
+        running minimum may hide a smaller term, so its entity is brought
+        up to date and evaluated exactly; the first key above the minimum
+        ends the search, since every later term is at least its key. An
+        evaluated entity keeps its entry (catching up does not move its
+        key); it leaves the heap only while a child of it may still hold
+        a smaller term. The grant heap's top is its own exact term.
+        """
+        touched = self._touched_flows
+        if touched:
+            push = self._push_flow
+            for flow in touched:
+                push(flow, now)
+            self._touched_flows = {}
+        touched = self._touched_states
+        if touched:
+            push = self._push_state
+            for state in touched:
+                push(state, now)
+            self._touched_states = {}
+        wake_at = math.inf
+        grants = self._grants
+        while grants and grants[0][2]._token != grants[0][1]:
+            heapq.heappop(grants)
+        if grants:
+            wake_at = grants[0][0]
+        bounds = self._bounds
+        held = []
+        while bounds:
+            entry = bounds[0]
+            if entry[0] > wake_at:
+                break
+            entity = entry[2]
+            if entity._token != entry[1]:
+                heapq.heappop(bounds)
+                continue
+            if entity.__class__ is Flow:
+                self._catch_up_flow(entity)
+                upcoming = (now + (entity.size - entity._transferred)
+                            / entity.rate)
+                if upcoming < wake_at:
+                    wake_at = upcoming
+            else:
+                self._catch_up_state(entity)
+                wake_at = earliest_change((entity,), now, wake_at)
+            # The next smallest key is a child of the top's.
+            for child in bounds[1:3]:
+                if not child[0] > wake_at:
+                    break
+            else:
+                break
+            held.append(heapq.heappop(bounds))
+        for entry in held:
+            heapq.heappush(bounds, entry)
+        return wake_at
 
     def _on_wake(self, version: int) -> None:
         if version != self._wake_version:

@@ -20,6 +20,7 @@ when the endpoint stops sending (the "refills halfway" behaviour).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro import units
@@ -38,6 +39,17 @@ _EPSILON_BYTES = 1e-3
 
 #: Tolerance when comparing simulated timestamps (seconds).
 _TIME_TOLERANCE = 1e-9
+
+#: The most sweeps a deferred bucket or flow goes without being brought
+#: up to date and re-keyed: the fabric's sweep log never holds more.
+SWEEP_LOG_CAP = 256
+
+#: Relative rounding margin of a deferral key. Over at most
+#: :data:`SWEEP_LOG_CAP` sweeps, an ordered fold drifts from the straight
+#: line through its anchor by under ``(SWEEP_LOG_CAP + 8) * 2**-53`` of
+#: the scale it is taken against (``docs/performance.md`` derives the
+#: bound); four times that is the margin.
+ROUNDING_MARGIN = 4 * (SWEEP_LOG_CAP + 8) * 2.0 ** -53
 
 #: Minimum idle duration before the "refill halfway" behaviour applies.
 #: Back-to-back requests with millisecond gaps do not count as the
@@ -58,12 +70,15 @@ class ShaperState:
 class TokenBucketShaper:
     """Aggregate token-bucket rate limiter for one traffic direction.
 
-    The shaper is driven by the fabric, which walks all its active
-    shapers at once with :func:`advance_shapers` (consume tokens for an
-    elapsed interval, report ceilings that moved) and
-    :func:`earliest_change` (when to recompute rates next).
-    :meth:`advance`, :meth:`allowed_rate` and :meth:`next_change` are the
-    same sweeps applied to this one shaper.
+    The shaper is driven by the fabric, which applies its sweeps to a
+    bucket with :func:`replay` (consume tokens over each elapsed interval,
+    in order) and asks :func:`earliest_change` when its ceiling next
+    moves. :meth:`advance`, :meth:`allowed_rate` and :meth:`next_change`
+    are the same functions applied to this one shaper.
+
+    While a fabric defers the bucket, ``_entry`` is the fabric's registry
+    entry for it, and every read below first brings the bucket up to the
+    fabric's last sweep.
     """
 
     def __init__(self, capacity: float, burst_rate: float,
@@ -83,7 +98,7 @@ class TokenBucketShaper:
         self.refill_rate = float(refill_rate)
         self.mode = mode
         self.one_off_budget = float(one_off_budget)
-        self.one_off_remaining = float(one_off_budget)
+        self._one_off = float(one_off_budget)
         self.idle_refill_level = (float(idle_refill_level)
                                   if idle_refill_level is not None else None)
         self.grant_interval = float(grant_interval)
@@ -93,6 +108,8 @@ class TokenBucketShaper:
         self._next_grant_at = self.grant_interval
         #: When the shaper last went idle (None while active).
         self._idle_since: float | None = None
+        #: The deferring fabric's registry entry, while there is one.
+        self._entry = None
         # Telemetry is captured at construction: recording() must wrap
         # simulation setup. Telemetry off costs one None-check here.
         self._telemetry = recorder = get_recorder()
@@ -111,28 +128,42 @@ class TokenBucketShaper:
 
     # -- inspection ---------------------------------------------------------
 
+    def _sync(self) -> None:
+        entry = self._entry
+        if entry is not None:
+            entry.fabric._catch_up_state(entry)
+
     @property
     def level(self) -> float:
         """Tokens currently in the rechargeable bucket (bytes)."""
+        self._sync()
         return self._level
+
+    @property
+    def one_off_remaining(self) -> float:
+        """What is left of the one-off budget (bytes)."""
+        self._sync()
+        return self._one_off
 
     @property
     def budget(self) -> float:
         """Total immediately spendable bytes (one-off + bucket)."""
-        return self.one_off_remaining + self._level
+        self._sync()
+        return self._one_off + self._level
 
     def state(self) -> ShaperState:
         """Return a snapshot for assertions in tests."""
+        self._sync()
         return ShaperState(level=self._level,
-                           one_off_remaining=self.one_off_remaining,
+                           one_off_remaining=self._one_off,
                            mode=self.mode)
 
-    # -- fabric interface (each a sweep over a one-element load) -------------
+    # -- fabric interface ---------------------------------------------------
 
     def allowed_rate(self) -> float:
         """Aggregate rate ceiling right now (bytes/second)."""
-        (_, ceiling), = advance_shapers((_Load(self, 0.0),), 0.0, 0.0)
-        return ceiling
+        self._sync()
+        return ceiling(self)
 
     def advance(self, now: float, elapsed: float, consumed_rate: float) -> None:
         """Account for ``elapsed`` seconds of consumption at ``consumed_rate``.
@@ -150,13 +181,14 @@ class TokenBucketShaper:
         Returns ``inf`` if the ceiling is stable under the given
         consumption rate.
         """
+        self._sync()
         return earliest_change((_Load(self, consumed_rate),), now)
 
     def _record(self, now: float, ceiling: float) -> None:
         """Sample the bucket after an advance (recorder-on path only)."""
         self._level_series.sample(now, self._level)
         self._rate_series.sample(now, ceiling)
-        throttled = self.one_off_remaining + self._level <= 0
+        throttled = self._one_off + self._level <= 0
         if throttled != self._was_throttled:
             self._was_throttled = throttled
             self._throttle_counter.value += 1
@@ -176,6 +208,10 @@ class TokenBucketShaper:
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"factor must be in (0, 1], got {factor}")
+        if self._entry is not None:
+            # Up to date under the old rates, then touched at the next
+            # sweep, which compares the new ceiling.
+            self._entry.fabric._expedite(self._entry)
         self.burst_rate *= factor
         self.refill_rate *= factor
 
@@ -215,6 +251,67 @@ class _Load:
         self.capacity = None
 
 
+def replay(shaper: TokenBucketShaper, consumption: float,
+           elapsed, horizons) -> None:
+    """Apply sweeps to one bucket, in order, at a constant ``consumption``.
+
+    ``elapsed`` and ``horizons`` are parallel sequences, one item per
+    sweep: the seconds it covered (never 0: a sweep that covers no time
+    moves nothing, and the fabric does not log it), and its ``now`` plus
+    the time tolerance. Every sweep is :func:`advance_shapers`'s IEEE
+    operations on the same operands in the same order, so a bucket
+    reaches the same floats whether the fabric walked it at every update
+    or replays its sweeps later; the fabric's differential tests hold
+    the two to that.
+    """
+    level = shaper._level
+    one_off = shaper._one_off
+    quantized = shaper.mode == "quantized"
+    capacity = shaper.capacity
+    refill = shaper.refill_rate
+    interval = shaper.grant_interval
+    next_grant = shaper._next_grant_at
+    for dt, horizon in zip(elapsed, horizons):
+        consumed = consumption * dt
+        # One-off budget is spent first and never refills.
+        from_one_off = one_off if one_off < consumed else consumed
+        one_off -= from_one_off
+        if quantized:
+            # Stateful grant schedule: every grant due by the horizon
+            # (with tolerance for float drift) arrives exactly once.
+            grants = 0.0
+            if refill > 0 and not next_grant > horizon:
+                count = 1 + math.floor((horizon - next_grant) / interval)
+                next_grant += count * interval
+                grants = count * (refill * interval)
+            level = level + grants - (consumed - from_one_off)
+        else:
+            level = level - ((consumed - from_one_off) - refill * dt)
+        if not level < capacity:
+            level = capacity
+        # Clamp float residue (and any overdraft) so exhaustion is
+        # reached exactly, not asymptotically — which would flood the
+        # fabric with micro-wakeups.
+        if level < _EPSILON_BYTES:
+            level = 0.0
+        if one_off < _EPSILON_BYTES:
+            one_off = 0.0
+    shaper._level = level
+    shaper._one_off = one_off
+    shaper._next_grant_at = next_grant
+
+
+def ceiling(shaper: TokenBucketShaper) -> float:
+    """The bucket's aggregate rate ceiling in its current state."""
+    if shaper._one_off + shaper._level > 0:
+        return shaper.burst_rate
+    if shaper.mode == "quantized":
+        return 0.0  # stalled until the next grant
+    if shaper.burst_rate < shaper.refill_rate:
+        return shaper.burst_rate
+    return shaper.refill_rate
+
+
 def advance_shapers(loads, now: float, elapsed: float) -> list:
     """Advance every load's bucket to ``now``; report the ceilings that moved.
 
@@ -225,15 +322,18 @@ def advance_shapers(loads, now: float, elapsed: float) -> list:
     that plan; the loads themselves are not modified. With
     ``elapsed == 0`` no bucket moves and only the ceilings are compared.
 
-    The loop makes no call per load on the recorder-off path: ``min`` and
-    ``max`` are written as the conditionals that pick the same operand.
+    This is the fabric's walk, and the reference :func:`replay` is held
+    to: one sweep over many buckets, where :func:`replay` applies many
+    sweeps to one bucket, with the same arithmetic. The loop makes no
+    call per load on the recorder-off path: ``min`` and ``max`` are
+    written as the conditionals that pick the same operand.
     """
     horizon = now + _TIME_TOLERANCE
     moved = []
     for load in loads:
         shaper = load.constraint
         level = shaper._level
-        one_off = shaper.one_off_remaining
+        one_off = shaper._one_off
         quantized = shaper.mode == "quantized"
         if elapsed > 0:
             consumed = load.consumption * elapsed
@@ -264,19 +364,19 @@ def advance_shapers(loads, now: float, elapsed: float) -> list:
             if one_off < _EPSILON_BYTES:
                 one_off = 0.0
             shaper._level = level
-            shaper.one_off_remaining = one_off
+            shaper._one_off = one_off
         if one_off + level > 0:
-            ceiling = shaper.burst_rate
+            current = shaper.burst_rate
         elif quantized:
-            ceiling = 0.0  # stalled until the next grant
+            current = 0.0  # stalled until the next grant
         elif shaper.burst_rate < shaper.refill_rate:
-            ceiling = shaper.burst_rate
+            current = shaper.burst_rate
         else:
-            ceiling = shaper.refill_rate
+            current = shaper.refill_rate
         if shaper._telemetry is not None and elapsed > 0:
-            shaper._record(now, ceiling)
-        if ceiling != load.capacity:
-            moved.append((load, ceiling))
+            shaper._record(now, current)
+        if current != load.capacity:
+            moved.append((load, current))
     return moved
 
 
@@ -290,7 +390,7 @@ def earliest_change(loads, now: float, earliest: float = math.inf) -> float:
     horizon = now + _TIME_TOLERANCE
     for load in loads:
         shaper = load.constraint
-        budget = shaper.one_off_remaining + shaper._level
+        budget = shaper._one_off + shaper._level
         if shaper.mode == "quantized":
             # Grants are discrete, so the bucket drains at the full rate.
             net_drain = load.consumption
@@ -309,23 +409,142 @@ def earliest_change(loads, now: float, earliest: float = math.inf) -> float:
     return earliest
 
 
-def stalled_until(load) -> float | None:
-    """The next grant of a stalled quantized bucket, else ``None``.
+def deferral_key(load, now: float) -> tuple[float, bool]:
+    """How long sweeps may leave ``load``'s bucket alone after ``now``.
 
-    A quantized bucket with a refill, nothing left to spend and no
-    consumption has ceiling 0, and :func:`advance_shapers` leaves it
-    exactly as it is until its grant falls due (``level + 0.0 - (0.0 -
-    0.0)`` and the same clamps). While the grant lies past the time
-    tolerance, the grant time is also its whole :func:`earliest_change`
-    term. Recorder-on shapers sample every advance, so they never stall
-    in this sense.
+    ``now`` is the time of the last sweep the bucket has applied, and
+    ``load.consumption`` its draw until its members are reallocated.
+    Returns ``(key, exact)``: no sweep whose horizon is below ``key`` can
+    move the bucket's ceiling, and until then its
+    :func:`earliest_change` term is at least ``key``; with ``exact`` the
+    term is ``key`` itself, its next grant.
+
+    * A quantized bucket that nothing drains, or that has nothing left,
+      changes only at its next grant (``inf`` without a refill). An
+      overdue grant of a bucket with a budget moves no ceiling, so the
+      key is :func:`_grant_bound`; of an empty bucket, the overdue grant
+      time itself, so the next sweep touches it.
+    * A draining bucket cannot run dry before its analytic exhaustion
+      time less two clamps' worth of budget and the rounding margin (a
+      grant only adds budget); a quantized one is also touched at its
+      grant.
+    * A continuous bucket with a budget that is not draining keeps its
+      ceiling for good: ``inf``.
+    * ``-inf`` (every sweep touches it): a continuous bucket that is
+      empty, or that spends a one-off budget while its level refills
+      under the cap, and a shaper with a recorder, which samples every
+      advance.
     """
     shaper = load.constraint
-    if (shaper.mode == "quantized" and shaper.refill_rate > 0
-            and shaper.one_off_remaining + shaper._level <= 0
-            and load.consumption == 0.0 and shaper._telemetry is None):
-        return shaper._next_grant_at
-    return None
+    if shaper._telemetry is not None:
+        return -math.inf, False
+    consumption = load.consumption
+    budget = shaper._one_off + shaper._level
+    if shaper.mode == "quantized":
+        grant, exact = math.inf, True
+        if shaper.refill_rate > 0:
+            grant = shaper._next_grant_at
+            horizon = now + _TIME_TOLERANCE
+            if not grant > horizon:
+                exact = False
+                if budget > 0:
+                    grant = _grant_bound(shaper, horizon)
+        if not (budget > 0 and consumption > 0):
+            return grant, exact
+        drain = consumption
+        scale = budget
+    else:
+        if not budget > 0 or (consumption > 0 and shaper._one_off > 0):
+            return -math.inf, False
+        drain = consumption - shaper.refill_rate
+        if not drain > 0:
+            return math.inf, True
+        grant, exact = math.inf, True
+        # Each sweep's decrement is rounded against the two rates, not
+        # against their difference.
+        scale = budget + (consumption + shaper.refill_rate) * budget / drain
+    exhaust = (now + (budget - 2 * _EPSILON_BYTES) / drain
+               - ROUNDING_MARGIN * ((now if now > 0.0 else -now)
+                                    + scale / drain))
+    if grant <= exhaust:
+        return grant, exact
+    return exhaust, False
+
+
+def _grant_bound(shaper: TokenBucketShaper, horizon: float) -> float:
+    """A lower bound of :func:`earliest_change`'s grant term while the
+    next grant is overdue (``_next_grant_at <= horizon``), and of every
+    grant term after the overdue grants are delivered.
+
+    The term adds ``grant_interval`` to the overdue grant time until it
+    passes ``horizon``: it is the first grid point past ``horizon``, off
+    by at most the additions' rounding, ``slack / 4``. Delivery moves the
+    grant time to that grid point or a later one. Flooring with twice the
+    slack taken off cannot pick a later grid point, so subtracting the
+    slack once more is a lower bound; and no term is below ``horizon``.
+    """
+    due = shaper._next_grant_at
+    interval = shaper.grant_interval
+    steps = (horizon - due) / interval + 2
+    slack = 4 * steps * 2.0 ** -53 * (abs(due) + abs(horizon) + 2 * interval)
+    count = math.floor((horizon - due - 2 * slack) / interval) + 1
+    bound = due + count * interval - slack
+    return bound if bound > horizon else horizon
+
+
+def catch_up(load, elapsed: list, horizons: list, start: int) -> None:
+    """Apply sweeps ``start:`` of a log to ``load``'s bucket, at its
+    consumption: the floats :func:`replay` reaches, with two shortcuts.
+
+    Both hold for a quantized bucket in the form every advance leaves
+    (level within its capacity, level and one-off budget each 0 or at
+    least the clamp), over the sweeps before its next grant falls due.
+    A sweep a grant falls due in is replayed alone.
+
+    * *Quiet.* Drawn at 0.0, every such sweep leaves the bucket as it is
+      (``level + 0.0 - (0.0 - 0.0)``, and the cap and clamps keep it), so
+      they are skipped.
+    * *Drain fold.* Drawn at ``c > 0``, such a sweep spends from the
+      one-off budget while it covers the draw, else from the level, and
+      the other one stays as it is (``level + 0.0 - (consumed -
+      consumed)``). While what it spends from ends at or above the clamp
+      — ``fl(x - c * elapsed)`` above 0 means ``x`` covered the draw — it
+      is the fold ``x - c * elapsed`` on that one float, in order, which
+      runs alone. A fold that ends below the clamp is dropped, and the
+      sweeps are replayed from the state it started from.
+    """
+    shaper = load.constraint
+    consumption = load.consumption
+    end = len(elapsed)
+    while start < end:
+        level = shaper._level
+        one_off = shaper._one_off
+        if not (shaper.mode == "quantized" and level <= shaper.capacity
+                and (level == 0.0 or level >= _EPSILON_BYTES)
+                and (one_off == 0.0 or one_off >= _EPSILON_BYTES)):
+            break
+        grant_at = shaper._next_grant_at
+        if shaper.refill_rate > 0 and not horizons[-1] < grant_at:
+            stop = bisect_left(horizons, grant_at, start)
+        else:
+            stop = end
+        if consumption > 0.0 and start < stop:
+            spent = one_off if one_off > 0 else level
+            for dt in elapsed[start:stop]:
+                spent = spent - consumption * dt
+            if not spent >= _EPSILON_BYTES:
+                break
+            if one_off > 0:
+                shaper._one_off = spent
+            else:
+                shaper._level = spent
+        if stop == end:
+            return
+        replay(shaper, consumption, elapsed[stop:stop + 1],
+               horizons[stop:stop + 1])
+        start = stop + 1
+    if start < end:
+        replay(shaper, consumption, elapsed[start:], horizons[start:])
 
 
 #: Calibration constants from Section 4.2 of the paper. The inbound and

@@ -133,12 +133,9 @@ class QueryGateway:
         self._seq = itertools.count()
         #: Scheduler hook, called after every successful admission.
         self.on_submit: Optional[Callable[[], None]] = None
-        self._telemetry = recorder = get_recorder()
-        if recorder is not None:
-            self._depth_gauge = recorder.gauge("gateway.queue_depth")
-            self._depth_series = recorder.timeseries(
-                "gateway.queue_depth", min_dt=0.001)
-            self._shed_counter = recorder.counter("gateway.shed")
+        # Instruments are looked up at their first write, so a gateway
+        # whose owner turns telemetry off registers none.
+        self._telemetry = get_recorder()
 
     # -- tenancy -----------------------------------------------------------
 
@@ -181,7 +178,7 @@ class QueryGateway:
                 or self._pending >= self.max_pending:
             self.metrics.record_shed(tenant_name, self.env.now)
             if self._telemetry is not None:
-                self._shed_counter.inc()
+                self._telemetry.counter("gateway.shed").inc()
                 self._telemetry.event(
                     self.env.now, "gateway.shed", category="serving",
                     tenant=tenant_name, queue_depth=depth,
@@ -223,8 +220,10 @@ class QueryGateway:
 
     def _note_depth(self) -> None:
         depth = float(self._pending)
-        self._depth_gauge.set(depth)
-        self._depth_series.sample(self.env.now, depth)
+        recorder = self._telemetry
+        recorder.gauge("gateway.queue_depth").set(depth)
+        recorder.timeseries("gateway.queue_depth", min_dt=0.001).sample(
+            self.env.now, depth)
 
     # -- queue access (scheduler side) -------------------------------------
 

@@ -142,6 +142,52 @@ class TestInvocation:
         sandbox_ids = {record.sandbox_id for record in records}
         assert len(sandbox_ids) == 5
 
+    def test_warm_reuse_makes_linear_expiry_checks(self, monkeypatch):
+        """N sequential invocations over a pool of N idle sandboxes check
+        expiry at most 2N times (a full filter per assignment is N²)."""
+        from repro.faas.sandbox import Sandbox
+
+        env, platform = make_platform()
+        n = 40
+
+        def slow(context, payload):
+            yield context.env.timeout(1.0)
+            return context.sandbox_id
+
+        platform.deploy(FunctionConfig(name="slow", handler=slow))
+
+        def fill(env):
+            procs = [env.process(platform.invoke("slow")) for _ in range(n)]
+            for proc in procs:
+                yield proc
+
+        run(env, fill(env))
+        checks = []
+        expired = Sandbox.expired
+
+        def counted(sandbox, now):
+            checks.append(sandbox.id)
+            return expired(sandbox, now)
+
+        monkeypatch.setattr(Sandbox, "expired", counted)
+
+        def sequential(env):
+            records = []
+            for _ in range(n):
+                records.append((yield from platform.invoke("slow")))
+            return records
+
+        records = run(env, sequential(env))
+        assert not any(record.cold for record in records)
+        assert len(checks) <= 2 * n
+
+    def test_sandboxes_are_numbered_per_platform(self):
+        firsts = []
+        for _ in range(2):
+            env, platform = make_platform()
+            firsts.append(run(env, platform.invoke("noop")).sandbox_id)
+        assert firsts == [0, 0]
+
     def test_region_multiplier_slows_coldstarts(self):
         env_us, us = make_platform("us-east-1")
         env_eu, eu = make_platform("eu-west-1")

@@ -1,5 +1,7 @@
 """Cross-cutting property-based tests on core invariants."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,13 @@ from repro.engine.shuffle import _hash_partition
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
 from repro.network import Fabric
+from repro.network import fabric as fabric_module
 from repro.network.shaper import (
     LAMBDA_BASELINE_RATE,
     LAMBDA_BUCKET_CAPACITY,
     LAMBDA_GRANT_INTERVAL,
     LAMBDA_ONE_OFF_BUDGET,
     TokenBucketShaper,
-    advance_shapers,
     lambda_shaper,
 )
 from repro.pricing import STORAGE_PRICES
@@ -220,7 +222,8 @@ _SHAPER_KINDS = {"none": lambda: None, "continuous": _continuous_shaper,
 
 def _fabric_scenario(data, kinds, max_size=5e3):
     """Draw links, a few shared endpoints shaped by ``kinds``, flows
-    (bounded, or open and stopped later) and a mid-run degradation."""
+    (bounded, or open and stopped later), a mid-run degradation and
+    probes that read every flow and shaper, after a ``sync_now`` or not."""
     n_links = data.draw(st.integers(min_value=1, max_value=4),
                         label="n_links")
     caps = data.draw(st.lists(
@@ -235,9 +238,12 @@ def _fabric_scenario(data, kinds, max_size=5e3):
                         label="n_flows")
     pick = st.integers(min_value=0, max_value=len(shaping) - 1)
     specs = []
+    # Starts that coincide make zero-elapsed sweeps; past the first
+    # grant time, they find a fresh bucket's grant overdue.
+    starts = st.one_of(st.sampled_from((0.0, 0.25, 1.0, 2.5)),
+                       st.floats(min_value=0.0, max_value=5.0))
     for i in range(n_flows):
-        start = data.draw(st.floats(min_value=0.0, max_value=5.0),
-                          label=f"start_{i}")
+        start = data.draw(starts, label=f"start_{i}")
         size = data.draw(st.floats(min_value=1.0, max_value=max_size),
                          label=f"size_{i}")
         src = data.draw(pick, label=f"src_{i}")
@@ -259,14 +265,33 @@ def _fabric_scenario(data, kinds, max_size=5e3):
                data.draw(pick, label="degrade_on"),
                data.draw(st.floats(min_value=0.1, max_value=1.0),
                          label="degrade_factor"))
-    return caps, shaping, specs, degrade
+    probes = data.draw(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=8.0), st.booleans()),
+        max_size=6), label="probes")
+    return caps, shaping, specs, degrade, probes
+
+
+class _PopLog:
+    """Kernel monitor: the clock at every event the kernel pops."""
+
+    def __init__(self):
+        self.times = []
+
+    def on_event(self, now, queue_depth):
+        self.times.append(now)
+
+    def on_process(self, name):
+        pass
 
 
 def _run_fabric_scenario(scenario, force_full=False):
-    """Run a drawn scenario to the end; returns every flow's outcome,
-    every shaper's bucket and the kernel's event count."""
-    caps, shaping, specs, (degrade_at, degrade_on, factor) = scenario
+    """Run a drawn scenario to the end; returns the clock at every pop,
+    what the probes read, every flow's outcome, every shaper's bucket
+    and the kernel's event count."""
+    caps, shaping, specs, (degrade_at, degrade_on, factor), probes = scenario
     env = Environment()
+    pops = _PopLog()
+    env.set_monitor(pops)
     fabric = Fabric(env)
     fabric._force_full = force_full
     links = [fabric.link(capacity=cap, name=f"l{j}")
@@ -278,6 +303,7 @@ def _run_fabric_scenario(scenario, force_full=False):
                for shaper in (endpoint.ingress, endpoint.egress)
                if shaper is not None]
     flows = []
+    readings = []
 
     def starter(start, size, src, dst, link_ids, stop_after):
         yield env.timeout(start)
@@ -299,11 +325,21 @@ def _run_fabric_scenario(scenario, force_full=False):
             if shaper is not None:
                 shaper.degrade(factor)
 
+    def prober(at, sync):
+        yield env.timeout(at)
+        if sync:
+            fabric.sync_now()
+        readings.append(([flow.transferred for flow in flows],
+                         [shaper.state() for shaper in shapers]))
+
     for i, spec in enumerate(specs):
         env.process(starter(*spec), name=f"flow-{i}")
     env.process(degrader(), name="degrade")
+    for i, (at, sync) in enumerate(probes):
+        env.process(prober(at, sync), name=f"probe-{i}")
     env.run()
-    return ([(f.id, f.transferred, f.finished_at) for f in flows],
+    return (pops.times, readings,
+            [(f.id, f.transferred, f.finished_at) for f in flows],
             [(s.state(), s._next_grant_at) for s in shapers],
             env.scheduled_events)
 
@@ -321,31 +357,52 @@ class TestFabricIncrementalEquivalence:
                 == _run_fabric_scenario(scenario, force_full=True))
 
 
-class TestFabricParking:
-    """Stalled Lambda buckets parked out of the sweeps until their next
-    grant give exactly what walking every bucket on every advance gives.
+@contextmanager
+def _deferring_at(defer_at, walk_at):
+    """Fabrics defer time from ``defer_at`` entities and walk again at
+    ``walk_at`` while inside; test-sized fabrics otherwise only walk."""
+    saved = fabric_module._DEFER_AT, fabric_module._WALK_AT
+    fabric_module._DEFER_AT, fabric_module._WALK_AT = defer_at, walk_at
+    try:
+        yield
+    finally:
+        fabric_module._DEFER_AT, fabric_module._WALK_AT = saved
 
-    With a recorder on, buckets sample every advance, nothing parks and
-    the sweep walks in historical order: that run is the oracle.
+
+class TestFabricDeferral:
+    """A fabric that brings flows and buckets to ``now`` only when an
+    update touches them gives exactly what walking every flow and bucket
+    at every update gives.
+
+    With a recorder on, buckets sample every advance and the fabric
+    makes that walk, in historical order: that run is the oracle.
     """
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_parked_run_matches_the_recorded_walk(self, data):
-        scenario = _fabric_scenario(data, ["none", "lambda", "stalling"],
-                                    max_size=600.0)
-        parked = _run_fabric_scenario(scenario)
+    @settings(max_examples=200, deadline=None)
+    def test_deferred_run_matches_the_recorded_walk(self, data):
+        scenario = _fabric_scenario(
+            data, ["none", "continuous", "lambda", "stalling"],
+            max_size=2e3)
+        # Always deferring, or switching between deferring and walking
+        # as the width crosses the thresholds.
+        widths = data.draw(st.sampled_from([(0, -1), (2, 0), (4, 1)]),
+                           label="defer_at, walk_at")
+        with _deferring_at(*widths):
+            deferred = _run_fabric_scenario(scenario)
         with recording():
             walked = _run_fabric_scenario(scenario)
-        assert parked == walked
+        assert deferred == walked
 
     @staticmethod
-    def drain_a_lambda_budget(spy=None):
+    def drain_a_lambda_budget(spy=None, reads=None):
         """A Lambda flow of its 300 MiB budget plus six grants, beside a
         stream of tiny unrelated transfers that keep the fabric sweeping
         between grants. Then, under a second later (no idle refill): an
-        open flow stopped while its bucket is parked, and a transfer that
-        starts after the next grant fell due."""
+        open flow stopped while its bucket is drained, and a transfer
+        that starts after the next grant fell due. ``reads`` collects the
+        first flow's bytes and the bucket's state, read without a
+        ``sync_now`` after every tick."""
         env = Environment()
         fabric = Fabric(env)
         shaper = lambda_shaper("in")
@@ -362,6 +419,8 @@ class TestFabricParking:
                 yield env.timeout(0.013)
                 fabric.transfer(fabric.endpoint("a"), fabric.endpoint("b"),
                                 size=1.0, links=(link,))
+                if reads is not None:
+                    reads.append((flows[0].transferred, shaper.state()))
 
         def restart():
             yield flows[0].done
@@ -381,36 +440,45 @@ class TestFabricParking:
                 (shaper.state(), shaper._next_grant_at),
                 env.scheduled_events)
 
-    def test_a_drained_lambda_bucket_is_parked_between_grants(
-            self, monkeypatch):
-        from repro.network import fabric as fabric_module
-
+    def test_a_drained_lambda_bucket_is_deferred_between_grants(self):
         sweeps = []
 
         def spy(fabric, shaper):
-            def advance(loads, now, elapsed):
-                loads = list(loads)
-                if any(state.constraint is shaper
-                       for state in fabric._states.values()):
-                    walked = any(load.constraint is shaper for load in loads)
-                    due = not shaper._next_grant_at > now + 1e-9
-                    # Walked at every sweep its grant is due in.
-                    assert walked or not due, f"grant due at {now} skipped"
-                    sweeps.append((walked, due, shaper.budget))
-                return advance_shapers(loads, now, elapsed)
+            sweep = fabric._sweep
 
-            monkeypatch.setattr(fabric_module, "advance_shapers", advance)
+            def spied():
+                entry = shaper._entry
+                grant_at = shaper._next_grant_at
+                found = sweep()
+                if entry is not None and entry is shaper._entry:
+                    end = fabric._log_base + len(fabric._elapsed)
+                    due = not grant_at > fabric.env.now + 1e-9
+                    sweeps.append((entry._synced == end, due))
+                return found
 
-        parked_run = self.drain_a_lambda_budget(spy)
-        monkeypatch.undo()
+            fabric._sweep = spied
+
+        with _deferring_at(0, -1):
+            deferred_run = self.drain_a_lambda_budget(spy)
         with recording():
             recorded_run = self.drain_a_lambda_budget()
-        assert parked_run == recorded_run
-        # Left out only while stalled with the grant still ahead, and
-        # then often.
-        assert all(budget == 0.0 and not due
-                   for walked, due, budget in sweeps if not walked)
-        assert sum(not walked for walked, _, _ in sweeps) > 50
+        assert deferred_run == recorded_run
+        # Brought to now at every sweep its grant is due in, and left
+        # behind at most of the others.
+        assert any(due for _, due in sweeps)
+        assert all(synced for synced, due in sweeps if due)
+        behind = sum(not synced for synced, _ in sweeps)
+        assert behind > len(sweeps) / 2
+
+    def test_reads_without_sync_give_the_last_sweep(self):
+        deferred_reads, recorded_reads = [], []
+        with _deferring_at(0, -1):
+            deferred_run = self.drain_a_lambda_budget(reads=deferred_reads)
+        with recording():
+            recorded_run = self.drain_a_lambda_budget(reads=recorded_reads)
+        assert deferred_run == recorded_run
+        assert len(deferred_reads) > 50
+        assert deferred_reads == recorded_reads
 
 
 class TestShaperSweepIsTheScalarFace:
