@@ -32,11 +32,11 @@ from repro.network.shaper import (
     ROUNDING_MARGIN,
     SWEEP_LOG_CAP,
     TokenBucketShaper,
-    advance_shapers,
     catch_up,
     ceiling,
     deferral_key,
     earliest_change,
+    replay,
 )
 from repro.sim import Environment, Event
 from repro.telemetry import get_recorder
@@ -111,12 +111,13 @@ class Flow:
         self.links = tuple(links)
         self._transferred = 0.0
         self.rate = 0.0
-        self.started_at = fabric.env.now
         self.finished_at: Optional[float] = None
         self.done: Event = fabric.env.event()
         # Constraints are fixed at creation; cache them (the allocator
         # walks them millions of times in large simulations).
-        self._constraints: tuple[object, ...] = self._collect_constraints()
+        self._constraints: tuple[object, ...] = tuple(
+            shaper for shaper in (src.egress, dst.ingress)
+            if shaper is not None) + src.links + dst.links + self.links
         self._shapers: tuple[TokenBucketShaper, ...] = tuple(
             c for c in self._constraints
             if isinstance(c, TokenBucketShaper))
@@ -141,25 +142,6 @@ class Flow:
         """Bytes moved so far, as of the fabric's last sweep."""
         self.fabric._catch_up_flow(self)
         return self._transferred
-
-    def _collect_constraints(self) -> tuple[object, ...]:
-        found: list[object] = []
-        if self.src.egress is not None:
-            found.append(self.src.egress)
-        if self.dst.ingress is not None:
-            found.append(self.dst.ingress)
-        found.extend(self.src.links)
-        found.extend(self.dst.links)
-        found.extend(self.links)
-        return tuple(found)
-
-    def constraints(self) -> tuple[object, ...]:
-        """All finite constraints this flow crosses (cached)."""
-        return self._constraints
-
-    def shapers(self) -> tuple[TokenBucketShaper, ...]:
-        """The token-bucket shapers among the constraints (cached)."""
-        return self._shapers
 
     def stop(self) -> None:
         """Terminate an open-ended flow now."""
@@ -212,8 +194,9 @@ class Fabric:
     elapsed time and the grant horizon) to a log, and a flow or bucket is
     brought to ``now`` only when the update touches it: its component is
     reallocated, its completion, exhaustion or grant can fall due, or a
-    caller reads it. Catching up replays the logged sweeps in order with
-    the eager arithmetic, so it reaches the same floats. The next wake
+    caller reads it. Catching up applies the logged sweeps in order with
+    the walk's arithmetic (:func:`~repro.network.shaper.replay` for a
+    bucket), so it reaches the same floats. The next wake
     comes from heaps of per-entity deferral keys — lower bounds of each
     entity's wake term, exact for a bucket's next grant — and every
     entity whose key is within reach of the running minimum is evaluated
@@ -225,10 +208,8 @@ class Fabric:
     walk is the oracle the deferred path is tested against.
     """
 
-    def __init__(self, env: Environment,
-                 default_rate: float = DEFAULT_FREE_RATE) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.default_rate = float(default_rate)
         self._flow_ids = itertools.count()
         #: Active flows in creation order (an insertion-ordered set).
         self._flows: dict[Flow, None] = {}
@@ -382,8 +363,9 @@ class Fabric:
 
     def _walk(self) -> tuple[list[Flow], list]:
         """The eager sweep: move every flow and every active bucket to
-        ``env.now``, buckets in the historical order (first appearance
-        along the flows in creation order), and report as :meth:`_sweep`.
+        ``env.now``, buckets in one :func:`~repro.network.shaper.replay`
+        call in the historical order (first appearance along the flows in
+        creation order), and report as :meth:`_sweep`.
         """
         now = self.env.now
         elapsed = now - self._last_sync
@@ -405,7 +387,17 @@ class Fabric:
             for key in flow._keys:
                 if key in shaped and key not in loads:
                     loads[key] = shaped[key]
-        return completed, advance_shapers(loads.values(), now, elapsed)
+        if elapsed > 0:
+            replay(loads.values(), (elapsed,), (now + _TIME_TOLERANCE,))
+        moved = []
+        for state in loads.values():
+            shaper = state.constraint
+            current = ceiling(shaper)
+            if shaper._telemetry is not None and elapsed > 0:
+                shaper._record(now, current)
+            if current != state.capacity:
+                moved.append((state, current))
+        return completed, moved
 
     def _log_sweep(self, now: float) -> float:
         """Log the sweep to ``now``; returns its elapsed time.
@@ -544,9 +536,9 @@ class Fabric:
         dirty = self._dirty
         synced = self._logged
         flow._synced = synced
-        for shaper in flow.shapers():
+        for shaper in flow._shapers:
             shaper.on_activate(now)
-        for constraint, key in zip(flow.constraints(), flow._keys):
+        for constraint, key in zip(flow._constraints, flow._keys):
             state = states.get(key)
             if state is None:
                 states[key] = state = _ConstraintState(key, constraint)
@@ -563,7 +555,7 @@ class Fabric:
         if not flow._keys:
             # Crosses no finite constraint: the free rate, immediately
             # (exactly what a one-flow fill with no constraints grants).
-            flow.rate = self.default_rate
+            flow.rate = DEFAULT_FREE_RATE
             self._moving[flow] = None
             if self._deferred:
                 self._touched_flows[flow] = None
@@ -577,7 +569,7 @@ class Fabric:
         self._moving.pop(flow, None)
         states = self._states
         dirty = self._dirty
-        for constraint, key in zip(flow.constraints(), flow._keys):
+        for constraint, key in zip(flow._constraints, flow._keys):
             state = states.get(key)
             if state is None:
                 continue
@@ -728,7 +720,7 @@ class Fabric:
                 # No finite constraints left: grant the default free rate.
                 for flow in flows:
                     if flow in unfrozen:
-                        flow.rate = self.default_rate
+                        flow.rate = DEFAULT_FREE_RATE
                 break
             for flow in list(live[best_key]):
                 flow.rate = best_share

@@ -70,13 +70,11 @@ class IperfClient:
     """Times a fixed-duration transfer against an :class:`IperfServer`."""
 
     def __init__(self, env: Environment, fabric: Fabric, endpoint: Endpoint,
-                 server: IperfServer,
-                 extra_links: tuple[FluidLink, ...] = ()) -> None:
+                 server: IperfServer) -> None:
         self.env = env
         self.fabric = fabric
         self.endpoint = endpoint
         self.server = server
-        self.extra_links = tuple(extra_links)
 
     def run(self, duration: float, direction: str = "download",
             sample_interval: float = 0.02):
@@ -88,7 +86,7 @@ class IperfClient:
         """
         if direction not in ("download", "upload"):
             raise ValueError(f"direction must be download/upload, got {direction!r}")
-        links = self.server.nic + self.extra_links
+        links = self.server.nic
         if direction == "download":
             flow = self.fabric.open_flow(self.server.endpoint, self.endpoint, links)
         else:
@@ -102,15 +100,14 @@ class IperfClient:
                            bytes_transferred=flow.transferred)
 
 
-def estimate_burst_profile(series: ProbeSeries,
-                           burst_fraction: float = 0.5) -> BurstProfile:
+def estimate_burst_profile(series: ProbeSeries) -> BurstProfile:
     """Derive burst rate, baseline rate, and bucket size from a series.
 
     The baseline is taken as the mean rate over the final quarter of the
     series (after any burst has drained); the burst phase is the initial
-    run of samples whose rate exceeds ``baseline + burst_fraction *
-    (peak - baseline)``; the bucket size is the excess bytes above baseline
-    accumulated during that phase.
+    run of samples whose rate is at least halfway from the baseline to the
+    peak; the bucket size is the excess bytes above baseline accumulated
+    during that phase.
     """
     rates = series.rates()
     if not rates:
@@ -118,7 +115,7 @@ def estimate_burst_profile(series: ProbeSeries,
     tail_start = max(1, len(rates) * 3 // 4)
     baseline = sum(rates[tail_start:]) / max(1, len(rates) - tail_start)
     peak = max(rates)
-    threshold = baseline + burst_fraction * (peak - baseline)
+    threshold = baseline + 0.5 * (peak - baseline)
     burst_samples = 0
     for rate in rates:
         if rate >= threshold and peak > baseline * 1.01:

@@ -70,11 +70,10 @@ class ShaperState:
 class TokenBucketShaper:
     """Aggregate token-bucket rate limiter for one traffic direction.
 
-    The shaper is driven by the fabric, which applies its sweeps to a
+    The shaper is driven by the fabric, which applies its sweeps to the
     bucket with :func:`replay` (consume tokens over each elapsed interval,
-    in order) and asks :func:`earliest_change` when its ceiling next
-    moves. :meth:`advance`, :meth:`allowed_rate` and :meth:`next_change`
-    are the same functions applied to this one shaper.
+    in order), reads its :func:`ceiling` and asks :func:`earliest_change`
+    when that ceiling next moves.
 
     While a fabric defers the bucket, ``_entry`` is the fabric's registry
     entry for it, and every read below first brings the bucket up to the
@@ -93,11 +92,13 @@ class TokenBucketShaper:
         if capacity < 0 or burst_rate <= 0 or refill_rate < 0:
             raise ValueError("capacity/burst/refill must be non-negative "
                              "(burst strictly positive)")
+        if mode == "quantized" and not grant_interval > 0:
+            raise ValueError("grant_interval must be positive, "
+                             f"got {grant_interval}")
         self.capacity = float(capacity)
         self.burst_rate = float(burst_rate)
         self.refill_rate = float(refill_rate)
         self.mode = mode
-        self.one_off_budget = float(one_off_budget)
         self._one_off = float(one_off_budget)
         self.idle_refill_level = (float(idle_refill_level)
                                   if idle_refill_level is not None else None)
@@ -123,8 +124,6 @@ class TokenBucketShaper:
             self._throttle_counter = recorder.counter(
                 "shaper.throttle_transitions")
             self._was_throttled = self.budget <= 0
-        else:
-            self.telemetry_name = name or mode
 
     # -- inspection ---------------------------------------------------------
 
@@ -158,32 +157,6 @@ class TokenBucketShaper:
                            one_off_remaining=self._one_off,
                            mode=self.mode)
 
-    # -- fabric interface ---------------------------------------------------
-
-    def allowed_rate(self) -> float:
-        """Aggregate rate ceiling right now (bytes/second)."""
-        self._sync()
-        return ceiling(self)
-
-    def advance(self, now: float, elapsed: float, consumed_rate: float) -> None:
-        """Account for ``elapsed`` seconds of consumption at ``consumed_rate``.
-
-        The fabric guarantees ``consumed_rate <= allowed_rate()`` held for
-        the whole interval (it schedules a recompute at every state change).
-        """
-        if elapsed < 0:
-            raise ValueError(f"negative elapsed time {elapsed}")
-        advance_shapers((_Load(self, consumed_rate),), now, elapsed)
-
-    def next_change(self, now: float, consumed_rate: float) -> float:
-        """Absolute time at which :meth:`allowed_rate` next changes.
-
-        Returns ``inf`` if the ceiling is stable under the given
-        consumption rate.
-        """
-        self._sync()
-        return earliest_change((_Load(self, consumed_rate),), now)
-
     def _record(self, now: float, ceiling: float) -> None:
         """Sample the bucket after an advance (recorder-on path only)."""
         self._level_series.sample(now, self._level)
@@ -215,12 +188,12 @@ class TokenBucketShaper:
         self.burst_rate *= factor
         self.refill_rate *= factor
 
-    def on_idle(self, now: float = 0.0) -> None:
+    def on_idle(self, now: float) -> None:
         """The last flow through this shaper stopped at time ``now``."""
         if self.idle_refill_level is not None and self._idle_since is None:
             self._idle_since = now
 
-    def on_activate(self, now: float = 0.0) -> None:
+    def on_activate(self, now: float) -> None:
         """A flow starts using the shaper again.
 
         If the shaper sat idle for at least :data:`IDLE_REFILL_MIN_S`,
@@ -234,71 +207,62 @@ class TokenBucketShaper:
         self._idle_since = None
 
 
-class _Load:
-    """One shaper under one consumption rate: what the sweeps walk.
+def replay(loads, elapsed, horizons) -> None:
+    """Apply sweeps to every load's bucket, in order.
 
-    The fabric's registry entries carry the same three attributes; this
-    is the one-element stand-in behind the scalar methods. It was planned
-    against no ceiling, so a sweep always reports its current one.
-    """
+    Each load names a shaper (``constraint``) and the aggregate rate its
+    flows draw (``consumption``). ``elapsed`` and ``horizons`` are
+    parallel sequences, one item per sweep: the seconds it covered (the
+    fabric never passes 0: a sweep that covers no time moves nothing, so
+    it neither applies nor logs one), and its ``now`` plus the time
+    tolerance.
 
-    __slots__ = ("constraint", "consumption", "capacity")
-
-    def __init__(self, constraint: TokenBucketShaper,
-                 consumption: float) -> None:
-        self.constraint = constraint
-        self.consumption = consumption
-        self.capacity = None
-
-
-def replay(shaper: TokenBucketShaper, consumption: float,
-           elapsed, horizons) -> None:
-    """Apply sweeps to one bucket, in order, at a constant ``consumption``.
-
-    ``elapsed`` and ``horizons`` are parallel sequences, one item per
-    sweep: the seconds it covered (never 0: a sweep that covers no time
-    moves nothing, and the fabric does not log it), and its ``now`` plus
-    the time tolerance. Every sweep is :func:`advance_shapers`'s IEEE
+    This is the one copy of the bucket arithmetic. The fabric's walk
+    applies one sweep to all of its loads; a deferred bucket's catch-up
+    applies its logged sweeps to the one load. Both are the same IEEE
     operations on the same operands in the same order, so a bucket
-    reaches the same floats whether the fabric walked it at every update
-    or replays its sweeps later; the fabric's differential tests hold
-    the two to that.
+    reaches the same floats whether it was walked at every update or
+    caught up later.
     """
-    level = shaper._level
-    one_off = shaper._one_off
-    quantized = shaper.mode == "quantized"
-    capacity = shaper.capacity
-    refill = shaper.refill_rate
-    interval = shaper.grant_interval
-    next_grant = shaper._next_grant_at
-    for dt, horizon in zip(elapsed, horizons):
-        consumed = consumption * dt
-        # One-off budget is spent first and never refills.
-        from_one_off = one_off if one_off < consumed else consumed
-        one_off -= from_one_off
-        if quantized:
-            # Stateful grant schedule: every grant due by the horizon
-            # (with tolerance for float drift) arrives exactly once.
-            grants = 0.0
-            if refill > 0 and not next_grant > horizon:
-                count = 1 + math.floor((horizon - next_grant) / interval)
-                next_grant += count * interval
-                grants = count * (refill * interval)
-            level = level + grants - (consumed - from_one_off)
-        else:
-            level = level - ((consumed - from_one_off) - refill * dt)
-        if not level < capacity:
-            level = capacity
-        # Clamp float residue (and any overdraft) so exhaustion is
-        # reached exactly, not asymptotically — which would flood the
-        # fabric with micro-wakeups.
-        if level < _EPSILON_BYTES:
-            level = 0.0
-        if one_off < _EPSILON_BYTES:
-            one_off = 0.0
-    shaper._level = level
-    shaper._one_off = one_off
-    shaper._next_grant_at = next_grant
+    sweeps = tuple(zip(elapsed, horizons))  # walked once per load
+    for load in loads:
+        shaper = load.constraint
+        consumption = load.consumption
+        level = shaper._level
+        one_off = shaper._one_off
+        quantized = shaper.mode == "quantized"
+        capacity = shaper.capacity
+        refill = shaper.refill_rate
+        interval = shaper.grant_interval
+        next_grant = shaper._next_grant_at
+        for dt, horizon in sweeps:
+            consumed = consumption * dt
+            # One-off budget is spent first and never refills.
+            from_one_off = one_off if one_off < consumed else consumed
+            one_off -= from_one_off
+            if quantized:
+                # Stateful grant schedule: every grant due by the horizon
+                # (with tolerance for float drift) arrives exactly once.
+                grants = 0.0
+                if refill > 0 and not next_grant > horizon:
+                    count = 1 + math.floor((horizon - next_grant) / interval)
+                    next_grant += count * interval
+                    grants = count * (refill * interval)
+                level = level + grants - (consumed - from_one_off)
+            else:
+                level = level - ((consumed - from_one_off) - refill * dt)
+            if not level < capacity:
+                level = capacity
+            # Clamp float residue (and any overdraft) so exhaustion is
+            # reached exactly, not asymptotically — which would flood the
+            # fabric with micro-wakeups.
+            if level < _EPSILON_BYTES:
+                level = 0.0
+            if one_off < _EPSILON_BYTES:
+                one_off = 0.0
+        shaper._level = level
+        shaper._one_off = one_off
+        shaper._next_grant_at = next_grant
 
 
 def ceiling(shaper: TokenBucketShaper) -> float:
@@ -310,74 +274,6 @@ def ceiling(shaper: TokenBucketShaper) -> float:
     if shaper.burst_rate < shaper.refill_rate:
         return shaper.burst_rate
     return shaper.refill_rate
-
-
-def advance_shapers(loads, now: float, elapsed: float) -> list:
-    """Advance every load's bucket to ``now``; report the ceilings that moved.
-
-    Each load names a shaper (``constraint``), the aggregate rate its
-    flows drew for the last ``elapsed`` seconds (``consumption``) and the
-    ceiling its consumer last planned with (``capacity``). Returns
-    ``(load, ceiling)`` for every load whose ceiling now differs from
-    that plan; the loads themselves are not modified. With
-    ``elapsed == 0`` no bucket moves and only the ceilings are compared.
-
-    This is the fabric's walk, and the reference :func:`replay` is held
-    to: one sweep over many buckets, where :func:`replay` applies many
-    sweeps to one bucket, with the same arithmetic. The loop makes no
-    call per load on the recorder-off path: ``min`` and ``max`` are
-    written as the conditionals that pick the same operand.
-    """
-    horizon = now + _TIME_TOLERANCE
-    moved = []
-    for load in loads:
-        shaper = load.constraint
-        level = shaper._level
-        one_off = shaper._one_off
-        quantized = shaper.mode == "quantized"
-        if elapsed > 0:
-            consumed = load.consumption * elapsed
-            # One-off budget is spent first and never refills.
-            from_one_off = one_off if one_off < consumed else consumed
-            one_off -= from_one_off
-            if quantized:
-                # Stateful grant schedule: every grant due by ``now``
-                # (with tolerance for float drift) arrives exactly once.
-                grants = 0.0
-                if shaper.refill_rate > 0 and not shaper._next_grant_at > horizon:
-                    interval = shaper.grant_interval
-                    count = 1 + math.floor(
-                        (horizon - shaper._next_grant_at) / interval)
-                    shaper._next_grant_at += count * interval
-                    grants = count * (shaper.refill_rate * interval)
-                level = level + grants - (consumed - from_one_off)
-            else:
-                level = level - ((consumed - from_one_off)
-                                 - shaper.refill_rate * elapsed)
-            if not level < shaper.capacity:
-                level = shaper.capacity
-            # Clamp float residue (and any overdraft) so exhaustion is
-            # reached exactly, not asymptotically — which would flood the
-            # fabric with micro-wakeups.
-            if level < _EPSILON_BYTES:
-                level = 0.0
-            if one_off < _EPSILON_BYTES:
-                one_off = 0.0
-            shaper._level = level
-            shaper._one_off = one_off
-        if one_off + level > 0:
-            current = shaper.burst_rate
-        elif quantized:
-            current = 0.0  # stalled until the next grant
-        elif shaper.burst_rate < shaper.refill_rate:
-            current = shaper.burst_rate
-        else:
-            current = shaper.refill_rate
-        if shaper._telemetry is not None and elapsed > 0:
-            shaper._record(now, current)
-        if current != load.capacity:
-            moved.append((load, current))
-    return moved
 
 
 def earliest_change(loads, now: float, earliest: float = math.inf) -> float:
@@ -540,11 +436,10 @@ def catch_up(load, elapsed: list, horizons: list, start: int) -> None:
                 shaper._level = spent
         if stop == end:
             return
-        replay(shaper, consumption, elapsed[stop:stop + 1],
-               horizons[stop:stop + 1])
+        replay((load,), elapsed[stop:stop + 1], horizons[stop:stop + 1])
         start = stop + 1
     if start < end:
-        replay(shaper, consumption, elapsed[start:], horizons[start:])
+        replay((load,), elapsed[start:], horizons[start:])
 
 
 #: Calibration constants from Section 4.2 of the paper. The inbound and
@@ -559,8 +454,7 @@ LAMBDA_BASELINE_RATE = 75 * units.MiB
 LAMBDA_GRANT_INTERVAL = 0.1
 
 
-def lambda_shaper(direction: str = "in",
-                  name: str | None = None) -> TokenBucketShaper:
+def lambda_shaper(direction: str = "in") -> TokenBucketShaper:
     """Shaper calibrated to the Lambda network model of Section 4.2."""
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
@@ -574,13 +468,12 @@ def lambda_shaper(direction: str = "in",
         idle_refill_level=LAMBDA_BUCKET_CAPACITY,
         grant_interval=LAMBDA_GRANT_INTERVAL,
         initial_level=LAMBDA_BUCKET_CAPACITY,
-        name=name or f"lambda/{direction}",
+        name=f"lambda/{direction}",
     )
 
 
 def ec2_shaper(baseline_rate: float, burst_rate: float,
-               bucket_bytes: float,
-               name: str | None = None) -> TokenBucketShaper:
+               bucket_bytes: float) -> TokenBucketShaper:
     """EC2-style shaper: continuous refill at baseline, drain at burst."""
     return TokenBucketShaper(
         capacity=bucket_bytes,
@@ -588,5 +481,5 @@ def ec2_shaper(baseline_rate: float, burst_rate: float,
         refill_rate=baseline_rate,
         mode="continuous",
         initial_level=bucket_bytes,
-        name=name or "ec2",
+        name="ec2",
     )

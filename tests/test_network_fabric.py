@@ -4,6 +4,7 @@ import pytest
 
 from repro import units
 from repro.network import Fabric, IperfClient, IperfServer, ThroughputProbe
+from repro.network.fabric import DEFAULT_FREE_RATE
 from repro.network.shaper import TokenBucketShaper, lambda_shaper
 from repro.sim import Environment
 
@@ -19,10 +20,10 @@ class TestBoundedTransfers:
         env, fabric = make_env()
         src = fabric.endpoint("src")
         dst = fabric.endpoint("dst")
-        flow = fabric.transfer(src, dst, size=fabric.default_rate * 2.0)
+        flow = fabric.transfer(src, dst, size=DEFAULT_FREE_RATE * 2.0)
         env.run(until=flow.done)
         assert env.now == pytest.approx(2.0)
-        assert flow.transferred == pytest.approx(fabric.default_rate * 2.0)
+        assert flow.transferred == pytest.approx(DEFAULT_FREE_RATE * 2.0)
 
     def test_transfer_respects_link_capacity(self):
         env, fabric = make_env()

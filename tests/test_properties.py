@@ -14,12 +14,17 @@ from repro.formats.schema import DataType, Field, Schema
 from repro.network import Fabric
 from repro.network import fabric as fabric_module
 from repro.network.shaper import (
+    _TIME_TOLERANCE,
     LAMBDA_BASELINE_RATE,
     LAMBDA_BUCKET_CAPACITY,
     LAMBDA_GRANT_INTERVAL,
     LAMBDA_ONE_OFF_BUDGET,
     TokenBucketShaper,
+    catch_up,
+    ceiling,
+    earliest_change,
     lambda_shaper,
+    replay,
 )
 from repro.pricing import STORAGE_PRICES
 from repro.pricing.breakeven import (
@@ -481,48 +486,84 @@ class TestFabricDeferral:
         assert deferred_reads == recorded_reads
 
 
-class TestShaperSweepIsTheScalarFace:
-    """There is one copy of the bucket arithmetic: a shaper advanced by
-    the fabric's sweeps, among other loads, holds bit-identical state to
-    one driven through ``advance``/``allowed_rate``/``next_change``."""
+class TestShaperReplay:
+    """There is one copy of the bucket arithmetic, :func:`replay`, in two
+    call shapes: the walk's (one sweep over all of its loads) and a
+    deferred bucket's catch-up (all of its sweeps over one load). The two
+    reach the same floats, loads in one call do not interact, and the
+    walk reports exactly the ceilings that moved."""
 
     @given(quantized=st.booleans(),
            one_off=st.floats(min_value=0.0, max_value=500.0),
            refill=st.floats(min_value=0.0, max_value=400.0),
-           steps=st.lists(
-               st.tuples(st.floats(min_value=0.0, max_value=0.7),
-                         st.floats(min_value=0.0, max_value=1.0)),
-               min_size=1, max_size=25))
+           groups=st.lists(
+               st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                         st.lists(st.floats(min_value=0.0, max_value=0.7),
+                                  min_size=1, max_size=5)),
+               min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
-    def test_sweep_matches_scalar_methods(self, quantized, one_off, refill,
-                                          steps):
+    def test_walk_and_catch_up_shapes_agree(self, quantized, one_off,
+                                            refill, groups):
         from repro.network.fabric import _ConstraintState
-        from repro.network.shaper import advance_shapers, earliest_change
 
         def make():
-            return TokenBucketShaper(
-                capacity=600.0, burst_rate=1e3, refill_rate=refill,
-                mode="quantized" if quantized else "continuous",
-                one_off_budget=one_off, grant_interval=0.1)
+            # A bystander beside the bucket under test.
+            return [_ConstraintState(0, _lambda_style_shaper()),
+                    _ConstraintState(1, TokenBucketShaper(
+                        capacity=600.0, burst_rate=1e3, refill_rate=refill,
+                        mode="quantized" if quantized else "continuous",
+                        one_off_budget=one_off, grant_interval=0.1))]
 
-        scalar, swept, bystander = make(), make(), _lambda_style_shaper()
-        loads = [_ConstraintState(0, bystander), _ConstraintState(1, swept)]
+        walked, replayed, caught_up = make(), make(), make()
         now = 0.0
-        for elapsed, share in steps:
-            now += elapsed
+        for share, steps in groups:
             # The fabric never lets flows draw more than the ceiling.
-            rate = share * scalar.allowed_rate()
-            for load in loads:
-                load.capacity = load.constraint.allowed_rate()
-            loads[1].consumption = rate
-            moved = dict(advance_shapers(loads, now, elapsed))
-            scalar.advance(now, elapsed, rate)
-            assert swept.state() == scalar.state()
-            assert swept._next_grant_at == scalar._next_grant_at
-            ceiling = scalar.allowed_rate()
-            assert moved.get(loads[1], loads[1].capacity) == ceiling
-            assert (earliest_change(loads[1:], now)
-                    == scalar.next_change(now, rate))
-            assert (earliest_change(loads, now)
-                    == min(scalar.next_change(now, rate),
-                           bystander.next_change(now, 0.0)))
+            for loads in (walked, replayed, caught_up):
+                bystander, load = loads
+                bystander.consumption = (
+                    (1.0 - share) * ceiling(bystander.constraint))
+                load.consumption = share * ceiling(load.constraint)
+            # The log holds no sweep that covers no time.
+            elapsed = [dt for dt in steps if dt > 0]
+            horizons = []
+            for dt in elapsed:
+                now += dt
+                horizons.append(now + _TIME_TOLERANCE)
+                replay(walked, (dt,), (horizons[-1],))
+            for load in replayed:
+                replay((load,), elapsed, horizons)
+            for load in caught_up:
+                catch_up(load, elapsed, horizons, 0)
+            for loads in (replayed, caught_up):
+                for mine, walks in zip(loads, walked):
+                    assert (mine.constraint.state()
+                            == walks.constraint.state())
+                    assert (mine.constraint._next_grant_at
+                            == walks.constraint._next_grant_at)
+            terms = [earliest_change((load,), now) for load in walked]
+            assert earliest_change(walked, now) == min(terms)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_walk_reports_exactly_the_ceilings_that_moved(self, data):
+        scenario = _fabric_scenario(
+            data, ["none", "continuous", "lambda", "stalling"])
+        walk = Fabric._walk
+
+        def spied(fabric):
+            completed, moved = walk(fabric)
+            expected = {}
+            for state in fabric._shaped.values():
+                current = ceiling(state.constraint)
+                if current != state.capacity:
+                    expected[state] = current
+            # Checked here: a walk that misses a move can stall the run.
+            assert len(moved) == len(expected)
+            assert dict(moved) == expected
+            return completed, moved
+
+        Fabric._walk = spied
+        try:
+            _run_fabric_scenario(scenario)
+        finally:
+            Fabric._walk = walk
