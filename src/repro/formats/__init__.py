@@ -2,32 +2,20 @@
 
 The Skyrise engine reads base tables stored as columnar files on object
 storage (the paper uses Parquet with ZSTD; ours keep their row groups
-decoded, checked against a zlib byte container): row groups of column
-chunks, per-chunk min/max zone maps, projection pushdown (read only
-requested columns) and selection pushdown (skip row groups whose zone
-maps cannot match a predicate).
+decoded): row groups of column chunks, per-chunk min/max zone maps,
+projection pushdown (read only requested columns) and selection
+pushdown (skip row groups whose zone maps cannot match a predicate).
 """
 
 from repro.formats.schema import DataType, Field, Schema
 from repro.formats.batch import RecordBatch
-from repro.formats.columnar import (
-    FileMetadata,
-    StoredFile,
-    read_file,
-    read_metadata,
-    store_file,
-    write_file,
-)
+from repro.formats.columnar import StoredFile, store_file
 
 __all__ = [
     "DataType",
     "Field",
-    "FileMetadata",
     "RecordBatch",
     "Schema",
     "StoredFile",
-    "read_file",
-    "read_metadata",
     "store_file",
-    "write_file",
 ]

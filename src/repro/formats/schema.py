@@ -88,13 +88,3 @@ class Schema:
     def select(self, names: Iterable[str]) -> "Schema":
         """A new schema with only the named fields, in the given order."""
         return Schema([self.field(name) for name in names])
-
-    def to_dict(self) -> list[dict[str, str]]:
-        """JSON-serializable schema description."""
-        return [{"name": f.name, "type": f.dtype.value} for f in self.fields]
-
-    @classmethod
-    def from_dict(cls, data: list[dict[str, str]]) -> "Schema":
-        """Rebuild a schema from :meth:`to_dict` output."""
-        return cls([Field(item["name"], DataType(item["type"]))
-                    for item in data])

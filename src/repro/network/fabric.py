@@ -187,8 +187,7 @@ class Fabric:
     per-component fill is a pure function of the component's membership
     and capacities (canonical flow-creation order throughout), the
     incremental allocation is bit-for-bit identical to a from-scratch
-    one (:meth:`_recompute_rates`, kept as the reference and exercised
-    against the incremental path by the property tests).
+    one (the property tests run each scenario both ways).
 
     Time is deferred the same way. An update appends its sweep (the
     elapsed time and the grant horizon) to a log, and a flow or bucket is
@@ -224,9 +223,6 @@ class Fabric:
         self._shaped: dict[int, _ConstraintState] = {}
         #: Constraint keys whose component needs reallocating.
         self._dirty: set[int] = set()
-        #: Testing hook: force from-scratch recomputation on every
-        #: update (the reference the incremental path must match).
-        self._force_full = False
         # Captured at construction, like the shapers do: with telemetry
         # recording, every update walks every flow and bucket.
         self._recorded = get_recorder() is not None
@@ -609,10 +605,7 @@ class Fabric:
         for flow in completed:
             flow._transferred = flow.size
             self._finish(flow)
-        if self._force_full:
-            self._recompute_rates()
-        else:
-            self._recompute_dirty()
+        self._recompute_dirty()
         self._schedule_wake()
 
     def _recompute_dirty(self) -> None:
@@ -633,17 +626,6 @@ class Fabric:
         states = self._states
         self._allocate([flow for key in dirty if key in states
                         for flow in states[key].members])
-
-    def _recompute_rates(self) -> None:
-        """From-scratch max-min allocation over all active flows.
-
-        The reference implementation: recomputes every component. The
-        normal update path uses :meth:`_recompute_dirty`; this method
-        backs the ``_force_full`` testing hook, and the equivalence
-        property tests check the two paths produce identical rates.
-        """
-        self._dirty = set()
-        self._allocate(self._flows)
 
     def _allocate(self, flows) -> None:
         """Fill every connected component that has a flow in ``flows``."""

@@ -20,7 +20,6 @@ _EXPORTS = {
     "run_arrival_workload": "arrivals",
     "poisson_arrivals": "traffic",
     "zipf_trace": "traffic",
-    "zipf_trace_reference": "traffic",
     "SuiteSetup": "suite",
     "run_query_experiment": "suite",
     "run_suite_once": "suite",

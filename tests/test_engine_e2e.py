@@ -21,11 +21,12 @@ from repro.engine.reference import run_reference, table_batches_from_spec
 from repro.engine.shuffle import SliceRead, shuffle_key
 from repro.faas import LambdaPlatform, supervisor
 from repro.faas.supervisor import RecoveryPolicy
-from repro.formats import RecordBatch, read_file, write_file
+from repro.formats import RecordBatch
 from repro.iaas import Ec2Fleet, VmShim
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
 from repro.storage import S3Standard
+from tests.test_formats import stored_model
 
 
 def build_stack(tables, backend="faas", seed=5, recovery=None):
@@ -334,10 +335,16 @@ class TestPlanHandover:
             == (2 if faults is not None else 0)
 
 
+def stored_form(piece):
+    """``piece`` as one stored row group reads back whole."""
+    return stored_model(piece, len(piece) + 1)[1]
+
+
 class TestShuffleHandover:
-    """Shuffle slices and query results are handed over as batches. The
-    retired encode/decode round trip is the oracle for what arrives:
-    each must equal ``read_file(write_file(piece))`` column by column."""
+    """Shuffle slices and query results are handed over as batches. What
+    arrives must equal the piece in stored form (``stored_model``'s
+    rows: numbers as their ``numpy_dtype``, strings as ``str``), column
+    by column."""
 
     TABLES = TestPlanHandover.TABLES
     #: Worker crashes with retries, and hedging made eager enough to
@@ -363,7 +370,7 @@ class TestShuffleHandover:
     @pytest.fixture
     def handed_over(self, monkeypatch):
         """Every slice and result as shipped, beside its stored piece and
-        the piece's round trip taken when it shipped."""
+        the piece's stored form taken when it shipped."""
         slices, results = [], []
         end_slice = SliceRead._end
         fetch_result = SkyriseEngine._fetch_result
@@ -376,13 +383,12 @@ class TestShuffleHandover:
                 request.fragment)).payload
             piece = index["partitions"][reader.partition]
             slices.append((request.value, index["logical"][reader.partition],
-                           piece, read_file(write_file(piece))))
+                           piece, stored_form(piece)))
 
         def spy_result(engine, keys):
             service = engine.storage[engine.intermediate_service]
             parts = [service.head(key).payload for key in keys]
-            want = RecordBatch.concat(
-                [read_file(write_file(part)) for part in parts])
+            want = RecordBatch.concat([stored_form(part) for part in parts])
             got = fetch_result(engine, keys)
             results.append((got, parts, want))
             return got

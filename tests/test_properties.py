@@ -292,13 +292,19 @@ class _PopLog:
 def _run_fabric_scenario(scenario, force_full=False):
     """Run a drawn scenario to the end; returns the clock at every pop,
     what the probes read, every flow's outcome, every shaper's bucket
-    and the kernel's event count."""
+    and the kernel's event count. With ``force_full`` every update
+    reallocates every active flow from scratch instead of only the
+    components a change can reach."""
     caps, shaping, specs, (degrade_at, degrade_on, factor), probes = scenario
     env = Environment()
     pops = _PopLog()
     env.set_monitor(pops)
     fabric = Fabric(env)
-    fabric._force_full = force_full
+    if force_full:
+        def recompute_all():
+            fabric._dirty = set()
+            fabric._allocate(fabric._flows)
+        fabric._recompute_dirty = recompute_all
     links = [fabric.link(capacity=cap, name=f"l{j}")
              for j, cap in enumerate(caps)]
     endpoints = [fabric.endpoint(f"e{j}", ingress=_SHAPER_KINDS[kind](),

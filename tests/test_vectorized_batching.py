@@ -16,12 +16,53 @@ from hypothesis import strategies as st
 
 from repro.shard.replay import ReplayConfig
 from repro.sim.rng import RandomStreams
-from repro.workloads.traffic import zipf_trace, zipf_trace_reference
+from repro.workloads.traffic import zipf_trace
 
 #: sha256 over the smoke-config trace bytes (times ++ ids); pins the
 #: exact trace every smoke replay — kernel or reference — consumes.
 SMOKE_TRACE_SHA256 = \
     "ac681ceb8e91c9f6d09ca7ea6295f63565290fa5f7eec09fd1c870af26736235"
+
+
+def zipf_trace_reference(rng, tenants: int, events: int, window_s: float,
+                         s: float = 1.2):
+    """Per-event reference implementation of :func:`zipf_trace`.
+
+    The executable spec the vectorized generator is pinned against:
+    every distribution draw happens one event at a time, in the same
+    order and against the same generator state, so the output is
+    **byte-identical** to :func:`zipf_trace` — numpy's batched
+    samplers fill element-wise from the bit stream, which the equality
+    test turns from an implementation detail into a checked contract.
+    The whole-trace permutation primitives (``permutation``,
+    ``shuffle``) are shared with the vectorized path: they have no
+    per-event decomposition — they *are* single draws over the trace.
+
+    O(events) Python-loop cost, so it lives with its tests.
+    """
+    if tenants <= 0 or events <= 0:
+        raise ValueError("tenants and events must be positive")
+    if events < tenants:
+        raise ValueError(
+            f"need events >= tenants for full coverage "
+            f"({events} < {tenants})")
+    if window_s <= 0:
+        raise ValueError("window must be positive")
+    if s <= 1.0:
+        raise ValueError("zipf exponent must exceed 1.0")
+    coverage = rng.permutation(tenants)
+    limit = tenants - 1
+    extra = np.empty(events - tenants, dtype=np.int64)
+    for index in range(events - tenants):
+        draw = int(rng.zipf(s)) - 1
+        extra[index] = draw if draw < limit else limit
+    ids = np.concatenate([coverage, extra])
+    rng.shuffle(ids)
+    times = np.empty(events, dtype=np.float64)
+    for index in range(events):
+        times[index] = rng.uniform(0.0, window_s)
+    times.sort()
+    return times, ids.astype(np.int64)
 
 
 class TestZipfTraceReference:
