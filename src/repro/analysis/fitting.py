@@ -46,17 +46,16 @@ def fit_polynomial(xs: Sequence[float], ys: Sequence[float],
 def extrapolate_scaling(measured_partitions: Sequence[float],
                         measured_time_s: Sequence[float],
                         measured_cost_usd: Sequence[float],
-                        target_partitions: Sequence[int],
-                        degree: int = 2) -> list[dict]:
+                        target_partitions: Sequence[int]) -> list[dict]:
     """Figure 12: extrapolate S3 scaling time and budget.
 
-    Fits polynomials over the measured points and evaluates them at the
+    Fits quadratics over the measured points and evaluates them at the
     target partition counts; each result row carries the partition count,
     the implied IOPS (5.5K per partition), and the extrapolated time and
     cost.
     """
-    time_fit = fit_polynomial(measured_partitions, measured_time_s, degree)
-    cost_fit = fit_polynomial(measured_partitions, measured_cost_usd, degree)
+    time_fit = fit_polynomial(measured_partitions, measured_time_s)
+    cost_fit = fit_polynomial(measured_partitions, measured_cost_usd)
     rows = []
     for partitions in target_partitions:
         rows.append({

@@ -72,8 +72,6 @@ class FaultSpec:
     pipeline: Optional[str] = None
     #: Target operation for storage kinds: "get", "put", or ``None``.
     operation: Optional[str] = None
-    #: Target shard id for shard kinds; ``None`` matches any shard.
-    shard: Optional[str] = None
     #: Key prefix filter for storage kinds ("" matches every key).
     key_prefix: str = ""
     #: Active window in simulated seconds.
@@ -119,8 +117,4 @@ class FaultSpec:
             out["end_s"] = None
         if out["max_events"] is None:
             del out["max_events"]
-        if out["shard"] is None:
-            # Omitted when untargeted so pre-sharding reports keep
-            # their exact shape.
-            del out["shard"]
         return out

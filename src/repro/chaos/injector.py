@@ -188,8 +188,6 @@ class FaultInjector:
         for index, spec in enumerate(self.plan.specs):
             if spec.kind not in SHARD_KINDS:
                 continue
-            if spec.shard is not None and spec.shard != shard:
-                continue
             if not self._eligible(index, spec, now):
                 continue
             if not self._draw(index, spec):

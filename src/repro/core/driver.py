@@ -40,9 +40,6 @@ class Driver:
     #: registers ``"query"``.
     _external_kinds: dict = {}
 
-    def __init__(self, base_seed: int = 0) -> None:
-        self.base_seed = base_seed
-
     @classmethod
     def register_kind(cls, kind: str, handler) -> None:
         """Register ``handler(sim, config, result)`` for ``kind``."""
@@ -60,7 +57,7 @@ class Driver:
                 f"lives in repro.workloads.suite)")
         result = ExperimentResult(name=config.name, kind=config.kind,
                                   parameters=dict(config.parameters))
-        sim = CloudSim(seed=self.base_seed + config.seed,
+        sim = CloudSim(seed=config.seed,
                        use_vpc=config.parameters.get("vpc", False))
         handler(sim, config, result)
         result.cost_usd += self._estimate_cost(sim)

@@ -19,6 +19,11 @@ from repro.network.iperf import BurstProfile, IperfResult, estimate_burst_profil
 #: bottleneck; one server serves up to this many clients (Section 4.2).
 CLIENTS_PER_SERVER = 10
 SERVER_CAPACITY = 100 * units.Gbps
+#: The EC2 profile's run cap and sample spacing (Figure 6), and the
+#: length of the Lambda profile's burst run.
+EC2_PROFILE_MAX_S = 3_600.0
+EC2_SAMPLE_INTERVAL_S = 1.0
+LAMBDA_PROFILE_S = 8.0
 
 
 def _deploy_network_function(sim: CloudSim, server: IperfServer,
@@ -63,10 +68,8 @@ def run_function_network_burst(sim: CloudSim, duration: float = 5.0,
     return first, second
 
 
-def run_ec2_network_profile(sim: CloudSim, instance_name: str,
-                            max_duration: float = 3_600.0,
-                            sample_interval: float = 1.0) -> tuple[
-                                IperfResult, BurstProfile]:
+def run_ec2_network_profile(sim: CloudSim, instance_name: str) -> tuple[
+        IperfResult, BurstProfile]:
     """Figure 6 (EC2 side): burst/baseline/bucket of one instance type.
 
     Runs an open flow long enough to drain the token bucket into the
@@ -82,17 +85,16 @@ def run_ec2_network_profile(sim: CloudSim, instance_name: str,
     # window) lies entirely in the post-burst regime.
     net_drain = max(shaper.burst_rate - shaper.refill_rate, 1.0)
     drain_time = shaper.capacity / net_drain
-    duration = min(max_duration, 1.5 * drain_time + 120.0)
+    duration = min(EC2_PROFILE_MAX_S, 1.5 * drain_time + 120.0)
     client = IperfClient(sim.env, sim.fabric, instance.endpoint, server)
     result = sim.run(client.run(duration, direction="download",
-                                sample_interval=sample_interval))
+                                sample_interval=EC2_SAMPLE_INTERVAL_S))
     return result, result.burst_profile()
 
 
-def lambda_network_profile(sim: CloudSim,
-                           duration: float = 8.0) -> BurstProfile:
+def lambda_network_profile(sim: CloudSim) -> BurstProfile:
     """Figure 6 (Lambda side): the function burst profile."""
-    first, _ = run_function_network_burst(sim, duration=duration,
+    first, _ = run_function_network_burst(sim, duration=LAMBDA_PROFILE_S,
                                           break_s=1.0)
     return estimate_burst_profile(first.series)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 def ascii_timeseries(points: Sequence[tuple[float, float]],
                      width: int = 72, height: int = 12,
-                     title: str = "", y_label: str = "") -> str:
+                     title: str = "") -> str:
     """Render (x, y) points as an ASCII chart."""
     if not points:
         return f"{title}\n(no data)"
@@ -38,8 +38,6 @@ def ascii_timeseries(points: Sequence[tuple[float, float]],
         lines.append(f"{value:12.3g} |{''.join(row)}")
     lines.append(" " * 13 + "+" + "-" * width)
     lines.append(f"{'':13}{x_min:<12.4g}{'':{max(0, width - 24)}}{x_max:>12.4g}")
-    if y_label:
-        lines.append(f"(y: {y_label})")
     return "\n".join(lines)
 
 

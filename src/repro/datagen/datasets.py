@@ -10,7 +10,7 @@ rows small.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import units
 from repro.datagen import tpch, tpcxbb
@@ -34,7 +34,6 @@ class DatasetSpec:
     physical_rows: int
     #: generator(rows, seed, partition_index, physical_sf) -> RecordBatch
     generator: Callable[[int, int, int, float], RecordBatch]
-    scale_factor: float = 1000.0
 
     @property
     def physical_scale_factor(self) -> float:
@@ -47,7 +46,7 @@ class DatasetSpec:
         """
         nominal = NOMINAL_ROWS_PER_SF.get(self.name)
         if nominal is None:
-            return self.scale_factor
+            return SCALE_FACTOR
         return max(self.physical_rows / nominal, 1e-6)
 
     @property
@@ -95,6 +94,9 @@ class TableMetadata:
         """Number of partition files."""
         return len(self.partitions)
 
+
+#: Logical scale factor of every dataset (Table 4).
+SCALE_FACTOR = 1000.0
 
 #: Physical rows one TPC scale-factor unit implies, per table. Used to
 #: derive consistent key domains at any physical scale.
@@ -177,7 +179,7 @@ def scaled_spec(name: str, partitions: int, rows_per_partition: int = 256,
 
 
 def load_table(env, storage: StorageService, spec: DatasetSpec,
-               key_prefix: Optional[str] = None, seed: int = 1_000):
+               seed: int = 1_000):
     """Process: generate and store every partition of ``spec``.
 
     Each partition is a :class:`~repro.formats.columnar.StoredFile` put
@@ -186,14 +188,13 @@ def load_table(env, storage: StorageService, spec: DatasetSpec,
     like any other write. Returns a :class:`TableMetadata` whose
     partitions carry those logical sizes.
     """
-    prefix = key_prefix if key_prefix is not None else f"tables/{spec.name}"
     metadata = TableMetadata(name=spec.name, schema=spec.schema,
                              service_name=storage.name)
     for index in range(spec.partition_count):
         rows = spec.rows_for_partition(index)
         batch = spec.generator(rows, seed, index,
                                spec.physical_scale_factor)
-        key = f"{prefix}/part-{index:05d}"
+        key = f"tables/{spec.name}/part-{index:05d}"
         obj = yield from storage.put(
             key, store_file(batch), size=spec.partition_logical_bytes)
         metadata.partitions.append(PartitionInfo(

@@ -43,6 +43,8 @@ ORDER_PRIORITIES = np.array(["1-URGENT", "2-HIGH", "3-MEDIUM",
 
 #: Orders per TPC-H scale factor (1.5M orders / SF).
 ORDERS_PER_SF = 1_500_000
+#: Customer keys orders draw from (the 150K customers of SF1).
+CUSTOMER_COUNT = 150_000
 #: Average lineitems per order (1..7 uniform).
 LINEITEMS_PER_ORDER = 4.0
 
@@ -89,15 +91,14 @@ def generate_lineitem(rows: int, seed: int,
     })
 
 
-def generate_orders(rows: int, seed: int, scale_factor: float = 1.0,
+def generate_orders(rows: int, seed: int,
                     first_orderkey: int = 1) -> RecordBatch:
     """Generate ``rows`` orders with consecutive keys from
     ``first_orderkey`` (partitions own disjoint key ranges)."""
     rng = np.random.default_rng(seed)
     orderkey = np.arange(first_orderkey, first_orderkey + rows,
                          dtype=np.int64)
-    custkey = rng.integers(1, int(150_000 * max(scale_factor, 1e-3)) + 1,
-                           rows, dtype=np.int64)
+    custkey = rng.integers(1, CUSTOMER_COUNT + 1, rows, dtype=np.int64)
     orderdate = rng.integers(TPCH_START, TPCH_END - 151, rows).astype(np.int32)
     priority = ORDER_PRIORITIES[rng.integers(0, len(ORDER_PRIORITIES), rows)]
     totalprice = np.round(rng.random(rows) * 450_000.0 + 850.0, 2)

@@ -62,10 +62,8 @@ def generate_clickstreams(rows: int, seed: int,
     })
 
 
-def generate_item(rows: int = ITEM_COUNT, seed: int = 0,
-                  scale_factor: float = 1.0) -> RecordBatch:
+def generate_item(rows: int = ITEM_COUNT, seed: int = 0) -> RecordBatch:
     """Generate the item dimension (single small partition)."""
-    del scale_factor  # the dimension is fixed-size
     rng = np.random.default_rng(seed)
     item_sk = np.arange(1, rows + 1, dtype=np.int64)
     category = rng.integers(1, CATEGORY_COUNT + 1, rows, dtype=np.int64)

@@ -21,7 +21,7 @@ from repro.engine.coordinator import (
     make_coordinator_handler,
     make_invoker_handler,
 )
-from repro.engine.cost import DEFAULT_COST_MODEL, CpuCostModel, classify_attempt
+from repro.engine.cost import DEFAULT_COST_MODEL, classify_attempt
 from repro.engine.plan import PhysicalPlan
 from repro.engine.worker import WorkerRuntime, make_worker_handler
 from repro.faas.function import FunctionConfig
@@ -93,15 +93,11 @@ class SkyriseEngine:
     def __init__(self, env: Environment, backend,
                  storage: dict[str, StorageService],
                  intermediate_service: str = "s3-standard",
-                 cost_model: CpuCostModel = DEFAULT_COST_MODEL,
-                 worker_memory: float = WORKER_MEMORY,
                  recovery: Optional[RecoveryPolicy] = None) -> None:
         self.env = env
         self.backend = backend
         self.storage = storage
         self.intermediate_service = intermediate_service
-        self.cost_model = cost_model
-        self.worker_memory = worker_memory
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self.catalog: dict[str, TableMetadata] = {}
         self.barriers = BarrierRegistry(env)
@@ -127,7 +123,7 @@ class SkyriseEngine:
         """
         worker_runtime = WorkerRuntime(
             storage=self.storage, barriers=self.barriers,
-            cost_model=self.cost_model,
+            cost_model=DEFAULT_COST_MODEL,
             intermediate_service=self.intermediate_service,
             columnar_cache=self.columnar_cache)
         coordinator_runtime = CoordinatorRuntime(
@@ -141,7 +137,7 @@ class SkyriseEngine:
         self._coordinator_runtime = coordinator_runtime
         self.backend.deploy(FunctionConfig(
             name="skyrise-worker", handler=make_worker_handler(worker_runtime),
-            memory_bytes=self.worker_memory, binary_bytes=8 * units.MiB))
+            memory_bytes=WORKER_MEMORY, binary_bytes=8 * units.MiB))
         self.backend.deploy(FunctionConfig(
             name="skyrise-coordinator",
             handler=make_coordinator_handler(coordinator_runtime),

@@ -70,9 +70,7 @@ class LambdaPlatform:
             REGIONS[region] if isinstance(region, str) else region)
         self.account_quota = account_quota
         self.vpc_link = vpc_link
-        self.scaler = ConcurrencyScaler(
-            burst_limit=self.region.burst_concurrency,
-            account_quota=account_quota)
+        self.scaler = ConcurrencyScaler(account_quota=account_quota)
         self._functions: dict[str, FunctionConfig] = {}
         self._warm: dict[str, list[Sandbox]] = {}
         self._busy = 0

@@ -38,8 +38,6 @@ class RegionProfile:
     cold_cov: float
     #: Coefficient of variation under sustained ("warm") usage.
     warm_cov: float
-    #: Initial concurrency burst available in this region [37].
-    burst_concurrency: int = 3_000
 
     def congestion(self, rng: np.random.Generator, now: float,
                    warm: bool) -> float:

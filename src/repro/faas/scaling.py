@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+#: Initial concurrency burst; the model uses one value in every region [37].
+BURST_CONCURRENCY = 3_000
 #: Additional concurrency granted per minute of sustained load [37].
 SCALE_RATE_PER_MINUTE = 500.0
 
@@ -17,19 +19,17 @@ SCALE_RATE_PER_MINUTE = 500.0
 class ConcurrencyScaler:
     """Tracks how many concurrent environments the account may run.
 
-    The allowance starts at the regional burst limit and, while demand
+    The allowance starts at the burst limit and, while demand
     exceeds supply, grows linearly at 500/min toward the account quota.
     When load subsides below the burst limit, the ramp resets.
     """
 
-    def __init__(self, burst_limit: int = 3_000,
-                 account_quota: int = 1_000,
-                 scale_rate_per_minute: float = SCALE_RATE_PER_MINUTE) -> None:
+    def __init__(self, burst_limit: int = BURST_CONCURRENCY,
+                 account_quota: int = 1_000) -> None:
         if burst_limit <= 0 or account_quota <= 0:
             raise ValueError("limits must be positive")
         self.burst_limit = burst_limit
         self.account_quota = account_quota
-        self.scale_rate = scale_rate_per_minute / 60.0
         self._ramp_started_at: Optional[float] = None
 
     def allowance(self, now: float) -> int:
@@ -37,7 +37,8 @@ class ConcurrencyScaler:
         base = min(self.burst_limit, self.account_quota)
         if self._ramp_started_at is None:
             return base
-        ramped = base + self.scale_rate * (now - self._ramp_started_at)
+        ramped = (base + SCALE_RATE_PER_MINUTE / 60.0
+                  * (now - self._ramp_started_at))
         return int(min(ramped, self.account_quota))
 
     def note_demand(self, concurrent: int, now: float) -> None:

@@ -47,16 +47,17 @@ ALWAYS = "ALWAYS"
 
 _WAIT_CONDITIONS = (ANY_COMPLETED, ALL_COMPLETED, ALWAYS)
 
+#: The one worker function every executor deploys, and its sizing.
+FUNCTION_NAME = "futures-worker"
+WORKER_MEMORY = 1_769 * units.MiB
+WORKER_BINARY = 8 * units.MiB
+WORKER_EPHEMERAL = 512 * units.MiB
+
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    """Sizing and dispatch configuration of one executor."""
+    """Dispatch configuration of one executor."""
 
-    #: Name the worker function is deployed under.
-    function_name: str = "futures-worker"
-    memory_bytes: float = 1_769 * units.MiB
-    binary_bytes: float = 8 * units.MiB
-    ephemeral_bytes: float = 512 * units.MiB
     #: Calls allowed in flight at once; further dispatches queue FIFO.
     max_inflight: int = 64
     #: Attempt cap and hedging of every call.
@@ -116,10 +117,9 @@ class FunctionExecutor:
         self.platform = platform
         self.config = config or ExecutorConfig()
         self.function = FunctionConfig(
-            name=self.config.function_name, handler=worker_handler,
-            memory_bytes=self.config.memory_bytes,
-            binary_bytes=self.config.binary_bytes,
-            ephemeral_bytes=self.config.ephemeral_bytes)
+            name=FUNCTION_NAME, handler=worker_handler,
+            memory_bytes=WORKER_MEMORY, binary_bytes=WORKER_BINARY,
+            ephemeral_bytes=WORKER_EPHEMERAL)
         platform.deploy(self.function)
         self.invoker = Invoker(env, platform, self.function, self.config,
                                rng.stream("futures.backoff"))
@@ -157,7 +157,7 @@ class FunctionExecutor:
         job = self._new_job("reduce")
         reduce_future = ResponseFuture(
             self.env, job.job_id, f"{job.job_id}-00000",
-            self.config.function_name, None, monitor=job.monitor)
+            FUNCTION_NAME, None, monitor=job.monitor)
         reduce_future.map_futures = map_futures
         job.futures.append(reduce_future)
         self.env.process(
@@ -180,7 +180,7 @@ class FunctionExecutor:
     def _submit(self, job: Job, fn, data: Any) -> ResponseFuture:
         call_id = f"{job.job_id}-{len(job.futures):05d}"
         future = ResponseFuture(self.env, job.job_id, call_id,
-                                self.config.function_name, data,
+                                FUNCTION_NAME, data,
                                 monitor=job.monitor)
         job.futures.append(future)
         self.invoker.submit(future, fn, parent=job.monitor.span)

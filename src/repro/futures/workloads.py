@@ -36,6 +36,9 @@ from repro.telemetry.export import canonical_json, round_floats
 #: plus a newline, so byte-range chunks align on record boundaries.
 RECORD_BYTES = 16
 
+#: Records in each corpus object.
+RECORDS_PER_OBJECT = 256
+
 #: Wordcount vocabulary (longest entry must fit RECORD_BYTES - 1).
 VOCAB = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot",
          "golf", "hotel", "india", "juliet", "kilo", "lima")
@@ -108,12 +111,11 @@ def _record(word: str) -> str:
     return word + "." * (RECORD_BYTES - 1 - len(word)) + "\n"
 
 
-def _seed_corpus(sim: _Sim, prefix: str, objects: int,
-                 records_per_object: int):
+def _seed_corpus(sim: _Sim, prefix: str, objects: int):
     """Process: write the seeded fixed-width corpus under ``prefix``."""
     stream = sim.rng.stream("futures.corpus")
     for index in range(objects):
-        draws = stream.integers(0, len(VOCAB), size=records_per_object)
+        draws = stream.integers(0, len(VOCAB), size=RECORDS_PER_OBJECT)
         payload = "".join(_record(VOCAB[int(draw)]) for draw in draws)
         yield from sim.s3.put(f"{prefix}part-{index:05d}", payload)
 
@@ -151,7 +153,6 @@ def merge_counts(context, results):
 
 
 def run_wordcount(seed: int = 7, objects: int = 16,
-                  records_per_object: int = 256,
                   chunks_per_object: int = 4,
                   plan=None, speculate: bool = False) -> dict:
     """Map-reduce wordcount over a partitioned S3 prefix.
@@ -160,16 +161,16 @@ def run_wordcount(seed: int = 7, objects: int = 16,
     chunks = 64 mapper calls — the acceptance-criterion scale. Returns
     the outcome dict (with ``digest``).
     """
-    if records_per_object % chunks_per_object != 0:
+    if chunks_per_object < 1 or RECORDS_PER_OBJECT % chunks_per_object:
         raise ValueError(
-            f"records_per_object={records_per_object} must divide evenly "
-            f"into chunks_per_object={chunks_per_object}")
+            "chunks_per_object must be a positive divisor of "
+            f"{RECORDS_PER_OBJECT}, got {chunks_per_object}")
     sim = _Sim(seed, speculate, plan=plan)
     prefix = "corpus/"
-    chunk_bytes = records_per_object // chunks_per_object * RECORD_BYTES
+    chunk_bytes = RECORDS_PER_OBJECT // chunks_per_object * RECORD_BYTES
 
     def scenario():
-        yield from _seed_corpus(sim, prefix, objects, records_per_object)
+        yield from _seed_corpus(sim, prefix, objects)
         chunks = partition_prefix(sim.s3, prefix, chunk_bytes=chunk_bytes,
                                   align_bytes=RECORD_BYTES)
         started_at = sim.env.now

@@ -21,18 +21,16 @@ from repro.faas.function import FunctionConfig, FunctionContext, InvocationRecor
 from repro.iaas.fleet import VmInstance
 from repro.sim import Environment, Resource
 
-#: Function names treated as control plane by default (run on the head
-#: node, no worker slot).
-DEFAULT_DEDICATED = ("skyrise-coordinator", "skyrise-invoker")
+#: Function names treated as control plane (run on the head node, no
+#: worker slot).
+DEDICATED_FUNCTIONS = ("skyrise-coordinator", "skyrise-invoker")
 
 
 class VmShim:
     """Executes Lambda-style handlers on a provisioned VM cluster."""
 
     def __init__(self, env: Environment, instances: list[VmInstance],
-                 slots_per_vm: int = 1,
-                 dedicated_functions: tuple[str, ...] = DEFAULT_DEDICATED
-                 ) -> None:
+                 slots_per_vm: int = 1) -> None:
         if not instances:
             raise ValueError("shim needs at least one instance")
         if slots_per_vm <= 0:
@@ -40,7 +38,6 @@ class VmShim:
         self.env = env
         self.instances = list(instances)
         self.slots_per_vm = slots_per_vm
-        self.dedicated_functions = tuple(dedicated_functions)
         self._slots = Resource(env, capacity=len(instances) * slots_per_vm)
         self._next_vm = 0
         self._functions: dict[str, FunctionConfig] = {}
@@ -71,7 +68,7 @@ class VmShim:
         """
         config = self.function(name)
         requested_at = self.env.now
-        if name in self.dedicated_functions:
+        if name in DEDICATED_FUNCTIONS:
             record = yield from self._run(config, payload, requested_at,
                                           self.head_node)
         else:

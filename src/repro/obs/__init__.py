@@ -26,7 +26,7 @@ from repro.obs.flight import (
     bundle_digest,
     verify_bundle,
 )
-from repro.obs.plane import ObsConfig, ReplayObsPlane
+from repro.obs.plane import ReplayObsPlane
 from repro.obs.profiler import PROFILE_SCHEMA, profile_recorder, profile_spans
 from repro.obs.sampler import SamplerConfig, TailSampler
 from repro.obs.slo import (
@@ -45,7 +45,6 @@ __all__ = [
     "DEFAULT_RING_CAPACITY",
     "FlightRecorder",
     "INCIDENT_SCHEMA",
-    "ObsConfig",
     "PROFILE_SCHEMA",
     "ReplayObsPlane",
     "SLOEngine",

@@ -35,9 +35,7 @@ the replay integration is therefore defined by the replay's own
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.obs.flight import DEFAULT_RING_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.sampler import (
     REASON_BASELINE,
     REASON_FAULT,
@@ -49,35 +47,25 @@ from repro.obs.slo import SLOEngine, SLOPolicy
 
 #: The fleet-wide roll-up scope every event also lands in.
 FLEET_SCOPE = "fleet"
+#: Cap on incident bundles per run (an alert storm must not turn the
+#: observer into the memory hog it exists to debug).
+MAX_INCIDENTS = 8
 
 
 def shard_scope(shard: str) -> str:
     return f"shard:{shard}"
 
 
-@dataclass(frozen=True)
-class ObsConfig:
-    """Everything the observability plane needs, declaratively."""
-
-    slo: SLOPolicy = field(default_factory=SLOPolicy)
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    ring_capacity: int = DEFAULT_RING_CAPACITY
-    #: Cap on incident bundles per run (an alert storm must not turn
-    #: the observer into the memory hog it exists to debug).
-    max_incidents: int = 8
-
-
 class ReplayObsPlane:
     """Observer wired into a sharded-serving replay."""
 
-    def __init__(self, config: ObsConfig | None = None,
+    def __init__(self, sampler: SamplerConfig | None = None,
                  run_config: dict | None = None) -> None:
-        self.config = config or ObsConfig()
         #: JSON-ready description of the run, embedded in bundles.
         self.run_config = run_config or {}
-        self.engine = SLOEngine(self.config.slo)
-        self.sampler = TailSampler(self.config.sampler)
-        self.flight = FlightRecorder(self.config.ring_capacity)
+        self.engine = SLOEngine(SLOPolicy())
+        self.sampler = TailSampler(sampler)
+        self.flight = FlightRecorder()
         #: (shed, failed, completed, within_slo) counters already
         #: folded into the SLO windows, per shard.
         self._seen: dict[str, tuple[int, int, int, int]] = {}
@@ -90,7 +78,7 @@ class ReplayObsPlane:
         #: Python call, and every delivered completion is kept by
         #: construction. Totals are reconstructed from the shard
         #: counters scraped at control ticks.
-        self.completion_interest = self.config.sampler.interest
+        self.completion_interest = self.sampler.config.interest
         self.on_completion = self._make_on_completion()
 
     # -- replay observer protocol ------------------------------------------
@@ -225,7 +213,7 @@ class ReplayObsPlane:
                          rule=alert.rule, scope=scope,
                          long_burn=round(alert.long_burn, 9),
                          short_burn=round(alert.short_burn, 9))
-        if len(self.flight.incidents) >= self.config.max_incidents:
+        if len(self.flight.incidents) >= MAX_INCIDENTS:
             return
         report = router.roll_up()
         recent_kept = self.sampler.kept_ids[-16:]

@@ -6,11 +6,12 @@ tail sampling decides at *completion*. A served request is kept as
 latency reached ``slow_threshold_s``, else ``baseline`` if its gateway
 sequence number falls in a seeded Knuth-hash slice of ``baseline_rate``
 (never Python's ``hash()``, never a simulation RNG stream, so sampling
-neither varies across processes nor perturbs the run). The rule has one
-evaluator, the replay's completion loop
-(:func:`repro.shard.replay._complete`), given the spec
-:attr:`SamplerConfig.interest`. :class:`TailSampler` holds the tallies
-the plane writes and :meth:`~TailSampler.check_conservation` reads.
+neither varies across processes nor perturbs the run). The replay
+evaluates the rule, given the spec :attr:`SamplerConfig.interest`, in
+three places: :func:`repro.shard.replay._complete`, and two copies
+inlined in the replay lane (``_run_lane``), one in its scalar drain and
+one as arrays over a block. :class:`TailSampler` holds the tallies the
+plane writes and :meth:`~TailSampler.check_conservation` reads.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.obs.flight import verify_bundle
-from repro.obs.plane import ObsConfig, ReplayObsPlane
+from repro.obs.plane import ReplayObsPlane
 from repro.shard.replay import (ReplayConfig, ReplayResult, run_replay,
                                 run_replay_reference)
 from repro.telemetry import canonical_json, round_floats
@@ -73,18 +73,14 @@ def _run_config_dict(config: ReplayConfig) -> dict:
     }
 
 
-def run_obs_replay(config: ReplayConfig | None = None,
-                   obs_config: ObsConfig | None = None) -> ObsReplayResult:
+def run_obs_replay(config: ReplayConfig | None = None) -> ObsReplayResult:
     """Run a replay with the observability plane attached."""
-    return _observe(config or ReplayConfig().smoke(), obs_config,
-                    run_replay)
+    return _observe(config or ReplayConfig().smoke(), run_replay)
 
 
-def _observe(config: ReplayConfig, obs_config: ObsConfig | None,
-             replay) -> ObsReplayResult:
+def _observe(config: ReplayConfig, replay) -> ObsReplayResult:
     """Drive a fresh plane through ``replay`` (the kernel or its oracle)."""
-    plane = ReplayObsPlane(obs_config,
-                           run_config=_run_config_dict(config))
+    plane = ReplayObsPlane(run_config=_run_config_dict(config))
     result = replay(config, observer=plane)
     return ObsReplayResult(
         replay=result,
@@ -106,7 +102,7 @@ def obs_smoke(config: ReplayConfig | None = None) -> dict:
         "outcome_neutral": first.replay.digest() == bare.digest(),
         "deterministic": first.digest() == second.digest(),
         "kernel_equals_reference": first.digest() == _observe(
-            config, None, run_replay_reference).digest(),
+            config, run_replay_reference).digest(),
         "alert_fired": first.alerts_fired > 0,
         "incident_dumped": len(first.incidents) > 0,
         "conserved": bool(first.sampling["conserved"]),

@@ -62,9 +62,8 @@ def break_even_interval_capacity(access_bytes: float,
 
 def break_even_interval_requests(access_bytes: float,
                                  tier2: StoragePricing,
-                                 tier1_rent_per_mib_hour: float,
-                                 read: bool = True) -> float:
-    """Five-minute-rule break-even for request-priced storage.
+                                 tier1_rent_per_mib_hour: float) -> float:
+    """Five-minute-rule break-even for request-priced storage reads.
 
     ``BEI = PagesPerMB * PricePerAccessToTier2 / RentPerSecondPerMBofTier1``
 
@@ -75,10 +74,7 @@ def break_even_interval_requests(access_bytes: float,
     if access_bytes <= 0:
         raise ValueError(f"access size must be positive, got {access_bytes}")
     pages_per_mib = units.MiB / access_bytes
-    if read:
-        price = tier2.read_cost(1, total_bytes=access_bytes)
-    else:
-        price = tier2.write_cost(1, total_bytes=access_bytes)
+    price = tier2.read_cost(1, total_bytes=access_bytes)
     rent_per_mib_second = tier1_rent_per_mib_hour / 3600.0
     return pages_per_mib * price / rent_per_mib_second
 

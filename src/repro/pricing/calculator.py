@@ -15,7 +15,6 @@ from repro import units
 from repro.pricing.catalog import (
     LAMBDA_PRICING,
     STORAGE_PRICES,
-    LambdaPricing,
     ec2_instance,
 )
 from repro.storage.base import RequestStats, RequestType
@@ -29,14 +28,13 @@ class ExperimentCost:
     compute_iaas: float = 0.0
     storage_requests: float = 0.0
     storage_transfer: float = 0.0
-    storage_capacity: float = 0.0
     detail: dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
         """Grand total in dollars."""
         return (self.compute_faas + self.compute_iaas + self.storage_requests
-                + self.storage_transfer + self.storage_capacity)
+                + self.storage_transfer)
 
     def add(self, label: str, amount: float) -> None:
         """Track a labelled sub-amount in the detail map."""
@@ -46,23 +44,21 @@ class ExperimentCost:
 class CostCalculator:
     """Accumulates experiment cost from runtime statistics."""
 
-    def __init__(self, lambda_pricing: LambdaPricing = LAMBDA_PRICING) -> None:
-        self.lambda_pricing = lambda_pricing
+    def __init__(self) -> None:
         self.cost = ExperimentCost()
 
     def add_function_invocation(self, memory_bytes: float, duration_s: float,
                                 ephemeral_bytes: float = 0.0,
                                 label: str = "lambda") -> float:
         """Record one Lambda invocation; returns its cost."""
-        amount = self.lambda_pricing.invocation_cost(
+        amount = LAMBDA_PRICING.invocation_cost(
             memory_bytes, duration_s, ephemeral_bytes)
         self.cost.compute_faas += amount
         self.cost.add(label, amount)
         return amount
 
     def add_vm_time(self, instance_name: str, duration_s: float,
-                    count: int = 1, reserved: bool = False,
-                    label: str = "ec2") -> float:
+                    reserved: bool = False) -> float:
         """Record VM usage; returns its cost.
 
         EC2 bills per-second with a one-minute minimum [15].
@@ -72,13 +68,13 @@ class CostCalculator:
         if reserved and instance.reserved_hourly_usd is not None:
             hourly = instance.reserved_hourly_usd
         billed_s = max(duration_s, 60.0)
-        amount = count * hourly * billed_s / 3600.0
+        amount = hourly * billed_s / 3600.0
         self.cost.compute_iaas += amount
-        self.cost.add(label, amount)
+        self.cost.add("ec2", amount)
         return amount
 
-    def add_storage_requests(self, service_name: str, stats: RequestStats,
-                             label: str | None = None) -> float:
+    def add_storage_requests(self, service_name: str,
+                             stats: RequestStats) -> float:
         """Record storage request/transfer cost from a stats hook.
 
         Every counted request is billed — including throttles and
@@ -94,8 +90,7 @@ class CostCalculator:
                          - request_cost)
         self.cost.storage_requests += request_cost
         self.cost.storage_transfer += transfer_cost
-        self.cost.add(label or f"storage:{service_name}",
-                      request_cost + transfer_cost)
+        self.cost.add(f"storage:{service_name}", request_cost + transfer_cost)
         return request_cost + transfer_cost
 
 

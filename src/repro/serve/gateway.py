@@ -176,7 +176,7 @@ class QueryGateway:
         depth = len(queue) if queue is not None else 0
         if depth >= tenant.max_queue_depth \
                 or self._pending >= self.max_pending:
-            self.metrics.record_shed(tenant_name, self.env.now)
+            self.metrics.record_shed(tenant_name)
             if self._telemetry is not None:
                 self._telemetry.counter("gateway.shed").inc()
                 self._telemetry.event(

@@ -110,9 +110,9 @@ class ServingMetrics:
 
     def __init__(self) -> None:
         self.offered: dict[str, int] = {}
-        self.shed: dict[str, list[float]] = {}
+        self.shed: dict[str, int] = {}
         self.completed: dict[str, list[CompletedQuery]] = {}
-        self.failed: dict[str, list[float]] = {}
+        self.failed: dict[str, int] = {}
 
     # -- recording ---------------------------------------------------------
 
@@ -120,22 +120,22 @@ class ServingMetrics:
         """Count one query offered by ``tenant`` (before admission)."""
         self.offered[tenant] = self.offered.get(tenant, 0) + 1
 
-    def record_shed(self, tenant: str, at: float) -> None:
+    def record_shed(self, tenant: str) -> None:
         """Count one query turned away at admission."""
-        self.shed.setdefault(tenant, []).append(at)
+        self.shed[tenant] = self.shed.get(tenant, 0) + 1
 
     def record_completion(self, record: CompletedQuery) -> None:
         """File one served query under its tenant."""
         self.completed.setdefault(record.tenant, []).append(record)
 
-    def record_failed(self, tenant: str, at: float) -> None:
+    def record_failed(self, tenant: str) -> None:
         """Count one query that started executing but errored out.
 
         Failed queries count against SLO attainment like shed ones —
         but they are reported separately: shed is a deliberate admission
         decision, failure is an execution outcome.
         """
-        self.failed.setdefault(tenant, []).append(at)
+        self.failed[tenant] = self.failed.get(tenant, 0) + 1
 
     # -- views -------------------------------------------------------------
 
@@ -145,11 +145,11 @@ class ServingMetrics:
 
     def shed_count(self, tenant: str) -> int:
         """Shed queries of one tenant."""
-        return len(self.shed.get(tenant, []))
+        return self.shed.get(tenant, 0)
 
     def failed_count(self, tenant: str) -> int:
         """Failed (started but errored) queries of one tenant."""
-        return len(self.failed.get(tenant, []))
+        return self.failed.get(tenant, 0)
 
     def runtimes(self, tenant: str) -> list[float]:
         """Engine runtimes of a tenant's served queries, in finish order."""

@@ -263,7 +263,7 @@ class QueryScheduler:
                 for event in waiters:
                     event.succeed()
         if failed:
-            self.metrics.record_failed(request.tenant, request.finished_at)
+            self.metrics.record_failed(request.tenant)
             return
         self.metrics.record_completion(CompletedQuery(
             tenant=request.tenant,

@@ -28,6 +28,11 @@ from repro.telemetry.export import canonical_json
 from repro.workloads.suite import SuiteSetup, build_plan, setup_engine
 from repro.workloads.traffic import poisson_arrivals
 
+#: Lambda concurrency quota of the serving account, and the plan width
+#: the default query governor divides it by.
+ACCOUNT_QUOTA = 1_000
+FRAGMENTS_PER_QUERY = 4
+
 
 @dataclass
 class TenantWorkload:
@@ -169,9 +174,6 @@ def run_serving_workload(workloads: list[TenantWorkload],
                          policy: str = "fifo",
                          window_s: float = 600.0,
                          seed: int = 0,
-                         setup: Optional[SuiteSetup] = None,
-                         account_quota: int = 1_000,
-                         fragments_per_query: int = 4,
                          max_concurrent_queries: Optional[int] = None,
                          warm_targets: Optional[dict[str, int]] = None,
                          warm_interval_s: float = 240.0,
@@ -190,12 +192,11 @@ def run_serving_workload(workloads: list[TenantWorkload],
     """
     if not workloads:
         raise ValueError("need at least one tenant workload")
-    sim = CloudSim(seed=seed, account_quota=account_quota)
+    sim = CloudSim(seed=seed, account_quota=ACCOUNT_QUOTA)
     queries = tuple(dict.fromkeys(w.query for w in workloads))
-    setup = setup or SuiteSetup(queries=queries, lineitem_partitions=3,
-                                orders_partitions=2,
-                                clickstreams_partitions=2,
-                                rows_per_partition=96)
+    setup = SuiteSetup(queries=queries, lineitem_partitions=3,
+                       orders_partitions=2, clickstreams_partitions=2,
+                       rows_per_partition=96)
     engine = setup_engine(sim, setup, recovery=recovery)
     if fault_plan is not None:
         from repro.chaos.injector import FaultInjector
@@ -219,8 +220,8 @@ def run_serving_workload(workloads: list[TenantWorkload],
     if max_concurrent_queries is not None:
         governor = ConcurrencyGovernor(max_concurrent_queries)
     else:
-        governor = ConcurrencyGovernor.for_account(account_quota,
-                                                   fragments_per_query)
+        governor = ConcurrencyGovernor.for_account(ACCOUNT_QUOTA,
+                                                   FRAGMENTS_PER_QUERY)
     scheduler = QueryScheduler(sim.env, engine, gateway,
                                make_policy(policy), governor, metrics)
     manager = None

@@ -16,6 +16,9 @@ from typing import NamedTuple
 
 from repro.shard.ring import HashRing
 
+#: Shard ids are ``shard-<n>``, numbered in creation order.
+SHARD_PREFIX = "shard"
+
 
 class Route(NamedTuple):
     """One directory answer: where a tenant lives, as of which epoch."""
@@ -27,10 +30,8 @@ class Route(NamedTuple):
 class PartitionDirectory:
     """Maps tenant keys to shards; every mutation bumps fenced epochs."""
 
-    def __init__(self, shards: int = 1, vnodes: int | None = None,
-                 prefix: str = "shard") -> None:
+    def __init__(self, shards: int = 1, vnodes: int | None = None) -> None:
         self.ring = HashRing() if vnodes is None else HashRing(vnodes)
-        self.prefix = prefix
         #: Global map version; grows by one per mutation.
         self.epoch = 0
         #: Each shard's current route: its id with the epoch at which
@@ -77,10 +78,9 @@ class PartitionDirectory:
             self._shard_routes[shard] = Route(shard, self.epoch)
         return self.epoch
 
-    def add_shard(self, name: str | None = None) -> str:
+    def add_shard(self) -> str:
         """Add a shard to the ring; its gainers' epochs advance."""
-        if name is None:
-            name = f"{self.prefix}-{self._counter}"
+        name = f"{SHARD_PREFIX}-{self._counter}"
         self._counter += 1
         points = self.ring.add_node(name)
         losers = [shard for shard in self.ring.successors(points)
@@ -90,7 +90,7 @@ class PartitionDirectory:
 
     def split_shard(self, hot: str) -> str:
         """Split a hot shard: half its ranges move to a fresh shard."""
-        name = f"{self.prefix}-{self._counter}"
+        name = f"{SHARD_PREFIX}-{self._counter}"
         self._counter += 1
         self.ring.split_node(hot, name)
         self._bump([hot, name])

@@ -56,7 +56,7 @@ class ShardMetrics:
     def record_offered(self, tenant: str) -> None:
         self.offered += 1
 
-    def record_shed(self, tenant: str, at: float) -> None:
+    def record_shed(self, tenant: str) -> None:
         self.shed += 1
 
     def record_completion(self, record) -> None:
@@ -70,7 +70,7 @@ class ShardMetrics:
         if record.retries or record.hedges:
             self.recovered += 1
 
-    def record_failed(self, tenant: str, at: float) -> None:
+    def record_failed(self, tenant: str) -> None:
         self.failed += 1
 
     # -- views -------------------------------------------------------------
@@ -107,11 +107,6 @@ class FleetReport:
     slo_attainment: float
     cost_usd: float
     per_shard: list[dict] = field(default_factory=list)
-    #: Optional SLO-engine roll-up (error budgets, burn-rate alerts)
-    #: attached by the obs plane. ``None`` — the default — keeps the
-    #: serialized report (and every digest derived from it) unchanged
-    #: for runs without an observability plane.
-    slo: dict | None = None
 
     @property
     def balanced(self) -> bool:
@@ -120,7 +115,7 @@ class FleetReport:
                                 + self.pending)
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "shards": self.shards,
             "offered": self.offered,
             "completed": self.completed,
@@ -136,9 +131,6 @@ class FleetReport:
             "cost_usd": round(self.cost_usd, 9),
             "per_shard": self.per_shard,
         }
-        if self.slo is not None:
-            out["slo"] = self.slo
-        return out
 
 
 class FleetMetrics:

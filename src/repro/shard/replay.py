@@ -180,6 +180,13 @@ class ReplayConfig:
     fault_plan: str = ""
 
     def __post_init__(self) -> None:
+        # A fleet with no shard cannot route; a control tick that does
+        # not advance never lets the replay reach its first arrival.
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if not self.control_interval_s > 0:
+            raise ValueError("control_interval_s must be > 0, got "
+                             f"{self.control_interval_s}")
         # A shard with no slot never drains its backlog, and one with no
         # admission room sheds every query.
         if self.slots_per_shard < 1:

@@ -90,13 +90,12 @@ class HashRing:
         """The virtual points a node currently owns (sorted)."""
         return sorted(self._node_points[name])
 
-    def add_node(self, name: str, vnodes: int | None = None) -> list[int]:
+    def add_node(self, name: str) -> list[int]:
         """Insert a node; returns its points. Raises if already present."""
         if name in self._node_points:
             raise ValueError(f"node {name!r} is already on the ring")
-        count = self.vnodes if vnodes is None else vnodes
         points = []
-        for index in range(count):
+        for index in range(self.vnodes):
             position = hash_key(f"{name}#{index}")
             while position in self._owner:  # 64-bit collision: step on
                 position = (position + 1) % (1 << 64)

@@ -52,17 +52,16 @@ class DynamoDB(StorageService):
     #: over the documented 12K/4K on-demand limits.
     burst_s = DDB_BURST_WINDOW_S
 
-    def __init__(self, env: Environment, fabric: Fabric, rng: RandomStreams,
-                 read_iops: float = DDB_READ_IOPS,
-                 write_iops: float = DDB_WRITE_IOPS) -> None:
+    def __init__(self, env: Environment, fabric: Fabric,
+                 rng: RandomStreams) -> None:
         super().__init__(env, fabric, rng,
                          read_latency=DDB_READ_LATENCY,
                          write_latency=DDB_WRITE_LATENCY,
                          read_bandwidth=DDB_READ_BANDWIDTH,
                          write_bandwidth=DDB_WRITE_BANDWIDTH,
                          max_item_size=DDB_MAX_ITEM_SIZE)
-        self.read_iops = float(read_iops)
-        self.write_iops = float(write_iops)
+        self.read_iops = DDB_READ_IOPS
+        self.write_iops = DDB_WRITE_IOPS
         # Burst buckets start full: a new table has its full burst budget.
         self._read_tokens = self.read_iops * self.burst_s
         self._write_tokens = self.write_iops * self.burst_s

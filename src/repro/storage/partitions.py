@@ -14,11 +14,11 @@ The model here:
 * a :class:`PartitionTree` over the key hash space; each leaf is a
   :class:`Partition` with independent read/write token-bucket admission;
 * each partition accrues *heat* while its offered read load sustains above
-  a utilization threshold; when heat crosses ``split_after_s`` seconds, the
+  a utilization threshold; when heat crosses ``SPLIT_AFTER_S`` seconds, the
   partition splits in two and both children restart cold;
 * each partition tracks its last-busy time; a background check merges the
-  tree stepwise after ``first_merge_idle_s`` and fully after
-  ``full_merge_idle_s`` of idleness (loads below a floor do not count as
+  tree stepwise after ``FIRST_MERGE_IDLE_S`` and fully after
+  ``FULL_MERGE_IDLE_S`` of idleness (loads below a floor do not count as
   busy, so the hourly/daily probes of Figure 13 do not keep the bucket
   warm).
 """
@@ -130,21 +130,8 @@ class FluidStep:
 class PartitionTree:
     """The set of prefix partitions of one bucket, with split/merge logic."""
 
-    def __init__(self,
-                 split_after_s: float = SPLIT_AFTER_S,
-                 split_threshold: float = SPLIT_UTILIZATION_THRESHOLD,
-                 min_split_interval_s: float = MIN_SPLIT_INTERVAL_S,
-                 first_merge_idle_s: float = FIRST_MERGE_IDLE_S,
-                 full_merge_idle_s: float = FULL_MERGE_IDLE_S,
-                 read_quota: float = READ_IOPS_PER_PARTITION,
-                 write_quota: float = WRITE_IOPS_PER_PARTITION) -> None:
-        self.split_after_s = split_after_s
-        self.split_threshold = split_threshold
-        self.min_split_interval_s = min_split_interval_s
-        self.first_merge_idle_s = first_merge_idle_s
-        self.full_merge_idle_s = full_merge_idle_s
+    def __init__(self, read_quota: float = READ_IOPS_PER_PARTITION) -> None:
         self.read_quota = read_quota
-        self.write_quota = write_quota
         self._partition_seq = 0
         self.partitions: list[Partition] = [self._fresh(0.0, 1.0)]
         self.split_count = 0
@@ -195,9 +182,9 @@ class PartitionTree:
         self._partition_seq += 1
         return Partition(low=low, high=high, uid=self._partition_seq,
                          read_quota=self.read_quota,
-                         write_quota=self.write_quota,
+                         write_quota=WRITE_IOPS_PER_PARTITION,
                          read_tokens=self.read_quota,
-                         write_tokens=self.write_quota)
+                         write_tokens=WRITE_IOPS_PER_PARTITION)
 
     @property
     def partition_count(self) -> int:
@@ -293,19 +280,19 @@ class PartitionTree:
                 partition.last_busy_at = now
             # Only *read* pressure drives splits: the paper could not scale
             # write IOPS beyond one partition with write-only load.
-            if read_util >= self.split_threshold:
+            if read_util >= SPLIT_UTILIZATION_THRESHOLD:
                 partition.heat_s += elapsed
-                if partition.heat_s >= self.split_after_s:
+                if partition.heat_s >= SPLIT_AFTER_S:
                     ripe.append(partition)
             else:
                 # Cooling: heat also decays under light load.
                 partition.heat_s = max(0.0, partition.heat_s - elapsed)
-        # Splits are serialized: at most one per min_split_interval across
+        # Splits are serialized: at most one per MIN_SPLIT_INTERVAL_S across
         # the whole bucket. Section 2.2: partitions that serve excessive
         # load "are split and spread evenly across the fleet" — so each
         # scaling step leaves n+1 evenly loaded partitions (all fresh:
         # further splits need renewed sustained overload).
-        if ripe and now - self._last_split_at >= self.min_split_interval_s:
+        if ripe and now - self._last_split_at >= MIN_SPLIT_INTERVAL_S:
             self.retile(self.partition_count + 1, now)
             self.split_count += 1
             self._last_split_at = now
@@ -319,13 +306,13 @@ class PartitionTree:
         if len(self.partitions) == 1:
             return
         idle = now - max(p.last_busy_at for p in self.partitions)
-        if idle >= self.full_merge_idle_s:
+        if idle >= FULL_MERGE_IDLE_S:
             merged = self._fresh(0.0, 1.0)
             merged.last_busy_at = max(p.last_busy_at for p in self.partitions)
             merged.tokens_updated_at = now
             self.merge_count += len(self.partitions) - 1
             self.partitions = [merged]
-        elif (idle >= self.first_merge_idle_s
+        elif (idle >= FIRST_MERGE_IDLE_S
               and len(self.partitions) > PARTITIONS_AFTER_FIRST_MERGE):
             self._collapse_to(PARTITIONS_AFTER_FIRST_MERGE, now)
 

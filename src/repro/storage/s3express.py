@@ -42,16 +42,15 @@ class S3Express(StorageService):
     name = "s3-express"
     throttle_error = SlowDown
 
-    def __init__(self, env: Environment, fabric: Fabric, rng: RandomStreams,
-                 read_iops: float = EXPRESS_READ_IOPS,
-                 write_iops: float = EXPRESS_WRITE_IOPS) -> None:
+    def __init__(self, env: Environment, fabric: Fabric,
+                 rng: RandomStreams) -> None:
         super().__init__(env, fabric, rng,
                          read_latency=EXPRESS_READ_LATENCY,
                          write_latency=EXPRESS_WRITE_LATENCY,
                          read_bandwidth=None, write_bandwidth=None,
                          max_item_size=S3_EXPRESS_MAX_OBJECT_SIZE)
-        self.read_iops = float(read_iops)
-        self.write_iops = float(write_iops)
+        self.read_iops = EXPRESS_READ_IOPS
+        self.write_iops = EXPRESS_WRITE_IOPS
         self._read_tokens = self.read_iops
         self._write_tokens = self.write_iops
         self._tokens_at = env.now

@@ -8,6 +8,8 @@ metrics`` CLI; pure string formatting, no simulation imports.
 from __future__ import annotations
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
+#: Span kinds listed, busiest first.
+TOP_SPANS = 12
 
 
 def sparkline(values, width: int = 48) -> str:
@@ -29,8 +31,7 @@ def sparkline(values, width: int = 48) -> str:
                    for v in values)
 
 
-def render_dashboard(recorder, series_width: int = 48,
-                     top_spans: int = 12) -> str:
+def render_dashboard(recorder, series_width: int = 48) -> str:
     """Multi-section text dashboard for one recorder."""
     lines: list[str] = []
     metrics = recorder.metrics
@@ -76,14 +77,14 @@ def render_dashboard(recorder, series_width: int = 48,
 
     if recorder.spans:
         lines.append(f"== spans ({len(recorder.spans)} total, "
-                     f"top {top_spans} by total time) ==")
+                     f"top {TOP_SPANS} by total time) ==")
         totals: dict[tuple[str, str], tuple[float, int]] = {}
         for span in recorder.spans:
             key = (span.category, span.name)
             total, count = totals.get(key, (0.0, 0))
             totals[key] = (total + span.duration, count + 1)
         ranked = sorted(totals.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        for (category, name), (total, count) in ranked[:top_spans]:
+        for (category, name), (total, count) in ranked[:TOP_SPANS]:
             lines.append(f"  {category + ':' + name:<42} "
                          f"n={count:>5}  total={total:>10.3f}s  "
                          f"mean={total / count:>8.4f}s")

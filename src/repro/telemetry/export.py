@@ -21,9 +21,9 @@ import json
 from typing import Optional
 
 
-def round_for_json(value: Optional[float], digits: int = 9) -> Optional[float]:
-    """Round a float for canonical JSON (None passes through)."""
-    return None if value is None else round(float(value), digits)
+def round_for_json(value: Optional[float]) -> Optional[float]:
+    """Round a float to 9 digits for canonical JSON (None passes through)."""
+    return None if value is None else round(float(value), 9)
 
 
 def round_floats(obj, digits: int = 9):

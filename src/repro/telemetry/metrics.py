@@ -176,17 +176,15 @@ class MetricRegistry:
             instrument = self.gauges[name] = Gauge(name)
         return instrument
 
-    def timeseries(self, name: str, min_dt: float = 0.0,
-                   max_points: int = DEFAULT_MAX_POINTS) -> TimeSeries:
+    def timeseries(self, name: str, min_dt: float = 0.0) -> TimeSeries:
         """The time series called ``name`` (created on first use).
 
-        ``min_dt``/``max_points`` only apply at creation time; later
-        lookups return the existing series unchanged.
+        ``min_dt`` only applies at creation time; later lookups return
+        the existing series unchanged.
         """
         instrument = self.series.get(name)
         if instrument is None:
-            instrument = self.series[name] = TimeSeries(
-                name, min_dt=min_dt, max_points=max_points)
+            instrument = self.series[name] = TimeSeries(name, min_dt=min_dt)
         return instrument
 
     def histogram(self, name: str) -> LatencyHistogram:

@@ -50,21 +50,19 @@ class KernelMonitor:
     counter and samples queue depth at a fixed stride.
     """
 
-    __slots__ = ("_events", "_processes", "_depth", "_stride", "_i")
+    __slots__ = ("_events", "_processes", "_depth", "_i")
 
-    def __init__(self, recorder: "TelemetryRecorder",
-                 stride: int = KERNEL_SAMPLE_EVERY) -> None:
+    def __init__(self, recorder: "TelemetryRecorder") -> None:
         self._events = recorder.counter("sim.events_processed")
         self._processes = recorder.counter("sim.processes_started")
         self._depth = recorder.timeseries("sim.ready_queue_depth")
-        self._stride = stride
         self._i = 0
 
     def on_event(self, now: float, queue_depth: int) -> None:
         """One event was processed at virtual time ``now``."""
         self._events.value += 1
         self._i += 1
-        if self._i >= self._stride:
+        if self._i >= KERNEL_SAMPLE_EVERY:
             self._i = 0
             self._depth.sample(now, float(queue_depth))
 

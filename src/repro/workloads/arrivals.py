@@ -71,19 +71,16 @@ class ArrivalOutcome:
 def run_arrival_workload(backend: str, plan: PhysicalPlan,
                          queries_per_hour: float,
                          window_s: float = 1_800.0,
-                         setup: SuiteSetup | None = None,
-                         vm_count: int = 8,
-                         seed: int = 0) -> ArrivalOutcome:
+                         vm_count: int = 8) -> ArrivalOutcome:
     """Serve a Poisson query stream on one deployment; return its cost.
 
     FaaS cost: billed function time of every invocation the stream
     caused. IaaS cost: the provisioned cluster's uptime over the window
     regardless of load (the peak-provisioning premise of Section 5.2).
     """
-    sim = CloudSim(seed=seed)
-    setup = setup or SuiteSetup(queries=("tpch-q6",),
-                                lineitem_partitions=4,
-                                rows_per_partition=96)
+    sim = CloudSim()
+    setup = SuiteSetup(queries=("tpch-q6",), lineitem_partitions=4,
+                       rows_per_partition=96)
     engine = setup_engine(sim, setup, backend=backend, vm_count=vm_count)
     arrival_rng = sim.rng.stream("arrivals")
     arrivals = poisson_arrivals(arrival_rng, queries_per_hour, window_s)
@@ -136,9 +133,7 @@ def run_arrival_workload(backend: str, plan: PhysicalPlan,
 
 
 def cost_crossover(plan: PhysicalPlan, rates: list[float],
-                   window_s: float = 1_800.0, vm_count: int = 8,
-                   setup: SuiteSetup | None = None,
-                   seed: int = 0) -> dict:
+                   window_s: float = 1_800.0, vm_count: int = 8) -> dict:
     """Measure FaaS and IaaS cost across arrival rates.
 
     Returns the per-rate outcomes and the measured crossover rate (the
@@ -149,8 +144,7 @@ def cost_crossover(plan: PhysicalPlan, rates: list[float],
     for rate in rates:
         for backend in ("faas", "iaas"):
             outcomes[backend].append(run_arrival_workload(
-                backend, plan, rate, window_s=window_s, setup=setup,
-                vm_count=vm_count, seed=seed))
+                backend, plan, rate, window_s=window_s, vm_count=vm_count))
     crossover = math.inf
     for faas, iaas in zip(outcomes["faas"], outcomes["iaas"]):
         if iaas.compute_cost_usd < faas.compute_cost_usd:

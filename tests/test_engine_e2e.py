@@ -10,6 +10,7 @@ from repro.chaos import FaultInjector, FaultPlan, FaultSpec
 from repro.datagen import load_table, scaled_spec
 from repro.engine import SkyriseEngine, coordinator
 from repro.engine.coordinator import FragmentFailure
+from repro.engine.plan import PhysicalPlan, ShuffleSource, TableSource
 from repro.engine.queries import (
     QUERY_BUILDERS,
     tpch_q1,
@@ -17,7 +18,6 @@ from repro.engine.queries import (
     tpch_q12,
     tpcxbb_q3,
 )
-from repro.engine.reference import run_reference, table_batches_from_spec
 from repro.engine.shuffle import SliceRead, shuffle_key
 from repro.faas import LambdaPlatform, supervisor
 from repro.faas.supervisor import RecoveryPolicy
@@ -62,6 +62,51 @@ def run_query(env, engine, plan):
     proc = env.process(engine.run_query(plan))
     env.run(until=proc)
     return proc.value
+
+
+def run_reference(plan: PhysicalPlan,
+                  tables: dict[str, RecordBatch]) -> RecordBatch:
+    """Single-node reference executor: run ``plan`` over in-memory tables.
+
+    No distribution, storage or simulation: the ground truth the
+    distributed engine's results are checked against. Partial/final
+    aggregate pairs compose (merging one partial group state is the
+    identity), so the same plan gives identical results in both.
+    """
+    outputs: dict[str, RecordBatch] = {}
+    for stage in plan.stages():
+        for pipeline in stage:
+            sides: dict[str, RecordBatch] = {}
+            for name, table_name in pipeline.side_tables.items():
+                sides[name] = tables[table_name]
+            if isinstance(pipeline.source, TableSource):
+                table = tables[pipeline.source.table]
+                batch = table.select([
+                    name for name in pipeline.source.columns])
+            else:
+                source: ShuffleSource = pipeline.source
+                named = {name: outputs[upstream]
+                         for name, upstream in source.inputs.items()}
+                batch = named.pop(source.main)
+                sides.update(named)
+            for operator in pipeline.operators:
+                batch = operator.execute(batch, sides)
+            outputs[pipeline.id] = batch
+    return outputs[plan.final_pipeline.id]
+
+
+def table_batches_from_spec(specs) -> dict[str, RecordBatch]:
+    """Materialize full tables from dataset specs, with the rows
+    ``load_table`` stores under its default seed."""
+    tables: dict[str, RecordBatch] = {}
+    for spec in specs:
+        pieces = []
+        for index in range(spec.partition_count):
+            rows = spec.rows_for_partition(index)
+            pieces.append(spec.generator(rows, 1_000, index,
+                                         spec.physical_scale_factor))
+        tables[spec.name] = RecordBatch.concat(pieces)
+    return tables
 
 
 def reference_result(specs, plan):

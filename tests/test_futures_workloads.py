@@ -1,5 +1,7 @@
 """End-to-end determinism tests for the futures workloads."""
 
+import pytest
+
 from repro.chaos import get_plan
 from repro.futures import ANY_COMPLETED
 from repro.futures.workloads import _Sim, run_wordcount
@@ -69,6 +71,11 @@ class TestWordcount:
                                    "success": first["chunks"] + 1,
                                    "error": 0}
         assert first["records"] == 16 * 256  # every record counted once
+
+    @pytest.mark.parametrize("chunks", [0, -4, 3])
+    def test_chunks_must_split_each_object_evenly(self, chunks):
+        with pytest.raises(ValueError, match="chunks_per_object"):
+            run_wordcount(chunks_per_object=chunks)
 
     def test_different_seed_changes_outcome(self):
         assert run_wordcount(seed=7, objects=4)["digest"] \

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import ObsConfig, ReplayObsPlane
+from repro.obs import ReplayObsPlane
 from repro.obs.sampler import (
     REASON_BASELINE,
     REASON_FAULT,
@@ -39,7 +39,7 @@ class _Router:
 def deliver(config: SamplerConfig, cases) -> ReplayObsPlane:
     """Complete ``(seq, latency, rescued)`` requests through the replay's
     filter into a plane, then scrape once."""
-    plane = ReplayObsPlane(ObsConfig(sampler=config))
+    plane = ReplayObsPlane(config)
     metrics = ShardMetrics("s0")
     for seq, latency, rescued in cases:
         request = QueryRequest(tenant="t", plan=latency, submitted_at=0.0,

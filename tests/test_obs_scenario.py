@@ -55,7 +55,7 @@ class TestKernelEqualsReference:
 
     @staticmethod
     def reference(config):
-        return scenario._observe(config, None, run_replay_reference)
+        return scenario._observe(config, run_replay_reference)
 
     def test_kernel_preserves_the_observed_digest(self):
         config = tiny_config()

@@ -115,8 +115,7 @@ class TestCostCalculator:
         stats.record(RequestType.GET, "ok", count=1_000_000)
         calc.add_storage_requests("s3-standard", stats)
         total = (calc.cost.compute_faas + calc.cost.compute_iaas
-                 + calc.cost.storage_requests + calc.cost.storage_transfer
-                 + calc.cost.storage_capacity)
+                 + calc.cost.storage_requests + calc.cost.storage_transfer)
         assert calc.cost.total == pytest.approx(total)
 
     def test_throughput_cost_ranking_matches_section_431(self):

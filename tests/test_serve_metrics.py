@@ -82,7 +82,7 @@ class TestServingMetrics:
             metrics.record_offered("t")
         metrics.record_completion(self._record("t", 0.0, 0.0, 1.0))
         for _ in range(3):
-            metrics.record_shed("t", at=0.0)
+            metrics.record_shed("t")
         report = metrics.tenant_report("t", slo_latency_s=5.0)
         assert report.shed == 3
         assert report.shed / report.offered == pytest.approx(0.75)
@@ -93,7 +93,7 @@ class TestServingMetrics:
         metrics = ServingMetrics()
         for _ in range(2):
             metrics.record_offered("t")
-            metrics.record_shed("t", at=0.0)
+            metrics.record_shed("t")
         report = metrics.tenant_report("t")
         assert report.completed == 0
         assert report.slo_attainment == 0.0

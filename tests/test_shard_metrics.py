@@ -57,7 +57,7 @@ class TestShardMetrics:
         metrics.record_offered("t2")
         metrics.record_completion(completed(0.010))
         metrics.record_completion(completed(0.500, retries=1))
-        metrics.record_shed("t2", at=1.0)
+        metrics.record_shed("t2")
         assert metrics.offered == 3
         assert metrics.completed == 2
         assert metrics.shed == 1
@@ -79,7 +79,7 @@ class TestFleetRollUp:
                 metrics.record_offered("t")
                 metrics.record_completion(completed(0.010 * (index + 1)))
             metrics.record_offered("t")
-            metrics.record_shed("t", at=0.0)
+            metrics.record_shed("t")
             shards.append(metrics)
         fleet.recovered_requests = 4
         report = fleet.roll_up(shards, pending=0)

@@ -481,7 +481,9 @@ class TestLaneBlocks:
 
 class TestReplayConfigLimits:
     """A shard needs a slot and admission room: the lane assumes both,
-    and without a slot the reference's end-of-trace drain never ends."""
+    and without a slot the reference's end-of-trace drain never ends.
+    The fleet needs a shard to route to, and the control tick must
+    advance, or neither replay leaves its tick loop."""
 
     @pytest.mark.parametrize("limit",
                              ["slots_per_shard", "max_pending_per_shard"])
@@ -489,6 +491,16 @@ class TestReplayConfigLimits:
     def test_rejects_a_shard_that_cannot_serve(self, limit, value):
         with pytest.raises(ValueError, match=limit):
             ReplayConfig(**{limit: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_a_fleet_without_shards(self, value):
+        with pytest.raises(ValueError, match="shards"):
+            ReplayConfig(shards=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_rejects_a_control_tick_that_does_not_advance(self, value):
+        with pytest.raises(ValueError, match="control_interval_s"):
+            ReplayConfig(control_interval_s=value)
 
     def test_one_slot_and_one_pending_suffice(self):
         config = ReplayConfig(slots_per_shard=1, max_pending_per_shard=1)
