@@ -13,13 +13,15 @@ from typing import Sequence
 
 import numpy as np
 
+#: Degree of every fit: the paper fits quadratics (Figure 12).
+FIT_DEGREE = 2
+
 
 @dataclass
 class PolynomialFit:
     """A fitted polynomial with convenience evaluation."""
 
     coefficients: np.ndarray
-    degree: int
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         """Evaluate the polynomial."""
@@ -29,18 +31,17 @@ class PolynomialFit:
         return result
 
 
-def fit_polynomial(xs: Sequence[float], ys: Sequence[float],
-                   degree: int = 2) -> PolynomialFit:
-    """Least-squares polynomial fit of the given degree."""
+def fit_polynomial(xs: Sequence[float],
+                   ys: Sequence[float]) -> PolynomialFit:
+    """Least-squares polynomial fit of degree :data:`FIT_DEGREE`."""
     xs = np.asarray(list(xs), dtype=np.float64)
     ys = np.asarray(list(ys), dtype=np.float64)
     if len(xs) != len(ys):
         raise ValueError("xs and ys must be equally long")
-    if len(xs) <= degree:
-        raise ValueError(
-            f"need more than {degree} points for a degree-{degree} fit")
-    coefficients = np.polyfit(xs, ys, degree)
-    return PolynomialFit(coefficients=coefficients, degree=degree)
+    if len(xs) <= FIT_DEGREE:
+        raise ValueError(f"need more than {FIT_DEGREE} points for a "
+                         f"degree-{FIT_DEGREE} fit")
+    return PolynomialFit(coefficients=np.polyfit(xs, ys, FIT_DEGREE))
 
 
 def extrapolate_scaling(measured_partitions: Sequence[float],

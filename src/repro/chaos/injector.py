@@ -2,7 +2,7 @@
 
 Injection happens through first-class hooks — ``fault_injector`` on
 :class:`~repro.faas.platform.LambdaPlatform`, ``fault_hook`` on storage
-services and clients — never by monkeypatching. Every decision draws
+services — never by monkeypatching. Every decision draws
 from a named RNG stream derived from the plan, so a (seed, plan) pair
 reproduces the exact same fault sequence, and attaching an injector
 never perturbs any other stream in the simulation.
@@ -68,14 +68,12 @@ class FaultInjector:
 
     # -- installation --------------------------------------------------------
 
-    def install(self, platform=None, services=(), clients=()) -> None:
+    def install(self, platform=None, services=()) -> None:
         """Attach this injector to platform/storage hooks."""
         if platform is not None:
             platform.fault_injector = self
         for service in services:
             service.fault_hook = self.on_storage
-        for client in clients:
-            client.fault_hook = self.on_storage
 
     # -- accounting ----------------------------------------------------------
 

@@ -20,12 +20,13 @@ from repro.workloads.suite import SuiteSetup, build_plan, setup_engine
 #: Default query sequence of the chaos suite.
 DEFAULT_QUERIES = ("tpch-q6", "tpch-q1")
 
-#: Scan width used by default: at least 4 fragments per stage so the
+#: Scan width of every plan: at least 4 fragments per stage so the
 #: hedging quorum has a meaningful median to compare stragglers against.
-DEFAULT_PLAN_KWARGS = {"scan_fragments": 4}
+PLAN_KWARGS = {"scan_fragments": 4}
 
 
-def _default_setup(queries: tuple[str, ...]) -> SuiteSetup:
+def suite_setup(queries: tuple[str, ...]) -> SuiteSetup:
+    """The small tables every chaos run loads for ``queries``."""
     return SuiteSetup(lineitem_partitions=4, orders_partitions=2,
                       clickstreams_partitions=2, rows_per_partition=96,
                       queries=tuple(queries))
@@ -35,9 +36,7 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
                     queries: tuple[str, ...] = DEFAULT_QUERIES,
                     repeats: int = 2, seed: int = 0,
                     recovery: Optional[RecoveryPolicy] = None,
-                    plan_kwargs: Optional[dict] = None,
-                    baseline: bool = True,
-                    setup: Optional[SuiteSetup] = None) -> ResilienceReport:
+                    baseline: bool = True) -> ResilienceReport:
     """Run ``queries`` x ``repeats`` under ``plan``; return the report.
 
     With ``baseline=True`` (default) a fault-free pass from the same
@@ -51,10 +50,7 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
         raise ValueError("repeats must be positive")
     if recovery is None:
         recovery = RecoveryPolicy(hedge=True)
-    if plan_kwargs is None:
-        plan_kwargs = dict(DEFAULT_PLAN_KWARGS)
-    if setup is None:
-        setup = _default_setup(queries)
+    setup = suite_setup(queries)
 
     baselines: dict[tuple[str, int], tuple[float, float]] = {}
     if baseline:
@@ -63,7 +59,7 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
         for run in range(repeats):
             for query in queries:
                 result = sim.run(engine.run_query(
-                    build_plan(query, **plan_kwargs)))
+                    build_plan(query, **PLAN_KWARGS)))
                 baselines[(query, run)] = (result.runtime, result.cost_cents)
 
     sim = CloudSim(seed=seed)
@@ -74,7 +70,7 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
     outcomes: list[QueryOutcome] = []
     for run in range(repeats):
         for query in queries:
-            plan_obj = build_plan(query, **plan_kwargs)
+            plan_obj = build_plan(query, **PLAN_KWARGS)
             base = baselines.get((query, run), (None, None))
             try:
                 result = sim.run(engine.run_query(plan_obj))

@@ -14,7 +14,7 @@ JSON results come out, and the plotter renders what it can. Usage::
     python -m repro futures --speculate       # futures map-reduce wordcount
     python -m repro shard --smoke             # sharded-serving replay gate
     python -m repro obs --profile tpch-q6     # per-stage cost feed
-    python -m repro lint --strict             # determinism/architecture gate
+    python -m repro lint                      # determinism/architecture gate
 """
 
 from __future__ import annotations

@@ -13,6 +13,8 @@ from repro import units
 from repro.core.context import CloudSim
 from repro.faas.function import FunctionConfig
 
+#: Invocation pairs per idle gap (each a warm-up, the gap, a probe).
+IDLE_PROBES_PER_GAP = 10
 
 def _deploy_minimal(sim: CloudSim, binary_bytes: float) -> str:
     name = f"minimal-{int(binary_bytes)}"
@@ -76,8 +78,8 @@ def measure_startup_latency(sim: CloudSim, binary_bytes: float = 1 * units.MiB,
                          warm_latencies=warm)
 
 
-def measure_idle_lifetime(sim: CloudSim, gaps_s: list[float],
-                          probes_per_gap: int = 10) -> dict[float, float]:
+def measure_idle_lifetime(sim: CloudSim,
+                          gaps_s: list[float]) -> dict[float, float]:
     """Probe how often a sandbox is still warm after each idle gap.
 
     Returns gap -> fraction of probes that found a warm sandbox. The
@@ -89,13 +91,13 @@ def measure_idle_lifetime(sim: CloudSim, gaps_s: list[float],
     def scenario(env):
         for gap in gaps_s:
             hits = 0
-            for _ in range(probes_per_gap):
+            for _ in range(IDLE_PROBES_PER_GAP):
                 yield from sim.platform.invoke(name)  # ensure a sandbox
                 yield env.timeout(gap)
                 record = yield from sim.platform.invoke(name)
                 if not record.cold:
                     hits += 1
-            warm_fraction[gap] = hits / probes_per_gap
+            warm_fraction[gap] = hits / IDLE_PROBES_PER_GAP
 
     sim.run(scenario(sim.env))
     return warm_fraction

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
+#: Plot columns of every chart (an 80-column terminal less the axis).
+CHART_WIDTH = 72
+
 
 def ascii_timeseries(points: Sequence[tuple[float, float]],
-                     width: int = 72, height: int = 12,
-                     title: str = "") -> str:
+                     height: int = 12, title: str = "") -> str:
     """Render (x, y) points as an ASCII chart."""
     if not points:
         return f"{title}\n(no data)"
@@ -25,6 +27,7 @@ def ascii_timeseries(points: Sequence[tuple[float, float]],
     x_min, x_max = min(xs), max(xs)
     span_x = (x_max - x_min) or 1.0
     span_y = (y_max - y_min) or 1.0
+    width = CHART_WIDTH
     grid = [[" "] * width for _ in range(height)]
     for x, y in points:
         col = int((x - x_min) / span_x * (width - 1))

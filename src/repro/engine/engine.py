@@ -21,7 +21,7 @@ from repro.engine.coordinator import (
     make_coordinator_handler,
     make_invoker_handler,
 )
-from repro.engine.cost import DEFAULT_COST_MODEL, classify_attempt
+from repro.engine.cost import classify_attempt
 from repro.engine.plan import PhysicalPlan
 from repro.engine.worker import WorkerRuntime, make_worker_handler
 from repro.faas.function import FunctionConfig
@@ -123,7 +123,6 @@ class SkyriseEngine:
         """
         worker_runtime = WorkerRuntime(
             storage=self.storage, barriers=self.barriers,
-            cost_model=DEFAULT_COST_MODEL,
             intermediate_service=self.intermediate_service,
             columnar_cache=self.columnar_cache)
         coordinator_runtime = CoordinatorRuntime(

@@ -72,18 +72,11 @@ class IoStack:
 
     # -- reads ---------------------------------------------------------------
 
-    def read_object(self, key: str, logical_bytes: float | None = None,
-                    defer_transfer: bool = False):
+    def read_object(self, key: str, logical_bytes: float | None = None):
         """Process: fetch ``key`` in parallel chunks.
 
         Returns the stored object (its payload is the full physical
         content — range semantics only affect metering and timing).
-
-        ``defer_transfer=True`` performs admission and first-byte latency
-        per request but skips the per-request network transfer; the
-        caller moves the accumulated bytes in one aggregate flow via
-        :meth:`bulk_transfer`. Shuffle readers use this so thousands of
-        sub-MiB slice reads do not each occupy the network fabric.
         """
         started = self.env.now
         obj = self.storage.head(key)
@@ -91,8 +84,8 @@ class IoStack:
         chunks = _chunk_sizes(size, self.chunk_bytes)
         # Delegated, so no local keeps a request: a failed one's error
         # would keep this frame, and the frame the request.
-        yield from self.chunk_requests(key, chunks, defer_transfer)
-        self.read_done(key, size, len(chunks), started, defer_transfer)
+        yield from self.chunk_requests(key, chunks, False)
+        self.read_done(key, size, len(chunks), started, False)
         return obj
 
     def chunk_requests(self, key: str, chunks: list[float],

@@ -242,8 +242,7 @@ def _bb_q3_sessionize(batch: RecordBatch, sides: dict) -> RecordBatch:
 register_udf("bb_q3_sessionize", _bb_q3_sessionize)
 
 
-def tpcxbb_q3(scan_fragments: Optional[int] = None,
-              session_fragments: Optional[int] = None) -> PhysicalPlan:
+def tpcxbb_q3(scan_fragments: Optional[int] = None) -> PhysicalPlan:
     """TPCx-BB Q3: sessionized viewed-before-purchase item counts."""
     scan = PipelineSpec(
         id="scan_clicks",
@@ -263,7 +262,7 @@ def tpcxbb_q3(scan_fragments: Optional[int] = None,
                 ["item_sk"], [AggSpec("views", "count")], mode="partial"),
         ],
         sink=ShuffleSink(partition_key="item_sk"),
-        depends_on=["scan_clicks"], fragments=session_fragments)
+        depends_on=["scan_clicks"])
     final = PipelineSpec(
         id="final",
         source=ShuffleSource(inputs={"main": "sessionize"}, main="main"),

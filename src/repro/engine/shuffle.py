@@ -207,8 +207,11 @@ class SliceRead(Event):
 
     The request size is the slice's logical size — sub-KiB up to MiBs,
     the "Shuffle I/O Size" column of Table 6 — read through
-    :meth:`IoStack.chunk_requests` with the transfer deferred, as
-    :meth:`IoStack.read_object` reads. The event ends with the stored
+    :meth:`IoStack.chunk_requests` as :meth:`IoStack.read_object` reads,
+    but with the transfer deferred: each request pays admission and
+    first-byte latency, and :meth:`IoStack.bulk_transfer` later moves
+    the bytes in one aggregate flow, so thousands of sub-MiB slice reads
+    do not each occupy the network fabric. The event ends with the stored
     piece itself, since :meth:`ShuffleReader.read` only concatenates
     what it gets; or, where the index records another logical size
     than the piece carries, with a new batch over the piece's arrays.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.barrier import BarrierRegistry
-from repro.engine.cost import CpuCostModel
+from repro.engine.cost import DEFAULT_COST_MODEL
 from repro.engine.io import IoStack
 from repro.engine.plan import (
     PipelineSpec,
@@ -35,7 +35,6 @@ class WorkerRuntime:
 
     storage: dict[str, StorageService]
     barriers: BarrierRegistry
-    cost_model: CpuCostModel
     #: Storage service name used for shuffle intermediates and results.
     intermediate_service: str = "s3-standard"
     #: Assembled base-table reads, shared by every worker.
@@ -145,7 +144,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
         op_started = env.now
         rows_in = len(batch) if wspan is not None else 0
         bytes_in = batch.logical_bytes
-        yield context.compute(runtime.cost_model.cpu_seconds(
+        yield context.compute(DEFAULT_COST_MODEL.cpu_seconds(
             operator.cost_class, batch.logical_bytes))
         batch = operator.execute(batch, sides)
         if wspan is not None:
@@ -163,7 +162,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
     sink_started = env.now
     out_key = None
     if isinstance(pipeline.sink, ShuffleSink):
-        yield context.compute(runtime.cost_model.cpu_seconds(
+        yield context.compute(DEFAULT_COST_MODEL.cpu_seconds(
             "encode", batch.logical_bytes))
         writer = ShuffleWriter(shuffle_io, query_id, pipeline.id, fragment,
                                pipeline.sink.partition_key,
@@ -171,7 +170,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
                                epoch=payload.get("epoch", 0))
         yield from writer.write(batch)
     else:
-        yield context.compute(runtime.cost_model.cpu_seconds(
+        yield context.compute(DEFAULT_COST_MODEL.cpu_seconds(
             "encode", batch.logical_bytes))
         out_key = result_key(query_id, fragment)
         yield from shuffle_io.write_object(
@@ -183,7 +182,7 @@ def _execute_fragment(runtime: WorkerRuntime, context: FunctionContext,
 
     # Request-handling CPU overhead.
     total_requests = base_io.stats.requests + shuffle_io.stats.requests
-    overhead = runtime.cost_model.request_overhead_s * total_requests
+    overhead = DEFAULT_COST_MODEL.request_overhead_s * total_requests
     if overhead > 0:
         yield context.compute(overhead)
 
@@ -253,7 +252,7 @@ def _read_partitions(runtime: WorkerRuntime, context: FunctionContext,
     batches: list[RecordBatch] = []
     for info, obj in zip(partitions, objects):
         logical = info["logical_bytes"] * read_fraction
-        yield context.compute(runtime.cost_model.cpu_seconds(
+        yield context.compute(DEFAULT_COST_MODEL.cpu_seconds(
             "decode", logical))
         piece = runtime.columnar_cache.read(
             (obj.key, obj.version), obj.payload, columns, zone_filters)
@@ -271,7 +270,7 @@ def _read_shuffle(runtime: WorkerRuntime, context: FunctionContext,
         reader = ShuffleReader(io, query_id, upstream,
                                producer_fragments[upstream], fragment)
         batch = yield from reader.read()
-        yield context.compute(runtime.cost_model.cpu_seconds(
+        yield context.compute(DEFAULT_COST_MODEL.cpu_seconds(
             "decode", batch.logical_bytes))
         batches[name] = batch
     main = batches.pop(source.main)

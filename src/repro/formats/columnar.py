@@ -22,7 +22,7 @@ import numpy as np
 from repro.formats.batch import RecordBatch, read_only
 from repro.formats.schema import DataType, Schema
 
-DEFAULT_ROW_GROUP_SIZE = 64 * 1024
+ROW_GROUP_SIZE = 64 * 1024
 
 
 #: A zone-map predicate: given (min, max), may the chunk contain matches?
@@ -122,12 +122,10 @@ def _zone_map(stored: np.ndarray, dtype: DataType) -> tuple:
     return float(np.min(stored)), float(np.max(stored))
 
 
-def store_file(batch: RecordBatch,
-               row_group_size: int = DEFAULT_ROW_GROUP_SIZE) -> StoredFile:
-    """``batch`` as a :class:`StoredFile` of ``row_group_size``-row
+def store_file(batch: RecordBatch) -> StoredFile:
+    """``batch`` as a :class:`StoredFile` of :data:`ROW_GROUP_SIZE`-row
     groups. A zero-row batch still has one (empty) row group."""
-    if row_group_size <= 0:
-        raise ValueError("row_group_size must be positive")
+    row_group_size = ROW_GROUP_SIZE
     groups = []
     for start in range(0, max(len(batch), 1), row_group_size):
         columns = {field.name: _stored_column(

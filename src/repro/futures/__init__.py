@@ -8,7 +8,7 @@ Python functions fan out over the simulated Lambda platform through a
     executor = FunctionExecutor(env, platform, rng)
     futures = executor.map(fn, partition_prefix(s3, "corpus/",
                                                 chunk_bytes=1024))
-    done, pending = yield from executor.wait(futures, when=ANY_COMPLETED)
+    done, pending = yield from executor.wait(futures)
 
 The pieces, mirroring lithops' architecture on the virtual clock:
 
@@ -26,13 +26,7 @@ The pieces, mirroring lithops' architecture on the virtual clock:
   (the map-reduce wordcount).
 """
 
-from repro.futures.executor import (
-    ALL_COMPLETED,
-    ALWAYS,
-    ANY_COMPLETED,
-    ExecutorConfig,
-    FunctionExecutor,
-)
+from repro.futures.executor import FunctionExecutor
 from repro.futures.future import AttemptRecord, ResponseFuture
 from repro.futures.invoker import Invoker
 from repro.futures.monitor import JobMonitor
@@ -43,12 +37,8 @@ from repro.futures.partitioner import (
 )
 
 __all__ = [
-    "ALL_COMPLETED",
-    "ALWAYS",
-    "ANY_COMPLETED",
     "AttemptRecord",
     "DataChunk",
-    "ExecutorConfig",
     "FunctionExecutor",
     "Invoker",
     "JobMonitor",

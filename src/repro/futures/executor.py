@@ -6,7 +6,7 @@ The executor is the entry point of the subsystem::
 
     def scenario(env):
         futures = executor.map(word_count, chunks)
-        done, pending = yield from executor.wait(futures, when=ANY_COMPLETED)
+        done, pending = yield from executor.wait(futures)
         reduce_future = executor.map_reduce(word_count, chunks, merge_counts)
         result = yield from executor.get_result(reduce_future)
 
@@ -15,8 +15,8 @@ of :class:`~repro.futures.future.ResponseFuture` objects sharing one
 :class:`~repro.futures.monitor.JobMonitor` and one telemetry trace, so
 spans nest job → dispatch → invoke → fn in ``repro trace`` output. A
 single shared :class:`~repro.futures.invoker.Invoker` drives all jobs,
-which is what makes ``max_inflight`` an executor-wide bound rather than
-a per-job one.
+which is what makes :data:`~repro.futures.invoker.MAX_INFLIGHT` an
+executor-wide bound rather than a per-job one.
 
 The executor deploys one worker function and ships the user's ``fn``
 inside the payload — the simulation analogue of lithops' generic runtime
@@ -27,8 +27,7 @@ events for storage I/O and compute time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro import units
 from repro.faas.function import FunctionConfig
@@ -37,36 +36,14 @@ from repro.futures.future import ResponseFuture
 from repro.futures.invoker import Invoker
 from repro.futures.monitor import JobMonitor
 from repro.pricing.calculator import CostCalculator
-from repro.sim import AllOf, AnyOf
+from repro.sim import AllOf
 from repro.telemetry import get_recorder
-
-#: ``wait()`` return conditions (the lithops names).
-ANY_COMPLETED = "ANY_COMPLETED"
-ALL_COMPLETED = "ALL_COMPLETED"
-ALWAYS = "ALWAYS"
-
-_WAIT_CONDITIONS = (ANY_COMPLETED, ALL_COMPLETED, ALWAYS)
 
 #: The one worker function every executor deploys, and its sizing.
 FUNCTION_NAME = "futures-worker"
 WORKER_MEMORY = 1_769 * units.MiB
 WORKER_BINARY = 8 * units.MiB
 WORKER_EPHEMERAL = 512 * units.MiB
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """Dispatch configuration of one executor."""
-
-    #: Calls allowed in flight at once; further dispatches queue FIFO.
-    max_inflight: int = 64
-    #: Attempt cap and hedging of every call.
-    recovery: RecoveryPolicy = RecoveryPolicy()
-
-    def __post_init__(self) -> None:
-        if self.max_inflight <= 0:
-            raise ValueError(
-                f"max_inflight must be positive, got {self.max_inflight}")
 
 
 class Job:
@@ -112,16 +89,17 @@ class FunctionExecutor:
     """Submits function calls over the platform and tracks their futures."""
 
     def __init__(self, env, platform, rng,
-                 config: Optional[ExecutorConfig] = None) -> None:
+                 recovery: RecoveryPolicy = RecoveryPolicy()) -> None:
         self.env = env
         self.platform = platform
-        self.config = config or ExecutorConfig()
+        #: Attempt cap and hedging of every call.
+        self.recovery = recovery
         self.function = FunctionConfig(
             name=FUNCTION_NAME, handler=worker_handler,
             memory_bytes=WORKER_MEMORY, binary_bytes=WORKER_BINARY,
             ephemeral_bytes=WORKER_EPHEMERAL)
         platform.deploy(self.function)
-        self.invoker = Invoker(env, platform, self.function, self.config,
+        self.invoker = Invoker(env, platform, self.function, recovery,
                                rng.stream("futures.backoff"))
         self.jobs: list[Job] = []
 
@@ -139,7 +117,7 @@ class FunctionExecutor:
             return []
         job = self._new_job("map")
         futures = [self._submit(job, fn, item) for item in items]
-        if self.config.recovery.hedge and len(futures) > 1:
+        if self.recovery.hedge and len(futures) > 1:
             self.env.process(self.invoker.speculate(futures),
                              name=f"speculate-{job.job_id}")
         return futures
@@ -156,8 +134,8 @@ class FunctionExecutor:
         map_futures = self.map(map_fn, iterable)
         job = self._new_job("reduce")
         reduce_future = ResponseFuture(
-            self.env, job.job_id, f"{job.job_id}-00000",
-            FUNCTION_NAME, None, monitor=job.monitor)
+            self.env, job.job_id, f"{job.job_id}-00000", None,
+            monitor=job.monitor)
         reduce_future.map_futures = map_futures
         job.futures.append(reduce_future)
         self.env.process(
@@ -179,8 +157,7 @@ class FunctionExecutor:
 
     def _submit(self, job: Job, fn, data: Any) -> ResponseFuture:
         call_id = f"{job.job_id}-{len(job.futures):05d}"
-        future = ResponseFuture(self.env, job.job_id, call_id,
-                                FUNCTION_NAME, data,
+        future = ResponseFuture(self.env, job.job_id, call_id, data,
                                 monitor=job.monitor)
         job.futures.append(future)
         self.invoker.submit(future, fn, parent=job.monitor.span)
@@ -205,37 +182,27 @@ class FunctionExecutor:
 
     # -- waiting ---------------------------------------------------------------
 
-    def wait(self, fs, when: str = ALL_COMPLETED):
-        """Process: wait for futures per ``when``; returns ``(done, pending)``.
-
-        ``ALL_COMPLETED`` waits for every future, ``ANY_COMPLETED``
-        until at least one is done (immediately if one already is), and
-        ``ALWAYS`` returns the current split without waiting.
-        """
-        if when not in _WAIT_CONDITIONS:
-            raise ValueError(f"unknown wait condition {when!r}; expected "
-                             f"one of {_WAIT_CONDITIONS}")
+    def wait(self, fs):
+        """Process: wait until every future is done; returns
+        ``(done, pending)``, ``pending`` empty."""
         fs = list(fs)
         open_events = [future.done_event for future in fs if not future.done]
-        if when == ALL_COMPLETED and open_events:
+        if open_events:
             yield AllOf(self.env, open_events)
-        elif when == ANY_COMPLETED and len(open_events) == len(fs) and fs:
-            yield AnyOf(self.env, open_events)
-        done = [future for future in fs if future.done]
-        pending = [future for future in fs if not future.done]
-        return done, pending
+        return fs, []
 
-    def get_result(self, fs, throw_except: bool = True):
+    def get_result(self, fs):
         """Process: wait for ``fs`` and return result(s) in input order.
 
-        A single future yields its value; an iterable yields a list.
+        A single future yields its value; an iterable yields a list. A
+        failed future re-raises its error.
         """
         if isinstance(fs, ResponseFuture):
             yield from self.wait([fs])
-            return fs.result(throw_except)
+            return fs.result()
         fs = list(fs)
         yield from self.wait(fs)
-        return [future.result(throw_except) for future in fs]
+        return [future.result() for future in fs]
 
     def drain(self):
         """Process: await abandoned speculative attempts still in flight.

@@ -63,12 +63,11 @@ class ResponseFuture:
     ``executor.wait`` / ``executor.get_result``.
     """
 
-    def __init__(self, env, job_id: str, call_id: str, function: str,
-                 data: Any, monitor=None) -> None:
+    def __init__(self, env, job_id: str, call_id: str, data: Any,
+                 monitor=None) -> None:
         self.env = env
         self.job_id = job_id
         self.call_id = call_id
-        self.function = function
         #: The item this call maps over (rewritten by the reduce driver
         #: once the map phase has produced the reducer's input).
         self.data = data
@@ -111,22 +110,18 @@ class ResponseFuture:
         """The terminal error, if the future failed."""
         return self._error
 
-    def result(self, throw_except: bool = True) -> Any:
-        """The call's return value.
+    def result(self) -> Any:
+        """The call's return value; a failed future re-raises its error.
 
         Raises ``RuntimeError`` while the future is not done (wait on it
-        first — the simulation cannot block outside a process). With
-        ``throw_except`` (the default) a failed future re-raises its
-        error; otherwise ``None`` is returned.
+        first — the simulation cannot block outside a process).
         """
         if not self.done:
             raise RuntimeError(
                 f"future {self.call_id} is {self.state}; wait() on it "
                 f"before reading its result")
         if self.state == ERROR:
-            if throw_except:
-                raise self._error
-            return None
+            raise self._error
         return self._result
 
     # -- accounting -----------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The executor hands every :class:`~repro.futures.future.ResponseFuture`
 to one shared :class:`Invoker`. It queues dispatches FIFO behind
-``max_inflight`` slots, so a 50 000-call ``map`` cannot stampede the
+:data:`MAX_INFLIGHT` slots, so a 50 000-call ``map`` cannot stampede the
 platform's admission layer, and settles every attempt by the policy of
 :mod:`repro.faas.supervisor` that the query coordinator uses too:
 retries with jitter from the ``futures.backoff`` stream and, with
@@ -26,22 +26,26 @@ from repro.sim import AnyOf, Resource
 from repro.telemetry import get_recorder
 
 
+#: Calls allowed in flight at once; further dispatches queue FIFO.
+MAX_INFLIGHT = 64
+
+
 class Invoker(Supervisor):
     """Drives futures through the platform with retries and speculation.
 
-    ``config`` is the executor's :class:`~repro.futures.executor.
-    ExecutorConfig`: its ``max_inflight`` bounds dispatch and its
-    ``recovery`` policy settles every attempt.
+    At most :data:`MAX_INFLIGHT` calls are dispatched at once, and the
+    executor's ``recovery`` policy settles every attempt.
     """
 
-    def __init__(self, env, platform, function, config, jitter_rng) -> None:
-        super().__init__(config.recovery, jitter_rng, EXECUTOR_RETRY_BUDGET)
+    def __init__(self, env, platform, function, recovery,
+                 jitter_rng) -> None:
+        super().__init__(recovery, jitter_rng, EXECUTOR_RETRY_BUDGET)
         self.env = env
         self.platform = platform
         #: The deployed :class:`~repro.faas.function.FunctionConfig`;
         #: its memory/ephemeral sizing prices every attempt.
         self.function = function
-        self._slots = Resource(env, capacity=config.max_inflight)
+        self._slots = Resource(env, capacity=MAX_INFLIGHT)
         self.inflight_peak = 0
 
     def summary(self) -> dict:

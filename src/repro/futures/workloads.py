@@ -24,7 +24,7 @@ from repro import units
 from repro.chaos.injector import FaultInjector
 from repro.faas.platform import LambdaPlatform
 from repro.faas.supervisor import RecoveryPolicy
-from repro.futures.executor import ExecutorConfig, FunctionExecutor
+from repro.futures.executor import FunctionExecutor
 from repro.futures.partitioner import partition_prefix
 from repro.network import Fabric
 from repro.pricing.calculator import CostCalculator
@@ -74,8 +74,7 @@ class _Sim:
         self.s3 = S3Standard(self.env, self.fabric, self.rng)
         self.executor = FunctionExecutor(
             self.env, self.platform, self.rng,
-            config=ExecutorConfig(
-                recovery=RecoveryPolicy(hedge=speculate)))
+            recovery=RecoveryPolicy(hedge=speculate))
         self.injector = None
         if plan is not None:
             self.injector = FaultInjector(plan, self.rng)

@@ -16,16 +16,14 @@ output):
 * **ARCH001** — the layer DAG of :mod:`repro.lint.layer_dag` (imports
   may only point at the same or a lower layer).
 
-Findings carry ``path:line:col``, a check id, a severity, and a
-message; a line comment ``# repro-lint: disable=DET001 <reason>``
-suppresses them (the reason is mandatory — LNT001 flags bare
-suppressions, LNT002 flags suppressions that no longer match
-anything). ``repro lint`` is the CLI; ``repro lint --strict`` is the
-CI gate and fails on any finding; ``repro lint --explain <ID>`` prints
-a checker's rationale with a bad/good example. A tier-1 self-test
-replays a fixture of known violations so a checker can never silently
-go dead. Output is byte-identical across runs and discovery
-orders. See ``docs/static_analysis.md``.
+Findings carry ``path:line:col``, a check id and a message; a line
+comment ``# repro-lint: disable=DET001 <reason>`` suppresses them (the
+reason is mandatory — LNT001 flags bare suppressions, LNT002 flags
+suppressions that no longer match anything). ``repro lint`` is the CLI
+and the CI gate: it fails on any finding. A tier-1 self-test replays a
+fixture of known violations so a checker can never silently go dead.
+Output is byte-identical across runs and discovery orders. See
+``docs/static_analysis.md``.
 """
 
 from repro.lint.arch import LayerChecker

@@ -69,19 +69,13 @@ def _import_targets(node: ast.AST, module: Optional[str],
 
 
 class LayerChecker(Checker):
-    """ARCH001 — imports must respect the declared layer DAG."""
+    """ARCH001 — imports must respect the declared layer DAG.
+
+    An upward import changes no simulated output, so no pin sees it; it
+    turns the layering into a suggestion and then into an import cycle.
+    """
 
     id = "ARCH001"
-    title = "layering contract"
-    rationale = (
-        "Imports may only point at the same or a lower layer of the "
-        "declared DAG (repro.lint.layer_dag). An upward import changes "
-        "no simulated output, so no pin sees it; it turns the layering "
-        "into a suggestion and eventually into an import cycle.")
-    example_bad = ("# in repro/sim/kernel.py (sim layer)\n"
-                   "from repro.engine.plan import PhysicalPlan")
-    example_good = ("# in repro/engine/plan.py (engine layer)\n"
-                    "from repro.sim import Environment")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         if module.module is None or not (

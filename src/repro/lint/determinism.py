@@ -74,16 +74,6 @@ class WallClockChecker(Checker):
     """DET001 — wall-clock and OS-timer calls."""
 
     id = "DET001"
-    title = "wall-clock ban"
-    rationale = (
-        "The simulation runs on a virtual clock; a host wall-clock "
-        "read makes a result depend on how fast the host runs. Where "
-        "host time moves a simulated value the pinned artifacts catch "
-        "it, but a host-time budget or deadline (say, 'stop looking "
-        "for stragglers after 5 s') changes nothing on a fast test "
-        "host and fires only on a slow one.")
-    example_bad = "started = time.time()"
-    example_good = "started = env.now"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
@@ -105,18 +95,6 @@ class IdentityOrderChecker(Checker):
     """DET004 — ``id()`` keys/ordering (memory addresses vary per run)."""
 
     id = "DET004"
-    title = "id()-based ordering"
-    rationale = (
-        "id() is an allocation address: unique within a run, "
-        "arbitrary across runs. Keying or ordering by it bakes the "
-        "allocator's mood into the output. Where that order reaches a "
-        "pinned value the tests catch it; an address order that no "
-        "output reads yet (a flow's constraints, say) passes them and "
-        "waits for the change that makes it matter. Identity-keyed "
-        "*memos* are fine (suppress with a reason); identity-keyed "
-        "*order* never is.")
-    example_bad = "items.sort(key=id)"
-    example_good = "items.sort(key=lambda item: item.name)"
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -177,16 +155,6 @@ class SeedProvenanceChecker(Checker):
     """DET005 — RNGs seeded from ``hash()``, ``id()`` or a wall clock."""
 
     id = "DET005"
-    title = "RNG seed provenance"
-    rationale = (
-        "A seeded generator reproduces its stream only if the seed "
-        "reproduces. Seeds derived from hash()/id()/wall clocks differ "
-        "across processes and runs, so the 'same seed' never gives the "
-        "same stream.")
-    example_bad = "rng = random.Random(hash(name))  # salted, differs per process\n"
-    example_good = (
-        "seed = int.from_bytes(\n"
-        "    hashlib.sha256(name.encode()).digest()[:8], 'little')\n")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)

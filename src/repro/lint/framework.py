@@ -38,7 +38,6 @@ class Finding:
     col: int
     check: str
     message: str
-    severity: str = "error"
 
     @property
     def sort_key(self) -> tuple:
@@ -46,11 +45,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.check} {self.message}"
-
-    def to_dict(self) -> dict:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "check": self.check, "message": self.message,
-                "severity": self.severity}
 
 
 @dataclass
@@ -128,20 +122,9 @@ class SourceModule:
 
 
 class Checker:
-    """Base class: subclasses set ``id``/``title`` and yield findings.
-
-    ``severity`` is the level of every finding the checker emits:
-    ``error`` findings break determinism or the architecture outright,
-    and ``note`` is framework self-audit. ``rationale`` /
-    ``example_bad`` / ``example_good`` feed ``repro lint --explain <ID>``.
-    """
+    """Base class: subclasses set ``id`` and yield findings."""
 
     id: str = "LNT000"
-    title: str = ""
-    severity: str = "error"
-    rationale: str = ""
-    example_bad: str = ""
-    example_good: str = ""
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         raise NotImplementedError
@@ -167,14 +150,14 @@ def lint_modules(modules: Iterable[SourceModule],
             if not suppression.reason:
                 kept.append(Finding(
                     path=module.path, line=lineno, col=1,
-                    check=LNT_MISSING_REASON, severity="note",
+                    check=LNT_MISSING_REASON,
                     message="suppression comment has no reason; write "
                             "'# repro-lint: disable=<IDS> <why>'"))
             if not suppression.used:
                 ids = ",".join(suppression.checks)
                 kept.append(Finding(
                     path=module.path, line=lineno, col=1,
-                    check=LNT_UNUSED, severity="note",
+                    check=LNT_UNUSED,
                     message=f"suppression 'disable={ids}' matches no "
                             f"finding on this line; remove it"))
     return sorted(kept, key=lambda f: f.sort_key)

@@ -3,7 +3,7 @@
 Four subsystems, all deterministic and all outcome-neutral (attaching
 them to a run never changes what the run computes):
 
-* :mod:`repro.obs.slo` — declarative SLOs, sliding-window error-budget
+* :mod:`repro.obs.slo` — the serving SLO, sliding-window error-budget
   accounting, Google-SRE-style multi-window burn-rate alerts;
 * :mod:`repro.obs.sampler` — tail-based trace sampling (keep
   fault-touched and slow traces, a seeded baseline of the rest);
@@ -28,28 +28,19 @@ from repro.obs.flight import (
 )
 from repro.obs.plane import ReplayObsPlane
 from repro.obs.profiler import PROFILE_SCHEMA, profile_recorder, profile_spans
-from repro.obs.sampler import SamplerConfig, TailSampler
-from repro.obs.slo import (
-    DEFAULT_BURN_RULES,
-    Alert,
-    BurnRule,
-    SLOEngine,
-    SLOPolicy,
-    SlidingWindow,
-)
+from repro.obs.sampler import TailSampler
+from repro.obs.slo import BURN_RULES, Alert, BurnRule, SLOEngine, SlidingWindow
 
 __all__ = [
     "Alert",
+    "BURN_RULES",
     "BurnRule",
-    "DEFAULT_BURN_RULES",
     "DEFAULT_RING_CAPACITY",
     "FlightRecorder",
     "INCIDENT_SCHEMA",
     "PROFILE_SCHEMA",
     "ReplayObsPlane",
     "SLOEngine",
-    "SLOPolicy",
-    "SamplerConfig",
     "SlidingWindow",
     "TailSampler",
     "bundle_digest",

@@ -27,23 +27,23 @@ gateways already maintain the counters the engine needs (``completed``
 / ``within_slo`` / ``shed`` / ``failed`` on
 :class:`~repro.shard.metrics.ShardMetrics`), so the plane scrapes
 counter deltas at control ticks — the same model a production
-burn-rate alerter uses over scraped counter time series. Goodness in
-the replay integration is therefore defined by the replay's own
-``slo_latency_s`` bound (what ``within_slo`` counts); the policy's
-``latency_s`` drives the per-event serving/offline paths.
+burn-rate alerter uses over scraped counter time series. Goodness is
+therefore defined by the replay's own ``slo_latency_s`` bound (what
+``within_slo`` counts); the ``latency_s`` that the SLO report states
+classifies nothing.
 """
 
 from __future__ import annotations
 
 from repro.obs.flight import FlightRecorder
 from repro.obs.sampler import (
+    COMPLETION_INTEREST,
     REASON_BASELINE,
     REASON_FAULT,
     REASON_SLOW,
-    SamplerConfig,
     TailSampler,
 )
-from repro.obs.slo import SLOEngine, SLOPolicy
+from repro.obs.slo import SLOEngine
 
 #: The fleet-wide roll-up scope every event also lands in.
 FLEET_SCOPE = "fleet"
@@ -59,12 +59,11 @@ def shard_scope(shard: str) -> str:
 class ReplayObsPlane:
     """Observer wired into a sharded-serving replay."""
 
-    def __init__(self, sampler: SamplerConfig | None = None,
-                 run_config: dict | None = None) -> None:
+    def __init__(self, run_config: dict | None = None) -> None:
         #: JSON-ready description of the run, embedded in bundles.
         self.run_config = run_config or {}
-        self.engine = SLOEngine(SLOPolicy())
-        self.sampler = TailSampler(sampler)
+        self.engine = SLOEngine()
+        self.sampler = TailSampler()
         self.flight = FlightRecorder()
         #: (shed, failed, completed, within_slo) counters already
         #: folded into the SLO windows, per shard.
@@ -78,7 +77,7 @@ class ReplayObsPlane:
         #: Python call, and every delivered completion is kept by
         #: construction. Totals are reconstructed from the shard
         #: counters scraped at control ticks.
-        self.completion_interest = self.sampler.config.interest
+        self.completion_interest = COMPLETION_INTEREST
         self.on_completion = self._make_on_completion()
 
     # -- replay observer protocol ------------------------------------------
@@ -94,7 +93,7 @@ class ReplayObsPlane:
         scrape derives them from the shard counters.
         """
         sampler = self.sampler
-        slow_threshold = sampler.config.slow_threshold_s
+        slow_threshold = COMPLETION_INTEREST[0]
         fault_reason, slow_reason = REASON_FAULT, REASON_SLOW
         baseline_reason = REASON_BASELINE
         rings = self.flight._rings

@@ -40,6 +40,8 @@ from repro.pricing.calculator import stage_cost
 from repro.telemetry.export import round_floats
 
 PROFILE_SCHEMA = "repro.obs.profile/1"
+#: A worker is a straggler past this multiple of its stage's median.
+STRAGGLER_FACTOR = 2.0
 
 #: phase-span suffix → share bucket.
 _PHASE_BUCKET = {
@@ -231,11 +233,12 @@ def skew(rows) -> float:
     return max(durations) / max(median(durations), 1e-12)
 
 
-def stragglers(rows, factor: float = 2.0) -> list[tuple]:
-    """Rows whose handler ran over ``factor`` x the stage median."""
+def stragglers(rows) -> list[tuple]:
+    """Rows whose handler ran over :data:`STRAGGLER_FACTOR` x the stage
+    median."""
     if not rows:
         return []
-    cutoff = factor * median(row[3] - row[2] for row in rows)
+    cutoff = STRAGGLER_FACTOR * median(row[3] - row[2] for row in rows)
     return [row for row in rows if row[3] - row[2] > cutoff]
 
 

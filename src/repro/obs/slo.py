@@ -1,10 +1,11 @@
 """The SLO engine: objectives, sliding windows, burn-rate alerts.
 
-Declarative service-level objectives evaluated on the *virtual* clock.
-An :class:`SLOPolicy` names an objective (the fraction of events that
-must be *good* — served within the latency bound and without error) and
-a tuple of :class:`BurnRule` multi-window burn-rate alert rules in the
-Google-SRE style: the **burn rate** is the ratio of the observed bad
+Service-level objectives evaluated on the *virtual* clock. The policy
+is one set of constants: an objective (:data:`OBJECTIVE`, the fraction
+of events that must be *good* — served without error within the
+latency bound) and :data:`BURN_RULES`, multi-window burn-rate alert
+rules in the Google-SRE style: the **burn rate** is the ratio of the
+observed bad
 fraction to the budgeted bad fraction ``1 - objective`` (burn 1.0 =
 spending the error budget exactly at the sustainable rate), and a rule
 fires only when *both* its long and short window burn at or above the
@@ -56,46 +57,34 @@ class BurnRule:
             raise ValueError("burn factor must be positive")
 
 
-#: Default rules sized for replay-scale windows (hundreds of seconds):
-#: a fast-burn pair that catches an acute outage within one control
+#: The rules, sized for replay-scale windows (hundreds of seconds): a
+#: fast-burn pair that catches an acute outage within one control
 #: interval, and a slow-burn pair that catches sustained degradation.
-DEFAULT_BURN_RULES = (
+BURN_RULES = (
     BurnRule(name="fast-burn", long_window_s=120.0, short_window_s=30.0,
              factor=4.0),
     BurnRule(name="slow-burn", long_window_s=300.0, short_window_s=60.0,
              factor=2.0),
 )
 
-
-@dataclass(frozen=True)
-class SLOPolicy:
-    """One declarative latency/error objective.
-
-    ``objective`` is the good fraction required (0.99 = 1% error
-    budget); an event is *good* iff it completed without error within
-    ``latency_s``. Sheds, failures, and over-latency completions all
-    spend the same budget — traffic turned away is traffic not served
-    within its deadline.
-    """
-
-    name: str = "serving-latency"
-    objective: float = 0.9
-    latency_s: float = 2.0
-    rules: tuple[BurnRule, ...] = DEFAULT_BURN_RULES
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.objective < 1.0:
-            raise ValueError(
-                f"objective must be in (0, 1), got {self.objective}")
-        if self.latency_s <= 0:
-            raise ValueError("latency_s must be positive")
-        if not self.rules:
-            raise ValueError("need at least one burn rule")
-
-    @property
-    def budget_fraction(self) -> float:
-        """The error budget: the bad fraction the objective tolerates."""
-        return 1.0 - self.objective
+#: The objective: the good fraction required (0.9 = a 10% error budget).
+#: Sheds, failures and over-latency completions all spend the same
+#: budget — traffic turned away is traffic not served within its
+#: deadline.
+OBJECTIVE = 0.9
+#: The error budget: the bad fraction the objective tolerates.
+BUDGET_FRACTION = 1.0 - OBJECTIVE
+#: The policy as :meth:`SLOEngine.report` states it. Its ``latency_s``
+#: is the serving bound it was written for; the replay classifies a
+#: completion by its own ``ReplayConfig.slo_latency_s``.
+POLICY = {
+    "name": "serving-latency",
+    "objective": OBJECTIVE,
+    "latency_s": 2.0,
+    "rules": [{"name": rule.name, "long_window_s": rule.long_window_s,
+               "short_window_s": rule.short_window_s,
+               "factor": rule.factor} for rule in BURN_RULES],
+}
 
 
 @dataclass(frozen=True)
@@ -175,11 +164,11 @@ class _ScopeState:
 
     __slots__ = ("good", "bad", "windows", "firing")
 
-    def __init__(self, policy: SLOPolicy) -> None:
+    def __init__(self) -> None:
         self.good = 0
         self.bad = 0
         # One window per distinct length across all rules, shared.
-        lengths = sorted({w for rule in policy.rules
+        lengths = sorted({w for rule in BURN_RULES
                           for w in (rule.long_window_s,
                                     rule.short_window_s)})
         self.windows = {
@@ -199,10 +188,9 @@ class _ScopeState:
 
 
 class SLOEngine:
-    """Evaluates one policy across many scopes on the virtual clock."""
+    """Evaluates the policy across many scopes on the virtual clock."""
 
-    def __init__(self, policy: SLOPolicy) -> None:
-        self.policy = policy
+    def __init__(self) -> None:
         self._scopes: dict[str, _ScopeState] = {}
         self.alerts: list[Alert] = []
 
@@ -220,7 +208,7 @@ class SLOEngine:
             return
         state = self._scopes.get(scope)
         if state is None:
-            state = self._scopes[scope] = _ScopeState(self.policy)
+            state = self._scopes[scope] = _ScopeState()
         state.record(now, good, count)
 
     # -- evaluation --------------------------------------------------------
@@ -232,11 +220,11 @@ class SLOEngine:
         after its long-window burn drops back below the factor, so a
         sustained outage produces one alert, not one per tick.
         """
-        budget = self.policy.budget_fraction
+        budget = BUDGET_FRACTION
         fired: list[Alert] = []
         for scope in sorted(self._scopes):
             state = self._scopes[scope]
-            for rule in self.policy.rules:
+            for rule in BURN_RULES:
                 long_burn = state.windows[rule.long_window_s] \
                     .bad_fraction(now) / budget
                 short_burn = state.windows[rule.short_window_s] \
@@ -269,7 +257,7 @@ class SLOEngine:
         total = state.good + state.bad
         if total == 0:
             return 0.0
-        return (state.bad / total) / self.policy.budget_fraction
+        return (state.bad / total) / BUDGET_FRACTION
 
     def report(self, now: float) -> dict:
         """Canonical JSON-ready SLO report (stable keys, rounded)."""
@@ -287,16 +275,7 @@ class SLOEngine:
             }
         return {
             "schema": "repro.obs.slo/1",
-            "policy": {
-                "name": self.policy.name,
-                "objective": self.policy.objective,
-                "latency_s": self.policy.latency_s,
-                "rules": [{"name": rule.name,
-                           "long_window_s": rule.long_window_s,
-                           "short_window_s": rule.short_window_s,
-                           "factor": rule.factor}
-                          for rule in self.policy.rules],
-            },
+            "policy": POLICY,
             "as_of": round(now, 9),
             "scopes": scopes,
             "alerts": [alert.to_dict() for alert in self.alerts],

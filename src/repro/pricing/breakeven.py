@@ -108,24 +108,15 @@ def break_even_access_size(tier2: StoragePricing,
 
 def faas_break_even_queries_per_hour(faas_cost_per_query: float,
                                      vm_hourly_usd: float,
-                                     peak_vms: int,
-                                     provisioned_cost_fraction: float = 1.0
-                                     ) -> float:
+                                     peak_vms: int) -> float:
     """Query throughput at which FaaS and provisioned IaaS cost equal.
 
     A peak-provisioned cluster of ``peak_vms`` VMs costs a fixed hourly
     rate; FaaS costs scale per query. FaaS is economical for workloads
-    below the returned queries/hour (Section 5.2).
-
-    ``provisioned_cost_fraction`` models adaptively provisioned clusters
-    with higher utilization: a cluster that pays only a fraction of the
-    peak-provisioned rate lowers the break-even proportionally ("for
-    adaptively provisioned clusters with higher utilization, the
-    break-even throughput decreases proportionally").
+    below the returned queries/hour (Section 5.2). An adaptively
+    provisioned cluster that pays a fraction of the peak rate lowers the
+    break-even by that fraction: pass the fraction of ``vm_hourly_usd``.
     """
     if faas_cost_per_query <= 0:
         raise ValueError("faas_cost_per_query must be positive")
-    if not 0 < provisioned_cost_fraction <= 1:
-        raise ValueError("provisioned_cost_fraction must be in (0, 1]")
-    cluster_per_hour = vm_hourly_usd * peak_vms * provisioned_cost_fraction
-    return cluster_per_hour / faas_cost_per_query
+    return vm_hourly_usd * peak_vms / faas_cost_per_query

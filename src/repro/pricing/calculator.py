@@ -57,18 +57,13 @@ class CostCalculator:
         self.cost.add(label, amount)
         return amount
 
-    def add_vm_time(self, instance_name: str, duration_s: float,
-                    reserved: bool = False) -> float:
-        """Record VM usage; returns its cost.
+    def add_vm_time(self, instance_name: str, duration_s: float) -> float:
+        """Record on-demand VM usage; returns its cost.
 
         EC2 bills per-second with a one-minute minimum [15].
         """
-        instance = ec2_instance(instance_name)
-        hourly = instance.hourly_usd
-        if reserved and instance.reserved_hourly_usd is not None:
-            hourly = instance.reserved_hourly_usd
         billed_s = max(duration_s, 60.0)
-        amount = hourly * billed_s / 3600.0
+        amount = ec2_instance(instance_name).hourly_usd * billed_s / 3600.0
         self.cost.compute_iaas += amount
         self.cost.add("ec2", amount)
         return amount

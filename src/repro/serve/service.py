@@ -177,27 +177,31 @@ def run_serving_workload(workloads: list[TenantWorkload],
                          max_concurrent_queries: Optional[int] = None,
                          warm_targets: Optional[dict[str, int]] = None,
                          warm_interval_s: float = 240.0,
-                         fault_plan=None,
-                         recovery=None) -> ServingOutcome:
+                         fault_plan=None) -> ServingOutcome:
     """Serve a multi-tenant Poisson mix on the simulated platform.
 
     Each tenant's arrivals come from its own named RNG stream, so the
     trace depends only on ``seed`` and the mix — not on the scheduling
     policy — and two runs that differ only in ``policy`` see identical
-    overload.
+    overload. Tenants are keyed by name, so each workload needs its own.
 
     ``fault_plan`` (a :class:`~repro.chaos.plan.FaultPlan` or plan name)
-    installs a chaos injector over the run; ``recovery`` configures the
-    engine's task-level fault tolerance.
+    installs a chaos injector over the run; the engine recovers with the
+    default :class:`~repro.faas.supervisor.RecoveryPolicy`.
     """
     if not workloads:
         raise ValueError("need at least one tenant workload")
+    names = [w.tenant.name for w in workloads]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"tenant names must be unique; repeated: "
+                         f"{', '.join(repeated)}")
     sim = CloudSim(seed=seed, account_quota=ACCOUNT_QUOTA)
     queries = tuple(dict.fromkeys(w.query for w in workloads))
     setup = SuiteSetup(queries=queries, lineitem_partitions=3,
                        orders_partitions=2, clickstreams_partitions=2,
                        rows_per_partition=96)
-    engine = setup_engine(sim, setup, recovery=recovery)
+    engine = setup_engine(sim, setup)
     if fault_plan is not None:
         from repro.chaos.injector import FaultInjector
         from repro.chaos.plan import get_plan

@@ -268,9 +268,9 @@ def _next_request(gateway: QueryGateway):
 
 
 # Knuth's multiplicative hash constant, for the observer interest
-# filter's deterministic request-id slice (the spec is derived by
-# ``repro.obs.sampler.SamplerConfig.interest`` — kept as a literal so
-# the shard layer stays import-free of obs).
+# filter's deterministic request-id slice (the spec is
+# ``repro.obs.sampler.COMPLETION_INTEREST`` — kept as a literal so the
+# shard layer stays import-free of obs).
 _SAMPLE_HASH_MULT = 2654435761
 
 #: Sentinel slow-threshold: every latency compares >= -inf, so an

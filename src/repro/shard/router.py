@@ -421,23 +421,15 @@ class ShardRouter:
 
     # -- control plane -----------------------------------------------------
 
-    def _rehome(self, orphans, recovered: bool) -> int:
-        """Adopt drained requests onto their current directory owners.
-
-        Returns how many landed on a different shard than they were
-        drained from. ``recovered`` requests (from merged or failed
-        shards) are counted in the fleet roll-up.
-        """
-        moved = 0
+    def _rehome(self, orphans) -> None:
+        """Adopt requests drained from a merged or failed shard onto
+        their current directory owners: each is rescued, and all are
+        counted as recovered in the fleet roll-up."""
         for request in orphans:
-            if recovered:
-                request.rescued = True
+            request.rescued = True
             target = self._refresh(request.tenant).shard
             self.gateways[target].adopt(request)
-            moved += 1
-        if recovered:
-            self.fleet.recovered_requests += len(orphans)
-        return moved
+        self.fleet.recovered_requests += len(orphans)
 
     def _resettle(self, owner: str) -> int:
         """Re-home the queued requests of ``owner`` that remapped away."""
@@ -478,7 +470,7 @@ class ShardRouter:
         orphans = gateway.drain_backlog()
         self.directory.merge_shard(cold, target)
         self._sync_fences()
-        self._rehome(orphans, recovered=True)
+        self._rehome(orphans)
         if self._telemetry is not None:
             self._telemetry.record_span(
                 f"shard.merge:{cold}", start, self.env.now,
@@ -501,7 +493,7 @@ class ShardRouter:
         orphans = gateway.drain_backlog()
         heirs = self.directory.fail_shard(dead)
         self._sync_fences()
-        self._rehome(orphans, recovered=True)
+        self._rehome(orphans)
         if self._telemetry is not None:
             self._telemetry.record_span(
                 f"shard.fail:{dead}", start, self.env.now,

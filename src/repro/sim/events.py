@@ -94,19 +94,19 @@ class Timeout(Event):
 
     __slots__ = ("_delay",)
 
-    def __init__(self, env: "Environment", delay: float,  # noqa: F821
-                 value: Any = None) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:  # noqa: F821
         # Timeouts dominate the event mix, so construction is inlined:
         # attributes are set directly and the push happens here (priority
         # 1 == kernel.NORMAL_PRIORITY), skipping the Event.__init__ and
-        # Environment.schedule call frames.
+        # Environment.schedule call frames. A timeout is the one event
+        # that goes on the heap.
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.env = env
         self.callbacks = []
         self._delay = delay
         self._ok = True
-        self._value = value
+        self._value = None
         self._defused = False
         env._seq += 1
         when = env._now + delay

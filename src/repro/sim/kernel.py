@@ -17,18 +17,19 @@ NORMAL_PRIORITY = 1
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    The environment keeps the virtual clock (:attr:`now`, in seconds) and
-    the triggered events; time only advances when :meth:`run` pops them.
-    An event due later goes on a heap keyed ``(time, priority, seq)``; one
-    due now (every process start, ``succeed``, ``fail``, interrupt) is
-    appended to the FIFO lane of its priority. A heap entry at ``now`` was
-    pushed before any lane entry, so the pop order is exactly the heap's.
+    The environment keeps the virtual clock (:attr:`now`, in seconds,
+    from 0) and the triggered events; time only advances when :meth:`run`
+    pops them. A timeout due later goes on a heap keyed ``(time, 1,
+    seq)``, at normal priority; an event due now (every process start,
+    ``succeed``, ``fail``, interrupt) is appended to the FIFO lane of its
+    priority. A heap entry at ``now`` was pushed before any lane entry,
+    so it pops after the urgent lane and before the normal one.
     """
 
     __slots__ = ("_now", "_queue", "_lanes", "_seq", "_active_process", "_monitor")
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._lanes: tuple[deque[Event], deque[Event]] = (deque(), deque())
         self._seq = 0
@@ -63,9 +64,9 @@ class Environment:
         """Create a new, untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(self, generator: Generator[Event, Any, Any],
                 name: Optional[str] = None) -> Process:
@@ -76,18 +77,13 @@ class Environment:
 
     # -- scheduling and execution ------------------------------------------
 
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = NORMAL_PRIORITY) -> None:
-        """Queue ``event`` for processing ``delay`` seconds from now, at
-        ``priority`` 0 (urgent) or 1 (normal)."""
+    def schedule(self, event: Event, priority: int = NORMAL_PRIORITY) -> None:
+        """Queue ``event`` for processing now, at ``priority`` 0 (urgent)
+        or 1 (normal)."""
         if priority != 0 and priority != 1:
             raise ValueError(f"priority must be 0 or 1, got {priority!r}")
         self._seq += 1
-        when = self._now + delay
-        if when == self._now:
-            self._lanes[priority].append(event)
-        else:
-            heapq.heappush(self._queue, (when, priority, self._seq, event))
+        self._lanes[priority].append(event)
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
@@ -125,11 +121,7 @@ class Environment:
                     raise stop_event._value
                 return stop_event._value
             if urgent:
-                # A heap entry at now was pushed first: it wins if urgent.
-                if queue and queue[0][0] == self._now and queue[0][1] == 0:
-                    event = heappop(queue)[3]
-                else:
-                    event = urgent.popleft()
+                event = urgent.popleft()
             elif normal:
                 if queue and queue[0][0] == self._now:
                     event = heappop(queue)[3]

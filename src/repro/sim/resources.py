@@ -1,7 +1,7 @@
 """Shared resources for simulation processes.
 
-:class:`Resource` is a counted resource with FIFO (or priority)
-queueing, modelling things like worker slots or connection pools.
+:class:`Resource` is a counted resource with FIFO queueing, modelling
+things like worker slots or connection pools.
 
 Continuous quantities (byte budgets, tokens) are the token buckets of
 :mod:`repro.network.shaper`.
@@ -9,7 +9,7 @@ Continuous quantities (byte budgets, tokens) are the token buckets of
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 
 from repro.sim.events import Event
 
@@ -24,12 +24,11 @@ class Request(Event):
             ...
     """
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource",)
 
-    def __init__(self, resource: "Resource", priority: int = 0) -> None:
+    def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
         self.resource = resource
-        self.priority = priority
         resource._enqueue(self)
 
     def __enter__(self) -> "Request":
@@ -52,17 +51,16 @@ class Resource:
         self.env = env
         self._capacity = capacity
         self._users: set[Request] = set()
-        self._queue: list[tuple[int, int, Request]] = []
-        self._seq = 0
+        self._queue: deque[Request] = deque()
 
     @property
     def count(self) -> int:
         """Number of units currently granted."""
         return len(self._users)
 
-    def request(self, priority: int = 0) -> Request:
-        """Ask for one unit; lower ``priority`` values are served first."""
-        return Request(self, priority=priority)
+    def request(self) -> Request:
+        """Ask for one unit; waiters are served in request order."""
+        return Request(self)
 
     def release(self, request: Request) -> None:
         """Return the unit held by ``request``.
@@ -72,17 +70,15 @@ class Resource:
         if request in self._users:
             self._users.remove(request)
             self._grant_waiters()
-        else:
-            self._queue = [entry for entry in self._queue if entry[2] is not request]
-            heapq.heapify(self._queue)
+        elif request in self._queue:
+            self._queue.remove(request)
 
     def _enqueue(self, request: Request) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (request.priority, self._seq, request))
+        self._queue.append(request)
         self._grant_waiters()
 
     def _grant_waiters(self) -> None:
         while self._queue and len(self._users) < self._capacity:
-            _, _, request = heapq.heappop(self._queue)
+            request = self._queue.popleft()
             self._users.add(request)
             request.succeed()

@@ -41,7 +41,7 @@ from repro.storage.s3 import S3Standard
 from repro.storage.s3express import S3Express
 from repro.storage.dynamodb import DynamoDB
 from repro.storage.efs import EFS
-from repro.storage.client import RetryingClient, RetryPolicy
+from repro.storage.client import RetryingClient
 
 __all__ = [
     "DynamoDB",
@@ -52,7 +52,6 @@ __all__ = [
     "RequestStats",
     "RequestTimeout",
     "RequestType",
-    "RetryPolicy",
     "RetryingClient",
     "S3Express",
     "S3Standard",

@@ -10,7 +10,7 @@ Figure 11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.network.fabric import Endpoint
@@ -18,21 +18,18 @@ from repro.sim import AnyOf, Environment
 from repro.storage.base import StorageService
 from repro.storage.errors import RequestTimeout, StorageError
 
+#: The client's timeout and backoff (Section 4.4.1).
+REQUEST_TIMEOUT_S = 0.2
+MAX_ATTEMPTS = 8
+BACKOFF_BASE_S = 0.05
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_CAP_S = 10.0
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side timeout and backoff configuration."""
 
-    request_timeout: float = 0.2
-    max_attempts: int = 8
-    backoff_base: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_cap: float = 10.0
-
-    def backoff(self, attempt: int) -> float:
-        """Backoff delay before retry number ``attempt`` (1-based)."""
-        delay = self.backoff_base * self.backoff_multiplier ** (attempt - 1)
-        return min(delay, self.backoff_cap)
+def backoff(attempt: int) -> float:
+    """Backoff delay before retry number ``attempt`` (1-based)."""
+    delay = BACKOFF_BASE_S * BACKOFF_MULTIPLIER ** (attempt - 1)
+    return min(delay, BACKOFF_CAP_S)
 
 
 @dataclass
@@ -45,30 +42,23 @@ class ClientStats:
     throttles: int = 0
     giveups: int = 0
     backoff_time: float = 0.0
-    outcomes: dict[str, int] = field(default_factory=dict)
 
 
 class RetryingClient:
     """Ranged reads of a storage service with timeout/retry semantics."""
 
     def __init__(self, env: Environment, service: StorageService,
-                 policy: Optional[RetryPolicy] = None,
                  endpoint: Optional[Endpoint] = None) -> None:
         self.env = env
         self.service = service
-        self.policy = policy if policy is not None else RetryPolicy()
         self.endpoint = endpoint
         self.stats = ClientStats()
-        #: Chaos hook: ``hook(op, key, now)`` returning an error to
-        #: inject client-side, or ``None``. Injected errors go through
-        #: the same retry/backoff classification as real ones.
-        self.fault_hook = None
 
     def get_range(self, key: str, offset: float, length: float):
         """Process: ranged read with retries. Returns the StorageObject."""
         last_error: Optional[StorageError] = None
         try:
-            for attempt in range(1, self.policy.max_attempts + 1):
+            for attempt in range(1, MAX_ATTEMPTS + 1):
                 self.stats.attempts += 1
                 try:
                     result = yield from self._timed(key, offset, length)
@@ -82,8 +72,8 @@ class RetryingClient:
                         raise
                     self.stats.throttles += 1
                     last_error = exc
-                if attempt < self.policy.max_attempts:
-                    delay = self.policy.backoff(attempt)
+                if attempt < MAX_ATTEMPTS:
+                    delay = backoff(attempt)
                     self.stats.backoff_time += delay
                     yield self.env.timeout(delay)
             self.stats.giveups += 1
@@ -95,19 +85,11 @@ class RetryingClient:
 
     def _timed(self, key: str, offset: float, length: float):
         """Race one ranged read against the client timeout."""
-        if self.fault_hook is not None:
-            # Ranged reads classify as plain GETs for fault targeting.
-            error = self.fault_hook("get", key, self.env.now)
-            if error is not None:
-                try:
-                    raise error
-                finally:
-                    del error  # same cycle, through this frame
         request = self.env.process(
             self.service.get_range(key, offset, length,
                                    endpoint=self.endpoint),
             name="storage-get-range")
-        deadline = self.env.timeout(self.policy.request_timeout)
+        deadline = self.env.timeout(REQUEST_TIMEOUT_S)
         try:
             yield AnyOf(self.env, [request, deadline])
             if request.processed:
@@ -119,6 +101,6 @@ class RetryingClient:
                 request.interrupt("client-timeout")
                 request.defuse()
             raise RequestTimeout(f"get-range {key!r} exceeded "
-                                 f"{self.policy.request_timeout * 1000:.0f} ms")
+                                 f"{REQUEST_TIMEOUT_S * 1000:.0f} ms")
         finally:
             del request  # it holds the failure this frame is raising

@@ -314,12 +314,10 @@ class PartitionTree:
             self.partitions = [merged]
         elif (idle >= FIRST_MERGE_IDLE_S
               and len(self.partitions) > PARTITIONS_AFTER_FIRST_MERGE):
-            self._collapse_to(PARTITIONS_AFTER_FIRST_MERGE, now)
-
-    def _collapse_to(self, target: int, now: float) -> None:
-        """Merge adjacent partitions until only ``target`` remain."""
-        self.merge_count += len(self.partitions) - target
-        self.retile(target, now)
+            # Merge adjacent partitions until only that many remain.
+            self.merge_count += (len(self.partitions)
+                                 - PARTITIONS_AFTER_FIRST_MERGE)
+            self.retile(PARTITIONS_AFTER_FIRST_MERGE, now)
 
     def retile(self, count: int, now: float) -> None:
         """Replace the tree with ``count`` equal-width fresh partitions.

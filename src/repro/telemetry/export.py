@@ -94,8 +94,7 @@ def _alloc_lane(lanes: list[list[tuple[float, float]]], start: float,
     return len(lanes) - 1
 
 
-def chrome_trace(recorder, include_counters: bool = True,
-                 trace_ids=None) -> dict:
+def chrome_trace(recorder, trace_ids=None) -> dict:
     """Render a recorder's state as a Chrome trace-event document.
 
     ``trace_ids`` (an iterable of trace-id strings) restricts the export
@@ -158,7 +157,7 @@ def chrome_trace(recorder, include_counters: bool = True,
                 "s": "g", "args": round_floats(ev_args),
             })
 
-    if include_counters and selected is None:
+    if selected is None:
         for name, series in sorted(recorder.metrics.series.items()):
             for t, v in series.points:
                 trace_events.append({

@@ -65,18 +65,18 @@ class TestFitting:
     def test_fits_exact_polynomial(self):
         xs = [1, 2, 3, 4, 5]
         ys = [2 * x * x + 3 * x + 1 for x in xs]
-        fit = fit_polynomial(xs, ys, degree=2)
+        fit = fit_polynomial(xs, ys)
         assert fit(10) == pytest.approx(231, rel=1e-6)
         np.testing.assert_allclose(fit(np.array(xs, dtype=float)), ys,
                                    atol=1e-8)
 
     def test_insufficient_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_polynomial([1, 2], [1, 2], degree=2)
+            fit_polynomial([1, 2], [1, 2])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fit_polynomial([1, 2, 3], [1, 2], degree=1)
+            fit_polynomial([1, 2, 3], [1, 2])
 
     def test_extrapolate_scaling_shape(self):
         """Superlinear growth of time and cost with partitions (Fig 12)."""

@@ -7,7 +7,7 @@ from repro.engine.plan import PipelineSpec, TableSource
 from repro.network import Fabric
 from repro.network.shaper import TokenBucketShaper
 from repro.sim import Environment, RandomStreams
-from repro.storage import RetryingClient, RetryPolicy, S3Standard
+from repro.storage import RetryingClient, S3Standard
 from repro.storage.base import RequestType
 from repro.storage.errors import SlowDown
 from repro.storage.errors import RequestTimeout as StorageRequestTimeout
@@ -137,12 +137,11 @@ class TestStorageInjection:
     def test_injected_slowdowns_retried_by_client(self, stack):
         env, rng, s3 = stack
         self.run(env, s3.put("k", b"v"))
-        client = RetryingClient(
-            env, s3, RetryPolicy(request_timeout=60.0, backoff_base=0.05))
+        client = RetryingClient(env, s3)
         injector = make_injector(
             FaultSpec(kind="storage_slowdown", operation="get",
                       max_events=2))
-        injector.install(clients=[client])
+        injector.install(services=[s3])
         obj = self.run(env, client.get_range("k", 0, 1))
         # Two injected 503s were absorbed by the client's normal
         # retry/backoff machinery, then the third attempt succeeded.

@@ -109,7 +109,9 @@ def failed_window():
     setup_engine, clear = service.setup_engine, BarrierRegistry.clear
 
     def capture(*args, **kwargs):
-        engines.append(setup_engine(*args, **kwargs))
+        # No retries: the crashed join fails its query for good.
+        engines.append(setup_engine(
+            *args, recovery=RecoveryPolicy(max_attempts=1), **kwargs))
         return engines[-1]
 
     def spy(registry, query_id):
@@ -123,7 +125,7 @@ def failed_window():
         patch.setattr(BarrierRegistry, "clear", spy)
         outcome = run_serving_workload(
             workloads, policy="fifo", window_s=120.0, seed=3,
-            fault_plan=plan, recovery=RecoveryPolicy(max_attempts=1))
+            fault_plan=plan)
     return outcome, engines[0], cleared
 
 

@@ -52,7 +52,7 @@ class TestResults:
 class TestPlotter:
     def test_timeseries_renders(self):
         chart = ascii_timeseries([(0, 0.0), (1, 5.0), (2, 2.5)],
-                                 width=20, height=5, title="demo")
+                                 height=5, title="demo")
         assert "demo" in chart
         assert "*" in chart
 
@@ -155,8 +155,7 @@ class TestMinimalFunction:
 
     def test_idle_lifetime_decreases_with_gap(self):
         sim = CloudSim(seed=6)
-        fractions = measure_idle_lifetime(sim, gaps_s=[30.0, 3600.0],
-                                          probes_per_gap=8)
+        fractions = measure_idle_lifetime(sim, gaps_s=[30.0, 3600.0])
         assert fractions[30.0] >= fractions[3600.0]
         assert fractions[30.0] >= 0.8
         assert fractions[3600.0] <= 0.2

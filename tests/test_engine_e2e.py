@@ -211,9 +211,9 @@ class TestBBQ3:
     def test_result_matches_reference(self):
         env, engine, specs = build_stack(
             [("clickstreams", 4, 2000), ("item", 1, 0)])
-        plan = tpcxbb_q3(session_fragments=3)
+        plan = tpcxbb_q3()
         result = run_query(env, engine, plan)
-        expected = reference_result(specs, tpcxbb_q3(session_fragments=3))
+        expected = reference_result(specs, tpcxbb_q3())
         got = result.batch.to_pydict()
         want = expected.to_pydict()
         # Note: sessionization windows differ at fragment boundaries only

@@ -1,11 +1,14 @@
 """Tests for schemas, record batches, and the columnar files."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.formats import DataType, Field, RecordBatch, Schema, store_file
+from repro.formats import columnar
 from repro.formats.columnar import ColumnarCache
 
 
@@ -16,6 +19,13 @@ def sample_schema():
         Field("flag", DataType.STRING),
         Field("shipdate", DataType.DATE),
     ])
+
+
+def store_in_groups(batch, row_group_size):
+    """``store_file`` with ``row_group_size``-row groups, so a small
+    batch spans several."""
+    with mock.patch.object(columnar, "ROW_GROUP_SIZE", row_group_size):
+        return store_file(batch)
 
 
 def sample_batch(n=100):
@@ -108,7 +118,7 @@ class TestColumnarFormat:
         assert group.zone_maps["id"] == (0, 99)
 
     def test_zone_map_filter_skips_row_groups(self):
-        stored = store_file(sample_batch(1000), row_group_size=100)
+        stored = store_in_groups(sample_batch(1000), 100)
         # Only row groups whose id range intersects [0, 99] survive.
         result = read_all(stored, ["id"], {
             "id": lambda lo, hi: lo is not None and lo < 100})
@@ -116,7 +126,7 @@ class TestColumnarFormat:
         assert result.column("id").max() == 99
 
     def test_multiple_row_groups_reassemble_in_order(self):
-        stored = store_file(sample_batch(1000), row_group_size=64)
+        stored = store_in_groups(sample_batch(1000), 64)
         assert len(stored.row_groups) == 16
         np.testing.assert_array_equal(read_all(stored, ["id"]).column("id"),
                                       np.arange(1000))
@@ -260,7 +270,7 @@ class TestStoredFile:
         row_group = data.draw(st.integers(1, 64))
         columns = data.draw(projections(batch.schema.names()))
         filters = data.draw(zone_filters(batch))
-        stored = store_file(batch, row_group)
+        stored = store_in_groups(batch, row_group)
         zone_maps, want = stored_model(batch, row_group, columns, filters)
         assert_same_batch(stored.read(columns, stored.kept(filters)), want)
         assert_same_batch(
@@ -286,12 +296,8 @@ class TestStoredFile:
         assert group.zone_maps["d"] == (-2.0**31, 5.0)
         assert stored.kept({"d": lambda lo, hi: lo <= -2**31 <= hi}) == (0,)
 
-    def test_nonpositive_row_group_size_rejected(self):
-        with pytest.raises(ValueError, match="row_group_size"):
-            store_file(sample_batch(10), row_group_size=0)
-
     def test_filter_can_skip_every_group(self):
-        stored = store_file(sample_batch(100), row_group_size=10)
+        stored = store_in_groups(sample_batch(100), 10)
         kept = stored.kept({"id": lambda lo, hi: False})
         assert kept == ()
         result = stored.read(["id", "flag"], kept)
@@ -306,7 +312,7 @@ class TestStoredFile:
 
 class TestColumnarCache:
     def test_every_read_is_one_hit_or_one_miss(self):
-        stored = store_file(sample_batch(100), row_group_size=10)
+        stored = store_in_groups(sample_batch(100), 10)
         cache = ColumnarCache()
         low_ids = {"id": lambda lo, hi: lo < 30}
         cache.read(("k", 0), stored, ["id"], low_ids)
@@ -319,7 +325,7 @@ class TestColumnarCache:
         assert (cache.hits, cache.misses) == (2, 4)
 
     def test_hit_equals_a_cold_read(self):
-        stored = store_file(sample_batch(100), row_group_size=10)
+        stored = store_in_groups(sample_batch(100), 10)
         cache = ColumnarCache()
         cold = cache.read(("k", 0), stored, ["flag", "price"])
         hit = cache.read(("k", 0), stored, ["flag", "price"])
@@ -332,7 +338,7 @@ class TestColumnarCache:
     @pytest.mark.parametrize("filters", [
         None, {"id": lambda lo, hi: lo < 30}, {"id": lambda lo, hi: False}])
     def test_writing_into_a_hit_raises(self, filters):
-        stored = store_file(sample_batch(100), row_group_size=10)
+        stored = store_in_groups(sample_batch(100), 10)
         cache = ColumnarCache()
         cache.read(("k", 0), stored, ["id", "flag"], filters)
         hit = cache.read(("k", 0), stored, ["id", "flag"], filters)
@@ -351,7 +357,7 @@ class TestPropertyRoundtrip:
     def test_int_roundtrip_any_row_group_size(self, values, row_group):
         batch = RecordBatch(Schema([Field("v", DataType.INT64)]),
                             {"v": np.array(values, dtype=np.int64)})
-        back = read_all(store_file(batch, row_group_size=row_group))
+        back = read_all(store_in_groups(batch, row_group))
         assert list(back.column("v")) == values
 
     @given(values=st.lists(st.text(max_size=20), min_size=1, max_size=100))

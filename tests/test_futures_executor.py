@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.futures import (
-    ALL_COMPLETED,
-    ALWAYS,
-    ANY_COMPLETED,
-    ExecutorConfig,
-    FunctionExecutor,
-)
+from repro.futures import FunctionExecutor, invoker
 from repro.faas import LambdaPlatform, supervisor
 from repro.faas.supervisor import RecoveryPolicy
 from repro.network import Fabric
@@ -23,12 +17,12 @@ class Transient(Exception):
     retryable = True
 
 
-def make_executor(config=None, seed=11):
+def make_executor(recovery=RecoveryPolicy(), seed=11):
     env = Environment()
     fabric = Fabric(env)
     rng = RandomStreams(seed=seed)
     platform = LambdaPlatform(env, fabric, rng)
-    executor = FunctionExecutor(env, platform, rng, config=config)
+    executor = FunctionExecutor(env, platform, rng, recovery=recovery)
     return env, platform, executor
 
 
@@ -81,9 +75,9 @@ class TestMap:
         assert executor.map(square, []) == []
         assert executor.jobs == []
 
-    def test_bounded_inflight_concurrency(self):
-        env, _, executor = make_executor(
-            config=ExecutorConfig(max_inflight=2))
+    def test_bounded_inflight_concurrency(self, monkeypatch):
+        monkeypatch.setattr(invoker, "MAX_INFLIGHT", 2)
+        env, _, executor = make_executor()
         futures = executor.map(sleeper, [{"sleep_s": 0.2, "tag": i}
                                          for i in range(6)])
         run(env, executor.get_result(futures))
@@ -96,33 +90,10 @@ class TestWait:
         env, _, executor = make_executor()
         futures = executor.map(sleeper, [{"sleep_s": 0.1 * (i + 1),
                                           "tag": i} for i in range(4)])
-        done, pending = run(env, executor.wait(futures,
-                                               when=ALL_COMPLETED))
+        done, pending = run(env, executor.wait(futures))
         assert len(done) == 4 and pending == []
-
-    def test_any_completed_returns_on_first_finish(self):
-        env, _, executor = make_executor()
-        specs = [{"sleep_s": 0.05, "tag": "fast"},
-                 {"sleep_s": 5.0, "tag": "slow"}]
-        futures = executor.map(sleeper, specs)
-        done, pending = run(env, executor.wait(futures,
-                                               when=ANY_COMPLETED))
-        assert [f.result() for f in done] == ["fast"]
-        assert len(pending) == 1 and not pending[0].done
-
-    def test_always_returns_without_waiting(self):
-        env, _, executor = make_executor()
-        futures = executor.map(square, range(3))
-        now = env.now
-        done, pending = run(env, executor.wait(futures, when=ALWAYS))
-        assert env.now == now  # no simulated time passed
-        assert done == [] and len(pending) == 3
-
-    def test_unknown_condition_raises(self):
-        env, _, executor = make_executor()
-        futures = executor.map(square, range(2))
-        with pytest.raises(ValueError, match="wait condition"):
-            run(env, executor.wait(futures, when="SOME_COMPLETED"))
+        assert all(future.done for future in done)
+        assert env.now >= 0.4
 
 
 def boom(context, data):
@@ -139,17 +110,8 @@ class TestErrors:
         assert isinstance(future.error, ValueError)
         with pytest.raises(ValueError, match="bad data x"):
             future.result()
-        assert future.result(throw_except=False) is None
         # The failed attempt is still billed.
         assert future.cost_usd > 0
-
-    def test_get_result_throw_except_false_suppresses(self):
-        env, _, executor = make_executor()
-        futures = [executor.map(square, [2])[0],
-                   executor.map(boom, ["y"])[0]]
-        results = run(env, executor.get_result(futures,
-                                               throw_except=False))
-        assert results == [4, None]
 
     def test_map_reduce_map_failure_fails_reduce_without_reducer(self):
         env, _, executor = make_executor()
@@ -196,7 +158,7 @@ class TestRetries:
 
     def test_max_attempts_exhaustion_rejects(self):
         env, _, executor = make_executor(
-            config=ExecutorConfig(recovery=RecoveryPolicy(max_attempts=2)))
+            recovery=RecoveryPolicy(max_attempts=2))
 
         def always_flaky(context, data):
             yield context.env.timeout(0.01)
@@ -258,7 +220,7 @@ class TestSpeculation:
         monkeypatch.setattr(supervisor, "STRAGGLER_FACTOR", 2.0)
         monkeypatch.setattr(supervisor, "STRAGGLER_QUORUM", 0.5)
         env, _, executor = make_executor(
-            config=ExecutorConfig(recovery=RecoveryPolicy(hedge=True)))
+            recovery=RecoveryPolicy(hedge=True))
         specs = [{"sleep_s": 0.05, "tag": i} for i in range(7)]
         specs.append({"sleep_s": 10.0, "tag": "straggler"})
         futures = executor.map(sleeper, specs)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.chaos import get_plan
-from repro.futures import ANY_COMPLETED
 from repro.futures.workloads import _Sim, run_wordcount
 from repro.telemetry.export import round_floats
 
@@ -15,8 +14,8 @@ def run_sweep(seed=7, points=24, span=4.0):
     """A parallel parameter sweep over the executor's public API.
 
     One call per grid point, each drawing noise from its own RNG stream
-    (so a result does not depend on completion order), ``wait(ANY)``
-    for the first wave, then a one-call ``map`` selection step.
+    (so a result does not depend on completion order), then a
+    one-call ``map`` selection step.
     """
     sim = _Sim(seed, speculate=False)
     grid = [{"index": index, "x": round(index * span / (points - 1), 9)}
@@ -36,17 +35,15 @@ def run_sweep(seed=7, points=24, span=4.0):
                                                entry["index"]))
 
     def scenario():
-        futures = sim.executor.map(evaluate, grid)
-        done, _ = yield from sim.executor.wait(futures, when=ANY_COMPLETED)
-        results = yield from sim.executor.get_result(futures)
+        results = yield from sim.executor.get_result(
+            sim.executor.map(evaluate, grid))
         best = yield from sim.executor.get_result(
             sim.executor.map(select_best, [results])[0])
-        return {"first_wave": len(done), "results": results, "best": best}
+        return {"results": results, "best": best}
 
     value = sim.run(scenario())
     outcome = {
         "points": points,
-        "first_wave": value["first_wave"],
         "best": value["best"],
         "losses": [entry["loss"] for entry in value["results"]],
         "states": sim.executor.summary()["states"],
@@ -125,7 +122,6 @@ class TestSweep:
     def test_best_is_argmin_of_losses(self):
         outcome = run_sweep(seed=7, points=12)
         assert outcome["best"]["loss"] == min(outcome["losses"])
-        assert 1 <= outcome["first_wave"] <= outcome["points"]
 
     def test_sweep_losses_bracket_the_target_minimum(self):
         # The loss curve is a noisy quadratic around SWEEP_TARGET; the

@@ -232,7 +232,25 @@ class Plan:
     fatal_at: int | None
 
 
-def _run(plan: Plan, io_cls=IoStack, reader_cls=ShuffleReader):
+class _DeferringIoStack(IoStack):
+    """``IoStack`` whose ``read_object`` may defer its transfer, as the
+    shuffle's slice reads do, so a plan can draw a deferred read of any
+    chunk count through the step objects."""
+
+    def read_object(self, key: str, logical_bytes: float | None = None,
+                    defer_transfer: bool = False):
+        if not defer_transfer:
+            return (yield from super().read_object(key, logical_bytes))
+        started = self.env.now
+        obj = self.storage.head(key)
+        size = float(logical_bytes if logical_bytes is not None else obj.size)
+        chunks = _chunk_sizes(size, self.chunk_bytes)
+        yield from self.chunk_requests(key, chunks, True)
+        self.read_done(key, size, len(chunks), started, True)
+        return obj
+
+
+def _run(plan: Plan, io_cls=_DeferringIoStack, reader_cls=ShuffleReader):
     env = Environment()
     pops = []
 

@@ -68,5 +68,4 @@ class TestBundleDeterminism:
         baseline = lint_modules(_modules(), all_checkers())
         fresh = _modules()
         again = lint_modules([fresh[i] for i in order], all_checkers())
-        assert [f.to_dict() for f in again] \
-            == [f.to_dict() for f in baseline]
+        assert again == baseline

@@ -19,7 +19,7 @@ SRC = REPO_ROOT / "src" / "repro"
 class TestTreeGate:
     def test_source_tree_is_lint_clean(self, monkeypatch):
         """The committed tree passes the CI gate: no finding at all.
-        (Same check `repro lint --strict` runs.)
+        (Same check `repro lint` runs.)
         """
         monkeypatch.chdir(REPO_ROOT)
         findings = lint_tree([Path("src/repro")], all_checkers())
@@ -48,8 +48,7 @@ class TestDiscoveryOrderDeterminism:
         baseline = lint_tree(files, all_checkers())
         shuffled = [files[i] for i in order]
         again = lint_tree(shuffled, all_checkers())
-        assert [f.to_dict() for f in again] \
-            == [f.to_dict() for f in baseline]
+        assert again == baseline
 
 
 class TestLayerDag:

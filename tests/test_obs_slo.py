@@ -2,17 +2,18 @@
 
 import pytest
 
-from repro.obs.slo import (
-    BurnRule,
-    SLOEngine,
-    SLOPolicy,
-    SlidingWindow,
-)
+from repro.obs import slo
+from repro.obs.slo import BurnRule, SLOEngine, SlidingWindow
 from repro.telemetry import canonical_json
 
 RULE = BurnRule(name="fast", long_window_s=120.0, short_window_s=30.0,
                 factor=4.0)
-POLICY = SLOPolicy(objective=0.9, latency_s=1.0, rules=(RULE,))
+
+
+@pytest.fixture
+def one_rule(monkeypatch):
+    """The engine with ``RULE`` alone, so each test sees one rule fire."""
+    monkeypatch.setattr(slo, "BURN_RULES", (RULE,))
 
 
 class TestValidation:
@@ -21,18 +22,8 @@ class TestValidation:
             BurnRule(name="bad", long_window_s=10.0, short_window_s=20.0,
                      factor=2.0)
 
-    def test_objective_bounds(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(objective=1.0)
-        with pytest.raises(ValueError):
-            SLOPolicy(objective=0.0)
-
-    def test_policy_needs_rules(self):
-        with pytest.raises(ValueError):
-            SLOPolicy(rules=())
-
     def test_budget_fraction(self):
-        assert SLOPolicy(objective=0.99).budget_fraction == pytest.approx(0.01)
+        assert slo.BUDGET_FRACTION == pytest.approx(0.1)
 
 
 class TestSlidingWindow:
@@ -63,9 +54,10 @@ class TestSlidingWindow:
         assert SlidingWindow(5.0, 1.0).bad_fraction(100.0) == 0.0
 
 
+@pytest.mark.usefixtures("one_rule")
 class TestBurnAlerts:
     def test_fires_only_when_both_windows_burn(self):
-        engine = SLOEngine(POLICY)
+        engine = SLOEngine()
         # Long window burns (>= 40% bad over 120s) but the last 30s are
         # clean: no alert.
         engine.record(10.0, "s", False, count=50)
@@ -81,7 +73,7 @@ class TestBurnAlerts:
         assert fired[0].long_burn >= RULE.factor
 
     def test_alert_latches_until_long_window_recovers(self):
-        engine = SLOEngine(POLICY)
+        engine = SLOEngine()
         engine.record(5.0, "s", False, count=100)
         assert len(engine.evaluate(6.0)) == 1
         # Still burning: latched, no duplicate alert.
@@ -95,7 +87,7 @@ class TestBurnAlerts:
         assert len(engine.alerts) == 2
 
     def test_scopes_are_independent(self):
-        engine = SLOEngine(POLICY)
+        engine = SLOEngine()
         engine.record(5.0, "a", False, count=100)
         engine.record(5.0, "b", True, count=100)
         fired = engine.evaluate(6.0)
@@ -104,7 +96,7 @@ class TestBurnAlerts:
 
 class TestBudget:
     def test_budget_consumed_is_relative_to_objective(self):
-        engine = SLOEngine(POLICY)  # 10% budget
+        engine = SLOEngine()  # 10% budget
         engine.record(1.0, "s", True, count=90)
         engine.record(1.0, "s", False, count=10)
         # Exactly at the objective: budget fully (1.0x) consumed.
@@ -113,17 +105,23 @@ class TestBudget:
         assert engine.budget_consumed("s") > 1.0
 
     def test_unknown_scope_consumes_nothing(self):
-        assert SLOEngine(POLICY).budget_consumed("nope") == 0.0
+        assert SLOEngine().budget_consumed("nope") == 0.0
 
     def test_report_shape(self):
-        engine = SLOEngine(POLICY)
+        engine = SLOEngine()
         engine.record(1.0, "s", True)
         engine.record(2.0, "s", False, count=100)
         engine.evaluate(3.0)
         report = engine.report(3.0)
         assert report["schema"] == "repro.obs.slo/1"
+        assert report["policy"] == {
+            "name": "serving-latency", "objective": 0.9, "latency_s": 2.0,
+            "rules": [{"name": "fast-burn", "long_window_s": 120.0,
+                       "short_window_s": 30.0, "factor": 4.0},
+                      {"name": "slow-burn", "long_window_s": 300.0,
+                       "short_window_s": 60.0, "factor": 2.0}]}
         assert report["scopes"]["s"]["total"] == 101
-        assert report["scopes"]["s"]["firing"] == ["fast"]
-        assert len(report["alerts"]) == 1
+        assert report["scopes"]["s"]["firing"] == ["fast-burn", "slow-burn"]
+        assert len(report["alerts"]) == 2
         # Canonical JSON must serialize without type errors.
         canonical_json(report)

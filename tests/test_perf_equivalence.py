@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 from tests.test_telemetry_export import record_q6
 
+from repro.chaos import runner as chaos_runner
 from repro.chaos.plan import get_plan
 from repro.chaos.runner import run_chaos_suite
 from repro.core import CloudSim
@@ -72,13 +73,19 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def test_chaos_q12_outage_outcome_is_pinned():
-    report = run_chaos_suite(
-        "demo-outage", queries=("tpch-q12",), repeats=2, seed=0,
-        plan_kwargs={"lineitem_fragments": 12, "orders_fragments": 6,
-                     "join_fragments": 8},
-        setup=SuiteSetup(lineitem_partitions=12, orders_partitions=6,
-                         rows_per_partition=96, queries=("tpch-q12",)))
+def test_chaos_q12_outage_outcome_is_pinned(monkeypatch):
+    # A Q12 of 12/6/8 fragments over 12/6 partitions: wider than the
+    # suite's own scan-only plans, so the shuffle recovers too.
+    monkeypatch.setattr(chaos_runner, "PLAN_KWARGS", {
+        "lineitem_fragments": 12, "orders_fragments": 6,
+        "join_fragments": 8})
+    monkeypatch.setattr(
+        chaos_runner, "suite_setup",
+        lambda queries: SuiteSetup(lineitem_partitions=12,
+                                   orders_partitions=6,
+                                   rows_per_partition=96, queries=queries))
+    report = run_chaos_suite("demo-outage", queries=("tpch-q12",),
+                             repeats=2, seed=0)
     assert report.goodput == 1.0
     assert report.unrecovered == 0
     assert _digest(report.to_json()) == "9b4adb869d5cc44a"

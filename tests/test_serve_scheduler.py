@@ -11,6 +11,7 @@ from repro.serve import (
     QueryScheduler,
     ServingMetrics,
     Tenant,
+    TenantWorkload,
     WarmPoolManager,
     default_tenant_mix,
     make_policy,
@@ -254,6 +255,16 @@ class TestServingIntegration:
         fair = overload_outcomes["fair"].reports["interactive"]
         assert fair.latency_p99 < 0.5 * fifo.latency_p99
         assert fair.slo_attainment >= fifo.slo_attainment
+
+    def test_workloads_sharing_a_tenant_name_are_rejected(self):
+        """Tenants are keyed by name: a second workload under the same
+        name would replace the first one's plan and arrivals."""
+        workloads = [
+            TenantWorkload(Tenant("a")),
+            TenantWorkload(Tenant("a", max_queue_depth=1),
+                           query="tpch-q1", rate_per_hour=60.0)]
+        with pytest.raises(ValueError, match="repeated: a"):
+            run_serving_workload(workloads, window_s=60.0)
 
     def test_fixed_seed_is_deterministic(self):
         runs = [run_serving_workload(default_tenant_mix(), policy="fair",

@@ -34,18 +34,6 @@ def test_timeout_advances_clock():
     assert env.now == 5.0
 
 
-def test_timeout_value_passthrough():
-    env = Environment()
-
-    def proc(env):
-        got = yield env.timeout(1.0, value="payload")
-        return got
-
-    p = env.process(proc(env))
-    env.run()
-    assert p.value == "payload"
-
-
 def test_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
@@ -119,7 +107,8 @@ def test_run_until_event_returns_value():
 
 
 def test_run_until_past_time_rejected():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(ValueError):
         env.run(until=5.0)
 
@@ -231,28 +220,28 @@ def test_all_of_waits_for_every_event():
     env = Environment()
 
     def proc(env):
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(4.0, value="four")
+        t1 = env.timeout(1.0)
+        t2 = env.timeout(4.0)
         values = yield AllOf(env, [t1, t2])
-        return (sorted(values.values()), env.now)
+        return (set(values) == {t1, t2}, env.now)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (["four", "one"], 4.0)
+    assert p.value == (True, 4.0)
 
 
 def test_any_of_triggers_on_first():
     env = Environment()
 
     def proc(env):
-        t1 = env.timeout(1.0, value="fast")
-        t2 = env.timeout(10.0, value="slow")
+        t1 = env.timeout(1.0)
+        t2 = env.timeout(10.0)
         values = yield AnyOf(env, [t1, t2])
-        return (list(values.values()), env.now)
+        return (list(values) == [t1], env.now)
 
     p = env.process(proc(env))
     env.run()
-    assert p.value == (["fast"], 1.0)
+    assert p.value == (True, 1.0)
 
 
 def test_all_of_empty_triggers_immediately():
@@ -290,7 +279,8 @@ def test_peek_reports_next_event_time():
 
 
 def test_peek_is_now_while_an_event_is_due_now():
-    env = Environment(initial_time=2.0)
+    env = Environment()
+    env.run(until=2.0)
     env.timeout(5.0)
     env.event().succeed()
     assert env.peek() == 2.0
@@ -373,13 +363,13 @@ def test_decided_race_unhooks_its_deadline():
         value = yield deadline
         log.append(("latecomer", env.now, value))
 
-    deadline = env.timeout(30.0, value="tick")
+    deadline = env.timeout(30.0)
     env.process(racer(env, deadline))
     env.process(latecomer(env, deadline))
     env.run()
     # The race was decided by the process: nothing hangs off the deadline
     # until the latecomer parks on it, and it still pops at its time.
-    assert log == [("race", 1.0, []), ("latecomer", 30.0, "tick")]
+    assert log == [("race", 1.0, []), ("latecomer", 30.0, None)]
     assert env.now == 30.0
 
     # Against the same two events left independent, the race schedules one
@@ -653,21 +643,20 @@ class _HeapLane:
 
 
 class _HeapOnlyEnvironment(Environment):
-    """The parent commit's ``schedule``, ``peek`` and ``run``, verbatim
+    """The heap-only kernel's ``schedule``, ``peek`` and ``run``, verbatim
     but for the drained ``run(until=t)``, which now ends at ``t`` as in
     the lanes kernel. Every event is a heap entry."""
 
     __slots__ = ()
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        super().__init__(initial_time)
+    def __init__(self) -> None:
+        super().__init__()
         self._lanes = (_HeapLane(self, 0), _HeapLane(self, 1))
 
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = 1) -> None:
-        """Queue ``event`` for processing ``delay`` seconds from now."""
+    def schedule(self, event: Event, priority: int = 1) -> None:
+        """Queue ``event`` for processing now."""
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        heapq.heappush(self._queue, (self._now, priority, self._seq, event))
 
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if none."""
@@ -750,7 +739,7 @@ def _pop_order(env_cls, program, drives):
     def act(index, op):
         kind = op[0]
         if kind == "wait":
-            return (yield label(env.timeout(op[1], value="waited")))
+            return (yield label(env.timeout(op[1])))
         if kind == "step":
             return (yield label(Step(env, op[1], lambda _: seen.append(
                 ("stepped", index, env.now, env.peek())))))
@@ -770,7 +759,7 @@ def _pop_order(env_cls, program, drives):
         if kind == "schedule":
             event = label(env.event())
             event._ok, event._value = True, "scheduled"
-            env.schedule(event, op[1], op[2])
+            env.schedule(event, op[1])
             return (yield event)
         if kind == "spawn":
             def child(delay):
@@ -780,9 +769,10 @@ def _pop_order(env_cls, program, drives):
             proc = label(env.process(child(op[1])))
             return (yield proc) if op[2] else "spawned"
         if kind == "race":
-            values = yield AnyOf(env, [label(env.timeout(op[1], "a")),
-                                       label(env.timeout(op[2], "b"))])
-            return sorted(values.values())
+            racers = {"a": label(env.timeout(op[1])),
+                      "b": label(env.timeout(op[2]))}
+            values = yield AnyOf(env, list(racers.values()))
+            return [name for name, event in racers.items() if event in values]
         target = procs[op[1] % len(procs)]  # interrupt a parked process
         if target.is_alive and target._target is not None:
             target.interrupt("poke")
@@ -822,7 +812,7 @@ _OPS = st.one_of(
     st.tuples(st.just("wait"), _KERNEL_DELAYS),
     st.tuples(st.just("step"), _PRIORITIES),
     st.tuples(st.just("trigger"), _KERNEL_DELAYS, _PRIORITIES, st.booleans()),
-    st.tuples(st.just("schedule"), _KERNEL_DELAYS, _PRIORITIES),
+    st.tuples(st.just("schedule"), _PRIORITIES),
     st.tuples(st.just("spawn"), _KERNEL_DELAYS, st.booleans()),
     st.tuples(st.just("race"), _KERNEL_DELAYS, _KERNEL_DELAYS),
     st.tuples(st.just("interrupt"), st.integers(0, 3)),
@@ -841,8 +831,8 @@ def test_lanes_pop_what_the_heap_only_kernel_popped(program, drives):
 
 
 def test_heap_entries_due_now_pop_between_the_lanes():
-    """At t=1: two urgent heap entries, two normal ones, and what the
-    first urgent one pushes at once: a step at each priority."""
+    """At t=1: two timeouts on the heap, and what the first one pushes
+    at once: a step at each priority."""
     def order(env_cls):
         env = env_cls()
         popped = []
@@ -851,21 +841,12 @@ def test_heap_entries_due_now_pop_between_the_lanes():
             event.callbacks.append(lambda _: popped.append(name))
             return event
 
-        def urgent(name):
-            event = tag(env.event(), name)
-            event._ok, event._value = True, None
-            env.schedule(event, 1.0, priority=0)
-            return event
-
-        urgent("u1").callbacks.append(lambda _: (
+        tag(env.timeout(1.0), "a").callbacks.append(lambda _: (
             tag(Step(env, 1), "x"), tag(Step(env, 0), "w")))
-        urgent("u2")
-        tag(env.timeout(1.0), "a")
         tag(env.timeout(1.0), "b")
         env.run()
         return popped
 
-    # u2 beats the urgent lane (same priority, pushed first); the urgent
-    # lane beats a and b, which beat the normal lane.
+    # The urgent lane beats b; b, pushed first, beats the normal lane.
     assert order(Environment) == order(_HeapOnlyEnvironment) \
-        == ["u1", "u2", "w", "a", "b", "x"]
+        == ["a", "w", "b", "x"]

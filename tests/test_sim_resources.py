@@ -35,7 +35,7 @@ class TestResource:
             ("c", "acquired", 5.0),
         ]
 
-    def test_priority_queue_ordering(self):
+    def test_waiters_are_served_in_request_order(self):
         env = Environment()
         resource = Resource(env, capacity=1)
         order = []
@@ -45,17 +45,19 @@ class TestResource:
                 yield req
                 yield env.timeout(10.0)
 
-        def waiter(env, name, priority, arrive):
+        def waiter(env, name, arrive):
             yield env.timeout(arrive)
-            with resource.request(priority=priority) as req:
+            with resource.request() as req:
                 yield req
-                order.append(name)
+                order.append((name, env.now))
+                yield env.timeout(1.0)
 
         env.process(holder(env))
-        env.process(waiter(env, "low", 5, 1.0))
-        env.process(waiter(env, "high", 0, 2.0))
+        env.process(waiter(env, "third", 3.0))
+        env.process(waiter(env, "first", 1.0))
+        env.process(waiter(env, "second", 2.0))
         env.run()
-        assert order == ["high", "low"]
+        assert order == [("first", 10.0), ("second", 11.0), ("third", 12.0)]
 
     def test_cancel_waiting_request(self):
         env = Environment()

@@ -4,7 +4,8 @@ import pytest
 
 from repro.network import Fabric
 from repro.sim import Environment, RandomStreams
-from repro.storage import RetryingClient, RetryPolicy, S3Standard
+from repro.storage import RetryingClient, S3Standard, client as client_module
+from repro.storage.client import BACKOFF_CAP_S, MAX_ATTEMPTS, backoff
 from repro.storage.errors import NoSuchKey, RequestTimeout
 
 
@@ -25,22 +26,20 @@ def run(env, gen):
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base=0.05, backoff_multiplier=2.0)
-        assert policy.backoff(1) == pytest.approx(0.05)
-        assert policy.backoff(2) == pytest.approx(0.10)
-        assert policy.backoff(3) == pytest.approx(0.20)
+        assert backoff(1) == pytest.approx(0.05)
+        assert backoff(2) == pytest.approx(0.10)
+        assert backoff(3) == pytest.approx(0.20)
 
     def test_backoff_capped(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_multiplier=10.0,
-                             backoff_cap=5.0)
-        assert policy.backoff(4) == 5.0
+        assert backoff(8) < BACKOFF_CAP_S
+        assert backoff(9) == backoff(20) == BACKOFF_CAP_S
 
 
 class TestRetryingClient:
     def test_successful_get(self, stack):
         env, fabric, rng, s3 = stack
         run(env, s3.put("k", b"v"))
-        client = RetryingClient(env, s3, RetryPolicy(request_timeout=60.0))
+        client = RetryingClient(env, s3)
         obj = run(env, client.get_range("k", 0, 1))
         assert obj.payload == b"v"
         assert client.stats.successes == 1
@@ -48,7 +47,7 @@ class TestRetryingClient:
 
     def test_non_retryable_error_propagates(self, stack):
         env, fabric, rng, s3 = stack
-        client = RetryingClient(env, s3, RetryPolicy(request_timeout=60.0))
+        client = RetryingClient(env, s3)
 
         def attempt(env):
             try:
@@ -59,13 +58,12 @@ class TestRetryingClient:
         assert run(env, attempt(env)) == "missing"
         assert client.stats.attempts == 1
 
-    def test_timeout_triggers_retry_with_backoff(self, stack):
+    def test_timeout_triggers_retry_with_backoff(self, stack, monkeypatch):
         env, fabric, rng, s3 = stack
         run(env, s3.put("k", b"v"))
         # Impossible timeout: every attempt times out, then gives up.
-        policy = RetryPolicy(request_timeout=1e-6, max_attempts=3,
-                             backoff_base=0.1)
-        client = RetryingClient(env, s3, policy)
+        monkeypatch.setattr(client_module, "REQUEST_TIMEOUT_S", 1e-6)
+        client = RetryingClient(env, s3)
 
         def attempt(env):
             try:
@@ -74,12 +72,13 @@ class TestRetryingClient:
                 return "gave-up"
 
         assert run(env, attempt(env)) == "gave-up"
-        assert client.stats.attempts == 3
-        assert client.stats.timeouts == 3
+        assert client.stats.attempts == MAX_ATTEMPTS
+        assert client.stats.timeouts == MAX_ATTEMPTS
         assert client.stats.giveups == 1
-        # Backoff waits of 0.1 + 0.2 elapsed between the three attempts.
-        assert client.stats.backoff_time == pytest.approx(0.3)
-        assert env.now >= 0.3
+        # A backoff wait elapsed between each two attempts.
+        waited = sum(backoff(a) for a in range(1, MAX_ATTEMPTS))
+        assert client.stats.backoff_time == pytest.approx(waited)
+        assert env.now >= waited
 
     def test_throttle_retried_until_tokens_refill(self, stack):
         env, fabric, rng, s3 = stack
@@ -88,8 +87,7 @@ class TestRetryingClient:
         partition = s3.partitions.partition_for("k")
         partition.refresh_tokens(env.now)
         partition.read_tokens = 0.0
-        client = RetryingClient(
-            env, s3, RetryPolicy(request_timeout=60.0, backoff_base=0.05))
+        client = RetryingClient(env, s3)
         obj = run(env, client.get_range("k", 0, 1))
         assert obj.payload == b"v"
         assert client.stats.throttles >= 1
@@ -103,8 +101,7 @@ class TestNonRetryableErrorsBurnNothing:
 
     def test_no_such_key_not_retried_and_no_backoff(self, stack):
         env, fabric, rng, s3 = stack
-        client = RetryingClient(
-            env, s3, RetryPolicy(request_timeout=60.0, max_attempts=8))
+        client = RetryingClient(env, s3)
 
         def attempt(env):
             try:

@@ -155,9 +155,12 @@ def test_validate_rejects_malformed_document():
 
 
 def test_counters_can_be_excluded():
+    """A trace-filtered export drops the global counter rows."""
     recorder = _synthetic_recorder()
+    assert "C" in validate_chrome_trace(chrome_trace(recorder))
+    trace_id = recorder.spans[0].trace_id
     counts = validate_chrome_trace(
-        chrome_trace(recorder, include_counters=False))
+        chrome_trace(recorder, trace_ids=[trace_id]))
     assert "C" not in counts
 
 

@@ -163,7 +163,7 @@ class TestTracing:
             _invocation(recorder, "scan", fragment, 0.0, 0.0, duration)
         rows = worker_timeline(recorder.spans)["scan"]
         assert skew(rows) == pytest.approx(5.0)
-        assert [row[0] for row in stragglers(rows, factor=2.0)] == [3]
+        assert [row[0] for row in stragglers(rows)] == [3]
 
     def test_empty_trace_degrades_gracefully(self):
         assert worker_timeline([]) == {}
