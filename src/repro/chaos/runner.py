@@ -14,6 +14,8 @@ from repro.chaos.injector import FaultInjector
 from repro.chaos.plan import FaultPlan, get_plan
 from repro.chaos.report import QueryOutcome, ResilienceReport
 from repro.core.context import CloudSim
+from repro.engine.plan import TableSource
+from repro.engine.queries import QUERY_BUILDERS
 from repro.faas.supervisor import RecoveryPolicy
 from repro.workloads.suite import SuiteSetup, build_plan, setup_engine
 
@@ -32,6 +34,22 @@ def suite_setup(queries: tuple[str, ...]) -> SuiteSetup:
                       queries=tuple(queries))
 
 
+def _fits(query: str) -> bool:
+    """Whether ``query``'s builder takes :data:`PLAN_KWARGS` and its
+    plan gives every scan fragment a partition of :func:`suite_setup`'s
+    tables (a fragment with none fails at run time)."""
+    try:
+        plan = build_plan(query, **PLAN_KWARGS)
+    except TypeError:
+        return False
+    partitions = {spec.name: spec.partition_count
+                  for spec in suite_setup((query,)).specs()}
+    return all(pipeline.fragments is None
+               or not isinstance(pipeline.source, TableSource)
+               or pipeline.fragments <= partitions[pipeline.source.table]
+               for pipeline in plan.pipelines)
+
+
 def run_chaos_suite(plan: Union[str, FaultPlan],
                     queries: tuple[str, ...] = DEFAULT_QUERIES,
                     repeats: int = 2, seed: int = 0,
@@ -48,6 +66,13 @@ def run_chaos_suite(plan: Union[str, FaultPlan],
         plan = get_plan(plan)
     if repeats <= 0:
         raise ValueError("repeats must be positive")
+    unfit = [query for query in queries if not _fits(query)]
+    if unfit:
+        supported = [query for query in sorted(QUERY_BUILDERS)
+                     if _fits(query)]
+        raise ValueError(
+            f"the chaos suite cannot run {', '.join(unfit)} with its plan "
+            f"settings {PLAN_KWARGS}; it runs {', '.join(supported)}")
     if recovery is None:
         recovery = RecoveryPolicy(hedge=True)
     setup = suite_setup(queries)

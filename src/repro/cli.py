@@ -310,33 +310,24 @@ def _run_futures(args) -> int:
 def _run_shard(args) -> int:
     """Run the sharded-serving replay (or the CI smoke gate)."""
     from repro.shard import ReplayConfig, run_replay
-    from repro.shard.replay import run_replay_reference
     from repro.telemetry import canonical_json
 
     try:
         if args.smoke:
             # CI gate: the >=100k-tenant smoke replay (with one injected
-            # shard failure) through the kernel and through its
-            # event-at-a-time oracle must be byte-identical, must never
-            # walk a tenant-sized structure on the hot path, and must
-            # account for every admitted query.
+            # shard failure) must never walk a tenant-sized structure on
+            # the hot path and must account for every admitted query.
             config = ReplayConfig(seed=args.seed).smoke()
             first = run_replay(config)
-            second = run_replay_reference(config)
             report = first.report
-            if first.digest() != second.digest():
-                print("repro shard --smoke: FAIL: the replay kernel "
-                      "diverged from its reference", file=sys.stderr)
-                return 1
             if first.distinct_tenants < 100_000:
                 print(f"repro shard --smoke: FAIL: only "
                       f"{first.distinct_tenants} distinct tenants "
                       f"(need >= 100000)", file=sys.stderr)
                 return 1
-            if first.full_scans or second.full_scans:
+            if first.full_scans:
                 print(f"repro shard --smoke: FAIL: {first.full_scans} "
-                      f"(kernel) / {second.full_scans} (reference) full "
-                      f"scans of tenant-keyed state on the hot path",
+                      f"full scans of tenant-keyed state on the hot path",
                       file=sys.stderr)
                 return 1
             if not report["balanced"]:
@@ -356,7 +347,7 @@ def _run_shard(args) -> int:
                   f"{first.events} events over {first.shards_final} final "
                   f"shards; {first.failures_injected} failure(s), "
                   f"{first.recovered} recovered, full_scans=0, "
-                  f"digest {first.digest()[:16]} (kernel==reference)")
+                  f"digest {first.digest()[:16]}")
             return 0
         config = ReplayConfig(tenants=args.tenants, events=args.events,
                               seed=args.seed, fail_at=(150.0,),
@@ -483,9 +474,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="print the canonical JSON replay outcome")
     shard.add_argument("--smoke", action="store_true",
                        help="CI gate: >=100k-tenant replay with a shard "
-                            "failure; fail when the kernel and its "
-                            "reference diverge, on hot-path full scans, "
-                            "or on unreconciled queries")
+                            "failure; fail on hot-path full scans or on "
+                            "unreconciled queries")
     obs = commands.add_parser(
         "obs", help="observability plane: SLO burn-rate alerts, tail "
                     "sampling, incident bundles, stage profiler")

@@ -13,11 +13,10 @@ canonical digest.
 shard-failure replay, that (1) attaching the plane leaves the replay
 digest byte-identical (outcome neutrality), (2) two same-seed observed
 runs produce byte-identical obs digests (incident bundles included),
-equal to that of a fresh plane driven through the event-at-a-time
-``run_replay_reference``, (3) a multi-window burn-rate alert actually
-fires under the fault plan and the bundle names the faulted shard, (4)
-fault-touched traces were retained by the tail sampler, and (5) the
-sampler's conservation equation holds.
+(3) a multi-window burn-rate alert actually fires under the fault plan
+and the bundle names the faulted shard, (4) fault-touched traces were
+retained by the tail sampler, and (5) the sampler's conservation
+equation holds.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.flight import verify_bundle
 from repro.obs.plane import ReplayObsPlane
-from repro.shard.replay import (ReplayConfig, ReplayResult, run_replay,
-                                run_replay_reference)
+from repro.shard.replay import ReplayConfig, ReplayResult, run_replay
 from repro.telemetry import canonical_json, round_floats
 
 
@@ -74,14 +72,10 @@ def _run_config_dict(config: ReplayConfig) -> dict:
 
 
 def run_obs_replay(config: ReplayConfig | None = None) -> ObsReplayResult:
-    """Run a replay with the observability plane attached."""
-    return _observe(config or ReplayConfig().smoke(), run_replay)
-
-
-def _observe(config: ReplayConfig, replay) -> ObsReplayResult:
-    """Drive a fresh plane through ``replay`` (the kernel or its oracle)."""
+    """Run a replay with a fresh observability plane attached."""
+    config = config or ReplayConfig().smoke()
     plane = ReplayObsPlane(run_config=_run_config_dict(config))
-    result = replay(config, observer=plane)
+    result = run_replay(config, observer=plane)
     return ObsReplayResult(
         replay=result,
         slo=plane.slo_report(config.window_s),
@@ -101,8 +95,6 @@ def obs_smoke(config: ReplayConfig | None = None) -> dict:
     checks = {
         "outcome_neutral": first.replay.digest() == bare.digest(),
         "deterministic": first.digest() == second.digest(),
-        "kernel_equals_reference": first.digest() == _observe(
-            config, run_replay_reference).digest(),
         "alert_fired": first.alerts_fired > 0,
         "incident_dumped": len(first.incidents) > 0,
         "conserved": bool(first.sampling["conserved"]),

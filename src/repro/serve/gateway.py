@@ -9,9 +9,9 @@ itself.
 
 Since the sharding fabric (:mod:`repro.shard`) arrived, a gateway is
 one *shard* of a fleet: it carries a ``shard_id``, a directory
-``epoch`` fence that rejects submissions routed on a stale shard map,
-and an optional ``default_tenant`` template so a million-tenant
-workload can materialize per-tenant state lazily. Every per-event
+``epoch`` fence the router checks its cached routes against, and an
+optional ``default_tenant`` template so a million-tenant workload can
+materialize per-tenant state lazily. Every per-event
 operation is O(1) in the number of tenants — backlog is tracked with
 an incrementally maintained counter and an insertion-ordered backlog
 index, never by walking all tenant queues.
@@ -27,18 +27,6 @@ from typing import Any, Callable, Optional
 
 from repro.serve.metrics import ServingMetrics
 from repro.telemetry import get_recorder
-
-
-class StaleEpoch(Exception):
-    """A submission carried a directory epoch older than the shard's.
-
-    Raised by :meth:`QueryGateway.submit` when the caller routed the
-    request on a shard map that a rebalance (split, merge, failure
-    reassignment) has since superseded. The router reacts by refreshing
-    its route from the partition directory and retrying — the fence is
-    what keeps a rebalanced tenant from being admitted on two shards at
-    once.
-    """
 
 
 @dataclass(frozen=True)
@@ -114,9 +102,10 @@ class QueryGateway:
         self.max_pending = max_pending
         self.shard_id = shard_id
         self.default_tenant = default_tenant
-        #: Directory epoch fence (see :class:`StaleEpoch`). The shard
-        #: router bumps this when the partition directory reassigns any
-        #: of this shard's key ranges.
+        #: Directory epoch fence. The shard router bumps this when the
+        #: partition directory reassigns any of this shard's key ranges,
+        #: and counts a route of another epoch that reaches this shard
+        #: as a stale rejection (``ShardRouter.route_batch``).
         self.epoch = 0
         self.stale_rejections = 0
         self.tenants: dict[str, Tenant] = {}
@@ -156,20 +145,9 @@ class QueryGateway:
 
     # -- admission ---------------------------------------------------------
 
-    def submit(self, tenant_name: str, plan: Any,
-               epoch: Optional[int] = None) -> Optional[QueryRequest]:
-        """Offer one query; returns the queued request, or ``None`` if shed.
-
-        ``epoch`` (when given) is the directory epoch the caller routed
-        on; a value older than the shard's current fence raises
-        :class:`StaleEpoch` *before* the offer is counted, so a routed
-        retry is not double-counted as offered traffic.
-        """
-        if epoch is not None and epoch != self.epoch:
-            self.stale_rejections += 1
-            raise StaleEpoch(
-                f"shard {self.shard_id}: routed on epoch {epoch}, "
-                f"fence is {self.epoch}")
+    def submit(self, tenant_name: str,
+               plan: Any) -> Optional[QueryRequest]:
+        """Offer one query; returns the queued request, or ``None`` if shed."""
         tenant = self.tenant(tenant_name)
         self.metrics.record_offered(tenant_name)
         queue = self.queues.get(tenant_name)

@@ -25,18 +25,17 @@ ceiling) forces at millions-of-users scale:
   the fabric (the ledger's ``tenant-replay`` workloads and
   ``repro shard --smoke``): one kernel that routes each inter-tick
   slice of the trace in a batch and replays it shard by shard, pinned
-  byte-for-byte against an event-at-a-time oracle.
+  byte-for-byte against an event-at-a-time oracle the tests keep.
 """
 
 from repro.shard.directory import PartitionDirectory, Route
-from repro.shard.metrics import FleetMetrics, ShardMetrics
+from repro.shard.metrics import ShardMetrics
 from repro.shard.rebalance import RebalanceEvent, Rebalancer
 from repro.shard.replay import ReplayConfig, run_replay
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardRouter
 
 __all__ = [
-    "FleetMetrics",
     "HashRing",
     "PartitionDirectory",
     "RebalanceEvent",

@@ -3,11 +3,11 @@
 The directory owns the ring and versions every mutation with *epochs*:
 a global epoch counts map changes, and each shard carries the epoch at
 which its assignment set last changed. A route handed out by
-:meth:`PartitionDirectory.locate` embeds the shard's epoch; gateways
-fence submissions on it (:class:`~repro.serve.gateway.StaleEpoch`), so
-a router holding a cached route from before a split/merge/failure is
-forced back to the directory instead of double-admitting a rebalanced
-tenant on its old shard.
+:meth:`PartitionDirectory.locate_hash` embeds the shard's epoch, which
+the router checks against the gateway's fence, so a router holding a
+cached route from before a split/merge/failure is forced back to the
+directory instead of double-admitting a rebalanced tenant on its old
+shard.
 """
 
 from __future__ import annotations
@@ -62,12 +62,9 @@ class PartitionDirectory:
         """
         return len(self.ring.points_of(shard)) >= 2
 
-    def locate(self, tenant: str) -> Route:
-        """The authoritative route of a tenant (O(log vnodes))."""
-        return self._shard_routes[self.ring.lookup(tenant)]
-
     def locate_hash(self, position: int) -> Route:
-        """:meth:`locate` for a tenant whose ring position is known."""
+        """The authoritative route of the tenant at ring ``position``
+        (its :func:`~repro.shard.ring.hash_key`; O(log vnodes))."""
         return self._shard_routes[self.ring.lookup_hash(position)]
 
     # -- mutations (each bumps the global epoch once) ----------------------

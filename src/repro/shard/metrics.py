@@ -3,11 +3,11 @@
 A million-tenant replay cannot afford the serve layer's per-query
 record keeping (:class:`~repro.serve.metrics.ServingMetrics` files a
 ``CompletedQuery`` per served query), so each gateway shard gets a
-:class:`ShardMetrics`: the same recording interface, but reduced on the
-fly to counters plus a fixed-width log-bucketed latency histogram —
-O(1) memory per event, deterministic percentiles.
+:class:`ShardMetrics`: counters plus a fixed-width log-bucketed latency
+histogram, which the replay updates in place — O(1) memory per event,
+deterministic percentiles.
 
-:class:`FleetMetrics` rolls the per-shard views into the fleet numbers
+:func:`roll_up` reduces the per-shard views to the fleet numbers
 operators watch — aggregate p50/p99 latency, SLO attainment, shed and
 recovered counts, cost — and, crucially, *reconciles* them: every
 query a tenant ever offered must be accounted for as completed, shed,
@@ -23,18 +23,17 @@ from dataclasses import dataclass, field
 
 from repro.telemetry.metrics import LatencyHistogram
 
-__all__ = ["FleetMetrics", "FleetReport", "ShardMetrics"]
+__all__ = ["FleetReport", "ShardMetrics", "roll_up"]
 
 
 class ShardMetrics:
     """Streaming serving metrics of one gateway shard.
 
-    Implements the recording interface of
-    :class:`~repro.serve.metrics.ServingMetrics` (``record_offered`` /
-    ``record_shed`` / ``record_completion`` / ``record_failed``) so a
-    :class:`~repro.serve.gateway.QueryGateway` can use either, but
-    keeps only scalars and a histogram — no per-query, no per-tenant
-    state.
+    A :class:`~repro.serve.gateway.QueryGateway` records offers and
+    sheds; the replay updates the completion fields itself. Only
+    scalars and a histogram — no per-query, no per-tenant state.
+    ``failed`` and ``recovered`` stay 0 in a replay (it neither fails
+    nor retries a query); the report keeps them as keys.
     """
 
     def __init__(self, shard_id: str = "shard-0",
@@ -51,27 +50,13 @@ class ShardMetrics:
         self.queue_wait_sum = 0.0
         self.latency = LatencyHistogram()
 
-    # -- the ServingMetrics recording interface ----------------------------
+    # -- the gateway's recording calls --------------------------------------
 
     def record_offered(self, tenant: str) -> None:
         self.offered += 1
 
     def record_shed(self, tenant: str) -> None:
         self.shed += 1
-
-    def record_completion(self, record) -> None:
-        self.completed += 1
-        latency = record.finished_at - record.submitted_at
-        self.latency.record(latency)
-        self.queue_wait_sum += record.started_at - record.submitted_at
-        self.cost_usd += record.cost_usd
-        if latency <= self.slo_latency_s:
-            self.within_slo += 1
-        if record.retries or record.hedges:
-            self.recovered += 1
-
-    def record_failed(self, tenant: str) -> None:
-        self.failed += 1
 
     # -- views -------------------------------------------------------------
 
@@ -133,53 +118,41 @@ class FleetReport:
         }
 
 
-class FleetMetrics:
-    """Aggregates shard metrics into one fleet view.
+def roll_up(shard_metrics: list[ShardMetrics], pending: int,
+            recovered: int) -> FleetReport:
+    """Reduce per-shard metrics to a :class:`FleetReport`.
 
-    ``recovered_requests`` counts requests the rebalancer re-homed out
-    of merged or failed shards — queries that would have been *lost*
-    without recovery; they surface in the roll-up next to the
-    retry/hedge-recovered completions.
+    ``pending`` is the backlog still queued across live gateways (zero
+    after a drained run) — it closes the conservation equation mid-run.
+    ``recovered`` counts the requests re-homed out of merged or failed
+    shards; it is reported next to the shards' own recovered counts.
     """
-
-    def __init__(self) -> None:
-        #: Requests re-homed out of merged/failed shards.
-        self.recovered_requests = 0
-
-    def roll_up(self, shard_metrics: list[ShardMetrics],
-                pending: int = 0) -> FleetReport:
-        """Reduce per-shard metrics to a :class:`FleetReport`.
-
-        ``pending`` is the backlog still queued across live gateways
-        (zero after a drained run) — it closes the conservation
-        equation mid-run.
-        """
-        merged = LatencyHistogram()
-        offered = completed = shed = failed = recovered = 0
-        within = 0
-        wait_sum = 0.0
-        cost = 0.0
-        for metrics in shard_metrics:
-            merged.merge(metrics.latency)
-            offered += metrics.offered
-            completed += metrics.completed
-            shed += metrics.shed
-            failed += metrics.failed
-            recovered += metrics.recovered
-            within += metrics.within_slo
-            wait_sum += metrics.queue_wait_sum
-            cost += metrics.cost_usd
-        return FleetReport(
-            shards=len(shard_metrics),
-            offered=offered,
-            completed=completed,
-            shed=shed,
-            failed=failed,
-            recovered=recovered + self.recovered_requests,
-            pending=pending,
-            latency_p50=merged.percentile(50.0),
-            latency_p99=merged.percentile(99.0),
-            mean_queue_wait=wait_sum / completed if completed else 0.0,
-            slo_attainment=within / offered if offered else 1.0,
-            cost_usd=cost,
-            per_shard=[metrics.summary() for metrics in shard_metrics])
+    merged = LatencyHistogram()
+    offered = completed = shed = failed = 0
+    within = 0
+    wait_sum = 0.0
+    cost = 0.0
+    for metrics in shard_metrics:
+        merged.merge(metrics.latency)
+        offered += metrics.offered
+        completed += metrics.completed
+        shed += metrics.shed
+        failed += metrics.failed
+        recovered += metrics.recovered
+        within += metrics.within_slo
+        wait_sum += metrics.queue_wait_sum
+        cost += metrics.cost_usd
+    return FleetReport(
+        shards=len(shard_metrics),
+        offered=offered,
+        completed=completed,
+        shed=shed,
+        failed=failed,
+        recovered=recovered,
+        pending=pending,
+        latency_p50=merged.percentile(50.0),
+        latency_p99=merged.percentile(99.0),
+        mean_queue_wait=wait_sum / completed if completed else 0.0,
+        slo_attainment=within / offered if offered else 1.0,
+        cost_usd=cost,
+        per_shard=[metrics.summary() for metrics in shard_metrics])

@@ -23,9 +23,8 @@ assumes a run of ops each finds a free slot on arrival, checks that
 for the whole run at once (:func:`_fast_prefix`, one sort and two
 ``searchsorted`` calls) and applies the prefix before the first op
 that would queue. Only ops that meet a backlog take the per-event body,
-inlined. :func:`run_replay_reference` is the same run one event at a
-time on a name-keyed router — the oracle the kernel's digest is pinned
-against.
+inlined. The tests keep the same run one event at a time on a
+name-keyed router as the oracle the kernel's digest is pinned against.
 
 Two instruments make the complexity claims checkable rather than
 asserted:
@@ -53,7 +52,6 @@ from operator import add, itemgetter
 import numpy as np
 
 from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
-from repro.serve.metrics import CompletedQuery
 from repro.shard.rebalance import Rebalancer
 from repro.shard.router import FENCED, OFFER, RETRY, ShardRouter
 from repro.sim.rng import RandomStreams
@@ -281,18 +279,22 @@ _ALWAYS = float("-inf")
 def _complete(metrics, request, start: float, shard: str = "",
               on_completion=None, slow_s: float = _ALWAYS,
               salt: int = 0, cut: int = 0) -> float:
-    finish = start + request.plan
-    metrics.record_completion(CompletedQuery(
-        tenant=request.tenant, query_id=f"q{request.seq}",
-        submitted_at=request.submitted_at, started_at=start,
-        finished_at=finish, runtime=request.plan,
-        cost_usd=request.plan * _USD_PER_SLOT_SECOND,
-        retries=0, hedges=0))
+    """Serve ``request`` from ``start`` on the shard; return its finish."""
+    submitted = request.submitted_at
+    served = request.plan
+    finish = start + served
+    latency = finish - submitted
+    metrics.completed += 1
+    metrics.latency.record(latency)
+    metrics.queue_wait_sum += start - submitted
+    metrics.cost_usd += served * _USD_PER_SLOT_SECOND
+    if latency <= metrics.slo_latency_s:
+        metrics.within_slo += 1
     if on_completion is not None:
         # Interest pre-filter (see run_replay): three scalar checks in
         # place of a Python call per served request. With the default
         # sentinel bounds every completion passes.
-        if (finish - request.submitted_at >= slow_s or request.rescued
+        if (latency >= slow_s or request.rescued
                 or ((request.seq * _SAMPLE_HASH_MULT + salt)
                     & 0xFFFFFFFF) < cut):
             on_completion(finish, shard, request)
@@ -352,19 +354,16 @@ def _distinct(ids, tenants: int) -> int:
 
 
 class _Fabric:
-    """What the kernel and its oracle share: all but the event loop.
+    """Everything of a replay but its event loop.
 
-    The trace, the service-time stream (drawn per slice by the kernel,
-    whole by the oracle), the clock, the real :class:`ShardRouter` with
-    its :class:`ScanGuard`-wrapped gateways and their slot banks, the
+    The trace, the service-time stream, the clock, the real
+    :class:`ShardRouter` over the trace's tenant ids with its
+    :class:`ScanGuard`-wrapped gateways and their slot banks, the
     rebalancer, the chaos injector, the observer's unpacked completion
-    hook, the control tick and the final roll-up. ``keyed`` builds the
-    router over the trace's tenant ids (the kernel); without it the
-    router caches routes by name (the oracle).
+    hook, the control tick and the final roll-up.
     """
 
-    def __init__(self, config: ReplayConfig, observer,
-                 keyed: bool = False) -> None:
+    def __init__(self, config: ReplayConfig, observer) -> None:
         self.config = config
         self.observer = observer
         streams = RandomStreams(config.seed)
@@ -398,15 +397,15 @@ class _Fabric:
             return gateway
 
         self.router = ShardRouter(
-            self.clock, shards=config.shards,
+            self.clock, (_TENANT_PREFIX, config.tenants),
+            shards=config.shards,
             max_pending=config.max_pending_per_shard,
             default_tenant=Tenant(
                 name="__default__",
                 max_queue_depth=config.tenant_queue_depth,
                 slo_latency_s=config.slo_latency_s),
             slo_latency_s=config.slo_latency_s,
-            gateway_factory=guarded_gateway,
-            key_space=(_TENANT_PREFIX, config.tenants) if keyed else None)
+            gateway_factory=guarded_gateway)
         self.rebalancer = Rebalancer(
             self.router, seed=config.seed, hot_factor=config.hot_factor,
             cold_factor=config.cold_factor, min_shards=1,
@@ -482,7 +481,7 @@ class _Fabric:
             submits=router.submits,
             stale_retries=router.stale_retries,
             migrated=router.migrated,
-            recovered=router.fleet.recovered_requests,
+            recovered=router.recovered,
             full_scans=sum(guard.full_scans for guard in self.guards),
             failures_injected=self.failures)
 
@@ -501,8 +500,8 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     shard failures and chaos faults fire, and the rebalancer takes a
     load window and may split/merge. After the last arrival all shards
     are drained to quiescence, and the fleet roll-up is reconciled. The
-    outcome is byte-identical to the event-at-a-time
-    :func:`run_replay_reference`.
+    outcome is byte-identical to running the trace one event at a time
+    through the same gateways (the tests keep that oracle).
 
     ``observer`` is an optional observability plane (duck-typed; see
     :class:`repro.obs.plane.ReplayObsPlane`): ``on_completion`` fires
@@ -515,7 +514,7 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     completes requests shard by shard, out of trace order: each kept
     completion is tagged ``(event index, phase, firing order)`` and a
     slice's are sorted on the tag before ``on_completion`` sees them,
-    so the callback stream is the reference's, call for call.
+    so the callback stream is the event-at-a-time one, call for call.
 
     An observer that only needs a *subset* of completions may expose a
     ``completion_interest = (slow_threshold_s, salt, cut)`` attribute:
@@ -530,7 +529,7 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
     reconstruct totals from the shard counters (they are scraped at
     every control tick anyway).
     """
-    fabric = _Fabric(config, observer, keyed=True)
+    fabric = _Fabric(config, observer)
     router, banks = fabric.router, fabric.banks
     times, ids, service = fabric.times, fabric.ids, fabric.service
     on_completion, slow_s, salt, cut = fabric.hook
@@ -553,37 +552,6 @@ def run_replay(config: ReplayConfig, observer=None) -> ReplayResult:
             for _tag, finish, shard, request in kept:
                 on_completion(finish, shard, request)
         start = stop
-    return fabric.finish()
-
-
-def run_replay_reference(config: ReplayConfig, observer=None) -> ReplayResult:
-    """The event-at-a-time oracle :func:`run_replay` is pinned against.
-
-    One pass over the trace in trace order through the scalar
-    :meth:`ShardRouter.submit`: advance the routed shard to the
-    arrival, offer the query, advance again. Everything but this loop
-    is shared with the kernel, and the router is built without a key
-    space, so the cache under test is the plain ``OrderedDict``. About
-    3.7x slower: tests and the smoke gate only.
-    """
-    fabric = _Fabric(config, observer)
-    router, banks, clock = fabric.router, fabric.banks, fabric.clock
-    services = fabric.service.exponential(config.mean_service_s,
-                                          size=config.events)
-    for index in range(config.events):
-        now = float(fabric.times[index])
-        while now >= fabric.next_control:
-            fabric.control_tick()
-        clock.now = now
-        tenant = f"{_TENANT_PREFIX}{fabric.ids[index]}"
-        shard = router.route(tenant).shard
-        _advance(banks[shard], router.gateways[shard], now, *fabric.hook)
-        if router.submit(tenant, float(services[index])) is not None:
-            # A stale-epoch retry may have re-routed the tenant: the
-            # cache is fresh after submit, so re-read the shard.
-            shard = router.route(tenant).shard
-            _advance(banks[shard], router.gateways[shard], now,
-                     *fabric.hook)
     return fabric.finish()
 
 
@@ -633,8 +601,8 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, ops: tuple,
     """One shard's op stream: speculative blocks plus a scalar drain.
 
     ``ops`` is the shard's column tuple from
-    :meth:`ShardRouter.route_batch`. Each op is the reference's
-    per-event body on this shard: an ``OFFER`` advances the shard to
+    :meth:`ShardRouter.route_batch`. Each op is the event-at-a-time
+    replay's body on this shard: an ``OFFER`` advances the shard to
     its arrival, submits, and advances again if admitted; a ``FENCED``
     op (its route went stale, another shard takes the offer) only
     advances; a ``RETRY`` (the offer the fence re-routed here) only
@@ -656,19 +624,18 @@ def _run_lane(gateway: QueryGateway, bank: _SlotBank, ops: tuple,
     the prefix's length, and ``cost_usd`` adds the prefix's terms one
     by one, in trace order. A block ends before a ``FENCED`` op and
     before an op whose finish equals its arrival (the one case where
-    ``finish > now`` fails and, for a ``RETRY``, where the reference
+    ``finish > now`` fails and, for a ``RETRY``, where the scalar body
     pops the slot it just filled). Its size doubles after a block that
     ran to its end and halves after one that broke.
 
-    **Scalar drain.** Every other op goes through the reference's
-    body with ``_next_request`` + ``_complete`` +
-    ``ShardMetrics.record_completion`` inlined in the advance before
+    **Scalar drain.** Every other op goes through the scalar body with
+    ``_next_request`` + ``_complete`` inlined in the advance before
     (same expressions, same order of float accumulation) and
-    ``gateway.submit`` minus the epoch check, which
-    :meth:`ShardRouter.route_batch` already made; the advance after is
-    called only when it has something to do (an elapsed slot or a free
-    one). When the advance before leaves no backlog and a free slot,
-    the op goes back to the block phase.
+    ``gateway.submit`` inlined (:meth:`ShardRouter.route_batch` made
+    the epoch check); the advance after is called only when it has
+    something to do (an elapsed slot or a free one). When the advance
+    before leaves no backlog and a free slot, the op goes back to the
+    block phase.
 
     **Tallies.** ``offered``, ``completed``, the latency histogram and
     ``within_slo`` are integer counts that commute with every other

@@ -164,12 +164,9 @@ class HashRing:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, key: str) -> str:
-        """The node owning ``key`` (the partition function)."""
-        return self.lookup_hash(hash_key(key))
-
     def lookup_hash(self, position: int) -> str:
-        """The node owning ring position ``position`` (a key's hash)."""
+        """The node owning ring position ``position``: the partition
+        function, applied to a key's :func:`hash_key`."""
         if not self._points:
             raise LookupError("lookup on an empty ring")
         index = bisect_right(self._points, position)
@@ -179,7 +176,7 @@ class HashRing:
 
     def lookup_hashes(self, hashes: np.ndarray
                       ) -> tuple[list[str], np.ndarray]:
-        """:meth:`lookup` for an array of ring positions at once.
+        """:meth:`lookup_hash` for an array of ring positions at once.
 
         Returns the member nodes (sorted) and, per hash, the index of
         its owner in that list: one ``searchsorted`` over the points.

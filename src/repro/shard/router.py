@@ -1,25 +1,22 @@
 """The shard router: the fleet's O(1)-per-event data plane.
 
 A :class:`ShardRouter` fronts a fleet of
-:class:`~repro.serve.gateway.QueryGateway` shards. On the hot path it
-does exactly three O(1)-in-tenant-count things per submission: look the
-tenant up in a bounded route cache (falling back to the directory's
-O(log vnodes) ring lookup on a miss), offer the query to the routed
-shard with the route's epoch, and — if the shard's fence has advanced
-because a rebalance superseded the route — refresh from the directory
-and retry once. The retry loop is bounded: the router is the only
-mutator of the directory and re-syncs every live shard's fence after
-each mutation, so a freshly fetched route is never stale.
-:meth:`ShardRouter.route_batch` is the same data plane for a whole
-slice of a trace at once: it makes every routing decision
-:meth:`~ShardRouter.submit` would make, against the same cache, fences
-and load window, and hands the admissions back as per-shard op streams
-instead of performing them. It works on arrays, not events, which
-needs tenants that are dense integer keys: a router built over a
-``key_space`` keeps its route cache as arrays over those keys
+:class:`~repro.serve.gateway.QueryGateway` shards over a dense key
+space: every tenant is ``f"{prefix}{key}"`` for an integer key below
+the space's size, hashed onto the ring once, when the router is built.
+:meth:`ShardRouter.route_batch` routes a whole slice of a trace at
+once: for each event it makes the decision a scalar router would make
+in trace order — probe a bounded route cache (falling back to the
+directory on a miss), offer the query to the routed shard with the
+route's epoch, and, if the shard's fence has advanced because a
+rebalance superseded the route, refresh from the directory and retry
+once — and hands the admissions back as per-shard op streams instead of
+performing them. The route cache is arrays over the keys
 (:class:`_KeyedRoutes`), which ``route_batch`` and ``_refresh`` (so the
-control plane's re-homing too) read and write. Without a key space the
-cache is an ``OrderedDict`` by name.
+control plane's re-homing too) read and write. The retry is bounded:
+the router is the only mutator of the directory and re-syncs every live
+shard's fence after each mutation, so a freshly fetched route is never
+stale.
 
 The control plane (``split_shard`` / ``merge_shard`` / ``fail_shard``)
 keeps the admitted-work invariant: whenever a shard is retired or loses
@@ -31,21 +28,20 @@ and the fleet roll-up counts every re-homed request as recovered.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from repro.serve.gateway import QueryGateway, StaleEpoch, Tenant
+from repro.serve.gateway import QueryGateway, Tenant
 from repro.shard.directory import PartitionDirectory, Route
-from repro.shard.metrics import FleetMetrics, ShardMetrics
+from repro.shard.metrics import ShardMetrics, roll_up
 from repro.shard.ring import hash_keys
 from repro.telemetry import get_recorder
 
 #: Route-cache capacity: bounds router memory at O(cache), not
 #: O(tenants ever seen); eviction is FIFO on insertion order, so it is
 #: deterministic and O(1).
-DEFAULT_ROUTE_CACHE = 65536
+ROUTE_CACHE_SIZE = 65536
 
 
 #: Op kinds in a :meth:`ShardRouter.route_batch` stream: offer the
@@ -69,8 +65,8 @@ class _KeyedRoutes:
     "``key`` is cached" is ``seq[key] > inserts - capacity``, where
     ``inserts`` counts insertions so far and ``seq[key]`` is the number
     of the key's last one (0 = never). Refreshing a cached key rewrites
-    its route and leaves ``seq`` alone, as assigning to a present
-    ``OrderedDict`` key leaves its position. A route is stored as its
+    its route and leaves ``seq`` alone: an entry keeps its place in the
+    eviction order until it is evicted. A route is stored as its
     code: the index into the ``(shard, epoch)`` routes seen so far, a
     few per directory mutation.
     """
@@ -173,49 +169,36 @@ class _KeyedRoutes:
 
 
 class ShardRouter:
-    """Routes tenant traffic onto a fleet of gateway shards."""
+    """Routes the tenants of ``key_space`` onto a fleet of gateway shards."""
 
-    def __init__(self, env, shards: int = 2,
+    def __init__(self, env, key_space: tuple[str, int], shards: int = 2,
                  vnodes: Optional[int] = None,
                  max_pending: float = math.inf,
                  default_tenant: Optional[Tenant] = None,
                  slo_latency_s: float = math.inf,
-                 route_cache_size: int = DEFAULT_ROUTE_CACHE,
                  gateway_factory: Optional[Callable[..., QueryGateway]]
-                 = None,
-                 key_space: Optional[tuple[str, int]] = None) -> None:
-        if route_cache_size <= 0:
-            raise ValueError("route_cache_size must be positive")
+                 = None) -> None:
         self.env = env
         self.directory = PartitionDirectory(shards=shards, vnodes=vnodes)
         self.max_pending = max_pending
         self.default_tenant = default_tenant
         self.slo_latency_s = slo_latency_s
-        self.route_cache_size = route_cache_size
-        self._gateway_factory = gateway_factory
-        self.fleet = FleetMetrics()
+        self._gateway_factory = gateway_factory or QueryGateway
         #: Live gateways by shard id.
         self.gateways: dict[str, QueryGateway] = {}
         #: Serving metrics of every shard *ever* — retired shards stay
         #: in the roll-up so conservation holds across rebalances.
         self.shard_metrics: dict[str, ShardMetrics] = {}
-        #: Bounded tenant -> Route cache. OrderedDict for its O(1)
-        #: ``popitem(last=False)``: FIFO eviction via ``next(iter(d))``
-        #: on a plain dict degrades linearly with accumulated deletion
-        #: tombstones at million-tenant churn.
-        self._routes: OrderedDict[str, Route] = OrderedDict()
-        #: Given a ``key_space`` ``(prefix, size)`` — every tenant is
-        #: ``f"{prefix}{key}"`` for a key below ``size`` — the cache is
-        #: arrays over the keys instead, which is what lets
-        #: :meth:`route_batch` route a slice without a per-event step.
-        self._keyed = None if key_space is None \
-            else _KeyedRoutes(*key_space, capacity=route_cache_size)
+        self._keyed = _KeyedRoutes(*key_space, capacity=ROUTE_CACHE_SIZE)
         #: Submissions per live shard since the last window take —
         #: the rebalancer's load signal.
         self._window: dict[str, int] = {}
         self.submits = 0
         self.stale_retries = 0
         self.migrated = 0
+        #: Requests re-homed out of merged or failed shards: queries
+        #: that would have been lost without recovery.
+        self.recovered = 0
         self._telemetry = recorder = get_recorder()
         if recorder is not None:
             self._submit_counter = recorder.counter("router.submits")
@@ -232,14 +215,9 @@ class ShardRouter:
     def _spawn(self, shard: str) -> QueryGateway:
         metrics = ShardMetrics(shard_id=shard,
                                slo_latency_s=self.slo_latency_s)
-        if self._gateway_factory is not None:
-            gateway = self._gateway_factory(
-                self.env, metrics=metrics, max_pending=self.max_pending,
-                shard_id=shard, default_tenant=self.default_tenant)
-        else:
-            gateway = QueryGateway(
-                self.env, metrics=metrics, max_pending=self.max_pending,
-                shard_id=shard, default_tenant=self.default_tenant)
+        gateway = self._gateway_factory(
+            self.env, metrics=metrics, max_pending=self.max_pending,
+            shard_id=shard, default_tenant=self.default_tenant)
         gateway.epoch = self.directory.shard_epoch(shard)
         self.gateways[shard] = gateway
         self.shard_metrics[shard] = metrics
@@ -254,68 +232,23 @@ class ShardRouter:
 
     # -- data plane --------------------------------------------------------
 
-    def route(self, tenant: str) -> Route:
-        """The cached route of a tenant (refreshed when invalid).
-
-        A keyed router caches routes for :meth:`route_batch` only: here
-        it refreshes every time, which inserts the key as a miss would.
-        """
-        route = self._routes.get(tenant)
-        if route is None or route.shard not in self.gateways:
-            route = self._refresh(tenant)
-        return route
-
     def _refresh(self, tenant: str) -> Route:
         keyed = self._keyed
-        if keyed is not None:
-            # The key's ring position was hashed with the key space.
-            key = keyed.key(tenant)
-            route = self.directory.locate_hash(int(keyed.hashes[key]))
-            keyed.put(key, route)
-            return route
-        route = self.directory.locate(tenant)
-        if tenant not in self._routes \
-                and len(self._routes) >= self.route_cache_size:
-            self._routes.popitem(last=False)
-        self._routes[tenant] = route
+        # The key's ring position was hashed with the key space.
+        key = keyed.key(tenant)
+        route = self.directory.locate_hash(int(keyed.hashes[key]))
+        keyed.put(key, route)
         return route
-
-    def submit(self, tenant: str, plan: Any):
-        """Route one query; returns the queued request or ``None`` if shed.
-
-        Cost per call is O(1) in the number of tenants: a cache probe,
-        one gateway offer, and — only when a rebalance raced the cached
-        route — a single directory refresh and retry.
-        """
-        self.submits += 1
-        route = self.route(tenant)
-        for _ in range(2):
-            gateway = self.gateways[route.shard]
-            try:
-                request = gateway.submit(tenant, plan, epoch=route.epoch)
-            except StaleEpoch:
-                self.stale_retries += 1
-                if self._telemetry is not None:
-                    self._stale_counter.inc()
-                route = self._refresh(tenant)
-                continue
-            self._window[route.shard] += 1
-            if self._telemetry is not None:
-                self._submit_counter.inc()
-            return request
-        raise RuntimeError(
-            f"route of tenant {tenant!r} stale after directory refresh")
 
     def route_batch(self, start: int, times: np.ndarray, keys: np.ndarray,
                     plans: np.ndarray) -> dict[str, tuple]:
         """Route a slice of a trace into per-shard op streams, as arrays.
 
         Event ``start + i`` is the tenant of dense key ``keys[i]``
-        offering ``plans[i]`` at ``times[i]``; the router must have
-        been built over a ``key_space``. Every routing decision is the
-        one :meth:`submit` would make for the same events in the same
-        order — cache probe, FIFO eviction, fence check, one refresh
-        on a stale route — and ``submits``, ``stale_retries``, the
+        offering ``plans[i]`` at ``times[i]``. Every routing decision
+        is the one a scalar router would make for the same events in
+        the same order — cache probe, FIFO eviction, fence check, one
+        refresh on a stale route — and ``submits``, ``stale_retries``, the
         load window and the fenced gateway's ``stale_rejections``
         advance as they would; only the admissions themselves are left
         to the caller, as one column tuple ``(times, indices, keys,
@@ -335,12 +268,9 @@ class ShardRouter:
         which events count as misses and which met a stale route
         (:meth:`_KeyedRoutes.touch`). A live shard whose fence is out
         of step with the directory breaks that argument; it raises, as
-        :meth:`submit` does when a refreshed route is fenced.
+        a scalar router must when a refreshed route is fenced.
         """
         cache = self._keyed
-        if cache is None:
-            raise TypeError("route_batch needs a router built over a "
-                            "key_space")
         gateways = self.gateways
         directory = self.directory
         shards, owner = directory.ring.lookup_hashes(cache.hashes[keys])
@@ -414,10 +344,10 @@ class ShardRouter:
 
     def roll_up(self):
         """Fleet-level metrics roll-up, reconciled against the backlog."""
-        return self.fleet.roll_up(
-            [self.shard_metrics[shard]
-             for shard in sorted(self.shard_metrics)],
-            pending=self.pending_total())
+        return roll_up([self.shard_metrics[shard]
+                        for shard in sorted(self.shard_metrics)],
+                       pending=self.pending_total(),
+                       recovered=self.recovered)
 
     # -- control plane -----------------------------------------------------
 
@@ -429,7 +359,7 @@ class ShardRouter:
             request.rescued = True
             target = self._refresh(request.tenant).shard
             self.gateways[target].adopt(request)
-        self.fleet.recovered_requests += len(orphans)
+        self.recovered += len(orphans)
 
     def _resettle(self, owner: str) -> int:
         """Re-home the queued requests of ``owner`` that remapped away."""

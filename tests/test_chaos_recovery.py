@@ -88,6 +88,34 @@ class TestRecoveryUnderDemoOutage:
             assert event["kind"] in report.fault_counts
 
 
+class TestQueryValidation:
+    """The suite's plans take ``scan_fragments=4`` over two clickstreams
+    partitions: Q12's builder has no such argument and TPCx-BB Q3 would
+    leave fragments without a partition. Both are refused before any
+    query runs, with the queries the suite can run named."""
+
+    @pytest.mark.parametrize("query", ["tpch-q12", "tpcxbb-q3"])
+    def test_unfit_queries_are_refused_before_any_run(self, query,
+                                                      monkeypatch):
+        monkeypatch.setattr(
+            "repro.chaos.runner.CloudSim",
+            lambda **_: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match=(
+                f"cannot run {query} .* it runs tpch-q1, tpch-q6$")):
+            run_chaos_suite("demo-outage", queries=("tpch-q6", query),
+                            repeats=1)
+
+    def test_cli_exits_2_with_one_line(self, capsys):
+        from repro.cli import main
+
+        assert main(["chaos", "--queries", "tpch-q12", "--repeats",
+                     "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro chaos: error: the chaos suite "
+                              "cannot run tpch-q12")
+        assert err.count("\n") == 1
+
+
 class TestNonRetryableErrors:
     def test_missing_partition_propagates_unchanged(self):
         """Application errors (NoSuchKey) bypass the retry machinery."""

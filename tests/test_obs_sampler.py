@@ -22,7 +22,8 @@ from repro.obs.sampler import (
     REASON_SLOW,
 )
 from repro.serve.gateway import QueryRequest
-from repro.shard import FleetMetrics, ShardMetrics
+from repro.shard import ShardMetrics
+from repro.shard.metrics import roll_up
 from repro.shard.replay import _complete
 
 _KNUTH = 2654435761
@@ -36,7 +37,8 @@ class _Router:
         self.shard_metrics = {metrics.shard_id: metrics}
 
     def roll_up(self):
-        return FleetMetrics().roll_up(list(self.shard_metrics.values()))
+        return roll_up(list(self.shard_metrics.values()), pending=0,
+                       recovered=0)
 
 
 def interest(slow_threshold_s=2.0, baseline_rate=0.05, seed=0):

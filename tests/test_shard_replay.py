@@ -4,7 +4,8 @@ And the kernel's contract, which is absolute: for any config and any
 observer, :func:`repro.shard.run_replay` produces the byte-identical
 :class:`ReplayResult`, the identical observer callback sequence and —
 with a recorder on — the identical telemetry counters and rebalance
-spans as the event-at-a-time ``run_replay_reference``. The hypothesis
+spans as the event-at-a-time ``run_replay_reference``
+(``tests/shard_oracle.py``). The hypothesis
 property sweeps random configs — shard counts, seeds, ``fail_at``
 ticks, fault plans — so the equivalence is a checked invariant, not a
 pinned example.
@@ -38,7 +39,6 @@ from repro.shard.replay import (
     _next_request,
     _run_lane,
     _SlotBank,
-    run_replay_reference,
 )
 from repro.shard.router import FENCED, OFFER, RETRY
 from repro.telemetry import recording
@@ -48,6 +48,7 @@ from repro.telemetry.metrics import (
     _LOG_MIN,
     LatencyHistogram,
 )
+from tests.shard_oracle import run_replay_reference
 
 SMALL = ReplayConfig(tenants=5_000, events=8_000, window_s=240.0,
                      shards=3, slots_per_shard=2,
@@ -83,6 +84,14 @@ class TestKernelEqualsReference:
     def test_smoke_digest_is_pinned(self):
         assert run_replay(ReplayConfig().smoke()).digest()[:16] \
             == "07a053f41f28efcd"
+
+    def test_reference_at_smoke_size(self):
+        """The >=100k-tenant differential: the oracle, run on the smoke
+        config, reaches the kernel's pinned digest with no full scan."""
+        reference = run_replay_reference(ReplayConfig().smoke())
+        assert reference.digest()[:16] == "07a053f41f28efcd"
+        assert reference.distinct_tenants >= 100_000
+        assert reference.full_scans == 0
 
     @given(
         tenants=st.integers(min_value=200, max_value=1_500),

@@ -18,7 +18,7 @@ def make_ring(count, vnodes=DEFAULT_VNODES):
 
 
 def mapping(ring):
-    return {key: ring.lookup(key) for key in KEYS}
+    return {key: ring.lookup_hash(hash_key(key)) for key in KEYS}
 
 
 class TestBasics:
@@ -57,7 +57,7 @@ class TestBasics:
         nodes, owner = ring.lookup_hashes(hash_keys("t", range(len(KEYS))))
         assert nodes == ring.nodes()
         assert [nodes[index] for index in owner.tolist()] \
-            == [ring.lookup(key) for key in KEYS]
+            == [ring.lookup_hash(hash_key(key)) for key in KEYS]
         with pytest.raises(LookupError):
             HashRing().lookup_hashes(hash_keys("t", range(3)))
 
@@ -68,7 +68,7 @@ class TestBasics:
 
     def test_empty_ring_lookup_raises(self):
         with pytest.raises(LookupError):
-            HashRing().lookup("t0")
+            HashRing().lookup_hash(hash_key("t0"))
 
     def test_duplicate_add_raises(self):
         ring = make_ring(1)

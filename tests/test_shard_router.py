@@ -1,4 +1,8 @@
-"""Shard-router tests: routing, the cache, fencing, O(1) hot path."""
+"""Shard-router tests: routing, the cache, fencing, O(1) hot path.
+
+The scalar routing tests drive the name-keyed oracle router
+(``tests/shard_oracle.py``); ``route_batch`` is checked against it.
+"""
 
 import math
 from unittest import mock
@@ -12,21 +16,30 @@ from repro.serve.gateway import QueryGateway, Tenant
 from repro.shard import ShardRouter
 from repro.shard import router as router_module
 from repro.shard.replay import ManualClock, ScanGuard
+from repro.shard.ring import hash_key
 from repro.shard.router import FENCED, OFFER, RETRY
+from tests.shard_oracle import NamedRouter
 
 LAZY = Tenant(name="__default__", max_queue_depth=math.inf)
 
 
-def make_router(shards=3, **kwargs):
+def make_router(shards=3, cache=router_module.ROUTE_CACHE_SIZE,
+                key_space=None, **kwargs):
+    """A router holding ``cache`` routes: keyed over ``key_space``, or
+    the name-keyed oracle without one."""
     kwargs.setdefault("default_tenant", LAZY)
-    return ShardRouter(ManualClock(), shards=shards, **kwargs)
+    with mock.patch.object(router_module, "ROUTE_CACHE_SIZE", cache):
+        if key_space is None:
+            return NamedRouter(ManualClock(), shards=shards, **kwargs)
+        return ShardRouter(ManualClock(), key_space, shards=shards,
+                           **kwargs)
 
 
 def tenant_on(router, shard, start=0):
     """Some tenant the directory maps to ``shard``."""
     for index in range(start, start + 100_000):
         name = f"t{index}"
-        if router.directory.locate(name).shard == shard:
+        if router.directory.locate_hash(hash_key(name)).shard == shard:
             return name
     raise AssertionError(f"no tenant found for {shard}")
 
@@ -42,16 +55,16 @@ class TestRouting:
             assert len(router.gateways[shard].queues[tenant]) >= 1
 
     def test_route_cache_is_bounded(self):
-        router = make_router(route_cache_size=8)
-        for index in range(100):
-            router.route(f"t{index}")
-        assert len(router._routes) <= 8
+        router = make_router(cache=8, key_space=("t", 100))
+        keys = np.arange(100)
+        router.route_batch(0, np.zeros(100), keys, np.ones(100))
+        assert [name for name, _route in _cached(router._keyed)] \
+            == [f"t{key}" for key in range(92, 100)]
         # Evicted tenants still route, via a directory refresh.
-        assert router.route("t0").shard in router.gateways
-
-    def test_rejects_nonpositive_cache(self):
-        with pytest.raises(ValueError):
-            make_router(route_cache_size=0)
+        streams = router.route_batch(100, np.ones(1), keys[:1], np.ones(1))
+        owner = router.directory.locate_hash(hash_key("t0")).shard
+        assert list(streams) == [owner]
+        assert _cached(router._keyed)[-1][0] == "t0"
 
     def test_stale_cached_route_is_fenced_and_retried(self):
         """A route cached before a split is rejected by the epoch fence;
@@ -84,7 +97,7 @@ class TestRouting:
                    for shard in router.shards())
 
 
-# -- route_batch: the keyed router against the OrderedDict router -------------
+# -- route_batch: the keyed router against the name-keyed router -------------
 
 KEYS = 240  # key space of the differential: tenants t0 .. t239
 
@@ -164,7 +177,7 @@ def _cached(keyed):
 
 
 def _state(router):
-    cache = list(router._routes.items()) if router._keyed is None \
+    cache = list(router._routes.items()) if isinstance(router, NamedRouter) \
         else _cached(router._keyed)
     return {
         "cache": cache,
@@ -186,13 +199,13 @@ class TestRouteBatch:
             self, capacity, blocks_per_cache, shards, steps):
         """Random key streams (slices longer than the cache), control
         moves and scalar refreshes between them: the keyed router's
-        batches and the ``OrderedDict`` router's submits leave the same
+        batches and the name-keyed router's submits leave the same
         op streams, counters, window, fences and cache — membership
         *and* FIFO order — at every block size up to the whole cache,
         where every cached key is at risk."""
-        keyed = make_router(shards=shards, route_cache_size=capacity,
+        keyed = make_router(shards=shards, cache=capacity,
                             key_space=("t", KEYS))
-        plain = make_router(shards=shards, route_cache_size=capacity)
+        plain = make_router(shards=shards, cache=capacity)
         with mock.patch.object(router_module, "_BLOCKS_PER_CACHE",
                                blocks_per_cache):
             self._drive(keyed, plain, steps)
@@ -242,22 +255,19 @@ class TestRouteBatch:
         assert all(columns[4] is None for columns in again.values())
 
     def test_a_fence_out_of_step_with_the_directory_still_raises(self):
-        """``submit``'s bounded retry, kept: a fresh route that is
-        fenced is an error, not a loop and not a silent admission."""
+        """The scalar router's bounded retry, kept: a fresh route that
+        is fenced is an error, not a loop and not a silent admission."""
         keyed = make_router(shards=2, key_space=("t", 40))
         keyed.gateways[keyed.shards()[0]].epoch += 1
         with pytest.raises(RuntimeError, match="stale after directory"):
             keyed.route_batch(0, np.zeros(40), np.arange(40), np.ones(40))
 
-    def test_needs_a_key_space_and_names_inside_it(self):
-        with pytest.raises(TypeError):
-            make_router().route_batch(0, np.zeros(1), np.zeros(1, int),
-                                      np.ones(1))
+    def test_names_must_lie_inside_the_key_space(self):
         keyed = make_router(key_space=("t", 10))
-        assert keyed.route("t9").shard in keyed.gateways
+        assert keyed._refresh("t9").shard in keyed.gateways
         for name in ("t10", "t07", "u1", "t", "t-1"):
             with pytest.raises(KeyError):
-                keyed.route(name)
+                keyed._refresh(name)
 
 
 class TestRollUp:
@@ -285,7 +295,7 @@ class TestRollUp:
         assert victim not in router.gateways
         # Nothing was lost: the backlog moved, the roll-up reconciles.
         assert router.pending_total() == admitted
-        assert router.fleet.recovered_requests == orphans
+        assert router.recovered == orphans
         assert router.roll_up().balanced
 
     def test_merge_shard_recovers_the_cold_backlog(self):
