@@ -194,16 +194,14 @@ class SkyriseEngine:
         for invocation in records:
             config = self.backend.function(invocation.function)
             cumulated += invocation.duration
-            calculator.add_function_invocation(
-                config.memory_bytes, invocation.duration,
-                label=invocation.function)
+            calculator.add_function_invocation(config.memory_bytes,
+                                               invocation.duration)
             # Non-primary attempts (failed, retried, hedged) bill like
             # any other invocation; itemize them so the resilience
             # report can state the cost of recovery.
             if classify_attempt(invocation) != "primary":
                 recovery_calculator.add_function_invocation(
-                    config.memory_bytes, invocation.duration,
-                    label=invocation.function)
+                    config.memory_bytes, invocation.duration)
         requests = 0
         read_requests = write_requests = 0
         request_sizes: list[float] = []

@@ -235,7 +235,7 @@ class FunctionExecutor:
             if record.function == self.function.name:
                 calculator.add_function_invocation(
                     self.function.memory_bytes, record.duration,
-                    self.function.ephemeral_bytes, label="futures")
+                    self.function.ephemeral_bytes)
         return calculator.cost.total
 
     def summary(self) -> dict:

@@ -24,8 +24,8 @@ for kept traces (the trace-id-hash pre-filter a production collector's
 head sampler applies before the tail pipeline ever sees a span). SLO
 accounting costs *nothing* per event: the shard
 gateways already maintain the counters the engine needs (``completed``
-/ ``within_slo`` / ``shed`` / ``failed`` on
-:class:`~repro.shard.metrics.ShardMetrics`), so the plane scrapes
+/ ``within_slo`` / ``shed`` / ``failed`` on each shard's
+:class:`~repro.serve.metrics.ServingTally`), so the plane scrapes
 counter deltas at control ticks — the same model a production
 burn-rate alerter uses over scraped counter time series. Goodness is
 therefore defined by the replay's own ``slo_latency_s`` bound (what
@@ -200,7 +200,7 @@ class ReplayObsPlane:
     def on_end(self, t: float, router) -> None:
         """Final evaluation + fleet snapshot at end of trace."""
         self.on_control_tick(t, router)
-        self.fleet_snapshot = router.roll_up().to_dict()
+        self.fleet_snapshot = router.roll_up()
 
     # -- incident handling -------------------------------------------------
 
@@ -214,13 +214,12 @@ class ReplayObsPlane:
                          short_burn=round(alert.short_burn, 9))
         if len(self.flight.incidents) >= MAX_INCIDENTS:
             return
-        report = router.roll_up()
         recent_kept = self.sampler.kept_ids[-16:]
         self.flight.dump_incident(
             at=t,
             trigger=alert.to_dict(),
             shards=None if shard is None else [shard],
-            metrics=report.to_dict(),
+            metrics=router.roll_up(),
             traces={
                 "recent_kept": recent_kept,
                 "reasons": {trace: self.sampler.kept_reasons[trace]

@@ -9,7 +9,7 @@ back an itemized :class:`ExperimentCost`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import units
 from repro.pricing.catalog import (
@@ -28,17 +28,12 @@ class ExperimentCost:
     compute_iaas: float = 0.0
     storage_requests: float = 0.0
     storage_transfer: float = 0.0
-    detail: dict[str, float] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
         """Grand total in dollars."""
         return (self.compute_faas + self.compute_iaas + self.storage_requests
                 + self.storage_transfer)
-
-    def add(self, label: str, amount: float) -> None:
-        """Track a labelled sub-amount in the detail map."""
-        self.detail[label] = self.detail.get(label, 0.0) + amount
 
 
 class CostCalculator:
@@ -48,13 +43,11 @@ class CostCalculator:
         self.cost = ExperimentCost()
 
     def add_function_invocation(self, memory_bytes: float, duration_s: float,
-                                ephemeral_bytes: float = 0.0,
-                                label: str = "lambda") -> float:
+                                ephemeral_bytes: float = 0.0) -> float:
         """Record one Lambda invocation; returns its cost."""
         amount = LAMBDA_PRICING.invocation_cost(
             memory_bytes, duration_s, ephemeral_bytes)
         self.cost.compute_faas += amount
-        self.cost.add(label, amount)
         return amount
 
     def add_vm_time(self, instance_name: str, duration_s: float) -> float:
@@ -65,7 +58,6 @@ class CostCalculator:
         billed_s = max(duration_s, 60.0)
         amount = ec2_instance(instance_name).hourly_usd * billed_s / 3600.0
         self.cost.compute_iaas += amount
-        self.cost.add("ec2", amount)
         return amount
 
     def add_storage_requests(self, service_name: str,
@@ -85,7 +77,6 @@ class CostCalculator:
                          - request_cost)
         self.cost.storage_requests += request_cost
         self.cost.storage_transfer += transfer_cost
-        self.cost.add(f"storage:{service_name}", request_cost + transfer_cost)
         return request_cost + transfer_cost
 
 

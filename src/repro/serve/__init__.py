@@ -11,11 +11,15 @@ generators and :class:`~repro.engine.SkyriseEngine`:
 * :mod:`repro.serve.scheduler` — a simulated scheduler process with
   pluggable dispatch policies (FIFO, priority classes, weighted fair
   share) and a global concurrency governor that respects the account
-  quota modeled in :mod:`repro.faas.platform`;
+  quota modeled in :mod:`repro.faas.platform`, and ``serve_arrivals``,
+  the one DES serving harness (gateway, scheduler, timed submissions,
+  drain) that tenant mixes and the arrival workloads both run on;
 * :mod:`repro.serve.warm_pool` — keep-alive pings that hold sandboxes
   hot between arrivals, trading ping cost against coldstart latency;
-* :mod:`repro.serve.metrics` — per-tenant queue wait, latency
-  percentiles, SLO attainment, shed rate, and dollar cost;
+* :mod:`repro.serve.metrics` — the ``ServingTally``: offered, shed,
+  completed, failed and within-SLO counts, cost, queue wait and a
+  latency store, kept per tenant here and per shard by
+  :mod:`repro.shard`, and the fleet ``roll_up`` of shard tallies;
 * :mod:`repro.serve.service` — end-to-end serving runs of Poisson
   tenant mixes over the simulated platform.
 """
@@ -30,10 +34,10 @@ _EXPORTS = {
     "QueryGateway": "gateway",
     "QueryRequest": "gateway",
     "Tenant": "gateway",
-    "CompletedQuery": "metrics",
-    "ServingMetrics": "metrics",
-    "TenantReport": "metrics",
+    "QuerySample": "metrics",
+    "ServingTally": "metrics",
     "cost_per_query": "metrics",
+    "roll_up": "metrics",
     "POLICIES": "scheduler",
     "ConcurrencyGovernor": "scheduler",
     "FairSharePolicy": "scheduler",
@@ -41,6 +45,7 @@ _EXPORTS = {
     "PriorityPolicy": "scheduler",
     "QueryScheduler": "scheduler",
     "make_policy": "scheduler",
+    "serve_arrivals": "scheduler",
     "ServingOutcome": "service",
     "TenantWorkload": "service",
     "default_tenant_mix": "service",

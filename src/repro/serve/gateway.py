@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.serve.metrics import ServingMetrics
+from repro.serve.metrics import QuerySample, ServingTally
 from repro.telemetry import get_recorder
 
 
@@ -93,12 +93,16 @@ class QueryGateway:
     O(tenants with backlog), not O(tenants ever seen).
     """
 
-    def __init__(self, env, metrics: Optional[ServingMetrics] = None,
+    def __init__(self, env, metrics: Optional[ServingTally] = None,
                  max_pending: float = math.inf,
                  shard_id: str = "shard-0",
                  default_tenant: Optional[Tenant] = None) -> None:
         self.env = env
-        self.metrics = metrics if metrics is not None else ServingMetrics()
+        #: A fleet shard's one tally, or ``None``: then each tenant gets
+        #: its own in ``tallies`` (see :meth:`tally`). Shards pass one, so
+        #: a drained lazy tenant leaves no state behind.
+        self.metrics = metrics
+        self.tallies: dict[str, ServingTally] = {}
         self.max_pending = max_pending
         self.shard_id = shard_id
         self.default_tenant = default_tenant
@@ -143,18 +147,29 @@ class QueryGateway:
             return self.default_tenant
         raise KeyError(f"tenant {name!r} is not registered")
 
+    def tally(self, name: str) -> ServingTally:
+        """The tally that counts tenant ``name``'s queries."""
+        if self.metrics is not None:
+            return self.metrics
+        tally = self.tallies.get(name)
+        if tally is None:
+            tally = self.tallies[name] = ServingTally(
+                self.tenant(name).slo_latency_s, QuerySample())
+        return tally
+
     # -- admission ---------------------------------------------------------
 
     def submit(self, tenant_name: str,
                plan: Any) -> Optional[QueryRequest]:
         """Offer one query; returns the queued request, or ``None`` if shed."""
         tenant = self.tenant(tenant_name)
-        self.metrics.record_offered(tenant_name)
+        tally = self.tally(tenant_name)
+        tally.offered += 1
         queue = self.queues.get(tenant_name)
         depth = len(queue) if queue is not None else 0
         if depth >= tenant.max_queue_depth \
                 or self._pending >= self.max_pending:
-            self.metrics.record_shed(tenant_name)
+            tally.shed += 1
             if self._telemetry is not None:
                 self._telemetry.counter("gateway.shed").inc()
                 self._telemetry.event(

@@ -1,22 +1,30 @@
-"""Serving metrics: queue wait, latency percentiles, SLO, shed, cost.
+"""Serving metrics: one streaming tally per tenant or per shard.
 
-Records the lifecycle of every query a tenant offers to the gateway —
-submitted, shed, or completed — and reduces the records to the serving
-numbers operators actually watch: per-tenant p50/p95/p99 end-to-end
-latency, mean queue wait, SLO attainment, shed rate, and dollars per
-query. A shed query counts against SLO attainment: traffic turned away
-is traffic not served within its deadline.
+A :class:`ServingTally` counts the queries one traffic owner offered
+to a gateway — shed, completed, failed, recovered, within the SLO —
+with their cost, queue wait and latency. DES serving keeps one per
+tenant, the million-tenant replay one per gateway shard; the same
+views reduce both: a tally is a tenant's report row, and
+:func:`roll_up` merges the shards' tallies into the fleet report. A
+shed or failed query counts against SLO attainment: traffic turned
+away is traffic not served within its deadline.
+
+Only the latency store differs, and the tally's owner chooses it: the
+replay records into a fixed-width :class:`LatencyHistogram` (O(1)
+memory per event, deterministic percentiles that merge across shards),
+DES serving into a :class:`QuerySample` that keeps every query.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.analysis.stats import percentiles
+from repro.telemetry.metrics import LatencyHistogram
 
-#: Percentile points reported for end-to-end latency.
-LATENCY_POINTS = (50.0, 95.0, 99.0)
+#: The tally fields a fleet roll-up sums over its shards.
+_SUMMED = ("offered", "shed", "completed", "failed", "recovered",
+           "within_slo", "cost_usd", "queue_wait_sum")
 
 
 def cost_per_query(total_cost_usd: float, completed: int,
@@ -36,149 +44,130 @@ def cost_per_query(total_cost_usd: float, completed: int,
     return total_cost_usd / completed
 
 
-@dataclass
-class CompletedQuery:
-    """Lifecycle timestamps and cost of one served query."""
+class QuerySample:
+    """DES serving's latency store: every served query, in finish order.
 
-    tenant: str
-    query_id: str
-    submitted_at: float
-    started_at: float
-    finished_at: float
-    #: Engine-reported execution time (excludes queue wait).
-    runtime: float = 0.0
-    cost_usd: float = 0.0
-    #: Recovery accounting of the underlying execution (zero when the
-    #: query ran fault-free).
-    retries: int = 0
-    hedges: int = 0
+    ``latencies`` are end to end (queue wait included); ``runtimes``
+    are what the engine reported, without queue wait or invocation
+    overhead.
+    """
+
+    def __init__(self) -> None:
+        self.latencies: list[float] = []
+        self.runtimes: list[float] = []
+
+    def percentile(self, p: float) -> float:
+        if not self.latencies:
+            return 0.0
+        return percentiles(self.latencies, (p,))[p]
+
+
+class ServingTally:
+    """Streaming serving counters of one DES tenant or one replay shard.
+
+    The gateway counts offers and sheds; the DES scheduler or the
+    replay's lane counts the rest by writing the fields directly.
+    ``latency`` is a :class:`LatencyHistogram` or a
+    :class:`QuerySample`, as its owner chooses.
+    """
+
+    def __init__(self, slo_latency_s: float, latency) -> None:
+        self.slo_latency_s = slo_latency_s
+        self.latency = latency
+        self.offered = 0
+        self.shed = 0
+        self.completed = 0
+        #: Queries that started executing but errored out — distinct
+        #: from ``shed`` (turned away at admission, never started).
+        self.failed = 0
+        #: Served queries that needed at least one retry or hedge.
+        self.recovered = 0
+        self.within_slo = 0
+        self.cost_usd = 0.0
+        self.queue_wait_sum = 0.0
 
     @property
-    def queue_wait(self) -> float:
-        """Time spent in the gateway queue before dispatch."""
-        return self.started_at - self.submitted_at
+    def latency_p50(self) -> float:
+        return self.latency.percentile(50.0)
 
     @property
-    def latency(self) -> float:
-        """End-to-end latency the tenant observed."""
-        return self.finished_at - self.submitted_at
+    def latency_p95(self) -> float:
+        return self.latency.percentile(95.0)
 
+    @property
+    def latency_p99(self) -> float:
+        return self.latency.percentile(99.0)
 
-@dataclass
-class TenantReport:
-    """Reduced serving metrics of one tenant over one run."""
+    @property
+    def mean_queue_wait(self) -> float:
+        return self.queue_wait_sum / self.completed if self.completed \
+            else 0.0
 
-    tenant: str
-    offered: int
-    completed: int
-    shed: int
-    latency_p50: float
-    latency_p95: float
-    latency_p99: float
-    mean_queue_wait: float
-    slo_latency_s: float
-    slo_attainment: float
-    cost_usd: float
-    #: Queries that started executing but errored out — distinct from
-    #: ``shed`` (turned away at admission, never started).
-    failed: int = 0
-    #: Served queries that needed at least one retry or hedge.
-    recovered: int = 0
+    @property
+    def slo_attainment(self) -> float:
+        return self.within_slo / self.offered if self.offered else 1.0
 
     @property
     def cost_per_query(self) -> float:
         """Dollars per served query (see :func:`cost_per_query`)."""
         return cost_per_query(self.cost_usd, self.completed, self.offered)
 
-    def row(self) -> list:
+    def row(self, tenant: str) -> list:
         """Table row used by the CLI and benchmark renderings."""
         cpq = self.cost_per_query
-        return [self.tenant, self.offered, self.completed, self.shed,
+        return [tenant, self.offered, self.completed, self.shed,
                 f"{self.latency_p50:.2f}", f"{self.latency_p95:.2f}",
                 f"{self.latency_p99:.2f}", f"{self.mean_queue_wait:.2f}",
                 f"{self.slo_attainment * 100:.1f}%",
                 "inf" if math.isinf(cpq) else f"{cpq * 100:.3f}"]
 
 
-#: Header matching :meth:`TenantReport.row`.
+#: Header matching :meth:`ServingTally.row`.
 REPORT_HEADERS = ["Tenant", "Offered", "Done", "Shed", "p50 [s]",
                   "p95 [s]", "p99 [s]", "Wait [s]", "SLO", "¢/query"]
 
 
-class ServingMetrics:
-    """Accumulates per-tenant serving records during a run."""
+def roll_up(shards: dict[str, ServingTally], pending: int,
+            recovered: int) -> dict:
+    """The fleet report of per-shard histogram tallies (stable keys).
 
-    def __init__(self) -> None:
-        self.offered: dict[str, int] = {}
-        self.shed: dict[str, int] = {}
-        self.completed: dict[str, list[CompletedQuery]] = {}
-        self.failed: dict[str, int] = {}
-
-    # -- recording ---------------------------------------------------------
-
-    def record_offered(self, tenant: str) -> None:
-        """Count one query offered by ``tenant`` (before admission)."""
-        self.offered[tenant] = self.offered.get(tenant, 0) + 1
-
-    def record_shed(self, tenant: str) -> None:
-        """Count one query turned away at admission."""
-        self.shed[tenant] = self.shed.get(tenant, 0) + 1
-
-    def record_completion(self, record: CompletedQuery) -> None:
-        """File one served query under its tenant."""
-        self.completed.setdefault(record.tenant, []).append(record)
-
-    def record_failed(self, tenant: str) -> None:
-        """Count one query that started executing but errored out.
-
-        Failed queries count against SLO attainment like shed ones —
-        but they are reported separately: shed is a deliberate admission
-        decision, failure is an execution outcome.
-        """
-        self.failed[tenant] = self.failed.get(tenant, 0) + 1
-
-    # -- views -------------------------------------------------------------
-
-    def completed_count(self, tenant: str) -> int:
-        """Served queries of one tenant."""
-        return len(self.completed.get(tenant, []))
-
-    def shed_count(self, tenant: str) -> int:
-        """Shed queries of one tenant."""
-        return self.shed.get(tenant, 0)
-
-    def failed_count(self, tenant: str) -> int:
-        """Failed (started but errored) queries of one tenant."""
-        return self.failed.get(tenant, 0)
-
-    def runtimes(self, tenant: str) -> list[float]:
-        """Engine runtimes of a tenant's served queries, in finish order."""
-        return [r.runtime for r in self.completed.get(tenant, [])]
-
-    def tenant_report(self, tenant: str,
-                      slo_latency_s: float = math.inf) -> TenantReport:
-        """Reduce one tenant's records to a :class:`TenantReport`."""
-        done = self.completed.get(tenant, [])
-        offered = self.offered.get(tenant, 0)
-        shed = self.shed_count(tenant)
-        latencies = [r.latency for r in done]
-        if latencies:
-            pcts = percentiles(latencies, LATENCY_POINTS)
-        else:
-            pcts = {p: 0.0 for p in LATENCY_POINTS}
-        within = sum(1 for lat in latencies if lat <= slo_latency_s)
-        return TenantReport(
-            tenant=tenant,
-            offered=offered,
-            completed=len(done),
-            shed=shed,
-            latency_p50=pcts[50.0],
-            latency_p95=pcts[95.0],
-            latency_p99=pcts[99.0],
-            mean_queue_wait=(sum(r.queue_wait for r in done) / len(done)
-                            if done else 0.0),
-            slo_latency_s=slo_latency_s,
-            slo_attainment=(within / offered) if offered else 1.0,
-            cost_usd=sum(r.cost_usd for r in done),
-            failed=self.failed_count(tenant),
-            recovered=sum(1 for r in done if r.retries > 0 or r.hedges > 0))
+    ``pending`` is the backlog still queued across live gateways (zero
+    after a drained run) — it closes the conservation equation
+    ``offered = completed + shed + failed + pending`` mid-run, and
+    ``balanced`` states it. ``recovered`` counts the requests re-homed
+    out of merged or failed shards; it is reported next to the shards'
+    own recovered counts.
+    """
+    fleet = ServingTally(math.inf, LatencyHistogram())
+    fleet.recovered = recovered
+    for tally in shards.values():
+        for name in _SUMMED:
+            setattr(fleet, name, getattr(fleet, name) + getattr(tally, name))
+        fleet.latency.merge(tally.latency)
+    return {
+        "shards": len(shards),
+        "offered": fleet.offered,
+        "completed": fleet.completed,
+        "shed": fleet.shed,
+        "failed": fleet.failed,
+        "recovered": fleet.recovered,
+        "pending": pending,
+        "balanced": fleet.offered == (fleet.completed + fleet.shed
+                                      + fleet.failed + pending),
+        "latency_p50": round(fleet.latency_p50, 9),
+        "latency_p99": round(fleet.latency_p99, 9),
+        "mean_queue_wait": round(fleet.mean_queue_wait, 9),
+        "slo_attainment": round(fleet.slo_attainment, 9),
+        "cost_usd": round(fleet.cost_usd, 9),
+        "per_shard": [{
+            "shard": shard,
+            "offered": tally.offered,
+            "completed": tally.completed,
+            "shed": tally.shed,
+            "failed": tally.failed,
+            "recovered": tally.recovered,
+            "p50": tally.latency_p50,
+            "p99": tally.latency_p99,
+            "cost_usd": round(tally.cost_usd, 9),
+        } for shard, tally in shards.items()],
+    }

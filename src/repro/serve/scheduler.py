@@ -21,10 +21,9 @@ Three policies are provided:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
-from repro.serve.gateway import QueryGateway, QueryRequest
-from repro.serve.metrics import CompletedQuery, ServingMetrics
+from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
 
 
 class SchedulingPolicy:
@@ -165,15 +164,13 @@ class QueryScheduler:
 
     def __init__(self, env, engine, gateway: QueryGateway,
                  policy: SchedulingPolicy,
-                 governor: Optional[ConcurrencyGovernor] = None,
-                 metrics: Optional[ServingMetrics] = None) -> None:
+                 governor: Optional[ConcurrencyGovernor] = None) -> None:
         self.env = env
         self.engine = engine
         self.gateway = gateway
         self.policy = policy
         self.governor = governor if governor is not None \
             else ConcurrencyGovernor()
-        self.metrics = metrics if metrics is not None else gateway.metrics
         self.inflight: dict[str, int] = {}
         self.dispatched = 0
         self.process = None
@@ -262,18 +259,59 @@ class QueryScheduler:
                 waiters, self._drain_waiters = self._drain_waiters, []
                 for event in waiters:
                     event.succeed()
+        tally = self.gateway.tally(request.tenant)
         if failed:
-            self.metrics.record_failed(request.tenant)
+            tally.failed += 1
             return
-        self.metrics.record_completion(CompletedQuery(
-            tenant=request.tenant,
-            query_id=getattr(result, "query_id",
-                             getattr(request.plan, "query_id", "?")),
-            submitted_at=request.submitted_at,
-            started_at=request.started_at,
-            finished_at=request.finished_at,
-            runtime=getattr(result, "runtime",
-                            request.finished_at - request.started_at),
-            cost_usd=getattr(result, "cost_cents", 0.0) / 100.0,
-            retries=getattr(result, "retries", 0),
-            hedges=getattr(result, "hedges", 0)))
+        latency = request.finished_at - request.submitted_at
+        tally.completed += 1
+        tally.latency.latencies.append(latency)
+        tally.latency.runtimes.append(getattr(
+            result, "runtime", request.finished_at - request.started_at))
+        tally.queue_wait_sum += request.started_at - request.submitted_at
+        tally.cost_usd += getattr(result, "cost_cents", 0.0) / 100.0
+        if latency <= tally.slo_latency_s:
+            tally.within_slo += 1
+        if getattr(result, "retries", 0) > 0 \
+                or getattr(result, "hedges", 0) > 0:
+            tally.recovered += 1
+
+
+def serve_arrivals(sim, engine, arrivals: list[tuple[Tenant, Any, list]],
+                   policy: SchedulingPolicy, governor: ConcurrencyGovernor,
+                   window_s: float, warm) -> QueryGateway:
+    """Serve timed submissions on ``sim`` through one gateway; return it.
+
+    Each ``(tenant, plan, offsets)`` of ``arrivals`` registers the
+    tenant and submits ``plan`` at every offset. The run drains every
+    admitted query, waits for ``warm`` (a process generator, or
+    ``None``), and lasts at least ``window_s``, so billing covers the
+    whole window even when the last query ends early. The gateway's
+    tallies hold the outcome.
+    """
+    env = sim.env
+    gateway = QueryGateway(env)
+    for tenant, _, _ in arrivals:
+        gateway.register(tenant)
+    scheduler = QueryScheduler(env, engine, gateway, policy, governor)
+
+    def submit_at(name, plan, offset):
+        yield env.timeout(offset)
+        gateway.submit(name, plan)
+
+    def scenario():
+        scheduler.start()
+        warm_process = env.process(warm) if warm is not None else None
+        submissions = [env.process(submit_at(tenant.name, plan, offset))
+                       for tenant, plan, offsets in arrivals
+                       for offset in offsets]
+        for process in submissions:
+            yield process
+        yield scheduler.drained()
+        if warm_process is not None:
+            yield warm_process
+        if env.now < window_s:
+            yield env.timeout(window_s - env.now)
+
+    sim.run(scenario())
+    return gateway

@@ -1,10 +1,11 @@
 """End-to-end serving runs: Poisson tenant mixes over the platform.
 
-Wires a :class:`~repro.serve.gateway.QueryGateway`, a
-:class:`~repro.serve.scheduler.QueryScheduler`, and (optionally) a
-:class:`~repro.serve.warm_pool.WarmPoolManager` onto one simulated
-region, generates per-tenant Poisson query streams, and reduces the run
-to per-tenant :class:`~repro.serve.metrics.TenantReport` rows. With a
+Generates per-tenant Poisson query streams on one simulated region,
+serves them through the shared harness
+(:func:`~repro.serve.scheduler.serve_arrivals`: gateway, scheduler,
+submissions, drain) with an optional
+:class:`~repro.serve.warm_pool.WarmPoolManager` beside it, and reports
+each tenant's :class:`~repro.serve.metrics.ServingTally`. With a
 fixed seed the whole run — arrivals, scheduling, platform timing — is
 deterministic, so policies can be compared on the *same* overload trace.
 """
@@ -16,12 +17,12 @@ from typing import Optional
 
 from repro.core.context import CloudSim
 from repro.core.plotter import format_table
-from repro.serve.gateway import QueryGateway, Tenant
-from repro.serve.metrics import REPORT_HEADERS, ServingMetrics, TenantReport
+from repro.serve.gateway import Tenant
+from repro.serve.metrics import REPORT_HEADERS, ServingTally
 from repro.serve.scheduler import (
     ConcurrencyGovernor,
-    QueryScheduler,
     make_policy,
+    serve_arrivals,
 )
 from repro.serve.warm_pool import WarmPoolManager, WarmPoolStats
 from repro.telemetry.export import canonical_json
@@ -84,7 +85,7 @@ class ServingOutcome:
     policy: str
     window_s: float
     seed: int
-    reports: dict[str, TenantReport]
+    reports: dict[str, ServingTally]
     governor_cap: Optional[int]
     peak_concurrent_queries: int
     warm_stats: Optional[WarmPoolStats] = None
@@ -120,7 +121,7 @@ class ServingOutcome:
 
     def format_report(self) -> str:
         """Paper-style text table of the per-tenant serving metrics."""
-        rows = [self.reports[name].row() for name in self.reports]
+        rows = [report.row(name) for name, report in self.reports.items()]
         title = (f"Serving report — policy={self.policy}, "
                  f"window={self.window_s:.0f}s, seed={self.seed}")
         table = format_table(REPORT_HEADERS, rows, title=title)
@@ -210,53 +211,25 @@ def run_serving_workload(workloads: list[TenantWorkload],
         injector = FaultInjector(fault_plan, rng=sim.rng)
         injector.install(platform=sim.platform,
                          services=list(engine.storage.values()))
-    metrics = ServingMetrics()
-    gateway = QueryGateway(sim.env, metrics)
-    plans = {}
-    traces = {}
-    for workload in workloads:
-        name = workload.tenant.name
-        gateway.register(workload.tenant)
-        plans[name] = build_plan(workload.query, **workload.plan_kwargs)
-        traces[name] = poisson_arrivals(
-            sim.rng.stream(f"serve.{name}"), workload.rate_per_hour,
-            window_s)
+    arrivals = [
+        (w.tenant, build_plan(w.query, **w.plan_kwargs),
+         poisson_arrivals(sim.rng.stream(f"serve.{w.tenant.name}"),
+                          w.rate_per_hour, window_s))
+        for w in workloads]
     if max_concurrent_queries is not None:
         governor = ConcurrencyGovernor(max_concurrent_queries)
     else:
         governor = ConcurrencyGovernor.for_account(ACCOUNT_QUOTA,
                                                    FRAGMENTS_PER_QUERY)
-    scheduler = QueryScheduler(sim.env, engine, gateway,
-                               make_policy(policy), governor, metrics)
     manager = None
     if warm_targets:
         manager = WarmPoolManager(sim.env, sim.platform, warm_targets,
                                   interval_s=warm_interval_s)
-
-    def submit_at(env, name, offset):
-        yield env.timeout(offset)
-        gateway.submit(name, plans[name])
-
-    def scenario(env):
-        scheduler.start()
-        warm_process = (env.process(manager.run(window_s))
-                        if manager is not None else None)
-        submissions = [env.process(submit_at(env, name, offset))
-                       for name, offsets in traces.items()
-                       for offset in offsets]
-        for process in submissions:
-            yield process
-        yield scheduler.drained()
-        if warm_process is not None:
-            yield warm_process
-        if env.now < window_s:
-            yield env.timeout(window_s - env.now)
-
-    sim.run(sim.env.process(scenario(sim.env)))
-    reports = {
-        w.tenant.name: metrics.tenant_report(w.tenant.name,
-                                             w.tenant.slo_latency_s)
-        for w in workloads}
+    gateway = serve_arrivals(
+        sim, engine, arrivals, make_policy(policy), governor, window_s,
+        manager.run(window_s) if manager is not None else None)
+    reports = {w.tenant.name: gateway.tally(w.tenant.name)
+               for w in workloads}
     return ServingOutcome(
         policy=policy, window_s=window_s, seed=seed, reports=reports,
         governor_cap=governor.max_queries,

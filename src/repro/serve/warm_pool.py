@@ -87,7 +87,6 @@ class WarmPoolManager:
         for record in self.platform.records:
             if record.response == "keep-alive":
                 config = self.platform.function(record.function)
-                calculator.add_function_invocation(
-                    config.memory_bytes, record.duration,
-                    label=f"keep-alive:{record.function}")
+                calculator.add_function_invocation(config.memory_bytes,
+                                                   record.duration)
         return calculator.cost.total

@@ -18,9 +18,12 @@ ceiling) forces at millions-of-users scale:
 * :mod:`repro.shard.rebalance` — the :class:`Rebalancer`: splits hot
   shards, merges cold ones, and re-homes the backlog of failed shards,
   deterministically on the virtual clock;
-* :mod:`repro.shard.metrics` — per-shard streaming serving metrics and
-  the fleet-level roll-up (aggregate p50/p99, SLO, shed/recovered) with
-  a conservation check (offered = completed + shed + failed + pending);
+* metrics — each shard keeps one streaming
+  :class:`~repro.serve.metrics.ServingTally` (the tally DES serving
+  keeps per tenant, with a fixed-width latency histogram), and
+  ``ShardRouter.roll_up`` merges them into the fleet report (aggregate
+  p50/p99, SLO, shed/recovered) with a conservation check (offered =
+  completed + shed + failed + pending);
 * :mod:`repro.shard.replay` — deterministic high-QPS trace replay over
   the fabric (the ledger's ``tenant-replay`` workloads and
   ``repro shard --smoke``): one kernel that routes each inter-tick
@@ -29,7 +32,6 @@ ceiling) forces at millions-of-users scale:
 """
 
 from repro.shard.directory import PartitionDirectory, Route
-from repro.shard.metrics import ShardMetrics
 from repro.shard.rebalance import RebalanceEvent, Rebalancer
 from repro.shard.replay import ReplayConfig, run_replay
 from repro.shard.ring import HashRing
@@ -42,7 +44,6 @@ __all__ = [
     "Rebalancer",
     "ReplayConfig",
     "Route",
-    "ShardMetrics",
     "ShardRouter",
     "run_replay",
 ]

@@ -473,7 +473,7 @@ class _Fabric:
         if self.observer is not None:
             self.observer.on_end(config.window_s, router)
         return ReplayResult(
-            report=router.roll_up().to_dict(),
+            report=router.roll_up(),
             rebalances=self.rebalancer.history(),
             distinct_tenants=_distinct(self.ids, config.tenants),
             events=config.events,

@@ -33,10 +33,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.serve.gateway import QueryGateway, Tenant
+from repro.serve.metrics import ServingTally, roll_up
 from repro.shard.directory import PartitionDirectory, Route
-from repro.shard.metrics import ShardMetrics, roll_up
 from repro.shard.ring import hash_keys
-from repro.telemetry import get_recorder
+from repro.telemetry import LatencyHistogram, get_recorder
 
 #: Route-cache capacity: bounds router memory at O(cache), not
 #: O(tenants ever seen); eviction is FIFO on insertion order, so it is
@@ -188,7 +188,7 @@ class ShardRouter:
         self.gateways: dict[str, QueryGateway] = {}
         #: Serving metrics of every shard *ever* — retired shards stay
         #: in the roll-up so conservation holds across rebalances.
-        self.shard_metrics: dict[str, ShardMetrics] = {}
+        self.shard_metrics: dict[str, ServingTally] = {}
         self._keyed = _KeyedRoutes(*key_space, capacity=ROUTE_CACHE_SIZE)
         #: Submissions per live shard since the last window take —
         #: the rebalancer's load signal.
@@ -213,8 +213,7 @@ class ShardRouter:
         return sorted(self.gateways)
 
     def _spawn(self, shard: str) -> QueryGateway:
-        metrics = ShardMetrics(shard_id=shard,
-                               slo_latency_s=self.slo_latency_s)
+        metrics = ServingTally(self.slo_latency_s, LatencyHistogram())
         gateway = self._gateway_factory(
             self.env, metrics=metrics, max_pending=self.max_pending,
             shard_id=shard, default_tenant=self.default_tenant)
@@ -342,10 +341,10 @@ class ShardRouter:
         return sum(self.gateways[shard].total_pending
                    for shard in sorted(self.gateways))
 
-    def roll_up(self):
+    def roll_up(self) -> dict:
         """Fleet-level metrics roll-up, reconciled against the backlog."""
-        return roll_up([self.shard_metrics[shard]
-                        for shard in sorted(self.shard_metrics)],
+        return roll_up({shard: self.shard_metrics[shard]
+                        for shard in sorted(self.shard_metrics)},
                        pending=self.pending_total(),
                        recovered=self.recovered)
 

@@ -23,12 +23,12 @@ from repro.core.context import CloudSim
 from repro.engine.plan import PhysicalPlan
 from repro.pricing import ec2_instance
 from repro.pricing.calculator import CostCalculator
-from repro.serve.gateway import QueryGateway, Tenant
-from repro.serve.metrics import ServingMetrics, cost_per_query
+from repro.serve.gateway import Tenant
+from repro.serve.metrics import cost_per_query
 from repro.serve.scheduler import (
     ConcurrencyGovernor,
     FifoPolicy,
-    QueryScheduler,
+    serve_arrivals,
 )
 from repro.workloads.suite import SuiteSetup, setup_engine
 from repro.workloads.traffic import poisson_arrivals  # noqa: F401 - re-export
@@ -47,7 +47,7 @@ class ArrivalOutcome:
     queries_run: int
     compute_cost_usd: float
     #: Queries the arrival process offered (>= queries_run when shed).
-    queries_offered: int = 0
+    queries_offered: int
     runtimes: list[float] = field(default_factory=list)
 
     @property
@@ -59,7 +59,7 @@ class ArrivalOutcome:
         regimes the overload accounting must keep apart.
         """
         return cost_per_query(self.compute_cost_usd, self.queries_run,
-                              max(self.queries_offered, self.queries_run))
+                              self.queries_offered)
 
     @property
     def median_runtime(self) -> float:
@@ -88,29 +88,10 @@ def run_arrival_workload(backend: str, plan: PhysicalPlan,
     # Single tenant, unbounded queue, ungoverned scheduler: every
     # arrival dispatches the instant it is submitted, exactly like the
     # pre-serving-layer private loop.
-    metrics = ServingMetrics()
-    gateway = QueryGateway(sim.env, metrics)
-    gateway.register(Tenant(name=ARRIVAL_TENANT,
-                            max_concurrent=max(len(arrivals), 1)))
-    scheduler = QueryScheduler(sim.env, engine, gateway, FifoPolicy(),
-                               ConcurrencyGovernor(), metrics)
-
-    def submit_at(env, offset: float):
-        yield env.timeout(offset)
-        gateway.submit(ARRIVAL_TENANT, plan)
-
-    def scenario(env):
-        scheduler.start()
-        submissions = [env.process(submit_at(env, offset))
-                       for offset in arrivals]
-        for process in submissions:
-            yield process
-        yield scheduler.drained()
-        # Bill the window even if the last query overran it slightly.
-        if env.now < window_s:
-            yield env.timeout(window_s - env.now)
-
-    sim.run(sim.env.process(scenario(sim.env)))
+    tenant = Tenant(name=ARRIVAL_TENANT, max_concurrent=max(len(arrivals), 1))
+    tally = serve_arrivals(sim, engine, [(tenant, plan, arrivals)],
+                           FifoPolicy(), ConcurrencyGovernor(), window_s,
+                           None).tally(ARRIVAL_TENANT)
 
     calculator = CostCalculator()
     if backend == "faas":
@@ -126,10 +107,10 @@ def run_arrival_workload(backend: str, plan: PhysicalPlan,
         backend=backend,
         queries_per_hour=queries_per_hour,
         window_s=window_s,
-        queries_run=metrics.completed_count(ARRIVAL_TENANT),
+        queries_run=tally.completed,
         compute_cost_usd=calculator.cost.total,
-        queries_offered=len(arrivals),
-        runtimes=metrics.runtimes(ARRIVAL_TENANT))
+        queries_offered=tally.offered,
+        runtimes=tally.latency.runtimes)
 
 
 def cost_crossover(plan: PhysicalPlan, rates: list[float],

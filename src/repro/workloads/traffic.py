@@ -7,14 +7,22 @@ it without an import cycle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
 def poisson_arrivals(rng, rate_per_hour: float, window_s: float
                      ) -> list[float]:
     """Arrival offsets (seconds) of a Poisson process over the window."""
-    if rate_per_hour <= 0:
-        raise ValueError("rate must be positive")
+    # NaN fails every comparison; an infinite rate or window would
+    # never end the loop below.
+    if not 0 < rate_per_hour < math.inf:
+        raise ValueError(f"rate must be positive and finite, got "
+                         f"{rate_per_hour}")
+    if not 0 < window_s < math.inf:
+        raise ValueError(f"window must be positive and finite, got "
+                         f"{window_s}")
     times = []
     now = 0.0
     rate_per_s = rate_per_hour / 3_600.0

@@ -1,12 +1,14 @@
 """Tests for the CLI, arrival workloads, and small utility surfaces."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core import CloudSim
+from repro.sim.rng import RandomStreams
 from repro.engine.queries import tpch_q6
 from repro.network.probe import ProbeSample, ProbeSeries
 from repro.storage.base import RequestStats, RequestType, _payload_size
@@ -61,6 +63,23 @@ class TestCli:
         assert message in err
 
 
+class _DrawLimit:
+    """An rng whose draws run out: a loop that never ends fails fast."""
+
+    def __init__(self, rng, draws=10_000):
+        self._rng = rng
+        self._left = draws
+
+    def exponential(self, scale):
+        self._left -= 1
+        assert self._left >= 0, "the arrival loop did not end"
+        return self._rng.exponential(scale)
+
+
+#: Rates and windows no Poisson window can be drawn over.
+INVALID = [math.nan, math.inf, 0.0, -5.0]
+
+
 class TestPoissonArrivals:
     def test_rate_matches_expectation(self):
         rng = np.random.default_rng(0)
@@ -75,6 +94,42 @@ class TestPoissonArrivals:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             poisson_arrivals(rng, rate_per_hour=0.0, window_s=10.0)
+
+    @pytest.mark.parametrize("value", INVALID)
+    def test_invalid_window_rejected(self, value):
+        rng = _DrawLimit(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="window must be positive"):
+            poisson_arrivals(rng, rate_per_hour=120.0, window_s=value)
+
+    @pytest.mark.parametrize("value", INVALID)
+    def test_invalid_rate_rejected_before_any_draw(self, value):
+        rng = _DrawLimit(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="rate must be positive"):
+            poisson_arrivals(rng, rate_per_hour=value, window_s=60.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--window", "nan"], ["--window", "inf"], ["--window", "0"],
+        ["--window", "-5"], ["--rate-scale", "nan"],
+        ["--rate-scale", "inf"]])
+    def test_serve_rejects_an_invalid_window_or_rate(self, argv, capsys,
+                                                     monkeypatch):
+        stream = RandomStreams.stream
+        monkeypatch.setattr(RandomStreams, "stream", lambda self, name: (
+            _DrawLimit(stream(self, name)) if name.startswith("serve.")
+            else stream(self, name)))
+        assert main(["serve", *argv]) == 2
+        assert capsys.readouterr().err.startswith("repro serve: error: ")
+
+    @pytest.mark.parametrize("backend,pins", [
+        ("faas", (23, 23, "0.006008872", 0.7558670501576579)),
+        ("iaas", (23, 23, "0.049721181", 0.7070459215022993))])
+    def test_arrival_workload_outcome_is_pinned(self, backend, pins):
+        outcome = run_arrival_workload(
+            backend, tpch_q6(scan_fragments=4), queries_per_hour=240.0,
+            window_s=300.0, vm_count=4)
+        assert (outcome.queries_run, outcome.queries_offered,
+                f"{outcome.compute_cost_usd:.9f}",
+                outcome.median_runtime) == pins
 
     def test_arrival_workload_runs_queries(self):
         outcome = run_arrival_workload(

@@ -8,6 +8,7 @@ plane's ``TailSampler``. Other specs (thresholds, rates, salts) reach
 the plane by patching the constant while it is built.
 """
 
+import math
 from unittest import mock
 
 from hypothesis import given, settings
@@ -22,9 +23,9 @@ from repro.obs.sampler import (
     REASON_SLOW,
 )
 from repro.serve.gateway import QueryRequest
-from repro.shard import ShardMetrics
-from repro.shard.metrics import roll_up
+from repro.serve.metrics import ServingTally, roll_up
 from repro.shard.replay import _complete
+from repro.telemetry import LatencyHistogram
 
 _KNUTH = 2654435761
 _MASK = 2 ** 32 - 1
@@ -33,12 +34,11 @@ _MASK = 2 ** 32 - 1
 class _Router:
     """The two things a plane's scrape reads off a shard router."""
 
-    def __init__(self, metrics: ShardMetrics) -> None:
-        self.shard_metrics = {metrics.shard_id: metrics}
+    def __init__(self, metrics: ServingTally) -> None:
+        self.shard_metrics = {"s0": metrics}
 
     def roll_up(self):
-        return roll_up(list(self.shard_metrics.values()), pending=0,
-                       recovered=0)
+        return roll_up(self.shard_metrics, pending=0, recovered=0)
 
 
 def interest(slow_threshold_s=2.0, baseline_rate=0.05, seed=0):
@@ -53,7 +53,7 @@ def deliver(cases, spec=COMPLETION_INTEREST) -> ReplayObsPlane:
     filter into a plane built for ``spec``, then scrape once."""
     with mock.patch.object(plane_module, "COMPLETION_INTEREST", spec):
         plane = ReplayObsPlane()
-    metrics = ShardMetrics("s0")
+    metrics = ServingTally(math.inf, LatencyHistogram())
     for seq, latency, rescued in cases:
         request = QueryRequest(tenant="t", plan=latency, submitted_at=0.0,
                                seq=seq, priority=0, rescued=rescued)

@@ -4,12 +4,17 @@ import math
 
 import pytest
 
-from repro.serve.metrics import (
-    CompletedQuery,
-    ServingMetrics,
-    cost_per_query,
+from repro.serve import (
+    ConcurrencyGovernor,
+    QueryGateway,
+    QueryScheduler,
+    Tenant,
+    make_policy,
 )
+from repro.serve.metrics import QuerySample, ServingTally, cost_per_query
+from repro.sim import Environment
 from repro.workloads import ArrivalOutcome
+from tests.test_serve_scheduler import FakeEngine
 
 
 class TestCostPerQuery:
@@ -43,68 +48,78 @@ class TestArrivalOutcomeRegression:
     def test_served_window_divides(self):
         assert self._outcome(run=4, offered=4).cost_per_query == 0.125
 
-    def test_legacy_construction_without_offered_count(self):
-        # Old call sites never set queries_offered; served runs still work.
-        assert self._outcome(run=5, offered=0).cost_per_query == 0.1
+
+def tenant_tally(slo_latency_s=math.inf):
+    return ServingTally(slo_latency_s, QuerySample())
+
+
+def complete(tally, latency, cost=0.01):
+    """Count one query served with ``latency`` and no queue wait."""
+    tally.offered += 1
+    tally.completed += 1
+    tally.latency.latencies.append(latency)
+    tally.cost_usd += cost
+    if latency <= tally.slo_latency_s:
+        tally.within_slo += 1
 
 
 class TestServingMetrics:
-    @staticmethod
-    def _record(tenant, submitted, started, finished, cost=0.01):
-        return CompletedQuery(tenant=tenant, query_id="q",
-                              submitted_at=submitted, started_at=started,
-                              finished_at=finished, runtime=finished - started,
-                              cost_usd=cost)
-
     def test_queue_wait_and_latency(self):
-        record = self._record("t", submitted=10.0, started=12.5,
-                              finished=14.0)
-        assert record.queue_wait == 2.5
-        assert record.latency == 4.0
+        """The scheduler records a served query's wait and latency."""
+        env = Environment()
+        gateway = QueryGateway(env)
+        gateway.register(Tenant(name="t", max_concurrent=1,
+                                slo_latency_s=2.0))
+        scheduler = QueryScheduler(env, FakeEngine(env, 1.5), gateway,
+                                   make_policy("fifo"),
+                                   ConcurrencyGovernor())
+        gateway.submit("t", "first")
+        gateway.submit("t", "second")  # waits 1.5 s for the first
+        scheduler.start()
+        env.run(until=scheduler.drained())
+        tally = gateway.tally("t")
+        assert tally.latency.latencies == [1.5, 3.0]
+        assert tally.latency.runtimes == [1.5, 1.5]
+        assert tally.queue_wait_sum == 1.5
+        assert tally.mean_queue_wait == 0.75
+        assert tally.within_slo == 1
+        assert tally.cost_usd == pytest.approx(0.03)
 
     def test_report_percentiles_and_slo(self):
-        metrics = ServingMetrics()
+        tally = tenant_tally(slo_latency_s=5.0)
         for latency in (1.0, 2.0, 3.0, 4.0, 40.0):
-            metrics.record_offered("t")
-            metrics.record_completion(
-                self._record("t", 0.0, 0.0, latency))
-        report = metrics.tenant_report("t", slo_latency_s=5.0)
-        assert report.offered == report.completed == 5
-        assert report.latency_p50 == pytest.approx(3.0)
-        assert report.latency_p99 > report.latency_p95 > report.latency_p50
-        assert report.slo_attainment == pytest.approx(0.8)
-        assert report.cost_usd == pytest.approx(0.05)
-        assert report.cost_per_query == pytest.approx(0.01)
+            complete(tally, latency)
+        assert tally.offered == tally.completed == 5
+        assert tally.latency_p50 == pytest.approx(3.0)
+        assert tally.latency_p99 > tally.latency_p95 > tally.latency_p50
+        assert tally.slo_attainment == pytest.approx(0.8)
+        assert tally.cost_usd == pytest.approx(0.05)
+        assert tally.cost_per_query == pytest.approx(0.01)
 
     def test_shed_counts_against_slo(self):
-        metrics = ServingMetrics()
-        for _ in range(4):
-            metrics.record_offered("t")
-        metrics.record_completion(self._record("t", 0.0, 0.0, 1.0))
-        for _ in range(3):
-            metrics.record_shed("t")
-        report = metrics.tenant_report("t", slo_latency_s=5.0)
-        assert report.shed == 3
-        assert report.shed / report.offered == pytest.approx(0.75)
-        assert report.slo_attainment == pytest.approx(0.25)
-        assert math.isfinite(report.cost_per_query)
+        tally = tenant_tally(slo_latency_s=5.0)
+        complete(tally, 1.0)
+        tally.offered += 3
+        tally.shed += 3
+        assert tally.shed == 3
+        assert tally.shed / tally.offered == pytest.approx(0.75)
+        assert tally.slo_attainment == pytest.approx(0.25)
+        assert math.isfinite(tally.cost_per_query)
 
     def test_all_shed_tenant_report(self):
-        metrics = ServingMetrics()
-        for _ in range(2):
-            metrics.record_offered("t")
-            metrics.record_shed("t")
-        report = metrics.tenant_report("t")
-        assert report.completed == 0
-        assert report.slo_attainment == 0.0
-        assert math.isinf(report.cost_per_query)
-        assert report.latency_p99 == 0.0
+        tally = tenant_tally()
+        tally.offered += 2
+        tally.shed += 2
+        assert tally.completed == 0
+        assert tally.slo_attainment == 0.0
+        assert math.isinf(tally.cost_per_query)
+        assert tally.latency_p99 == 0.0
+        assert tally.row("t")[-1] == "inf"
 
     def test_silent_tenant_report(self):
-        metrics = ServingMetrics()
-        report = metrics.tenant_report("quiet")
-        assert report.offered == 0
-        assert report.slo_attainment == 1.0
-        assert report.cost_per_query == 0.0
-        assert report.shed == 0
-
+        tally = tenant_tally()
+        assert tally.offered == 0
+        assert tally.slo_attainment == 1.0
+        assert tally.cost_per_query == 0.0
+        assert tally.shed == 0
+        assert tally.mean_queue_wait == 0.0

@@ -9,7 +9,6 @@ from repro.serve import (
     ConcurrencyGovernor,
     QueryGateway,
     QueryScheduler,
-    ServingMetrics,
     Tenant,
     TenantWorkload,
     WarmPoolManager,
@@ -57,21 +56,20 @@ def serve_all(env, scheduler):
 
 def make_stack(env, tenants, policy="fifo", governor=None, duration=1.0,
                max_pending=None):
-    metrics = ServingMetrics()
     kwargs = {"max_pending": max_pending} if max_pending is not None else {}
-    gateway = QueryGateway(env, metrics, **kwargs)
+    gateway = QueryGateway(env, **kwargs)
     for tenant in tenants:
         gateway.register(tenant)
     engine = FakeEngine(env, duration=duration)
     scheduler = QueryScheduler(env, engine, gateway, make_policy(policy),
-                               governor, metrics)
-    return gateway, engine, scheduler, metrics
+                               governor)
+    return gateway, engine, scheduler
 
 
 class TestPolicies:
     def test_fifo_preserves_global_arrival_order(self):
         env = Environment()
-        gateway, engine, scheduler, _ = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [Tenant(name="a"), Tenant(name="b")],
             policy="fifo", governor=ConcurrencyGovernor(1))
         for label in ("a:1", "b:1", "a:2", "b:2"):
@@ -81,7 +79,7 @@ class TestPolicies:
 
     def test_priority_class_preempts_backlog(self):
         env = Environment()
-        gateway, engine, scheduler, _ = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [Tenant(name="bulk", priority=2),
                   Tenant(name="vip", priority=0)],
             policy="priority", governor=ConcurrencyGovernor(1))
@@ -94,7 +92,7 @@ class TestPolicies:
 
     def test_fair_share_splits_by_weight(self):
         env = Environment()
-        gateway, engine, scheduler, _ = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [Tenant(name="heavy", weight=1.0, max_concurrent=1),
                   Tenant(name="light", weight=3.0, max_concurrent=1)],
             policy="fair", governor=ConcurrencyGovernor(1))
@@ -115,7 +113,7 @@ class TestPolicies:
 class TestQuotas:
     def test_tenant_concurrency_quota_enforced(self):
         env = Environment()
-        gateway, engine, scheduler, _ = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [Tenant(name="t", max_concurrent=2)], policy="fifo")
         for i in range(6):
             gateway.submit("t", f"q:{i}")
@@ -126,7 +124,7 @@ class TestQuotas:
     def test_governor_caps_total_concurrency(self):
         env = Environment()
         tenants = [Tenant(name=f"t{i}", max_concurrent=4) for i in range(3)]
-        gateway, engine, scheduler, _ = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, tenants, policy="fifo", governor=ConcurrencyGovernor(3))
         for tenant in tenants:
             for i in range(4):
@@ -153,14 +151,14 @@ class TestAdmissionControl:
         account_quota = 8
         env = Environment()
         tenant = Tenant(name="burst", max_concurrent=4, max_queue_depth=8)
-        gateway, engine, scheduler, metrics = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [tenant], policy="fifo",
             governor=ConcurrencyGovernor.for_account(account_quota, 4))
         burst = 10 * account_quota
         for i in range(burst):
             gateway.submit("burst", f"q:{i}")
         serve_all(env, scheduler)
-        report = metrics.tenant_report("burst")
+        report = gateway.tally("burst")
         assert report.offered == burst
         assert report.completed == 8          # the queue bound
         assert report.shed == burst - 8
@@ -168,15 +166,15 @@ class TestAdmissionControl:
 
     def test_gateway_wide_backpressure(self):
         env = Environment()
-        gateway, engine, scheduler, metrics = make_stack(
+        gateway, engine, scheduler = make_stack(
             env, [Tenant(name="a"), Tenant(name="b")],
             policy="fifo", governor=ConcurrencyGovernor(1), max_pending=3)
         for i in range(5):
             gateway.submit("a", f"a:{i}")
         assert gateway.submit("b", "b:0") is None  # global bound reached
         serve_all(env, scheduler)
-        assert metrics.shed_count("a") == 2
-        assert metrics.shed_count("b") == 1
+        assert gateway.tally("a").shed == 2
+        assert gateway.tally("b").shed == 1
 
     def test_unregistered_tenant_rejected(self):
         env = Environment()

@@ -69,8 +69,6 @@ ALLOWED = {
     "repro/core/micro/storage_io.py:ScalingTrace.nominal": _ACCUMULATOR,
     "repro/engine/coordinator.py:StageReport.request_sizes": _ACCUMULATOR,
     "repro/engine/io.py:IoStats.request_sizes": _ACCUMULATOR,
-    "repro/pricing/calculator.py:ExperimentCost.detail": _ACCUMULATOR,
-    "repro/workloads/suite.py:VariabilityData.runtimes": _ACCUMULATOR,
     "repro/engine/shuffle.py:SliceRead._next.done":
         "a callback's event argument, which a direct first call omits",
     # -- reached through build_plan(query, **kwargs) --------------------------

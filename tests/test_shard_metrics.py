@@ -1,8 +1,10 @@
-"""Shard metrics tests: histogram, per-shard reduction, fleet roll-up."""
+"""Shard tally tests: histogram, per-shard reduction, fleet roll-up."""
 
-from repro.serve.gateway import QueryRequest
-from repro.shard.metrics import ShardMetrics, roll_up
-from repro.shard.replay import _USD_PER_SLOT_SECOND, _complete
+import math
+
+from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
+from repro.serve.metrics import ServingTally, roll_up
+from repro.shard.replay import _USD_PER_SLOT_SECOND, ManualClock, _complete
 from repro.telemetry import LatencyHistogram
 
 
@@ -51,16 +53,23 @@ class TestLatencyHistogram:
         assert LatencyHistogram().percentile(99.0) == 0.0
 
 
+def shard_tally(slo_latency_s=math.inf):
+    return ServingTally(slo_latency_s, LatencyHistogram())
+
+
 class TestShardMetrics:
     def test_counters_and_slo_tracking(self):
-        metrics = ShardMetrics(shard_id="s0", slo_latency_s=0.05)
-        metrics.record_offered("t0")
-        metrics.record_offered("t1")
-        metrics.record_offered("t2")
+        metrics = shard_tally(slo_latency_s=0.05)
+        gateway = QueryGateway(
+            ManualClock(), metrics=metrics, shard_id="s0",
+            default_tenant=Tenant(name="__default__", max_queue_depth=1))
+        for tenant in ("t0", "t1", "t2"):
+            assert gateway.submit(tenant, 1.0) is not None
         assert complete(metrics, 0.010) == 0.010
         assert complete(metrics, 0.500, wait_s=0.125) == 0.500
-        metrics.record_shed("t2")
-        assert metrics.offered == 3
+        assert gateway.submit("t2", 1.0) is None  # t2's queue is full
+        assert gateway.tallies == {}  # the shard's tally counts them all
+        assert metrics.offered == 4
         assert metrics.completed == 2
         assert metrics.shed == 1
         assert metrics.within_slo == 1
@@ -68,38 +77,41 @@ class TestShardMetrics:
         assert metrics.queue_wait_sum == 0.125
         assert metrics.cost_usd == 0.010 * _USD_PER_SLOT_SECOND \
             + 0.375 * _USD_PER_SLOT_SECOND
-        summary = metrics.summary()
+        summary, = roll_up({"s0": metrics}, pending=0,
+                           recovered=0)["per_shard"]
         assert summary["shard"] == "s0"
-        assert summary["offered"] == 3
+        assert summary["offered"] == 4
         assert summary["failed"] == summary["recovered"] == 0
 
 
 class TestFleetRollUp:
     def test_roll_up_reconciles_and_merges_latency(self):
-        shards = []
+        shards = {}
         for shard_id in ("s0", "s1"):
-            metrics = ShardMetrics(shard_id=shard_id, slo_latency_s=1.0)
+            metrics = shard_tally(slo_latency_s=1.0)
             for index in range(10):
-                metrics.record_offered("t")
+                metrics.offered += 1
                 complete(metrics, 0.010 * (index + 1))
-            metrics.record_offered("t")
-            metrics.record_shed("t")
-            shards.append(metrics)
+            metrics.offered += 1
+            metrics.shed += 1
+            shards[shard_id] = metrics
         report = roll_up(shards, pending=0, recovered=4)
-        assert report.balanced
-        assert report.offered == 22
-        assert report.completed == 20
-        assert report.shed == 2
-        assert report.recovered == 4
-        assert report.slo_attainment == 20 / 22
-        assert len(report.per_shard) == 2
-        assert report.to_dict()["balanced"] is True
+        assert report["balanced"] is True
+        assert report["offered"] == 22
+        assert report["completed"] == 20
+        assert report["shed"] == 2
+        assert report["recovered"] == 4
+        assert report["slo_attainment"] == round(20 / 22, 9)
+        assert [row["shard"] for row in report["per_shard"]] == ["s0", "s1"]
+        merged = LatencyHistogram()
+        for metrics in shards.values():
+            merged.merge(metrics.latency)
+        assert report["latency_p99"] == merged.percentile(99.0)
 
     def test_pending_closes_the_mid_run_equation(self):
-        metrics = ShardMetrics()
-        for _ in range(5):
-            metrics.record_offered("t")
+        metrics = shard_tally()
+        metrics.offered += 5
         complete(metrics, 0.01)
-        report = roll_up([metrics], pending=4, recovered=0)
-        assert report.balanced
-        assert not roll_up([metrics], pending=0, recovered=0).balanced
+        assert roll_up({"s0": metrics}, pending=4, recovered=0)["balanced"]
+        assert not roll_up({"s0": metrics}, pending=0,
+                           recovered=0)["balanced"]

@@ -45,7 +45,7 @@ class TestDecisions:
         # remapped tenants moved with them — none were lost.
         assert splits[0].moved > 0
         assert router.pending_total() == admitted
-        assert router.roll_up().balanced
+        assert router.roll_up()["balanced"]
 
     def test_cold_shard_is_merged_away(self):
         router = make_router(shards=3)
@@ -62,7 +62,7 @@ class TestDecisions:
         assert merges
         assert len(router.shards()) == 2
         assert router.pending_total() == admitted
-        assert router.roll_up().balanced
+        assert router.roll_up()["balanced"]
 
     def test_quiet_window_makes_no_moves(self):
         router = make_router(shards=2)
@@ -91,7 +91,7 @@ class TestDecisions:
                    for name in names}
         assert all(not router.directory.can_split(shard)
                    for shard in lineage)
-        assert router.roll_up().balanced
+        assert router.roll_up()["balanced"]
 
     def test_fleet_bounds_are_respected(self):
         router = make_router(shards=2)
@@ -124,7 +124,7 @@ class TestDeterminism:
                               gateway.pop(gateway.backlogged()[0]),
                               60.0 * tick)
                     drained += 1
-        return rebalancer.history(), router.roll_up().to_dict()
+        return rebalancer.history(), router.roll_up()
 
     def test_same_seed_same_history_and_roll_up(self):
         assert self._drive(3) == self._drive(3)

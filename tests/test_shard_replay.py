@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 
 import repro.shard.replay
 from repro.serve.gateway import QueryGateway, QueryRequest, Tenant
+from repro.serve.metrics import ServingTally
 from repro.shard import ReplayConfig, run_replay
-from repro.shard.metrics import ShardMetrics
 from repro.shard.replay import (
     ManualClock,
     ScanGuard,
@@ -221,11 +221,11 @@ class _RecordingObserver:
         report = router.roll_up()
         self.calls.append(
             ("tick", now, sorted(router.shard_metrics),
-             report.completed, report.shed,
-             round(report.cost_usd, 9), router.pending_total()))
+             report["completed"], report["shed"],
+             report["cost_usd"], router.pending_total()))
 
     def on_end(self, now, router):
-        self.calls.append(("end", now, router.roll_up().to_dict()))
+        self.calls.append(("end", now, router.roll_up()))
         self.router = router
 
 
@@ -367,7 +367,7 @@ def _lane_shard(case):
     gateway as the replay's factory builds it: a default tenant,
     ``ScanGuard`` tenant dicts and no telemetry."""
     gateway = QueryGateway(
-        ManualClock(), metrics=ShardMetrics("s", slo_latency_s=0.5),
+        ManualClock(), metrics=ServingTally(0.5, LatencyHistogram()),
         max_pending=case["max_pending"], shard_id="s",
         default_tenant=Tenant(name="__default__",
                               max_queue_depth=case["queue_depth"]))
@@ -534,7 +534,7 @@ class TestRoundRobin:
     def test_ring_matches_a_list_model(self, ops):
         clock = ManualClock()
         gateway = QueryGateway(
-            clock, metrics=ShardMetrics("s", slo_latency_s=0.5),
+            clock, metrics=ServingTally(0.5, LatencyHistogram()),
             shard_id="s",
             default_tenant=Tenant(name="__default__", max_queue_depth=3))
         gateway.register(Tenant(name="t0", max_queue_depth=3))

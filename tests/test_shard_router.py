@@ -80,7 +80,7 @@ class TestRouting:
         assert router.stale_retries == before + 1
         owner = router.route(tenant).shard
         assert len(router.gateways[owner].queues[tenant]) == 1
-        assert router.roll_up().to_dict()["offered"] == 1
+        assert router.roll_up()["offered"] == 1
 
     def test_lazy_tenants_leave_no_resident_state(self):
         """Queues of never-registered tenants vanish once drained."""
@@ -275,9 +275,8 @@ class TestRollUp:
         router = make_router(shards=2, max_pending=10)
         for index in range(15):
             router.submit(f"t{index}", 1.0)
-        report = router.roll_up()
-        data = report.to_dict()
-        assert report.balanced
+        data = router.roll_up()
+        assert data["balanced"]
         assert data["offered"] == 15
         assert data["offered"] == data["completed"] + data["shed"] \
             + data["failed"] + data["pending"]
@@ -296,7 +295,7 @@ class TestRollUp:
         # Nothing was lost: the backlog moved, the roll-up reconciles.
         assert router.pending_total() == admitted
         assert router.recovered == orphans
-        assert router.roll_up().balanced
+        assert router.roll_up()["balanced"]
 
     def test_merge_shard_recovers_the_cold_backlog(self):
         router = make_router(shards=3)
@@ -307,7 +306,7 @@ class TestRollUp:
         router.merge_shard(cold, target)
         assert cold not in router.gateways
         assert router.pending_total() == admitted
-        assert router.roll_up().balanced
+        assert router.roll_up()["balanced"]
 
     def test_retired_shards_stay_in_the_roll_up(self):
         router = make_router(shards=2)
@@ -318,7 +317,7 @@ class TestRollUp:
         # Complete nothing; fail the shard; its offered count survives.
         router.fail_shard(dead)
         assert dead in router.shard_metrics
-        assert router.roll_up().to_dict()["offered"] == 1
+        assert router.roll_up()["offered"] == 1
         assert other in router.gateways
 
 
