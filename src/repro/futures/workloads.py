@@ -160,6 +160,8 @@ def run_wordcount(seed: int = 7, objects: int = 16,
     chunks = 64 mapper calls — the acceptance-criterion scale. Returns
     the outcome dict (with ``digest``).
     """
+    if objects < 1:
+        raise ValueError(f"objects must be positive, got {objects}")
     if chunks_per_object < 1 or RECORDS_PER_OBJECT % chunks_per_object:
         raise ValueError(
             "chunks_per_object must be a positive divisor of "

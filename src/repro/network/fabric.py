@@ -52,13 +52,11 @@ _EPSILON_BYTES = 1e-6
 #: (one ulp short of a grant boundary) otherwise cannot.
 _MIN_WAKE_DELAY = 1e-9
 
-#: Moving flows at which a fabric starts to defer time, and at which it
-#: goes back to walking. A deferred update pays a catch-up and a heap
-#: entry per entity it touches; a walk pays a visit per flow and bucket.
-#: Narrow fabrics walk; the gap between the two keeps a width near one
-#: of them from switching on every update.
+#: Moving flows at which a fabric starts to defer time, for good. A
+#: deferred update pays a catch-up and a heap entry per entity it
+#: touches; a walk pays a visit per flow and bucket. Narrow fabrics walk
+#: until a sweep finds this many moving flows.
 _DEFER_AT = 16
-_WALK_AT = 4
 
 _creation_order = attrgetter("id")
 
@@ -201,10 +199,12 @@ class Fabric:
     entity whose key is within reach of the running minimum is evaluated
     exactly, so the wake is the eager walk's minimum to the bit.
 
-    A narrow fabric, and any fabric with a recorder on (buckets sample
-    every advance), walks every moving flow and every active bucket at
-    every update instead, in the historical (flow-creation) order. That
-    walk is the oracle the deferred path is tested against.
+    A fabric walks every moving flow and every active bucket at every
+    update instead, in the historical (flow-creation) order, until a
+    sweep finds :data:`_DEFER_AT` moving flows; from then on it defers
+    for the rest of its life. A fabric with a recorder on (buckets
+    sample every advance) never defers: that walk is the oracle the
+    deferred path is tested against.
     """
 
     def __init__(self, env: Environment) -> None:
@@ -226,7 +226,7 @@ class Fabric:
         # Captured at construction, like the shapers do: with telemetry
         # recording, every update walks every flow and bucket.
         self._recorded = get_recorder() is not None
-        #: Whether updates defer time (see ``_DEFER_AT``).
+        #: Whether updates defer time (see ``_DEFER_AT``); never unset.
         self._deferred = False
         #: The sweep log: per sweep, the seconds it covered and its grant
         #: horizon. Item ``i`` is sweep ``_log_base + i`` of the
@@ -246,8 +246,6 @@ class Fabric:
         #: re-keyed at its end.
         self._touched_flows: dict[Flow, None] = {}
         self._touched_states: dict[_ConstraintState, None] = {}
-        #: Shaper entries whose rates changed since the last sweep.
-        self._expedited: list[_ConstraintState] = []
 
     # -- public API ---------------------------------------------------------
 
@@ -310,28 +308,21 @@ class Fabric:
         (creation order) and ``(shaper entry, ceiling)`` for the entries
         whose ceiling no longer matches the capacity their last
         allocation used. Deferred, only the entities whose keys fall due
-        (and the expedited entries) are touched; the rest provably have
-        nothing to report.
+        are touched; the rest provably have nothing to report.
         """
-        width = len(self._moving)
-        if self._deferred:
-            if width <= _WALK_AT:
-                self._stop_deferring()
+        if not self._deferred:
+            if self._recorded or len(self._moving) < _DEFER_AT:
                 return self._walk()
-        elif self._recorded or width < _DEFER_AT:
-            return self._walk()
-        else:
-            self._start_deferring()
+            # Walking leaves everything at the last sweep: key it all
+            # from there.
+            self._deferred = True
+            self._key_all()
         now = self.env.now
         elapsed = self._log_sweep(now)
         horizon = now + _TIME_TOLERANCE
         completed = []
         moved = []
-        due = self._expedited
-        if due:
-            self._expedited = []
-        else:
-            due = []
+        due = []
         for heap in (self._bounds, self._grants):
             while heap and not heap[0][0] > horizon:
                 entry = heapq.heappop(heap)
@@ -366,8 +357,6 @@ class Fabric:
         now = self.env.now
         elapsed = now - self._last_sync
         self._last_sync = now
-        if self._expedited:
-            self._expedited = []  # the walk compares every ceiling
         completed = []
         for flow in self._moving:
             flow._transferred = transferred = (flow._transferred
@@ -422,8 +411,8 @@ class Fabric:
 
     def _catch_up_all(self) -> None:
         """Bring every flow and shaper entry to the log's end and empty
-        the log. (A flow at rate 0 only records that it is there: a walk
-        may set its rate without touching it.)"""
+        the log. (A flow at rate 0 only records that it is there, so
+        that every flow's ``_synced`` stays inside the log.)"""
         for flow in self._flows:
             self._catch_up_flow(flow)
         for state in self._shaped.values():
@@ -438,20 +427,6 @@ class Fabric:
             self._push_flow(flow, now)
         for state in self._shaped.values():
             self._push_state(state, now)
-
-    def _start_deferring(self) -> None:
-        """Walking leaves everything at the last sweep: key it all from
-        there. Entries expedited while walking are touched next."""
-        self._deferred = True
-        self._key_all()
-
-    def _stop_deferring(self) -> None:
-        """Bring everything to the last sweep and drop the keys."""
-        self._deferred = False
-        self._catch_up_all()
-        self._bounds.clear()
-        self._grants.clear()
-        self._expedited = []
 
     # -- internals: deferral ---------------------------------------------------
 
@@ -489,12 +464,6 @@ class Fabric:
         self._catch_up_state(state)
         state._token = -1
         self._touched_states[state] = None
-
-    def _expedite(self, state: _ConstraintState) -> None:
-        """Bring a shaper entry up to date and have the next sweep touch
-        it: its shaper's rates are about to change."""
-        self._catch_up_state(state)
-        self._expedited.append(state)
 
     def _push_flow(self, flow: Flow, now: float) -> None:
         """Key ``flow``, up to date as of ``now``: its analytic completion
@@ -543,8 +512,7 @@ class Fabric:
                     state._synced = synced
                     state.fabric = self
                     self._shaped[key] = state
-                    if not self._recorded:
-                        constraint._entry = state
+                    constraint._entry = state
             state.members[flow] = None
             dirty.add(key)
         self._flows[flow] = None

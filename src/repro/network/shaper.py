@@ -75,9 +75,10 @@ class TokenBucketShaper:
     in order), reads its :func:`ceiling` and asks :func:`earliest_change`
     when that ceiling next moves.
 
-    While a fabric defers the bucket, ``_entry`` is the fabric's registry
-    entry for it, and every read below first brings the bucket up to the
-    fabric's last sweep.
+    While the bucket has flows in a fabric, ``_entry`` is that fabric's
+    registry entry for it. Every read below first brings the bucket up
+    to the fabric's last sweep (a walking fabric keeps it there), and
+    :meth:`degrade` marks the entry dirty.
     """
 
     def __init__(self, capacity: float, burst_rate: float,
@@ -109,7 +110,7 @@ class TokenBucketShaper:
         self._next_grant_at = self.grant_interval
         #: When the shaper last went idle (None while active).
         self._idle_since: float | None = None
-        #: The deferring fabric's registry entry, while there is one.
+        #: The fabric's registry entry, while the bucket has flows.
         self._entry = None
         # Telemetry is captured at construction: recording() must wrap
         # simulation setup. Telemetry off costs one None-check here.
@@ -181,10 +182,12 @@ class TokenBucketShaper:
         """
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"factor must be in (0, 1], got {factor}")
-        if self._entry is not None:
-            # Up to date under the old rates, then touched at the next
-            # sweep, which compares the new ceiling.
-            self._entry.fabric._expedite(self._entry)
+        entry = self._entry
+        if entry is not None:
+            # Up to date under the old rates; the next update reallocates
+            # its component under the new ones.
+            entry.fabric._catch_up_state(entry)
+            entry.fabric._dirty.add(entry.key)
         self.burst_rate *= factor
         self.refill_rate *= factor
 

@@ -76,7 +76,7 @@ OBJECTIVE = 0.9
 BUDGET_FRACTION = 1.0 - OBJECTIVE
 #: The policy as :meth:`SLOEngine.report` states it. Its ``latency_s``
 #: is the serving bound it was written for; the replay classifies a
-#: completion by its own ``ReplayConfig.slo_latency_s``.
+#: completion by its own latency objective (``shard.replay``).
 POLICY = {
     "name": "serving-latency",
     "objective": OBJECTIVE,

@@ -86,6 +86,12 @@ _FLUSH_EVERY = 131_072
 _BLOCK_MIN = 64
 _BLOCK_MAX = 4096
 
+#: Every tenant's latency objective, and the rebalancer's split and
+#: merge thresholds (its load against the mean shard load).
+_SLO_LATENCY_S = 2.0
+_HOT_FACTOR = 1.15
+_COLD_FACTOR = 0.55
+
 
 class ManualClock:
     """A bare virtual clock: the only ``env`` surface the replay needs.
@@ -164,10 +170,7 @@ class ReplayConfig:
     tenant_queue_depth: int = 32
     zipf_s: float = 1.3
     mean_service_s: float = 0.2
-    slo_latency_s: float = 2.0
     control_interval_s: float = 60.0
-    hot_factor: float = 1.15
-    cold_factor: float = 0.55
     max_shards: int = 12
     #: Virtual times at which a shard failure is injected (the
     #: currently most-backlogged shard dies; its queue must be
@@ -403,12 +406,12 @@ class _Fabric:
             default_tenant=Tenant(
                 name="__default__",
                 max_queue_depth=config.tenant_queue_depth,
-                slo_latency_s=config.slo_latency_s),
-            slo_latency_s=config.slo_latency_s,
+                slo_latency_s=_SLO_LATENCY_S),
+            slo_latency_s=_SLO_LATENCY_S,
             gateway_factory=guarded_gateway)
         self.rebalancer = Rebalancer(
-            self.router, seed=config.seed, hot_factor=config.hot_factor,
-            cold_factor=config.cold_factor, min_shards=1,
+            self.router, seed=config.seed, hot_factor=_HOT_FACTOR,
+            cold_factor=_COLD_FACTOR, min_shards=1,
             max_shards=config.max_shards)
         self.injector = None
         if config.fault_plan:

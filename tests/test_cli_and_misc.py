@@ -62,6 +62,12 @@ class TestCli:
         assert err.startswith("repro run: error: ")
         assert message in err
 
+    @pytest.mark.parametrize("objects", ["0", "-3"])
+    def test_futures_rejects_an_empty_corpus(self, objects, capsys):
+        assert main(["futures", "--objects", objects]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro futures: error: objects must be positive")
+
 
 class _DrawLimit:
     """An rng whose draws run out: a loop that never ends fails fast."""

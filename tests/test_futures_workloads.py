@@ -74,6 +74,11 @@ class TestWordcount:
         with pytest.raises(ValueError, match="chunks_per_object"):
             run_wordcount(chunks_per_object=chunks)
 
+    @pytest.mark.parametrize("objects", [0, -3])
+    def test_the_corpus_must_have_an_object(self, objects):
+        with pytest.raises(ValueError, match="objects must be positive"):
+            run_wordcount(objects=objects)
+
     def test_different_seed_changes_outcome(self):
         assert run_wordcount(seed=7, objects=4)["digest"] \
             != run_wordcount(seed=8, objects=4)["digest"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro import units
 from repro.network import Fabric, IperfClient, IperfServer, ThroughputProbe
+from repro.network import fabric as fabric_module
 from repro.network.fabric import DEFAULT_FREE_RATE
 from repro.network.shaper import TokenBucketShaper, lambda_shaper
 from repro.sim import Environment
@@ -273,3 +274,43 @@ class TestCreationOrder:
                                       fabric.endpoint("b"))
                      for _ in range(3)]
             assert [flow.id for flow in flows] == [0, 1, 2]
+
+
+class TestDegradeBeforeDeferring:
+    """A shaper degraded while its fabric walks keeps the new rates
+    after a probe's ``sync_now()`` walk and the switch to deferring."""
+
+    def test_the_degraded_ceiling_is_reallocated(self, monkeypatch):
+        monkeypatch.setattr(fabric_module, "_DEFER_AT", 2)
+        env, fabric = make_env()
+        fabric.link(capacity=10.0)
+
+        def shaper():
+            return TokenBucketShaper(capacity=2e3, burst_rate=1e3,
+                                     refill_rate=200.0, mode="continuous")
+
+        e0 = fabric.endpoint("e0", ingress=shaper(), egress=shaper())
+        e1 = fabric.endpoint("e1")
+        flows = []
+
+        def start(at, endpoint):
+            yield env.timeout(at)
+            flows.append(fabric.transfer(endpoint, endpoint, size=1.0))
+
+        def degrade():
+            yield env.timeout(0.0)
+            e0.ingress.degrade(0.5)
+            e0.egress.degrade(0.5)
+
+        def probe():
+            yield env.timeout(0.0)
+            fabric.sync_now()
+
+        for at, endpoint in ((0.0, e1), (0.0, e0), (0.25, e0), (0.25, e0)):
+            env.process(start(at, endpoint))
+        env.process(degrade())
+        env.process(probe())
+        env.run()
+        # 1 kB/s until the update at t = 1e-9, then the halved burst
+        # rate: what the walk gives. Left undegraded, it ends at 1e-3.
+        assert flows[1].finished_at == 0.0019999989999999997

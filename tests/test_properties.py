@@ -369,15 +369,15 @@ class TestFabricIncrementalEquivalence:
 
 
 @contextmanager
-def _deferring_at(defer_at, walk_at):
-    """Fabrics defer time from ``defer_at`` entities and walk again at
-    ``walk_at`` while inside; test-sized fabrics otherwise only walk."""
-    saved = fabric_module._DEFER_AT, fabric_module._WALK_AT
-    fabric_module._DEFER_AT, fabric_module._WALK_AT = defer_at, walk_at
+def _deferring_at(width):
+    """Fabrics defer time for good once a sweep finds ``width`` moving
+    flows while inside; test-sized fabrics otherwise only walk."""
+    saved = fabric_module._DEFER_AT
+    fabric_module._DEFER_AT = width
     try:
         yield
     finally:
-        fabric_module._DEFER_AT, fabric_module._WALK_AT = saved
+        fabric_module._DEFER_AT = saved
 
 
 class TestFabricDeferral:
@@ -395,11 +395,10 @@ class TestFabricDeferral:
         scenario = _fabric_scenario(
             data, ["none", "continuous", "lambda", "stalling"],
             max_size=2e3)
-        # Always deferring, or switching between deferring and walking
-        # as the width crosses the thresholds.
-        widths = data.draw(st.sampled_from([(0, -1), (2, 0), (4, 1)]),
-                           label="defer_at, walk_at")
-        with _deferring_at(*widths):
+        # Always deferring, or walking until the width first reaches
+        # the threshold.
+        width = data.draw(st.sampled_from([0, 2, 4]), label="defer_at")
+        with _deferring_at(width):
             deferred = _run_fabric_scenario(scenario)
         with recording():
             walked = _run_fabric_scenario(scenario)
@@ -469,7 +468,7 @@ class TestFabricDeferral:
 
             fabric._sweep = spied
 
-        with _deferring_at(0, -1):
+        with _deferring_at(0):
             deferred_run = self.drain_a_lambda_budget(spy)
         with recording():
             recorded_run = self.drain_a_lambda_budget()
@@ -483,7 +482,7 @@ class TestFabricDeferral:
 
     def test_reads_without_sync_give_the_last_sweep(self):
         deferred_reads, recorded_reads = [], []
-        with _deferring_at(0, -1):
+        with _deferring_at(0):
             deferred_run = self.drain_a_lambda_budget(reads=deferred_reads)
         with recording():
             recorded_run = self.drain_a_lambda_budget(reads=recorded_reads)

@@ -23,7 +23,9 @@ The scan parses the source and imports none of it. Its rules:
   and every value if it splats ``*args`` or ``**kwargs``;
   ``replace(obj, name=...)`` sets every dataclass field called
   ``name``; an attribute store ``x.name = ...`` sets every dataclass
-  field and ``__init__`` parameter called ``name``.
+  field and ``__init__`` parameter called ``name``, except a store to
+  ``self`` in a class's own ``__init__``, which initialises that
+  object's state and sets no setting.
 
 Matching by name over-counts what is set, so a setting the census
 misses has no caller under any reading of the call graph.
@@ -44,6 +46,8 @@ _RECORD = "a calibration record: one catalog instance, never varied"
 _ACCUMULATOR = "an accumulator: starts empty, filled by its owner"
 _REPLAY_MODEL = ("a replay model knob: the kernel-vs-reference "
                  "differentials vary it")
+_TESTS_ONLY = ("only tests set it: to fold into a constant, or to keep "
+               "with its own reason (ROADMAP 19)")
 
 #: ``path:Owner.name`` of each setting no product call sets, and why it
 #: stays.
@@ -62,13 +66,32 @@ ALLOWED = {
     "repro/shard/replay.py:ReplayConfig.mean_service_s":
         _REPLAY_MODEL + ", and its recalibration is open (ROADMAP 22)",
     "repro/shard/replay.py:ReplayConfig.control_interval_s": _REPLAY_MODEL,
+    "repro/shard/replay.py:ReplayConfig.max_shards": _REPLAY_MODEL,
     "repro/network/probe.py:ProbeSeries.samples":
         "a record field the probe fills, not an option",
+    "repro/chaos/faults.py:FaultSpec.pipeline":
+        "pinned by tests/golden/smoke_resilience.json through to_dict()",
+    # -- settings only tests set ----------------------------------------------
+    **{key: _TESTS_ONLY for key in (
+        "repro/engine/io.py:IoStack.__init__.concurrency",
+        "repro/engine/shuffle.py:ShuffleReader.__init__.concurrency",
+        "repro/faas/scaling.py:ConcurrencyScaler.__init__.burst_limit",
+        "repro/lint/framework.py:SourceModule.__init__.module",
+        "repro/shard/rebalance.py:Rebalancer.__init__.min_window",
+        "repro/shard/router.py:ShardRouter.__init__.vnodes",
+        "repro/storage/partitions.py:PartitionTree.__init__.read_quota",
+        "repro/telemetry/metrics.py:TimeSeries.__init__.max_points")},
     # -- accumulators ---------------------------------------------------------
     "repro/core/micro/storage_io.py:ScalingTrace.successful": _ACCUMULATOR,
     "repro/core/micro/storage_io.py:ScalingTrace.nominal": _ACCUMULATOR,
     "repro/engine/coordinator.py:StageReport.request_sizes": _ACCUMULATOR,
     "repro/engine/io.py:IoStats.request_sizes": _ACCUMULATOR,
+    "repro/core/micro/storage_io.py:ScalingTrace.times": _ACCUMULATOR,
+    "repro/core/results.py:ExperimentResult.metrics": _ACCUMULATOR,
+    "repro/core/results.py:ExperimentResult.series": _ACCUMULATOR,
+    "repro/chaos/injector.py:InjectorState.counts": _ACCUMULATOR,
+    "repro/storage/base.py:RequestStats.counts": _ACCUMULATOR,
+    "repro/workloads/suite.py:VariabilityData.runtimes": _ACCUMULATOR,
     "repro/engine/shuffle.py:SliceRead._next.done":
         "a callback's event argument, which a direct first call omits",
     # -- reached through build_plan(query, **kwargs) --------------------------
@@ -226,7 +249,7 @@ def set_by(found: Settings, roots) -> set[str]:
     """Keys of the settings some code under ``roots`` sets."""
     out: set[str] = set()
 
-    def visit(node: ast.AST, owner: str | None) -> None:
+    def visit(node: ast.AST, owner: str | None, in_init: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 callee = _name(child.func)
@@ -252,15 +275,22 @@ def set_by(found: Settings, roots) -> set[str]:
                 for target in targets:
                     for part in ast.walk(target):
                         if isinstance(part, ast.Attribute) \
-                                and isinstance(part.ctx, ast.Store):
+                                and isinstance(part.ctx, ast.Store) \
+                                and not (in_init
+                                         and _name(part.value) == "self"):
                             out.update(s.key for s in
                                        found.by_attribute.get(part.attr, ()))
-            visit(child, child.name if isinstance(child, ast.ClassDef)
-                  else owner)
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, False)
+            else:
+                visit(child, owner, in_init or (
+                    isinstance(node, ast.ClassDef)
+                    and isinstance(child, ast.FunctionDef)
+                    and child.name == "__init__"))
 
     for root in roots:
         for file in sorted(root.rglob("*.py")):
-            visit(ast.parse(file.read_text(encoding="utf-8")), None)
+            visit(ast.parse(file.read_text(encoding="utf-8")), None, False)
     return out
 
 
@@ -294,6 +324,7 @@ def test_the_census_sees_every_setting_kind(tmp_path):
         "    w: int = field(default=0, init=False)\n\n"
         "class K:\n    def __init__(self, p=0, q=1):\n        pass\n\n"
         "class L(K):\n    def __init__(self):\n        super().__init__(5)\n"
+        "\n\nclass M:\n    def __init__(self):\n        self.y = 1\n"
         "\n\ndef use(d):\n    f(0, c=3)\n    d.z = []\n    K(q=2)\n")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_planted.py").write_text("f(0, 1)\nD(0, 1)\n")
