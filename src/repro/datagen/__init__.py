@@ -2,8 +2,9 @@
 
 Generates the tables the paper's query suite touches (Table 4): TPC-H
 ``lineitem`` and ``orders``, TPCx-BB ``clickstreams`` and ``item``. Data
-is generated per partition from a seeded stream, so any partition can be
-produced independently and reproducibly.
+is drawn per partition from a seeded stream, so any partition can be
+produced independently and reproducibly; a table's partitions are
+generated, and stored, in one pass.
 
 The *logical scale knob*: partition files carry the byte sizes of the
 paper's SF1000 datasets (what simulated I/O and cost are computed from)

@@ -1,21 +1,21 @@
 """Dataset specifications, partitioning, and loading onto storage.
 
 Encodes Table 4 of the paper — the SF1000 datasets with their partition
-counts and sizes — and provides :func:`load_table`, which generates each
-partition, stores it as a columnar file with the *logical* partition
-size (what simulated I/O and pricing see) while keeping the physical
-rows small.
+counts and sizes — and provides :func:`load_table`, which generates a
+table's partitions in one pass, stores each as a columnar file and puts
+it with the *logical* partition size (what simulated I/O and pricing
+see) while keeping the physical rows small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro import units
 from repro.datagen import tpch, tpcxbb
 from repro.formats.batch import RecordBatch
-from repro.formats.columnar import store_file
+from repro.formats.columnar import store_files
 from repro.formats.schema import Schema
 from repro.storage.base import StorageService
 
@@ -32,8 +32,9 @@ class DatasetSpec:
     partition_count: int
     #: Physically materialized rows across all partitions.
     physical_rows: int
-    #: generator(rows, seed, partition_index, physical_sf) -> RecordBatch
-    generator: Callable[[int, int, int, float], RecordBatch]
+    #: generator(row_counts, seed, physical_sf) -> the table's rows, in
+    #: partition order; partition ``i`` draws from ``seed + i``.
+    generator: Callable[[Sequence[int], int, float], RecordBatch]
 
     @property
     def physical_scale_factor(self) -> float:
@@ -54,11 +55,13 @@ class DatasetSpec:
         """Mean logical size of one partition file."""
         return self.total_logical_bytes / self.partition_count
 
-    def rows_for_partition(self, index: int) -> int:
-        """Physical rows assigned to partition ``index``."""
-        base = self.physical_rows // self.partition_count
-        remainder = self.physical_rows % self.partition_count
-        return base + (1 if index < remainder else 0)
+    @property
+    def row_counts(self) -> list[int]:
+        """Physical rows of each partition, in index order: the first
+        ``physical_rows % partition_count`` partitions hold one more."""
+        base, remainder = divmod(self.physical_rows, self.partition_count)
+        return [base + (1 if index < remainder else 0)
+                for index in range(self.partition_count)]
 
 
 @dataclass
@@ -107,30 +110,17 @@ NOMINAL_ROWS_PER_SF: dict[str, float] = {
 }
 
 
-def _lineitem_generator(rows: int, seed: int, index: int,
-                        physical_sf: float) -> RecordBatch:
-    return tpch.generate_lineitem(rows, seed=seed + index,
-                                  scale_factor=physical_sf)
-
-
-def _orders_generator(rows: int, seed: int, index: int,
+def _orders_generator(row_counts: Sequence[int], seed: int,
                       physical_sf: float) -> RecordBatch:
     del physical_sf  # orders own their consecutive key range directly
-    first = index * rows + 1
-    return tpch.generate_orders(rows, seed=seed + index,
-                                first_orderkey=first)
+    return tpch.orders_table(row_counts, seed, [
+        index * rows + 1 for index, rows in enumerate(row_counts)])
 
 
-def _clickstreams_generator(rows: int, seed: int, index: int,
-                            physical_sf: float) -> RecordBatch:
-    return tpcxbb.generate_clickstreams(rows, seed=seed + index,
-                                        scale_factor=physical_sf)
-
-
-def _item_generator(rows: int, seed: int, index: int,
+def _item_generator(row_counts: Sequence[int], seed: int,
                     physical_sf: float) -> RecordBatch:
     del physical_sf
-    return tpcxbb.generate_item(rows, seed=seed)
+    return tpcxbb.item_table(row_counts, seed)
 
 
 #: Table 4: datasets used in the experiments (SF1000, ZSTD Parquet sizes).
@@ -138,7 +128,7 @@ TPCH_SF1000: dict[str, DatasetSpec] = {
     "lineitem": DatasetSpec(
         name="lineitem", schema=tpch.LINEITEM_SCHEMA,
         total_logical_bytes=177.4 * units.GiB, partition_count=996,
-        physical_rows=996 * 64, generator=_lineitem_generator),
+        physical_rows=996 * 64, generator=tpch.lineitem_table),
     "orders": DatasetSpec(
         name="orders", schema=tpch.ORDERS_SCHEMA,
         total_logical_bytes=44.9 * units.GiB, partition_count=249,
@@ -146,7 +136,7 @@ TPCH_SF1000: dict[str, DatasetSpec] = {
     "clickstreams": DatasetSpec(
         name="clickstreams", schema=tpcxbb.CLICKSTREAMS_SCHEMA,
         total_logical_bytes=94.9 * units.GiB, partition_count=1_000,
-        physical_rows=1_000 * 64, generator=_clickstreams_generator),
+        physical_rows=1_000 * 64, generator=tpcxbb.clickstreams_table),
     "item": DatasetSpec(
         name="item", schema=tpcxbb.ITEM_SCHEMA,
         total_logical_bytes=75.8 * units.MiB, partition_count=1,
@@ -161,7 +151,13 @@ def scaled_spec(name: str, partitions: int, rows_per_partition: int = 256,
     Partition logical sizes stay at the SF1000 per-partition values so
     per-worker behaviour (burst budgets, request counts per partition)
     matches the paper even when the partition count is reduced.
+    Partitions may hold no rows, but there must be at least one.
     """
+    if partitions < 1:
+        raise ValueError(f"partitions must be at least 1, got {partitions}")
+    if rows_per_partition < 0:
+        raise ValueError("rows_per_partition must not be negative, got "
+                         f"{rows_per_partition}")
     base = TPCH_SF1000[name]
     partitions = min(partitions, base.partition_count)
     physical_rows = rows_per_partition * partitions
@@ -182,21 +178,25 @@ def load_table(env, storage: StorageService, spec: DatasetSpec,
                seed: int = 1_000):
     """Process: generate and store every partition of ``spec``.
 
-    Each partition is a :class:`~repro.formats.columnar.StoredFile` put
-    on ``storage`` with the logical SF1000 partition size, so it pays
-    admission, latency and transfer and counts in the service's stats
-    like any other write. Returns a :class:`TableMetadata` whose
-    partitions carry those logical sizes.
+    The table is generated and stored in one pass (its columns are
+    converted once, and each partition's
+    :class:`~repro.formats.columnar.StoredFile` holds read-only views of
+    them); then the partitions are put on ``storage`` in index order,
+    each with the logical SF1000 partition size, so each pays admission,
+    latency and transfer and counts in the service's stats like any
+    other write. Returns a :class:`TableMetadata` whose partitions carry
+    those logical sizes.
     """
     metadata = TableMetadata(name=spec.name, schema=spec.schema,
                              service_name=storage.name)
-    for index in range(spec.partition_count):
-        rows = spec.rows_for_partition(index)
-        batch = spec.generator(rows, seed, index,
-                               spec.physical_scale_factor)
+    row_counts = spec.row_counts
+    files = store_files(
+        spec.generator(row_counts, seed, spec.physical_scale_factor),
+        row_counts)
+    for index, (rows, file) in enumerate(zip(row_counts, files)):
         key = f"tables/{spec.name}/part-{index:05d}"
         obj = yield from storage.put(
-            key, store_file(batch), size=spec.partition_logical_bytes)
+            key, file, size=spec.partition_logical_bytes)
         metadata.partitions.append(PartitionInfo(
             key=obj.key, logical_bytes=spec.partition_logical_bytes,
             rows=rows))

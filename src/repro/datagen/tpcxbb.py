@@ -5,13 +5,21 @@ optional sale) and the item dimension with category ids. Q3 is the
 paper's "I/O-bound MapReduce job": sessionize clicks per user with a UDF
 and count which items were viewed shortly before a purchase in a target
 category.
+
+Like the TPC-H generators (``repro.datagen.tpch``), a generator builds
+a whole table in one pass, partition ``i`` drawing from
+``np.random.default_rng(seed + i)``; ``generate_clickstreams`` and
+``generate_item`` are the one-partition case.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.datagen.dates import date_to_days
+from repro.datagen.tpch import partition_draws
 from repro.formats.batch import RecordBatch
 from repro.formats.schema import DataType, Field, Schema
 
@@ -41,33 +49,45 @@ CATEGORY_COUNT = 10
 PURCHASE_FRACTION = 0.04
 
 
-def generate_clickstreams(rows: int, seed: int,
-                          scale_factor: float = 1.0) -> RecordBatch:
-    """Generate ``rows`` click events (one partition's worth)."""
-    rng = np.random.default_rng(seed)
-    users = rng.integers(1, int(USERS_PER_SF * max(scale_factor, 1e-3)) + 1,
-                         rows, dtype=np.int64)
-    items = rng.integers(1, ITEM_COUNT + 1, rows, dtype=np.int64)
-    dates = rng.integers(CLICK_START, CLICK_END, rows).astype(np.int32)
-    times = rng.integers(0, 86_400, rows, dtype=np.int64)
-    is_sale = rng.random(rows) < PURCHASE_FRACTION
-    sales = np.where(is_sale,
-                     rng.integers(1, 2**31, rows, dtype=np.int64), 0)
+def clickstreams_table(row_counts: Sequence[int], seed: int,
+                       scale_factor: float) -> RecordBatch:
+    """The click events of partitions of ``row_counts`` rows, in
+    partition order."""
+    users = int(USERS_PER_SF * max(scale_factor, 1e-3)) + 1
+    user, item, date, time, sale_draw, sale = partition_draws(
+        row_counts, seed, lambda rng, rows: (
+            rng.integers(1, users, rows, dtype=np.int64),
+            rng.integers(1, ITEM_COUNT + 1, rows, dtype=np.int64),
+            rng.integers(CLICK_START, CLICK_END, rows),
+            rng.integers(0, 86_400, rows, dtype=np.int64),
+            rng.random(rows),
+            rng.integers(1, 2**31, rows, dtype=np.int64)))
     return RecordBatch(CLICKSTREAMS_SCHEMA, {
-        "wcs_click_date_sk": dates,
-        "wcs_click_time_sk": times,
-        "wcs_user_sk": users,
-        "wcs_item_sk": items,
-        "wcs_sales_sk": sales,
+        "wcs_click_date_sk": date.astype(np.int32),
+        "wcs_click_time_sk": time,
+        "wcs_user_sk": user,
+        "wcs_item_sk": item,
+        "wcs_sales_sk": np.where(sale_draw < PURCHASE_FRACTION, sale, 0),
     })
 
 
-def generate_item(rows: int = ITEM_COUNT, seed: int = 0) -> RecordBatch:
-    """Generate the item dimension (single small partition)."""
-    rng = np.random.default_rng(seed)
-    item_sk = np.arange(1, rows + 1, dtype=np.int64)
-    category = rng.integers(1, CATEGORY_COUNT + 1, rows, dtype=np.int64)
+def generate_clickstreams(rows: int, seed: int,
+                          scale_factor: float) -> RecordBatch:
+    """Generate ``rows`` click events (one partition's worth)."""
+    return clickstreams_table([rows], seed, scale_factor)
+
+
+def item_table(row_counts: Sequence[int], seed: int) -> RecordBatch:
+    """The item dimension over partitions of ``row_counts`` rows, keys
+    numbered from 1 (Table 4 stores it as one partition)."""
+    [category] = partition_draws(row_counts, seed, lambda rng, rows: (
+        rng.integers(1, CATEGORY_COUNT + 1, rows, dtype=np.int64),))
     return RecordBatch(ITEM_SCHEMA, {
-        "i_item_sk": item_sk,
+        "i_item_sk": np.arange(1, len(category) + 1, dtype=np.int64),
         "i_category_id": category,
     })
+
+
+def generate_item(rows: int, seed: int) -> RecordBatch:
+    """Generate the item dimension (single small partition)."""
+    return item_table([rows], seed)

@@ -3,7 +3,9 @@
 A base-table partition is stored as a :class:`StoredFile`: its rows cut
 into row groups, each column of a group held as the array a reader
 gets (numbers as their ``numpy_dtype``, strings as object arrays of
-``str``) with the (min, max) zone map of those stored values. Readers
+``str``) with the (min, max) zone map of those stored values. A table
+is stored in one pass (:func:`store_files`): each column is converted
+once, and every partition's chunks are read-only views of it. Readers
 take only the columns their projection needs and skip row groups whose
 zone maps cannot satisfy the predicate (projection and selection
 pushdown, Section 3.2). No simulated quantity depends on encoded bytes
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +65,7 @@ class RowGroup:
     #: Column name -> the stored chunk (numbers as their ``numpy_dtype``,
     #: strings as object arrays of ``str``), read-only.
     columns: dict[str, np.ndarray]
-    #: Column name -> (min, max) of the stored chunk, as :func:`_zone_map`
+    #: Column name -> (min, max) of the stored chunk, as :func:`_zone_maps`
     #: has it.
     zone_maps: dict[str, tuple]
 
@@ -98,7 +100,7 @@ class StoredFile:
 
 
 def _stored_column(array: np.ndarray, dtype: DataType) -> np.ndarray:
-    """``array`` as its chunk is stored, read-only."""
+    """``array`` as it is stored, read-only."""
     if dtype is DataType.STRING:
         stored = np.array([str(v) for v in array], dtype=object)
     else:
@@ -107,34 +109,76 @@ def _stored_column(array: np.ndarray, dtype: DataType) -> np.ndarray:
     return stored
 
 
-def _zone_map(stored: np.ndarray, dtype: DataType) -> tuple:
-    """(min, max) of a stored chunk; ``(None, None)`` when it is empty.
+def _zone_maps(stored: np.ndarray, dtype: DataType,
+               bounds: list[tuple[int, int]]) -> list[tuple]:
+    """(min, max) of each ``stored[start:stop]`` chunk of ``bounds``;
+    ``(None, None)`` for an empty one.
 
     Taken from the stored values, not the batch's: a DATE arrives as
     int64 and is stored as int32, and its zone map must bound what a
-    reader gets.
+    reader gets. Numbers reduce over the non-empty chunks at once, as
+    Python floats: an empty segment of ``reduceat`` would return a
+    neighbour's element, so the empty chunks take no segment.
     """
-    if len(stored) == 0:
-        return None, None
     if dtype is DataType.STRING:
         values = stored.tolist()
-        return min(values), max(values)
-    return float(np.min(stored)), float(np.max(stored))
+        return [(min(values[start:stop]), max(values[start:stop]))
+                if stop > start else (None, None)
+                for start, stop in bounds]
+    starts = [start for start, stop in bounds if stop > start]
+    if not starts:
+        return [(None, None)] * len(bounds)
+    lows = iter(np.minimum.reduceat(stored, starts)
+                .astype(np.float64).tolist())
+    highs = iter(np.maximum.reduceat(stored, starts)
+                 .astype(np.float64).tolist())
+    return [(next(lows), next(highs)) if stop > start else (None, None)
+            for start, stop in bounds]
+
+
+def store_files(batch: RecordBatch,
+                row_counts: Sequence[int]) -> list[StoredFile]:
+    """``batch`` cut into consecutive files of ``row_counts`` rows, each a
+    :class:`StoredFile` of :data:`ROW_GROUP_SIZE`-row groups. A file of
+    no rows still has one (empty) row group.
+
+    Each column is converted to its stored form once, and every row
+    group's chunk is a read-only view of it.
+    """
+    if sum(row_counts) != len(batch):
+        raise ValueError(f"row counts sum to {sum(row_counts)}, "
+                         f"the batch has {len(batch)} rows")
+    row_group_size = ROW_GROUP_SIZE
+    bounds: list[tuple[int, int]] = []
+    group_counts = []
+    stop = 0
+    for rows in row_counts:
+        start, stop = stop, stop + rows
+        starts = range(start, max(stop, start + 1), row_group_size)
+        bounds.extend((first, min(first + row_group_size, stop))
+                      for first in starts)
+        group_counts.append(len(starts))
+    chunks, zones = {}, {}
+    for field in batch.schema:
+        stored = _stored_column(batch.column(field.name), field.dtype)
+        chunks[field.name] = [stored[start:stop] for start, stop in bounds]
+        zones[field.name] = _zone_maps(stored, field.dtype, bounds)
+    groups = [RowGroup({name: chunks[name][index] for name in chunks},
+                       {name: zones[name][index] for name in zones})
+              for index in range(len(bounds))]
+    files, first = [], 0
+    for rows, count in zip(row_counts, group_counts):
+        files.append(StoredFile(batch.schema, rows,
+                                tuple(groups[first:first + count])))
+        first += count
+    return files
 
 
 def store_file(batch: RecordBatch) -> StoredFile:
-    """``batch`` as a :class:`StoredFile` of :data:`ROW_GROUP_SIZE`-row
-    groups. A zero-row batch still has one (empty) row group."""
-    row_group_size = ROW_GROUP_SIZE
-    groups = []
-    for start in range(0, max(len(batch), 1), row_group_size):
-        columns = {field.name: _stored_column(
-            batch.column(field.name)[start:start + row_group_size],
-            field.dtype) for field in batch.schema}
-        groups.append(RowGroup(columns, {
-            field.name: _zone_map(columns[field.name], field.dtype)
-            for field in batch.schema}))
-    return StoredFile(batch.schema, len(batch), tuple(groups))
+    """``batch`` as one :class:`StoredFile` (:func:`store_files` with one
+    file)."""
+    [stored] = store_files(batch, [len(batch)])
+    return stored
 
 
 class ColumnarCache:

@@ -130,8 +130,7 @@ class FluidStep:
 class PartitionTree:
     """The set of prefix partitions of one bucket, with split/merge logic."""
 
-    def __init__(self, read_quota: float = READ_IOPS_PER_PARTITION) -> None:
-        self.read_quota = read_quota
+    def __init__(self) -> None:
         self._partition_seq = 0
         self.partitions: list[Partition] = [self._fresh(0.0, 1.0)]
         self.split_count = 0
@@ -181,9 +180,9 @@ class PartitionTree:
     def _fresh(self, low: float, high: float) -> Partition:
         self._partition_seq += 1
         return Partition(low=low, high=high, uid=self._partition_seq,
-                         read_quota=self.read_quota,
+                         read_quota=READ_IOPS_PER_PARTITION,
                          write_quota=WRITE_IOPS_PER_PARTITION,
-                         read_tokens=self.read_quota,
+                         read_tokens=READ_IOPS_PER_PARTITION,
                          write_tokens=WRITE_IOPS_PER_PARTITION)
 
     @property

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-#: Default cap on stored samples per time series. Beyond it, samples are
+#: Cap on stored samples per time series. Beyond it, samples are
 #: counted in ``dropped`` instead of stored, so a runaway probe cannot
 #: exhaust memory.
 DEFAULT_MAX_POINTS = 8_192
@@ -122,17 +122,15 @@ class TimeSeries:
 
     ``min_dt`` drops samples closer than that to the previous *kept*
     sample (value changes are still visible at the next kept sample);
-    ``max_points`` caps storage, counting overflow in :attr:`dropped`.
+    :data:`DEFAULT_MAX_POINTS` caps storage, counting overflow in
+    :attr:`dropped`.
     """
 
-    __slots__ = ("name", "min_dt", "max_points", "points", "dropped",
-                 "_last_t")
+    __slots__ = ("name", "min_dt", "points", "dropped", "_last_t")
 
-    def __init__(self, name: str, min_dt: float = 0.0,
-                 max_points: int = DEFAULT_MAX_POINTS) -> None:
+    def __init__(self, name: str, min_dt: float = 0.0) -> None:
         self.name = name
         self.min_dt = min_dt
-        self.max_points = max_points
         self.points: list[tuple[float, float]] = []
         self.dropped = 0
         self._last_t = float("-inf")
@@ -142,7 +140,7 @@ class TimeSeries:
         if t - self._last_t < self.min_dt:
             self.dropped += 1
             return
-        if len(self.points) >= self.max_points:
+        if len(self.points) >= DEFAULT_MAX_POINTS:
             self.dropped += 1
             return
         self.points.append((t, value))

@@ -100,12 +100,8 @@ def table_batches_from_spec(specs) -> dict[str, RecordBatch]:
     ``load_table`` stores under its default seed."""
     tables: dict[str, RecordBatch] = {}
     for spec in specs:
-        pieces = []
-        for index in range(spec.partition_count):
-            rows = spec.rows_for_partition(index)
-            pieces.append(spec.generator(rows, 1_000, index,
-                                         spec.physical_scale_factor))
-        tables[spec.name] = RecordBatch.concat(pieces)
+        tables[spec.name] = spec.generator(spec.row_counts, 1_000,
+                                           spec.physical_scale_factor)
     return tables
 
 

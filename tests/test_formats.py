@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.formats import DataType, Field, RecordBatch, Schema, store_file
 from repro.formats import columnar
-from repro.formats.columnar import ColumnarCache
+from repro.formats.columnar import ColumnarCache, store_files
+from tests import datagen_oracle
 
 
 def sample_schema():
@@ -308,6 +309,83 @@ class TestStoredFile:
         stored = store_file(sample_batch(100))
         assert stored.read(["id"], (0,)).column("id") \
             is stored.row_groups[0].columns["id"]
+
+
+def assert_same_file(got, want):
+    """Every field of two stored files equal: schema, rows, row groups,
+    each chunk's dtype, values, element types and read-only flag, and
+    each zone map's values and Python types."""
+    assert got.schema == want.schema
+    assert got.num_rows == want.num_rows
+    assert len(got.row_groups) == len(want.row_groups)
+    for mine, theirs in zip(got.row_groups, want.row_groups):
+        assert list(mine.columns) == list(theirs.columns)
+        for name, array in theirs.columns.items():
+            chunk = mine.columns[name]
+            assert chunk.dtype == array.dtype
+            np.testing.assert_array_equal(chunk, array)
+            assert [type(v) for v in chunk.tolist()] \
+                == [type(v) for v in array.tolist()]
+            assert not chunk.flags.writeable and not array.flags.writeable
+        assert list(mine.zone_maps) == list(theirs.zone_maps)
+        # assert_equal tells NaN from NaN and -0.0 from 0.0 apart.
+        np.testing.assert_equal(mine.zone_maps, theirs.zone_maps)
+        for name, bounds in theirs.zone_maps.items():
+            assert [type(v) for v in mine.zone_maps[name]] \
+                == [type(v) for v in bounds]
+
+
+def cut(batch, row_counts):
+    """``batch``'s consecutive slices of ``row_counts`` rows."""
+    ends = np.cumsum([0, *row_counts])
+    return [RecordBatch(batch.schema, {
+        name: array[start:stop] for name, array in batch.columns.items()})
+        for start, stop in zip(ends, ends[1:])]
+
+
+class TestStoredFiles:
+    """A batch stored as several files in one pass equals each file's
+    rows stored on their own, by the per-partition oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_each_file_equals_its_rows_stored_alone(self, data):
+        batch = data.draw(batches())
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(batch)),
+                                         max_size=6)))
+        bounds = [0, *cuts, len(batch)]
+        row_counts = [stop - start for start, stop in zip(bounds, bounds[1:])]
+        with mock.patch.object(columnar, "ROW_GROUP_SIZE",
+                               data.draw(st.integers(1, 16))):
+            files = store_files(batch, row_counts)
+            want = [datagen_oracle.store_file(piece)
+                    for piece in cut(batch, row_counts)]
+        assert len(files) == len(want)
+        for got, expected in zip(files, want):
+            assert_same_file(got, expected)
+
+    def test_empty_files_between_full_ones_have_no_bounds(self):
+        # An empty segment of reduceat returns its neighbour's element:
+        # an empty file must still read (None, None).
+        batch = sample_batch(5)
+        files = store_files(batch, [0, 3, 0, 2, 0])
+        assert [f.num_rows for f in files] == [0, 3, 0, 2, 0]
+        for index in (0, 2, 4):
+            [group] = files[index].row_groups
+            assert set(group.zone_maps.values()) == {(None, None)}
+        assert files[3].row_groups[0].zone_maps["id"] == (3.0, 4.0)
+
+    def test_chunks_are_views_of_one_stored_column(self):
+        with mock.patch.object(columnar, "ROW_GROUP_SIZE", 3):
+            files = store_files(sample_batch(10), [4, 6])
+        chunks = [group.columns["price"]
+                  for stored in files for group in stored.row_groups]
+        assert len(chunks) == 4
+        assert len({id(chunk.base) for chunk in chunks}) == 1
+
+    def test_row_counts_must_cover_the_batch(self):
+        with pytest.raises(ValueError, match="row counts"):
+            store_files(sample_batch(5), [2, 2])
 
 
 class TestColumnarCache:

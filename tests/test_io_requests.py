@@ -17,6 +17,7 @@ enough for transfers to overrun it.
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from repro.storage import S3Standard
 from repro.storage.base import RequestType
 from repro.storage.errors import RequestTimeout, SlowDown, StorageError
 from repro.storage.latency import LatencyModel
-from repro.storage.partitions import PartitionTree
+from repro.storage import partitions
 
 
 # -- the process chain before RangeGet and SliceRead, verbatim ---------------
@@ -251,6 +252,14 @@ class _DeferringIoStack(IoStack):
 
 
 def _run(plan: Plan, io_cls=_DeferringIoStack, reader_cls=ShuffleReader):
+    """:func:`_simulate` with ``plan.quota`` as every partition's GET
+    quota."""
+    with mock.patch.object(partitions, "READ_IOPS_PER_PARTITION",
+                           plan.quota):
+        return _simulate(plan, io_cls, reader_cls)
+
+
+def _simulate(plan: Plan, io_cls, reader_cls):
     env = Environment()
     pops = []
 
@@ -262,8 +271,7 @@ def _run(plan: Plan, io_cls=_DeferringIoStack, reader_cls=ShuffleReader):
             pass
 
     fabric = Fabric(env)
-    s3 = S3Standard(env, fabric, RandomStreams(seed=plan.seed),
-                    partitions=PartitionTree(read_quota=plan.quota))
+    s3 = S3Standard(env, fabric, RandomStreams(seed=plan.seed))
     s3.read_latency = LatencyModel(median=0.03, p95=0.4,
                                    tail_probability=plan.tail,
                                    tail_alpha=1.1, ceiling=plan.ceiling)

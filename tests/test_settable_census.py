@@ -78,9 +78,7 @@ ALLOWED = {
         "repro/faas/scaling.py:ConcurrencyScaler.__init__.burst_limit",
         "repro/lint/framework.py:SourceModule.__init__.module",
         "repro/shard/rebalance.py:Rebalancer.__init__.min_window",
-        "repro/shard/router.py:ShardRouter.__init__.vnodes",
-        "repro/storage/partitions.py:PartitionTree.__init__.read_quota",
-        "repro/telemetry/metrics.py:TimeSeries.__init__.max_points")},
+        "repro/shard/router.py:ShardRouter.__init__.vnodes")},
     # -- accumulators ---------------------------------------------------------
     "repro/core/micro/storage_io.py:ScalingTrace.successful": _ACCUMULATOR,
     "repro/core/micro/storage_io.py:ScalingTrace.nominal": _ACCUMULATOR,

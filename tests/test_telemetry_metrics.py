@@ -1,7 +1,8 @@
 """Unit tests for the typed metric instruments and the registry."""
 
-from repro.telemetry import Counter, Gauge, MetricRegistry, TimeSeries
-from repro.telemetry.metrics import DEFAULT_MAX_POINTS
+from unittest import mock
+
+from repro.telemetry import Counter, Gauge, MetricRegistry, TimeSeries, metrics
 
 
 def test_counter_increments():
@@ -40,9 +41,10 @@ def test_timeseries_min_dt_drops_close_samples():
 
 
 def test_timeseries_max_points_caps_storage():
-    series = TimeSeries("test.series", max_points=3)
-    for i in range(10):
-        series.sample(float(i), float(i))
+    series = TimeSeries("test.series")
+    with mock.patch.object(metrics, "DEFAULT_MAX_POINTS", 3):
+        for i in range(10):
+            series.sample(float(i), float(i))
     assert len(series.points) == 3
     assert series.dropped == 7
     assert series.values() == [0.0, 1.0, 2.0]
@@ -57,7 +59,6 @@ def test_registry_caches_by_name():
     series = registry.timeseries("d", min_dt=5.0)
     assert registry.timeseries("d", min_dt=0.0) is series
     assert series.min_dt == 5.0
-    assert series.max_points == DEFAULT_MAX_POINTS
 
 
 def test_registry_snapshot_is_sorted_and_json_ready():
